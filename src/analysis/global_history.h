@@ -2,7 +2,9 @@
 #define PARDB_ANALYSIS_GLOBAL_HISTORY_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "analysis/history.h"
@@ -63,6 +65,20 @@ class GlobalHistory {
 
   std::map<std::uint64_t, std::vector<AccessEvent>> logs_;
 };
+
+// GlobalHistory's verdict over several recorders' committed logs, computed
+// from their online certifier graphs instead of their events: the union of
+// every recorder's precedence edges, renamed by `key_of(i, txn)` (the key
+// recorder i's transaction `txn` would be Added under), checked by one
+// topological pass. Exact when every recorder is certifier_exact() and no
+// entity touched by two recorders was published by either — then each
+// entity's conflicts live in one recorder, whose edges have the oracle's
+// transitive closure, and renaming maps paths to paths. Returns nullopt
+// otherwise (replica divergence among them); the caller falls back to
+// GlobalHistory.
+std::optional<bool> CertifyUnion(
+    const std::vector<const HistoryRecorder*>& recorders,
+    const std::function<std::uint64_t(std::size_t, TxnId)>& key_of);
 
 }  // namespace pardb::analysis
 

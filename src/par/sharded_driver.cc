@@ -143,6 +143,9 @@ struct ShardRun {
   ShardResult result;
   std::vector<std::uint32_t> cost_samples;
   obs::RegistrySnapshot metrics;  // labeled {{"shard","k"}}
+  // Wall-clock cost of the shard's serializability verdict (the "certify"
+  // phase gauge, beside the global merge); kept out of the report.
+  std::uint64_t certify_ns = 0;
   std::vector<core::TraceEvent> trace_events;
   std::vector<obs::DeadlockDump> forensics;
   // Hub-owned registry when live introspection is on (so /metrics outlives
@@ -221,8 +224,11 @@ void FinishShard(const ShardedOptions& options, std::uint32_t shard,
   core::Engine& engine = *ex.engine;
   run.result.committed = engine.metrics().commits;
   run.result.completed = completed;
-  run.result.serializable =
-      !options.check_serializability || ex.recorder.IsConflictSerializable();
+  if (options.check_serializability) {
+    const std::uint64_t c0 = NowNanos();
+    run.result.serializable = ex.recorder.IsConflictSerializable();
+    run.certify_ns = NowNanos() - c0;
+  }
   run.result.metrics = engine.metrics();
   run.result.rollback_costs = engine.RollbackCostDistribution();
   run.cost_samples = engine.rollback_cost_samples();
@@ -623,23 +629,61 @@ void ScheduleShard(SchedulerCtx* ctx, std::uint32_t shard,
 // the slices of each global transaction fuse under its global sequence
 // number; without one (the replica path) every transaction keeps a
 // shard-qualified key and the check fails on replica divergence.
+//
+// One shard without a coordinator is its own verdict: one store publishes
+// no version twice and LocalKey(0, .) is a bijection, so the merge would
+// rebuild the same graph. Otherwise the shards' online certifier graphs
+// are unioned (DESIGN D17); only when two shards touched one published
+// entity (kReplica's divergence) does the merged event log get rebuilt.
 bool CheckGlobalSerializability(const std::vector<ShardRun>& runs,
                                 std::uint32_t n,
                                 const xshard::Coordinator* coord) {
-  analysis::GlobalHistory merged;
+  if (n == 1 && coord == nullptr) return runs[0].result.serializable;
+  std::vector<const analysis::HistoryRecorder*> recorders;
+  std::vector<std::uint32_t> shard_of;
   for (std::uint32_t s = 0; s < n; ++s) {
     if (runs[s].exec == nullptr) continue;
-    for (const auto& c : runs[s].exec->recorder.CommittedLog()) {
-      std::uint64_t key = analysis::GlobalHistory::LocalKey(s, c.txn);
-      if (coord != nullptr) {
-        if (auto g = coord->GlobalOf(s, c.txn); g.has_value()) {
-          key = analysis::GlobalHistory::GlobalKey(*g);
-        }
+    recorders.push_back(&runs[s].exec->recorder);
+    shard_of.push_back(s);
+  }
+  auto key_of = [&shard_of, coord](std::size_t i, TxnId txn) {
+    const std::uint32_t s = shard_of[i];
+    if (coord != nullptr) {
+      if (auto g = coord->GlobalOf(s, txn); g.has_value()) {
+        return analysis::GlobalHistory::GlobalKey(*g);
       }
-      merged.Add(key, c.events);
+    }
+    return analysis::GlobalHistory::LocalKey(s, txn);
+  };
+  if (auto verdict = analysis::CertifyUnion(recorders, key_of)) {
+    return *verdict;
+  }
+  analysis::GlobalHistory merged;
+  for (std::size_t i = 0; i < recorders.size(); ++i) {
+    for (const auto& c : recorders[i]->CommittedLog()) {
+      merged.Add(key_of(i, c.txn), c.events);
     }
   }
   return merged.IsConflictSerializable();
+}
+
+// Runs the global check and prices the whole verdict step — every shard's
+// own verdict plus the merge — as pardb_phase_seconds{phase="certify"}.
+bool CertifyRun(const ShardedOptions& options,
+                const std::vector<ShardRun>& runs, std::uint32_t n,
+                const xshard::Coordinator* coord,
+                obs::MetricsRegistry* sched_registry) {
+  if (!options.check_serializability) return true;
+  const std::uint64_t c0 = NowNanos();
+  const bool verdict = CheckGlobalSerializability(runs, n, coord);
+  std::uint64_t nanos = NowNanos() - c0;
+  for (std::uint32_t s = 0; s < n; ++s) nanos += runs[s].certify_ns;
+  if (sched_registry != nullptr) {
+    sched_registry
+        ->GetGauge(obs::kPhaseSeconds, {{obs::kPhaseLabel, "certify"}})
+        ->Set(static_cast<std::int64_t>(Seconds(nanos) * 1000.0));
+  }
+  return verdict;
 }
 
 // Publishes the union-of-forests view for /debug/waits-for?scope=global:
@@ -1031,6 +1075,8 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
           core::GlobalSlice{seq, key.first, key.second});
     }
   }
+  const bool global_serializable =
+      CertifyRun(options, runs, n, &coord, sched_registry);
   if (sched_registry != nullptr) {
     report.metrics.MergeFrom(sched_registry->Snapshot());
   }
@@ -1054,10 +1100,8 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
   report.wasted_fraction =
       SafeRatio(report.aggregate.wasted_ops, report.aggregate.ops_executed);
   report.goodput = SafeRatio(report.committed, report.aggregate.ops_executed);
-  if (options.check_serializability) {
-    report.global_serializable = CheckGlobalSerializability(runs, n, &coord);
-    report.serializable = report.serializable && report.global_serializable;
-  }
+  report.global_serializable = global_serializable;
+  report.serializable = report.serializable && global_serializable;
   if (options.hub != nullptr) options.hub->SetPhase(obs::RunPhase::kDone);
   return report;
 }
@@ -1346,10 +1390,13 @@ Result<ShardedReport> RunSharded(const ShardedOptions& options) {
       report.forensics.push_back(std::move(d));
     }
   }
+  const std::uint64_t aggregate_ns = NowNanos() - a0;
+  report.global_serializable =
+      CertifyRun(options, runs, n, /*coord=*/nullptr, sched_registry);
   if (sched_registry != nullptr) {
     sched_registry
         ->GetGauge(obs::kPhaseSeconds, {{obs::kPhaseLabel, "aggregate"}})
-        ->Set(static_cast<std::int64_t>(Seconds(NowNanos() - a0) * 1000.0));
+        ->Set(static_cast<std::int64_t>(Seconds(aggregate_ns) * 1000.0));
     report.metrics.MergeFrom(sched_registry->Snapshot());
   }
   if (options.instrument) {
@@ -1372,10 +1419,6 @@ Result<ShardedReport> RunSharded(const ShardedOptions& options) {
       SafeRatio(report.aggregate.wasted_ops, report.aggregate.ops_executed);
   report.goodput =
       SafeRatio(report.committed, report.aggregate.ops_executed);
-  if (options.check_serializability) {
-    report.global_serializable =
-        CheckGlobalSerializability(runs, n, /*coord=*/nullptr);
-  }
   if (options.hub != nullptr) options.hub->SetPhase(obs::RunPhase::kDone);
   return report;
 }

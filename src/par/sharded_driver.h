@@ -24,10 +24,10 @@ namespace pardb::par {
 // independent core::Engine shards; each shard is a complete engine —
 // store, lock manager, waits-for graph, rollback machinery — that stays
 // single-threaded and deterministic under its own derived seed, and the
-// shards run concurrently on a ThreadPool. A transaction whose footprint
-// spans shards is routed to one designated coordinator shard, so no
-// engine is ever touched by two threads and no locking is added to the
-// engine itself.
+// shards run concurrently as quantum chains on a work-stealing
+// StealingPool. A transaction whose footprint spans shards is routed to
+// one designated coordinator shard, so no engine is ever touched by two
+// threads and no locking is added to the engine itself.
 //
 // The model matches §3.3's observation: conflicts confined to one site
 // are cheap, and only cross-site transactions need coordination. How a
@@ -269,7 +269,11 @@ struct ShardedReport {
   core::CostDistribution rollback_costs;
   std::uint64_t committed = 0;
   bool completed = true;    // every shard finished within its step budget
-  bool serializable = true;  // every shard's history is serializable
+  // Every shard's history is serializable. kLocks also folds
+  // global_serializable in; the plain path (one shard, or kReplica) does
+  // not, so a kReplica run can read serializable=true,
+  // global_serializable=false.
+  bool serializable = true;
 
   // Routing analysis — the execution analogue of
   // DistReport::multi_site_fraction: share of transactions whose footprint
@@ -288,7 +292,8 @@ struct ShardedReport {
   // from ShardedReportToJson like the per-shard chains.
   std::vector<std::uint64_t> coord_journal_chain;
   // Conflict-serializability of the *merged* committed projection across
-  // shards (analysis::GlobalHistory); computed whenever
+  // shards (analysis::GlobalHistory's verdict, computed from the shards'
+  // online certifier graphs where exact — DESIGN D17); computed whenever
   // check_serializability is on. kLocks keeps it true; kReplica fails it
   // as soon as the coordinator's replica writes diverge from a home
   // shard's.

@@ -19,9 +19,8 @@ namespace pardb::par {
 // work LIFO (the task it just produced is hot in cache), takes external
 // submissions from a shared injection queue FIFO, and when both are empty
 // steals FIFO from another worker's deque — the oldest task, the one its
-// owner would reach last. Tasks are independent closures, like ThreadPool's;
-// the difference is that a task submitted from inside a running task lands
-// on the submitting worker's own deque, so a chain of self-resubmitting
+// owner would reach last. Tasks are independent closures; a task submitted
+// from inside a running task lands on the submitting worker's own deque, so a chain of self-resubmitting
 // tasks (the sharded driver's per-shard quantum chain) stays on one worker
 // until some idle worker steals it — which is exactly the migration the
 // scheduler wants under load skew.

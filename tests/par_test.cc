@@ -23,7 +23,6 @@
 #include "par/router.h"
 #include "par/sharded_driver.h"
 #include "par/stealing_pool.h"
-#include "par/thread_pool.h"
 #include "txn/program.h"
 
 namespace pardb::par {
@@ -106,30 +105,6 @@ TEST(RouterTest, ShardUniversesPartitionTheEntityRange) {
     }
   }
   EXPECT_EQ(seen.size(), kEntities);
-}
-
-TEST(ThreadPoolTest, RunsEveryTaskAcrossBatches) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.num_threads(), 4u);
-  std::atomic<int> count{0};
-  for (int batch = 0; batch < 3; ++batch) {
-    for (int i = 0; i < 100; ++i) {
-      pool.Submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-    }
-    pool.Wait();  // pool is reusable after Wait
-    EXPECT_EQ(count.load(), (batch + 1) * 100);
-  }
-}
-
-TEST(ThreadPoolTest, DestructorDrainsOutstandingWork) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      pool.Submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-    }
-  }  // ~ThreadPool waits for the queue
-  EXPECT_EQ(count.load(), 50);
 }
 
 TEST(StealingPoolTest, ReusableAcrossWaitBatches) {
