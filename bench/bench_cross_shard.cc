@@ -1,7 +1,7 @@
-// Cross-shard execution cost: goodput of par::RunSharded in locks mode
-// (XShardMode::kLocks — true shard-spanning transactions with distributed
-// partial rollback, DESIGN D12) as the cross-shard fraction sweeps
-// {0, 0.05, 0.2} at 4 shards.
+// Cross-shard execution cost: goodput of par::RunSharded's multi-shard
+// path (true shard-spanning transactions with distributed partial
+// rollback, DESIGN D12) as the cross-shard fraction sweeps {0, 0.05, 0.2}
+// at 4 shards.
 //
 // Two deterministic signals ride along for the regression gate:
 //  - goodput (committed / ops executed) per fraction — the price of
@@ -45,7 +45,6 @@ par::ShardedOptions Base(double cross_fraction) {
   opt.concurrency = 16;
   opt.total_txns = 800;
   opt.seed = 33;
-  opt.xshard = par::XShardMode::kLocks;
   return opt;
 }
 

@@ -1,13 +1,15 @@
 // Sharded parallel scaling: aggregate throughput of par::RunSharded at
-// 1/2/4/8 shards on a low-cross-shard workload.
+// 1/2/4/8 shards on a low-cross-shard workload. Every multi-shard point
+// runs the sound cross-shard protocol (split global transactions, epoch
+// barriers, union merges), so the speedup is quoted net of coordination.
 //
 // The speedup has two sources. On multi-core hardware the shards run
 // concurrently. Independently of core count, a single engine's per-step
 // cost grows with its transaction population (scheduler scans, lock
 // table, waits-for graph), so splitting one 2400-transaction run into
-// four 600-transaction shards does strictly less work even serialized —
-// the same observation that makes Brook-2PL structure execution around
-// partitions.
+// four 600-transaction shards does less engine work even serialized — the
+// same observation that makes Brook-2PL structure execution around
+// partitions. Against that stand the epoch barriers and merges.
 //
 // Besides the table, the run writes machine-readable BENCH_parallel.json
 // (array of per-shard-count objects with elapsed time, throughput,
@@ -44,9 +46,6 @@ par::ShardedOptions Base(std::uint32_t shards, std::uint64_t total_txns) {
   opt.total_txns = total_txns;
   opt.seed = 21;
   opt.engine.scheduler = core::SchedulerKind::kRandom;
-  // Baselines predate locks-mode cross-shard execution; pin the original
-  // replica routing (bench_cross_shard covers the locks path).
-  opt.xshard = par::XShardMode::kReplica;
   return opt;
 }
 
@@ -100,14 +99,14 @@ void PrintReproduction() {
                "timings vary)\n";
 }
 
-// Pipelined admission vs batch phase 1 at 8 shards: generation + routing
-// stream into per-shard bounded queues while the shards execute, instead
-// of materializing all 2400 programs first. Wall-clock speedup needs
-// enough cores to give the producer its own CPU; the deterministic
-// signals — byte-identical report JSON and the overlap fraction (the
-// share of generation work provably emitted after execution started,
-// sum_s max(0, assigned_s - capacity) / total) — hold on any host and
-// are what check_bench_regression.py gates on single-CPU runners.
+// Pipelined admission vs batch phase 1 on one shard (the only path that
+// streams): generation runs on a producer thread into a bounded queue
+// while the shard executes, instead of materializing all 2400 programs
+// first. Wall-clock speedup needs enough cores to give the producer its
+// own CPU; the deterministic signals — byte-identical report JSON and the
+// overlap fraction (the share of generation work provably emitted after
+// execution started, max(0, total - capacity) / total) — hold on any host
+// and are what check_bench_regression.py gates on single-CPU runners.
 void PrintPipelineComparison() {
   constexpr int kRounds = 3;
   struct ModeResult {
@@ -119,7 +118,7 @@ void PrintPipelineComparison() {
   };
   auto run = [](bool pipeline) {
     ModeResult r;
-    auto opt = Base(8, 2400);
+    auto opt = Base(1, 2400);
     opt.pipeline = pipeline;
     (void)par::RunSharded(opt);  // warm-up
     std::vector<double> times;
@@ -156,7 +155,7 @@ void PrintPipelineComparison() {
         << piped.report_json;
   }
 
-  Section("Pipelined admission vs batch generation (8 shards, 2400 txns)");
+  Section("Pipelined admission vs batch generation (1 shard, 2400 txns)");
   Table t({"mode", "committed", "elapsed (s)", "generate (s)", "execute (s)",
            "overlap frac", "peak materialized", "speedup vs batch"});
   t.AddRow("batch", batch.committed, batch.elapsed,
@@ -173,7 +172,7 @@ void PrintPipelineComparison() {
                "timings vary with the host)\n";
 
   std::ofstream json("BENCH_parallel_pipeline.json");
-  json << "{\"shards\":8,\"total_txns\":2400,\"queue_capacity\":"
+  json << "{\"shards\":1,\"total_txns\":2400,\"queue_capacity\":"
        << piped.admission.queue_capacity
        << ",\n \"batch\":{\"elapsed_seconds\":" << batch.elapsed
        << ",\"generate_seconds\":" << batch.admission.generate_seconds
@@ -271,81 +270,6 @@ void PrintInstrumentationOverhead() {
        << ",\"budget_pct\":5}\n";
 }
 
-// Skew-adaptive scheduling: time-slicing + stealing + LPT submission
-// against legacy run-to-completion on a skewed 8-shard / 4-worker
-// workload. Two hot shards arise naturally: shard 0 homes the
-// Zipf(0.9)-hot keys (hot_shard_routing) and shard 7 is the coordinator
-// for a 20% cross-shard mix. Run-to-completion pulls shards in index
-// order, so the heavy coordinator starts only after a wave of light
-// shards — the Graham list-scheduling pathology. The comparison is pinned
-// on SchedulerStats::virtual_makespan_steps, which is bit-deterministic
-// on any machine (wall-clock is reported for information; on few-core
-// hosts it mostly reflects the serial step total, which both schedulers
-// share exactly). A uniform low-cross-shard config guards the other
-// side: time-slicing's quantum bookkeeping must not cost wall time.
-par::ShardedOptions SkewBase(double zipf_theta, par::ShardScheduler sched) {
-  auto opt = Base(8, 2400);
-  // Batch admission: the LPT (longest-assigned-first) submission order this
-  // comparison was pinned with needs the full routing counts up front,
-  // which only the batch path has. Streaming admission submits shards in
-  // index order as their queues fill.
-  opt.pipeline = false;
-  opt.num_threads = 4;
-  opt.workload.zipf_theta = zipf_theta;
-  opt.cross_shard_fraction = 0.2;
-  opt.coordinator_shard = 7;
-  opt.hot_shard_routing = true;
-  opt.scheduler = sched;
-  return opt;
-}
-
-void PrintSkewComparison() {
-  Section(
-      "Skew-adaptive scheduler vs run-to-completion (8 shards / 4 workers)");
-  Table t({"zipf", "scheduler", "committed", "virtual makespan (steps)",
-           "virtual speedup", "elapsed (s)", "steals"});
-  std::ofstream json("BENCH_parallel_skew.json");
-  json << "[\n";
-  bool first = true;
-  for (double zipf : {0.0, 0.9}) {
-    std::uint64_t rtc_makespan = 0;
-    for (auto sched : {par::ShardScheduler::kRunToCompletion,
-                       par::ShardScheduler::kTimeSlice}) {
-      const bool rtc = sched == par::ShardScheduler::kRunToCompletion;
-      const auto opt = SkewBase(zipf, sched);
-      const auto start = std::chrono::steady_clock::now();
-      auto rep = par::RunSharded(opt);
-      const double elapsed = Seconds(start, std::chrono::steady_clock::now());
-      if (!rep.ok()) {
-        std::cerr << "sharded run failed: " << rep.status() << "\n";
-        continue;
-      }
-      const std::uint64_t makespan = rep->scheduler.virtual_makespan_steps;
-      if (rtc) rtc_makespan = makespan;
-      const double speedup =
-          makespan > 0 ? static_cast<double>(rtc_makespan) /
-                             static_cast<double>(makespan)
-                       : 0.0;
-      t.AddRow(zipf, rtc ? "run-to-completion" : "timeslice+steal",
-               rep->committed, makespan, speedup, elapsed,
-               rep->scheduler.steals);
-      json << (first ? "" : ",\n") << " {\"zipf_theta\":" << zipf
-           << ",\"scheduler\":\"" << (rtc ? "rtc" : "timeslice") << "\""
-           << ",\"committed\":" << rep->committed
-           << ",\"virtual_makespan_steps\":" << makespan
-           << ",\"virtual_speedup_vs_rtc\":" << speedup
-           << ",\"elapsed_seconds\":" << elapsed
-           << ",\"steals\":" << rep->scheduler.steals << "}";
-      first = false;
-    }
-  }
-  json << "\n]\n";
-  t.Print();
-  std::cout << "(wrote BENCH_parallel_skew.json; committed counts and "
-               "virtual makespans are deterministic — elapsed and steals "
-               "vary with the host)\n";
-}
-
 void BM_ShardedThroughput(benchmark::State& state) {
   const auto shards = static_cast<std::uint32_t>(state.range(0));
   for (auto _ : state) {
@@ -363,7 +287,6 @@ BENCHMARK(BM_ShardedThroughput)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 int main(int argc, char** argv) {
   PrintReproduction();
   PrintPipelineComparison();
-  PrintSkewComparison();
   PrintInstrumentationOverhead();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

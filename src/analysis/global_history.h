@@ -27,9 +27,8 @@ namespace pardb::analysis {
 //  * two engines publishing the *same* (entity, version) pair is replica
 //    divergence — two stores evolved the same entity independently, so no
 //    single serial history over one database can explain the merged log.
-//    The legacy coordinator-replica execution mode fails exactly this way
-//    (its coordinator writes entities that home shards also write), which
-//    is the regression witness for the global-serializability hole.
+//    Sound routing never produces it (every entity has one home shard),
+//    so the check is a fault detector for the sharded driver.
 class GlobalHistory {
  public:
   // Key for a transaction local to one shard.

@@ -314,8 +314,8 @@ class Engine {
   // level at exactly the points a per-step loop would). The engine keeps
   // no per-quantum state: chopping a run into quanta of any sizes yields
   // the identical step sequence as one unbounded quantum, which is what
-  // lets the sharded driver time-slice shards across worker threads
-  // without disturbing per-shard determinism.
+  // lets the sharded driver cut a run into quanta (epochs, or one shard's
+  // quantum loop) without disturbing per-shard determinism.
   Result<QuantumResult> StepQuantum(std::uint64_t max_steps,
                                     bool stop_after_commit = false);
 

@@ -69,12 +69,13 @@ inline constexpr char kShardStepEwmaNs[] = "pardb_shard_step_ewma_ns";
 // perfectly balanced). The ROADMAP work-stealing item's input signal.
 inline constexpr char kShardLoadSkew[] = "pardb_shard_load_skew";
 
-// Work-stealing scheduler (par::RunSharded on par::StealingPool).
+// Worker scheduling (par::RunSharded: the StealingPool's workers, or the
+// calling thread for one shard).
 // Quanta executed on a worker other than the one that queued them.
 inline constexpr char kStealsTotal[] = "pardb_steals_total";
 // Per-worker busy/wall fraction scaled by 1000 (gauge; labeled by worker).
 inline constexpr char kWorkerUtilization[] = "pardb_worker_utilization";
-// Engine steps per scheduler quantum (histogram; shows adaptive shrink).
+// Engine steps per one-shard quantum (histogram; yielded quanta excluded).
 inline constexpr char kQuantumSteps[] = "pardb_quantum_steps";
 
 // Admission pipeline (par::RunSharded streaming phase 1).
@@ -101,7 +102,7 @@ inline constexpr char kOmegaInterventionsTotal[] =
 // Preemption events recorded into lineage chains.
 inline constexpr char kLineageEventsTotal[] = "pardb_lineage_events_total";
 
-// Cross-shard coordination (par::XShardMode::kLocks; see DESIGN D12).
+// Cross-shard coordination (multi-shard par::RunSharded; see DESIGN D12).
 inline constexpr char kXShardGlobalTxnsTotal[] = "pardb_xshard_global_txns_total";
 inline constexpr char kXShardSubTxnsTotal[] = "pardb_xshard_sub_txns_total";
 inline constexpr char kXShardGlobalCommitsTotal[] =

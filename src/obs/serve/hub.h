@@ -31,7 +31,7 @@ struct RunInfo {
   std::string build_id;    // compiler + build date, or a caller override
   std::uint64_t seed = 0;
   std::uint32_t shards = 0;
-  std::string scheduler;   // "time-slice" / "run-to-completion" / "sim"
+  std::string scheduler;   // "epochs" / "quantum-loop" / "sim"
   std::string mode;        // "sim" / "parallel" / "serve"
 };
 

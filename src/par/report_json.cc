@@ -50,7 +50,7 @@ std::string ShardedReportToJson(const ShardedReport& report, int indent) {
      << pad << " \"xshard\":";
   {
     const xshard::XShardStats& x = report.xshard;
-    os << "{\"mode\":\"" << (report.xshard_locks ? "locks" : "replica")
+    os << "{\"mode\":\"" << (report.num_shards > 1 ? "locks" : "local")
        << "\",\"epochs\":" << x.epochs << ",\"global_txns\":" << x.global_txns
        << ",\"sub_txns\":" << x.sub_txns
        << ",\"sub_commits\":" << x.sub_commits

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -84,10 +83,10 @@ double Seconds(std::uint64_t nanos) {
 }
 
 // Materialized-but-unadmitted program accounting: the producer increments
-// on generate, and each shard's AdmissionQueue decrements inside its pop
-// critical section (set_materialized_counter) — so a freed slot is never
-// visible to the producer before the decrement, and the high-water mark
-// is bounded by num_shards * capacity + 1. The peak is a producer-side
+// on generate, and the AdmissionQueue decrements inside its pop critical
+// section (set_materialized_counter) — so a freed slot is never visible to
+// the producer before the decrement, and the high-water mark is bounded by
+// capacity + 1. The peak is a producer-side
 // high-water mark: only the producer writes it, right after its own
 // increment.
 struct AdmissionShared {
@@ -96,11 +95,10 @@ struct AdmissionShared {
 };
 
 // Per-shard state that persists across quanta: the engine and everything
-// wired into it. Exactly one quantum task per shard is ever in flight (the
-// task is the shard's ready token), so although quanta migrate between
-// workers, this struct is only ever touched by one thread at a time, and
-// the pool's queue transfer orders each quantum's writes before the next
-// quantum's reads.
+// wired into it. A multi-shard epoch submits at most one quantum per shard
+// and the epoch barrier (pool Wait) orders its writes before the next
+// coordinate phase, so this struct is only ever touched by one thread at a
+// time even though quanta migrate between workers.
 struct ShardExec {
   ShardExec(std::size_t max_dumps, obs::DeadlockDumpSink* hub_sink,
             obs::DecisionJournal::Options journal_options)
@@ -157,8 +155,7 @@ struct ShardRun {
   std::unique_ptr<ShardExec> exec;
 };
 
-// Builds the shard's engine and telemetry wiring; runs on whichever worker
-// executes the shard's first quantum.
+// Builds the shard's engine and telemetry wiring.
 void InitShardExec(const ShardedOptions& options, std::uint32_t shard,
                    ShardRun& run) {
   run.result.shard = shard;
@@ -272,102 +269,12 @@ void FinishShard(const ShardedOptions& options, std::uint32_t shard,
   if (options.collect_forensics) run.forensics = ex.forensics.dumps();
 }
 
-// Shared scheduler state: the pool, the per-shard step-time EWMAs feeding
-// adaptive quantum sizing, and the scheduler's own metrics. EWMA slots are
-// written only by the owning shard's quantum (single writer) and read by
-// every shard when sizing a quantum — hence atomics, relaxed.
-struct SchedulerCtx {
-  const ShardedOptions* options = nullptr;
-  std::vector<ShardRun>* runs = nullptr;
-  StealingPool* pool = nullptr;
-  std::uint32_t num_shards = 0;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> ewma_ns;
-
-  obs::Histogram* quantum_hist = nullptr;  // null when !instrument
-  obs::Counter* steals_counter = nullptr;
-  std::vector<obs::Gauge*> util_gauges;
-  std::atomic<std::uint64_t> steals_published{0};
-  std::atomic<std::uint64_t> quanta{0};
-
-  void UpdateEwma(std::uint32_t shard, std::uint64_t v) {
-    std::atomic<std::uint64_t>& slot = ewma_ns[shard];
-    const std::uint64_t old = slot.load(std::memory_order_relaxed);
-    if (old == 0) {
-      slot.store(std::max<std::uint64_t>(1, v), std::memory_order_relaxed);
-      return;
-    }
-    const std::int64_t delta =
-        (static_cast<std::int64_t>(v) - static_cast<std::int64_t>(old)) / 8;
-    const std::int64_t next = static_cast<std::int64_t>(old) + delta;
-    slot.store(next > 0 ? static_cast<std::uint64_t>(next) : 1,
-               std::memory_order_relaxed);
-  }
-
-  // Quantum size for the shard's next slice. Hot shards (step EWMA above
-  // the mean) get proportionally shorter quanta, so they come back to the
-  // queue while there is still stealable work behind them; cold shards run
-  // the full quantum.
-  std::uint64_t QuantumFor(std::uint32_t shard) const {
-    const ShardedOptions& o = *options;
-    if (o.scheduler == ShardScheduler::kRunToCompletion) {
-      return std::numeric_limits<std::uint64_t>::max();
-    }
-    const std::uint64_t base = std::max<std::uint64_t>(1, o.quantum_steps);
-    if (!o.adaptive_quantum) return base;
-    const std::uint64_t own = ewma_ns[shard].load(std::memory_order_relaxed);
-    if (own == 0) return base;
-    std::uint64_t sum = 0, reporting = 0;
-    for (std::uint32_t s = 0; s < num_shards; ++s) {
-      const std::uint64_t v = ewma_ns[s].load(std::memory_order_relaxed);
-      if (v > 0) {
-        sum += v;
-        ++reporting;
-      }
-    }
-    if (reporting == 0) return base;
-    const std::uint64_t mean = std::max<std::uint64_t>(1, sum / reporting);
-    const std::uint64_t lo = std::min(
-        std::max<std::uint64_t>(1, o.min_quantum_steps), base);
-    return std::clamp(base * mean / own, lo, base);
-  }
-
-  // Publishes live scheduler metrics: the steal counter advances by the
-  // delta since the last publication (CAS winner increments its range, so
-  // concurrent refreshers never double-count) and per-worker utilization
-  // gauges are recomputed as busy/wall, scaled by 1000.
-  void RefreshSchedulerMetrics() {
-    if (steals_counter != nullptr) {
-      std::uint64_t cur = pool->steals();
-      std::uint64_t prev = steals_published.load(std::memory_order_relaxed);
-      while (prev < cur) {
-        if (steals_published.compare_exchange_weak(
-                prev, cur, std::memory_order_relaxed)) {
-          steals_counter->Inc(cur - prev);
-          break;
-        }
-      }
-    }
-    if (!util_gauges.empty()) {
-      const std::uint64_t up = pool->uptime_nanos();
-      if (up == 0) return;
-      for (std::size_t w = 0; w < util_gauges.size(); ++w) {
-        util_gauges[w]->Set(static_cast<std::int64_t>(
-            pool->busy_nanos(w) / (up / 1000 + 1)));
-      }
-    }
-  }
-};
-
-// What a quantum left behind: more work queued (reschedule), a yield
-// (pipelined shard drained-but-open below its multiprogramming level —
-// reschedule, but nothing useful could run), or done (finished or failed).
-enum class QuantumOutcome { kMore, kYield, kDone };
-
-// Advances shard by at most `max_q` engine steps. The step sequence this
-// produces is identical for every chopping of the run into quanta:
-// spawning tops the multiprogramming level up at exactly the points a
-// per-step loop would (quantum start and after every commit — between
-// commits the refill condition cannot change).
+// Advances the one-shard run by at most `max_q` engine steps; returns true
+// once the shard is done (finished or failed — run.status tells which).
+// The step sequence this produces is identical for every chopping of the
+// run into quanta: spawning tops the multiprogramming level up at exactly
+// the points a per-step loop would (quantum start and after every commit —
+// between commits the refill condition cannot change).
 //
 // The pipelined path preserves that sequence against a stream that
 // materializes over time by one rule: the shard steps only when its level
@@ -376,10 +283,9 @@ enum class QuantumOutcome { kMore, kYield, kDone };
 // before stepping — so the shard yields its quantum instead of stepping
 // early, and the admission order plus every refill point land exactly
 // where the batch run put them.
-QuantumOutcome RunShardQuantum(const ShardedOptions& options,
-                               std::uint32_t shard, ShardRun& run,
-                               SchedulerCtx& ctx, std::uint64_t max_q) {
-  if (run.exec == nullptr) InitShardExec(options, shard, run);
+bool RunShardQuantum(const ShardedOptions& options, ShardRun& run,
+                     obs::Histogram* quantum_hist, std::uint64_t max_q) {
+  const std::uint32_t shard = run.result.shard;
   ShardExec& ex = *run.exec;
   core::Engine& engine = *ex.engine;
   obs::LiveHub* hub = options.hub;
@@ -393,7 +299,7 @@ QuantumOutcome RunShardQuantum(const ShardedOptions& options,
   auto fail = [&](Status status) {
     run.status = std::move(status);
     if (queue != nullptr) queue->Abandon();
-    return QuantumOutcome::kDone;
+    return true;
   };
   while (q_steps < max_q) {
     // Terminal check: batch knows the shard's total up front; pipelined
@@ -491,35 +397,30 @@ QuantumOutcome RunShardQuantum(const ShardedOptions& options,
       ex.next_snap_at = (ex.steps / period + 1) * period;
     }
   }
-  // Quantum-granularity timing: one clock pair per quantum (cheaper than
-  // the old 1-in-64 per-step sampling) whose per-step mean feeds the
-  // pardb_shard_step_ns histogram, the hub's skew EWMAs, and the adaptive
-  // quantum sizing.
+  // Quantum-granularity timing: one clock pair per quantum whose per-step
+  // mean feeds the pardb_shard_step_ns histogram and the hub's skew EWMA.
   if (q_steps > 0) {
     const std::uint64_t per_step = (NowNanos() - t0) / q_steps;
-    ctx.UpdateEwma(shard, per_step);
     if (ex.step_ns != nullptr) ex.step_ns->Record(per_step);
     if (hub != nullptr) hub->RecordShardStep(shard, per_step);
   }
   // Yield quanta stay out of the histogram: a starved shard would flood
   // the distribution with zeros that say nothing about quantum sizing.
-  if (ctx.quantum_hist != nullptr && !yielded) ctx.quantum_hist->Record(q_steps);
+  if (quantum_hist != nullptr && !yielded) quantum_hist->Record(q_steps);
   if (finished) {
     FinishShard(options, shard, run, completed);
     // Normally the queue is already drained+closed; on a step-budget
     // overrun it is not, and the producer must not block on it forever.
     if (queue != nullptr) queue->Abandon();
-    return QuantumOutcome::kDone;
   }
-  return yielded ? QuantumOutcome::kYield : QuantumOutcome::kMore;
+  return finished;
 }
 
-// Deterministic makespan of greedy list scheduling: each job (a shard's
-// whole step chain — chains are sequential and cannot be split across
-// workers) goes to the earliest-free virtual worker, in submission order.
-// This is what the pool's pull semantics converge to with one core per
-// worker, so it models multi-core wall-clock while staying bit-identical
-// across machines and runs.
+// Deterministic makespan of greedy list scheduling: each job (one shard's
+// quantum in an epoch) goes to the earliest-free virtual worker, in
+// submission order. This is what the pool's pull semantics converge to
+// with one core per worker, so it models multi-core wall-clock while
+// staying bit-identical across machines and runs.
 std::uint64_t VirtualMakespanSteps(const std::vector<std::uint64_t>& costs,
                                    const std::vector<std::uint32_t>& order,
                                    std::size_t workers) {
@@ -544,7 +445,7 @@ std::uint64_t VirtualMakespanSteps(const std::vector<std::uint64_t>& costs,
 // Local transactions draw from one shard's entity pool; with probability
 // cross_shard_fraction a transaction draws from the full universe. The
 // authoritative routing decision is always the footprint hash. `emit`
-// receives (shard, spans_shards, program); the xshard locks path diverts
+// receives (shard, spans_shards, program); the multi-shard path diverts
 // spanning programs to the global admission queue instead of a shard.
 Status GenerateAndRoute(
     const ShardedOptions& options, std::uint32_t n,
@@ -596,62 +497,26 @@ Status GenerateAndRoute(
   return Status::OK();
 }
 
-// Submits the shard's next quantum. The submitted task is the shard's
-// ready token: a successor is only scheduled after the current quantum
-// returns, so a shard can never run on two workers at once, while the
-// task itself may be stolen onto any worker.
-void ScheduleShard(SchedulerCtx* ctx, std::uint32_t shard,
-                   bool yielded = false) {
-  auto task = [ctx, shard] {
-    const QuantumOutcome out = RunShardQuantum(*ctx->options, shard,
-                                               (*ctx->runs)[shard], *ctx,
-                                               ctx->QuantumFor(shard));
-    const std::uint64_t q =
-        ctx->quanta.fetch_add(1, std::memory_order_relaxed) + 1;
-    if ((q & 31) == 0) ctx->RefreshSchedulerMetrics();
-    if (out != QuantumOutcome::kDone) {
-      ScheduleShard(ctx, shard, out == QuantumOutcome::kYield);
-    }
-  };
-  // A yielded quantum made no progress and is waiting on the producer; it
-  // must go to the global FIFO, not the worker's own LIFO deque, or the
-  // worker would pop it right back and starve the sibling chains — one of
-  // which may be the very shard the producer is blocked pushing to.
-  if (yielded) {
-    ctx->pool->SubmitGlobal(std::move(task));
-  } else {
-    ctx->pool->Submit(std::move(task));
-  }
-}
-
 // Merged-history conflict-serializability (the global invariant): every
-// shard's committed log, renamed into one key space. With a coordinator
-// the slices of each global transaction fuse under its global sequence
-// number; without one (the replica path) every transaction keeps a
-// shard-qualified key and the check fails on replica divergence.
+// shard's committed log, renamed into one key space in which the slices of
+// each global transaction fuse under its global sequence number and local
+// transactions keep a shard-qualified key.
 //
-// One shard without a coordinator is its own verdict: one store publishes
-// no version twice and LocalKey(0, .) is a bijection, so the merge would
+// One shard (no coordinator) is its own verdict: one store publishes no
+// version twice and LocalKey(0, .) is a bijection, so the merge would
 // rebuild the same graph. Otherwise the shards' online certifier graphs
 // are unioned (DESIGN D17); only when two shards touched one published
-// entity (kReplica's divergence) does the merged event log get rebuilt.
+// entity — a routing fault, since every entity has one home shard — does
+// the merged event log get rebuilt.
 bool CheckGlobalSerializability(const std::vector<ShardRun>& runs,
-                                std::uint32_t n,
                                 const xshard::Coordinator* coord) {
-  if (n == 1 && coord == nullptr) return runs[0].result.serializable;
+  if (coord == nullptr) return runs[0].result.serializable;
   std::vector<const analysis::HistoryRecorder*> recorders;
-  std::vector<std::uint32_t> shard_of;
-  for (std::uint32_t s = 0; s < n; ++s) {
-    if (runs[s].exec == nullptr) continue;
-    recorders.push_back(&runs[s].exec->recorder);
-    shard_of.push_back(s);
-  }
-  auto key_of = [&shard_of, coord](std::size_t i, TxnId txn) {
-    const std::uint32_t s = shard_of[i];
-    if (coord != nullptr) {
-      if (auto g = coord->GlobalOf(s, txn); g.has_value()) {
-        return analysis::GlobalHistory::GlobalKey(*g);
-      }
+  for (const ShardRun& run : runs) recorders.push_back(&run.exec->recorder);
+  auto key_of = [coord](std::size_t shard, TxnId txn) {
+    const auto s = static_cast<std::uint32_t>(shard);
+    if (auto g = coord->GlobalOf(s, txn); g.has_value()) {
+      return analysis::GlobalHistory::GlobalKey(*g);
     }
     return analysis::GlobalHistory::LocalKey(s, txn);
   };
@@ -670,14 +535,14 @@ bool CheckGlobalSerializability(const std::vector<ShardRun>& runs,
 // Runs the global check and prices the whole verdict step — every shard's
 // own verdict plus the merge — as pardb_phase_seconds{phase="certify"}.
 bool CertifyRun(const ShardedOptions& options,
-                const std::vector<ShardRun>& runs, std::uint32_t n,
+                const std::vector<ShardRun>& runs,
                 const xshard::Coordinator* coord,
                 obs::MetricsRegistry* sched_registry) {
   if (!options.check_serializability) return true;
   const std::uint64_t c0 = NowNanos();
-  const bool verdict = CheckGlobalSerializability(runs, n, coord);
+  const bool verdict = CheckGlobalSerializability(runs, coord);
   std::uint64_t nanos = NowNanos() - c0;
-  for (std::uint32_t s = 0; s < n; ++s) nanos += runs[s].certify_ns;
+  for (const ShardRun& run : runs) nanos += run.certify_ns;
   if (sched_registry != nullptr) {
     sched_registry
         ->GetGauge(obs::kPhaseSeconds, {{obs::kPhaseLabel, "certify"}})
@@ -719,57 +584,179 @@ void PublishGlobalWaitsFor(obs::LiveHub* hub, const xshard::Coordinator& coord,
   hub->PublishGlobalSnapshot(std::move(snap));
 }
 
-// The kLocks execution path: epochs of a single-threaded coordinate phase
-// (2PC polling, admission, union merge + distributed partial rollback)
-// followed by one parallel quantum per shard. Epoch content is a pure
-// function of the options and each shard's deterministic state, so the
-// report is bit-identical across runs and worker counts.
-Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
+// Per-shard run slots, with the multiprogramming level split as evenly as
+// possible over shards (every shard gets at least 1).
+std::vector<ShardRun> MakeRuns(const ShardedOptions& options) {
   const std::uint32_t n = options.num_shards;
   std::vector<ShardRun> runs(n);
-  ShardedReport report;
-  report.num_shards = n;
-  report.xshard_locks = true;
-  // Phase 1 always runs in batch mode here: the coordinate phase admits
-  // from materialized queues, which is what makes every epoch's admission
-  // deterministic. (Streaming admission would tie epoch content to
-  // producer timing.)
-  report.admission.pipelined = false;
-  report.admission.queue_capacity = 0;
-
   const std::uint32_t base = options.concurrency / n;
   const std::uint32_t rem = options.concurrency % n;
   for (std::uint32_t s = 0; s < n; ++s) {
     runs[s].concurrency = std::max<std::uint32_t>(1, base + (s < rem ? 1 : 0));
   }
+  return runs;
+}
 
-  obs::MetricsRegistry sched_local;
-  obs::MetricsRegistry* sched_registry = nullptr;
-  if (options.hub != nullptr && options.instrument) {
-    for (std::uint32_t s = 0; s < n; ++s) {
-      runs[s].registry = options.hub->AddOwnedRegistry(
-          std::make_unique<obs::MetricsRegistry>());
+// Live introspection: hands each shard a hub-owned registry and a ring
+// sink *before* any shard runs (hub registration is not safe mid-run), so
+// the serving thread scrapes live counters while shards execute. Returns
+// the registry for run-level series — hub-owned, else `local` — or null
+// when !instrument.
+obs::MetricsRegistry* AttachTelemetry(const ShardedOptions& options,
+                                      std::vector<ShardRun>& runs,
+                                      obs::MetricsRegistry* local) {
+  obs::LiveHub* hub = options.hub;
+  if (hub != nullptr) {
+    for (std::uint32_t s = 0; s < runs.size(); ++s) {
+      runs[s].hub_sink = hub->MakeDeadlockSink(s);
+      if (options.instrument) {
+        runs[s].registry =
+            hub->AddOwnedRegistry(std::make_unique<obs::MetricsRegistry>());
+      }
     }
-    sched_registry = options.hub->AddOwnedRegistry(
-        std::make_unique<obs::MetricsRegistry>());
-  } else if (options.instrument) {
-    sched_registry = &sched_local;
   }
-  if (options.hub != nullptr) {
-    for (std::uint32_t s = 0; s < n; ++s) {
-      runs[s].hub_sink = options.hub->MakeDeadlockSink(s);
+  if (!options.instrument) return nullptr;
+  return hub != nullptr
+             ? hub->AddOwnedRegistry(std::make_unique<obs::MetricsRegistry>())
+             : local;
+}
+
+// Fills the wall-clock scheduler fields from per-worker busy time and
+// publishes the run-level scheduler and admission series, so both paths
+// export the same ones: a one-shard run is one worker (the calling thread)
+// that never steals, and a multi-shard run admits in batch, so its overlap
+// is 0. Gauges are integral, so seconds and fractions are scaled by 1000.
+void PublishRunStats(const std::vector<std::uint64_t>& busy_ns,
+                     std::uint64_t uptime_ns, std::uint64_t steals,
+                     obs::MetricsRegistry* registry, ShardedReport& report) {
+  SchedulerStats& sched = report.scheduler;
+  sched.num_workers = busy_ns.size();
+  sched.steals = steals;
+  if (uptime_ns > 0 && !busy_ns.empty()) {
+    double sum = 0.0, lo = 1.0;
+    for (std::uint64_t busy : busy_ns) {
+      const double u =
+          static_cast<double>(busy) / static_cast<double>(uptime_ns);
+      sum += u;
+      lo = std::min(lo, u);
     }
+    sched.mean_worker_utilization = sum / static_cast<double>(busy_ns.size());
+    sched.min_worker_utilization = lo;
+  }
+  if (registry == nullptr) return;
+  registry->GetCounter(obs::kStealsTotal)->Inc(steals);
+  for (std::size_t w = 0; w < busy_ns.size(); ++w) {
+    registry
+        ->GetGauge(obs::kWorkerUtilization,
+                   {{obs::kWorkerLabel, std::to_string(w)}})
+        ->Set(static_cast<std::int64_t>(busy_ns[w] / (uptime_ns / 1000 + 1)));
+  }
+  const AdmissionStats& adm = report.admission;
+  auto PhaseGauge = [registry](const char* phase) {
+    return registry->GetGauge(obs::kPhaseSeconds, {{obs::kPhaseLabel, phase}});
+  };
+  PhaseGauge("generate")
+      ->Set(static_cast<std::int64_t>(adm.generate_seconds * 1000.0));
+  PhaseGauge("execute")
+      ->Set(static_cast<std::int64_t>(adm.execute_seconds * 1000.0));
+  registry->GetGauge(obs::kOverlapFraction)
+      ->Set(static_cast<std::int64_t>(adm.overlap_fraction * 1000.0));
+  registry->GetCounter(obs::kAdmissionBlockedTotal)
+      ->Inc(adm.producer_blocked_pushes);
+}
+
+// Folds the finished shards into the report — per-shard results, merged
+// cost samples, traces, dumps and metrics — then runs the global verdict
+// and derives the ratios. `coord` is null for one shard, whose xshard
+// stats stay zero, so `committed` is then just the engine commits.
+Status AssembleReport(const ShardedOptions& options,
+                      std::vector<ShardRun>& runs,
+                      const std::vector<std::uint64_t>& routed,
+                      const xshard::Coordinator* coord,
+                      obs::MetricsRegistry* sched_registry,
+                      ShardedReport& report) {
+  const std::uint64_t a0 = NowNanos();
+  std::vector<std::uint32_t> merged_costs;
+  for (std::uint32_t s = 0; s < runs.size(); ++s) {
+    ShardRun& run = runs[s];
+    if (!run.status.ok()) return run.status;
+    run.result.assigned = routed[s];
+    report.shards.push_back(run.result);
+    merged_costs.insert(merged_costs.end(), run.cost_samples.begin(),
+                        run.cost_samples.end());
+    report.metrics.MergeFrom(run.metrics);
+    if (options.collect_traces) {
+      report.shard_traces.push_back(std::move(run.trace_events));
+    }
+    for (obs::DeadlockDump& d : run.forensics) {
+      report.forensics.push_back(std::move(d));
+    }
+  }
+  const std::uint64_t aggregate_ns = NowNanos() - a0;
+  report.global_serializable =
+      CertifyRun(options, runs, coord, sched_registry);
+  if (sched_registry != nullptr) {
+    sched_registry
+        ->GetGauge(obs::kPhaseSeconds, {{obs::kPhaseLabel, "aggregate"}})
+        ->Set(static_cast<std::int64_t>(Seconds(aggregate_ns) * 1000.0));
+    report.metrics.MergeFrom(sched_registry->Snapshot());
+  }
+  if (options.instrument) {
+    report.merged_metrics = report.metrics.WithoutLabel("shard");
+  }
+  report.aggregate = SumMetrics(report.shards);
+  SumLedgers(report);
+  report.rollback_costs =
+      core::ComputeCostDistribution(std::move(merged_costs));
+  // Whole transactions: a global's slices collapse into one commit.
+  report.committed = report.aggregate.commits - report.xshard.sub_commits +
+                     report.xshard.global_commits;
+  for (const ShardResult& s : report.shards) {
+    report.completed = report.completed && s.completed;
+    report.serializable = report.serializable && s.serializable;
+  }
+  report.serializable = report.serializable && report.global_serializable;
+  // Denominator: what routing actually processed, not the requested total
+  // — the two differ when admission aborts early (abandoned queues).
+  std::uint64_t routed_total = 0;
+  for (std::uint64_t r : routed) routed_total += r;
+  report.cross_shard_fraction =
+      SafeRatio(report.cross_shard_txns, routed_total);
+  report.wasted_fraction =
+      SafeRatio(report.aggregate.wasted_ops, report.aggregate.ops_executed);
+  report.goodput = SafeRatio(report.committed, report.aggregate.ops_executed);
+  if (options.hub != nullptr) options.hub->SetPhase(obs::RunPhase::kDone);
+  return Status::OK();
+}
+
+// The multi-shard path: epochs of a single-threaded coordinate phase (2PC
+// polling, admission, union merge + distributed partial rollback)
+// followed by one parallel quantum per shard. Epoch content is a pure
+// function of the options and each shard's deterministic state, so the
+// report is bit-identical across runs and worker counts.
+Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
+  const std::uint32_t n = options.num_shards;
+  std::vector<ShardRun> runs = MakeRuns(options);
+  ShardedReport report;
+  report.num_shards = n;
+  // Phase 1 always runs in batch mode here: the coordinate phase admits
+  // from materialized queues, which is what makes every epoch's admission
+  // deterministic. (Streaming admission would tie epoch content to
+  // producer timing.)
+  obs::MetricsRegistry sched_local;
+  obs::MetricsRegistry* sched_registry =
+      AttachTelemetry(options, runs, &sched_local);
+  if (options.hub != nullptr) {
     options.hub->SetPhase(obs::RunPhase::kGenerating);
   }
 
   // Phase 1: generation + routing, spanning programs diverted to the
   // global admission queue (in generation order — their ω order).
   std::vector<std::uint64_t> routed(n, 0);
-  std::uint64_t cross_txns = 0;
   std::vector<txn::Program> globals;
   const std::uint64_t g0 = NowNanos();
   Status gen = GenerateAndRoute(
-      options, n, &cross_txns, &routed,
+      options, n, &report.cross_shard_txns, &routed,
       [&runs, &globals](std::uint32_t shard, bool cross,
                         txn::Program program) {
         if (cross) {
@@ -781,17 +768,24 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
   if (!gen.ok()) return gen;
   report.admission.generate_seconds = Seconds(NowNanos() - g0);
   report.admission.peak_materialized_programs = options.total_txns;
-  report.cross_shard_txns = cross_txns;
   if (options.hub != nullptr) options.hub->SetPhase(obs::RunPhase::kRunning);
 
   // Shard engines, built up front on this thread (their seeds and state
-  // never depend on construction order, but serial init keeps the hub
-  // registration story identical to the replica path).
+  // never depend on construction order).
   for (std::uint32_t s = 0; s < n; ++s) InitShardExec(options, s, runs[s]);
   std::vector<core::Engine*> engines;
   engines.reserve(n);
   for (std::uint32_t s = 0; s < n; ++s) {
     engines.push_back(runs[s].exec->engine.get());
+  }
+  // Routed-but-unadmitted local programs per shard: the batch counterpart
+  // of the one-shard admission-queue depth, set every coordinate phase.
+  std::vector<obs::Gauge*> queue_depth;
+  if (sched_registry != nullptr) {
+    for (std::uint32_t s = 0; s < n; ++s) {
+      queue_depth.push_back(sched_registry->GetGauge(
+          obs::kAdmissionQueueDepth, {{obs::kShardLabel, std::to_string(s)}}));
+    }
   }
 
   // Coordinator decision journal: global admits, lock-point releases,
@@ -828,12 +822,14 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
   bool completed = true;
   Status run_status = Status::OK();
 
-  const std::size_t workers =
-      options.num_threads == 0 ? n : options.num_threads;
+  std::vector<std::uint64_t> busy_ns;
+  std::uint64_t uptime_ns = 0;
+  std::uint64_t steals = 0;
   const std::uint64_t e0 = NowNanos();
   {
-    StealingPool pool(workers);
+    StealingPool pool(options.num_threads == 0 ? n : options.num_threads);
     std::vector<std::uint64_t> epoch_shard_steps(n, 0);
+    std::vector<std::uint32_t> submitted;
     for (;; ++epoch) {
       // ---- Coordinate (single-threaded; every engine is quiescent) ----
       auto polled = coord.Poll();
@@ -860,6 +856,10 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
           ++spawned_local[s];
           ++live_locals;
           ++progress;
+        }
+        if (!queue_depth.empty()) {
+          queue_depth[s]->Set(static_cast<std::int64_t>(
+              runs[s].programs.size() - next_local[s]));
         }
       }
       if (!run_status.ok()) break;
@@ -931,6 +931,7 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
         break;
       }
       // ---- Step (parallel): one bounded quantum per shard ----
+      submitted.clear();
       for (std::uint32_t s = 0; s < n; ++s) {
         epoch_shard_steps[s] = 0;
         ShardExec& ex = *runs[s].exec;
@@ -938,6 +939,7 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
             engines[s]->live_txn_count() == 0) {
           continue;
         }
+        submitted.push_back(s);
         const std::uint64_t budget = std::min(
             epoch_steps, options.max_steps_per_shard - ex.steps);
         obs::LiveHub* hub = options.hub;
@@ -961,6 +963,9 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
         });
       }
       pool.Wait();
+      report.scheduler.quanta += submitted.size();
+      report.scheduler.virtual_makespan_steps += VirtualMakespanSteps(
+          epoch_shard_steps, submitted, pool.num_threads());
       for (std::uint32_t s = 0; s < n; ++s) {
         if (!runs[s].status.ok()) run_status = runs[s].status;
         progress += epoch_shard_steps[s];
@@ -989,28 +994,18 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
       auto polled = coord.Poll();
       if (!polled.ok()) run_status = polled.status();
     }
-    report.scheduler.num_workers = pool.num_threads();
-    report.scheduler.steals = pool.steals();
-    report.scheduler.quanta = epoch * n;
-    const std::uint64_t up = pool.uptime_nanos();
-    if (up > 0) {
-      double sum = 0.0, lo = 1.0;
-      for (std::size_t w = 0; w < pool.num_threads(); ++w) {
-        const double u =
-            static_cast<double>(pool.busy_nanos(w)) / static_cast<double>(up);
-        sum += u;
-        lo = std::min(lo, u);
-      }
-      report.scheduler.mean_worker_utilization =
-          sum / static_cast<double>(pool.num_threads());
-      report.scheduler.min_worker_utilization = lo;
+    for (std::size_t w = 0; w < pool.num_threads(); ++w) {
+      busy_ns.push_back(pool.busy_nanos(w));
     }
+    uptime_ns = pool.uptime_nanos();
+    steals = pool.steals();
   }
   report.admission.execute_seconds = Seconds(NowNanos() - e0);
   if (!run_status.ok()) return run_status;
   if (options.hub != nullptr) {
     options.hub->SetPhase(obs::RunPhase::kAggregating);
   }
+  PublishRunStats(busy_ns, uptime_ns, steals, sched_registry, report);
 
   report.xshard = coord.stats();
   report.xshard.epochs = epoch;
@@ -1041,31 +1036,10 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
     Set(obs::kXShardMessagesTotal, xs.messages);
     sched_registry->GetGauge(obs::kXShardEpochs)
         ->Set(static_cast<std::int64_t>(xs.epochs));
-    auto PhaseGauge = [&sched_registry](const char* phase) {
-      return sched_registry->GetGauge(obs::kPhaseSeconds,
-                                      {{obs::kPhaseLabel, phase}});
-    };
-    PhaseGauge("generate")->Set(static_cast<std::int64_t>(
-        report.admission.generate_seconds * 1000.0));
-    PhaseGauge("execute")->Set(static_cast<std::int64_t>(
-        report.admission.execute_seconds * 1000.0));
   }
 
-  std::vector<std::uint32_t> merged_costs;
   for (std::uint32_t s = 0; s < n; ++s) {
     FinishShard(options, s, runs[s], completed);
-    if (!runs[s].status.ok()) return runs[s].status;
-    runs[s].result.assigned = routed[s];
-    report.shards.push_back(runs[s].result);
-    merged_costs.insert(merged_costs.end(), runs[s].cost_samples.begin(),
-                        runs[s].cost_samples.end());
-    report.metrics.MergeFrom(runs[s].metrics);
-    if (options.collect_traces) {
-      report.shard_traces.push_back(std::move(runs[s].trace_events));
-    }
-    for (obs::DeadlockDump& d : runs[s].forensics) {
-      report.forensics.push_back(std::move(d));
-    }
   }
   if (options.collect_traces) {
     // Slice index for the Chrome trace's flow arrows: one entry per slice
@@ -1075,34 +1049,124 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
           core::GlobalSlice{seq, key.first, key.second});
     }
   }
-  const bool global_serializable =
-      CertifyRun(options, runs, n, &coord, sched_registry);
-  if (sched_registry != nullptr) {
-    report.metrics.MergeFrom(sched_registry->Snapshot());
+  PARDB_RETURN_IF_ERROR(
+      AssembleReport(options, runs, routed, &coord, sched_registry, report));
+  return report;
+}
+
+// The one-shard path: nothing to coordinate, so the shard runs as a chain
+// of bounded quanta on the calling thread while, pipelined, a producer
+// thread generates into its admission queue.
+Result<ShardedReport> RunOneShard(const ShardedOptions& options) {
+  std::vector<ShardRun> runs = MakeRuns(options);
+  ShardRun& run = runs[0];
+  ShardedReport report;
+  const std::size_t queue_capacity =
+      std::max<std::size_t>(1, options.admission_queue_capacity);
+  report.admission.pipelined = options.pipeline;
+  report.admission.queue_capacity = options.pipeline ? queue_capacity : 0;
+  obs::MetricsRegistry sched_local;
+  obs::MetricsRegistry* sched_registry =
+      AttachTelemetry(options, runs, &sched_local);
+
+  // Phase 1: generation. Batch mode runs the sweep serially up front (the
+  // design the pipeline is measured against); pipelined mode defers it to
+  // a producer thread that overlaps with phase 2, feeding a bounded queue
+  // created here.
+  std::vector<std::uint64_t> routed(1, 0);
+  AdmissionShared admission_shared;
+  Status producer_status = Status::OK();
+  if (!options.pipeline) {
+    if (options.hub != nullptr) {
+      options.hub->SetPhase(obs::RunPhase::kGenerating);
+    }
+    const std::uint64_t g0 = NowNanos();
+    Status gen = GenerateAndRoute(
+        options, 1, &report.cross_shard_txns, &routed,
+        [&run](std::uint32_t, bool, txn::Program program) {
+          run.programs.push_back(std::move(program));
+        });
+    if (!gen.ok()) return gen;
+    report.admission.generate_seconds = Seconds(NowNanos() - g0);
+    // Everything exists at once before the engine runs.
+    report.admission.peak_materialized_programs = options.total_txns;
+  } else {
+    run.queue = std::make_unique<AdmissionQueue>(queue_capacity);
+    run.queue->set_materialized_counter(&admission_shared.materialized);
+    if (sched_registry != nullptr) {
+      run.queue->set_depth_gauge(sched_registry->GetGauge(
+          obs::kAdmissionQueueDepth, {{obs::kShardLabel, "0"}}));
+    }
   }
-  if (options.instrument) {
-    report.merged_metrics = report.metrics.WithoutLabel("shard");
+  if (options.hub != nullptr) options.hub->SetPhase(obs::RunPhase::kRunning);
+
+  const std::uint64_t e0 = NowNanos();
+  std::thread producer;
+  if (options.pipeline) {
+    // The producer is phase 1, running concurrently with the shard. It
+    // pushes every program in generation order (blocking on a full queue —
+    // backpressure) and then delivers the end-of-stream token on every
+    // exit path: the shard waits for its token even when generation
+    // failed, and a failed shard abandons its queue rather than blocking,
+    // so neither side can wedge the other.
+    producer = std::thread([&options, &run, &routed, &report,
+                            &admission_shared, &producer_status] {
+      const std::uint64_t g0 = NowNanos();
+      Status gen = GenerateAndRoute(
+          options, 1, &report.cross_shard_txns, &routed,
+          [&run, &admission_shared](std::uint32_t, bool,
+                                    txn::Program program) {
+            const std::int64_t now = admission_shared.materialized.fetch_add(
+                                         1, std::memory_order_relaxed) +
+                                     1;
+            if (now > admission_shared.peak.load(std::memory_order_relaxed)) {
+              admission_shared.peak.store(now, std::memory_order_relaxed);
+            }
+            run.queue->Push(std::move(program));
+          });
+      run.queue->Close();
+      producer_status = std::move(gen);
+      report.admission.generate_seconds = Seconds(NowNanos() - g0);
+    });
   }
-  report.aggregate = SumMetrics(report.shards);
-  SumLedgers(report);
-  report.rollback_costs =
-      core::ComputeCostDistribution(std::move(merged_costs));
-  // Whole transactions: a global's slices collapse into one commit.
-  report.committed = report.aggregate.commits - report.xshard.sub_commits +
-                     report.xshard.global_commits;
-  for (const ShardResult& s : report.shards) {
-    report.completed = report.completed && s.completed;
-    report.serializable = report.serializable && s.serializable;
+  InitShardExec(options, 0, run);
+  obs::Histogram* quantum_hist =
+      sched_registry != nullptr
+          ? sched_registry->GetHistogram(obs::kQuantumSteps)
+          : nullptr;
+  const std::uint64_t max_q = std::max<std::uint64_t>(1, options.quantum_steps);
+  std::uint64_t busy_ns = 0;
+  for (bool done = false; !done; ++report.scheduler.quanta) {
+    const std::uint64_t q0 = NowNanos();
+    done = RunShardQuantum(options, run, quantum_hist, max_q);
+    busy_ns += NowNanos() - q0;
   }
-  std::uint64_t routed_total = 0;
-  for (std::uint64_t r : routed) routed_total += r;
-  report.cross_shard_fraction = SafeRatio(report.cross_shard_txns, routed_total);
-  report.wasted_fraction =
-      SafeRatio(report.aggregate.wasted_ops, report.aggregate.ops_executed);
-  report.goodput = SafeRatio(report.committed, report.aggregate.ops_executed);
-  report.global_serializable = global_serializable;
-  report.serializable = report.serializable && global_serializable;
-  if (options.hub != nullptr) options.hub->SetPhase(obs::RunPhase::kDone);
+  if (producer.joinable()) producer.join();
+  const std::uint64_t uptime_ns = NowNanos() - e0;
+  report.admission.execute_seconds = Seconds(uptime_ns);
+  if (!producer_status.ok()) return producer_status;
+  if (options.hub != nullptr) {
+    options.hub->SetPhase(obs::RunPhase::kAggregating);
+  }
+
+  if (options.pipeline) {
+    report.admission.peak_materialized_programs =
+        static_cast<std::uint64_t>(std::max<std::int64_t>(
+            0, admission_shared.peak.load(std::memory_order_relaxed)));
+    // Deterministic overlap lower bound: program j >= capacity can only be
+    // pushed after program j - capacity was popped, i.e. after execution
+    // began, so at least routed - capacity of the generation work
+    // overlapped with phase 2.
+    report.admission.producer_blocked_pushes = run.queue->blocked_pushes();
+    report.admission.overlap_fraction = SafeRatio(
+        routed[0] > queue_capacity ? routed[0] - queue_capacity : 0,
+        options.total_txns);
+  }
+  report.scheduler.virtual_makespan_steps = run.result.metrics.steps;
+  PublishRunStats({busy_ns}, uptime_ns, /*steals=*/0, sched_registry, report);
+  PARDB_RETURN_IF_ERROR(AssembleReport(options, runs, routed,
+                                       /*coord=*/nullptr, sched_registry,
+                                       report));
   return report;
 }
 
@@ -1136,291 +1200,15 @@ Result<ShardedReport> RunSharded(const ShardedOptions& options) {
   if (options.workload.num_entities == 0) {
     return Status::InvalidArgument("workload needs at least one entity");
   }
-  if (options.xshard == XShardMode::kLocks && options.num_shards > 1) {
-    // Distributed partial rollback rides on the detection machinery (the
-    // union merge extends it across shards); the other handling modes have
-    // no notion of an externally chosen victim.
-    if (options.engine.handling != core::DeadlockHandling::kDetection) {
-      return Status::InvalidArgument(
-          "xshard=locks requires engine.handling == kDetection");
-    }
-    return RunShardedLocks(options);
+  if (options.num_shards == 1) return RunOneShard(options);
+  // Distributed partial rollback rides on the detection machinery (the
+  // union merge extends it across shards); the other handling modes have
+  // no notion of an externally chosen victim.
+  if (options.engine.handling != core::DeadlockHandling::kDetection) {
+    return Status::InvalidArgument(
+        "more than one shard requires engine.handling == kDetection");
   }
-  const std::uint32_t n = options.num_shards;
-
-  std::vector<ShardRun> runs(n);
-  ShardedReport report;
-  report.num_shards = n;
-  const std::size_t queue_capacity =
-      std::max<std::size_t>(1, options.admission_queue_capacity);
-  report.admission.pipelined = options.pipeline;
-  report.admission.queue_capacity = options.pipeline ? queue_capacity : 0;
-
-  // Multiprogramming level: split over shards, at least 1 each. Needed
-  // before phase 1 now — pipelined consumers start while it runs.
-  const std::uint32_t base = options.concurrency / n;
-  const std::uint32_t rem = options.concurrency % n;
-  for (std::uint32_t s = 0; s < n; ++s) {
-    runs[s].concurrency = std::max<std::uint32_t>(1, base + (s < rem ? 1 : 0));
-  }
-
-  // Live introspection: hand each shard a hub-owned registry and a ring
-  // sink *before* the pool starts (hub registration is not safe mid-run),
-  // so the serving thread scrapes live counters while shards execute.
-  obs::MetricsRegistry sched_local;
-  obs::MetricsRegistry* sched_registry = nullptr;
-  if (options.hub != nullptr && options.instrument) {
-    for (std::uint32_t s = 0; s < n; ++s) {
-      runs[s].registry =
-          options.hub->AddOwnedRegistry(std::make_unique<obs::MetricsRegistry>());
-    }
-    sched_registry =
-        options.hub->AddOwnedRegistry(std::make_unique<obs::MetricsRegistry>());
-  } else if (options.instrument) {
-    sched_registry = &sched_local;
-  }
-  if (options.hub != nullptr) {
-    for (std::uint32_t s = 0; s < n; ++s) {
-      runs[s].hub_sink = options.hub->MakeDeadlockSink(s);
-    }
-  }
-
-  // Phase 1: generation + routing. Batch mode runs the sweep serially up
-  // front (the legacy design the pipeline is measured against); pipelined
-  // mode defers it to a producer thread that overlaps with phase 2,
-  // feeding per-shard bounded queues created here.
-  std::vector<std::uint64_t> routed(n, 0);
-  std::uint64_t cross_txns = 0;
-  AdmissionShared admission_shared;
-  Status producer_status = Status::OK();
-  double generate_seconds = 0.0;
-  std::thread producer;
-  if (!options.pipeline) {
-    if (options.hub != nullptr) {
-      options.hub->SetPhase(obs::RunPhase::kGenerating);
-    }
-    const std::uint64_t g0 = NowNanos();
-    Status gen = GenerateAndRoute(
-        options, n, &cross_txns, &routed,
-        [&runs](std::uint32_t shard, bool, txn::Program program) {
-          runs[shard].programs.push_back(std::move(program));
-        });
-    if (!gen.ok()) return gen;
-    generate_seconds = Seconds(NowNanos() - g0);
-    // Everything exists at once before any engine runs.
-    report.admission.peak_materialized_programs = options.total_txns;
-  } else {
-    for (std::uint32_t s = 0; s < n; ++s) {
-      runs[s].queue = std::make_unique<AdmissionQueue>(queue_capacity);
-      runs[s].queue->set_materialized_counter(&admission_shared.materialized);
-      if (sched_registry != nullptr) {
-        runs[s].queue->set_depth_gauge(sched_registry->GetGauge(
-            obs::kAdmissionQueueDepth,
-            {{obs::kShardLabel, std::to_string(s)}}));
-      }
-    }
-  }
-  if (options.hub != nullptr) options.hub->SetPhase(obs::RunPhase::kRunning);
-
-  // Phase 2 (parallel): each shard advances as a chain of quantum tasks on
-  // a work-stealing pool (one chain link in flight per shard — the ready
-  // token). Pool Wait gives the aggregation phase a happens-before edge
-  // over every quantum.
-  const std::size_t workers =
-      options.num_threads == 0 ? n : options.num_threads;
-  const std::uint64_t e0 = NowNanos();
-  {
-    StealingPool pool(workers);
-    SchedulerCtx ctx;
-    ctx.options = &options;
-    ctx.runs = &runs;
-    ctx.pool = &pool;
-    ctx.num_shards = n;
-    ctx.ewma_ns =
-        std::make_unique<std::atomic<std::uint64_t>[]>(n);
-    for (std::uint32_t s = 0; s < n; ++s) {
-      ctx.ewma_ns[s].store(0, std::memory_order_relaxed);
-    }
-    if (sched_registry != nullptr) {
-      ctx.quantum_hist = sched_registry->GetHistogram(obs::kQuantumSteps);
-      ctx.steals_counter = sched_registry->GetCounter(obs::kStealsTotal);
-      for (std::size_t w = 0; w < pool.num_threads(); ++w) {
-        ctx.util_gauges.push_back(sched_registry->GetGauge(
-            obs::kWorkerUtilization,
-            {{obs::kWorkerLabel, std::to_string(w)}}));
-      }
-    }
-    if (options.pipeline) {
-      // The producer is phase 1, running concurrently with the pool. It
-      // pushes every routed program in generation order (blocking on full
-      // queues — backpressure) and then delivers the end-of-stream token
-      // to every shard, on every exit path: a consumer waits for its token
-      // even when generation failed, and a dead consumer's queue is
-      // abandoned rather than blocking, so neither side can wedge the
-      // other.
-      producer = std::thread([&options, &runs, &routed, &cross_txns,
-                              &admission_shared, &producer_status,
-                              &generate_seconds, n] {
-        const std::uint64_t g0 = NowNanos();
-        Status gen = GenerateAndRoute(
-            options, n, &cross_txns, &routed,
-            [&runs, &admission_shared](std::uint32_t shard, bool,
-                                       txn::Program program) {
-              const std::int64_t now =
-                  admission_shared.materialized.fetch_add(
-                      1, std::memory_order_relaxed) +
-                  1;
-              if (now >
-                  admission_shared.peak.load(std::memory_order_relaxed)) {
-                admission_shared.peak.store(now, std::memory_order_relaxed);
-              }
-              runs[shard].queue->Push(std::move(program));
-            });
-        for (std::uint32_t s = 0; s < n; ++s) runs[s].queue->Close();
-        producer_status = std::move(gen);
-        generate_seconds = Seconds(NowNanos() - g0);
-      });
-    }
-    // Submission order is the scheduler's list order. kRunToCompletion
-    // keeps shard order (the legacy driver's semantics, and the skew
-    // pathology: a heavy late shard starts only after a light wave).
-    // Batch kTimeSlice submits longest-assigned-first — routing already
-    // told us each shard's work, so this is LPT list scheduling, with
-    // stealing absorbing whatever per-transaction variance LPT cannot see.
-    // Pipelined mode cannot know assignments up front (programs is empty,
-    // so the sort is a stable no-op and shards submit in shard order);
-    // stealing plus time-slicing carries the load balancing alone. Order
-    // never affects report contents, only wall-clock.
-    std::vector<std::uint32_t> order(n);
-    for (std::uint32_t s = 0; s < n; ++s) order[s] = s;
-    if (options.scheduler == ShardScheduler::kTimeSlice) {
-      std::stable_sort(order.begin(), order.end(),
-                       [&runs](std::uint32_t a, std::uint32_t b) {
-                         return runs[a].programs.size() >
-                                runs[b].programs.size();
-                       });
-    }
-    for (std::uint32_t s : order) ScheduleShard(&ctx, s);
-    pool.Wait();
-    if (producer.joinable()) producer.join();
-    ctx.RefreshSchedulerMetrics();
-
-    std::vector<std::uint64_t> step_costs(n);
-    for (std::uint32_t s = 0; s < n; ++s) {
-      step_costs[s] = runs[s].result.metrics.steps;
-    }
-    report.scheduler.virtual_makespan_steps =
-        VirtualMakespanSteps(step_costs, order, workers);
-    report.scheduler.num_workers = pool.num_threads();
-    report.scheduler.steals = pool.steals();
-    report.scheduler.quanta = ctx.quanta.load(std::memory_order_relaxed);
-    const std::uint64_t up = pool.uptime_nanos();
-    if (up > 0) {
-      double sum = 0.0, lo = 1.0;
-      for (std::size_t w = 0; w < pool.num_threads(); ++w) {
-        const double u =
-            static_cast<double>(pool.busy_nanos(w)) / static_cast<double>(up);
-        sum += u;
-        lo = std::min(lo, u);
-      }
-      report.scheduler.mean_worker_utilization =
-          sum / static_cast<double>(pool.num_threads());
-      report.scheduler.min_worker_utilization = lo;
-    }
-  }
-  const double execute_seconds = Seconds(NowNanos() - e0);
-  if (!producer_status.ok()) return producer_status;
-  if (options.hub != nullptr) {
-    options.hub->SetPhase(obs::RunPhase::kAggregating);
-  }
-
-  report.cross_shard_txns = cross_txns;
-  report.admission.generate_seconds = generate_seconds;
-  report.admission.execute_seconds = execute_seconds;
-  if (options.pipeline) {
-    report.admission.peak_materialized_programs =
-        static_cast<std::uint64_t>(std::max<std::int64_t>(
-            0, admission_shared.peak.load(std::memory_order_relaxed)));
-    // Deterministic overlap lower bound: shard s's program j >= capacity
-    // can only be pushed after program j - capacity was popped, i.e. after
-    // execution on s began, so at least routed[s] - capacity of its
-    // generation work overlapped with phase 2.
-    std::uint64_t overlapped = 0;
-    std::uint64_t blocked = 0;
-    for (std::uint32_t s = 0; s < n; ++s) {
-      overlapped +=
-          routed[s] > queue_capacity ? routed[s] - queue_capacity : 0;
-      blocked += runs[s].queue->blocked_pushes();
-    }
-    report.admission.producer_blocked_pushes = blocked;
-    report.admission.overlap_fraction =
-        SafeRatio(overlapped, options.total_txns);
-  }
-  if (sched_registry != nullptr) {
-    auto PhaseGauge = [&sched_registry](const char* phase) {
-      return sched_registry->GetGauge(obs::kPhaseSeconds,
-                                      {{obs::kPhaseLabel, phase}});
-    };
-    // Gauges are integral, so seconds are scaled by 1000 (milliseconds) —
-    // the pardb_worker_utilization convention.
-    PhaseGauge("generate")
-        ->Set(static_cast<std::int64_t>(generate_seconds * 1000.0));
-    PhaseGauge("execute")
-        ->Set(static_cast<std::int64_t>(execute_seconds * 1000.0));
-    sched_registry->GetGauge(obs::kOverlapFraction)
-        ->Set(static_cast<std::int64_t>(
-            report.admission.overlap_fraction * 1000.0));
-    sched_registry->GetCounter(obs::kAdmissionBlockedTotal)
-        ->Inc(report.admission.producer_blocked_pushes);
-  }
-
-  const std::uint64_t a0 = NowNanos();
-  std::vector<std::uint32_t> merged_costs;
-  for (std::uint32_t s = 0; s < n; ++s) {
-    if (!runs[s].status.ok()) return runs[s].status;
-    runs[s].result.assigned = routed[s];
-    report.shards.push_back(runs[s].result);
-    merged_costs.insert(merged_costs.end(), runs[s].cost_samples.begin(),
-                        runs[s].cost_samples.end());
-    report.metrics.MergeFrom(runs[s].metrics);
-    if (options.collect_traces) {
-      report.shard_traces.push_back(std::move(runs[s].trace_events));
-    }
-    for (obs::DeadlockDump& d : runs[s].forensics) {
-      report.forensics.push_back(std::move(d));
-    }
-  }
-  const std::uint64_t aggregate_ns = NowNanos() - a0;
-  report.global_serializable =
-      CertifyRun(options, runs, n, /*coord=*/nullptr, sched_registry);
-  if (sched_registry != nullptr) {
-    sched_registry
-        ->GetGauge(obs::kPhaseSeconds, {{obs::kPhaseLabel, "aggregate"}})
-        ->Set(static_cast<std::int64_t>(Seconds(aggregate_ns) * 1000.0));
-    report.metrics.MergeFrom(sched_registry->Snapshot());
-  }
-  if (options.instrument) {
-    report.merged_metrics = report.metrics.WithoutLabel("shard");
-  }
-  report.aggregate = SumMetrics(report.shards);
-  SumLedgers(report);
-  report.rollback_costs = core::ComputeCostDistribution(std::move(merged_costs));
-  report.committed = report.aggregate.commits;
-  for (const ShardResult& s : report.shards) {
-    report.completed = report.completed && s.completed;
-    report.serializable = report.serializable && s.serializable;
-  }
-  // Denominator: what routing actually processed, not the requested total
-  // — the two differ when admission aborts early (abandoned queues).
-  std::uint64_t routed_total = 0;
-  for (std::uint64_t r : routed) routed_total += r;
-  report.cross_shard_fraction = SafeRatio(report.cross_shard_txns, routed_total);
-  report.wasted_fraction =
-      SafeRatio(report.aggregate.wasted_ops, report.aggregate.ops_executed);
-  report.goodput =
-      SafeRatio(report.committed, report.aggregate.ops_executed);
-  if (options.hub != nullptr) options.hub->SetPhase(obs::RunPhase::kDone);
-  return report;
+  return RunShardedLocks(options);
 }
 
 }  // namespace pardb::par

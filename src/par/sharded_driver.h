@@ -23,66 +23,28 @@ namespace pardb::par {
 // is partitioned by entity-footprint hash (dist::SiteOfEntity) into N
 // independent core::Engine shards; each shard is a complete engine —
 // store, lock manager, waits-for graph, rollback machinery — that stays
-// single-threaded and deterministic under its own derived seed, and the
-// shards run concurrently as quantum chains on a work-stealing
-// StealingPool. A transaction whose footprint spans shards is routed to
-// one designated coordinator shard, so no engine is ever touched by two
-// threads and no locking is added to the engine itself.
+// single-threaded and deterministic under its own derived seed.
 //
 // The model matches §3.3's observation: conflicts confined to one site
-// are cheap, and only cross-site transactions need coordination. How a
-// cross-shard transaction is coordinated is XShardMode's choice: the
-// default (kLocks) splits it into per-shard sub-transactions that really
-// lock their slices on their home shards, with a union-of-forests merge
-// detecting global deadlocks and removing them by distributed partial
-// rollback (DESIGN D12) — serializability is then a *global* property,
-// checked over the merged commit log. The legacy mode (kReplica) keeps
-// the old shortcut — the coordinator executes cross-shard transactions
-// against its own replica — which is measurably non-serializable across
-// shards and is retained as the regression baseline.
-
-// How shard work is laid onto worker threads.
-enum class ShardScheduler {
-  // One run-to-completion task per shard: a worker picks a shard and keeps
-  // it until it finishes. Simple, but under load skew the hottest shard
-  // pins one worker while the rest go idle once the light shards drain.
-  kRunToCompletion,
-  // Cooperative time-slicing on a work-stealing pool: each shard advances
-  // in bounded quanta (at most quantum_steps engine steps), each quantum is
-  // one task, and a shard's next quantum is submitted only after the
-  // previous one returns — the in-flight task is the shard's ready token,
-  // so no engine is ever touched by two threads. Idle workers steal queued
-  // quanta, so shards migrate between workers and oversharding
-  // (num_shards > num_threads) load-balances instead of queueing. Because
-  // a shard's step sequence is independent of where its quanta run, the
-  // report stays bit-identical to kRunToCompletion.
-  kTimeSlice,
-};
-
-// How shard-spanning transactions execute.
-enum class XShardMode {
-  // Genuine distributed execution: per-shard sub-transactions under one
-  // global ω position, global cycles removed by distributed partial
-  // rollback. Requires engine.handling == kDetection, runs phase 1 in
-  // batch mode (pipeline is ignored), and drives the shards in epochs —
-  // a single-threaded coordinate step followed by a parallel quantum per
-  // shard — so the report is bit-identical across worker counts.
-  kLocks,
-  // Legacy shortcut: the coordinator shard executes cross-shard
-  // transactions against its own full replica. Fast, but globally
-  // non-serializable (the replica's writes diverge from the home
-  // shards'); kept for comparison and as the regression witness.
-  kReplica,
-};
+// are cheap, and only cross-site transactions need coordination. With more
+// than one shard, a shard-spanning transaction is split into per-shard
+// sub-transactions that really lock their slices on their home shards,
+// sharing one global ω position; a union-of-forests merge detects global
+// deadlocks and removes them by distributed partial rollback (DESIGN D12).
+// The shards advance in epochs — a single-threaded coordinate step
+// followed by one parallel quantum per shard on a work-stealing
+// StealingPool — so no engine is ever touched by two threads, and
+// serializability is a *global* property, checked over the merged commit
+// log. With one shard there is nothing to coordinate: the shard runs as a
+// chain of bounded quanta on the calling thread, fed by a pipelined
+// producer.
 
 struct ShardedOptions {
   std::uint32_t num_shards = 4;
-  // Shard that executes cross-shard transactions (must be < num_shards).
+  // Shard that cross-shard transactions are routed to (must be <
+  // num_shards); ShardResult::assigned counts them there.
   std::uint32_t coordinator_shard = 0;
-  // Cross-shard execution mode (see XShardMode). With a single shard the
-  // modes coincide and the driver uses the plain path.
-  XShardMode xshard = XShardMode::kLocks;
-  // kLocks epoch shape: engine steps per shard per epoch, union-merge
+  // Multi-shard epoch shape: engine steps per shard per epoch, union-merge
   // cadence in epochs, and the cap on globals concurrently in flight. All
   // three are part of the deterministic report's identity.
   std::uint64_t xshard_epoch_steps = 256;
@@ -103,34 +65,30 @@ struct ShardedOptions {
   std::uint64_t total_txns = 400;
   std::uint64_t max_steps_per_shard = 20'000'000;
   std::uint64_t seed = 1;
-  // Worker threads; 0 means one per shard.
+  // Worker threads for the multi-shard epoch fan-out; 0 means one per
+  // shard. A one-shard run executes on the calling thread.
   std::size_t num_threads = 0;
   bool check_serializability = true;
   Value initial_value = 100;
 
-  // Scheduling. None of these affect the report's contents (shard step
-  // sequences are quantum-invariant) — only wall-clock behaviour.
-  ShardScheduler scheduler = ShardScheduler::kTimeSlice;
-  // kTimeSlice: upper bound on engine steps per quantum.
+  // One shard: upper bound on engine steps per quantum. Does not affect
+  // the report's contents (the step sequence is quantum-invariant) — only
+  // how often the loop checks its admission queue and the hub cadence.
   std::uint64_t quantum_steps = 256;
-  // kTimeSlice: scale each shard's quantum by mean/own of the online
-  // per-shard step-time EWMAs, so hot shards (slow steps) run shorter
-  // quanta and return to the queue while stealable work is still
-  // available. Clamped to [min_quantum_steps, quantum_steps].
-  bool adaptive_quantum = true;
-  std::uint64_t min_quantum_steps = 32;
 
-  // Streaming admission (pipelined phase 1): generation + routing run on a
-  // producer thread that feeds per-shard bounded SPSC queues while shard
-  // quanta execute, so the formerly-serial phase 1 overlaps with phase 2.
-  // The producer blocks when a shard's queue is full (backpressure bounds
-  // materialized-but-unadmitted programs to num_shards *
-  // admission_queue_capacity) and closes every queue when the sweep ends
-  // (the end-of-stream token); a shard whose queue is drained-but-open
-  // yields its quantum instead of stepping, which is exactly what keeps
-  // the report byte-identical to the batch path (see DESIGN D11): a shard
-  // steps only when its multiprogramming level is topped up or the stream
-  // has ended, the same rule the batch refill loop enforces.
+  // Streaming admission (pipelined phase 1, one shard only — the
+  // multi-shard path admits from materialized queues so every epoch's
+  // admission is deterministic): generation runs on a producer thread that
+  // feeds a bounded SPSC queue while the shard's quanta execute, so the
+  // formerly-serial phase 1 overlaps with phase 2. The producer blocks
+  // when the queue is full (backpressure bounds materialized-but-unadmitted
+  // programs to admission_queue_capacity) and closes the queue when the
+  // sweep ends (the end-of-stream token); a shard whose queue is
+  // drained-but-open yields its quantum instead of stepping, which is
+  // exactly what keeps the report byte-identical to the batch path (see
+  // DESIGN D11): the shard steps only when its multiprogramming level is
+  // topped up or the stream has ended, the same rule the batch refill loop
+  // enforces.
   bool pipeline = true;
   std::size_t admission_queue_capacity = 32;  // clamped to >= 1
 
@@ -156,12 +114,12 @@ struct ShardedOptions {
   bool txnlife = true;
   // Decision journal (DESIGN D14): one DecisionJournal per shard engine,
   // recording every schedule-relevant decision plus an epoch checksum
-  // chain at engine.journal_epoch_steps cadence; the kLocks path adds a
-  // coordinator journal with a 2PC-epoch stamp per merge round. Off only
+  // chain at engine.journal_epoch_steps cadence; the multi-shard path adds
+  // a coordinator journal with a 2PC-epoch stamp per merge round. Off only
   // for overhead measurements.
   bool journal = true;
   // Non-empty: record with unbounded rings and write each shard's journal
-  // binary to "<journal_out>.shard<k>.jrnl" (kLocks adds
+  // binary to "<journal_out>.shard<k>.jrnl" (multi-shard runs add
   // "<journal_out>.coord.jrnl") at the end — the `pardb journal` recording
   // mode.
   std::string journal_out;
@@ -179,9 +137,10 @@ struct ShardedOptions {
   // owned by the hub and registered before the pool starts, so an HTTP
   // server scraping the hub sees live counters while the run is in flight;
   // shards additionally publish waits-for snapshots at step boundaries
-  // (every `hub_snapshot_period` steps and once at the end), feed the
-  // per-shard step-time EWMAs behind pardb_shard_load_skew, and route
-  // deadlock dumps into the hub's ring. nullptr: no live introspection, no
+  // (one shard: every `hub_snapshot_period` steps; several: every merge
+  // round; both once at the end), feed the per-shard step-time EWMAs
+  // behind pardb_shard_load_skew, and route deadlock dumps into the hub's
+  // ring. nullptr: no live introspection, no
   // extra work on the step loop.
   obs::LiveHub* hub = nullptr;
   std::uint64_t hub_snapshot_period = 512;  // rounded up to a power of two
@@ -213,47 +172,47 @@ struct ShardResult {
   std::uint64_t journal_dropped = 0;
 };
 
-// How the run was scheduled onto workers. Timing-dependent by nature, so
-// it is excluded from ShardedReportToJson and ToString (which determinism
-// tests byte-compare); it still lands in the metrics registry
-// (pardb_steals_total, pardb_worker_utilization, pardb_quantum_steps).
+// How the run was scheduled onto workers (the pool's, or the calling
+// thread for one shard). Excluded from ShardedReportToJson and ToString
+// (which determinism tests byte-compare); the wall-clock fields also land
+// in the metrics registry (pardb_steals_total, pardb_worker_utilization).
 struct SchedulerStats {
   std::size_t num_workers = 0;
   std::uint64_t steals = 0;   // quanta executed on a non-owning worker
-  std::uint64_t quanta = 0;   // scheduling tasks executed in total
+  std::uint64_t quanta = 0;   // shard quanta actually executed
   // busy/wall per worker, then averaged / min'd over workers.
   double mean_worker_utilization = 0.0;
   double min_worker_utilization = 0.0;
-  // Deterministic makespan model, in engine steps: greedy list-schedule of
-  // the actual submission order over the realized per-shard step counts on
-  // num_workers virtual workers (each shard is a sequential chain, so a
-  // worker runs it start to finish; the next shard goes to the
-  // earliest-free worker — exactly the pool's pull semantics with one real
-  // core per worker). Unlike the wall-clock fields this is bit-reproducible
-  // on any machine, so bench baselines pin scheduler comparisons on it.
+  // Deterministic makespan model, in engine steps. Each epoch's quanta are
+  // greedily list-scheduled, in submission order, onto num_workers virtual
+  // workers (the next quantum goes to the earliest-free worker — the
+  // pool's pull semantics with one real core per worker); the epoch
+  // barrier runs epochs one after another, so the epoch makespans add up.
+  // One shard: its step count. Unlike the wall-clock fields this is
+  // bit-reproducible on any machine.
   std::uint64_t virtual_makespan_steps = 0;
 };
 
-// How admission was pipelined. The wall-clock fields are timing-dependent
-// and excluded from ShardedReportToJson / ToString (byte-compared by the
-// determinism tests); overlap_fraction and peak_materialized_programs in
-// *batch* mode are deterministic, and in pipelined mode overlap_fraction
-// still is (it depends only on routing counts and the queue capacity).
+// How admission was pipelined (only a one-shard run pipelines). The
+// wall-clock fields are timing-dependent and excluded from
+// ShardedReportToJson / ToString (byte-compared by the determinism tests);
+// overlap_fraction and peak_materialized_programs in *batch* mode are
+// deterministic, and in pipelined mode overlap_fraction still is (it
+// depends only on routing counts and the queue capacity).
 struct AdmissionStats {
   bool pipelined = false;
   std::size_t queue_capacity = 0;
   double generate_seconds = 0.0;  // producer thread active (wall)
-  double execute_seconds = 0.0;   // pool start to pool join (wall)
+  double execute_seconds = 0.0;   // execution start to end (wall)
   // Deterministic lower bound on the fraction of generation work that
-  // overlapped with execution: sum over shards of max(0, assigned -
-  // capacity) / total. Program j >= capacity can only enter shard s's
-  // queue after program j - capacity was popped, i.e. after s started
-  // executing — so at least that much of the sweep ran concurrently with
-  // phase 2. Batch mode: 0.
+  // overlapped with execution: max(0, total - capacity) / total. Program
+  // j >= capacity can only enter the queue after program j - capacity was
+  // popped, i.e. after the shard started executing — so at least that much
+  // of the sweep ran concurrently with phase 2. Batch mode: 0.
   double overlap_fraction = 0.0;
   // High-water mark of programs generated but not yet admitted to an
   // engine. Batch mode materializes everything: total_txns. Pipelined:
-  // bounded by num_shards * queue_capacity (+1 in the producer's hand).
+  // bounded by queue_capacity (+1 in the producer's hand).
   std::uint64_t peak_materialized_programs = 0;
   // Producer pushes that found a full queue and waited (backpressure).
   std::uint64_t producer_blocked_pushes = 0;
@@ -269,34 +228,29 @@ struct ShardedReport {
   core::CostDistribution rollback_costs;
   std::uint64_t committed = 0;
   bool completed = true;    // every shard finished within its step budget
-  // Every shard's history is serializable. kLocks also folds
-  // global_serializable in; the plain path (one shard, or kReplica) does
-  // not, so a kReplica run can read serializable=true,
-  // global_serializable=false.
+  // Every shard's history is serializable, and (several shards) so is the
+  // merged history: global_serializable is folded in.
   bool serializable = true;
 
   // Routing analysis — the execution analogue of
   // DistReport::multi_site_fraction: share of transactions whose footprint
-  // spans more than one shard (they serialize through the coordinator).
+  // spans more than one shard (they run as split global transactions).
   std::uint64_t cross_shard_txns = 0;
   double cross_shard_fraction = 0.0;
 
-  // Cross-shard execution (see XShardMode / xshard::Coordinator). In
-  // kLocks mode `committed` above counts whole transactions (a global
+  // Cross-shard execution (see xshard::Coordinator; all zero with one
+  // shard). `committed` above counts whole transactions (a global
   // transaction counts once, not once per slice); per-shard
   // ShardResult::committed still counts engine commits, slices included.
-  bool xshard_locks = false;
   xshard::XShardStats xshard;
-  // kLocks only: the coordinator journal's 2PC-epoch checksum chain (one
-  // link per merge round, folding every shard's state digest). Excluded
-  // from ShardedReportToJson like the per-shard chains.
+  // Several shards only: the coordinator journal's 2PC-epoch checksum
+  // chain (one link per merge round, folding every shard's state digest).
+  // Excluded from ShardedReportToJson like the per-shard chains.
   std::vector<std::uint64_t> coord_journal_chain;
   // Conflict-serializability of the *merged* committed projection across
   // shards (analysis::GlobalHistory's verdict, computed from the shards'
   // online certifier graphs where exact — DESIGN D17); computed whenever
-  // check_serializability is on. kLocks keeps it true; kReplica fails it
-  // as soon as the coordinator's replica writes diverge from a home
-  // shard's.
+  // check_serializability is on. One shard: the shard's own verdict.
   bool global_serializable = true;
 
   double wasted_fraction = 0.0;
@@ -316,8 +270,8 @@ struct ShardedReport {
   // collect_traces).
   std::vector<std::vector<core::TraceEvent>> shard_traces;
   // Cross-shard slice index for Chrome-trace flow arrows: every (global
-  // seq, shard, local txn) slice the coordinator ever spawned. kLocks mode
-  // with collect_traces only; empty otherwise.
+  // seq, shard, local txn) slice the coordinator ever spawned. Several
+  // shards with collect_traces only; empty otherwise.
   std::vector<core::GlobalSlice> flow_slices;
   // Deadlock dumps across shards, in shard order (empty without
   // collect_forensics).

@@ -78,19 +78,6 @@ void StealingPool::Submit(std::function<void()> task) {
   work_cv_.notify_all();
 }
 
-void StealingPool::SubmitGlobal(std::function<void()> task) {
-  in_flight_.fetch_add(1, std::memory_order_relaxed);
-  queued_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(inject_mu_);
-    inject_.push_back(std::move(task));
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-  }
-  work_cv_.notify_all();
-}
-
 void StealingPool::Wait() {
   std::unique_lock<std::mutex> lock(mu_);
   all_done_.wait(lock, [this] {
@@ -99,7 +86,7 @@ void StealingPool::Wait() {
 }
 
 bool StealingPool::TryPop(std::size_t self, std::function<void()>& task) {
-  {  // Own deque, newest first: the self-resubmitted continuation.
+  {  // Own deque, newest first: the task this worker just submitted.
     Slot& slot = *slots_[self];
     std::lock_guard<std::mutex> lock(slot.mu);
     if (!slot.deque.empty()) {

@@ -20,10 +20,11 @@ namespace pardb::par {
 // submissions from a shared injection queue FIFO, and when both are empty
 // steals FIFO from another worker's deque — the oldest task, the one its
 // owner would reach last. Tasks are independent closures; a task submitted
-// from inside a running task lands on the submitting worker's own deque, so a chain of self-resubmitting
-// tasks (the sharded driver's per-shard quantum chain) stays on one worker
-// until some idle worker steals it — which is exactly the migration the
-// scheduler wants under load skew.
+// from inside a running task lands on the submitting worker's own deque.
+// The sharded driver submits one quantum per shard per epoch from its
+// coordinating thread (so through the injection queue) and Waits for the
+// epoch barrier; whichever worker is free takes the next quantum, so the
+// epoch load-balances when shards outnumber workers.
 //
 // Wait() blocks until every task submitted so far has finished (queues
 // drained AND nothing still executing); the pool is reusable afterwards.
@@ -45,15 +46,6 @@ class StealingPool {
   // From a non-worker thread: pushes onto the shared injection queue.
   // From a worker of this pool: pushes onto that worker's own deque.
   void Submit(std::function<void()> task);
-
-  // Always pushes onto the shared injection queue, even from a worker.
-  // For tasks that made no progress and expect some *other* task to
-  // unblock them (a pipelined shard yielding on a drained-but-open
-  // admission queue): the worker's own-deque LIFO pop would run the
-  // resubmitted task again immediately, starving the sibling chains —
-  // including the one the producer is blocked on — whereas the injection
-  // queue is FIFO, so every runnable chain gets a turn first.
-  void SubmitGlobal(std::function<void()> task);
 
   // Blocks until all tasks submitted so far have completed.
   void Wait();

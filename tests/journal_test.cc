@@ -310,12 +310,11 @@ TEST(JournalFileTest, WriteReadRoundTripPreservesEverything) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded chain stability: workers {1, 4, 7} x both schedulers.
+// Sharded chain stability: workers {1, 4, 7}, and quantum chopping.
 // ---------------------------------------------------------------------------
 
 par::ShardedOptions JournaledSharded(std::uint64_t seed) {
   par::ShardedOptions opt;
-  opt.xshard = par::XShardMode::kReplica;
   opt.num_shards = 4;
   opt.workload.num_entities = 64;
   opt.workload.min_locks = 2;
@@ -339,11 +338,11 @@ std::vector<std::vector<std::uint64_t>> ShardChains(
   return chains;
 }
 
-TEST(JournalShardedTest, ChainsInvariantAcrossWorkerCountsAndSchedulers) {
+TEST(JournalShardedTest, ChainsInvariantAcrossWorkerCountsAndQuanta) {
   // The epoch chain is keyed to each engine's own step counter, so neither
-  // the worker count nor the quantum structure of the scheduler may move a
-  // single stamp. This is the hierarchical-comparison precondition: chains
-  // from ANY two runs of a seed are comparable.
+  // the worker count nor the quantum structure may move a single stamp.
+  // This is the hierarchical-comparison precondition: chains from ANY two
+  // runs of a seed are comparable.
   auto base = par::RunSharded(JournaledSharded(11));
   ASSERT_TRUE(base.ok()) << base.status().ToString();
   const auto want = ShardChains(base.value());
@@ -352,19 +351,25 @@ TEST(JournalShardedTest, ChainsInvariantAcrossWorkerCountsAndSchedulers) {
   ASSERT_GT(epochs, 0u) << "no epochs stamped — period too long for the run?";
 
   for (std::size_t workers : {1u, 4u, 7u}) {
-    for (par::ShardScheduler sched :
-         {par::ShardScheduler::kTimeSlice,
-          par::ShardScheduler::kRunToCompletion}) {
-      auto opt = JournaledSharded(11);
-      opt.num_threads = workers;
-      opt.scheduler = sched;
-      auto rep = par::RunSharded(opt);
-      ASSERT_TRUE(rep.ok()) << rep.status().ToString();
-      EXPECT_EQ(ShardChains(rep.value()), want)
-          << "workers=" << workers << " scheduler="
-          << (sched == par::ShardScheduler::kTimeSlice ? "timeslice" : "rtc");
-    }
+    auto opt = JournaledSharded(11);
+    opt.num_threads = workers;
+    auto rep = par::RunSharded(opt);
+    ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+    EXPECT_EQ(ShardChains(rep.value()), want) << "workers=" << workers;
   }
+
+  // One shard runs as a chain of quanta: chopping it finer must not move
+  // a stamp either.
+  auto one = JournaledSharded(11);
+  one.num_shards = 1;
+  auto one_base = par::RunSharded(one);
+  ASSERT_TRUE(one_base.ok()) << one_base.status().ToString();
+  const auto one_want = ShardChains(one_base.value());
+  ASSERT_FALSE(one_want[0].empty());
+  one.quantum_steps = 7;
+  auto chopped = par::RunSharded(one);
+  ASSERT_TRUE(chopped.ok()) << chopped.status().ToString();
+  EXPECT_EQ(ShardChains(chopped.value()), one_want);
 }
 
 TEST(JournalShardedTest, ReportJsonByteIdenticalWithJournalOnAndOff) {
@@ -381,7 +386,6 @@ TEST(JournalShardedTest, ReportJsonByteIdenticalWithJournalOnAndOff) {
 
 TEST(JournalShardedTest, LocksModeCoordinatorChainIsDeterministic) {
   auto opt = JournaledSharded(17);
-  opt.xshard = par::XShardMode::kLocks;
   opt.total_txns = 120;
   auto a = par::RunSharded(opt);
   ASSERT_TRUE(a.ok()) << a.status().ToString();

@@ -1,5 +1,6 @@
-// Sharded parallel execution: routing, thread pool, determinism and
-// aggregate correctness of par::RunSharded. The whole suite is also run
+// Sharded parallel execution: routing, the work-stealing pool,
+// determinism and aggregate correctness of par::RunSharded on both paths
+// (several shards in epochs; one shard as a quantum loop). The whole suite is also run
 // under ThreadSanitizer in CI (-DPARDB_TSAN=ON).
 
 #include <gtest/gtest.h>
@@ -213,11 +214,6 @@ TEST(StealingPoolTest, EveryTaskRunsExactlyOnceAndCountersAddUp) {
 
 ShardedOptions SmallOptions(std::uint32_t shards, std::uint64_t seed) {
   ShardedOptions opt;
-  // These tests pin the original coordinator-replica routing: their
-  // assertions (committed == assigned per shard, overlap formula, pipeline
-  // equivalence) describe that path. Locks-mode runs are covered by
-  // xshard_test.
-  opt.xshard = XShardMode::kReplica;
   opt.num_shards = shards;
   opt.workload.num_entities = 64;
   opt.workload.min_locks = 2;
@@ -234,17 +230,23 @@ ShardedOptions SmallOptions(std::uint32_t shards, std::uint64_t seed) {
 TEST(ShardedDriverTest, CommitsEveryTransactionAndStaysSerializable) {
   auto rep = RunSharded(SmallOptions(4, 11));
   ASSERT_TRUE(rep.ok()) << rep.status().ToString();
-  EXPECT_EQ(rep->committed, 120u);
+  EXPECT_EQ(rep->committed, 120u);  // whole transactions, not slices
   EXPECT_TRUE(rep->completed);
   EXPECT_TRUE(rep->serializable);
+  EXPECT_TRUE(rep->global_serializable);
   ASSERT_EQ(rep->shards.size(), 4u);
-  std::uint64_t assigned = 0;
+  std::uint64_t assigned = 0, engine_commits = 0;
   for (const ShardResult& s : rep->shards) {
-    EXPECT_EQ(s.committed, s.assigned);
     EXPECT_TRUE(s.serializable);
     assigned += s.assigned;
+    engine_commits += s.committed;
   }
   EXPECT_EQ(assigned, 120u);
+  // Engine commits count every slice: each global commits once per slice
+  // instead of once.
+  EXPECT_GT(rep->xshard.global_commits, 0u);
+  EXPECT_EQ(engine_commits, 120u - rep->xshard.global_commits +
+                                rep->xshard.sub_commits);
   EXPECT_TRUE(std::isfinite(rep->goodput));
   EXPECT_TRUE(std::isfinite(rep->wasted_fraction));
 }
@@ -287,7 +289,7 @@ TEST(ShardedDriverTest, CrossShardFractionTracksWorkloadLocality) {
   auto mrep = RunSharded(mixed);
   ASSERT_TRUE(mrep.ok());
   // Multi-entity txns over a 4-shard hash partition almost surely span
-  // shards; all of those serialize through the coordinator (shard 0).
+  // shards; routing counts all of those on the coordinator (shard 0).
   EXPECT_GT(mrep->cross_shard_fraction, 0.5);
   for (const ShardResult& s : mrep->shards) {
     if (s.shard != 0) continue;
@@ -335,13 +337,11 @@ TEST(ShardedDriverTest, AggregateMatchesShardSums) {
   EXPECT_EQ(rep->rollback_costs.count, costs);
 }
 
-TEST(ShardedDriverTest, ReportBitIdenticalAcrossSchedulersWorkersAndQuanta) {
-  // The scheduler decides only *where and when* quanta run, never what a
-  // shard computes — so the report must be byte-identical across
-  // run-to-completion vs time-slicing, any worker count, any quantum size,
-  // and repeated runs.
+TEST(ShardedDriverTest, ReportBitIdenticalAcrossRunsAndWorkers) {
+  // Workers decide only *where and when* an epoch's quanta run, never what
+  // a shard computes — so the report must be byte-identical across any
+  // worker count and repeated runs.
   auto opt = SmallOptions(4, 13);
-  opt.scheduler = ShardScheduler::kTimeSlice;
   opt.num_threads = 4;
   auto golden_rep = RunSharded(opt);
   ASSERT_TRUE(golden_rep.ok());
@@ -352,48 +352,58 @@ TEST(ShardedDriverTest, ReportBitIdenticalAcrossSchedulersWorkersAndQuanta) {
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(golden, ShardedReportToJson(r.value())) << "repeat " << rep;
   }
-  for (auto sched : {ShardScheduler::kTimeSlice,
-                     ShardScheduler::kRunToCompletion}) {
-    for (std::size_t workers : {1u, 2u, 4u, 7u}) {
-      auto v = opt;
-      v.scheduler = sched;
-      v.num_threads = workers;
-      auto r = RunSharded(v);
-      ASSERT_TRUE(r.ok());
-      EXPECT_EQ(golden, ShardedReportToJson(r.value()))
-          << "scheduler=" << (sched == ShardScheduler::kTimeSlice ? "ts" : "rtc")
-          << " workers=" << workers;
-    }
+  for (std::size_t workers : {1u, 2u, 7u}) {
+    auto v = opt;
+    v.num_threads = workers;
+    auto r = RunSharded(v);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(golden, ShardedReportToJson(r.value())) << "workers=" << workers;
   }
-  // Ragged quanta, adaptation off: still the same step sequences.
-  auto v = opt;
-  v.quantum_steps = 7;
-  v.min_quantum_steps = 1;
-  v.adaptive_quantum = false;
-  auto r = RunSharded(v);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(golden, ShardedReportToJson(r.value()));
+}
+
+TEST(ShardedDriverTest, OneShardReportInvariantUnderQuantumChopping) {
+  // A one-shard run is a chain of quanta; the refill rule makes the step
+  // sequence independent of where the chain is cut.
+  auto opt = SmallOptions(1, 13);
+  auto golden_rep = RunSharded(opt);
+  ASSERT_TRUE(golden_rep.ok()) << golden_rep.status().ToString();
+  const std::string golden = ShardedReportToJson(golden_rep.value());
+  EXPECT_NE(golden.find("\"mode\":\"local\""), std::string::npos);
+  for (std::uint64_t quantum : {1u, 7u, 100000u}) {
+    auto v = opt;
+    v.quantum_steps = quantum;
+    auto r = RunSharded(v);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(golden, ShardedReportToJson(r.value())) << "quantum=" << quantum;
+  }
 }
 
 TEST(ShardedDriverTest, SchedulerStatsAreFilledAndMakespanIsBounded) {
   auto opt = SmallOptions(4, 11);
-  opt.scheduler = ShardScheduler::kTimeSlice;
   opt.num_threads = 2;
-  opt.quantum_steps = 64;
   auto rep = RunSharded(opt);
   ASSERT_TRUE(rep.ok());
   EXPECT_EQ(rep->scheduler.num_workers, 2u);
-  EXPECT_GE(rep->scheduler.quanta, 4u);  // at least one per shard
+  // Only quanta actually submitted count: at least one per shard, at most
+  // one per shard per epoch.
+  EXPECT_GE(rep->scheduler.quanta, 4u);
+  EXPECT_LE(rep->scheduler.quanta, 4 * rep->xshard.epochs);
   std::uint64_t total_steps = 0, max_shard_steps = 0;
   for (const ShardResult& s : rep->shards) {
     total_steps += s.metrics.steps;
     max_shard_steps = std::max(max_shard_steps, s.metrics.steps);
   }
-  // Greedy list scheduling on 2 virtual workers: the makespan sits between
-  // perfect parallelism's lower bounds and the fully serial upper bound.
+  // Greedy list scheduling of each epoch on 2 virtual workers, epochs in
+  // sequence: the makespan sits between perfect parallelism's lower bounds
+  // and the fully serial upper bound.
   EXPECT_GE(rep->scheduler.virtual_makespan_steps, max_shard_steps);
   EXPECT_GE(rep->scheduler.virtual_makespan_steps, (total_steps + 1) / 2);
   EXPECT_LE(rep->scheduler.virtual_makespan_steps, total_steps);
+  // Deterministic: a repeat run reads the same makespan.
+  auto again = RunSharded(opt);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->scheduler.virtual_makespan_steps,
+            rep->scheduler.virtual_makespan_steps);
 }
 
 TEST(ShardedDriverTest, HotShardRoutingIsDeterministicAndChangesPlacement) {
@@ -423,17 +433,20 @@ TEST(ShardedDriverTest, HotShardRoutingIsDeterministicAndChangesPlacement) {
 
 TEST(ShardedDriverTest, NonPowerOfTwoHubSnapshotPeriodRoundsUpAndPublishes) {
   // hub_snapshot_period = 100 used to corrupt the cadence mask (100 & 99
-  // is not a power-of-two mask); it now rounds up to 128 internally.
-  obs::LiveHub hub;
-  auto opt = SmallOptions(2, 7);
-  opt.hub = &hub;
-  opt.hub_snapshot_period = 100;
-  auto rep = RunSharded(opt);
-  ASSERT_TRUE(rep.ok()) << rep.status().ToString();
-  EXPECT_TRUE(rep->completed);
-  EXPECT_EQ(rep->committed, opt.total_txns);
-  auto snaps = hub.Snapshots();
-  EXPECT_EQ(snaps.size(), 2u);  // the end-of-run snapshot per shard
+  // is not a power-of-two mask); it now rounds up to 128 internally. The
+  // period drives the one-shard loop; several shards publish every merge.
+  for (std::uint32_t shards : {1u, 2u}) {
+    obs::LiveHub hub;
+    auto opt = SmallOptions(shards, 7);
+    opt.hub = &hub;
+    opt.hub_snapshot_period = 100;
+    auto rep = RunSharded(opt);
+    ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+    EXPECT_TRUE(rep->completed);
+    EXPECT_EQ(rep->committed, opt.total_txns);
+    auto snaps = hub.Snapshots();
+    EXPECT_EQ(snaps.size(), shards);  // the latest snapshot per shard
+  }
 }
 
 TEST(ShardedDriverTest, JsonIsWellFormedEnoughToGrep) {
@@ -521,10 +534,10 @@ TEST(AdmissionQueueTest, AbandonUnblocksProducerAndDiscards) {
 
 TEST(ShardedDriverTest, PipelinedReportMatchesBatchByteForByte) {
   // The pipelined-admission determinism contract: streaming generation
-  // through bounded queues must reproduce the batch report exactly — same
-  // routing sweep, same refill points, same step sequences — across queue
-  // capacities, worker counts, and both shard schedulers.
-  auto opt = SmallOptions(4, 13);
+  // through a bounded queue must reproduce the batch report exactly — same
+  // generation sweep, same refill points, same step sequences — across
+  // queue capacities and quantum sizes.
+  auto opt = SmallOptions(1, 13);
   opt.pipeline = false;
   auto batch = RunSharded(opt);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
@@ -534,40 +547,33 @@ TEST(ShardedDriverTest, PipelinedReportMatchesBatchByteForByte) {
   const std::string golden = ShardedReportToJson(batch.value());
 
   for (std::size_t capacity : {1u, 8u, 1024u}) {
-    for (std::size_t workers : {1u, 4u, 7u}) {
-      auto v = opt;
-      v.pipeline = true;
-      v.admission_queue_capacity = capacity;
-      v.num_threads = workers;
-      auto r = RunSharded(v);
-      ASSERT_TRUE(r.ok()) << r.status().ToString();
-      EXPECT_EQ(golden, ShardedReportToJson(r.value()))
-          << "capacity=" << capacity << " workers=" << workers;
-      EXPECT_TRUE(r->admission.pipelined);
-      EXPECT_EQ(r->admission.queue_capacity, capacity);
-      // Backpressure bounds materialization: one program per queue slot
-      // plus at most one in the producer's hand.
-      EXPECT_LE(r->admission.peak_materialized_programs,
-                opt.num_shards * capacity + 1);
-    }
+    auto v = opt;
+    v.pipeline = true;
+    v.admission_queue_capacity = capacity;
+    auto r = RunSharded(v);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(golden, ShardedReportToJson(r.value()))
+        << "capacity=" << capacity;
+    EXPECT_TRUE(r->admission.pipelined);
+    EXPECT_EQ(r->admission.queue_capacity, capacity);
+    // Backpressure bounds materialization: one program per queue slot
+    // plus at most one in the producer's hand.
+    EXPECT_LE(r->admission.peak_materialized_programs, capacity + 1);
   }
-  // Time-sliced quanta over streaming queues: still the same report.
-  auto ts = opt;
-  ts.pipeline = true;
-  ts.scheduler = ShardScheduler::kTimeSlice;
-  ts.quantum_steps = 7;
-  ts.min_quantum_steps = 1;
-  ts.adaptive_quantum = false;
-  auto r = RunSharded(ts);
+  // Short quanta over a streaming queue: still the same report.
+  auto chopped = opt;
+  chopped.pipeline = true;
+  chopped.quantum_steps = 7;
+  auto r = RunSharded(chopped);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(golden, ShardedReportToJson(r.value())) << "time-sliced";
+  EXPECT_EQ(golden, ShardedReportToJson(r.value())) << "quantum=7";
 }
 
 TEST(ShardedDriverTest, OverlapFractionIsTheDeterministicRoutingFormula) {
-  // overlap = sum over shards of max(0, assigned - capacity) / total: a
-  // function of routing counts and the capacity only, so it is exactly
+  // overlap = max(0, assigned - capacity) / total: a function of the
+  // transaction count and the capacity only, so it is exactly
   // reproducible — the single-CPU CI proxy for pipelining effectiveness.
-  auto opt = SmallOptions(4, 17);
+  auto opt = SmallOptions(1, 17);
   opt.admission_queue_capacity = 4;
   auto rep = RunSharded(opt);  // pipeline defaults on
   ASSERT_TRUE(rep.ok()) << rep.status().ToString();
@@ -589,27 +595,30 @@ TEST(ShardedDriverTest, OverlapFractionIsTheDeterministicRoutingFormula) {
 }
 
 TEST(ShardedDriverTest, InterimHubExportsDoNotDoubleCountTotals) {
-  // A tight snapshot cadence makes every shard export its engine
+  // A tight snapshot cadence makes a one-shard run export its engine
   // aggregates many times mid-run (live /metrics quantiles). The delta
-  // exporter must still land the merged registry on the exact totals.
-  obs::LiveHub hub;
-  auto opt = SmallOptions(2, 7);
-  opt.hub = &hub;
-  opt.hub_snapshot_period = 16;
-  auto rep = RunSharded(opt);
-  ASSERT_TRUE(rep.ok()) << rep.status().ToString();
-  for (const ShardResult& s : rep->shards) {
-    const obs::LabelSet labels{{obs::kShardLabel, std::to_string(s.shard)}};
-    const auto* steps = rep->metrics.Find(obs::kStepsTotal, labels);
-    ASSERT_NE(steps, nullptr) << "shard " << s.shard;
-    EXPECT_EQ(steps->counter, s.metrics.steps) << "shard " << s.shard;
-    const auto* commits = rep->metrics.Find(obs::kCommitsTotal, labels);
-    ASSERT_NE(commits, nullptr) << "shard " << s.shard;
-    EXPECT_EQ(commits->counter, s.metrics.commits) << "shard " << s.shard;
-    const auto* costs = rep->metrics.Find(obs::kRollbackCostOps, labels);
-    ASSERT_NE(costs, nullptr) << "shard " << s.shard;
-    EXPECT_EQ(costs->hist.count, s.rollback_costs.count)
-        << "shard " << s.shard;
+  // exporter must still land the registry on the exact totals, on both
+  // paths.
+  for (std::uint32_t shards : {1u, 2u}) {
+    obs::LiveHub hub;
+    auto opt = SmallOptions(shards, 7);
+    opt.hub = &hub;
+    opt.hub_snapshot_period = 16;
+    auto rep = RunSharded(opt);
+    ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+    for (const ShardResult& s : rep->shards) {
+      const obs::LabelSet labels{{obs::kShardLabel, std::to_string(s.shard)}};
+      const auto* steps = rep->metrics.Find(obs::kStepsTotal, labels);
+      ASSERT_NE(steps, nullptr) << "shard " << s.shard;
+      EXPECT_EQ(steps->counter, s.metrics.steps) << "shard " << s.shard;
+      const auto* commits = rep->metrics.Find(obs::kCommitsTotal, labels);
+      ASSERT_NE(commits, nullptr) << "shard " << s.shard;
+      EXPECT_EQ(commits->counter, s.metrics.commits) << "shard " << s.shard;
+      const auto* costs = rep->metrics.Find(obs::kRollbackCostOps, labels);
+      ASSERT_NE(costs, nullptr) << "shard " << s.shard;
+      EXPECT_EQ(costs->hist.count, s.rollback_costs.count)
+          << "shard " << s.shard;
+    }
   }
 }
 

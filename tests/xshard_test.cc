@@ -1,9 +1,9 @@
 // Tests for the cross-shard transaction layer (DESIGN D12): program
 // splitting, lock-free routing, the merged-history global
 // serializability checker, the engine's sub-transaction hold protocol,
-// and the locks-mode sharded driver end to end — including the
-// regression witness that the legacy coordinator-replica shortcut is
-// *not* globally serializable.
+// and the multi-shard driver end to end. The checker's replica-divergence
+// cases witness the fault it exists to catch: two stores evolving one
+// entity independently.
 
 #include <gtest/gtest.h>
 
@@ -37,7 +37,6 @@ using par::RouteProgram;
 using par::RunSharded;
 using par::ShardedOptions;
 using par::ShardedReportToJson;
-using par::XShardMode;
 using par::xshard::SplitProgram;
 using par::xshard::SubProgram;
 using txn::Operand;
@@ -216,7 +215,7 @@ TEST(GlobalHistoryTest, DetectsCrossShardCycle) {
 
 TEST(GlobalHistoryTest, DetectsReplicaDivergence) {
   // Two distinct merged transactions publish the same version of the same
-  // entity: two stores evolved it independently (the kReplica hole).
+  // entity: two stores evolved it independently.
   GlobalHistory h;
   h.Add(GlobalHistory::LocalKey(0, TxnId(1)), {Wr(5, 1)});
   h.Add(GlobalHistory::LocalKey(1, TxnId(9)), {Wr(5, 1)});
@@ -289,7 +288,7 @@ TEST(CertifyUnionTest, FindsCycleThatClosesOnlyAcrossShards) {
 }
 
 TEST(CertifyUnionTest, SharedPublishedEntityFallsBack) {
-  // Both stores publish entity 5 (kReplica's divergence), or one reads
+  // Both stores publish entity 5 (replica divergence), or one reads
   // what the other publishes: the union cannot stand in for the merge.
   HistoryRecorder a, b, c;
   for (HistoryRecorder* r : {&a, &b, &c}) r->OnBegin(TxnId(1), 0);
@@ -391,12 +390,11 @@ TEST(EngineSubTxnTest, HoldReleaseLifecycle) {
 }
 
 // ---------------------------------------------------------------------------
-// RunSharded in kLocks mode
+// RunSharded across several shards
 // ---------------------------------------------------------------------------
 
 ShardedOptions LocksOptions(double cross, std::uint64_t seed) {
   ShardedOptions opt;
-  opt.xshard = XShardMode::kLocks;
   opt.num_shards = 4;
   opt.workload.num_entities = 64;
   opt.workload.min_locks = 2;
@@ -418,7 +416,6 @@ TEST_P(LocksModeTest, CommitsAllAndStaysGloballySerializable) {
   EXPECT_TRUE(rep->completed);
   EXPECT_TRUE(rep->serializable);
   EXPECT_TRUE(rep->global_serializable);
-  EXPECT_TRUE(rep->xshard_locks);
   // Every admitted global retired: all slices spawned were committed.
   EXPECT_EQ(rep->xshard.global_txns, rep->cross_shard_txns);
   EXPECT_EQ(rep->xshard.global_commits, rep->xshard.global_txns);
@@ -459,7 +456,6 @@ TEST(LocksModeTest, ReportBitIdenticalAcrossRunsAndWorkerCounts) {
 // shards at once and union-only cycles actually form.
 ShardedOptions ContestedLocksOptions(std::uint64_t seed) {
   ShardedOptions opt;
-  opt.xshard = XShardMode::kLocks;
   opt.num_shards = 4;
   opt.workload.num_entities = 24;
   opt.workload.min_locks = 2;
@@ -486,22 +482,6 @@ TEST(LocksModeTest, ResolvesGlobalCyclesByDistributedPartialRollback) {
   // 2PC accounting covers at least every slice of every global.
   EXPECT_GE(rep->xshard.messages,
             2 * (rep->xshard.prepares + rep->xshard.resolves));
-}
-
-TEST(LocksModeTest, ReplicaModeIsFlaggedGloballyNonSerializable) {
-  // The regression witness for the hole this layer closes: the legacy
-  // coordinator-replica shortcut executes cross-shard transactions against
-  // the coordinator's private replica, so its writes diverge from the home
-  // shards' stores. Per-shard histories stay serializable — only the
-  // merged checker sees the hole.
-  auto opt = ContestedLocksOptions(5);
-  opt.xshard = XShardMode::kReplica;
-  auto rep = RunSharded(opt);
-  ASSERT_TRUE(rep.ok()) << rep.status().ToString();
-  EXPECT_TRUE(rep->serializable);  // every per-shard projection: fine
-  EXPECT_FALSE(rep->xshard_locks);
-  EXPECT_FALSE(rep->global_serializable) << "the replica shortcut must be "
-                                            "flagged by the merged checker";
 }
 
 TEST(LocksModeTest, RequiresDeadlockDetection) {

@@ -17,17 +17,6 @@ worker counts) the gate also prints the first differing JSON key path and
 both values, read from the mismatch side-files the bench leaves on disk;
 the exit code contract (0 pass / 1 fail) is unchanged.
 
-The skew check gates the scheduler comparison (BENCH_parallel_skew.json):
-committed counts must match the baseline exactly, and on the skewed
-(zipf 0.9) config the timeslice scheduler's virtual-makespan speedup over
-run-to-completion must stay at or above --min-skew-speedup. Virtual
-makespans are deterministic, so they are compared exactly; wall-clock
-fields in the skew file are informational only. On the uniform (zipf 0)
-config the timeslice scheduler must not fall below run-to-completion by
-more than --max-uniform-drop-pct of wall time (quantum bookkeeping
-budget) — skipped when the host reports a single CPU, where elapsed
-times are too noisy relative to the tiny absolute difference.
-
 The pipeline check gates streaming admission (BENCH_parallel_pipeline.json):
 the pipelined run's report JSON must be byte-identical to the batch run's
 (the determinism contract), committed counts must match the baseline
@@ -69,8 +58,6 @@ Usage:
       --current BENCH_parallel.json \
       --baseline bench/baselines/BENCH_parallel.json \
       --current-overhead BENCH_parallel_overhead.json \
-      --current-skew BENCH_parallel_skew.json \
-      --skew-baseline bench/baselines/BENCH_parallel_skew.json \
       --current-pipeline BENCH_parallel_pipeline.json \
       --pipeline-baseline bench/baselines/BENCH_parallel_pipeline.json \
       --current-cross-shard BENCH_cross_shard.json \
@@ -78,7 +65,6 @@ Usage:
       --current-hotpath BENCH_hotpath.json \
       --hotpath-baseline bench/baselines/BENCH_hotpath.json \
       [--max-speedup-drop-pct 15] [--max-overhead-pct 5] \
-      [--min-skew-speedup 1.3] [--max-uniform-drop-pct 5] \
       [--min-overlap-fraction 0.8] [--min-pipeline-speedup 1.25] \
       [--min-cross-goodput 0.8] [--min-hotpath-txns-per-sec 210000]
 """
@@ -177,50 +163,6 @@ def check_scaling(current, baseline, max_drop_pct):
             failures.append(
                 f"shards={shards}: speedup {speedup:.3f} dropped more than "
                 f"{max_drop_pct}% below baseline {base_speedup:.3f}")
-    return failures
-
-
-def check_skew(current, baseline, min_skew_speedup, max_uniform_drop_pct):
-    failures = []
-    key = lambda row: (row["zipf_theta"], row["scheduler"])
-    base_by_key = {key(row): row for row in baseline}
-    rows_by_key = {key(row): row for row in current}
-    for row in current:
-        base = base_by_key.get(key(row))
-        if base is None:
-            continue
-        for field in ("committed", "virtual_makespan_steps"):
-            if row[field] != base[field]:
-                failures.append(
-                    f"skew {key(row)}: {field} {row[field]} != baseline "
-                    f"{base[field]} (deterministic result drifted)")
-    skewed = rows_by_key.get((0.9, "timeslice"))
-    if skewed is None:
-        failures.append("skew: missing (zipf 0.9, timeslice) row")
-    else:
-        speedup = skewed["virtual_speedup_vs_rtc"]
-        verdict = "ok" if speedup >= min_skew_speedup else "FAIL"
-        print(f"skew zipf=0.9: virtual speedup {speedup:.3f} "
-              f"(floor {min_skew_speedup}) {verdict}")
-        if speedup < min_skew_speedup:
-            failures.append(
-                f"skew: timeslice virtual speedup {speedup:.3f} below "
-                f"floor {min_skew_speedup}")
-    rtc = rows_by_key.get((0.0, "rtc"))
-    ts = rows_by_key.get((0.0, "timeslice"))
-    if rtc and ts and rtc["elapsed_seconds"] > 0:
-        drop_pct = (ts["elapsed_seconds"] / rtc["elapsed_seconds"] - 1.0) * 100
-        if os.cpu_count() and os.cpu_count() > 1:
-            verdict = "ok" if drop_pct <= max_uniform_drop_pct else "FAIL"
-            print(f"skew zipf=0.0: timeslice wall overhead {drop_pct:+.1f}% "
-                  f"(budget {max_uniform_drop_pct}%) {verdict}")
-            if drop_pct > max_uniform_drop_pct:
-                failures.append(
-                    f"skew: uniform-config timeslice wall overhead "
-                    f"{drop_pct:+.1f}% exceeds {max_uniform_drop_pct}%")
-        else:
-            print(f"skew zipf=0.0: timeslice wall overhead {drop_pct:+.1f}% "
-                  f"(informational; single-CPU host, gate skipped)")
     return failures
 
 
@@ -427,8 +369,6 @@ def main():
     ap.add_argument("--current")
     ap.add_argument("--baseline")
     ap.add_argument("--current-overhead")
-    ap.add_argument("--current-skew")
-    ap.add_argument("--skew-baseline")
     ap.add_argument("--current-pipeline")
     ap.add_argument("--pipeline-baseline")
     ap.add_argument("--current-cross-shard")
@@ -437,8 +377,6 @@ def main():
     ap.add_argument("--hotpath-baseline")
     ap.add_argument("--max-speedup-drop-pct", type=float, default=15.0)
     ap.add_argument("--max-overhead-pct", type=float, default=5.0)
-    ap.add_argument("--min-skew-speedup", type=float, default=1.3)
-    ap.add_argument("--max-uniform-drop-pct", type=float, default=5.0)
     ap.add_argument("--min-overlap-fraction", type=float, default=0.8)
     ap.add_argument("--min-pipeline-speedup", type=float, default=1.25)
     ap.add_argument("--min-cross-goodput", type=float, default=0.8)
@@ -450,11 +388,6 @@ def main():
     if args.current:
         failures += check_scaling(load(args.current), load(args.baseline),
                                   args.max_speedup_drop_pct)
-    if args.current_skew:
-        failures += check_skew(
-            load(args.current_skew),
-            load(args.skew_baseline) if args.skew_baseline else [],
-            args.min_skew_speedup, args.max_uniform_drop_pct)
     if args.current_pipeline:
         failures += check_pipeline(
             load(args.current_pipeline),

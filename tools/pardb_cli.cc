@@ -505,17 +505,16 @@ int RunObserve(const Flags& flags) {
   return rc;
 }
 
-// `pardb parallel` — the sim workload sharded over N engines on a
-// work-stealing pool (src/par). Extra flags: --shards, --threads (0 = one
-// per shard; oversharding --shards > --threads load-balances via
-// stealing), --cross (fraction of transactions drawn across shard
-// boundaries), --scheduler=timeslice|rtc, --quantum-steps,
-// --min-quantum-steps, --no-adaptive-quantum, --hot-routing (route local
-// transactions to Zipf-hot shards), --pipeline / --no-pipeline (streaming
-// admission, on by default), --queue-capacity (per-shard admission queue
-// bound), --xshard=locks|replica (true shard-spanning transactions with
-// distributed partial rollback, or the legacy coordinator-replica
-// shortcut), --json=FILE (write the machine-readable report).
+// `pardb parallel` — the sim workload sharded over N engines (src/par).
+// Several shards run in epochs on a work-stealing pool, with shard-spanning
+// transactions split into per-shard slices and global deadlocks removed by
+// distributed partial rollback; one shard runs on the calling thread.
+// Extra flags: --shards, --threads (pool workers; 0 = one per shard),
+// --cross (fraction of transactions drawn across shard boundaries),
+// --quantum-steps, --hot-routing (route local transactions to Zipf-hot
+// shards), --pipeline / --no-pipeline and --queue-capacity (streaming
+// admission of a one-shard run, on by default), --json=FILE (write the
+// machine-readable report). Unknown flags are rejected before the run.
 int RunParallel(const Flags& flags) {
   auto sim_opt = BuildSimOptions(flags);
   if (!sim_opt.ok()) {
@@ -540,44 +539,30 @@ int RunParallel(const Flags& flags) {
   opt.num_shards = static_cast<std::uint32_t>(shards.value());
   opt.num_threads = static_cast<std::size_t>(threads.value());
   opt.cross_shard_fraction = cross.value();
-  const std::string sched = flags.GetString("scheduler", "timeslice");
-  if (sched == "rtc") {
-    opt.scheduler = par::ShardScheduler::kRunToCompletion;
-  } else if (sched == "timeslice") {
-    opt.scheduler = par::ShardScheduler::kTimeSlice;
-  } else {
-    std::fprintf(stderr, "unknown --scheduler=%s (timeslice|rtc)\n",
-                 sched.c_str());
-    return 2;
-  }
   auto quantum = flags.GetInt("quantum-steps", 256);
-  auto min_quantum = flags.GetInt("min-quantum-steps", 32);
-  if (!quantum.ok() || !min_quantum.ok()) return 2;
+  if (!quantum.ok()) return 2;
   opt.quantum_steps = static_cast<std::uint64_t>(quantum.value());
-  opt.min_quantum_steps = static_cast<std::uint64_t>(min_quantum.value());
-  opt.adaptive_quantum = !flags.GetBool("no-adaptive-quantum", false);
   opt.hot_shard_routing = flags.GetBool("hot-routing", false);
   opt.pipeline =
       flags.GetBool("pipeline", true) && !flags.GetBool("no-pipeline", false);
   auto qcap = flags.GetInt("queue-capacity", 32);
   if (!qcap.ok()) return 2;
   opt.admission_queue_capacity = static_cast<std::size_t>(qcap.value());
-  const std::string xshard = flags.GetString("xshard", "locks");
-  if (xshard == "locks") {
-    opt.xshard = par::XShardMode::kLocks;
-  } else if (xshard == "replica") {
-    opt.xshard = par::XShardMode::kReplica;
-  } else {
-    std::fprintf(stderr, "unknown --xshard=%s (locks|replica)\n",
-                 xshard.c_str());
-    return 2;
-  }
   const ObsOutputs outs = GetObsOutputs(flags);
   auto serve = GetServeConfig(flags);
   if (!serve.ok()) {
     std::fprintf(stderr, "%s\n", serve.status().ToString().c_str());
     return 2;
   }
+  const std::string json_path = flags.GetString("json", "");
+  // Every flag has been read: anything left is a typo or a removed flag,
+  // and must fail before a workload runs.
+  const std::vector<std::string> unused = flags.UnusedFlags();
+  for (const std::string& name : unused) {
+    std::fprintf(stderr, "unknown flag --%s for pardb parallel\n",
+                 name.c_str());
+  }
+  if (!unused.empty()) return 2;
   opt.instrument = outs.WantMetrics();
   opt.collect_traces = outs.WantTrace();
   opt.collect_forensics = outs.WantForensics();
@@ -586,7 +571,9 @@ int RunParallel(const Flags& flags) {
   if (serve->enabled) {
     opt.hub = &hub;
     opt.instrument = true;  // live /metrics needs the per-shard registries
-    hub.SetRunInfo(MakeRunInfo(opt.seed, opt.num_shards, sched, "parallel"));
+    hub.SetRunInfo(MakeRunInfo(opt.seed, opt.num_shards,
+                               opt.num_shards > 1 ? "epochs" : "quantum-loop",
+                               "parallel"));
     auto started = StartIntrospectionServer(&hub, serve->port);
     if (!started.ok()) {
       std::fprintf(stderr, "%s\n", started.status().ToString().c_str());
@@ -620,7 +607,7 @@ int RunParallel(const Flags& flags) {
               (unsigned long long)report->admission.producer_blocked_pushes,
               report->admission.generate_seconds,
               report->admission.execute_seconds);
-  if (report->xshard_locks) {
+  if (opt.num_shards > 1) {
     const par::xshard::XShardStats& x = report->xshard;
     std::printf("xshard: mode=locks epochs=%llu globals=%llu subs=%llu "
                 "merges=%llu global_cycles=%llu distributed_rollbacks=%llu "
@@ -650,7 +637,6 @@ int RunParallel(const Flags& flags) {
                 (unsigned long long)s.metrics.wasted_ops,
                 s.serializable ? "yes" : "NO");
   }
-  const std::string json_path = flags.GetString("json", "");
   if (!json_path.empty()) {
     std::ofstream out(json_path);
     if (!out) {
@@ -1091,8 +1077,11 @@ int main(int argc, char** argv) {
   } else {
     rc = RunFigure(mode);
   }
-  for (const std::string& unused : flags.value().UnusedFlags()) {
-    std::fprintf(stderr, "warning: unused flag --%s\n", unused.c_str());
+  // `parallel` rejects unused flags itself, before it runs anything.
+  if (mode != "parallel") {
+    for (const std::string& unused : flags.value().UnusedFlags()) {
+      std::fprintf(stderr, "warning: unused flag --%s\n", unused.c_str());
+    }
   }
   return rc;
 }
