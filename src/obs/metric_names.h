@@ -69,9 +69,10 @@ inline constexpr char kShardStepEwmaNs[] = "pardb_shard_step_ewma_ns";
 // perfectly balanced). The ROADMAP work-stealing item's input signal.
 inline constexpr char kShardLoadSkew[] = "pardb_shard_load_skew";
 
-// Worker scheduling (par::RunSharded: the StealingPool's workers, or the
-// calling thread for one shard).
-// Quanta executed on a worker other than the one that queued them.
+// Worker scheduling (par::RunSharded: the fork-join's workers — the calling
+// thread is worker 0 — or the calling thread alone for one shard).
+// Quanta executed on a worker other than their shard's home worker
+// (shard % workers).
 inline constexpr char kStealsTotal[] = "pardb_steals_total";
 // Per-worker busy/wall fraction scaled by 1000 (gauge; labeled by worker).
 inline constexpr char kWorkerUtilization[] = "pardb_worker_utilization";

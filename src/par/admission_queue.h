@@ -22,12 +22,9 @@ namespace pardb::par {
 // the explicit end-of-stream token: after the producer closes, the
 // consumer drains whatever remains and then observes kClosed forever.
 //
-// "Single consumer" here means one quantum at a time: quanta migrate
-// between pool workers, but a shard's ready-token discipline guarantees at
-// most one is in flight, and the pool's queue transfer orders each
-// quantum's pops before the next quantum's. A plain mutex + two condition
-// variables is therefore enough; none of this is on the engine's step
-// path (pops happen only at refill points).
+// The single consumer is the one shard's quantum loop on the calling
+// thread. A plain mutex + two condition variables is enough; none of this
+// is on the engine's step path (pops happen only at refill points).
 //
 // Abandon() handles consumer death (shard failure or an exhausted step
 // budget): it turns Push into a discard so the producer can finish its

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <functional>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -12,14 +11,12 @@
 #include "analysis/global_history.h"
 #include "analysis/history.h"
 #include "common/bits.h"
-#include "common/random.h"
 #include "core/metrics_export.h"
-#include "dist/distributed.h"
 #include "obs/lineage.h"
 #include "obs/metric_names.h"
 #include "par/admission_queue.h"
+#include "par/fork_join.h"
 #include "par/router.h"
-#include "par/stealing_pool.h"
 #include "par/xshard/global_graph.h"
 #include "storage/entity_store.h"
 
@@ -95,10 +92,11 @@ struct AdmissionShared {
 };
 
 // Per-shard state that persists across quanta: the engine and everything
-// wired into it. A multi-shard epoch submits at most one quantum per shard
-// and the epoch barrier (pool Wait) orders its writes before the next
-// coordinate phase, so this struct is only ever touched by one thread at a
-// time even though quanta migrate between workers.
+// wired into it. A multi-shard epoch runs at most one admission task and
+// one quantum per shard, and each fork-join returns only after all of its
+// tasks finished, which orders their writes before the next phase — so
+// this struct is only ever touched by one thread at a time even though
+// tasks migrate between workers.
 struct ShardExec {
   ShardExec(std::size_t max_dumps, obs::DeadlockDumpSink* hub_sink,
             obs::DecisionJournal::Options journal_options)
@@ -177,7 +175,7 @@ void InitShardExec(const ShardedOptions& options, std::uint32_t shard,
   engine.ReserveTxns(options.total_txns);
 
   // Per-shard telemetry. Without a hub the registry is private to this
-  // shard and merged after the pool joins; with one it is hub-owned and
+  // shard and merged after the run; with one it is hub-owned and
   // scraped live (its counters are lock-free atomics, so the serving thread
   // reads it safely while a worker writes).
   ex.labels = obs::LabelSet{{obs::kShardLabel, std::to_string(shard)}};
@@ -418,7 +416,7 @@ bool RunShardQuantum(const ShardedOptions& options, ShardRun& run,
 
 // Deterministic makespan of greedy list scheduling: each job (one shard's
 // quantum in an epoch) goes to the earliest-free virtual worker, in
-// submission order. This is what the pool's pull semantics converge to
+// submission order. This is what the fork-join's claims converge to
 // with one core per worker, so it models multi-core wall-clock while
 // staying bit-identical across machines and runs.
 std::uint64_t VirtualMakespanSteps(const std::vector<std::uint64_t>& costs,
@@ -434,67 +432,6 @@ std::uint64_t VirtualMakespanSteps(const std::vector<std::uint64_t>& costs,
     busy[w] += costs[job];
   }
   return *std::max_element(busy.begin(), busy.end());
-}
-
-// Phase 1: the deterministic generation + routing sweep, shared verbatim
-// by the batch and pipelined paths — same seeded generators, same routing
-// draws, same emission order, so the per-shard program streams are
-// identical by construction and only *where* a program lands (the shard's
-// materialized vector vs its admission queue) differs between modes.
-// `cross_shard_txns` and `routed` are written only by the calling thread.
-// Local transactions draw from one shard's entity pool; with probability
-// cross_shard_fraction a transaction draws from the full universe. The
-// authoritative routing decision is always the footprint hash. `emit`
-// receives (shard, spans_shards, program); the multi-shard path diverts
-// spanning programs to the global admission queue instead of a shard.
-Status GenerateAndRoute(
-    const ShardedOptions& options, std::uint32_t n,
-    std::uint64_t* cross_shard_txns, std::vector<std::uint64_t>* routed,
-    const std::function<void(std::uint32_t, bool, txn::Program)>& emit) {
-  auto universes = ShardEntityUniverses(options.workload.num_entities, n);
-  std::vector<std::uint32_t> populated;
-  std::vector<std::unique_ptr<sim::WorkloadGenerator>> local(n);
-  for (std::uint32_t s = 0; s < n; ++s) {
-    if (universes[s].empty()) continue;
-    sim::WorkloadOptions w = options.workload;
-    w.entity_universe = universes[s];
-    local[s] = std::make_unique<sim::WorkloadGenerator>(
-        w, DeriveShardSeed(options.seed, 0x10000u + s));
-    populated.push_back(s);
-  }
-  sim::WorkloadGenerator global(options.workload,
-                                DeriveShardSeed(options.seed, 0x20000u));
-  Rng route_rng(DeriveShardSeed(options.seed, 0x30000u));
-  // Hot-shard routing: home a local transaction where a global
-  // Zipf-distributed entity draw lives, so load follows the hot keys'
-  // placement instead of spreading uniformly.
-  ZipfianGenerator home_zipf(options.workload.num_entities,
-                             options.workload.zipf_theta);
-  for (std::uint64_t t = 0; t < options.total_txns; ++t) {
-    const bool want_cross = populated.empty() ||
-                            route_rng.Bernoulli(options.cross_shard_fraction);
-    sim::WorkloadGenerator* gen = &global;
-    if (!want_cross) {
-      std::uint32_t home = 0;
-      if (options.hot_shard_routing) {
-        home = dist::SiteOfEntity(EntityId(home_zipf.Next(route_rng)), n);
-        if (local[home] == nullptr) {
-          home = populated[route_rng.Uniform(populated.size())];
-        }
-      } else {
-        home = populated[route_rng.Uniform(populated.size())];
-      }
-      gen = local[home].get();
-    }
-    auto program = gen->Next();
-    if (!program.ok()) return program.status();
-    const Route route =
-        RouteProgram(program.value(), n, options.coordinator_shard, t);
-    if (route.cross_shard) ++*cross_shard_txns;
-    ++(*routed)[route.shard];
-    emit(route.shard, route.cross_shard, std::move(program).value());
-  }
-  return Status::OK();
 }
 
 // Merged-history conflict-serializability (the global invariant): every
@@ -729,9 +666,9 @@ Status AssembleReport(const ShardedOptions& options,
   return Status::OK();
 }
 
-// The multi-shard path: epochs of a single-threaded coordinate phase (2PC
-// polling, admission, union merge + distributed partial rollback)
-// followed by one parallel quantum per shard. Epoch content is a pure
+// The multi-shard path: epochs of 2PC polling, parallel local admission,
+// global admission with union merge + distributed partial rollback, and
+// one parallel quantum per shard (DESIGN D12). Epoch content is a pure
 // function of the options and each shard's deterministic state, so the
 // report is bit-identical across runs and worker counts.
 Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
@@ -750,19 +687,26 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
     options.hub->SetPhase(obs::RunPhase::kGenerating);
   }
 
-  // Phase 1: generation + routing, spanning programs diverted to the
+  // The fork-join behind every parallel part of the run; the calling
+  // thread is its worker 0.
+  ForkJoin fork_join(options.num_threads == 0 ? n : options.num_threads);
+
+  // Phase 1: generation + routing, one fork-join task per generator,
+  // emitted in generation order; spanning programs are diverted to the
   // global admission queue (in generation order — their ω order).
   std::vector<std::uint64_t> routed(n, 0);
   std::vector<txn::Program> globals;
   const std::uint64_t g0 = NowNanos();
-  Status gen = GenerateAndRoute(
-      options, n, &report.cross_shard_txns, &routed,
-      [&runs, &globals](std::uint32_t shard, bool cross,
-                        txn::Program program) {
-        if (cross) {
+  Status gen = GenerateAndRouteParallel(
+      options, fork_join,
+      [&runs, &globals, &report, &routed](const Route& route,
+                                          txn::Program program) {
+        ++routed[route.shard];
+        if (route.cross_shard) {
+          ++report.cross_shard_txns;
           globals.push_back(std::move(program));
         } else {
-          runs[shard].programs.push_back(std::move(program));
+          runs[route.shard].programs.push_back(std::move(program));
         }
       });
   if (!gen.ok()) return gen;
@@ -815,197 +759,211 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
   const std::uint64_t merge_period =
       std::max<std::uint64_t>(1, options.xshard_merge_period);
   std::vector<std::uint64_t> next_local(n, 0);
-  std::vector<std::uint64_t> spawned_local(n, 0);
   std::size_t next_global = 0;
   std::uint64_t epoch = 0;
   int zero_epochs = 0;
   bool completed = true;
   Status run_status = Status::OK();
 
-  std::vector<std::uint64_t> busy_ns;
-  std::uint64_t uptime_ns = 0;
-  std::uint64_t steals = 0;
+  const std::size_t threads = fork_join.num_threads();
+  std::atomic<std::uint64_t> steals{0};
+  std::vector<std::uint64_t> epoch_shard_steps(n, 0);
+  std::vector<std::uint64_t> room(n, 0);  // local programs to admit
+  std::vector<std::uint32_t> admitting;
+  std::vector<std::uint32_t> submitted;
   const std::uint64_t e0 = NowNanos();
-  {
-    StealingPool pool(options.num_threads == 0 ? n : options.num_threads);
-    std::vector<std::uint64_t> epoch_shard_steps(n, 0);
-    std::vector<std::uint32_t> submitted;
-    for (;; ++epoch) {
-      // ---- Coordinate (single-threaded; every engine is quiescent) ----
-      auto polled = coord.Poll();
-      if (!polled.ok()) {
-        run_status = polled.status();
+  for (;; ++epoch) {
+    // ---- Coordinate: 2PC polling (single-threaded; engines quiescent) ----
+    auto polled = coord.Poll();
+    if (!polled.ok()) {
+      run_status = polled.status();
+      break;
+    }
+    std::uint64_t progress = polled.value();
+    // ---- Local admission (parallel): top each shard's level up from its
+    // queue, one task per shard that has room and programs left. Slice
+    // commits are subtracted out so subs never consume local slots. It
+    // stays ahead of global admission, so each engine still assigns this
+    // epoch's local ids and ω positions before its slices'.
+    admitting.clear();
+    for (std::uint32_t s = 0; s < n; ++s) {
+      const std::uint64_t live_locals =
+          next_local[s] -
+          (engines[s]->metrics().commits - coord.sub_commits_on(s));
+      room[s] = live_locals < runs[s].concurrency
+                    ? std::min<std::uint64_t>(
+                          runs[s].concurrency - live_locals,
+                          runs[s].programs.size() - next_local[s])
+                    : 0;
+      if (room[s] > 0) admitting.push_back(s);
+    }
+    fork_join.Run(admitting.size(), [&](std::size_t i, std::size_t) {
+      const std::uint32_t s = admitting[i];
+      for (std::uint64_t k = 0; k < room[s]; ++k) {
+        auto id = engines[s]->Spawn(
+            std::move(runs[s].programs[next_local[s] + k]));
+        if (!id.ok()) {
+          runs[s].status = id.status();
+          return;
+        }
+      }
+    });
+    for (std::uint32_t s : admitting) {
+      if (!runs[s].status.ok()) {
+        run_status = runs[s].status;
         break;
       }
-      std::uint64_t progress = polled.value();
-      // Local admission: top each shard's level up from its queue. Slice
-      // commits are subtracted out so subs never consume local slots.
-      for (std::uint32_t s = 0; s < n && run_status.ok(); ++s) {
-        const std::uint64_t local_commits =
-            engines[s]->metrics().commits - coord.sub_commits_on(s);
-        std::uint64_t live_locals = spawned_local[s] - local_commits;
-        while (next_local[s] < runs[s].programs.size() &&
-               live_locals < runs[s].concurrency) {
-          auto id =
-              engines[s]->Spawn(std::move(runs[s].programs[next_local[s]]));
-          if (!id.ok()) {
-            run_status = id.status();
-            break;
-          }
-          ++next_local[s];
-          ++spawned_local[s];
-          ++live_locals;
-          ++progress;
-        }
-        if (!queue_depth.empty()) {
-          queue_depth[s]->Set(static_cast<std::int64_t>(
-              runs[s].programs.size() - next_local[s]));
-        }
+      next_local[s] += room[s];
+      progress += room[s];
+    }
+    if (!run_status.ok()) break;
+    for (std::uint32_t s = 0; s < queue_depth.size(); ++s) {
+      queue_depth[s]->Set(
+          static_cast<std::int64_t>(runs[s].programs.size() - next_local[s]));
+    }
+    // ---- Coordinate: global admission, in ω order ----
+    while (next_global < globals.size() && coord.CanAdmit()) {
+      auto seq = coord.Admit(std::move(globals[next_global]));
+      if (!seq.ok()) {
+        run_status = seq.status();
+        break;
       }
-      if (!run_status.ok()) break;
-      // Global admission, in ω order.
-      while (next_global < globals.size() && coord.CanAdmit()) {
-        auto seq = coord.Admit(std::move(globals[next_global]));
-        if (!seq.ok()) {
-          run_status = seq.status();
-          break;
-        }
-        ++next_global;
-        ++progress;
+      ++next_global;
+      ++progress;
+    }
+    if (!run_status.ok()) break;
+    // Union merge + distributed partial rollback: on the configured
+    // cadence, and forced after a zero-progress epoch — the only benign
+    // reason nothing moved is a global cycle awaiting the next merge.
+    if (epoch % merge_period == 0 || zero_epochs > 0) {
+      auto merged = coord.MergeAndResolve();
+      if (!merged.ok()) {
+        run_status = merged;
+        break;
       }
-      if (!run_status.ok()) break;
-      // Union merge + distributed partial rollback: on the configured
-      // cadence, and forced after a zero-progress epoch — the only benign
-      // reason nothing moved is a global cycle awaiting the next merge.
-      if (epoch % merge_period == 0 || zero_epochs > 0) {
-        auto merged = coord.MergeAndResolve();
-        if (!merged.ok()) {
-          run_status = merged;
-          break;
+      // 2PC-epoch checksum: every engine is quiescent in the coordinate
+      // phase, so folding the shard state digests here is deterministic
+      // (a pure function of the options and the epoch ordinal).
+      if (options.journal) {
+        std::uint64_t fold = obs::kFnvOffsetBasis;
+        for (std::uint32_t s = 0; s < n; ++s) {
+          fold = obs::FnvMix64(fold, engines[s]->StateDigest());
         }
-        // 2PC-epoch checksum: every engine is quiescent in the coordinate
-        // phase, so folding the shard state digests here is deterministic
-        // (a pure function of the options and the epoch ordinal).
-        if (options.journal) {
-          std::uint64_t fold = obs::kFnvOffsetBasis;
-          for (std::uint32_t s = 0; s < n; ++s) {
-            fold = obs::FnvMix64(fold, engines[s]->StateDigest());
-          }
-          coord_journal.StampEpoch(epoch, fold, obs::EpochKind::kTwoPC);
-        }
-        if (options.hub != nullptr) {
-          PublishGlobalWaitsFor(options.hub, coord, engines, epoch);
-          for (std::uint32_t s = 0; s < n; ++s) {
-            obs::WaitsForSnapshot snap = engines[s]->SnapshotWaitsFor();
-            snap.shard = s;
-            options.hub->PublishSnapshot(std::move(snap));
-            // Coordinate phase: every engine (and its book) is quiescent,
-            // so the single-threaded digest is safe here.
-            if (options.txnlife) {
-              options.hub->PublishTxnLife(runs[s].exec->txnlife.Digest(s));
-            }
-            if (options.journal) {
-              options.hub->PublishJournal(runs[s].exec->journal.Digest(s));
-            }
+        coord_journal.StampEpoch(epoch, fold, obs::EpochKind::kTwoPC);
+      }
+      if (options.hub != nullptr) {
+        PublishGlobalWaitsFor(options.hub, coord, engines, epoch);
+        for (std::uint32_t s = 0; s < n; ++s) {
+          obs::WaitsForSnapshot snap = engines[s]->SnapshotWaitsFor();
+          snap.shard = s;
+          options.hub->PublishSnapshot(std::move(snap));
+          // Coordinate phase: every engine (and its book) is quiescent,
+          // so the single-threaded digest is safe here.
+          if (options.txnlife) {
+            options.hub->PublishTxnLife(runs[s].exec->txnlife.Digest(s));
           }
           if (options.journal) {
-            options.hub->PublishJournal(coord_journal.Digest(n));
+            options.hub->PublishJournal(runs[s].exec->journal.Digest(s));
           }
         }
+        if (options.journal) {
+          options.hub->PublishJournal(coord_journal.Digest(n));
+        }
       }
-      // Termination: everything admitted, every global retired, every
-      // engine drained.
-      bool done = next_global == globals.size() && coord.AllDone();
-      for (std::uint32_t s = 0; done && s < n; ++s) {
-        done = next_local[s] == runs[s].programs.size() &&
-               engines[s]->live_txn_count() == 0;
+    }
+    // Termination: everything admitted, every global retired, every
+    // engine drained.
+    bool done = next_global == globals.size() && coord.AllDone();
+    for (std::uint32_t s = 0; done && s < n; ++s) {
+      done = next_local[s] == runs[s].programs.size() &&
+             engines[s]->live_txn_count() == 0;
+    }
+    if (done) break;
+    bool budget_left = false;
+    for (std::uint32_t s = 0; s < n; ++s) {
+      budget_left =
+          budget_left || runs[s].exec->steps < options.max_steps_per_shard;
+    }
+    if (!budget_left) {
+      completed = false;
+      break;
+    }
+    // ---- Step (parallel): one bounded quantum per shard with work ----
+    submitted.clear();
+    for (std::uint32_t s = 0; s < n; ++s) {
+      epoch_shard_steps[s] = 0;
+      if (runs[s].exec->steps < options.max_steps_per_shard &&
+          engines[s]->live_txn_count() > 0) {
+        submitted.push_back(s);
       }
-      if (done) break;
-      bool budget_left = false;
-      for (std::uint32_t s = 0; s < n; ++s) {
-        budget_left =
-            budget_left || runs[s].exec->steps < options.max_steps_per_shard;
+    }
+    fork_join.Run(submitted.size(), [&](std::size_t i, std::size_t worker) {
+      const std::uint32_t s = submitted[i];
+      // A quantum away from its home worker counts as a steal.
+      if (worker != s % threads) steals.fetch_add(1, std::memory_order_relaxed);
+      ShardExec& ex = *runs[s].exec;
+      const std::uint64_t budget =
+          std::min(epoch_steps, options.max_steps_per_shard - ex.steps);
+      // ran_dry is routine here (a shard whose transactions all wait on
+      // another shard has nothing to do this epoch); real stalls are
+      // caught by the zero-progress counter below.
+      const std::uint64_t t0 = NowNanos();
+      auto q = engines[s]->StepQuantum(budget, /*stop_after_commit=*/false);
+      if (!q.ok()) {
+        runs[s].status = q.status();
+        return;
       }
-      if (!budget_left) {
-        completed = false;
+      epoch_shard_steps[s] = q.value().steps;
+      ex.steps += q.value().steps;
+      // Feed the hub's skew EWMAs (wall clock: gauges only, never the
+      // deterministic report).
+      if (options.hub != nullptr && q.value().steps > 0) {
+        options.hub->RecordShardStep(s, (NowNanos() - t0) / q.value().steps);
+      }
+    });
+    report.scheduler.quanta += submitted.size();
+    report.scheduler.virtual_makespan_steps +=
+        VirtualMakespanSteps(epoch_shard_steps, submitted, threads);
+    for (std::uint32_t s = 0; s < n; ++s) {
+      if (!runs[s].status.ok()) run_status = runs[s].status;
+      progress += epoch_shard_steps[s];
+    }
+    if (!run_status.ok()) break;
+    if (progress == 0) {
+      // One grace epoch: the first zero-progress epoch forces a merge
+      // above; a second in a row means nothing can ever move again.
+      if (++zero_epochs >= 2) {
+        std::ostringstream os;
+        os << "xshard run stalled at epoch " << epoch << " ("
+           << coord.active() << " globals in flight)";
+        for (std::uint32_t s = 0; s < n; ++s) {
+          os << "\n--- shard " << s << " ---\n" << engines[s]->DumpState();
+        }
+        run_status = Status::Internal(os.str());
         break;
       }
-      // ---- Step (parallel): one bounded quantum per shard ----
-      submitted.clear();
-      for (std::uint32_t s = 0; s < n; ++s) {
-        epoch_shard_steps[s] = 0;
-        ShardExec& ex = *runs[s].exec;
-        if (ex.steps >= options.max_steps_per_shard ||
-            engines[s]->live_txn_count() == 0) {
-          continue;
-        }
-        submitted.push_back(s);
-        const std::uint64_t budget = std::min(
-            epoch_steps, options.max_steps_per_shard - ex.steps);
-        obs::LiveHub* hub = options.hub;
-        pool.Submit([s, budget, hub, &runs, &engines, &epoch_shard_steps] {
-          // ran_dry is routine here (a shard whose transactions all wait
-          // on another shard has nothing to do this epoch); real stalls
-          // are caught by the zero-progress counter below.
-          const std::uint64_t t0 = NowNanos();
-          auto q = engines[s]->StepQuantum(budget, /*stop_after_commit=*/false);
-          if (!q.ok()) {
-            runs[s].status = q.status();
-            return;
-          }
-          epoch_shard_steps[s] = q.value().steps;
-          runs[s].exec->steps += q.value().steps;
-          // Feed the hub's skew EWMAs (wall clock: gauges only, never the
-          // deterministic report).
-          if (hub != nullptr && q.value().steps > 0) {
-            hub->RecordShardStep(s, (NowNanos() - t0) / q.value().steps);
-          }
-        });
-      }
-      pool.Wait();
-      report.scheduler.quanta += submitted.size();
-      report.scheduler.virtual_makespan_steps += VirtualMakespanSteps(
-          epoch_shard_steps, submitted, pool.num_threads());
-      for (std::uint32_t s = 0; s < n; ++s) {
-        if (!runs[s].status.ok()) run_status = runs[s].status;
-        progress += epoch_shard_steps[s];
-      }
-      if (!run_status.ok()) break;
-      if (progress == 0) {
-        // One grace epoch: the first zero-progress epoch forces a merge
-        // above; a second in a row means nothing can ever move again.
-        if (++zero_epochs >= 2) {
-          std::ostringstream os;
-          os << "xshard run stalled at epoch " << epoch << " ("
-             << coord.active() << " globals in flight)";
-          for (std::uint32_t s = 0; s < n; ++s) {
-            os << "\n--- shard " << s << " ---\n" << engines[s]->DumpState();
-          }
-          run_status = Status::Internal(os.str());
-          break;
-        }
-      } else {
-        zero_epochs = 0;
-      }
+    } else {
+      zero_epochs = 0;
     }
-    if (run_status.ok()) {
-      // Observe the final slice commits (the loop may exit right after the
-      // step phase that committed them).
-      auto polled = coord.Poll();
-      if (!polled.ok()) run_status = polled.status();
-    }
-    for (std::size_t w = 0; w < pool.num_threads(); ++w) {
-      busy_ns.push_back(pool.busy_nanos(w));
-    }
-    uptime_ns = pool.uptime_nanos();
-    steals = pool.steals();
   }
+  if (run_status.ok()) {
+    // Observe the final slice commits (the loop may exit right after the
+    // step phase that committed them).
+    auto polled = coord.Poll();
+    if (!polled.ok()) run_status = polled.status();
+  }
+  std::vector<std::uint64_t> busy_ns(threads);
+  for (std::size_t w = 0; w < threads; ++w) {
+    busy_ns[w] = fork_join.busy_nanos(w);
+  }
+  const std::uint64_t uptime_ns = fork_join.uptime_nanos();
   report.admission.execute_seconds = Seconds(NowNanos() - e0);
   if (!run_status.ok()) return run_status;
   if (options.hub != nullptr) {
     options.hub->SetPhase(obs::RunPhase::kAggregating);
   }
-  PublishRunStats(busy_ns, uptime_ns, steals, sched_registry, report);
+  PublishRunStats(busy_ns, uptime_ns, steals.load(std::memory_order_relaxed),
+                  sched_registry, report);
 
   report.xshard = coord.stats();
   report.xshard.epochs = epoch;
@@ -1082,8 +1040,10 @@ Result<ShardedReport> RunOneShard(const ShardedOptions& options) {
     }
     const std::uint64_t g0 = NowNanos();
     Status gen = GenerateAndRoute(
-        options, 1, &report.cross_shard_txns, &routed,
-        [&run](std::uint32_t, bool, txn::Program program) {
+        options, [&run, &report, &routed](const Route& route,
+                                          txn::Program program) {
+          if (route.cross_shard) ++report.cross_shard_txns;
+          ++routed[route.shard];
           run.programs.push_back(std::move(program));
         });
     if (!gen.ok()) return gen;
@@ -1113,9 +1073,10 @@ Result<ShardedReport> RunOneShard(const ShardedOptions& options) {
                             &admission_shared, &producer_status] {
       const std::uint64_t g0 = NowNanos();
       Status gen = GenerateAndRoute(
-          options, 1, &report.cross_shard_txns, &routed,
-          [&run, &admission_shared](std::uint32_t, bool,
-                                    txn::Program program) {
+          options, [&run, &report, &routed, &admission_shared](
+                       const Route& route, txn::Program program) {
+            if (route.cross_shard) ++report.cross_shard_txns;
+            ++routed[route.shard];
             const std::int64_t now = admission_shared.materialized.fetch_add(
                                          1, std::memory_order_relaxed) +
                                      1;

@@ -31,13 +31,16 @@ namespace pardb::par {
 // sub-transactions that really lock their slices on their home shards,
 // sharing one global ω position; a union-of-forests merge detects global
 // deadlocks and removes them by distributed partial rollback (DESIGN D12).
-// The shards advance in epochs — a single-threaded coordinate step
-// followed by one parallel quantum per shard on a work-stealing
-// StealingPool — so no engine is ever touched by two threads, and
-// serializability is a *global* property, checked over the merged commit
-// log. With one shard there is nothing to coordinate: the shard runs as a
-// chain of bounded quanta on the calling thread, fed by a pipelined
-// producer.
+// The shards advance in epochs on a fork-join whose calling thread is one
+// of the workers (DESIGN D10): 2PC polling on the calling thread, local
+// admission fanned out one task per shard, global admission, union merge
+// and 2PC stamp on the calling thread, then one quantum per shard fanned
+// out. Every fan-out joins before the next phase, so no engine is ever
+// touched by two threads, and serializability is a *global* property,
+// checked over the merged commit log. Phase-1 generation is fanned out
+// too, one task per workload generator. With one shard there is nothing
+// to coordinate: the shard runs as a chain of bounded quanta on the
+// calling thread, fed by a pipelined producer.
 
 struct ShardedOptions {
   std::uint32_t num_shards = 4;
@@ -65,8 +68,9 @@ struct ShardedOptions {
   std::uint64_t total_txns = 400;
   std::uint64_t max_steps_per_shard = 20'000'000;
   std::uint64_t seed = 1;
-  // Worker threads for the multi-shard epoch fan-out; 0 means one per
-  // shard. A one-shard run executes on the calling thread.
+  // Threads of the multi-shard fork-join, the calling thread included
+  // (so num_threads - 1 helpers are spawned); 0 means one per shard. A
+  // one-shard run executes on the calling thread.
   std::size_t num_threads = 0;
   bool check_serializability = true;
   Value initial_value = 100;
@@ -134,7 +138,7 @@ struct ShardedOptions {
 
   // Live introspection rendezvous (see obs::LiveHub; borrowed, must outlive
   // the run). When set and `instrument` is on, each shard's registry is
-  // owned by the hub and registered before the pool starts, so an HTTP
+  // owned by the hub and registered before any shard runs, so an HTTP
   // server scraping the hub sees live counters while the run is in flight;
   // shards additionally publish waits-for snapshots at step boundaries
   // (one shard: every `hub_snapshot_period` steps; several: every merge
@@ -172,21 +176,24 @@ struct ShardResult {
   std::uint64_t journal_dropped = 0;
 };
 
-// How the run was scheduled onto workers (the pool's, or the calling
-// thread for one shard). Excluded from ShardedReportToJson and ToString
-// (which determinism tests byte-compare); the wall-clock fields also land
+// How the run was scheduled onto workers (the fork-join's, the calling
+// thread being worker 0; one shard: the calling thread alone). Excluded
+// from ShardedReportToJson and ToString (which determinism tests
+// byte-compare); the wall-clock fields also land
 // in the metrics registry (pardb_steals_total, pardb_worker_utilization).
 struct SchedulerStats {
   std::size_t num_workers = 0;
-  std::uint64_t steals = 0;   // quanta executed on a non-owning worker
+  // Quanta executed away from their shard's home worker, shard % workers.
+  std::uint64_t steals = 0;
   std::uint64_t quanta = 0;   // shard quanta actually executed
-  // busy/wall per worker, then averaged / min'd over workers.
+  // Time inside fork-join tasks / wall time since the fork-join started,
+  // per worker, then averaged / min'd over workers.
   double mean_worker_utilization = 0.0;
   double min_worker_utilization = 0.0;
   // Deterministic makespan model, in engine steps. Each epoch's quanta are
   // greedily list-scheduled, in submission order, onto num_workers virtual
   // workers (the next quantum goes to the earliest-free worker — the
-  // pool's pull semantics with one real core per worker); the epoch
+  // fork-join's claims with one real core per worker); the epoch
   // barrier runs epochs one after another, so the epoch makespans add up.
   // One shard: its step count. Unlike the wall-clock fields this is
   // bit-reproducible on any machine.

@@ -1,7 +1,7 @@
-// Sharded parallel execution: routing, the work-stealing pool,
+// Sharded parallel execution: routing, the fork-join, phase-1 generation,
 // determinism and aggregate correctness of par::RunSharded on both paths
-// (several shards in epochs; one shard as a quantum loop). The whole suite is also run
-// under ThreadSanitizer in CI (-DPARDB_TSAN=ON).
+// (several shards in epochs; one shard as a quantum loop). The whole suite
+// is also run under ThreadSanitizer in CI (-DPARDB_TSAN=ON).
 
 #include <gtest/gtest.h>
 
@@ -18,12 +18,12 @@
 
 #include "dist/distributed.h"
 #include "obs/metric_names.h"
-#include "par/admission_queue.h"
 #include "obs/serve/hub.h"
+#include "par/admission_queue.h"
+#include "par/fork_join.h"
 #include "par/report_json.h"
 #include "par/router.h"
 #include "par/sharded_driver.h"
-#include "par/stealing_pool.h"
 #include "txn/program.h"
 
 namespace pardb::par {
@@ -108,108 +108,180 @@ TEST(RouterTest, ShardUniversesPartitionTheEntityRange) {
   EXPECT_EQ(seen.size(), kEntities);
 }
 
-TEST(StealingPoolTest, ReusableAcrossWaitBatches) {
-  StealingPool pool(4);
-  EXPECT_EQ(pool.num_threads(), 4u);
-  EXPECT_EQ(pool.current_worker(), -1);  // the test body is not a worker
-  std::atomic<int> count{0};
-  for (int batch = 0; batch < 3; ++batch) {
-    for (int i = 0; i < 100; ++i) {
-      pool.Submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
+TEST(ForkJoinTest, EveryIndexRunsExactlyOnceAcrossBackToBackRuns) {
+  // Consecutive runs alternate their counts, so a helper that wakes late
+  // and claims against a stale run would run an index twice, skip one or
+  // run past the count.
+  for (std::size_t threads : {2u, 4u}) {
+    ForkJoin fj(threads);
+    ASSERT_EQ(fj.num_threads(), threads);
+    const std::size_t counts[] = {0, 1, threads - 1, threads, 3 * threads};
+    std::vector<std::atomic<int>> hits(3 * threads);
+    std::atomic<int> bad_worker{0};
+    for (int round = 0; round < 500; ++round) {
+      for (std::size_t count : counts) {
+        for (auto& h : hits) h.store(0, std::memory_order_relaxed);
+        fj.Run(count, [&](std::size_t i, std::size_t worker) {
+          hits[i].fetch_add(1, std::memory_order_relaxed);
+          if (worker >= threads) bad_worker.fetch_add(1);
+        });
+        for (std::size_t i = 0; i < hits.size(); ++i) {
+          ASSERT_EQ(hits[i].load(), i < count ? 1 : 0)
+              << "threads=" << threads << " round=" << round
+              << " count=" << count << " index=" << i;
+        }
+      }
     }
-    pool.Wait();  // pool is reusable after Wait
-    EXPECT_EQ(count.load(), (batch + 1) * 100);
+    EXPECT_EQ(bad_worker.load(), 0);
+    for (std::size_t w = 0; w < threads; ++w) {
+      EXPECT_LE(fj.busy_nanos(w), fj.uptime_nanos());
+    }
   }
 }
 
-TEST(StealingPoolTest, DestructorDrainsQueuedWork) {
-  std::atomic<int> count{0};
-  {
-    StealingPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      pool.Submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-    }
-  }  // ~StealingPool waits for the queues
-  EXPECT_EQ(count.load(), 50);
-}
-
-TEST(StealingPoolTest, TasksSubmittedFromInsideATaskFinishBeforeWaitReturns) {
-  // The sharded driver's quantum chain: each task resubmits the next from
-  // inside a worker, landing on that worker's own deque. Wait() must cover
-  // the whole chain, not just the externally submitted head.
-  StealingPool pool(3);
-  std::atomic<int> count{0};
-  std::atomic<int> remaining{200};
-  std::function<void()> step = [&] {
-    EXPECT_GE(pool.current_worker(), 0);
-    EXPECT_LT(pool.current_worker(), 3);
-    count.fetch_add(1, std::memory_order_relaxed);
-    if (remaining.fetch_sub(1, std::memory_order_acq_rel) > 1) {
-      pool.Submit(step);
-    }
-  };
-  pool.Submit(step);
-  pool.Wait();
-  EXPECT_EQ(count.load(), 200);
-}
-
-TEST(StealingPoolTest, SelfResubmittingChainNeverOverlapsItself) {
-  // A chain's next link is submitted by the previous one, so at most one
-  // link is ever runnable — the structural ready-token the sharded driver
-  // relies on so no engine is touched by two threads.
-  StealingPool pool(4);
-  std::atomic<bool> inside{false};
-  std::atomic<int> overlaps{0};
-  std::atomic<int> left{500};
-  std::function<void()> quantum = [&] {
-    if (inside.exchange(true, std::memory_order_acq_rel)) {
-      overlaps.fetch_add(1, std::memory_order_relaxed);
-    }
-    inside.store(false, std::memory_order_release);
-    if (left.fetch_sub(1, std::memory_order_acq_rel) > 1) {
-      pool.Submit(quantum);
-    }
-  };
-  pool.Submit(quantum);
-  pool.Wait();
-  EXPECT_EQ(overlaps.load(), 0);
-  EXPECT_EQ(left.load(), 0);
-}
-
-TEST(StealingPoolTest, IdleWorkerStealsFromABusyWorkersDeque) {
-  // One worker parks inside a task after pushing a second task onto its
-  // own deque; only a steal by the other worker can run it.
-  StealingPool pool(2);
-  std::atomic<bool> stolen_ran{false};
-  pool.Submit([&] {
-    pool.Submit([&] { stolen_ran.store(true, std::memory_order_release); });
-    while (!stolen_ran.load(std::memory_order_acquire)) {
-      std::this_thread::yield();
-    }
-  });
-  pool.Wait();
-  EXPECT_TRUE(stolen_ran.load());
-  EXPECT_GE(pool.steals(), 1u);
-}
-
-TEST(StealingPoolTest, EveryTaskRunsExactlyOnceAndCountersAddUp) {
-  StealingPool pool(4);
-  constexpr int kTasks = 300;
-  std::vector<std::atomic<int>> runs(kTasks);  // value-initialized to 0
-  for (int i = 0; i < kTasks; ++i) {
-    pool.Submit([&runs, i] { runs[i].fetch_add(1, std::memory_order_relaxed); });
+TEST(ForkJoinTest, OneThreadRunsEverythingOnTheCaller) {
+  ForkJoin fj(0);  // clamped to the caller alone
+  EXPECT_EQ(fj.num_threads(), 1u);
+  const std::thread::id caller = std::this_thread::get_id();
+  int calls = 0;  // plain: every call is on this thread
+  bool elsewhere = false;
+  for (std::size_t count : {0u, 1u, 5u}) {
+    fj.Run(count, [&](std::size_t, std::size_t worker) {
+      ++calls;
+      elsewhere |= worker != 0 || std::this_thread::get_id() != caller;
+    });
   }
-  pool.Wait();
-  for (int i = 0; i < kTasks; ++i) {
-    EXPECT_EQ(runs[i].load(), 1) << "task " << i;
+  EXPECT_EQ(calls, 6);
+  EXPECT_FALSE(elsewhere);
+}
+
+TEST(ForkJoinTest, CallerAndEveryHelperRunConcurrently) {
+  // Each task waits until all `threads` tasks are inside fn: that only
+  // completes if the caller and all threads - 1 helpers each took one.
+  constexpr std::size_t kThreads = 4;
+  ForkJoin fj(kThreads);
+  for (int round = 0; round < 20; ++round) {
+    std::atomic<std::size_t> arrived{0};
+    std::vector<std::atomic<int>> by_worker(kThreads);
+    fj.Run(kThreads, [&](std::size_t, std::size_t worker) {
+      by_worker[worker].fetch_add(1);
+      arrived.fetch_add(1);
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (arrived.load() < kThreads &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+    });
+    ASSERT_EQ(arrived.load(), kThreads);
+    for (std::size_t w = 0; w < kThreads; ++w) {
+      EXPECT_EQ(by_worker[w].load(), 1) << "worker " << w;
+    }
   }
-  std::uint64_t executed = 0;
-  for (std::size_t w = 0; w < pool.num_threads(); ++w) {
-    executed += pool.tasks_executed(w);
-    EXPECT_LE(pool.busy_nanos(w), pool.uptime_nanos());
+}
+
+TEST(ForkJoinTest, DestroyingWithParkedHelpersJoinsCleanly) {
+  for (int i = 0; i < 50; ++i) {
+    ForkJoin idle(3);  // never ran: helpers parked from the start
   }
-  EXPECT_EQ(executed, static_cast<std::uint64_t>(kTasks));
-  EXPECT_LE(pool.steals(), executed);
+  for (int i = 0; i < 50; ++i) {
+    std::atomic<int> sum{0};
+    {
+      ForkJoin fj(4);
+      fj.Run(16, [&](std::size_t index, std::size_t) {
+        sum.fetch_add(static_cast<int>(index));
+      });
+      if (i % 10 == 0) {
+        // Let the helpers reach their park before the destructor runs.
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    EXPECT_EQ(sum.load(), 16 * 15 / 2);
+  }
+}
+
+// Phase 1 as the driver consumes it: every emission in order — its route,
+// name and op sequence — plus the per-shard streams and globals list it
+// builds from them.
+struct Phase1Streams {
+  std::vector<std::string> emissions;
+  std::vector<std::vector<std::string>> shard_programs;
+  std::vector<std::string> globals;
+
+  EmitRouted Emitter() {
+    return [this](const Route& route, txn::Program program) {
+      std::string text = program.name();
+      for (const txn::Op& op : program.ops()) text += ";" + op.ToString();
+      emissions.push_back(std::to_string(route.shard) +
+                          (route.cross_shard ? "x " : " ") + text);
+      if (route.cross_shard) {
+        globals.push_back(text);
+      } else {
+        if (shard_programs.size() <= route.shard) {
+          shard_programs.resize(route.shard + 1);
+        }
+        shard_programs[route.shard].push_back(text);
+      }
+    };
+  }
+};
+
+ShardedOptions Phase1Options(std::uint32_t shards, std::uint64_t entities,
+                             double cross, bool hot) {
+  ShardedOptions opt;
+  opt.num_shards = shards;
+  opt.coordinator_shard = shards - 1;
+  opt.workload.num_entities = entities;
+  opt.workload.min_locks = 1;  // some single-entity (always local) programs
+  opt.workload.max_locks = 4;
+  opt.workload.zipf_theta = 0.9;
+  opt.cross_shard_fraction = cross;
+  opt.hot_shard_routing = hot;
+  opt.total_txns = 300;
+  opt.seed = 1000 + shards;
+  return opt;
+}
+
+TEST(Phase1Test, ParallelGenerationMatchesTheSerialPlanWalk) {
+  std::vector<ShardedOptions> cases;
+  for (std::uint32_t shards : {2u, 3u, 4u, 8u}) {
+    for (double cross : {0.0, 0.05, 1.0}) {
+      for (bool hot : {false, true}) {
+        cases.push_back(Phase1Options(shards, 64, cross, hot));
+      }
+    }
+  }
+  // Fewer entities than shards: some shard owns none, and the plan must
+  // never pick its (absent) generator.
+  for (bool hot : {false, true}) {
+    cases.push_back(Phase1Options(8, 3, 0.05, hot));
+  }
+  const auto pools = ShardEntityUniverses(3, 8);
+  EXPECT_TRUE(std::any_of(pools.begin(), pools.end(),
+                          [](const auto& pool) { return pool.empty(); }));
+
+  for (const ShardedOptions& opt : cases) {
+    const std::string where =
+        "shards=" + std::to_string(opt.num_shards) +
+        " entities=" + std::to_string(opt.workload.num_entities) +
+        " cross=" + std::to_string(opt.cross_shard_fraction) +
+        " hot=" + std::to_string(opt.hot_shard_routing);
+    Phase1Streams serial;
+    ASSERT_TRUE(GenerateAndRoute(opt, serial.Emitter()).ok()) << where;
+    ASSERT_EQ(serial.emissions.size(), opt.total_txns) << where;
+    for (std::size_t threads : {1u, 2u, 7u}) {
+      ForkJoin fj(threads);
+      Phase1Streams parallel;
+      ASSERT_TRUE(GenerateAndRouteParallel(opt, fj, parallel.Emitter()).ok())
+          << where;
+      EXPECT_EQ(parallel.shard_programs, serial.shard_programs)
+          << where << " threads=" << threads;
+      EXPECT_EQ(parallel.globals, serial.globals)
+          << where << " threads=" << threads;
+      EXPECT_EQ(parallel.emissions, serial.emissions)
+          << where << " threads=" << threads;
+    }
+  }
 }
 
 ShardedOptions SmallOptions(std::uint32_t shards, std::uint64_t seed) {
@@ -404,6 +476,33 @@ TEST(ShardedDriverTest, SchedulerStatsAreFilledAndMakespanIsBounded) {
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->scheduler.virtual_makespan_steps,
             rep->scheduler.virtual_makespan_steps);
+}
+
+TEST(ShardedDriverTest, StealsAreBoundedByQuantaAndOneThreadNeverSteals) {
+  // A steal is a quantum run away from its home worker (shard % threads);
+  // the calling thread is worker 0 and has a utilization series of its own.
+  for (std::size_t threads : {1u, 2u, 4u}) {
+    auto opt = SmallOptions(4, 11);
+    opt.num_threads = threads;
+    auto rep = RunSharded(opt);
+    ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+    EXPECT_EQ(rep->scheduler.num_workers, threads);
+    EXPECT_LE(rep->scheduler.steals, rep->scheduler.quanta);
+    if (threads == 1) {
+      EXPECT_EQ(rep->scheduler.steals, 0u);
+    }
+    const auto* steals = rep->metrics.Find(obs::kStealsTotal);
+    ASSERT_NE(steals, nullptr);
+    EXPECT_EQ(steals->counter, rep->scheduler.steals);
+    std::size_t series = 0;
+    for (const obs::MetricSnapshot& m : rep->metrics.metrics) {
+      series += m.name == obs::kWorkerUtilization;
+    }
+    EXPECT_EQ(series, threads) << "threads=" << threads;
+    EXPECT_NE(rep->metrics.Find(obs::kWorkerUtilization,
+                                {{obs::kWorkerLabel, "0"}}),
+              nullptr);
+  }
 }
 
 TEST(ShardedDriverTest, HotShardRoutingIsDeterministicAndChangesPlacement) {

@@ -4,7 +4,7 @@
 // Modes:
 //   pardb sim [flags]          run a closed-loop workload, print the report
 //   pardb parallel [flags]     run the workload sharded over N engines on
-//                              a thread pool (--shards=N --threads=N
+//                              N threads (--shards=N --threads=N
 //                              --cross=F --json=FILE)
 //   pardb observe [flags]      run the sim workload fully instrumented and
 //                              print the metrics as Prometheus text
@@ -23,6 +23,12 @@
 //   pardb diff-runs A B        first-divergence report between two recorded
 //                              runs; A and B are journal files or --out
 //                              prefixes. Exit 0 identical, 4 diverged.
+//   pardb run P1 P2 ...        run program files concurrently (--initial=V
+//                              --strategy --policy --handling, --trace to
+//                              print the protocol event trace)
+//
+// Every subcommand rejects a flag it does not read (a typo or a removed
+// flag) with exit 2 before it runs anything.
 //
 // Common flags (sim/compare/dot):
 //   --strategy=mcs|sdg|total         rollback state strategy [mcs]
@@ -38,7 +44,6 @@
 //   --no-compile-cache               run the fallback interpreter instead
 //                                    of compiled µop streams (bit-identical
 //                                    results; differential/ablation runs)
-//   --trace                          print the protocol event trace
 //   --log-level=debug|info|warning|error|off   (any subcommand; applied
 //                                    before anything is constructed)
 //
@@ -116,6 +121,18 @@ int Usage() {
                "[--flags]\n"
                "see the header of tools/pardb_cli.cc for the flag list\n");
   return 2;
+}
+
+// Called once a subcommand has read every flag it understands: anything
+// left is a typo or a removed flag. Prints each and returns false, so the
+// caller exits 2 before any work runs.
+bool AllFlagsRead(const Flags& flags, const std::string& command) {
+  const std::vector<std::string> unused = flags.UnusedFlags();
+  for (const std::string& name : unused) {
+    std::fprintf(stderr, "unknown flag --%s for pardb %s\n", name.c_str(),
+                 command.c_str());
+  }
+  return unused.empty();
 }
 
 // --serve / --serve-linger, shared by sim and parallel.
@@ -412,6 +429,7 @@ int RunSim(const Flags& flags) {
     std::fprintf(stderr, "%s\n", serve.status().ToString().c_str());
     return 2;
   }
+  if (!AllFlagsRead(flags, "sim")) return 2;
   obs::MetricsRegistry registry;
   core::VectorTrace trace;
   obs::CollectingDeadlockSink forensics(/*max_dumps=*/64);
@@ -475,6 +493,7 @@ int RunObserve(const Flags& flags) {
     return 2;
   }
   const ObsOutputs outs = GetObsOutputs(flags);
+  if (!AllFlagsRead(flags, "observe")) return 2;
   obs::MetricsRegistry registry;
   core::VectorTrace trace;
   obs::CollectingDeadlockSink forensics(/*max_dumps=*/64);
@@ -506,15 +525,15 @@ int RunObserve(const Flags& flags) {
 }
 
 // `pardb parallel` — the sim workload sharded over N engines (src/par).
-// Several shards run in epochs on a work-stealing pool, with shard-spanning
+// Several shards run in epochs on a fork-join, with shard-spanning
 // transactions split into per-shard slices and global deadlocks removed by
 // distributed partial rollback; one shard runs on the calling thread.
-// Extra flags: --shards, --threads (pool workers; 0 = one per shard),
-// --cross (fraction of transactions drawn across shard boundaries),
-// --quantum-steps, --hot-routing (route local transactions to Zipf-hot
-// shards), --pipeline / --no-pipeline and --queue-capacity (streaming
-// admission of a one-shard run, on by default), --json=FILE (write the
-// machine-readable report). Unknown flags are rejected before the run.
+// Extra flags: --shards, --threads (fork-join workers, the calling thread
+// included; 0 = one per shard), --cross (fraction of transactions drawn
+// across shard boundaries), --quantum-steps, --hot-routing (route local
+// transactions to Zipf-hot shards), --pipeline / --no-pipeline and
+// --queue-capacity (streaming admission of a one-shard run, on by
+// default), --json=FILE (write the machine-readable report).
 int RunParallel(const Flags& flags) {
   auto sim_opt = BuildSimOptions(flags);
   if (!sim_opt.ok()) {
@@ -555,14 +574,7 @@ int RunParallel(const Flags& flags) {
     return 2;
   }
   const std::string json_path = flags.GetString("json", "");
-  // Every flag has been read: anything left is a typo or a removed flag,
-  // and must fail before a workload runs.
-  const std::vector<std::string> unused = flags.UnusedFlags();
-  for (const std::string& name : unused) {
-    std::fprintf(stderr, "unknown flag --%s for pardb parallel\n",
-                 name.c_str());
-  }
-  if (!unused.empty()) return 2;
+  if (!AllFlagsRead(flags, "parallel")) return 2;
   opt.instrument = outs.WantMetrics();
   opt.collect_traces = outs.WantTrace();
   opt.collect_forensics = outs.WantForensics();
@@ -668,16 +680,18 @@ int RunParallel(const Flags& flags) {
 }
 
 int RunCompare(const Flags& flags) {
+  auto base = BuildSimOptions(flags);
+  if (!base.ok()) {
+    std::fprintf(stderr, "%s\n", base.status().ToString().c_str());
+    return 2;
+  }
+  if (!AllFlagsRead(flags, "compare")) return 2;
   for (auto strategy :
        {rollback::StrategyKind::kTotalRestart, rollback::StrategyKind::kSdg,
         rollback::StrategyKind::kMcs}) {
-    auto opt = BuildSimOptions(flags);
-    if (!opt.ok()) {
-      std::fprintf(stderr, "%s\n", opt.status().ToString().c_str());
-      return 2;
-    }
-    opt.value().engine.strategy = strategy;
-    auto report = sim::RunSimulation(opt.value());
+    sim::SimOptions opt = base.value();
+    opt.engine.strategy = strategy;
+    auto report = sim::RunSimulation(opt);
     if (!report.ok()) {
       std::fprintf(stderr, "simulation failed: %s\n",
                    report.status().ToString().c_str());
@@ -749,6 +763,21 @@ int RunPrograms(const Flags& flags) {
     std::fprintf(stderr, "run: no program files given\n");
     return 2;
   }
+  auto init = flags.GetInt("initial", 100);
+  if (!init.ok()) return 2;
+  core::EngineOptions eopt;
+  {
+    auto strategy = ParseStrategy(flags.GetString("strategy", "mcs"));
+    auto policy = ParsePolicy(flags.GetString("policy", "min-cost-ordered"));
+    auto handling = ParseHandling(flags.GetString("handling", "detection"));
+    if (!strategy.ok() || !policy.ok() || !handling.ok()) return 2;
+    eopt.strategy = strategy.value();
+    eopt.victim_policy = policy.value();
+    eopt.handling = handling.value();
+  }
+  const bool want_trace = flags.GetBool("trace");
+  if (!AllFlagsRead(flags, "run")) return 2;
+
   std::vector<txn::Program> programs;
   std::uint64_t max_entity = 0;
   for (const std::string& path : flags.positional()) {
@@ -773,24 +802,11 @@ int RunPrograms(const Flags& flags) {
   }
 
   storage::EntityStore store;
-  auto init = flags.GetInt("initial", 100);
-  if (!init.ok()) return 2;
   store.CreateMany(max_entity + 1, init.value());
 
-  core::EngineOptions eopt;
-  {
-    auto strategy = ParseStrategy(flags.GetString("strategy", "mcs"));
-    auto policy = ParsePolicy(flags.GetString("policy", "min-cost-ordered"));
-    auto handling = ParseHandling(flags.GetString("handling", "detection"));
-    if (!strategy.ok() || !policy.ok() || !handling.ok()) return 2;
-    eopt.strategy = strategy.value();
-    eopt.victim_policy = policy.value();
-    eopt.handling = handling.value();
-  }
   analysis::HistoryRecorder recorder;
   core::Engine engine(&store, eopt, &recorder);
   core::RingTrace trace(4096);
-  const bool want_trace = flags.GetBool("trace");
   if (want_trace) engine.set_trace(&trace);
 
   for (auto& p : programs) {
@@ -828,6 +844,7 @@ int RunDot(const Flags& flags) {
   // moment of the first deadlock.
   auto opt = BuildSimOptions(flags);
   if (!opt.ok()) return 2;
+  if (!AllFlagsRead(flags, "dot")) return 2;
   storage::EntityStore store;
   store.CreateMany(opt.value().workload.num_entities, 100);
   core::Engine engine(&store, opt.value().engine);
@@ -877,6 +894,7 @@ std::vector<std::string> ResolveJournalArg(const std::string& arg) {
 // `pardb parallel --journal-out=PREFIX`.
 int RunJournal(const Flags& flags) {
   if (!flags.positional().empty()) {
+    if (!AllFlagsRead(flags, "journal")) return 2;
     int rc = 0;
     for (const std::string& path : flags.positional()) {
       auto data = obs::ReadJournalFile(path);
@@ -902,6 +920,7 @@ int RunJournal(const Flags& flags) {
     std::fprintf(stderr, "%s\n", opt.status().ToString().c_str());
     return 2;
   }
+  if (!AllFlagsRead(flags, "journal")) return 2;
   opt->journal = true;
   opt->journal_out = prefix + ".shard0.jrnl";
   auto report = sim::RunSimulation(opt.value());
@@ -929,6 +948,7 @@ int RunDiffRuns(const Flags& flags) {
                  "--journal-out prefixes)\n");
     return 2;
   }
+  if (!AllFlagsRead(flags, "diff-runs")) return 2;
   const std::string& arg_a = flags.positional()[0];
   const std::string& arg_b = flags.positional()[1];
   const std::vector<std::string> paths_a = ResolveJournalArg(arg_a);
@@ -992,6 +1012,7 @@ int RunServe(const Flags& flags) {
   auto port = flags.GetInt("port", 8080);
   auto duration = flags.GetDouble("duration", 10.0);
   if (!port.ok() || !duration.ok()) return 2;
+  if (!AllFlagsRead(flags, "serve")) return 2;
 
   obs::LiveHub hub;
   obs::MetricsRegistry* reg =
@@ -1055,33 +1076,17 @@ int main(int argc, char** argv) {
     }
     SetLogLevel(level);
   }
-  int rc;
-  if (mode == "sim") {
-    rc = RunSim(flags.value());
-  } else if (mode == "parallel") {
-    rc = RunParallel(flags.value());
-  } else if (mode == "observe") {
-    rc = RunObserve(flags.value());
-  } else if (mode == "compare") {
-    rc = RunCompare(flags.value());
-  } else if (mode == "run") {
-    rc = RunPrograms(flags.value());
-  } else if (mode == "dot") {
-    rc = RunDot(flags.value());
-  } else if (mode == "serve") {
-    rc = RunServe(flags.value());
-  } else if (mode == "journal") {
-    rc = RunJournal(flags.value());
-  } else if (mode == "diff-runs") {
-    rc = RunDiffRuns(flags.value());
-  } else {
-    rc = RunFigure(mode);
-  }
-  // `parallel` rejects unused flags itself, before it runs anything.
-  if (mode != "parallel") {
-    for (const std::string& unused : flags.value().UnusedFlags()) {
-      std::fprintf(stderr, "warning: unused flag --%s\n", unused.c_str());
-    }
-  }
-  return rc;
+  const Flags& f = flags.value();
+  if (mode == "sim") return RunSim(f);
+  if (mode == "parallel") return RunParallel(f);
+  if (mode == "observe") return RunObserve(f);
+  if (mode == "compare") return RunCompare(f);
+  if (mode == "run") return RunPrograms(f);
+  if (mode == "dot") return RunDot(f);
+  if (mode == "serve") return RunServe(f);
+  if (mode == "journal") return RunJournal(f);
+  if (mode == "diff-runs") return RunDiffRuns(f);
+  // The paper scenarios take no flags.
+  if (!AllFlagsRead(f, mode)) return 2;
+  return RunFigure(mode);
 }
