@@ -9,10 +9,10 @@
 
 #include <iostream>
 
+#include "bench/closed_loop.h"
 #include "bench/table_util.h"
 #include "common/random.h"
 #include "graph/digraph.h"
-#include "sim/driver.h"
 
 namespace {
 
@@ -30,7 +30,7 @@ void PrintDetectionModeComparison() {
   pardb::bench::Table t({"mode", "deadlocks", "scans", "timeouts",
                          "ops wasted", "ops executed", "goodput"});
   auto Run = [&](const std::string& label, pardb::core::EngineOptions eopt) {
-    pardb::sim::SimOptions opt;
+    pardb::par::ShardedOptions opt = pardb::bench::ClosedLoop();
     opt.engine = eopt;
     opt.engine.scheduler = pardb::core::SchedulerKind::kRandom;
     opt.workload.num_entities = 16;
@@ -40,14 +40,14 @@ void PrintDetectionModeComparison() {
     opt.total_txns = 400;
     opt.seed = 77;
     opt.check_serializability = false;
-    auto rep = pardb::sim::RunSimulation(opt);
+    auto rep = pardb::par::RunSharded(opt);
     if (!rep.ok()) {
       std::cerr << label << " failed: " << rep.status() << "\n";
       return;
     }
-    t.AddRow(label, rep->metrics.deadlocks, rep->metrics.periodic_scans,
-             rep->metrics.timeouts, rep->metrics.wasted_ops,
-             rep->metrics.ops_executed, rep->goodput);
+    t.AddRow(label, rep->aggregate.deadlocks, rep->aggregate.periodic_scans,
+             rep->aggregate.timeouts, rep->aggregate.wasted_ops,
+             rep->aggregate.ops_executed, rep->goodput);
   };
   {
     pardb::core::EngineOptions e;

@@ -7,7 +7,8 @@
 // which the conflict necessitating the rollback no longer exists".
 //
 // Table 1: what global detection would cost — the fraction of real
-// deadlocks whose cycle spans multiple sites (undetectable locally).
+// deadlocks whose cycle spans multiple sites (undetectable locally): one
+// detection run's forensic dumps, classified for each site count.
 // Table 2: prevention schemes (wound-wait, wait-die) with total vs partial
 // rollback extents: the partial variants resolve the same conflicts while
 // re-executing far less work, reproducing the paper's claim.
@@ -16,6 +17,7 @@
 
 #include <iostream>
 
+#include "bench/closed_loop.h"
 #include "bench/table_util.h"
 #include "dist/distributed.h"
 
@@ -27,9 +29,9 @@ using bench::Table;
 using core::DeadlockHandling;
 using rollback::StrategyKind;
 
-dist::DistOptions Base(std::uint64_t seed) {
-  dist::DistOptions opt;
-  opt.num_sites = 4;
+par::ShardedOptions Base(std::uint64_t seed) {
+  par::ShardedOptions opt = bench::ClosedLoop();
+  opt.max_steps_per_shard = 20'000'000;
   opt.workload.num_entities = 24;
   opt.workload.min_locks = 3;
   opt.workload.max_locks = 6;
@@ -39,29 +41,32 @@ dist::DistOptions Base(std::uint64_t seed) {
   opt.total_txns = 400;
   opt.seed = seed;
   opt.engine.scheduler = core::SchedulerKind::kRandom;
-  opt.engine.seed = seed;
   return opt;
 }
 
 void PrintReproduction() {
-  Section("Deadlock locality under global detection (4 sites, 400 txns)");
+  Section("Deadlock locality under global detection (400 txns)");
   {
-    Table t({"num sites", "deadlocks", "local", "multi-site",
-             "multi-site fraction", "widest (sites)"});
-    for (std::uint32_t sites : {1, 2, 4, 8}) {
-      auto opt = Base(31);
-      opt.num_sites = sites;
-      opt.engine.handling = DeadlockHandling::kDetection;
-      auto rep = dist::RunDistributed(opt);
-      if (!rep.ok()) {
-        std::cerr << "sim failed: " << rep.status() << "\n";
-        continue;
+    auto opt = Base(31);
+    opt.engine.handling = DeadlockHandling::kDetection;
+    // Every dump is kept (the cap the site analysis reads under).
+    opt.collect_forensics = true;
+    opt.max_forensics_dumps = 4096;
+    auto rep = par::RunSharded(opt);
+    if (!rep.ok()) {
+      std::cerr << "run failed: " << rep.status() << "\n";
+    } else {
+      Table t({"num sites", "deadlocks", "local", "multi-site",
+               "multi-site fraction", "widest (sites)"});
+      for (std::uint32_t sites : {1, 2, 4, 8}) {
+        const dist::SiteAnalysis a =
+            dist::AnalyzeDeadlockSites(rep->forensics, sites);
+        t.AddRow(sites, rep->aggregate.deadlocks, a.deadlocks_local,
+                 a.deadlocks_multi_site, a.multi_site_fraction,
+                 a.max_sites_in_deadlock);
       }
-      t.AddRow(sites, rep->metrics.deadlocks, rep->deadlocks_local,
-               rep->deadlocks_multi_site, rep->multi_site_fraction,
-               rep->max_sites_in_deadlock);
+      t.Print();
     }
-    t.Print();
     std::cout << "(paper: \"the occurrence of deadlocks involving a number "
                  "of sites cannot be detected\" without communicating the "
                  "concurrency graph)\n";
@@ -88,15 +93,15 @@ void PrintReproduction() {
       auto opt = Base(31);
       opt.engine.handling = row.handling;
       opt.engine.strategy = row.strategy;
-      auto rep = dist::RunDistributed(opt);
+      auto rep = par::RunSharded(opt);
       if (!rep.ok()) {
-        std::cerr << "sim failed: " << rep.status() << "\n";
+        std::cerr << "run failed: " << rep.status() << "\n";
         continue;
       }
       t.AddRow(std::string(core::DeadlockHandlingName(row.handling)),
                std::string(rollback::StrategyKindName(row.strategy)),
-               rep->metrics.wounds + rep->metrics.deaths,
-               rep->metrics.rollbacks, rep->metrics.wasted_ops,
+               rep->aggregate.wounds + rep->aggregate.deaths,
+               rep->aggregate.rollbacks, rep->aggregate.wasted_ops,
                rep->wasted_fraction, rep->goodput);
     }
     t.Print();
@@ -112,9 +117,9 @@ void BM_DistributedScheme(benchmark::State& state) {
     auto opt = Base(7);
     opt.engine.handling = handling;
     opt.total_txns = 120;
-    auto rep = dist::RunDistributed(opt);
-    if (!rep.ok()) state.SkipWithError("sim failed");
-    benchmark::DoNotOptimize(rep->metrics.wasted_ops);
+    auto rep = par::RunSharded(opt);
+    if (!rep.ok()) state.SkipWithError("run failed");
+    benchmark::DoNotOptimize(rep->aggregate.wasted_ops);
   }
 }
 BENCHMARK(BM_DistributedScheme)

@@ -13,8 +13,8 @@
 
 #include <iostream>
 
+#include "bench/closed_loop.h"
 #include "bench/table_util.h"
-#include "sim/driver.h"
 #include "sim/scenario.h"
 
 namespace {
@@ -59,7 +59,7 @@ void PrintReproduction() {
   for (auto policy :
        {VictimPolicyKind::kMinCost, VictimPolicyKind::kMinCostOrdered,
         VictimPolicyKind::kYoungest, VictimPolicyKind::kRequester}) {
-    sim::SimOptions opt;
+    par::ShardedOptions opt = bench::ClosedLoop();
     opt.engine.victim_policy = policy;
     opt.engine.scheduler = core::SchedulerKind::kRandom;
     opt.workload.num_entities = 6;
@@ -67,18 +67,18 @@ void PrintReproduction() {
     opt.workload.max_locks = 5;
     opt.concurrency = 8;
     opt.total_txns = 300;
-    opt.max_steps = 4'000'000;
+    opt.max_steps_per_shard = 4'000'000;
     opt.seed = 4242;
     opt.check_serializability = false;
-    auto rep = sim::RunSimulation(opt);
+    auto rep = par::RunSharded(opt);
     if (!rep.ok()) {
       r.AddRow(std::string(core::VictimPolicyKindName(policy)), "-", "-", "-",
                "-", std::string("error: ") + rep.status().ToString());
       continue;
     }
     r.AddRow(std::string(core::VictimPolicyKindName(policy)),
-             rep->metrics.deadlocks, rep->metrics.preemptions,
-             rep->max_preemptions_single_txn, rep->metrics.wasted_ops,
+             rep->aggregate.deadlocks, rep->aggregate.preemptions,
+             rep->max_preemptions_single_txn, rep->aggregate.wasted_ops,
              rep->completed
                  ? "yes"
                  : "NO (livelocked, " +

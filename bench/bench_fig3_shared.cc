@@ -12,10 +12,10 @@
 
 #include <iostream>
 
+#include "bench/closed_loop.h"
 #include "bench/table_util.h"
 #include "common/random.h"
 #include "core/vertex_cut.h"
-#include "sim/driver.h"
 #include "sim/scenario.h"
 
 namespace {
@@ -107,9 +107,9 @@ void PrintReproduction() {
   Section("Cut ablation on a shared-lock workload (200 txns, 50% shared)");
   {
     Table t({"mode", "deadlocks", "rollbacks", "wasted ops",
-             "wasted fraction"});
+             "wasted fraction", "completed"});
     for (bool cut : {true, false}) {
-      sim::SimOptions opt;
+      par::ShardedOptions opt = bench::ClosedLoop();
       opt.engine.victim_policy = VictimPolicyKind::kMinCostOrdered;
       opt.engine.optimize_vertex_cut = cut;
       opt.workload.num_entities = 8;
@@ -120,14 +120,17 @@ void PrintReproduction() {
       opt.total_txns = 200;
       opt.seed = 99;
       opt.check_serializability = false;
-      auto rep = sim::RunSimulation(opt);
+      auto rep = par::RunSharded(opt);
       if (!rep.ok()) {
         std::cerr << "sim failed: " << rep.status() << "\n";
         continue;
       }
       t.AddRow(cut ? "vertex-cut optimised" : "requester-always",
-               rep->metrics.deadlocks, rep->metrics.rollbacks,
-               rep->metrics.wasted_ops, rep->wasted_fraction);
+               rep->aggregate.deadlocks, rep->aggregate.rollbacks,
+               rep->aggregate.wasted_ops, rep->wasted_fraction,
+               rep->completed ? "yes"
+                              : "NO (livelocked, " +
+                                    std::to_string(rep->committed) + "/200)");
     }
     t.Print();
   }

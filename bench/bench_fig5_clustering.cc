@@ -14,9 +14,9 @@
 
 #include <iostream>
 
+#include "bench/closed_loop.h"
 #include "bench/table_util.h"
 #include "rollback/sdg.h"
-#include "sim/driver.h"
 #include "sim/workload.h"
 #include "txn/optimizer.h"
 
@@ -104,7 +104,7 @@ void PrintReproduction() {
            "actual lost ops", "overshoot", "goodput"});
   for (auto pattern : {WritePattern::kScattered, WritePattern::kClustered,
                        WritePattern::kThreePhase}) {
-    sim::SimOptions opt;
+    par::ShardedOptions opt = bench::ClosedLoop();
     opt.engine.strategy = rollback::StrategyKind::kSdg;
     opt.engine.victim_policy = core::VictimPolicyKind::kMinCostOrdered;
     opt.workload.num_entities = 10;
@@ -116,15 +116,15 @@ void PrintReproduction() {
     opt.total_txns = 400;
     opt.seed = 7;
     opt.check_serializability = false;
-    auto rep = sim::RunSimulation(opt);
+    auto rep = par::RunSharded(opt);
     if (!rep.ok()) {
       std::cerr << "sim failed: " << rep.status() << "\n";
       continue;
     }
-    d.AddRow(std::string(WritePatternName(pattern)), rep->metrics.deadlocks,
-             rep->metrics.rollbacks, rep->metrics.ideal_wasted_ops,
-             rep->metrics.wasted_ops,
-             rep->metrics.wasted_ops - rep->metrics.ideal_wasted_ops,
+    d.AddRow(std::string(WritePatternName(pattern)), rep->aggregate.deadlocks,
+             rep->aggregate.rollbacks, rep->aggregate.ideal_wasted_ops,
+             rep->aggregate.wasted_ops,
+             rep->aggregate.wasted_ops - rep->aggregate.ideal_wasted_ops,
              rep->goodput);
   }
   d.Print();
@@ -135,7 +135,7 @@ void PrintReproduction() {
   Table m({"pattern", "max entity copies (one txn)", "max var copies"});
   for (auto pattern : {WritePattern::kScattered, WritePattern::kClustered,
                        WritePattern::kThreePhase}) {
-    sim::SimOptions opt;
+    par::ShardedOptions opt = bench::ClosedLoop();
     opt.engine.strategy = rollback::StrategyKind::kMcs;
     opt.workload.num_entities = 10;
     opt.workload.min_locks = 3;
@@ -146,10 +146,10 @@ void PrintReproduction() {
     opt.total_txns = 400;
     opt.seed = 7;
     opt.check_serializability = false;
-    auto rep = sim::RunSimulation(opt);
+    auto rep = par::RunSharded(opt);
     if (!rep.ok()) continue;
     m.AddRow(std::string(WritePatternName(pattern)),
-             rep->metrics.max_entity_copies, rep->metrics.max_var_copies);
+             rep->aggregate.max_entity_copies, rep->aggregate.max_var_copies);
   }
   m.Print();
   std::cout << "(paper §5: clustering \"is also efficient for the MCS "
@@ -159,7 +159,7 @@ void PrintReproduction() {
 void BM_SimulationByPattern(benchmark::State& state) {
   const auto pattern = static_cast<WritePattern>(state.range(0));
   for (auto _ : state) {
-    sim::SimOptions opt;
+    par::ShardedOptions opt = bench::ClosedLoop();
     opt.engine.strategy = rollback::StrategyKind::kSdg;
     opt.workload.num_entities = 10;
     opt.workload.pattern = pattern;
@@ -167,9 +167,9 @@ void BM_SimulationByPattern(benchmark::State& state) {
     opt.total_txns = 100;
     opt.seed = 3;
     opt.check_serializability = false;
-    auto rep = sim::RunSimulation(opt);
+    auto rep = par::RunSharded(opt);
     if (!rep.ok()) state.SkipWithError("sim failed");
-    benchmark::DoNotOptimize(rep->metrics.wasted_ops);
+    benchmark::DoNotOptimize(rep->aggregate.wasted_ops);
   }
 }
 BENCHMARK(BM_SimulationByPattern)

@@ -15,9 +15,9 @@
 
 #include <iostream>
 
+#include "bench/closed_loop.h"
 #include "bench/table_util.h"
 #include "obs/txnlife.h"
-#include "sim/driver.h"
 
 namespace {
 
@@ -26,13 +26,13 @@ using bench::Section;
 using bench::Table;
 using rollback::StrategyKind;
 
-sim::SimOptions BaseOptions(StrategyKind strategy, std::uint32_t concurrency,
-                            std::uint64_t seed) {
-  sim::SimOptions opt;
+par::ShardedOptions BaseOptions(StrategyKind strategy,
+                                std::uint32_t concurrency,
+                                std::uint64_t seed) {
+  par::ShardedOptions opt = bench::ClosedLoop();
   opt.engine.strategy = strategy;
   opt.engine.victim_policy = core::VictimPolicyKind::kMinCostOrdered;
   opt.engine.scheduler = core::SchedulerKind::kRandom;
-  opt.engine.seed = seed;
   opt.workload.num_entities = 24;
   opt.workload.min_locks = 3;
   opt.workload.max_locks = 6;
@@ -52,15 +52,16 @@ void PrintReproduction() {
   for (std::uint32_t mpl : {2, 4, 8, 16, 32}) {
     for (auto strategy : {StrategyKind::kTotalRestart, StrategyKind::kSdg,
                           StrategyKind::kMcs}) {
-      auto rep = sim::RunSimulation(BaseOptions(strategy, mpl, 12345));
+      auto rep = par::RunSharded(BaseOptions(strategy, mpl, 12345));
       if (!rep.ok()) {
         std::cerr << "sim failed: " << rep.status() << "\n";
         continue;
       }
       const auto& cd = rep->rollback_costs;
       t.AddRow(mpl, std::string(rollback::StrategyKindName(strategy)),
-               rep->deadlocks_per_txn, rep->metrics.rollbacks,
-               rep->metrics.wasted_ops, rep->wasted_fraction,
+               SafeRatio(rep->aggregate.deadlocks, rep->committed),
+               rep->aggregate.rollbacks,
+               rep->aggregate.wasted_ops, rep->wasted_fraction,
                std::to_string(cd.p50) + "/" + std::to_string(cd.p95) + "/" +
                    std::to_string(cd.max),
                rep->goodput);
@@ -81,7 +82,7 @@ void PrintReproduction() {
   Table w({"strategy", "cause", "rollbacks", "wasted steps", "share"});
   for (auto strategy : {StrategyKind::kTotalRestart, StrategyKind::kSdg,
                         StrategyKind::kMcs}) {
-    auto rep = sim::RunSimulation(BaseOptions(strategy, 16, 12345));
+    auto rep = par::RunSharded(BaseOptions(strategy, 16, 12345));
     if (!rep.ok()) {
       std::cerr << "sim failed: " << rep.status() << "\n";
       continue;
@@ -118,12 +119,12 @@ void PrintReproduction() {
         core::VictimPolicyKind::kRequester, core::VictimPolicyKind::kMinCost}) {
     auto opt = BaseOptions(StrategyKind::kMcs, 16, 777);
     opt.engine.victim_policy = policy;
-    opt.max_steps = 3'000'000;
-    auto rep = sim::RunSimulation(opt);
+    opt.max_steps_per_shard = 3'000'000;
+    auto rep = par::RunSharded(opt);
     if (!rep.ok()) continue;
     p.AddRow(std::string(core::VictimPolicyKindName(policy)),
-             rep->metrics.deadlocks, rep->metrics.preemptions,
-             rep->metrics.wasted_ops, rep->wasted_fraction,
+             rep->aggregate.deadlocks, rep->aggregate.preemptions,
+             rep->aggregate.wasted_ops, rep->wasted_fraction,
              rep->completed ? "yes" : "NO (livelock)");
   }
   p.Print();
@@ -136,10 +137,10 @@ void BM_SimulationThroughput(benchmark::State& state) {
   for (auto _ : state) {
     auto opt = BaseOptions(strategy, mpl, 42);
     opt.total_txns = 200;
-    auto rep = sim::RunSimulation(opt);
+    auto rep = par::RunSharded(opt);
     if (!rep.ok()) state.SkipWithError("sim failed");
     committed += rep->committed;
-    benchmark::DoNotOptimize(rep->metrics.ops_executed);
+    benchmark::DoNotOptimize(rep->aggregate.ops_executed);
   }
   state.counters["txns"] =
       benchmark::Counter(static_cast<double>(committed),

@@ -15,8 +15,8 @@
 
 #include <cstdio>
 
+#include "par/sharded_driver.h"
 #include "rollback/sdg.h"
-#include "sim/driver.h"
 #include "storage/entity_store.h"
 #include "txn/program.h"
 
@@ -87,7 +87,11 @@ void Analyze(const txn::Program& p) {
 }
 
 void Simulate(sim::WritePattern pattern, const char* label) {
-  sim::SimOptions opt;
+  // The closed loop on one shard: every program from one generator.
+  par::ShardedOptions opt;
+  opt.num_shards = 1;
+  opt.cross_shard_fraction = 0.0;
+  opt.instrument = false;
   opt.engine.strategy = rollback::StrategyKind::kSdg;
   opt.workload.num_entities = 8;
   opt.workload.min_locks = 3;
@@ -98,18 +102,18 @@ void Simulate(sim::WritePattern pattern, const char* label) {
   opt.total_txns = 300;
   opt.seed = 5;
   opt.check_serializability = false;
-  auto rep = sim::RunSimulation(opt);
+  auto rep = par::RunSharded(opt);
   if (!rep.ok()) {
-    std::fprintf(stderr, "sim failed: %s\n", rep.status().ToString().c_str());
+    std::fprintf(stderr, "run failed: %s\n", rep.status().ToString().c_str());
     return;
   }
   std::printf("%-12s deadlocks=%llu  ideal lost=%llu  actually lost=%llu  "
               "overshoot=%llu ops\n",
-              label, (unsigned long long)rep->metrics.deadlocks,
-              (unsigned long long)rep->metrics.ideal_wasted_ops,
-              (unsigned long long)rep->metrics.wasted_ops,
-              (unsigned long long)(rep->metrics.wasted_ops -
-                                   rep->metrics.ideal_wasted_ops));
+              label, (unsigned long long)rep->aggregate.deadlocks,
+              (unsigned long long)rep->aggregate.ideal_wasted_ops,
+              (unsigned long long)rep->aggregate.wasted_ops,
+              (unsigned long long)(rep->aggregate.wasted_ops -
+                                   rep->aggregate.ideal_wasted_ops));
 }
 
 }  // namespace

@@ -8,7 +8,7 @@ namespace pardb {
 // Smallest power of two >= x (0 maps to 1). Saturates at 2^63 for inputs
 // above it, so the result is always a power of two and `result - 1` is
 // always a valid all-ones mask. Callers that need "period & (period - 1)"
-// masking (the hub snapshot cadence in the sim and sharded drivers) round
+// masking (the hub snapshot cadence in the sharded driver) round
 // through this instead of assuming the configured value is a power of two.
 constexpr std::uint64_t RoundUpPowerOfTwo(std::uint64_t x) {
   if (x <= 1) return 1;

@@ -1494,6 +1494,14 @@ std::uint64_t Engine::PreemptionCountOf(TxnId txn) const {
   return ctx == nullptr ? 0 : ColdOf(*ctx).preempted;
 }
 
+std::uint64_t Engine::MaxPreemptionCount() const {
+  std::uint64_t max = 0;
+  for (const TxnContext& ctx : txns_) {
+    max = std::max<std::uint64_t>(max, ColdOf(ctx).preempted);
+  }
+  return max;
+}
+
 obs::WaitsForSnapshot Engine::SnapshotWaitsFor() const {
   obs::WaitsForSnapshot snap;
   snap.step = metrics_.steps;

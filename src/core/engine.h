@@ -427,6 +427,9 @@ class Engine {
   // Per-transaction counters for preemption analysis (Figure 2): how many
   // times txn was rolled back as a victim of another's conflict.
   std::uint64_t PreemptionCountOf(TxnId txn) const;
+  // The largest PreemptionCountOf over every transaction ever spawned:
+  // Figure 2's repeated-preemption tail.
+  std::uint64_t MaxPreemptionCount() const;
 
   std::string DumpState() const;
 

@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <set>
-#include <sstream>
-
-#include "analysis/history.h"
-#include "storage/entity_store.h"
 
 namespace pardb::dist {
 
@@ -17,79 +13,26 @@ std::uint32_t SiteOfEntity(EntityId entity, std::uint32_t num_sites) {
          num_sites;
 }
 
-std::string DistReport::ToString() const {
-  std::ostringstream os;
-  os << "committed=" << committed << (completed ? "" : " (INCOMPLETE)")
-     << " deadlocks=" << metrics.deadlocks << " (local=" << deadlocks_local
-     << ", multi-site=" << deadlocks_multi_site << ")"
-     << " wounds=" << metrics.wounds << " deaths=" << metrics.deaths
-     << " rollbacks=" << metrics.rollbacks << " wasted=" << metrics.wasted_ops
-     << " serializable=" << (serializable ? "yes" : "NO");
-  return os.str();
-}
-
-Result<DistReport> RunDistributed(const DistOptions& options) {
-  storage::EntityStore store;
-  store.CreateMany(options.workload.num_entities, 100);
-
-  analysis::HistoryRecorder recorder;
-  core::Engine engine(&store, options.engine, &recorder);
-  sim::WorkloadGenerator gen(options.workload, options.seed);
-
-  std::uint64_t spawned = 0;
-  bool completed = true;
-  std::uint64_t steps = 0;
-  while (engine.metrics().commits < options.total_txns) {
-    if (++steps > options.max_steps) {
-      completed = false;
-      break;
-    }
-    while (spawned < options.total_txns &&
-           spawned - engine.metrics().commits < options.concurrency) {
-      auto program = gen.Next();
-      if (!program.ok()) return program.status();
-      auto id = engine.Spawn(std::move(program).value());
-      if (!id.ok()) return id.status();
-      ++spawned;
-    }
-    auto stepped = engine.StepAny();
-    if (!stepped.ok()) return stepped.status();
-    if (!stepped.value().has_value()) {
-      return Status::Internal("distributed simulation stalled:\n" +
-                              engine.DumpState());
-    }
-  }
-
-  DistReport report;
-  report.metrics = engine.metrics();
-  report.committed = engine.metrics().commits;
-  report.completed = completed;
-  report.serializable = recorder.IsConflictSerializable();
-  // SafeRatio keeps both fractions finite for workloads that commit
-  // nothing or execute zero ops (total_txns == 0, max_steps == 0).
-  report.wasted_fraction =
-      SafeRatio(report.metrics.wasted_ops, report.metrics.ops_executed);
-  report.goodput = SafeRatio(report.committed, report.metrics.ops_executed);
-
-  // Site analysis of detected deadlocks (§3.3): which could a per-site
-  // detector have found without any cross-site communication?
-  for (const auto& ev : engine.deadlock_events()) {
+SiteAnalysis AnalyzeDeadlockSites(const std::vector<obs::DeadlockDump>& dumps,
+                                  std::uint32_t num_sites) {
+  SiteAnalysis out;
+  for (const obs::DeadlockDump& dump : dumps) {
     std::set<std::uint32_t> sites;
-    for (EntityId e : ev.cycle_entities) {
-      sites.insert(SiteOfEntity(e, options.num_sites));
+    for (const obs::WaitsForArc& arc : dump.arcs) {
+      sites.insert(SiteOfEntity(arc.entity, num_sites));
     }
     if (sites.size() <= 1) {
-      ++report.deadlocks_local;
+      ++out.deadlocks_local;
     } else {
-      ++report.deadlocks_multi_site;
+      ++out.deadlocks_multi_site;
     }
-    report.max_sites_in_deadlock = std::max(
-        report.max_sites_in_deadlock, static_cast<std::uint32_t>(sites.size()));
+    out.max_sites_in_deadlock = std::max(
+        out.max_sites_in_deadlock, static_cast<std::uint32_t>(sites.size()));
   }
-  report.multi_site_fraction =
-      SafeRatio(report.deadlocks_multi_site,
-                report.deadlocks_local + report.deadlocks_multi_site);
-  return report;
+  out.multi_site_fraction =
+      SafeRatio(out.deadlocks_multi_site,
+                out.deadlocks_local + out.deadlocks_multi_site);
+  return out;
 }
 
 }  // namespace pardb::dist

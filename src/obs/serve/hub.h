@@ -31,14 +31,14 @@ struct RunInfo {
   std::string build_id;    // compiler + build date, or a caller override
   std::uint64_t seed = 0;
   std::uint32_t shards = 0;
-  std::string scheduler;   // "epochs" / "quantum-loop" / "sim"
-  std::string mode;        // "sim" / "parallel" / "serve"
+  std::string scheduler;   // "epochs" / "quantum-loop"
+  std::string mode;        // the pardb subcommand: "sim" / "parallel" / ...
 };
 
 // Rendezvous between an in-flight run and the introspection server.
 //
-// Producers (the sim driver's loop, each shard's thread in the sharded
-// driver) push point-in-time state in; the HTTP handlers, running on the
+// Producers (each shard of the sharded driver, at its own step
+// boundaries) push point-in-time state in; the HTTP handlers, running on the
 // server thread, read it out. Every cross-thread structure is either
 // internally synchronized (MetricsRegistry, atomics) or guarded by the
 // hub mutex (snapshots, the deadlock ring). Shard engines are never

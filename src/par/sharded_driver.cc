@@ -226,6 +226,7 @@ void FinishShard(const ShardedOptions& options, std::uint32_t shard,
   }
   run.result.metrics = engine.metrics();
   run.result.rollback_costs = engine.RollbackCostDistribution();
+  run.result.max_preemptions_single_txn = engine.MaxPreemptionCount();
   run.cost_samples = engine.rollback_cost_samples();
   if (options.txnlife) {
     run.result.wasted_by_cause = ex.txnlife.wasted_by_cause();
@@ -651,6 +652,8 @@ Status AssembleReport(const ShardedOptions& options,
   for (const ShardResult& s : report.shards) {
     report.completed = report.completed && s.completed;
     report.serializable = report.serializable && s.serializable;
+    report.max_preemptions_single_txn = std::max(
+        report.max_preemptions_single_txn, s.max_preemptions_single_txn);
   }
   report.serializable = report.serializable && report.global_serializable;
   // Denominator: what routing actually processed, not the requested total

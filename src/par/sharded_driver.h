@@ -41,6 +41,11 @@ namespace pardb::par {
 // too, one task per workload generator. With one shard there is nothing
 // to coordinate: the shard runs as a chain of bounded quanta on the
 // calling thread, fed by a pipelined producer.
+//
+// This is the only closed-loop driver (DESIGN D18): one shard with
+// cross_shard_fraction = 0 draws every program from one generator over the
+// whole entity universe — the paper's single-engine loop that every
+// reproduction table, `pardb sim` and the tests run.
 
 struct ShardedOptions {
   std::uint32_t num_shards = 4;
@@ -162,6 +167,9 @@ struct ShardResult {
   bool serializable = true;
   core::EngineMetrics metrics;
   core::CostDistribution rollback_costs;
+  // Most times one of the shard's transactions was preempted (Figure 2's
+  // repeated-preemption tail). Excluded from ShardedReportToJson.
+  std::uint64_t max_preemptions_single_txn = 0;
   // Per-cause wasted-work ledger from the shard's lifecycle book (all zero
   // when ShardedOptions::txnlife is off). Excluded from ShardedReportToJson
   // — live visibility goes through pardb_wasted_steps_total{cause}.
@@ -240,8 +248,9 @@ struct ShardedReport {
   bool serializable = true;
 
   // Routing analysis — the execution analogue of
-  // DistReport::multi_site_fraction: share of transactions whose footprint
-  // spans more than one shard (they run as split global transactions).
+  // dist::SiteAnalysis::multi_site_fraction: share of transactions whose
+  // footprint spans more than one shard (they run as split global
+  // transactions).
   std::uint64_t cross_shard_txns = 0;
   double cross_shard_fraction = 0.0;
 
@@ -262,6 +271,9 @@ struct ShardedReport {
 
   double wasted_fraction = 0.0;
   double goodput = 0.0;
+  // Max over shards of ShardResult::max_preemptions_single_txn. Excluded
+  // from ShardedReportToJson and ToString (byte-compared goldens).
+  std::uint64_t max_preemptions_single_txn = 0;
 
   // Summed per-cause wasted-work ledger over shards (see ShardResult).
   std::array<std::uint64_t, obs::kNumRollbackCauses> wasted_by_cause{};

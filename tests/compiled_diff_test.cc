@@ -17,7 +17,8 @@
 
 #include "core/engine.h"
 #include "core/trace.h"
-#include "sim/driver.h"
+#include "par/report_json.h"
+#include "par/sharded_driver.h"
 #include "sim/workload.h"
 #include "storage/entity_store.h"
 #include "txn/program.h"
@@ -173,7 +174,7 @@ RunArtifacts RunPrograms(
     const std::vector<std::shared_ptr<const Program>>& programs,
     std::uint64_t num_entities, bool compile, core::SchedulerKind scheduler,
     std::uint64_t seed) {
-  // Admission is windowed like the sim driver's: dumping every program
+  // Admission is windowed like par::RunSharded's: dumping every program
   // into the engine at once makes the waits-for graph dense enough that
   // cycle enumeration dominates, which is a workload-shape pathology, not
   // what this differential is probing. Both paths use the identical loop.
@@ -316,30 +317,37 @@ TEST(CompiledDifferentialTest, MidProgramUnlocksMatch) {
   ExpectIdenticalRuns(programs, 2, core::SchedulerKind::kRoundRobin, 1);
 }
 
-// Full-pipeline differential: the sim driver's report string and decision-
-// journal chain heads (what `pardb diff-runs` compares) must be identical
-// with the compile cache on and off.
-TEST(CompiledDifferentialTest, SimReportAndJournalChainMatchAcrossPaths) {
+// Full-pipeline differential: the one-shard report and decision-journal
+// chain heads (what `pardb diff-runs` compares) must be identical with the
+// compile cache on and off.
+par::ShardedOptions OneShard() {
+  par::ShardedOptions opt;
+  opt.num_shards = 1;
+  opt.cross_shard_fraction = 0.0;
+  opt.engine.scheduler = core::SchedulerKind::kRandom;
+  return opt;
+}
+
+TEST(CompiledDifferentialTest, OneShardReportAndJournalChainMatchAcrossPaths) {
   for (std::uint64_t seed : {7u, 23u}) {
-    sim::SimOptions on;
-    on.engine.scheduler = core::SchedulerKind::kRandom;
+    par::ShardedOptions on = OneShard();
     on.total_txns = 120;
     on.concurrency = 12;
     on.workload.num_entities = 16;
     on.workload.shared_fraction = 0.3;
     on.workload.zipf_theta = 0.5;
     on.seed = seed;
-    on.engine.seed = seed;
-    sim::SimOptions off = on;
+    par::ShardedOptions off = on;
     off.engine.compile_programs = false;
 
-    auto a = sim::RunSimulation(on);
-    auto b = sim::RunSimulation(off);
+    auto a = par::RunSharded(on);
+    auto b = par::RunSharded(off);
     ASSERT_TRUE(a.ok()) << a.status().ToString();
     ASSERT_TRUE(b.ok()) << b.status().ToString();
-    EXPECT_EQ(a->ToString(), b->ToString());
-    EXPECT_EQ(a->journal_records, b->journal_records);
-    EXPECT_EQ(a->journal_chain, b->journal_chain)
+    EXPECT_EQ(par::ShardedReportToJson(a.value()),
+              par::ShardedReportToJson(b.value()));
+    EXPECT_EQ(a->shards[0].journal_records, b->shards[0].journal_records);
+    EXPECT_EQ(a->shards[0].journal_chain, b->shards[0].journal_chain)
         << "seed " << seed
         << ": journal chain heads diverged between compiled and "
            "interpreted execution";
@@ -347,21 +355,20 @@ TEST(CompiledDifferentialTest, SimReportAndJournalChainMatchAcrossPaths) {
 }
 
 // The cache-hit telemetry the CI observability smoke asserts on: a
-// templated sim run must report hits on the engine metrics.
+// templated one-shard run must report hits on the engine metrics.
 TEST(CompiledDifferentialTest, TemplatedWorkloadReportsCacheHits) {
-  sim::SimOptions opt;
-  opt.engine.scheduler = core::SchedulerKind::kRandom;
+  par::ShardedOptions opt = OneShard();
   opt.total_txns = 100;
   opt.concurrency = 8;
   opt.workload.num_entities = 16;
   opt.workload.num_templates = 5;
   opt.seed = 4;
-  opt.engine.seed = 4;
-  auto rep = sim::RunSimulation(opt);
+  auto rep = par::RunSharded(opt);
   ASSERT_TRUE(rep.ok()) << rep.status().ToString();
-  EXPECT_GT(rep->metrics.compile_cache_hits, 0u);
-  EXPECT_LE(rep->metrics.programs_compiled, 5u);
-  EXPECT_GT(rep->metrics.compiled_bytes, 0u);
+  const core::EngineMetrics& m = rep->shards[0].metrics;
+  EXPECT_GT(m.compile_cache_hits, 0u);
+  EXPECT_LE(m.programs_compiled, 5u);
+  EXPECT_GT(m.compiled_bytes, 0u);
 }
 
 }  // namespace

@@ -1,13 +1,16 @@
 // Tests for the §3.3 distributed substrate: timestamp prevention schemes
-// (wound-wait / wait-die) built on partial rollback, and per-site deadlock
-// accounting.
+// (wound-wait / wait-die) built on partial rollback, and the per-site
+// classification of the deadlocks a run's forensics recorded.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <vector>
 
 #include "core/engine.h"
 #include "dist/distributed.h"
+#include "par/sharded_driver.h"
 #include "storage/entity_store.h"
 #include "txn/program.h"
 
@@ -185,13 +188,26 @@ TEST_F(PreventionTest, WaitDieReleasesLocksOlderTransactionsNeed) {
   ASSERT_TRUE(engine_->RunToCompletion().ok());
 }
 
+// The closed loop on one shard, every program from one generator over the
+// whole entity universe; the forensics cap is the one the site analysis
+// reads under (every dump of these runs is kept).
+par::ShardedOptions OneShard() {
+  par::ShardedOptions opt;
+  opt.num_shards = 1;
+  opt.cross_shard_fraction = 0.0;
+  opt.instrument = false;
+  opt.collect_forensics = true;
+  opt.max_forensics_dumps = 4096;
+  return opt;
+}
+
 TEST(PreventionLivenessTest, BothSchemesCompleteContendedWorkloads) {
   for (auto handling :
        {DeadlockHandling::kWoundWait, DeadlockHandling::kWaitDie}) {
     for (auto strategy : {rollback::StrategyKind::kTotalRestart,
                           rollback::StrategyKind::kMcs,
                           rollback::StrategyKind::kSdg}) {
-      DistOptions opt;
+      par::ShardedOptions opt = OneShard();
       opt.engine.handling = handling;
       opt.engine.strategy = strategy;
       opt.engine.scheduler = core::SchedulerKind::kRandom;
@@ -201,17 +217,18 @@ TEST(PreventionLivenessTest, BothSchemesCompleteContendedWorkloads) {
       opt.concurrency = 6;
       opt.total_txns = 60;
       opt.seed = 5;
-      auto rep = RunDistributed(opt);
+      auto rep = par::RunSharded(opt);
       ASSERT_TRUE(rep.ok()) << rep.status().ToString();
       EXPECT_TRUE(rep->completed) << rep->ToString();
       EXPECT_EQ(rep->committed, 60u);
       EXPECT_TRUE(rep->serializable) << rep->ToString();
       // Prevention never runs the cycle detector.
-      EXPECT_EQ(rep->metrics.deadlocks, 0u);
+      EXPECT_EQ(rep->aggregate.deadlocks, 0u);
+      EXPECT_TRUE(rep->forensics.empty());
       if (handling == DeadlockHandling::kWoundWait) {
-        EXPECT_EQ(rep->metrics.deaths, 0u);
+        EXPECT_EQ(rep->aggregate.deaths, 0u);
       } else {
-        EXPECT_EQ(rep->metrics.wounds, 0u);
+        EXPECT_EQ(rep->aggregate.wounds, 0u);
       }
     }
   }
@@ -220,23 +237,78 @@ TEST(PreventionLivenessTest, BothSchemesCompleteContendedWorkloads) {
 TEST(PreventionLivenessTest, SharedLockWorkloadsComplete) {
   for (auto handling :
        {DeadlockHandling::kWoundWait, DeadlockHandling::kWaitDie}) {
-    DistOptions opt;
+    par::ShardedOptions opt = OneShard();
     opt.engine.handling = handling;
     opt.workload.num_entities = 6;
     opt.workload.shared_fraction = 0.5;
     opt.concurrency = 6;
     opt.total_txns = 60;
     opt.seed = 11;
-    auto rep = RunDistributed(opt);
+    auto rep = par::RunSharded(opt);
     ASSERT_TRUE(rep.ok()) << rep.status().ToString();
     EXPECT_TRUE(rep->completed) << rep->ToString();
     EXPECT_TRUE(rep->serializable);
   }
 }
 
-TEST(DistributedReportTest, DetectionModeClassifiesDeadlockSites) {
-  DistOptions opt;
-  opt.num_sites = 4;
+obs::DeadlockDump DumpOverEntities(const std::vector<std::uint64_t>& ids) {
+  obs::DeadlockDump dump;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    dump.arcs.push_back(obs::WaitsForArc{
+        TxnId(i), TxnId((i + 1) % ids.size()), EntityId(ids[i])});
+  }
+  return dump;
+}
+
+// Entities 0.. grouped by the site SiteOfEntity assigns them.
+std::vector<std::vector<std::uint64_t>> EntitiesBySite(std::uint32_t sites) {
+  std::vector<std::vector<std::uint64_t>> by_site(sites);
+  for (std::uint64_t e = 0; e < 256; ++e) {
+    by_site[SiteOfEntity(EntityId(e), sites)].push_back(e);
+  }
+  return by_site;
+}
+
+TEST(SiteAnalysisTest, OneSiteCycleIsLocal) {
+  const auto by_site = EntitiesBySite(4);
+  ASSERT_GE(by_site[2].size(), 3u);
+  const SiteAnalysis a = AnalyzeDeadlockSites(
+      {DumpOverEntities({by_site[2][0], by_site[2][1], by_site[2][2]})}, 4);
+  EXPECT_EQ(a.deadlocks_local, 1u);
+  EXPECT_EQ(a.deadlocks_multi_site, 0u);
+  EXPECT_EQ(a.multi_site_fraction, 0.0);
+  EXPECT_EQ(a.max_sites_in_deadlock, 1u);
+}
+
+TEST(SiteAnalysisTest, ThreeSiteCycleIsMultiSite) {
+  const auto by_site = EntitiesBySite(4);
+  const SiteAnalysis a = AnalyzeDeadlockSites(
+      {DumpOverEntities({by_site[0][0], by_site[1][0], by_site[3][0],
+                         by_site[1][1]}),
+       DumpOverEntities({by_site[3][0], by_site[3][1]})},
+      4);
+  EXPECT_EQ(a.deadlocks_local, 1u);
+  EXPECT_EQ(a.deadlocks_multi_site, 1u);
+  EXPECT_EQ(a.multi_site_fraction, 0.5);
+  EXPECT_EQ(a.max_sites_in_deadlock, 3u);
+  // One site holds every entity: nothing is multi-site.
+  EXPECT_EQ(AnalyzeDeadlockSites(
+                {DumpOverEntities({by_site[0][0], by_site[1][0]})}, 1)
+                .deadlocks_multi_site,
+            0u);
+}
+
+TEST(SiteAnalysisTest, EmptyInputIsAllZeroAndFinite) {
+  const SiteAnalysis a = AnalyzeDeadlockSites({}, 4);
+  EXPECT_EQ(a.deadlocks_local, 0u);
+  EXPECT_EQ(a.deadlocks_multi_site, 0u);
+  EXPECT_EQ(a.max_sites_in_deadlock, 0u);
+  EXPECT_TRUE(std::isfinite(a.multi_site_fraction));
+  EXPECT_EQ(a.multi_site_fraction, 0.0);
+}
+
+TEST(SiteAnalysisTest, DetectionRunClassifiesEveryDeadlock) {
+  par::ShardedOptions opt = OneShard();
   opt.engine.handling = DeadlockHandling::kDetection;
   opt.workload.num_entities = 8;
   opt.workload.min_locks = 3;
@@ -244,24 +316,23 @@ TEST(DistributedReportTest, DetectionModeClassifiesDeadlockSites) {
   opt.concurrency = 8;
   opt.total_txns = 120;
   opt.seed = 3;
-  auto rep = RunDistributed(opt);
+  auto rep = par::RunSharded(opt);
   ASSERT_TRUE(rep.ok()) << rep.status().ToString();
   ASSERT_TRUE(rep->completed);
-  EXPECT_GT(rep->metrics.deadlocks, 0u);
-  EXPECT_EQ(rep->deadlocks_local + rep->deadlocks_multi_site,
-            rep->metrics.deadlocks);
+  EXPECT_GT(rep->aggregate.deadlocks, 0u);
+  const SiteAnalysis a = AnalyzeDeadlockSites(rep->forensics, 4);
+  EXPECT_EQ(a.deadlocks_local + a.deadlocks_multi_site,
+            rep->aggregate.deadlocks);
   // With 8 entities hashed over 4 sites, most 2+-entity cycles span sites.
-  EXPECT_GT(rep->deadlocks_multi_site, 0u);
-  EXPECT_GE(rep->max_sites_in_deadlock, 2u);
-  std::string s = rep->ToString();
-  EXPECT_NE(s.find("multi-site="), std::string::npos);
+  EXPECT_GT(a.deadlocks_multi_site, 0u);
+  EXPECT_GE(a.max_sites_in_deadlock, 2u);
 }
 
-TEST(DistributedReportTest, PreventionCostsMoreRollbacksButNoGraph) {
+TEST(SiteAnalysisTest, PreventionCostsMoreRollbacksButNoGraph) {
   // Same workload under detection and wound-wait: prevention needs no
   // cycle enumeration but preempts on conflicts, not deadlocks, so it
   // rolls back at least as often.
-  DistOptions base;
+  par::ShardedOptions base = OneShard();
   base.workload.num_entities = 8;
   base.workload.min_locks = 3;
   base.workload.max_locks = 5;
@@ -271,34 +342,33 @@ TEST(DistributedReportTest, PreventionCostsMoreRollbacksButNoGraph) {
 
   auto detect = base;
   detect.engine.handling = DeadlockHandling::kDetection;
-  auto dr = RunDistributed(detect);
+  auto dr = par::RunSharded(detect);
   ASSERT_TRUE(dr.ok());
 
   auto wound = base;
   wound.engine.handling = DeadlockHandling::kWoundWait;
-  auto wr = RunDistributed(wound);
+  auto wr = par::RunSharded(wound);
   ASSERT_TRUE(wr.ok());
 
-  EXPECT_GE(wr->metrics.rollbacks, dr->metrics.rollbacks);
-  EXPECT_EQ(wr->metrics.cycles_found, 0u);
-  EXPECT_GT(dr->metrics.cycles_found, 0u);
+  EXPECT_GE(wr->aggregate.rollbacks, dr->aggregate.rollbacks);
+  EXPECT_EQ(wr->aggregate.cycles_found, 0u);
+  EXPECT_GT(dr->aggregate.cycles_found, 0u);
 }
 
-TEST(DistributedReportTest, EmptyWorkloadReportStaysFinite) {
+TEST(SiteAnalysisTest, EmptyWorkloadReportStaysFinite) {
   // Zero transactions -> zero commits and zero executed ops. Every report
   // fraction must degrade to a finite 0.0, never NaN/inf.
-  DistOptions opt;
+  par::ShardedOptions opt = OneShard();
   opt.total_txns = 0;
-  auto rep = RunDistributed(opt);
+  auto rep = par::RunSharded(opt);
   ASSERT_TRUE(rep.ok()) << rep.status().ToString();
   EXPECT_EQ(rep->committed, 0u);
-  EXPECT_EQ(rep->metrics.ops_executed, 0u);
+  EXPECT_EQ(rep->aggregate.ops_executed, 0u);
   EXPECT_TRUE(std::isfinite(rep->wasted_fraction));
   EXPECT_TRUE(std::isfinite(rep->goodput));
-  EXPECT_TRUE(std::isfinite(rep->multi_site_fraction));
   EXPECT_EQ(rep->wasted_fraction, 0.0);
   EXPECT_EQ(rep->goodput, 0.0);
-  EXPECT_EQ(rep->multi_site_fraction, 0.0);
+  EXPECT_EQ(AnalyzeDeadlockSites(rep->forensics, 4).multi_site_fraction, 0.0);
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 
 #include "analysis/history.h"
 #include "core/engine.h"
-#include "sim/driver.h"
+#include "par/sharded_driver.h"
 #include "sim/workload.h"
 #include "storage/entity_store.h"
 #include "txn/program.h"
@@ -249,20 +249,22 @@ TEST_F(EngineEdgeTest, ManualStepTxnNeverExpiresTimeouts) {
   EXPECT_EQ(engine_->metrics().rollbacks, 0u);
 }
 
-TEST(SimDriverEdgeTest, IncompleteRunReported) {
+TEST(DriverEdgeTest, IncompleteRunReported) {
   // Unconstrained min-cost on the adversarial workload with a tiny step
   // budget: the driver reports completed=false instead of erroring.
-  sim::SimOptions opt;
+  par::ShardedOptions opt;
+  opt.num_shards = 1;
+  opt.cross_shard_fraction = 0.0;
   opt.engine.victim_policy = VictimPolicyKind::kMinCost;
   opt.workload.num_entities = 4;
   opt.workload.min_locks = 3;
   opt.workload.max_locks = 4;
   opt.concurrency = 6;
   opt.total_txns = 1000;
-  opt.max_steps = 2000;  // far too few
+  opt.max_steps_per_shard = 2000;  // far too few
   opt.seed = 1;
   opt.check_serializability = false;
-  auto rep = sim::RunSimulation(opt);
+  auto rep = par::RunSharded(opt);
   ASSERT_TRUE(rep.ok()) << rep.status().ToString();
   EXPECT_FALSE(rep->completed);
   EXPECT_LT(rep->committed, 1000u);

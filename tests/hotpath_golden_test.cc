@@ -1,12 +1,12 @@
 // Determinism safety net for the D15 data-oriented rewrite.
 //
-// The golden files under tests/golden/ were captured from the pre-rewrite
-// binary on two pinned workloads (sim seed 7 / 120 txns; sharded seed 11 /
-// 200 txns / 4 shards). The rewrite's contract is byte identity: the same
-// report strings and the same D14 journal chain heads, which is exactly
-// what `pardb diff-runs` checks between two recorded runs — chain-head
-// equality here proves diff-runs would report zero divergence between the
-// pre- and post-rewrite binaries.
+// The golden files under tests/golden/ pin two workloads: one shard (seed
+// 7 / 120 txns, every program from one generator — the closed loop every
+// paper table runs on) and four shards (seed 11 / 200 txns). The contract
+// is byte identity: the same report JSON and the same D14 journal chain
+// heads, which is exactly what `pardb diff-runs` checks between two
+// recorded runs — chain-head equality here proves diff-runs would report
+// zero divergence against the binary that captured the goldens.
 //
 // Also here: the Figure 1 / Figure 3 micro-tests pinning the public
 // emission contract of LockManager::Holders / WaitQueue / HeldBy (sorted
@@ -22,7 +22,6 @@
 
 #include "par/report_json.h"
 #include "par/sharded_driver.h"
-#include "sim/driver.h"
 #include "sim/scenario.h"
 
 namespace pardb {
@@ -44,14 +43,15 @@ std::string ChainLine(std::uint64_t c) {
   return buf;
 }
 
-sim::SimOptions PinnedSim() {
-  sim::SimOptions opt;
+par::ShardedOptions PinnedOneShard() {
+  par::ShardedOptions opt;
   opt.engine.scheduler = core::SchedulerKind::kRandom;
+  opt.num_shards = 1;
+  opt.cross_shard_fraction = 0.0;
   opt.total_txns = 120;
   opt.concurrency = 12;
   opt.workload.num_entities = 16;
   opt.seed = 7;
-  opt.engine.seed = 7;
   return opt;
 }
 
@@ -67,24 +67,12 @@ par::ShardedOptions PinnedSharded() {
   return opt;
 }
 
-TEST(HotpathGoldenTest, SimReportAndJournalChainMatchPreRewriteBytes) {
-  auto rep = sim::RunSimulation(PinnedSim());
+// Report JSON plus every journal chain head, in the golden chain format.
+void ExpectGolden(const par::ShardedOptions& opt, const std::string& report,
+                  const std::string& chain_file) {
+  auto rep = par::RunSharded(opt);
   ASSERT_TRUE(rep.ok()) << rep.status().ToString();
-  EXPECT_EQ(rep->ToString() + "\n", ReadGolden("golden_sim_report.txt"));
-
-  std::ostringstream chain;
-  chain << "records " << rep->journal_records << "\n";
-  for (std::uint64_t c : rep->journal_chain) chain << ChainLine(c) << "\n";
-  EXPECT_EQ(chain.str(), ReadGolden("golden_sim_chain.txt"))
-      << "journal chain heads diverged from the pre-rewrite binary "
-         "(pardb diff-runs would report a first-divergence)";
-}
-
-TEST(HotpathGoldenTest, ShardedReportAndChainsMatchPreRewriteBytes) {
-  auto rep = par::RunSharded(PinnedSharded());
-  ASSERT_TRUE(rep.ok()) << rep.status().ToString();
-  EXPECT_EQ(par::ShardedReportToJson(rep.value()) + "\n",
-            ReadGolden("golden_sharded_report.json"));
+  EXPECT_EQ(par::ShardedReportToJson(rep.value()) + "\n", ReadGolden(report));
 
   std::ostringstream chain;
   for (const auto& s : rep->shards) {
@@ -95,46 +83,37 @@ TEST(HotpathGoldenTest, ShardedReportAndChainsMatchPreRewriteBytes) {
   for (std::uint64_t c : rep->coord_journal_chain) {
     chain << ChainLine(c) << "\n";
   }
-  EXPECT_EQ(chain.str(), ReadGolden("golden_sharded_chain.txt"));
+  EXPECT_EQ(chain.str(), ReadGolden(chain_file))
+      << "journal chain heads diverged from the golden binary "
+         "(pardb diff-runs would report a first-divergence)";
+}
+
+TEST(HotpathGoldenTest, OneShardReportAndChainMatchGoldenBytes) {
+  ExpectGolden(PinnedOneShard(), "golden_one_shard_report.json",
+               "golden_one_shard_chain.txt");
+}
+
+TEST(HotpathGoldenTest, ShardedReportAndChainsMatchPreRewriteBytes) {
+  ExpectGolden(PinnedSharded(), "golden_sharded_report.json",
+               "golden_sharded_chain.txt");
 }
 
 // The D16 compiled µop path must be invisible in every deterministic
 // artifact: running the same pinned workloads on the fallback interpreter
-// (compile_programs = false) must reproduce the same pre-rewrite golden
-// bytes — report strings and journal chain heads alike.
+// (compile_programs = false) must reproduce the same golden bytes —
+// report JSON and journal chain heads alike.
 
-TEST(HotpathGoldenTest, SimGoldenBytesIdenticalWithCompileOff) {
-  sim::SimOptions opt = PinnedSim();
+TEST(HotpathGoldenTest, OneShardGoldenBytesIdenticalWithCompileOff) {
+  par::ShardedOptions opt = PinnedOneShard();
   opt.engine.compile_programs = false;
-  auto rep = sim::RunSimulation(opt);
-  ASSERT_TRUE(rep.ok()) << rep.status().ToString();
-  EXPECT_EQ(rep->ToString() + "\n", ReadGolden("golden_sim_report.txt"));
-
-  std::ostringstream chain;
-  chain << "records " << rep->journal_records << "\n";
-  for (std::uint64_t c : rep->journal_chain) chain << ChainLine(c) << "\n";
-  EXPECT_EQ(chain.str(), ReadGolden("golden_sim_chain.txt"))
-      << "interpreter and compiled paths diverged (D16 contract broken)";
+  ExpectGolden(opt, "golden_one_shard_report.json",
+               "golden_one_shard_chain.txt");
 }
 
 TEST(HotpathGoldenTest, ShardedGoldenBytesIdenticalWithCompileOff) {
   par::ShardedOptions opt = PinnedSharded();
   opt.engine.compile_programs = false;
-  auto rep = par::RunSharded(opt);
-  ASSERT_TRUE(rep.ok()) << rep.status().ToString();
-  EXPECT_EQ(par::ShardedReportToJson(rep.value()) + "\n",
-            ReadGolden("golden_sharded_report.json"));
-
-  std::ostringstream chain;
-  for (const auto& s : rep->shards) {
-    chain << "shard " << s.shard << " records " << s.journal_records << "\n";
-    for (std::uint64_t c : s.journal_chain) chain << ChainLine(c) << "\n";
-  }
-  chain << "coord\n";
-  for (std::uint64_t c : rep->coord_journal_chain) {
-    chain << ChainLine(c) << "\n";
-  }
-  EXPECT_EQ(chain.str(), ReadGolden("golden_sharded_chain.txt"));
+  ExpectGolden(opt, "golden_sharded_report.json", "golden_sharded_chain.txt");
 }
 
 // ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@
 #include "obs/metrics.h"
 #include "par/report_json.h"
 #include "par/sharded_driver.h"
-#include "sim/driver.h"
 
 namespace pardb {
 namespace {
@@ -151,11 +150,13 @@ TEST(JournalBisectTest, PrefixChainsDivergeAtTheMissingEpoch) {
 }
 
 // ---------------------------------------------------------------------------
-// Sim-level chain stability and injected divergences.
+// One-shard chain stability and injected divergences.
 // ---------------------------------------------------------------------------
 
-sim::SimOptions JournaledSim(std::uint64_t seed) {
-  sim::SimOptions opt;
+par::ShardedOptions JournaledOneShard(std::uint64_t seed) {
+  par::ShardedOptions opt;
+  opt.num_shards = 1;
+  opt.cross_shard_fraction = 0.0;
   opt.total_txns = 80;
   opt.concurrency = 10;
   opt.workload.num_entities = 12;
@@ -167,76 +168,81 @@ sim::SimOptions JournaledSim(std::uint64_t seed) {
   return opt;
 }
 
-TEST(JournalSimTest, SameSeedSameChainDifferentSeedDifferentChain) {
-  auto a = sim::RunSimulation(JournaledSim(7));
+TEST(JournalOneShardTest, SameSeedSameChainDifferentSeedDifferentChain) {
+  auto a = par::RunSharded(JournaledOneShard(7));
   ASSERT_TRUE(a.ok()) << a.status().ToString();
-  auto b = sim::RunSimulation(JournaledSim(7));
+  auto b = par::RunSharded(JournaledOneShard(7));
   ASSERT_TRUE(b.ok());
-  auto c = sim::RunSimulation(JournaledSim(8));
+  auto c = par::RunSharded(JournaledOneShard(8));
   ASSERT_TRUE(c.ok());
-  ASSERT_GE(a->journal_chain.size(), 3u) << "too few epochs to be meaningful";
-  EXPECT_EQ(a->journal_chain, b->journal_chain);
-  EXPECT_GT(a->journal_records, 0u);
-  EXPECT_EQ(a->journal_records, b->journal_records);
-  EXPECT_NE(a->journal_chain, c->journal_chain);
+  const par::ShardResult& sa = a->shards[0];
+  const par::ShardResult& sb = b->shards[0];
+  ASSERT_GE(sa.journal_chain.size(), 3u) << "too few epochs to be meaningful";
+  EXPECT_EQ(sa.journal_chain, sb.journal_chain);
+  EXPECT_GT(sa.journal_records, 0u);
+  EXPECT_EQ(sa.journal_records, sb.journal_records);
+  EXPECT_NE(sa.journal_chain, c->shards[0].journal_chain);
 }
 
-TEST(JournalSimTest, PerturbedOmegaOrderFlipsChainAtExactlyThatEpoch) {
+TEST(JournalOneShardTest, PerturbedOmegaOrderFlipsChainAtExactlyThatEpoch) {
   // The journal test hook XORs the perturbed epoch's state digest —
   // simulating lock-table / ω-order drift with no divergent decision. The
   // chain must flip at exactly that epoch and stay flipped.
-  auto clean = sim::RunSimulation(JournaledSim(7));
+  auto clean = par::RunSharded(JournaledOneShard(7));
   ASSERT_TRUE(clean.ok());
-  const std::size_t epochs = clean->journal_chain.size();
+  const std::vector<std::uint64_t>& base = clean->shards[0].journal_chain;
+  const std::size_t epochs = base.size();
   ASSERT_GE(epochs, 3u);
   const std::uint64_t target = 2;
-  auto opt = JournaledSim(7);
+  auto opt = JournaledOneShard(7);
   opt.journal_perturb_epoch = target;
-  auto drift = sim::RunSimulation(opt);
+  auto drift = par::RunSharded(opt);
   ASSERT_TRUE(drift.ok());
-  ASSERT_EQ(drift->journal_chain.size(), epochs);
+  const std::vector<std::uint64_t>& drifted = drift->shards[0].journal_chain;
+  ASSERT_EQ(drifted.size(), epochs);
   for (std::size_t e = 0; e < epochs; ++e) {
     if (e < target) {
-      EXPECT_EQ(clean->journal_chain[e], drift->journal_chain[e]) << e;
+      EXPECT_EQ(base[e], drifted[e]) << e;
     } else {
-      EXPECT_NE(clean->journal_chain[e], drift->journal_chain[e]) << e;
+      EXPECT_NE(base[e], drifted[e]) << e;
     }
   }
 }
 
-TEST(JournalSimTest, ReportStringIdenticalWithJournalOnAndOff) {
+TEST(JournalOneShardTest, ReportJsonIdenticalWithJournalOnAndOff) {
   // The journal is observation-only: disabling it must not change a single
   // decision, and journaling must stay out of the golden-compared report.
-  auto on = sim::RunSimulation(JournaledSim(7));
+  auto on = par::RunSharded(JournaledOneShard(7));
   ASSERT_TRUE(on.ok());
-  auto opt = JournaledSim(7);
+  auto opt = JournaledOneShard(7);
   opt.journal = false;
-  auto off = sim::RunSimulation(opt);
+  auto off = par::RunSharded(opt);
   ASSERT_TRUE(off.ok());
-  EXPECT_EQ(on->ToString(), off->ToString());
-  EXPECT_TRUE(off->journal_chain.empty());
-  EXPECT_GT(on->journal_records, 0u);
+  EXPECT_EQ(par::ShardedReportToJson(on.value()),
+            par::ShardedReportToJson(off.value()));
+  EXPECT_TRUE(off->shards[0].journal_chain.empty());
+  EXPECT_GT(on->shards[0].journal_records, 0u);
 }
 
 TEST(JournalDiffTest, InjectedVictimFlipIsPinnedToItsDecisionRecord) {
   const std::string dir = ::testing::TempDir();
-  auto opt = JournaledSim(7);
+  auto opt = JournaledOneShard(7);
   opt.journal_out = dir + "jrnl_clean";
-  auto clean = sim::RunSimulation(opt);
+  auto clean = par::RunSharded(opt);
   ASSERT_TRUE(clean.ok()) << clean.status().ToString();
 
-  auto flipped_opt = JournaledSim(7);
+  auto flipped_opt = JournaledOneShard(7);
   flipped_opt.journal_out = dir + "jrnl_flip";
   // Flip the second flippable single-cycle victim decision.
   flipped_opt.engine.debug_flip_victim_deadlock = 2;
-  auto flipped = sim::RunSimulation(flipped_opt);
+  auto flipped = par::RunSharded(flipped_opt);
   ASSERT_TRUE(flipped.ok());
-  ASSERT_NE(clean->journal_chain, flipped->journal_chain)
+  ASSERT_NE(clean->shards[0].journal_chain, flipped->shards[0].journal_chain)
       << "flip hook produced no divergence — no flippable deadlock?";
 
-  auto a = ReadJournalFile(dir + "jrnl_clean");
+  auto a = ReadJournalFile(dir + "jrnl_clean.shard0.jrnl");
   ASSERT_TRUE(a.ok()) << a.status().ToString();
-  auto b = ReadJournalFile(dir + "jrnl_flip");
+  auto b = ReadJournalFile(dir + "jrnl_flip.shard0.jrnl");
   ASSERT_TRUE(b.ok());
 
   const DivergenceReport d = DiffJournals(a.value(), b.value());
@@ -263,17 +269,17 @@ TEST(JournalDiffTest, InjectedVictimFlipIsPinnedToItsDecisionRecord) {
 
 TEST(JournalDiffTest, StateOnlyDriftDiagnosedWithoutDivergentRecord) {
   const std::string dir = ::testing::TempDir();
-  auto opt = JournaledSim(9);
+  auto opt = JournaledOneShard(9);
   opt.journal_out = dir + "jrnl_base";
-  ASSERT_TRUE(sim::RunSimulation(opt).ok());
-  auto drift_opt = JournaledSim(9);
+  ASSERT_TRUE(par::RunSharded(opt).ok());
+  auto drift_opt = JournaledOneShard(9);
   drift_opt.journal_out = dir + "jrnl_drift";
   drift_opt.journal_perturb_epoch = 1;
-  ASSERT_TRUE(sim::RunSimulation(drift_opt).ok());
+  ASSERT_TRUE(par::RunSharded(drift_opt).ok());
 
-  auto a = ReadJournalFile(dir + "jrnl_base");
+  auto a = ReadJournalFile(dir + "jrnl_base.shard0.jrnl");
   ASSERT_TRUE(a.ok());
-  auto b = ReadJournalFile(dir + "jrnl_drift");
+  auto b = ReadJournalFile(dir + "jrnl_drift.shard0.jrnl");
   ASSERT_TRUE(b.ok());
   const DivergenceReport d = DiffJournals(a.value(), b.value());
   ASSERT_TRUE(d.diverged);

@@ -6,8 +6,8 @@
 #include "core/engine.h"
 #include "core/trace.h"
 #include "dist/distributed.h"
+#include "par/sharded_driver.h"
 #include "rollback/sdg_strategy.h"
-#include "sim/driver.h"
 #include "sim/workload.h"
 #include "storage/entity_store.h"
 #include "txn/program.h"
@@ -99,19 +99,25 @@ TEST(SdgMonitoringTest, LastLockDeclarationStopsRecording) {
   EXPECT_EQ(s.VarValue(0), 2);
 }
 
-TEST(DistReportTest, ToStringAndFractionBounds) {
-  dist::DistOptions opt;
-  opt.num_sites = 3;
+TEST(SiteAnalysisTest, ReportAndFractionBounds) {
+  par::ShardedOptions opt;
+  opt.num_shards = 1;
+  opt.cross_shard_fraction = 0.0;
+  opt.collect_forensics = true;
+  opt.max_forensics_dumps = 4096;
   opt.workload.num_entities = 6;
   opt.workload.min_locks = 2;
   opt.workload.max_locks = 4;
   opt.concurrency = 5;
   opt.total_txns = 40;
   opt.seed = 21;
-  auto rep = dist::RunDistributed(opt);
+  auto rep = par::RunSharded(opt);
   ASSERT_TRUE(rep.ok()) << rep.status().ToString();
-  EXPECT_GE(rep->multi_site_fraction, 0.0);
-  EXPECT_LE(rep->multi_site_fraction, 1.0);
+  const dist::SiteAnalysis a = dist::AnalyzeDeadlockSites(rep->forensics, 3);
+  EXPECT_EQ(a.deadlocks_local + a.deadlocks_multi_site,
+            rep->aggregate.deadlocks);
+  EXPECT_GE(a.multi_site_fraction, 0.0);
+  EXPECT_LE(a.multi_site_fraction, 1.0);
   std::string s = rep->ToString();
   EXPECT_NE(s.find("committed=40"), std::string::npos);
   EXPECT_NE(s.find("serializable=yes"), std::string::npos);
@@ -134,8 +140,10 @@ TEST(WorkloadNamingTest, PatternAndHandlingNames) {
             "timeout");
 }
 
-TEST(SimReportTest, RollbackCostsPopulated) {
-  sim::SimOptions opt;
+TEST(RunReportTest, RollbackCostsPopulated) {
+  par::ShardedOptions opt;
+  opt.num_shards = 1;
+  opt.cross_shard_fraction = 0.0;
   opt.workload.num_entities = 4;
   opt.workload.min_locks = 3;
   opt.workload.max_locks = 4;
@@ -143,10 +151,10 @@ TEST(SimReportTest, RollbackCostsPopulated) {
   opt.total_txns = 60;
   opt.seed = 19;
   opt.check_serializability = false;
-  auto rep = sim::RunSimulation(opt);
+  auto rep = par::RunSharded(opt);
   ASSERT_TRUE(rep.ok());
-  ASSERT_GT(rep->metrics.rollbacks, 0u);
-  EXPECT_EQ(rep->rollback_costs.count, rep->metrics.rollbacks);
+  ASSERT_GT(rep->aggregate.rollbacks, 0u);
+  EXPECT_EQ(rep->rollback_costs.count, rep->aggregate.rollbacks);
   EXPECT_LE(rep->rollback_costs.p50, rep->rollback_costs.p95);
   EXPECT_LE(rep->rollback_costs.p95, rep->rollback_costs.max);
 }

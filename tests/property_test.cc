@@ -11,7 +11,7 @@
 
 #include "analysis/history.h"
 #include "core/engine.h"
-#include "sim/driver.h"
+#include "par/sharded_driver.h"
 #include "sim/workload.h"
 #include "storage/entity_store.h"
 
@@ -25,6 +25,16 @@ using core::VictimPolicyKind;
 using rollback::StrategyKind;
 using sim::WorkloadGenerator;
 using sim::WorkloadOptions;
+
+// The closed loop on one shard: every program comes from one generator
+// over the whole entity universe.
+par::ShardedOptions OneShard() {
+  par::ShardedOptions opt;
+  opt.num_shards = 1;
+  opt.cross_shard_fraction = 0.0;
+  opt.instrument = false;
+  return opt;
+}
 
 struct Config {
   StrategyKind strategy;
@@ -74,21 +84,20 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST_P(PropertyTest, ContendedRunsStaySerializable) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    sim::SimOptions opt;
+    par::ShardedOptions opt = OneShard();
     opt.engine.strategy = GetParam().strategy;
     opt.engine.victim_policy = GetParam().policy;
     opt.engine.handling = GetParam().handling;
     opt.engine.scheduler = SchedulerKind::kRandom;
-    opt.engine.seed = seed;
     opt.workload.num_entities = 5;  // heavy contention
     opt.workload.min_locks = 2;
     opt.workload.max_locks = 4;
     opt.workload.ops_per_entity = 2;
     opt.concurrency = 5;
     opt.total_txns = 50;
-    opt.max_steps = 2'000'000;
+    opt.max_steps_per_shard = 2'000'000;
     opt.seed = seed * 100;
-    auto report = sim::RunSimulation(opt);
+    auto report = par::RunSharded(opt);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     if (GetParam().policy == VictimPolicyKind::kMinCost &&
         GetParam().handling == core::DeadlockHandling::kDetection) {
@@ -102,27 +111,26 @@ TEST_P(PropertyTest, ContendedRunsStaySerializable) {
       EXPECT_TRUE(report->serializable)
           << "seed " << seed << ": " << report->ToString();
     }
-    EXPECT_LE(report->metrics.ideal_wasted_ops, report->metrics.wasted_ops);
+    EXPECT_LE(report->aggregate.ideal_wasted_ops, report->aggregate.wasted_ops);
   }
 }
 
 TEST_P(PropertyTest, SharedLockRunsStaySerializable) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    sim::SimOptions opt;
+    par::ShardedOptions opt = OneShard();
     opt.engine.strategy = GetParam().strategy;
     opt.engine.victim_policy = GetParam().policy;
     opt.engine.handling = GetParam().handling;
     opt.engine.scheduler = SchedulerKind::kRandom;
-    opt.engine.seed = seed;
     opt.workload.num_entities = 6;
     opt.workload.min_locks = 2;
     opt.workload.max_locks = 4;
     opt.workload.shared_fraction = 0.5;
     opt.concurrency = 5;
     opt.total_txns = 40;
-    opt.max_steps = 2'000'000;
+    opt.max_steps_per_shard = 2'000'000;
     opt.seed = seed * 31;
-    auto report = sim::RunSimulation(opt);
+    auto report = par::RunSharded(opt);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     EXPECT_TRUE(report->serializable) << report->ToString();
     if (GetParam().policy != VictimPolicyKind::kMinCost ||
@@ -198,24 +206,24 @@ TEST_P(PropertyTest, FinalStateMatchesSomeSerialOrder) {
 // always younger (later entry) than the requester that caused the
 // preemption.
 TEST(OrderedPolicyPropertyTest, VictimsNeverOlderThanRequester) {
-  sim::SimOptions opt;
-  opt.engine.victim_policy = VictimPolicyKind::kMinCostOrdered;
-  opt.engine.scheduler = SchedulerKind::kRandom;
-  opt.workload.num_entities = 5;
-  opt.workload.min_locks = 2;
-  opt.workload.max_locks = 4;
-  opt.concurrency = 6;
-  opt.total_txns = 80;
-  opt.seed = 3;
+  EngineOptions eopt;
+  eopt.victim_policy = VictimPolicyKind::kMinCostOrdered;
+  eopt.scheduler = SchedulerKind::kRandom;
+  WorkloadOptions wopt;
+  wopt.num_entities = 5;
+  wopt.min_locks = 2;
+  wopt.max_locks = 4;
+  const std::uint32_t concurrency = 6;
+  const std::uint64_t total_txns = 80;
 
   storage::EntityStore store;
-  store.CreateMany(opt.workload.num_entities, 100);
-  Engine engine(&store, opt.engine);
-  WorkloadGenerator gen(opt.workload, opt.seed);
+  store.CreateMany(wopt.num_entities, 100);
+  Engine engine(&store, eopt);
+  WorkloadGenerator gen(wopt, /*seed=*/3);
   std::uint64_t spawned = 0;
-  while (engine.metrics().commits < opt.total_txns) {
-    while (spawned < opt.total_txns &&
-           spawned - engine.metrics().commits < opt.concurrency) {
+  while (engine.metrics().commits < total_txns) {
+    while (spawned < total_txns &&
+           spawned - engine.metrics().commits < concurrency) {
       auto p = gen.Next();
       ASSERT_TRUE(p.ok());
       ASSERT_TRUE(engine.Spawn(std::move(p).value()).ok());
@@ -271,7 +279,7 @@ TEST(ForestPropertyTest, XOnlyGraphAlwaysForest) {
 // Theorem 3: the engine-observed peak MCS copies never exceed n(n+1)/2
 // entity copies and n*|L| variable copies for n = max locks per txn.
 TEST(McsSpacePropertyTest, EngineRunsRespectTheorem3Bound) {
-  sim::SimOptions opt;
+  par::ShardedOptions opt = OneShard();
   opt.engine.strategy = StrategyKind::kMcs;
   opt.workload.num_entities = 8;
   opt.workload.min_locks = 2;
@@ -281,12 +289,12 @@ TEST(McsSpacePropertyTest, EngineRunsRespectTheorem3Bound) {
   opt.concurrency = 5;
   opt.total_txns = 60;
   opt.seed = 7;
-  auto report = sim::RunSimulation(opt);
+  auto report = par::RunSharded(opt);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   const std::size_t n = opt.workload.max_locks;
-  EXPECT_LE(report->metrics.max_entity_copies, n * (n + 1) / 2);
+  EXPECT_LE(report->aggregate.max_entity_copies, n * (n + 1) / 2);
   // |L| = one var per locked entity in the generator.
-  EXPECT_LE(report->metrics.max_var_copies, n * opt.workload.max_locks);
+  EXPECT_LE(report->aggregate.max_var_copies, n * opt.workload.max_locks);
 }
 
 // Strategy comparison on identical workloads: single-copy strategies can
@@ -295,7 +303,7 @@ TEST(McsSpacePropertyTest, EngineRunsRespectTheorem3Bound) {
 TEST(StrategyComparisonTest, ActualCostNeverBelowIdeal) {
   for (auto strategy :
        {StrategyKind::kTotalRestart, StrategyKind::kMcs, StrategyKind::kSdg}) {
-    sim::SimOptions opt;
+    par::ShardedOptions opt = OneShard();
     opt.engine.strategy = strategy;
     opt.workload.num_entities = 5;
     opt.workload.min_locks = 2;
@@ -303,11 +311,12 @@ TEST(StrategyComparisonTest, ActualCostNeverBelowIdeal) {
     opt.concurrency = 5;
     opt.total_txns = 40;
     opt.seed = 23;
-    auto report = sim::RunSimulation(opt);
+    auto report = par::RunSharded(opt);
     ASSERT_TRUE(report.ok());
-    EXPECT_GE(report->metrics.wasted_ops, report->metrics.ideal_wasted_ops);
+    EXPECT_GE(report->aggregate.wasted_ops, report->aggregate.ideal_wasted_ops);
     if (strategy == StrategyKind::kMcs) {
-      EXPECT_EQ(report->metrics.wasted_ops, report->metrics.ideal_wasted_ops);
+      EXPECT_EQ(report->aggregate.wasted_ops,
+                report->aggregate.ideal_wasted_ops);
     }
   }
 }

@@ -1,8 +1,11 @@
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
-#include "sim/driver.h"
+#include "obs/serve/hub.h"
+#include "par/report_json.h"
+#include "par/sharded_driver.h"
 #include "sim/workload.h"
 
 namespace pardb::sim {
@@ -123,45 +126,56 @@ TEST(WorkloadTest, InvalidLockRangeRejected) {
   EXPECT_EQ(gen.Next().status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(SimDriverTest, SmallContentedRunCompletesSerializably) {
-  SimOptions opt;
+// The closed loop (§1): concurrency transactions live until total_txns
+// commit, on one shard whose programs all come from one generator over
+// the whole entity universe.
+par::ShardedOptions OneShard() {
+  par::ShardedOptions opt;
+  opt.num_shards = 1;
+  opt.cross_shard_fraction = 0.0;
+  opt.instrument = false;
+  return opt;
+}
+
+TEST(ClosedLoopTest, SmallContentedRunCompletesSerializably) {
+  par::ShardedOptions opt = OneShard();
   opt.workload.num_entities = 8;
   opt.workload.min_locks = 2;
   opt.workload.max_locks = 4;
   opt.concurrency = 4;
   opt.total_txns = 40;
   opt.seed = 11;
-  auto report = RunSimulation(opt);
+  auto report = par::RunSharded(opt);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->committed, 40u);
   EXPECT_TRUE(report->serializable);
-  EXPECT_GT(report->metrics.ops_executed, 0u);
-  // Incremental generation: programs are drawn one admission at a time,
+  EXPECT_GT(report->aggregate.ops_executed, 0u);
+  // Streaming admission: programs are generated into a bounded queue,
   // never batch-materialized ahead of the engine.
-  EXPECT_EQ(report->peak_materialized_programs, 1u);
+  EXPECT_LE(report->admission.peak_materialized_programs,
+            opt.admission_queue_capacity + 1);
 }
 
-TEST(SimDriverTest, DeterministicReports) {
-  SimOptions opt;
+TEST(ClosedLoopTest, DeterministicReports) {
+  par::ShardedOptions opt = OneShard();
   opt.workload.num_entities = 6;
   opt.concurrency = 4;
   opt.total_txns = 30;
   opt.seed = 13;
-  auto a = RunSimulation(opt);
-  auto b = RunSimulation(opt);
+  auto a = par::RunSharded(opt);
+  auto b = par::RunSharded(opt);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->metrics.ops_executed, b->metrics.ops_executed);
-  EXPECT_EQ(a->metrics.deadlocks, b->metrics.deadlocks);
-  EXPECT_EQ(a->metrics.wasted_ops, b->metrics.wasted_ops);
-  EXPECT_EQ(a->metrics.commits, b->metrics.commits);
+  EXPECT_EQ(par::ShardedReportToJson(a.value()),
+            par::ShardedReportToJson(b.value()));
+  EXPECT_EQ(a->max_preemptions_single_txn, b->max_preemptions_single_txn);
 }
 
-TEST(SimDriverTest, NonPowerOfTwoHubSnapshotPeriodRoundsUpAndPublishes) {
-  // A period of 100 used to be masked as-is (100 & 99 is not a valid
-  // cadence mask); the driver now rounds it up to 128 internally.
+TEST(ClosedLoopTest, NonPowerOfTwoHubSnapshotPeriodRoundsUpAndPublishes) {
+  // A period of 100 is rounded up to 128 internally (masking with 99 would
+  // not be a valid cadence).
   obs::LiveHub hub;
-  SimOptions opt;
+  par::ShardedOptions opt = OneShard();
   opt.workload.num_entities = 8;
   opt.workload.min_locks = 2;
   opt.workload.max_locks = 4;
@@ -170,49 +184,85 @@ TEST(SimDriverTest, NonPowerOfTwoHubSnapshotPeriodRoundsUpAndPublishes) {
   opt.seed = 11;
   opt.hub = &hub;
   opt.hub_snapshot_period = 100;
-  auto report = RunSimulation(opt);
+  auto report = par::RunSharded(opt);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->committed, 40u);
-  EXPECT_EQ(hub.Snapshots().size(), 1u);  // sim publishes as shard 0
+  EXPECT_EQ(hub.Snapshots().size(), 1u);  // one shard publishes as shard 0
 }
 
-TEST(SimDriverTest, SortedEntitiesNeverDeadlock) {
+TEST(ClosedLoopTest, SortedEntitiesNeverDeadlock) {
   // The hierarchical-order control: deadlock-free by construction.
-  SimOptions opt;
+  par::ShardedOptions opt = OneShard();
   opt.workload.num_entities = 8;
   opt.workload.sorted_entities = true;
   opt.concurrency = 6;
   opt.total_txns = 60;
   opt.seed = 17;
-  auto report = RunSimulation(opt);
+  auto report = par::RunSharded(opt);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report->metrics.deadlocks, 0u);
-  EXPECT_EQ(report->metrics.rollbacks, 0u);
+  EXPECT_EQ(report->aggregate.deadlocks, 0u);
+  EXPECT_EQ(report->aggregate.rollbacks, 0u);
 }
 
-TEST(SimDriverTest, ContentionCausesDeadlocks) {
-  SimOptions opt;
+TEST(ClosedLoopTest, ContentionCausesDeadlocks) {
+  par::ShardedOptions opt = OneShard();
   opt.workload.num_entities = 4;  // tiny database, heavy contention
   opt.workload.min_locks = 3;
   opt.workload.max_locks = 4;
   opt.concurrency = 6;
   opt.total_txns = 60;
   opt.seed = 19;
-  auto report = RunSimulation(opt);
+  auto report = par::RunSharded(opt);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_GT(report->metrics.deadlocks, 0u);
+  EXPECT_GT(report->aggregate.deadlocks, 0u);
+  EXPECT_GT(report->max_preemptions_single_txn, 0u);
   EXPECT_TRUE(report->serializable);
 }
 
-TEST(SimDriverTest, ReportToStringMentionsKeyFields) {
-  SimOptions opt;
+TEST(ClosedLoopTest, ReportToStringMentionsKeyFields) {
+  par::ShardedOptions opt = OneShard();
   opt.total_txns = 5;
   opt.concurrency = 2;
-  auto report = RunSimulation(opt);
+  auto report = par::RunSharded(opt);
   ASSERT_TRUE(report.ok());
   std::string s = report->ToString();
   EXPECT_NE(s.find("committed=5"), std::string::npos);
   EXPECT_NE(s.find("serializable=yes"), std::string::npos);
+}
+
+// E2 (Figure 2, Theorem 2) on the one driver: on the random-contention
+// sweep the unconstrained min-cost policy and the always-the-requester
+// policy livelock — mutual preemption without end — while the ω-ordered
+// policy and youngest-victim commit every transaction, serializably.
+TEST(PaperClaimsTest, E2SweepLivelocksExactlyTheUnorderedPolicies) {
+  for (auto policy :
+       {core::VictimPolicyKind::kMinCost,
+        core::VictimPolicyKind::kMinCostOrdered,
+        core::VictimPolicyKind::kYoungest,
+        core::VictimPolicyKind::kRequester}) {
+    par::ShardedOptions opt = OneShard();
+    opt.engine.victim_policy = policy;
+    opt.engine.scheduler = core::SchedulerKind::kRandom;
+    opt.workload.num_entities = 6;
+    opt.workload.min_locks = 3;
+    opt.workload.max_locks = 5;
+    opt.concurrency = 8;
+    opt.total_txns = 300;
+    opt.max_steps_per_shard = 200'000;
+    opt.seed = 4242;
+    auto report = par::RunSharded(opt);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    const std::string name(core::VictimPolicyKindName(policy));
+    if (policy == core::VictimPolicyKind::kMinCost ||
+        policy == core::VictimPolicyKind::kRequester) {
+      EXPECT_FALSE(report->completed) << name << ": " << report->ToString();
+      EXPECT_LT(report->committed, 300u) << name;
+    } else {
+      EXPECT_TRUE(report->completed) << name << ": " << report->ToString();
+      EXPECT_EQ(report->committed, 300u) << name;
+      EXPECT_TRUE(report->serializable) << name;
+    }
+  }
 }
 
 }  // namespace

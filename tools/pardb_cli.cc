@@ -1,25 +1,29 @@
-// pardb — command-line front end for the simulator and the paper's
-// scenarios.
+// pardb — command-line front end for the closed-loop driver and the
+// paper's scenarios.
+//
+// Every workload subcommand builds its options with one builder and runs
+// them through par::RunSharded: `sim` is one shard whose programs all come
+// from one generator (--shards=1 --cross=0), `parallel` is the same run
+// with --shards=4 --cross=0.05 as defaults.
 //
 // Modes:
 //   pardb sim [flags]          run a closed-loop workload, print the report
-//   pardb parallel [flags]     run the workload sharded over N engines on
-//                              N threads (--shards=N --threads=N
-//                              --cross=F --json=FILE)
-//   pardb observe [flags]      run the sim workload fully instrumented and
-//                              print the metrics as Prometheus text
+//   pardb parallel [flags]     the same run sharded over N engines
+//                              (--shards=N --threads=N --cross=F)
+//   pardb observe [flags]      run the workload fully instrumented and
+//                              print the merged metrics as Prometheus text
 //   pardb compare [flags]      same workload under every rollback strategy
 //   pardb figure1|figure2|figure3a|figure3b|figure3c
 //                              replay a paper scenario with commentary
 //   pardb dot [flags]          emit the waits-for graph of a contended
 //                              moment as Graphviz DOT
-//   pardb serve [flags]        replay the sim workload in a loop while the
+//   pardb serve [flags]        replay the workload in a loop while the
 //                              introspection server runs (--port=N
-//                              --duration=SECS, plus the sim flags)
-//   pardb journal [flags]      record a run's decision journal to file
-//                              (--out=PREFIX plus the sim flags), or
-//                              summarize journal files given as positional
-//                              arguments
+//                              --duration=SECS, plus the run flags)
+//   pardb journal [flags]      record a run's decision journal to
+//                              PREFIX.shard<k>.jrnl (--out=PREFIX plus the
+//                              run flags), or summarize journal files given
+//                              as positional arguments
 //   pardb diff-runs A B        first-divergence report between two recorded
 //                              runs; A and B are journal files or --out
 //                              prefixes. Exit 0 identical, 4 diverged.
@@ -28,15 +32,20 @@
 //                              print the protocol event trace)
 //
 // Every subcommand rejects a flag it does not read (a typo or a removed
-// flag) with exit 2 before it runs anything.
+// flag), and a numeric flag out of its range, with exit 2 before it runs
+// anything. A run exits 0 when complete, 3 when its step budget ran out
+// first, 1 on failure.
 //
-// Common flags (sim/compare/dot):
+// Run flags (sim/parallel/observe/compare/serve/journal/dot):
 //   --strategy=mcs|sdg|total         rollback state strategy [mcs]
 //   --policy=min-cost|min-cost-ordered|youngest|oldest|requester
 //                                    victim policy [min-cost-ordered]
 //   --handling=detection|wound-wait|wait-die|timeout   [detection]
-//   --txns=N --concurrency=N --entities=N --seed=N
-//   --locks=MIN:MAX --shared=F --zipf=T
+//                                    (more than one shard: detection only)
+//   --txns=N (>= 0) --concurrency=N (>= 1) --entities=N (>= 1)
+//   --seed=N (>= 0)
+//   --locks=MIN:MAX (1 <= MIN <= MAX) --shared=F (in [0,1])
+//   --zipf=T (in [0,1))
 //   --pattern=scattered|clustered|three-phase
 //   --templates=N                    cycle the first N programs as renamed
 //                                    templates (compile-cache hit workload;
@@ -44,12 +53,23 @@
 //   --no-compile-cache               run the fallback interpreter instead
 //                                    of compiled µop streams (bit-identical
 //                                    results; differential/ablation runs)
+//   --shards=N (1..1024)             engines [sim 1, parallel 4]
+//   --cross=F (in [0,1])             share of transactions drawn across
+//                                    shard boundaries [sim 0, parallel 0.05]
+//   --threads=N (0..1024)            fork-join workers, the calling thread
+//                                    included; 0 = one per shard [0]
+//   --coordinator=K                  shard cross-shard txns are counted on
+//   --quantum-steps=N (>= 1)         one-shard quantum bound [256]
+//   --hot-routing                    route local txns to Zipf-hot shards
+//   --no-pipeline                    one shard: batch admission instead of
+//                                    the streaming producer
+//   --queue-capacity=N (>= 1)        streaming admission queue bound [32]
 //   --log-level=debug|info|warning|error|off   (any subcommand; applied
 //                                    before anything is constructed)
 //
-// Decision journal (sim/parallel/journal; DESIGN D14):
+// Decision journal (DESIGN D14):
 //   --journal-out=PREFIX             record journals to PREFIX.shard<k>.jrnl
-//                                    (parallel adds PREFIX.coord.jrnl)
+//                                    (several shards add PREFIX.coord.jrnl)
 //   --no-journal                     disable journaling (overhead runs)
 //   --journal-epoch-steps=N          checksum stamp cadence in engine steps
 //                                    (rounded up to a power of two) [1024]
@@ -58,7 +78,8 @@
 //   --perturb-epoch=N                test hook: perturb epoch N's state
 //                                    digest (-1 = off)
 //
-// Observability flags (sim/parallel/observe):
+// Report and observability flags (sim/parallel/observe/journal):
+//   --json=FILE                      write the machine-readable report
 //   --metrics-json=FILE              write the metrics registry as JSON
 //   --metrics-prom=FILE              write Prometheus text exposition
 //   --trace-out=FILE                 write a Chrome trace_event JSON
@@ -67,7 +88,7 @@
 //   --forensics=PREFIX               write each deadlock's waits-for cycle
 //                                    as Graphviz DOT to PREFIX<n>.dot
 //
-// Live introspection (sim/parallel):
+// Live introspection (sim/parallel/observe/journal):
 //   --serve=PORT                     start an HTTP server on 127.0.0.1:PORT
 //                                    (0 = ephemeral, port printed) serving
 //                                    /metrics /healthz /debug/waits-for
@@ -80,13 +101,16 @@
 //
 // Examples:
 //   pardb sim --txns=500 --concurrency=16 --zipf=0.8
+//   pardb parallel --shards=8 --threads=4 --cross=0.1 --json=out.json
 //   pardb compare --txns=300 --concurrency=12
 //   pardb figure1
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -97,7 +121,6 @@
 #include "core/metrics_export.h"
 #include "core/trace.h"
 #include "core/trace_export.h"
-#include "dist/distributed.h"
 #include "obs/forensics.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
@@ -106,7 +129,6 @@
 #include "obs/serve/introspection.h"
 #include "par/report_json.h"
 #include "par/sharded_driver.h"
-#include "sim/driver.h"
 #include "sim/scenario.h"
 #include "txn/program_io.h"
 
@@ -152,6 +174,9 @@ Result<ServeConfig> GetServeConfig(const Flags& flags) {
   c.enabled = true;
   c.port = static_cast<int>(port);
   PARDB_ASSIGN_OR_RETURN(c.linger, flags.GetDouble("serve-linger", 0.0));
+  if (!(c.linger >= 0.0 && c.linger <= 1e9)) {
+    return Status::InvalidArgument("--serve-linger expects seconds >= 0");
+  }
   return c;
 }
 
@@ -333,294 +358,208 @@ Result<sim::WritePattern> ParsePattern(const std::string& s) {
   return Status::InvalidArgument("unknown --pattern " + s);
 }
 
-Result<sim::SimOptions> BuildSimOptions(const Flags& flags) {
-  sim::SimOptions opt;
-  PARDB_ASSIGN_OR_RETURN(auto strategy,
+// Defaults that tell the workload subcommands apart. `sim` — and every
+// subcommand that stands for one engine (observe, compare, serve, journal,
+// dot) — runs one shard whose programs all come from one generator over
+// the whole entity universe; `parallel` runs four shards with 5% of the
+// transactions drawn across shard boundaries.
+struct Topology {
+  std::int64_t shards;
+  double cross;
+};
+constexpr Topology kOneShard{1, 0.0};
+constexpr Topology kFourShards{4, 0.05};
+
+// Shard counts beyond this are refused (diff-runs resolves at most this
+// many shard journals per recording).
+constexpr std::int64_t kMaxShards = 1024;
+constexpr std::int64_t kMaxInt = std::numeric_limits<std::int64_t>::max();
+constexpr std::int64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+
+// An integer flag that must lie in [lo, hi].
+Result<std::int64_t> GetIntIn(const Flags& flags, const std::string& name,
+                              std::int64_t fallback, std::int64_t lo,
+                              std::int64_t hi) {
+  PARDB_ASSIGN_OR_RETURN(auto v, flags.GetInt(name, fallback));
+  if (v < lo || v > hi) {
+    std::ostringstream os;
+    os << "--" << name << " must be ";
+    if (hi == kMaxInt) {
+      os << ">= " << lo;
+    } else {
+      os << "in [" << lo << ", " << hi << "]";
+    }
+    os << ", got " << v;
+    return Status::InvalidArgument(os.str());
+  }
+  return v;
+}
+
+// A numeric flag that must lie in [lo, hi] (or [lo, hi) when
+// `hi_open`); NaN never does.
+Result<double> GetDoubleIn(const Flags& flags, const std::string& name,
+                           double fallback, double lo, double hi,
+                           bool hi_open = false) {
+  PARDB_ASSIGN_OR_RETURN(auto v, flags.GetDouble(name, fallback));
+  if (!(v >= lo && (hi_open ? v < hi : v <= hi))) {
+    std::ostringstream os;
+    os << "--" << name << " must be in [" << lo << ", " << hi
+       << (hi_open ? ")" : "]") << ", got " << flags.GetString(name, "");
+    return Status::InvalidArgument(os.str());
+  }
+  return v;
+}
+
+// --locks=MIN:MAX, both integers with 1 <= MIN <= MAX.
+Status ParseLocks(const std::string& locks, sim::WorkloadOptions& workload) {
+  const auto colon = locks.find(':');
+  auto parse = [](const std::string& s, std::int64_t* out) {
+    char* end = nullptr;
+    *out = std::strtoll(s.c_str(), &end, 10);
+    return !s.empty() && end != nullptr && *end == '\0';
+  };
+  std::int64_t lo = 0, hi = 0;
+  if (colon == std::string::npos || !parse(locks.substr(0, colon), &lo) ||
+      !parse(locks.substr(colon + 1), &hi) || lo < 1 || hi < lo ||
+      hi > kMaxU32) {
+    return Status::InvalidArgument(
+        "--locks expects MIN:MAX with integers 1 <= MIN <= MAX, got \"" +
+        locks + "\"");
+  }
+  workload.min_locks = static_cast<std::uint32_t>(lo);
+  workload.max_locks = static_cast<std::uint32_t>(hi);
+  return Status::OK();
+}
+
+// The one option builder behind every workload subcommand: engine,
+// workload, topology and journal flags, each range-checked so that a bad
+// value exits 2 before any work starts.
+Result<par::ShardedOptions> BuildRunOptions(const Flags& flags,
+                                            Topology defaults) {
+  par::ShardedOptions opt;
+  PARDB_ASSIGN_OR_RETURN(opt.engine.strategy,
                          ParseStrategy(flags.GetString("strategy", "mcs")));
-  opt.engine.strategy = strategy;
   PARDB_ASSIGN_OR_RETURN(
-      auto policy, ParsePolicy(flags.GetString("policy", "min-cost-ordered")));
-  opt.engine.victim_policy = policy;
+      opt.engine.victim_policy,
+      ParsePolicy(flags.GetString("policy", "min-cost-ordered")));
   PARDB_ASSIGN_OR_RETURN(
-      auto handling, ParseHandling(flags.GetString("handling", "detection")));
-  opt.engine.handling = handling;
+      opt.engine.handling,
+      ParseHandling(flags.GetString("handling", "detection")));
   opt.engine.scheduler = core::SchedulerKind::kRandom;
 
-  PARDB_ASSIGN_OR_RETURN(auto txns, flags.GetInt("txns", 200));
+  PARDB_ASSIGN_OR_RETURN(auto txns, GetIntIn(flags, "txns", 200, 0, kMaxInt));
   opt.total_txns = static_cast<std::uint64_t>(txns);
-  PARDB_ASSIGN_OR_RETURN(auto conc, flags.GetInt("concurrency", 8));
+  PARDB_ASSIGN_OR_RETURN(auto conc,
+                         GetIntIn(flags, "concurrency", 8, 1, kMaxU32));
   opt.concurrency = static_cast<std::uint32_t>(conc);
-  PARDB_ASSIGN_OR_RETURN(auto entities, flags.GetInt("entities", 32));
+  PARDB_ASSIGN_OR_RETURN(auto entities,
+                         GetIntIn(flags, "entities", 32, 1, kMaxInt));
   opt.workload.num_entities = static_cast<std::uint64_t>(entities);
-  PARDB_ASSIGN_OR_RETURN(auto seed, flags.GetInt("seed", 1));
+  PARDB_ASSIGN_OR_RETURN(auto seed, GetIntIn(flags, "seed", 1, 0, kMaxInt));
   opt.seed = static_cast<std::uint64_t>(seed);
-  opt.engine.seed = opt.seed;
-  PARDB_ASSIGN_OR_RETURN(auto zipf, flags.GetDouble("zipf", 0.0));
-  opt.workload.zipf_theta = zipf;
-  PARDB_ASSIGN_OR_RETURN(auto shared, flags.GetDouble("shared", 0.0));
-  opt.workload.shared_fraction = shared;
+  PARDB_ASSIGN_OR_RETURN(opt.workload.zipf_theta,
+                         GetDoubleIn(flags, "zipf", 0.0, 0.0, 1.0,
+                                     /*hi_open=*/true));
+  PARDB_ASSIGN_OR_RETURN(opt.workload.shared_fraction,
+                         GetDoubleIn(flags, "shared", 0.0, 0.0, 1.0));
   PARDB_ASSIGN_OR_RETURN(
-      auto pattern, ParsePattern(flags.GetString("pattern", "scattered")));
-  opt.workload.pattern = pattern;
+      opt.workload.pattern,
+      ParsePattern(flags.GetString("pattern", "scattered")));
   // Parameterized-statement mode: cycle the first N generated programs as
   // templates (fresh names, identical ops), so the compile cache hits on
   // every admission after the first cycle.
-  PARDB_ASSIGN_OR_RETURN(auto templates, flags.GetInt("templates", 0));
-  if (templates < 0) {
-    return Status::InvalidArgument("--templates must be >= 0");
-  }
+  PARDB_ASSIGN_OR_RETURN(auto templates,
+                         GetIntIn(flags, "templates", 0, 0, kMaxU32));
   opt.workload.num_templates = static_cast<std::uint32_t>(templates);
+  PARDB_RETURN_IF_ERROR(
+      ParseLocks(flags.GetString("locks", "3:6"), opt.workload));
   // Differential escape hatch: run the fallback interpreter instead of the
   // compiled µop path (results are bit-identical either way; D16).
   opt.engine.compile_programs = !flags.GetBool("no-compile-cache", false);
 
-  const std::string locks = flags.GetString("locks", "3:6");
-  auto colon = locks.find(':');
-  if (colon == std::string::npos) {
-    return Status::InvalidArgument("--locks expects MIN:MAX");
+  // Topology: shards, fork-join workers (0 = one per shard), the share of
+  // transactions drawn across shard boundaries, and the one-shard quantum
+  // loop and admission pipeline.
+  PARDB_ASSIGN_OR_RETURN(
+      auto shards, GetIntIn(flags, "shards", defaults.shards, 1, kMaxShards));
+  opt.num_shards = static_cast<std::uint32_t>(shards);
+  if (shards > 1 && opt.engine.handling != core::DeadlockHandling::kDetection) {
+    return Status::InvalidArgument(
+        "--shards above 1 requires --handling=detection");
   }
-  opt.workload.min_locks =
-      static_cast<std::uint32_t>(std::atoi(locks.substr(0, colon).c_str()));
-  opt.workload.max_locks =
-      static_cast<std::uint32_t>(std::atoi(locks.substr(colon + 1).c_str()));
+  PARDB_ASSIGN_OR_RETURN(auto threads,
+                         GetIntIn(flags, "threads", 0, 0, kMaxShards));
+  opt.num_threads = static_cast<std::size_t>(threads);
+  PARDB_ASSIGN_OR_RETURN(opt.cross_shard_fraction,
+                         GetDoubleIn(flags, "cross", defaults.cross, 0.0, 1.0));
+  PARDB_ASSIGN_OR_RETURN(auto coord,
+                         GetIntIn(flags, "coordinator", 0, 0, shards - 1));
+  opt.coordinator_shard = static_cast<std::uint32_t>(coord);
+  PARDB_ASSIGN_OR_RETURN(auto quantum,
+                         GetIntIn(flags, "quantum-steps", 256, 1, kMaxInt));
+  opt.quantum_steps = static_cast<std::uint64_t>(quantum);
+  opt.hot_shard_routing = flags.GetBool("hot-routing", false);
+  opt.pipeline =
+      flags.GetBool("pipeline", true) && !flags.GetBool("no-pipeline", false);
+  PARDB_ASSIGN_OR_RETURN(auto qcap,
+                         GetIntIn(flags, "queue-capacity", 32, 1, kMaxInt));
+  opt.admission_queue_capacity = static_cast<std::size_t>(qcap);
 
   // Decision journal (DESIGN D14) and its test hooks.
   opt.journal = !flags.GetBool("no-journal", false);
   opt.journal_out = flags.GetString("journal-out", "");
-  PARDB_ASSIGN_OR_RETURN(auto jsteps, flags.GetInt("journal-epoch-steps", 1024));
-  if (jsteps < 0) {
-    return Status::InvalidArgument("--journal-epoch-steps must be >= 0");
-  }
+  PARDB_ASSIGN_OR_RETURN(
+      auto jsteps, GetIntIn(flags, "journal-epoch-steps", 1024, 0, kMaxInt));
   opt.engine.journal_epoch_steps = static_cast<std::uint64_t>(jsteps);
-  PARDB_ASSIGN_OR_RETURN(auto flip, flags.GetInt("flip-victim", 0));
-  if (flip < 0) return Status::InvalidArgument("--flip-victim must be >= 0");
+  PARDB_ASSIGN_OR_RETURN(auto flip,
+                         GetIntIn(flags, "flip-victim", 0, 0, kMaxInt));
   opt.engine.debug_flip_victim_deadlock = static_cast<std::uint64_t>(flip);
-  PARDB_ASSIGN_OR_RETURN(auto perturb, flags.GetInt("perturb-epoch", -1));
+  PARDB_ASSIGN_OR_RETURN(auto perturb,
+                         GetIntIn(flags, "perturb-epoch", -1, -1, kMaxInt));
   opt.journal_perturb_epoch =
       perturb < 0 ? ~0ULL : static_cast<std::uint64_t>(perturb);
   return opt;
 }
 
-void PrintReport(const sim::SimReport& r) {
-  std::printf("%s\n", r.ToString().c_str());
+void PrintRollbackMix(const core::EngineMetrics& m,
+                      std::uint64_t max_preemptions) {
   std::printf("  rollback mix: %llu partial / %llu total; preemptions=%llu "
-              "wounds=%llu deaths=%llu timeouts=%llu\n",
-              (unsigned long long)r.metrics.partial_rollbacks,
-              (unsigned long long)r.metrics.total_rollbacks,
-              (unsigned long long)r.metrics.preemptions,
-              (unsigned long long)r.metrics.wounds,
-              (unsigned long long)r.metrics.deaths,
-              (unsigned long long)r.metrics.timeouts);
+              "(max %llu on one txn) wounds=%llu deaths=%llu "
+              "timeouts=%llu\n",
+              (unsigned long long)m.partial_rollbacks,
+              (unsigned long long)m.total_rollbacks,
+              (unsigned long long)m.preemptions,
+              (unsigned long long)max_preemptions,
+              (unsigned long long)m.wounds, (unsigned long long)m.deaths,
+              (unsigned long long)m.timeouts);
   std::printf("  space peaks: %zu entity copies, %zu var copies (one txn)\n",
-              r.metrics.max_entity_copies, r.metrics.max_var_copies);
-  std::printf("  generation: peak_materialized_programs=%llu\n",
-              (unsigned long long)r.peak_materialized_programs);
+              m.max_entity_copies, m.max_var_copies);
 }
 
-int RunSim(const Flags& flags) {
-  auto opt = BuildSimOptions(flags);
-  if (!opt.ok()) {
-    std::fprintf(stderr, "%s\n", opt.status().ToString().c_str());
-    return 2;
-  }
-  const ObsOutputs outs = GetObsOutputs(flags);
-  auto serve = GetServeConfig(flags);
-  if (!serve.ok()) {
-    std::fprintf(stderr, "%s\n", serve.status().ToString().c_str());
-    return 2;
-  }
-  if (!AllFlagsRead(flags, "sim")) return 2;
-  obs::MetricsRegistry registry;
-  core::VectorTrace trace;
-  obs::CollectingDeadlockSink forensics(/*max_dumps=*/64);
-  obs::LiveHub hub;
-  std::unique_ptr<obs::HttpServer> server;
-  obs::MetricsRegistry* reg = &registry;
-  if (serve->enabled) {
-    // The live registry must outlive the run (the server keeps answering
-    // during --serve-linger), so the hub owns it.
-    reg = hub.AddOwnedRegistry(std::make_unique<obs::MetricsRegistry>());
-    opt->hub = &hub;
-    hub.SetRunInfo(MakeRunInfo(opt->seed, 1, "sim", "sim"));
-    auto started = StartIntrospectionServer(&hub, serve->port);
-    if (!started.ok()) {
-      std::fprintf(stderr, "%s\n", started.status().ToString().c_str());
-      return 1;
-    }
-    server = std::move(started).value();
-  }
-  if (outs.WantMetrics() || serve->enabled) opt->metrics = reg;
-  if (outs.WantTrace()) opt->trace = &trace;
-  if (outs.WantForensics()) opt->forensics = &forensics;
-
-  auto report = sim::RunSimulation(opt.value());
-  if (!report.ok()) {
-    std::fprintf(stderr, "simulation failed: %s\n",
-                 report.status().ToString().c_str());
-    return 1;
-  }
-  PrintReport(report.value());
-  LingerThenStop(server.get(), serve->linger);
-  int rc = report->completed ? 0 : 3;
-  if (outs.WantMetrics()) {
-    const obs::RegistrySnapshot snap = reg->Snapshot();
-    if (WriteObsArtifacts(outs, "sim", snap, snap, forensics.dumps()) != 0) {
-      rc = 1;
-    }
-  } else if (outs.WantForensics()) {
-    obs::RegistrySnapshot empty;
-    if (WriteObsArtifacts(outs, "sim", empty, empty, forensics.dumps()) != 0) {
-      rc = 1;
-    }
-  }
-  if (outs.WantTrace()) {
-    std::vector<core::ShardTrace> shards(1);
-    shards[0].pid = 0;
-    shards[0].name = "pardb sim";
-    shards[0].events = trace.events();
-    if (WriteTraceArtifacts(outs, shards) != 0) rc = 1;
-  }
-  return rc;
-}
-
-// `pardb observe` — the sim workload with every probe attached; prints the
-// merged metrics as Prometheus text exposition and honors the shared
-// observability flags for file artifacts.
-int RunObserve(const Flags& flags) {
-  auto opt = BuildSimOptions(flags);
-  if (!opt.ok()) {
-    std::fprintf(stderr, "%s\n", opt.status().ToString().c_str());
-    return 2;
-  }
-  const ObsOutputs outs = GetObsOutputs(flags);
-  if (!AllFlagsRead(flags, "observe")) return 2;
-  obs::MetricsRegistry registry;
-  core::VectorTrace trace;
-  obs::CollectingDeadlockSink forensics(/*max_dumps=*/64);
-  opt->metrics = &registry;
-  opt->trace = &trace;
-  opt->forensics = &forensics;
-
-  auto report = sim::RunSimulation(opt.value());
-  if (!report.ok()) {
-    std::fprintf(stderr, "simulation failed: %s\n",
-                 report.status().ToString().c_str());
-    return 1;
-  }
-  const obs::RegistrySnapshot snap = registry.Snapshot();
-  std::printf("%s", snap.ToPrometheus().c_str());
-  std::fprintf(stderr, "# %s\n", report->ToString().c_str());
-  int rc = report->completed ? 0 : 3;
-  if (WriteObsArtifacts(outs, "observe", snap, snap, forensics.dumps()) != 0) {
-    rc = 1;
-  }
-  if (outs.WantTrace()) {
-    std::vector<core::ShardTrace> shards(1);
-    shards[0].pid = 0;
-    shards[0].name = "pardb observe";
-    shards[0].events = trace.events();
-    if (WriteTraceArtifacts(outs, shards) != 0) rc = 1;
-  }
-  return rc;
-}
-
-// `pardb parallel` — the sim workload sharded over N engines (src/par).
-// Several shards run in epochs on a fork-join, with shard-spanning
-// transactions split into per-shard slices and global deadlocks removed by
-// distributed partial rollback; one shard runs on the calling thread.
-// Extra flags: --shards, --threads (fork-join workers, the calling thread
-// included; 0 = one per shard), --cross (fraction of transactions drawn
-// across shard boundaries), --quantum-steps, --hot-routing (route local
-// transactions to Zipf-hot shards), --pipeline / --no-pipeline and
-// --queue-capacity (streaming admission of a one-shard run, on by
-// default), --json=FILE (write the machine-readable report).
-int RunParallel(const Flags& flags) {
-  auto sim_opt = BuildSimOptions(flags);
-  if (!sim_opt.ok()) {
-    std::fprintf(stderr, "%s\n", sim_opt.status().ToString().c_str());
-    return 2;
-  }
-  par::ShardedOptions opt;
-  opt.engine = sim_opt->engine;
-  opt.workload = sim_opt->workload;
-  opt.concurrency = sim_opt->concurrency;
-  opt.total_txns = sim_opt->total_txns;
-  opt.seed = sim_opt->seed;
-  opt.journal = sim_opt->journal;
-  opt.journal_out = sim_opt->journal_out;
-  opt.journal_perturb_epoch = sim_opt->journal_perturb_epoch;
-  auto shards = flags.GetInt("shards", 4);
-  auto threads = flags.GetInt("threads", 0);
-  auto cross = flags.GetDouble("cross", 0.05);
-  auto coord = flags.GetInt("coordinator", 0);
-  if (!shards.ok() || !threads.ok() || !cross.ok() || !coord.ok()) return 2;
-  opt.coordinator_shard = static_cast<std::uint32_t>(coord.value());
-  opt.num_shards = static_cast<std::uint32_t>(shards.value());
-  opt.num_threads = static_cast<std::size_t>(threads.value());
-  opt.cross_shard_fraction = cross.value();
-  auto quantum = flags.GetInt("quantum-steps", 256);
-  if (!quantum.ok()) return 2;
-  opt.quantum_steps = static_cast<std::uint64_t>(quantum.value());
-  opt.hot_shard_routing = flags.GetBool("hot-routing", false);
-  opt.pipeline =
-      flags.GetBool("pipeline", true) && !flags.GetBool("no-pipeline", false);
-  auto qcap = flags.GetInt("queue-capacity", 32);
-  if (!qcap.ok()) return 2;
-  opt.admission_queue_capacity = static_cast<std::size_t>(qcap.value());
-  const ObsOutputs outs = GetObsOutputs(flags);
-  auto serve = GetServeConfig(flags);
-  if (!serve.ok()) {
-    std::fprintf(stderr, "%s\n", serve.status().ToString().c_str());
-    return 2;
-  }
-  const std::string json_path = flags.GetString("json", "");
-  if (!AllFlagsRead(flags, "parallel")) return 2;
-  opt.instrument = outs.WantMetrics();
-  opt.collect_traces = outs.WantTrace();
-  opt.collect_forensics = outs.WantForensics();
-  obs::LiveHub hub;
-  std::unique_ptr<obs::HttpServer> server;
-  if (serve->enabled) {
-    opt.hub = &hub;
-    opt.instrument = true;  // live /metrics needs the per-shard registries
-    hub.SetRunInfo(MakeRunInfo(opt.seed, opt.num_shards,
-                               opt.num_shards > 1 ? "epochs" : "quantum-loop",
-                               "parallel"));
-    auto started = StartIntrospectionServer(&hub, serve->port);
-    if (!started.ok()) {
-      std::fprintf(stderr, "%s\n", started.status().ToString().c_str());
-      return 1;
-    }
-    server = std::move(started).value();
-  }
-
-  auto report = par::RunSharded(opt);
-  if (!report.ok()) {
-    std::fprintf(stderr, "sharded run failed: %s\n",
-                 report.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("%s\n", report->ToString().c_str());
+void PrintRunReport(const par::ShardedOptions& opt,
+                    const par::ShardedReport& report) {
+  std::printf("%s\n", report.ToString().c_str());
+  PrintRollbackMix(report.aggregate, report.max_preemptions_single_txn);
   std::printf("scheduler: workers=%zu quanta=%llu steals=%llu "
               "util(mean=%.2f min=%.2f) virtual_makespan=%llu\n",
-              report->scheduler.num_workers,
-              (unsigned long long)report->scheduler.quanta,
-              (unsigned long long)report->scheduler.steals,
-              report->scheduler.mean_worker_utilization,
-              report->scheduler.min_worker_utilization,
-              (unsigned long long)report->scheduler.virtual_makespan_steps);
+              report.scheduler.num_workers,
+              (unsigned long long)report.scheduler.quanta,
+              (unsigned long long)report.scheduler.steals,
+              report.scheduler.mean_worker_utilization,
+              report.scheduler.min_worker_utilization,
+              (unsigned long long)report.scheduler.virtual_makespan_steps);
   std::printf("admission: pipelined=%s queue_capacity=%zu overlap=%.3f "
               "peak_materialized=%llu blocked_pushes=%llu "
               "generate_s=%.3f execute_s=%.3f\n",
-              report->admission.pipelined ? "yes" : "no",
-              report->admission.queue_capacity,
-              report->admission.overlap_fraction,
-              (unsigned long long)report->admission.peak_materialized_programs,
-              (unsigned long long)report->admission.producer_blocked_pushes,
-              report->admission.generate_seconds,
-              report->admission.execute_seconds);
+              report.admission.pipelined ? "yes" : "no",
+              report.admission.queue_capacity,
+              report.admission.overlap_fraction,
+              (unsigned long long)report.admission.peak_materialized_programs,
+              (unsigned long long)report.admission.producer_blocked_pushes,
+              report.admission.generate_seconds,
+              report.admission.execute_seconds);
   if (opt.num_shards > 1) {
-    const par::xshard::XShardStats& x = report->xshard;
+    const par::xshard::XShardStats& x = report.xshard;
     std::printf("xshard: mode=locks epochs=%llu globals=%llu subs=%llu "
                 "merges=%llu global_cycles=%llu distributed_rollbacks=%llu "
                 "omega_exclusions=%llu prepares=%llu resolves=%llu "
@@ -635,13 +574,15 @@ int RunParallel(const Flags& flags) {
                 (unsigned long long)x.prepares,
                 (unsigned long long)x.resolves,
                 (unsigned long long)x.messages,
-                report->global_serializable ? "yes" : "NO");
+                report.global_serializable ? "yes" : "NO");
   }
-  LingerThenStop(server.get(), serve->linger);
-  for (const par::ShardResult& s : report->shards) {
+  for (const par::ShardResult& s : report.shards) {
     std::printf("  shard %u%s: assigned=%llu committed=%llu deadlocks=%llu "
                 "rollbacks=%llu wasted=%llu serializable=%s\n",
-                s.shard, s.shard == opt.coordinator_shard ? " (coord)" : "",
+                s.shard,
+                opt.num_shards > 1 && s.shard == opt.coordinator_shard
+                    ? " (coord)"
+                    : "",
                 (unsigned long long)s.assigned,
                 (unsigned long long)s.committed,
                 (unsigned long long)s.metrics.deadlocks,
@@ -649,6 +590,84 @@ int RunParallel(const Flags& flags) {
                 (unsigned long long)s.metrics.wasted_ops,
                 s.serializable ? "yes" : "NO");
   }
+  if (!opt.journal_out.empty()) {
+    for (const par::ShardResult& s : report.shards) {
+      std::printf("wrote %s.shard%u.jrnl (%llu records, %zu epochs)\n",
+                  opt.journal_out.c_str(), s.shard,
+                  (unsigned long long)s.journal_records,
+                  s.journal_chain.size());
+    }
+    if (opt.num_shards > 1) {
+      std::printf("wrote %s.coord.jrnl\n", opt.journal_out.c_str());
+    }
+  }
+}
+
+// The one runner behind `sim`, `parallel`, `observe` and `journal`: builds
+// the options, runs par::RunSharded, prints the report and writes every
+// requested artifact. `observe` instruments every layer and prints the
+// merged metrics as Prometheus text (the report goes to stderr); `journal`
+// records to its --out prefix. Extra flags: --json=FILE (the
+// machine-readable report), the observability flags and --serve.
+int RunWorkload(const Flags& flags, const std::string& command,
+                Topology defaults) {
+  const bool observe = command == "observe";
+  auto built = BuildRunOptions(flags, defaults);
+  if (!built.ok()) {
+    std::fprintf(stderr, "%s\n", built.status().ToString().c_str());
+    return 2;
+  }
+  par::ShardedOptions& opt = built.value();
+  if (command == "journal") {
+    opt.journal = true;
+    opt.journal_out = flags.GetString("out", "");
+    if (opt.journal_out.empty()) {
+      std::fprintf(stderr,
+                   "journal: need --out=PREFIX to record, or journal files "
+                   "to summarize\n");
+      return 2;
+    }
+  }
+  const ObsOutputs outs = GetObsOutputs(flags);
+  auto serve = GetServeConfig(flags);
+  if (!serve.ok()) {
+    std::fprintf(stderr, "%s\n", serve.status().ToString().c_str());
+    return 2;
+  }
+  const std::string json_path = flags.GetString("json", "");
+  if (!AllFlagsRead(flags, command)) return 2;
+  opt.instrument = observe || outs.WantMetrics();
+  opt.collect_traces = observe || outs.WantTrace();
+  opt.collect_forensics = observe || outs.WantForensics();
+  obs::LiveHub hub;
+  std::unique_ptr<obs::HttpServer> server;
+  if (serve->enabled) {
+    opt.hub = &hub;
+    opt.instrument = true;  // live /metrics needs the per-shard registries
+    hub.SetRunInfo(MakeRunInfo(opt.seed, opt.num_shards,
+                               opt.num_shards > 1 ? "epochs" : "quantum-loop",
+                               command));
+    auto started = StartIntrospectionServer(&hub, serve->port);
+    if (!started.ok()) {
+      std::fprintf(stderr, "%s\n", started.status().ToString().c_str());
+      return 1;
+    }
+    server = std::move(started).value();
+  }
+
+  auto report = par::RunSharded(opt);
+  if (!report.ok()) {
+    std::fprintf(stderr, "%s run failed: %s\n", command.c_str(),
+                 report.status().ToString().c_str());
+    return 1;
+  }
+  if (observe) {
+    std::printf("%s", report->merged_metrics.ToPrometheus().c_str());
+    std::fprintf(stderr, "# %s\n", report->ToString().c_str());
+  } else {
+    PrintRunReport(opt, report.value());
+  }
+  LingerThenStop(server.get(), serve->linger);
   if (!json_path.empty()) {
     std::ofstream out(json_path);
     if (!out) {
@@ -660,7 +679,7 @@ int RunParallel(const Flags& flags) {
   }
   int rc = report->completed ? 0 : 3;
   if (opt.instrument || opt.collect_forensics) {
-    if (WriteObsArtifacts(outs, "parallel", report->metrics,
+    if (WriteObsArtifacts(outs, command, report->metrics,
                           report->merged_metrics, report->forensics) != 0) {
       rc = 1;
     }
@@ -671,7 +690,7 @@ int RunParallel(const Flags& flags) {
       core::ShardTrace t;
       t.pid = s;
       t.name = "shard " + std::to_string(s);
-      t.events = report->shard_traces[s];
+      t.events = std::move(report->shard_traces[s]);
       traces.push_back(std::move(t));
     }
     if (WriteTraceArtifacts(outs, traces, report->flow_slices) != 0) rc = 1;
@@ -679,27 +698,30 @@ int RunParallel(const Flags& flags) {
   return rc;
 }
 
+// `pardb compare` — the same workload under every rollback strategy.
 int RunCompare(const Flags& flags) {
-  auto base = BuildSimOptions(flags);
+  auto base = BuildRunOptions(flags, kOneShard);
   if (!base.ok()) {
     std::fprintf(stderr, "%s\n", base.status().ToString().c_str());
     return 2;
   }
   if (!AllFlagsRead(flags, "compare")) return 2;
+  base->instrument = false;
   for (auto strategy :
        {rollback::StrategyKind::kTotalRestart, rollback::StrategyKind::kSdg,
         rollback::StrategyKind::kMcs}) {
-    sim::SimOptions opt = base.value();
+    par::ShardedOptions opt = base.value();
     opt.engine.strategy = strategy;
-    auto report = sim::RunSimulation(opt);
+    auto report = par::RunSharded(opt);
     if (!report.ok()) {
-      std::fprintf(stderr, "simulation failed: %s\n",
+      std::fprintf(stderr, "compare run failed: %s\n",
                    report.status().ToString().c_str());
       return 1;
     }
-    std::printf("%-14s ", std::string(rollback::StrategyKindName(strategy))
-                              .c_str());
-    PrintReport(report.value());
+    std::printf("%-14s %s\n",
+                std::string(rollback::StrategyKindName(strategy)).c_str(),
+                report->ToString().c_str());
+    PrintRollbackMix(report->aggregate, report->max_preemptions_single_txn);
   }
   return 0;
 }
@@ -840,18 +862,23 @@ int RunPrograms(const Flags& flags) {
 }
 
 int RunDot(const Flags& flags) {
-  // Runs a short contended workload and prints the waits-for graph at the
-  // moment of the first deadlock.
-  auto opt = BuildSimOptions(flags);
-  if (!opt.ok()) return 2;
+  // Runs a short contended workload on one live engine and prints the
+  // waits-for graph at the moment of the first deadlock.
+  auto opt = BuildRunOptions(flags, kOneShard);
+  if (!opt.ok()) {
+    std::fprintf(stderr, "%s\n", opt.status().ToString().c_str());
+    return 2;
+  }
   if (!AllFlagsRead(flags, "dot")) return 2;
   storage::EntityStore store;
-  store.CreateMany(opt.value().workload.num_entities, 100);
-  core::Engine engine(&store, opt.value().engine);
-  sim::WorkloadGenerator gen(opt.value().workload, opt.value().seed);
+  store.CreateMany(opt->workload.num_entities, 100);
+  core::EngineOptions eopt = opt->engine;
+  eopt.seed = opt->seed;
+  core::Engine engine(&store, eopt);
+  sim::WorkloadGenerator gen(opt->workload, opt->seed);
   std::uint64_t spawned = 0;
   for (std::uint64_t i = 0; i < 2'000'000; ++i) {
-    while (spawned - engine.metrics().commits < opt.value().concurrency) {
+    while (spawned - engine.metrics().commits < opt->concurrency) {
       auto p = gen.Next();
       if (!p.ok()) return 1;
       if (!engine.Spawn(std::move(p).value()).ok()) return 1;
@@ -889,52 +916,26 @@ std::vector<std::string> ResolveJournalArg(const std::string& arg) {
 }
 
 // `pardb journal` — record a run's decision journal (--out=PREFIX plus the
-// sim flags; writes PREFIX.shard0.jrnl), or summarize journal files given
-// as positional arguments. Sharded recordings come from
-// `pardb parallel --journal-out=PREFIX`.
+// run flags; writes PREFIX.shard<k>.jrnl, and PREFIX.coord.jrnl with
+// several shards), or summarize journal files given as positional
+// arguments.
 int RunJournal(const Flags& flags) {
-  if (!flags.positional().empty()) {
-    if (!AllFlagsRead(flags, "journal")) return 2;
-    int rc = 0;
-    for (const std::string& path : flags.positional()) {
-      auto data = obs::ReadJournalFile(path);
-      if (!data.ok()) {
-        std::fprintf(stderr, "%s: %s\n", path.c_str(),
-                     data.status().ToString().c_str());
-        rc = 1;
-        continue;
-      }
-      std::printf("%s", obs::SummarizeJournal(data.value(), path).c_str());
-    }
-    return rc;
-  }
-  const std::string prefix = flags.GetString("out", "");
-  if (prefix.empty()) {
-    std::fprintf(stderr,
-                 "journal: need --out=PREFIX to record, or journal files to "
-                 "summarize\n");
-    return 2;
-  }
-  auto opt = BuildSimOptions(flags);
-  if (!opt.ok()) {
-    std::fprintf(stderr, "%s\n", opt.status().ToString().c_str());
-    return 2;
+  if (flags.positional().empty()) {
+    return RunWorkload(flags, "journal", kOneShard);
   }
   if (!AllFlagsRead(flags, "journal")) return 2;
-  opt->journal = true;
-  opt->journal_out = prefix + ".shard0.jrnl";
-  auto report = sim::RunSimulation(opt.value());
-  if (!report.ok()) {
-    std::fprintf(stderr, "simulation failed: %s\n",
-                 report.status().ToString().c_str());
-    return 1;
+  int rc = 0;
+  for (const std::string& path : flags.positional()) {
+    auto data = obs::ReadJournalFile(path);
+    if (!data.ok()) {
+      std::fprintf(stderr, "%s: %s\n", path.c_str(),
+                   data.status().ToString().c_str());
+      rc = 1;
+      continue;
+    }
+    std::printf("%s", obs::SummarizeJournal(data.value(), path).c_str());
   }
-  std::printf("%s\n", report->ToString().c_str());
-  std::printf("wrote %s (%llu records, %llu epochs)\n",
-              opt->journal_out.c_str(),
-              (unsigned long long)report->journal_records,
-              (unsigned long long)report->journal_chain.size());
-  return report->completed ? 0 : 3;
+  return rc;
 }
 
 // `pardb diff-runs A B` — hierarchical first-divergence diagnosis between
@@ -998,28 +999,36 @@ int RunDiffRuns(const Flags& flags) {
   return 4;
 }
 
-// `pardb serve` — replay mode: loops the sim workload (seed advancing each
+// `pardb serve` — replay mode: loops the workload (seed advancing each
 // iteration) with the introspection server up the whole time, so dashboards
 // and curl have a moving target to look at. Flags: --port=N (default 8080,
 // 0 = ephemeral), --duration=SECS of serving time (default 10), plus the
-// usual sim flags for the replayed workload.
+// usual run flags for the replayed workload. /metrics serves the
+// iteration in flight: each iteration replaces the previous one's
+// registries, so memory stays bounded however long the replay runs.
 int RunServe(const Flags& flags) {
-  auto opt = BuildSimOptions(flags);
+  auto opt = BuildRunOptions(flags, kOneShard);
   if (!opt.ok()) {
     std::fprintf(stderr, "%s\n", opt.status().ToString().c_str());
     return 2;
   }
-  auto port = flags.GetInt("port", 8080);
-  auto duration = flags.GetDouble("duration", 10.0);
-  if (!port.ok() || !duration.ok()) return 2;
+  auto port = GetIntIn(flags, "port", 8080, 0, 65535);
+  auto duration = GetDoubleIn(flags, "duration", 10.0, 0.0, 1e9);
+  if (!port.ok() || !duration.ok()) {
+    std::fprintf(stderr, "%s\n",
+                 (!port.ok() ? port.status() : duration.status())
+                     .ToString()
+                     .c_str());
+    return 2;
+  }
   if (!AllFlagsRead(flags, "serve")) return 2;
 
   obs::LiveHub hub;
-  obs::MetricsRegistry* reg =
-      hub.AddOwnedRegistry(std::make_unique<obs::MetricsRegistry>());
-  opt->metrics = reg;
   opt->hub = &hub;
-  hub.SetRunInfo(MakeRunInfo(opt->seed, 1, "sim", "serve"));
+  opt->instrument = true;
+  hub.SetRunInfo(MakeRunInfo(opt->seed, opt->num_shards,
+                             opt->num_shards > 1 ? "epochs" : "quantum-loop",
+                             "serve"));
   auto started = StartIntrospectionServer(&hub, static_cast<int>(port.value()));
   if (!started.ok()) {
     std::fprintf(stderr, "%s\n", started.status().ToString().c_str());
@@ -1033,7 +1042,8 @@ int RunServe(const Flags& flags) {
   std::uint64_t iterations = 0;
   std::uint64_t committed = 0;
   do {
-    auto report = sim::RunSimulation(opt.value());
+    hub.ClearRegistries();
+    auto report = par::RunSharded(opt.value());
     if (!report.ok()) {
       std::fprintf(stderr, "replay iteration %llu failed: %s\n",
                    (unsigned long long)iterations,
@@ -1044,7 +1054,6 @@ int RunServe(const Flags& flags) {
     committed += report->committed;
     ++iterations;
     opt->seed = opt->seed * 6364136223846793005ULL + 1442695040888963407ULL;
-    opt->engine.seed = opt->seed;
   } while (std::chrono::steady_clock::now() < t_end);
   std::printf("replayed %llu iteration(s), %llu commits\n",
               (unsigned long long)iterations, (unsigned long long)committed);
@@ -1077,9 +1086,10 @@ int main(int argc, char** argv) {
     SetLogLevel(level);
   }
   const Flags& f = flags.value();
-  if (mode == "sim") return RunSim(f);
-  if (mode == "parallel") return RunParallel(f);
-  if (mode == "observe") return RunObserve(f);
+  if (mode == "sim" || mode == "observe") {
+    return RunWorkload(f, mode, kOneShard);
+  }
+  if (mode == "parallel") return RunWorkload(f, mode, kFourShards);
   if (mode == "compare") return RunCompare(f);
   if (mode == "run") return RunPrograms(f);
   if (mode == "dot") return RunDot(f);
