@@ -1,8 +1,9 @@
 // E4 (Theorem 1): with exclusive locks only, the deadlock-free concurrency
 // graph is a forest and a wait can close at most one cycle, so detection is
 // a single descendant check. This bench measures the cost of the wait-time
-// cycle check on forests of increasing size, and of the general
-// multi-cycle enumeration used for shared+exclusive graphs.
+// cycle check on forests of increasing size, and of the shared+exclusive
+// multi-cycle probe (the requester's component and its cycle count,
+// DESIGN D19).
 
 #include <benchmark/benchmark.h>
 #include <cstdint>
@@ -12,6 +13,7 @@
 #include "bench/closed_loop.h"
 #include "bench/table_util.h"
 #include "common/random.h"
+#include "graph/cycles_through.h"
 #include "graph/digraph.h"
 
 namespace {
@@ -109,8 +111,10 @@ void BM_FindCycleThrough_Forest(benchmark::State& state) {
 BENCHMARK(BM_FindCycleThrough_Forest)->Range(16, 4096)->Complexity();
 
 // Shared locks: dense waits-for DAG with many short cycles through one
-// requester (the paper's §3.2 worst case for enumeration).
-void BM_EnumerateCycles_SharedLocks(benchmark::State& state) {
+// requester (the paper's §3.2 worst case for enumeration). The probe
+// loads the requester's component and counts its cycles without listing
+// them.
+void BM_CyclesThrough_SharedLocks(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));
   Digraph g;
   // Requester 0 waits on k holders; each holder waits back on 0 through a
@@ -120,15 +124,15 @@ void BM_EnumerateCycles_SharedLocks(benchmark::State& state) {
     g.AddEdge(0, k + i, k + i);  // 0 holds something k+i waits for
     g.AddEdge(k + i, i, 2 * k + i);
   }
-  std::size_t found = 0;
+  pardb::graph::CyclesThrough cycles;
+  std::uint64_t found = 0;
   for (auto _ : state) {
-    found = g.EnumerateCyclesThrough(
-        0, 1u << 20, [](const pardb::graph::Cycle&) { return true; });
+    found = cycles.Load(g, 0) ? cycles.CountCycles() : 0;
     benchmark::DoNotOptimize(found);
   }
   state.counters["cycles"] = static_cast<double>(found);
 }
-BENCHMARK(BM_EnumerateCycles_SharedLocks)->RangeMultiplier(2)->Range(2, 64);
+BENCHMARK(BM_CyclesThrough_SharedLocks)->RangeMultiplier(2)->Range(2, 64);
 
 }  // namespace
 

@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <set>
 #include <sstream>
 
 #include "common/bits.h"
 #include "common/logging.h"
-#include "core/vertex_cut.h"
 #include "obs/phase_timer.h"
 
 namespace pardb::core {
@@ -708,295 +706,257 @@ Result<VictimCandidate> Engine::MakeCandidate(
 
 Result<bool> Engine::DetectAndResolve(TxnContext& requester,
                                       EntityId entity) {
+  // Every cycle this wait closed passes through the requester (§3.2), so
+  // the requester's strongly connected component holds them all: one
+  // sweep, no enumeration (DESIGN D19).
+  std::uint64_t num_cycles = 0;
+  {
+    obs::ScopedTimer detect_timer(
+        probe_ != nullptr ? probe_->detection_ns : nullptr,
+        probe_ != nullptr ? probe_->clock : nullptr);
+    if (!cycles_.Load(waits_for_, requester.id.value())) return false;
+    num_cycles = cycles_.CountCycles();
+    cycles_.FirstCycle(&deadlock_cycle_);
+  }
+  ++metrics_.deadlocks;
+  metrics_.cycles_found += num_cycles;
+  Emit(TraceEvent::Kind::kDeadlock, requester, entity);
+  if (journal_ != nullptr) {
+    journal_->OnCycle(requester.id, metrics_.steps, entity,
+                      metrics_.deadlocks);
+  }
+
+  // One candidate per member, in ascending id order. Its conflicts are the
+  // entities on its out-arcs inside the component — exactly the arcs on
+  // cycles through the requester — with the pending mode of the waiter.
+  const std::size_t k = cycles_.size();
+  const std::size_t r = cycles_.root_index();
+  scratch_candidates_.clear();
+  for (std::size_t i = 0; i < k; ++i) {
+    const TxnContext* member = Find(TxnId(cycles_.member(i)));
+    if (member == nullptr) {
+      return Status::Internal("cycle contains an unknown transaction");
+    }
+    scratch_conflicts_.clear();
+    for (const auto& arc : cycles_.OutArcs(i)) {
+      auto pending = locks_.Waiting(TxnId(cycles_.member(arc.head)));
+      if (!pending.has_value()) {
+        return Status::Internal("cycle contains a non-waiting transaction");
+      }
+      scratch_conflicts_.emplace_back(EntityId(arc.label), pending->mode);
+    }
+    auto cand = MakeCandidate(*member, scratch_conflicts_, i == r);
+    if (!cand.ok()) return cand.status();
+    scratch_candidates_.push_back(cand.value());
+  }
+  const std::vector<VictimCandidate>& candidates = scratch_candidates_;
+
+  // Choose victims, as indices into `candidates` (ascending).
+  std::vector<std::size_t>& victims = scratch_victims_;
+  victims.clear();
+  bool omega_intervened = false;
+  if (cycles_.arc_count() == k) {
+    // One simple cycle: every member breaks it.
+    const VictimCandidate& pick =
+        ChooseVictim(options_.victim_policy, candidates, requester.entry);
+    if ((lineage_ != nullptr || txnlife_ != nullptr ||
+         journal_ != nullptr) &&
+        options_.victim_policy == VictimPolicyKind::kMinCostOrdered) {
+      // Theorem 2 actively intervening: the ω-ordered policy rejected the
+      // transaction pure min-cost would have sacrificed. Observation
+      // only — the pick itself is never altered by any observer.
+      const VictimCandidate& unordered = ChooseVictim(
+          VictimPolicyKind::kMinCost, candidates, requester.entry);
+      if (unordered.txn != pick.txn) {
+        omega_intervened = true;
+        if (lineage_ != nullptr) lineage_->OnOmegaIntervention();
+      }
+    }
+    std::size_t chosen = static_cast<std::size_t>(&pick - candidates.data());
+    if (options_.debug_flip_victim_deadlock != 0 && k > 1 &&
+        ++debug_flip_opportunities_ == options_.debug_flip_victim_deadlock) {
+      // Test-only divergence injection: trade the pick for any other
+      // candidate so exactly one decision differs from a clean run. The
+      // ordinal counts *flippable* single-cycle deadlocks (>= 2
+      // candidates), not raw deadlocks — multi-cycle resolutions take the
+      // branches below, and firing on a deadlock that lands there would
+      // silently inject nothing.
+      chosen = chosen == 0 ? 1 : 0;
+    }
+    victims.push_back(chosen);
+  } else if (options_.victim_policy == VictimPolicyKind::kRequester ||
+             !options_.optimize_vertex_cut) {
+    // The requester lies on every cycle closed by its own wait (§3.2), so
+    // rolling it back is always a complete, if unoptimised, resolution.
+    victims.push_back(r);
+  } else if (options_.victim_policy == VictimPolicyKind::kMinCost ||
+             options_.victim_policy == VictimPolicyKind::kMinCostOrdered) {
+    // §3.2: the cheapest member set meeting every cycle is a minimum
+    // vertex cut between the requester's successors and its predecessors.
+    // Under Theorem 2 only members that entered after the requester may
+    // be cut; when no finite cut exists the requester is the victim, and
+    // unordered min-cost also takes it when it is no dearer than the cut.
+    scratch_capacity_.clear();
+    for (const VictimCandidate& c : candidates) {
+      const bool eligible =
+          options_.victim_policy == VictimPolicyKind::kMinCost ||
+          c.entry > requester.entry;
+      scratch_capacity_.push_back(eligible ? c.cost
+                                           : graph::CyclesThrough::kInfinite);
+    }
+    const std::uint64_t cut =
+        cycles_.MinVertexCut(scratch_capacity_, &victims);
+    if (cut == graph::CyclesThrough::kInfinite ||
+        (options_.victim_policy == VictimPolicyKind::kMinCost &&
+         candidates[r].cost <= cut)) {
+      victims.assign(1, r);
+    }
+  } else {
+    // Other policies: apply the policy to the first cycle no victim breaks
+    // yet, until none is left (at most one pick per member).
+    scratch_excluded_.assign(k, 0);
+    while (cycles_.FirstCycle(&scratch_cycle_, &scratch_excluded_)) {
+      scratch_cycle_members_.clear();
+      for (graph::VertexId v : scratch_cycle_.vertices) {
+        scratch_cycle_members_.push_back(candidates[cycles_.IndexOf(v)]);
+      }
+      const std::size_t chosen = cycles_.IndexOf(
+          ChooseVictim(options_.victim_policy, scratch_cycle_members_,
+                       requester.entry)
+              .txn.value());
+      victims.push_back(chosen);
+      if (chosen == r) break;  // the requester is on every cycle
+      scratch_excluded_[chosen] = 1;
+    }
+    std::sort(victims.begin(), victims.end());
+  }
+
+  if (victims.empty()) {
+    return Status::Internal("deadlock resolution chose no victim");
+  }
+
+  // Forensics: full dump of the cycle before any rollback mutates it.
+  if (forensics_ != nullptr) {
+    obs::DeadlockDump dump;
+    dump.step = metrics_.steps;
+    dump.requester = requester.id;
+    dump.requested_entity = entity;
+    dump.num_cycles = num_cycles;
+    dump.policy = std::string(VictimPolicyKindName(options_.victim_policy));
+    for (const graph::Edge& e : deadlock_cycle_.edges) {
+      // Edge e: blocker (from) -> waiter (to); the forensic arc reads
+      // "waiter waits for holder".
+      dump.arcs.push_back(
+          obs::WaitsForArc{TxnId(e.to), TxnId(e.from), EntityId(e.label)});
+    }
+    for (const VictimCandidate& c : candidates) {
+      obs::DeadlockParticipant p;
+      p.txn = c.txn;
+      p.entry = c.entry;
+      p.cost = c.cost;
+      p.ideal_cost = c.ideal_cost;
+      p.target = c.actual_target;
+      p.is_requester = c.is_requester;
+      dump.participants.push_back(std::move(p));
+    }
+    for (std::size_t v : victims) {
+      dump.participants[v].is_victim = true;
+      dump.victims.push_back(candidates[v].txn);
+    }
+    forensics_->OnDeadlock(dump);
+  }
+
+  // Record the event before mutating state.
+  if (deadlock_events_.size() < options_.max_recorded_events) {
+    DeadlockEvent ev;
+    ev.requester = requester.id;
+    ev.requested_entity = entity;
+    ev.num_cycles = num_cycles;
+    for (graph::VertexId v : deadlock_cycle_.vertices) {
+      ev.cycle_txns.push_back(TxnId(v));
+    }
+    for (const graph::Edge& e : deadlock_cycle_.edges) {
+      ev.cycle_entities.push_back(EntityId(e.label));
+    }
+    ev.candidates = candidates;
+    for (std::size_t v : victims) {
+      ev.victims.push_back(candidates[v].txn);
+      ev.total_cost += candidates[v].cost;
+      ev.total_ideal_cost += candidates[v].ideal_cost;
+    }
+    deadlock_events_.push_back(std::move(ev));
+  }
+
   bool requester_rolled_back = false;
-  // A wait can close several cycles with shared locks; resolving one round
-  // of victims may still leave cycles when enumeration was capped, so loop
-  // until the graph is clean or the requester itself was rolled back.
-  for (int round = 0; round < 64; ++round) {
-    if (requester_rolled_back) break;
-    std::vector<graph::Cycle> cycles;
-    {
-      obs::ScopedTimer detect_timer(
-          probe_ != nullptr ? probe_->detection_ns : nullptr,
-          probe_ != nullptr ? probe_->clock : nullptr);
-      waits_for_.EnumerateCyclesThrough(
-          requester.id.value(), options_.max_cycles_per_deadlock,
-          [&cycles](const graph::Cycle& c) {
-            cycles.push_back(c);
-            return true;
-          });
+  for (std::size_t index : victims) {
+    const VictimCandidate* v = &candidates[index];
+    TxnContext* victim = Find(v->txn);
+    if (victim == nullptr) {
+      return Status::Internal("victim vanished");
     }
-    if (cycles.empty()) break;
-    ++metrics_.deadlocks;
-    metrics_.cycles_found += cycles.size();
-    Emit(TraceEvent::Kind::kDeadlock, requester, entity);
-    if (journal_ != nullptr) {
-      journal_->OnCycle(requester.id, metrics_.steps, entity,
-                        metrics_.deadlocks);
-    }
-
-    // Conflicts per member: the entities on its outgoing arcs within the
-    // cycles, with the pending mode of the waiting successor.
-    std::map<TxnId, std::vector<std::pair<EntityId, lock::LockMode>>>
-        conflicts;
-    for (const graph::Cycle& cycle : cycles) {
-      for (const graph::Edge& e : cycle.edges) {
-        TxnId holder(e.from);
-        TxnId waiter(e.to);
-        auto pending = locks_.Waiting(waiter);
-        if (!pending.has_value()) {
-          return Status::Internal("cycle contains a non-waiting transaction");
-        }
-        conflicts[holder].emplace_back(EntityId(e.label), pending->mode);
+    metrics_.wasted_ops += v->cost;
+    metrics_.ideal_wasted_ops += v->ideal_cost;
+    // Whose conflict knocked this victim out: the requester for a
+    // preemption; for a requester self-rollback, the holder it waited on.
+    TxnId causing = requester.id;
+    if (!v->is_requester) {
+      ++metrics_.preemptions;
+      ++ColdOf(*victim).preempted;
+      if (probe_ != nullptr && probe_->victims_preempted != nullptr) {
+        probe_->victims_preempted->Inc();
       }
-    }
-
-    std::vector<VictimCandidate> candidates;
-    for (const auto& [txn, conf] : conflicts) {
-      const TxnContext* member = Find(txn);
-      if (member == nullptr) {
-        return Status::Internal("cycle contains an unknown transaction");
-      }
-      auto cand = MakeCandidate(*member, conf, txn == requester.id);
-      if (!cand.ok()) return cand.status();
-      candidates.push_back(cand.value());
-    }
-
-    // Choose victims.
-    std::vector<const VictimCandidate*> victims;
-    bool omega_intervened = false;
-    const bool cost_based =
-        options_.victim_policy == VictimPolicyKind::kMinCost ||
-        options_.victim_policy == VictimPolicyKind::kMinCostOrdered;
-    if (cycles.size() > 1 && options_.optimize_vertex_cut && cost_based) {
-      // §3.2: find a minimum-cost vertex cut among the cycles (all pass
-      // through the requester, which is itself a 1-element cut).
-      std::vector<const VictimCandidate*> eligible;
-      for (const VictimCandidate& c : candidates) {
-        if (options_.victim_policy == VictimPolicyKind::kMinCost ||
-            (!c.is_requester && c.entry > requester.entry)) {
-          eligible.push_back(&c);
-        }
-      }
-      std::map<TxnId, std::size_t> index;
-      for (std::size_t i = 0; i < eligible.size(); ++i) {
-        index[eligible[i]->txn] = i;
-      }
-      std::vector<std::vector<std::size_t>> cycle_sets;
-      bool coverable = true;
-      for (const graph::Cycle& cycle : cycles) {
-        std::vector<std::size_t> members;
-        for (graph::VertexId v : cycle.vertices) {
-          auto it = index.find(TxnId(v));
-          if (it != index.end()) members.push_back(it->second);
-        }
-        if (members.empty()) {
-          coverable = false;
-          break;
-        }
-        std::sort(members.begin(), members.end());
-        members.erase(std::unique(members.begin(), members.end()),
-                      members.end());
-        cycle_sets.push_back(std::move(members));
-      }
-      if (!coverable) {
-        // Some cycle has no eligible member: the requester (on every
-        // cycle) is the only safe choice.
-        for (const VictimCandidate& c : candidates) {
-          if (c.is_requester) victims.push_back(&c);
-        }
-      } else {
-        std::vector<std::uint64_t> costs;
-        costs.reserve(eligible.size());
-        for (const VictimCandidate* c : eligible) costs.push_back(c->cost);
-        VertexCutResult cut =
-            SolveVertexCut(cycle_sets, costs, options_.exact_cut_limit);
-        for (std::size_t m : cut.members) victims.push_back(eligible[m]);
-      }
-    } else if (cycles.size() > 1 &&
-               (options_.victim_policy == VictimPolicyKind::kRequester ||
-                !options_.optimize_vertex_cut)) {
-      // The requester lies on every cycle closed by its own wait (§3.2), so
-      // rolling it back is always a complete, if unoptimised, resolution.
-      for (const VictimCandidate& c : candidates) {
-        if (c.is_requester) victims.push_back(&c);
-      }
-    } else if (cycles.size() > 1) {
-      // Non-cost policies over multiple cycles: repeatedly apply the policy
-      // to the members of the first uncovered cycle.
-      std::set<TxnId> chosen;
-      for (const graph::Cycle& cycle : cycles) {
-        bool hit = false;
-        for (graph::VertexId v : cycle.vertices) {
-          if (chosen.count(TxnId(v))) {
-            hit = true;
-            break;
-          }
-        }
-        if (hit) continue;
-        std::vector<VictimCandidate> members;
-        for (const VictimCandidate& c : candidates) {
-          if (cycle.Contains(c.txn.value())) members.push_back(c);
-        }
-        if (members.empty()) continue;
-        const VictimCandidate& pick =
-            ChooseVictim(options_.victim_policy, members, requester.entry);
-        chosen.insert(pick.txn);
-      }
-      for (const VictimCandidate& c : candidates) {
-        if (chosen.count(c.txn)) victims.push_back(&c);
+      if (lineage_ != nullptr) {
+        lineage_->OnPreemption(metrics_.steps, victim->id, requester.id,
+                               v->actual_target, v->cost);
       }
     } else {
-      const VictimCandidate& pick =
-          ChooseVictim(options_.victim_policy, candidates, requester.entry);
-      if ((lineage_ != nullptr || txnlife_ != nullptr ||
-           journal_ != nullptr) &&
-          options_.victim_policy == VictimPolicyKind::kMinCostOrdered) {
-        // Theorem 2 actively intervening: the ω-ordered policy rejected the
-        // transaction pure min-cost would have sacrificed. Observation
-        // only — the pick itself is never altered by any observer.
-        const VictimCandidate& unordered = ChooseVictim(
-            VictimPolicyKind::kMinCost, candidates, requester.entry);
-        if (unordered.txn != pick.txn) {
-          omega_intervened = true;
-          if (lineage_ != nullptr) lineage_->OnOmegaIntervention();
+      requester_rolled_back = true;
+      if (probe_ != nullptr && probe_->victims_requester != nullptr) {
+        probe_->victims_requester->Inc();
+      }
+      // A requester self-rollback is still a preemption in the
+      // Figure 2 sense — the holder it was waiting on knocked it out.
+      // Recording that holder as the aggressor lets the chain depth
+      // keep growing across the paper's mutual T2/T3 alternation,
+      // which is self-rollbacks all the way down.
+      for (const graph::Edge& e : deadlock_cycle_.edges) {
+        if (TxnId(e.to) == requester.id) {
+          causing = TxnId(e.from);
+          break;
         }
       }
-      const VictimCandidate* chosen = &pick;
-      if (options_.debug_flip_victim_deadlock != 0 && candidates.size() > 1 &&
-          ++debug_flip_opportunities_ == options_.debug_flip_victim_deadlock) {
-        // Test-only divergence injection: trade the pick for any other
-        // candidate so exactly one decision differs from a clean run. The
-        // ordinal counts *flippable* single-cycle deadlocks (>= 2
-        // candidates), not raw deadlocks — multi-cycle resolutions take the
-        // branches above, and firing on a deadlock that lands there would
-        // silently inject nothing.
-        for (const VictimCandidate& c : candidates) {
-          if (c.txn != pick.txn) {
-            chosen = &c;
-            break;
-          }
-        }
+      if (lineage_ != nullptr) {
+        lineage_->OnPreemption(metrics_.steps, victim->id, causing,
+                               v->actual_target, v->cost);
       }
-      victims.push_back(chosen);
     }
-
-    if (victims.empty()) {
-      return Status::Internal("deadlock resolution chose no victim");
+    const obs::RollbackCause cause =
+        v->is_requester ? obs::RollbackCause::kSelfRollback
+        : omega_intervened ? obs::RollbackCause::kOmegaPreemption
+                           : obs::RollbackCause::kDeadlockVictim;
+    if (txnlife_ != nullptr) {
+      // metrics_.deadlocks is the 1-based ordinal of this deadlock, which
+      // is exactly the book's cycle encoding (0 = none).
+      txnlife_->OnRollback(victim->id, metrics_.steps, cause, causing,
+                           metrics_.deadlocks, v->cost);
     }
-
-    // Forensics: full dump of the cycle before any rollback mutates it.
-    if (forensics_ != nullptr) {
-      obs::DeadlockDump dump;
-      dump.step = metrics_.steps;
-      dump.requester = requester.id;
-      dump.requested_entity = entity;
-      dump.num_cycles = cycles.size();
-      dump.policy = std::string(VictimPolicyKindName(options_.victim_policy));
-      for (const graph::Edge& e : cycles.front().edges) {
-        // Edge e: blocker (from) -> waiter (to); the forensic arc reads
-        // "waiter waits for holder".
-        dump.arcs.push_back(
-            obs::WaitsForArc{TxnId(e.to), TxnId(e.from), EntityId(e.label)});
-      }
-      for (const VictimCandidate& c : candidates) {
-        obs::DeadlockParticipant p;
-        p.txn = c.txn;
-        p.entry = c.entry;
-        p.cost = c.cost;
-        p.ideal_cost = c.ideal_cost;
-        p.target = c.actual_target;
-        p.is_requester = c.is_requester;
-        for (const VictimCandidate* v : victims) {
-          if (v->txn == c.txn) p.is_victim = true;
-        }
-        dump.participants.push_back(std::move(p));
-      }
-      for (const VictimCandidate* v : victims) dump.victims.push_back(v->txn);
-      forensics_->OnDeadlock(dump);
+    if (journal_ != nullptr) {
+      journal_->OnVictim(victim->id, metrics_.steps, v->actual_target,
+                         v->cost, omega_intervened, v->is_requester,
+                         candidates.size());
+      journal_->OnRollback(victim->id, metrics_.steps, v->actual_target,
+                           v->cost, cause, v->actual_target == 0);
     }
-
-    // Record the event before mutating state.
-    if (deadlock_events_.size() < options_.max_recorded_events) {
-      DeadlockEvent ev;
-      ev.requester = requester.id;
-      ev.requested_entity = entity;
-      ev.num_cycles = cycles.size();
-      for (graph::VertexId v : cycles.front().vertices) {
-        ev.cycle_txns.push_back(TxnId(v));
-      }
-      for (const graph::Edge& e : cycles.front().edges) {
-        ev.cycle_entities.push_back(EntityId(e.label));
-      }
-      ev.candidates = candidates;
-      for (const VictimCandidate* v : victims) {
-        ev.victims.push_back(v->txn);
-        ev.total_cost += v->cost;
-        ev.total_ideal_cost += v->ideal_cost;
-      }
-      deadlock_events_.push_back(std::move(ev));
-    }
-
-    for (const VictimCandidate* v : victims) {
-      TxnContext* victim = Find(v->txn);
-      if (victim == nullptr) {
-        return Status::Internal("victim vanished");
-      }
-      metrics_.wasted_ops += v->cost;
-      metrics_.ideal_wasted_ops += v->ideal_cost;
-      // Whose conflict knocked this victim out: the requester for a
-      // preemption; for a requester self-rollback, the holder it waited on.
-      TxnId causing = requester.id;
-      if (!v->is_requester) {
-        ++metrics_.preemptions;
-        ++ColdOf(*victim).preempted;
-        if (probe_ != nullptr && probe_->victims_preempted != nullptr) {
-          probe_->victims_preempted->Inc();
-        }
-        if (lineage_ != nullptr) {
-          lineage_->OnPreemption(metrics_.steps, victim->id, requester.id,
-                                 v->actual_target, v->cost);
-        }
-      } else {
-        requester_rolled_back = true;
-        if (probe_ != nullptr && probe_->victims_requester != nullptr) {
-          probe_->victims_requester->Inc();
-        }
-        // A requester self-rollback is still a preemption in the
-        // Figure 2 sense — the holder it was waiting on knocked it out.
-        // Recording that holder as the aggressor lets the chain depth
-        // keep growing across the paper's mutual T2/T3 alternation,
-        // which is self-rollbacks all the way down.
-        for (const graph::Edge& e : cycles.front().edges) {
-          if (TxnId(e.to) == requester.id) {
-            causing = TxnId(e.from);
-            break;
-          }
-        }
-        if (lineage_ != nullptr) {
-          lineage_->OnPreemption(metrics_.steps, victim->id, causing,
-                                 v->actual_target, v->cost);
-        }
-      }
-      const obs::RollbackCause cause =
-          v->is_requester ? obs::RollbackCause::kSelfRollback
-          : omega_intervened ? obs::RollbackCause::kOmegaPreemption
-                             : obs::RollbackCause::kDeadlockVictim;
-      if (txnlife_ != nullptr) {
-        // metrics_.deadlocks is the 1-based ordinal of this deadlock, which
-        // is exactly the book's cycle encoding (0 = none).
-        txnlife_->OnRollback(victim->id, metrics_.steps, cause, causing,
-                             metrics_.deadlocks, v->cost);
-      }
-      if (journal_ != nullptr) {
-        journal_->OnVictim(victim->id, metrics_.steps, v->actual_target,
-                           v->cost, omega_intervened, v->is_requester,
-                           candidates.size());
-        journal_->OnRollback(victim->id, metrics_.steps, v->actual_target,
-                             v->cost, cause, v->actual_target == 0);
-      }
-      PARDB_RETURN_IF_ERROR(RollbackTxn(*victim, v->actual_target));
-    }
+    PARDB_RETURN_IF_ERROR(RollbackTxn(*victim, v->actual_target));
+  }
+  // Postcondition replacing a retry loop: the resolution broke every cycle
+  // through the requester. Victims stop waiting, so they leave every cycle,
+  // and a rollback adds arcs only out of newly granted transactions, which
+  // wait for nothing (DESIGN D19).
+  if (!requester_rolled_back &&
+      cycles_.Load(waits_for_, requester.id.value())) {
+    return Status::Internal(
+        "deadlock resolution left a cycle through the requester");
   }
   return requester_rolled_back;
 }
@@ -1144,8 +1104,8 @@ Status Engine::ExpireTimeouts() {
 
 Status Engine::PeriodicScan() {
   ++metrics_.periodic_scans;
-  // One Tarjan sweep finds every deadlocked group at once (each cyclic
-  // strongly connected component). Each group is handed to the standard
+  // One sweep finds every deadlocked group at once (each cyclic strongly
+  // connected component). Each group is handed to the standard
   // resolver with its youngest member as the pseudo-requester (the
   // transaction whose wait most recently could have closed the cycle), so
   // every victim policy keeps its meaning. Resolving one group can very

@@ -25,6 +25,7 @@
 #include "obs/snapshot.h"
 #include "obs/txnlife.h"
 #include "core/victim_policy.h"
+#include "graph/cycles_through.h"
 #include "graph/digraph.h"
 #include "lock/lock_manager.h"
 #include "rollback/strategy.h"
@@ -110,15 +111,10 @@ struct EngineOptions {
   // request is granted it can never be rolled back again, so its rollback
   // strategy stops recording history.
   bool use_last_lock_declaration = true;
-  // Cap on simple-cycle enumeration per deadlock (shared locks can close
-  // many cycles with one wait; all pass through the requester).
-  std::size_t max_cycles_per_deadlock = 64;
-  // Above this many distinct cut candidates the vertex-cut solver falls
-  // back from exact branch-and-bound to greedy.
-  std::size_t exact_cut_limit = 24;
-  // When true and several cycles exist (shared locks), choose between the
-  // requester and a minimum-cost vertex cut (§3.2). When false, multi-cycle
-  // deadlocks always roll back the requester.
+  // When true and several cycles exist (shared locks), cost-based policies
+  // choose between the requester and a minimum-cost vertex cut (§3.2,
+  // DESIGN D19). When false, multi-cycle deadlocks always roll back the
+  // requester.
   bool optimize_vertex_cut = true;
   // Keep at most this many deadlock events for inspection.
   std::size_t max_recorded_events = 4096;
@@ -151,6 +147,8 @@ struct EngineOptions {
 struct DeadlockEvent {
   TxnId requester;
   EntityId requested_entity;
+  // Simple cycles the wait closed (exact, uncapped; a lower bound in a
+  // periodic scan, see DESIGN D19).
   std::size_t num_cycles = 0;
   std::vector<TxnId> cycle_txns;       // members of the first cycle found
   std::vector<EntityId> cycle_entities;  // entities on that cycle's arcs
@@ -624,6 +622,18 @@ class Engine {
   std::vector<EntityId> scratch_handled_;    // RollbackTxn entity dedup
   std::vector<EntityId> scratch_held_;       // ExecuteCommit release order
   std::vector<TxnId> scratch_expired_;       // ExpireTimeouts collection
+  // Deadlock resolution (DetectAndResolve): the requester's component and
+  // the victim choice over it, reused so a warm engine allocates nothing
+  // to detect or cut (DESIGN D19).
+  graph::CyclesThrough cycles_;
+  graph::Cycle deadlock_cycle_;  // representative cycle of this deadlock
+  graph::Cycle scratch_cycle_;   // non-cost policies: next uncovered cycle
+  std::vector<std::pair<EntityId, lock::LockMode>> scratch_conflicts_;
+  std::vector<VictimCandidate> scratch_candidates_;  // one per member
+  std::vector<VictimCandidate> scratch_cycle_members_;
+  std::vector<std::uint64_t> scratch_capacity_;  // cut price per member
+  std::vector<char> scratch_excluded_;           // members already chosen
+  std::vector<std::size_t> scratch_victims_;     // candidate indices
   std::uint64_t lock_op_counter_ = 0;  // 1-in-16 sampling for lock_op_ns
   // journal_epoch_steps rounded up to a power of two, minus one (mask);
   // ~0 when engine-driven stamping is disabled.

@@ -1,0 +1,103 @@
+#ifndef PARDB_GRAPH_CYCLES_THROUGH_H_
+#define PARDB_GRAPH_CYCLES_THROUGH_H_
+
+#include <cstdint>
+#include <span>
+#include <vector>
+
+#include "graph/digraph.h"
+
+namespace pardb::graph {
+
+// Every simple cycle through one vertex r, held as r's strongly connected
+// component (SCC) instead of as a list. When G − r is acyclic — as under
+// continuous detection, where every cycle a wait closes passes through the
+// requester (paper §3.2) — the SCC's arcs are exactly the arcs on those
+// cycles, their number is a path count over the DAG SCC − r, and the
+// cheapest member set meeting them all is a minimum s–t vertex cut, found
+// exactly by max-flow. When G − r is cyclic the cut still breaks every
+// cycle through r and the count is a lower bound. DESIGN D19 has the
+// proofs. Members are local indices 0..size()-1 in ascending vertex order;
+// buffers are reused, so a warm instance does not allocate.
+class CyclesThrough {
+ public:
+  // Capacity of a member that may not be cut; MinVertexCut's answer when
+  // no finite cut exists.
+  static constexpr std::uint64_t kInfinite = ~std::uint64_t{0};
+
+  // One arc between members: the head's local index and the arc's label.
+  struct LocalArc {
+    std::uint32_t head;
+    EdgeLabel label;
+  };
+
+  // Loads the SCC of `root` in `g` as forward reach ∩ backward reach.
+  // Returns false, leaving the component empty, when root is on no cycle.
+  bool Load(const Digraph& g, VertexId root);
+
+  std::size_t size() const { return members_.size(); }
+  VertexId member(std::size_t i) const { return members_[i]; }
+  std::size_t root_index() const { return root_; }
+  // Local index of vertex v, or size() when v is not a member.
+  std::size_t IndexOf(VertexId v) const;
+  // Arcs between members, parallel labels counted apart. A component with
+  // as many arcs as members is a single simple cycle.
+  std::size_t arc_count() const { return arcs_.size(); }
+  // Member i's out-arcs inside the component, in the digraph's sorted
+  // (neighbour, label) order.
+  std::span<const LocalArc> OutArcs(std::size_t i) const {
+    return {arcs_.data() + offsets_[i], arcs_.data() + offsets_[i + 1]};
+  }
+
+  // The number of simple cycles through root (parallel arcs count apart,
+  // as enumeration counts them), saturating at 2^64 − 1.
+  std::uint64_t CountCycles();
+
+  // Writes the first simple cycle through root in depth-first sorted-arc
+  // order whose members avoid every i with (*excluded)[i] != 0, starting
+  // at root; false when every cycle meets an excluded member. This is the
+  // cycle enumeration would report first. Linear in the component size.
+  bool FirstCycle(Cycle* out, const std::vector<char>* excluded = nullptr);
+
+  // Minimum-capacity set of non-root members meeting every cycle through
+  // root, written to `cut` in ascending order. capacity[i] is member i's
+  // price (kInfinite: never cut; root's entry is ignored). Returns the cut
+  // capacity, or kInfinite (and an empty cut) when no finite cut exists.
+  // Among minimum cuts it returns the one nearest root's predecessors —
+  // the holders root waits on.
+  std::uint64_t MinVertexCut(const std::vector<std::uint64_t>& capacity,
+                             std::vector<std::size_t>* cut);
+
+ private:
+  void AddFlowArc(std::uint32_t from, std::uint32_t to, std::uint64_t cap);
+
+  // The component as a compact local graph (CSR over members).
+  std::vector<VertexId> members_;
+  std::size_t root_ = 0;
+  std::vector<std::size_t> offsets_;
+  std::vector<LocalArc> arcs_;
+
+  // Scratch for the sweeps and the flow network.
+  struct Frame {
+    std::uint32_t v;
+    std::size_t next;
+  };
+  struct FlowArc {
+    std::uint32_t to;
+    std::uint64_t cap;  // residual; arc e's reverse is e ^ 1
+  };
+  std::vector<VertexId> reach_;     // forward reach, ascending
+  std::vector<VertexId> queue_;     // BFS frontier
+  std::vector<char> mark_;          // per reach_ entry / member / node
+  std::vector<std::uint32_t> indeg_;
+  std::vector<std::uint64_t> paths_;
+  std::vector<Frame> stack_;
+  std::vector<FlowArc> flow_;
+  std::vector<std::int64_t> flow_next_;  // per flow arc: next arc of its tail
+  std::vector<std::int64_t> flow_head_;  // per node: first arc, -1 if none
+  std::vector<std::int64_t> via_;        // per node: BFS parent arc
+};
+
+}  // namespace pardb::graph
+
+#endif  // PARDB_GRAPH_CYCLES_THROUGH_H_

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
 #include <sstream>
+
+#include "graph/cycles_through.h"
 
 namespace pardb::graph {
 
@@ -173,26 +174,16 @@ std::vector<Edge> Digraph::Edges() const {
   return out;
 }
 
-std::vector<VertexId> Digraph::Successors(VertexId v) const {
-  std::vector<VertexId> out;
+std::span<const Arc> Digraph::OutArcs(VertexId v) const {
   auto it = verts_.find(v);
-  if (it == verts_.end()) return out;
-  out.reserve(it->second.out.size());
-  for (const auto& [to, _] : it->second.out) {
-    if (out.empty() || out.back() != to) out.push_back(to);
-  }
-  return out;
+  if (it == verts_.end()) return {};
+  return {it->second.out.begin(), it->second.out.end()};
 }
 
-std::vector<VertexId> Digraph::Predecessors(VertexId v) const {
-  std::vector<VertexId> out;
+std::span<const Arc> Digraph::InArcs(VertexId v) const {
   auto it = verts_.find(v);
-  if (it == verts_.end()) return out;
-  out.reserve(it->second.in.size());
-  for (const auto& [from, _] : it->second.in) {
-    if (out.empty() || out.back() != from) out.push_back(from);
-  }
-  return out;
+  if (it == verts_.end()) return {};
+  return {it->second.in.begin(), it->second.in.end()};
 }
 
 std::size_t Digraph::InDegree(VertexId v) const {
@@ -235,182 +226,40 @@ bool Digraph::WouldCreateCycle(VertexId from, VertexId to) const {
 }
 
 std::optional<Cycle> Digraph::FindCycleThrough(VertexId v) const {
-  std::optional<Cycle> found;
-  EnumerateCyclesThrough(v, 1, [&found](const Cycle& c) {
-    found = c;
-    return false;
-  });
+  CyclesThrough cycles;
+  Cycle found;
+  if (!cycles.Load(*this, v) || !cycles.FirstCycle(&found)) {
+    return std::nullopt;
+  }
   return found;
 }
 
-std::size_t Digraph::EnumerateCyclesThrough(
-    VertexId v, std::size_t limit,
-    const std::function<bool(const Cycle&)>& cb) const {
-  if (!HasVertex(v) || limit == 0) return 0;
-  // DFS over simple paths starting at v; every edge closing back to v is a
-  // simple cycle through v. Paths never revisit a vertex, so this is
-  // Johnson-style enumeration restricted to a single root — sufficient
-  // because in deadlock resolution all new cycles pass through the
-  // requester (paper §3.2).
-  std::size_t produced = 0;
-  // The DFS state lives in reusable scratch members: this probe runs on
-  // every blocked lock request, so it must not touch the heap once warm.
-  // Path membership is a linear scan of the path itself — simple cycles
-  // in a waits-for graph are a handful of vertices long.
-  std::vector<VertexId>& path = scratch_path_;
-  std::vector<Edge>& path_edges = scratch_path_edges_;
-  std::vector<DfsFrame>& stack = scratch_stack_;
-  path.clear();
-  path_edges.clear();
-  stack.clear();
-  path.push_back(v);
-  bool stop = false;
-
-  // Explicit stack DFS to avoid recursion-depth limits on long chains.
-  // Frames borrow the adjacency lists in place — the graph is not mutated
-  // during enumeration, so no per-frame copy is needed.
-  static const AdjList kNoEdges{};
-  auto MakeFrame = [this](VertexId u) {
-    auto it = verts_.find(u);
-    return DfsFrame{u, it == verts_.end() ? &kNoEdges : &it->second.out, 0};
-  };
-
-  stack.push_back(MakeFrame(v));
-  while (!stack.empty() && !stop) {
-    DfsFrame& f = stack.back();
-    if (f.next >= f.out->size()) {
-      stack.pop_back();
-      if (!stack.empty()) {
-        path.pop_back();
-        path_edges.pop_back();
-      }
-      continue;
-    }
-    auto [to, label] = (*f.out)[f.next++];
-    if (to == v) {
-      Cycle c;
-      c.vertices = path;
-      c.edges = path_edges;
-      c.edges.push_back(Edge{f.vertex, v, label});
-      ++produced;
-      if (!cb(c) || produced >= limit) stop = true;
-      continue;
-    }
-    if (std::find(path.begin(), path.end(), to) != path.end()) continue;
-    path.push_back(to);
-    path_edges.push_back(Edge{f.vertex, to, label});
-    stack.push_back(MakeFrame(to));
-  }
-  return produced;
-}
-
 bool Digraph::IsAcyclic() const {
-  // Kahn's algorithm over distinct-neighbour in-degrees. Adjacency lists
-  // are sorted, so parallel labels to the same neighbour are adjacent and
-  // skipped with a previous-value check.
-  std::map<VertexId, std::size_t> indeg;
-  for (const auto& [v, _] : verts_) indeg[v] = 0;
-  for (const auto& [v, rec] : verts_) {
-    (void)v;
-    const auto& out = rec.out;
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      if (i > 0 && out[i].first == out[i - 1].first) continue;
-      ++indeg[out[i].first];
-    }
+  CyclesThrough cycles;
+  for (const auto& [v, _] : verts_) {
+    if (cycles.Load(*this, v)) return false;
   }
-  std::deque<VertexId> ready;
-  for (const auto& [v, d] : indeg) {
-    if (d == 0) ready.push_back(v);
-  }
-  std::size_t removed = 0;
-  while (!ready.empty()) {
-    VertexId v = ready.front();
-    ready.pop_front();
-    ++removed;
-    auto it = verts_.find(v);
-    if (it == verts_.end()) continue;
-    const auto& out = it->second.out;
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      if (i > 0 && out[i].first == out[i - 1].first) continue;
-      if (--indeg[out[i].first] == 0) ready.push_back(out[i].first);
-    }
-  }
-  return removed == verts_.size();
-}
-
-std::vector<std::vector<VertexId>> Digraph::StronglyConnectedComponents()
-    const {
-  // Iterative Tarjan.
-  struct NodeState {
-    int index = -1;
-    int lowlink = 0;
-    bool on_stack = false;
-  };
-  std::map<VertexId, NodeState> state;
-  std::vector<VertexId> stack;
-  std::vector<std::vector<VertexId>> components;
-  int next_index = 0;
-
-  struct Frame {
-    VertexId v;
-    std::vector<VertexId> succ;
-    std::size_t next = 0;
-  };
-
-  for (const auto& [root, _] : verts_) {
-    if (state[root].index != -1) continue;
-    std::vector<Frame> frames;
-    frames.push_back(Frame{root, Successors(root), 0});
-    state[root].index = state[root].lowlink = next_index++;
-    state[root].on_stack = true;
-    stack.push_back(root);
-    while (!frames.empty()) {
-      Frame& f = frames.back();
-      if (f.next < f.succ.size()) {
-        VertexId w = f.succ[f.next++];
-        NodeState& ws = state[w];
-        if (ws.index == -1) {
-          ws.index = ws.lowlink = next_index++;
-          ws.on_stack = true;
-          stack.push_back(w);
-          frames.push_back(Frame{w, Successors(w), 0});
-        } else if (ws.on_stack) {
-          state[f.v].lowlink = std::min(state[f.v].lowlink, ws.index);
-        }
-        continue;
-      }
-      // Post-visit.
-      VertexId v = f.v;
-      frames.pop_back();
-      if (!frames.empty()) {
-        state[frames.back().v].lowlink =
-            std::min(state[frames.back().v].lowlink, state[v].lowlink);
-      }
-      if (state[v].lowlink == state[v].index) {
-        std::vector<VertexId> component;
-        for (;;) {
-          VertexId w = stack.back();
-          stack.pop_back();
-          state[w].on_stack = false;
-          component.push_back(w);
-          if (w == v) break;
-        }
-        std::sort(component.begin(), component.end());
-        components.push_back(std::move(component));
-      }
-    }
-  }
-  std::sort(components.begin(), components.end(),
-            [](const auto& a, const auto& b) { return a[0] < b[0]; });
-  return components;
+  return true;
 }
 
 std::vector<std::vector<VertexId>> Digraph::CyclicComponents() const {
+  // Every cyclic component is the component of each of its members; in
+  // ascending vertex order it is first met at its smallest member, which
+  // keeps the list ordered by smallest member.
   std::vector<std::vector<VertexId>> out;
-  for (auto& c : StronglyConnectedComponents()) {
-    // A singleton component is cyclic only via a self-loop (impossible in
-    // waits-for graphs, but the digraph is generic).
-    if (c.size() >= 2 || HasEdge(c[0], c[0])) out.push_back(std::move(c));
+  std::vector<VertexId> covered;  // members found so far, ascending
+  CyclesThrough cycles;
+  for (const auto& [v, _] : verts_) {
+    if (std::binary_search(covered.begin(), covered.end(), v) ||
+        !cycles.Load(*this, v)) {
+      continue;
+    }
+    std::vector<VertexId>& component = out.emplace_back();
+    for (std::size_t i = 0; i < cycles.size(); ++i) {
+      component.push_back(cycles.member(i));
+    }
+    covered.insert(covered.end(), component.begin(), component.end());
+    std::sort(covered.begin(), covered.end());
   }
   return out;
 }

@@ -6,6 +6,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -105,9 +106,10 @@ class Digraph {
   bool HasEdge(VertexId from, VertexId to, EdgeLabel label) const;
   std::size_t EdgeCount() const { return edge_count_; }
   std::vector<Edge> Edges() const;
-  // Out-neighbours of v (each listed once even with parallel labels).
-  std::vector<VertexId> Successors(VertexId v) const;
-  std::vector<VertexId> Predecessors(VertexId v) const;
+  // The sorted (neighbour, label) arcs leaving / entering v, without
+  // copying; empty when v is absent. Valid until the next mutation.
+  std::span<const Arc> OutArcs(VertexId v) const;
+  std::span<const Arc> InArcs(VertexId v) const;
   std::size_t InDegree(VertexId v) const;
   std::size_t OutDegree(VertexId v) const;
 
@@ -123,30 +125,20 @@ class Digraph {
   // entity "is already locked by a descendant" in the concurrency graph.
   bool WouldCreateCycle(VertexId from, VertexId to) const;
 
-  // Finds one directed cycle through v, if any. With exclusive locks only
-  // the deadlock-free graph is a forest (Theorem 1) and a single wait can
-  // close at most one cycle, which this returns.
+  // Finds one directed cycle through v, if any: the depth-first first
+  // cycle in sorted arc order, from one sweep of v's strongly connected
+  // component (graph::CyclesThrough) rather than cycle enumeration. With
+  // exclusive locks only the deadlock-free graph is a forest (Theorem 1)
+  // and a single wait can close at most one cycle, which this returns.
   std::optional<Cycle> FindCycleThrough(VertexId v) const;
-
-  // Enumerates all simple directed cycles through v, invoking cb for each;
-  // stops early when cb returns false or `limit` cycles were produced.
-  // Returns the number of cycles reported. Used for shared+exclusive
-  // systems where one wait may close many cycles (paper §3.2), all of which
-  // provably pass through the requester.
-  std::size_t EnumerateCyclesThrough(
-      VertexId v, std::size_t limit,
-      const std::function<bool(const Cycle&)>& cb) const;
 
   // True iff the digraph is acyclic.
   bool IsAcyclic() const;
 
-  // Strongly connected components (Tarjan), each sorted ascending; the
-  // component list is ordered by smallest member. Components of size >= 2
-  // are exactly the vertex sets involved in directed cycles, which is how
-  // the periodic deadlock scan finds every deadlock in one sweep.
-  std::vector<std::vector<VertexId>> StronglyConnectedComponents() const;
-
-  // Components of size >= 2 only (the cyclic ones).
+  // The vertex sets of the directed cycles: strongly connected components
+  // of size >= 2 (or with a self-loop), each sorted ascending, the list
+  // ordered by smallest member. The periodic deadlock scan and the
+  // cross-shard merge find every deadlock in one sweep with it.
   std::vector<std::vector<VertexId>> CyclicComponents() const;
 
   // Theorem 1 structure check: with exclusive locks only, a deadlock-free
@@ -168,14 +160,6 @@ class Digraph {
 
   void EraseLabelPair(EdgeLabel label, VertexId from, VertexId to);
 
-  // One DFS frame of the cycle enumeration; lives in a reusable scratch
-  // stack so the per-block deadlock probe allocates nothing after warm-up.
-  struct DfsFrame {
-    VertexId vertex;
-    const AdjList* out;
-    std::size_t next;
-  };
-
   // Per-vertex adjacency as (neighbour, label) pairs kept sorted — the
   // same iteration order the old map-of-sets produced, at a fraction of
   // the allocation cost: an edge insert is a binary-searched inline-array
@@ -195,14 +179,11 @@ class Digraph {
       label_index_;
   std::size_t edge_count_ = 0;
 
-  // Scratch buffers for the hot queries (per-block cycle probe, per-grant
-  // label sweep, prevention-mode path test). Cleared, never shrunk: after
+  // Scratch buffers for the hot queries (per-grant label sweep,
+  // prevention-mode path test). Cleared, never shrunk: after
   // warm-up these paths perform zero heap allocations. `mutable` because
   // the queries are logically const; the digraph is single-threaded like
   // the engine that owns it.
-  mutable std::vector<VertexId> scratch_path_;
-  mutable std::vector<Edge> scratch_path_edges_;
-  mutable std::vector<DfsFrame> scratch_stack_;
   mutable std::vector<VertexId> scratch_frontier_;
   mutable std::vector<VertexId> scratch_seen_;
   std::vector<std::pair<VertexId, VertexId>> scratch_pairs_;

@@ -10,8 +10,9 @@ void AdmissionQueue::Push(txn::Program program) {
   assert(!closed_ && "Push after Close");
   if (items_.size() >= capacity_ && !abandoned_) {
     blocked_pushes_.fetch_add(1, std::memory_order_relaxed);
-    not_full_.wait(lock,
-                   [this] { return items_.size() < capacity_ || abandoned_; });
+    not_full_.wait(lock, [this] {
+      return items_.size() <= refill_depth_ || abandoned_;
+    });
   }
   if (abandoned_) {  // consumer is gone; discard
     DecrementMaterialized(1);
@@ -47,8 +48,9 @@ AdmissionQueue::Pop AdmissionQueue::TryPop(txn::Program* out,
   popped_.fetch_add(1, std::memory_order_relaxed);
   UpdateGauge(items_.size());
   DecrementMaterialized(1);
+  const bool refill = items_.size() <= refill_depth_;
   lock.unlock();
-  not_full_.notify_one();
+  if (refill) not_full_.notify_one();
   return Pop::kItem;
 }
 
@@ -69,8 +71,9 @@ AdmissionQueue::Pop AdmissionQueue::WaitPop(txn::Program* out,
   popped_.fetch_add(1, std::memory_order_relaxed);
   UpdateGauge(items_.size());
   DecrementMaterialized(1);
+  const bool refill = items_.size() <= refill_depth_;
   lock.unlock();
-  not_full_.notify_one();
+  if (refill) not_full_.notify_one();
   return Pop::kItem;
 }
 

@@ -39,7 +39,8 @@ class AdmissionQueue {
   };
 
   explicit AdmissionQueue(std::size_t capacity)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
+      : capacity_(capacity == 0 ? 1 : capacity),
+        refill_depth_(capacity_ / 2) {}
 
   // Optional depth gauge (pardb_admission_queue_depth{shard=k}), updated
   // on every push/pop. Set before the producer starts; not thread-safe
@@ -68,8 +69,12 @@ class AdmissionQueue {
   // Producer side. Push blocks while the queue is at capacity (unless
   // abandoned, in which case the program is dropped on the floor — the
   // producer still runs its full generation sweep so sibling shards see
-  // their exact batch-identical streams). Close is the end-of-stream
-  // token; Push after Close is a programming error.
+  // their exact batch-identical streams). A blocked producer resumes only
+  // once the consumer has drained the queue to half its capacity, then
+  // refills it in one burst: one hand-off per capacity/2 programs instead
+  // of a sleep and a wake per program, whose cost would otherwise ride on
+  // every pop. Close is the end-of-stream token; Push after Close is a
+  // programming error.
   void Push(txn::Program program);
   void Close();
 
@@ -116,6 +121,7 @@ class AdmissionQueue {
   };
 
   const std::size_t capacity_;
+  const std::size_t refill_depth_;  // a blocked Push resumes at this depth
   mutable std::mutex mu_;
   std::condition_variable not_full_;   // producer waits here
   std::condition_variable not_empty_;  // consumer (WaitPop) waits here

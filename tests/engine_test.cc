@@ -2,7 +2,6 @@
 
 #include "analysis/history.h"
 #include "core/engine.h"
-#include "core/vertex_cut.h"
 #include "core/victim_policy.h"
 #include "storage/entity_store.h"
 #include "txn/program.h"
@@ -548,25 +547,150 @@ TEST(VictimPolicyTest, KindNames) {
   EXPECT_EQ(VictimPolicyKindName(VictimPolicyKind::kRequester), "requester");
 }
 
-TEST(VertexCutTest, SingleCycleSinglePick) {
-  // One cycle over members {0,1,2} with costs {5,3,9}: pick {1}.
-  VertexCutResult r = SolveVertexCut({{0, 1, 2}}, {5, 3, 9});
-  EXPECT_EQ(r.members, std::vector<std::size_t>{1});
-  EXPECT_EQ(r.total_cost, 3u);
-  EXPECT_TRUE(r.exact);
+// Shared locks, one wait closing 4 x 4 x 5 = 80 cycles — more than the
+// 64 an enumerating detector would look at. The requester R holds E0
+// shared; four A's hold E1 shared and wait for E0; four B's hold E2 shared
+// and wait for E1; five C's hold E3 shared and wait for E2; R's exclusive
+// request on E3 closes every cycle R -> A -> B -> C -> R. Every layer is a
+// vertex cut; B is the cheapest (A: 1+1+1+10, B: 4 x 2, C: 5 x 4).
+struct EightyCycleDeadlock {
+  storage::EntityStore store;
+  std::unique_ptr<Engine> engine;
+  TxnId r;
+  std::vector<TxnId> a, b, c;
+};
+
+// Builds the scenario under `policy` and issues R's closing request. R
+// runs `requester_filler` computes before it, so rolling R back costs
+// 1 + requester_filler.
+void CloseEightyCycles(VictimPolicyKind policy, EightyCycleDeadlock* s,
+                       int requester_filler = 0) {
+  const std::vector<EntityId> e = s->store.CreateMany(4, 0);
+  EngineOptions opt;
+  opt.victim_policy = policy;
+  opt.lock_options = {/*fifo_fairness=*/false,
+                      lock::WaitEdgePolicy::kHoldersOnly};
+  s->engine = std::make_unique<Engine>(&s->store, opt);
+  Engine& engine = *s->engine;
+  // Holds `held` shared, runs `filler` computes, then requests `wanted`
+  // exclusive: rolling back to the shared lock costs 1 + filler.
+  auto Layer = [&](EntityId held, int filler, EntityId wanted) {
+    ProgramBuilder b("layer", 1);
+    b.LockShared(held);
+    for (int i = 0; i < filler; ++i) {
+      b.Compute(0, Operand::Var(0), ArithOp::kAdd, Operand::Imm(1));
+    }
+    b.LockExclusive(wanted).Commit();
+    auto t = engine.Spawn(Build(b));
+    EXPECT_TRUE(t.ok());
+    return t.value();
+  };
+  s->r = Layer(e[0], requester_filler, e[3]);
+  for (int filler : {0, 0, 0, 9}) s->a.push_back(Layer(e[1], filler, e[0]));
+  for (int i = 0; i < 4; ++i) s->b.push_back(Layer(e[2], 1, e[1]));
+  for (int i = 0; i < 5; ++i) s->c.push_back(Layer(e[3], 3, e[2]));
+
+  for (int i = 0; i <= requester_filler; ++i) {
+    ASSERT_TRUE(engine.StepTxn(s->r).ok());  // R: shared E0, computes
+  }
+  for (const auto* layer : {&s->a, &s->b, &s->c}) {
+    for (TxnId t : *layer) {
+      for (;;) {
+        auto out = engine.StepTxn(t);
+        ASSERT_TRUE(out.ok()) << out.status().ToString();
+        if (out.value() == StepOutcome::kBlocked) break;
+        ASSERT_EQ(out.value(), StepOutcome::kExecuted);
+      }
+    }
+  }
+  ASSERT_EQ(engine.metrics().deadlocks, 0u);
+  auto closing = engine.StepTxn(s->r);  // R: exclusive E3
+  ASSERT_TRUE(closing.ok()) << closing.status().ToString();
 }
 
-TEST(VertexCutTest, SharedMemberBeatsTwoPicks) {
-  // Cycles {0,1} and {0,2}; costs 0:5, 1:2, 2:2. {1,2} costs 4 < {0}=5.
-  VertexCutResult r = SolveVertexCut({{0, 1}, {0, 2}}, {5, 2, 2});
-  EXPECT_EQ(r.members, (std::vector<std::size_t>{1, 2}));
-  EXPECT_EQ(r.total_cost, 4u);
+TEST(ManyCycleDeadlockTest, OneExactCutResolvesEightyCycles) {
+  EightyCycleDeadlock s;
+  ASSERT_NO_FATAL_FAILURE(
+      CloseEightyCycles(VictimPolicyKind::kMinCostOrdered, &s));
+  const Engine& engine = *s.engine;
+  const std::vector<TxnId>& a = s.a;
+  const std::vector<TxnId>& b = s.b;
+  const std::vector<TxnId>& c = s.c;
+  ASSERT_EQ(engine.metrics().deadlocks, 1u);
+  EXPECT_EQ(engine.metrics().cycles_found, 80u);
+  ASSERT_EQ(engine.deadlock_events().size(), 1u);
+  const DeadlockEvent& ev = engine.deadlock_events().front();
+  EXPECT_EQ(ev.num_cycles, 80u);
+  EXPECT_EQ(ev.candidates.size(), 14u);
+  EXPECT_EQ(ev.victims, b);
+
+  // Brute force over every subset of the 13 non-requester members: the
+  // cheapest set meeting all 80 cycles costs what the cut paid.
+  std::vector<TxnId> members;
+  for (const auto* layer : {&a, &b, &c}) {
+    members.insert(members.end(), layer->begin(), layer->end());
+  }
+  auto CostOf = [&ev](TxnId t) {
+    for (const VictimCandidate& cand : ev.candidates) {
+      if (cand.txn == t) return cand.cost;
+    }
+    ADD_FAILURE() << "no candidate for T" << t.value();
+    return std::uint64_t{0};
+  };
+  std::uint64_t best = ~std::uint64_t{0};
+  for (std::uint32_t set = 1; set < (1u << members.size()); ++set) {
+    auto In = [&](TxnId t) {
+      for (std::size_t i = 0; i < members.size(); ++i) {
+        if (members[i] == t) return ((set >> i) & 1u) != 0;
+      }
+      return false;
+    };
+    bool hits_all = true;
+    for (TxnId ta : a) {
+      for (TxnId tb : b) {
+        for (TxnId tc : c) hits_all &= In(ta) || In(tb) || In(tc);
+      }
+    }
+    if (!hits_all) continue;
+    std::uint64_t cost = 0;
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      if ((set >> i) & 1u) cost += CostOf(members[i]);
+    }
+    best = std::min(best, cost);
+  }
+  EXPECT_EQ(best, 8u);
+  EXPECT_EQ(ev.total_cost, best);
+
+  ASSERT_TRUE(s.engine->RunToCompletion().ok());
+  EXPECT_EQ(engine.metrics().deadlocks, 1u);
 }
 
-TEST(VertexCutTest, HubCheaperThanPair) {
-  VertexCutResult r = SolveVertexCut({{0, 1}, {0, 2}}, {3, 2, 2});
-  EXPECT_EQ(r.members, std::vector<std::size_t>{0});
-  EXPECT_EQ(r.total_cost, 3u);
+// Unordered min-cost compares the requester with the cut and takes the
+// requester on a tie: here both cost 8.
+TEST(ManyCycleDeadlockTest, MinCostTakesTheRequesterWhenNoDearerThanTheCut) {
+  EightyCycleDeadlock s;
+  ASSERT_NO_FATAL_FAILURE(
+      CloseEightyCycles(VictimPolicyKind::kMinCost, &s, /*requester_filler=*/7));
+  ASSERT_EQ(s.engine->deadlock_events().size(), 1u);
+  const DeadlockEvent& ev = s.engine->deadlock_events().front();
+  EXPECT_EQ(ev.victims, std::vector<TxnId>{s.r});
+  EXPECT_EQ(ev.total_cost, 8u);
+}
+
+// Youngest keeps its per-cycle rule: the youngest member of the first
+// cycle no victim breaks yet, until none is left. Every cycle's youngest
+// is a C, and the next uncovered cycle always ends in the next C, so all
+// five C's go — in one resolution, with the requester kept.
+TEST(ManyCycleDeadlockTest, YoungestPicksOnePerUncoveredCycle) {
+  EightyCycleDeadlock s;
+  ASSERT_NO_FATAL_FAILURE(CloseEightyCycles(VictimPolicyKind::kYoungest, &s));
+  ASSERT_EQ(s.engine->deadlock_events().size(), 1u);
+  const DeadlockEvent& ev = s.engine->deadlock_events().front();
+  EXPECT_EQ(ev.num_cycles, 80u);
+  EXPECT_EQ(ev.victims, s.c);
+  EXPECT_EQ(s.engine->LockCountOf(s.r), 2u);  // granted E3, not rolled back
+  ASSERT_TRUE(s.engine->RunToCompletion().ok());
+  EXPECT_EQ(s.engine->metrics().deadlocks, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -657,40 +781,6 @@ TEST_F(EngineTest, StepQuantumOnEmptyEngineDoesNothing) {
   EXPECT_EQ(qr->steps, 0u);
   EXPECT_FALSE(qr->ran_dry);
   EXPECT_FALSE(qr->committed);
-}
-
-TEST(VertexCutTest, EmptyCyclesNoVictims) {
-  VertexCutResult r = SolveVertexCut({}, {});
-  EXPECT_TRUE(r.members.empty());
-  EXPECT_EQ(r.total_cost, 0u);
-}
-
-TEST(VertexCutTest, GreedyFallbackStillCovers) {
-  // Force greedy with exact_limit = 1.
-  VertexCutResult r = SolveVertexCut({{0, 1}, {1, 2}, {2, 3}},
-                                     {1, 1, 1, 1}, /*exact_limit=*/1);
-  EXPECT_FALSE(r.exact);
-  // Whatever it picked must hit all three cycles.
-  auto Hit = [&](std::initializer_list<std::size_t> cycle) {
-    for (std::size_t m : r.members) {
-      for (std::size_t c : cycle) {
-        if (m == c) return true;
-      }
-    }
-    return false;
-  };
-  EXPECT_TRUE(Hit({0, 1}));
-  EXPECT_TRUE(Hit({1, 2}));
-  EXPECT_TRUE(Hit({2, 3}));
-}
-
-TEST(VertexCutTest, ExactBeatsGreedyOnAdversarialInstance) {
-  // Greedy ratio favors member 2 (covers both cycles, cost 3) but the
-  // optimum is {0,1} with cost 2.
-  VertexCutResult exact =
-      SolveVertexCut({{0, 2}, {1, 2}}, {1, 1, 3}, /*exact_limit=*/10);
-  EXPECT_EQ(exact.total_cost, 2u);
-  EXPECT_EQ(exact.members, (std::vector<std::size_t>{0, 1}));
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "cycle_oracle.h"
+#include "graph/cycles_through.h"
 #include "graph/digraph.h"
 #include "graph/undirected.h"
 
@@ -64,12 +66,15 @@ TEST(DigraphTest, DegreesAndNeighbors) {
   g.AddEdge(1, 2, 0);
   g.AddEdge(1, 3, 1);
   g.AddEdge(4, 1, 2);
-  EXPECT_EQ(g.OutDegree(1), 2u);
+  g.AddEdge(1, 3, 0);  // parallel label
+  EXPECT_EQ(g.OutDegree(1), 3u);
   EXPECT_EQ(g.InDegree(1), 1u);
-  auto succ = g.Successors(1);
-  EXPECT_EQ(succ, (std::vector<VertexId>{2, 3}));
-  auto pred = g.Predecessors(1);
-  EXPECT_EQ(pred, (std::vector<VertexId>{4}));
+  auto out = g.OutArcs(1);
+  EXPECT_EQ(std::vector<Arc>(out.begin(), out.end()),
+            (std::vector<Arc>{{2, 0}, {3, 0}, {3, 1}}));
+  auto in = g.InArcs(1);
+  EXPECT_EQ(std::vector<Arc>(in.begin(), in.end()), (std::vector<Arc>{{4, 2}}));
+  EXPECT_TRUE(g.OutArcs(99).empty());
 }
 
 TEST(DigraphTest, HasPath) {
@@ -117,7 +122,7 @@ TEST(DigraphTest, EnumerateMultipleCyclesThroughVertex) {
   g.AddEdge(2, 3, 2);
   g.AddEdge(3, 1, 3);
   std::vector<Cycle> cycles;
-  std::size_t n = g.EnumerateCyclesThrough(1, 10, [&](const Cycle& c) {
+  std::size_t n = EnumerateCyclesThrough(g, 1, 10, [&](const Cycle& c) {
     cycles.push_back(c);
     return true;
   });
@@ -135,7 +140,7 @@ TEST(DigraphTest, EnumerateHonorsLimit) {
   g.AddEdge(2, 1, 1);
   g.AddEdge(2, 3, 2);
   g.AddEdge(3, 1, 3);
-  std::size_t n = g.EnumerateCyclesThrough(1, 1, [](const Cycle&) {
+  std::size_t n = EnumerateCyclesThrough(g, 1, 1, [](const Cycle&) {
     return true;
   });
   EXPECT_EQ(n, 1u);
@@ -176,9 +181,10 @@ TEST(DigraphTest, ToDotMentionsEdges) {
   EXPECT_NE(dot.find("label=\"5\""), std::string::npos);
 }
 
-TEST(DigraphTest, StronglyConnectedComponents) {
+TEST(DigraphTest, CyclicComponents) {
   Digraph g;
-  // Two cycles {1,2,3} and {5,6}, plus singletons 4 and 7.
+  // Two cycles {1,2,3} and {5,6}, plus acyclic vertices 4 and 7 and a
+  // self-loop on 8.
   g.AddEdge(1, 2, 0);
   g.AddEdge(2, 3, 0);
   g.AddEdge(3, 1, 0);
@@ -186,19 +192,17 @@ TEST(DigraphTest, StronglyConnectedComponents) {
   g.AddEdge(5, 6, 0);
   g.AddEdge(6, 5, 0);
   g.AddVertex(7);
-  auto sccs = g.StronglyConnectedComponents();
-  ASSERT_EQ(sccs.size(), 4u);
-  EXPECT_EQ(sccs[0], (std::vector<VertexId>{1, 2, 3}));
-  EXPECT_EQ(sccs[1], (std::vector<VertexId>{4}));
-  EXPECT_EQ(sccs[2], (std::vector<VertexId>{5, 6}));
-  EXPECT_EQ(sccs[3], (std::vector<VertexId>{7}));
+  g.AddEdge(8, 8, 0);
   auto cyclic = g.CyclicComponents();
-  ASSERT_EQ(cyclic.size(), 2u);
+  ASSERT_EQ(cyclic.size(), 3u);
   EXPECT_EQ(cyclic[0], (std::vector<VertexId>{1, 2, 3}));
   EXPECT_EQ(cyclic[1], (std::vector<VertexId>{5, 6}));
+  EXPECT_EQ(cyclic[2], (std::vector<VertexId>{8}));
 }
 
-TEST(DigraphTest, SccAgreesWithAcyclicity) {
+// Cyclic components and acyclicity against mutual reachability (HasPath)
+// and the enumeration oracle on random graphs, self-loops included.
+TEST(DigraphTest, CyclicComponentsMatchMutualReachability) {
   pardb::Rng rng(404);
   for (int trial = 0; trial < 100; ++trial) {
     Digraph g;
@@ -208,11 +212,28 @@ TEST(DigraphTest, SccAgreesWithAcyclicity) {
     for (std::size_t e = 0; e < edges; ++e) {
       g.AddEdge(rng.Uniform(n), rng.Uniform(n), e);
     }
-    EXPECT_EQ(g.CyclicComponents().empty(), g.IsAcyclic()) << trial;
+    std::vector<std::vector<VertexId>> expected;
+    std::set<VertexId> placed;
+    bool acyclic = true;
+    for (VertexId v = 0; v < n; ++v) {
+      acyclic &= AllCyclesThrough(g, v).empty();
+      if (placed.count(v)) continue;
+      std::vector<VertexId> component;
+      for (VertexId u = 0; u < n; ++u) {
+        if (g.HasPath(v, u) && g.HasPath(u, v)) component.push_back(u);
+      }
+      placed.insert(component.begin(), component.end());
+      if (component.size() >= 2 || g.HasEdge(v, v)) {
+        expected.push_back(component);
+      }
+    }
+    EXPECT_EQ(g.CyclicComponents(), expected) << trial;
+    EXPECT_EQ(g.IsAcyclic(), acyclic) << trial;
+    EXPECT_EQ(expected.empty(), acyclic) << trial;
   }
 }
 
-// Cross-check EnumerateCyclesThrough against brute-force permutation
+// Cross-check the enumeration oracle against brute-force permutation
 // search on small random graphs.
 TEST(DigraphTest, EnumerationMatchesBruteForce) {
   pardb::Rng rng(777);
@@ -246,11 +267,305 @@ TEST(DigraphTest, EnumerationMatchesBruteForce) {
     };
     Dfs();
     std::set<std::vector<VertexId>> found;
-    g.EnumerateCyclesThrough(root, 100000, [&](const Cycle& c) {
+    EnumerateCyclesThrough(g, root, 100000, [&](const Cycle& c) {
       found.insert(c.vertices);
       return true;
     });
     EXPECT_EQ(found, expected) << "trial " << trial;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// CyclesThrough: the requester's component against the enumeration oracle
+// ---------------------------------------------------------------------------
+
+constexpr std::uint64_t kInf = CyclesThrough::kInfinite;
+
+// Member index of v in a loaded component.
+std::size_t LocalIndex(const CyclesThrough& ct, VertexId v) {
+  for (std::size_t i = 0; i < ct.size(); ++i) {
+    if (ct.member(i) == v) return i;
+  }
+  return ct.size();
+}
+
+// g minus the `drop` vertices (Digraph is move-only).
+Digraph Without(const Digraph& g, const std::vector<VertexId>& drop) {
+  auto Dropped = [&drop](VertexId v) {
+    return std::find(drop.begin(), drop.end(), v) != drop.end();
+  };
+  Digraph rest;
+  for (VertexId v : g.Vertices()) {
+    if (!Dropped(v)) rest.AddVertex(v);
+  }
+  for (const Edge& e : g.Edges()) {
+    if (!Dropped(e.from) && !Dropped(e.to)) rest.AddEdge(e.from, e.to, e.label);
+  }
+  return rest;
+}
+
+// Cheapest set of non-root members meeting every cycle, by trying every
+// subset; kInf when only uncuttable members block some cycle.
+std::uint64_t BruteForceHittingSet(const CyclesThrough& ct,
+                                   const std::vector<Cycle>& cycles,
+                                   const std::vector<std::uint64_t>& cap) {
+  std::vector<std::uint32_t> cycle_masks;
+  for (const Cycle& c : cycles) {
+    std::uint32_t mask = 0;
+    for (VertexId v : c.vertices) {
+      const std::size_t i = LocalIndex(ct, v);
+      if (i != ct.root_index()) mask |= 1u << i;
+    }
+    cycle_masks.push_back(mask);
+  }
+  std::uint64_t best = kInf;
+  for (std::uint32_t set = 0; set < (1u << ct.size()); ++set) {
+    if (set & (1u << ct.root_index())) continue;
+    std::uint64_t cost = 0;
+    for (std::size_t i = 0; i < ct.size() && cost != kInf; ++i) {
+      if (set & (1u << i)) cost = cap[i] == kInf ? kInf : cost + cap[i];
+    }
+    if (cost >= best) continue;
+    bool hits_all = true;
+    for (std::uint32_t mask : cycle_masks) hits_all &= (mask & set) != 0;
+    if (hits_all) best = cost;
+  }
+  return best;
+}
+
+// Checks one instance against the oracle: component arcs, cycle count,
+// first cycle, cut optimality and that removing the cut leaves no cycle
+// through the root. Returns the cut (empty when infinite).
+std::vector<VertexId> CheckAgainstOracle(
+    const Digraph& g, VertexId root,
+    const std::function<std::uint64_t(VertexId)>& price) {
+  const std::vector<Cycle> cycles = AllCyclesThrough(g, root);
+  CyclesThrough ct;
+  EXPECT_EQ(ct.Load(g, root), !cycles.empty());
+  if (cycles.empty()) return {};
+
+  std::set<Edge> on_cycles;
+  for (const Cycle& c : cycles) on_cycles.insert(c.edges.begin(), c.edges.end());
+  std::set<Edge> in_component;
+  for (std::size_t i = 0; i < ct.size(); ++i) {
+    for (const auto& arc : ct.OutArcs(i)) {
+      in_component.insert(Edge{ct.member(i), ct.member(arc.head), arc.label});
+    }
+  }
+  EXPECT_EQ(in_component, on_cycles);
+  EXPECT_EQ(ct.arc_count(), in_component.size());
+  EXPECT_EQ(ct.CountCycles(), cycles.size());
+  EXPECT_EQ(ct.arc_count() == ct.size(), cycles.size() == 1);
+
+  Cycle first;
+  EXPECT_TRUE(ct.FirstCycle(&first));
+  EXPECT_EQ(first.vertices, cycles.front().vertices);
+  EXPECT_EQ(first.edges, cycles.front().edges);
+  // With one member excluded: the first enumerated cycle avoiding it.
+  for (std::size_t x = 0; x < ct.size(); ++x) {
+    if (x == ct.root_index()) continue;
+    std::vector<char> excluded(ct.size(), 0);
+    excluded[x] = 1;
+    auto avoiding = std::find_if(cycles.begin(), cycles.end(),
+                                 [&](const Cycle& c) {
+                                   return !c.Contains(ct.member(x));
+                                 });
+    Cycle next;
+    EXPECT_EQ(ct.FirstCycle(&next, &excluded), avoiding != cycles.end());
+    if (avoiding != cycles.end()) {
+      EXPECT_EQ(next.edges, avoiding->edges);
+    }
+  }
+
+  std::vector<std::uint64_t> cap;
+  for (std::size_t i = 0; i < ct.size(); ++i) cap.push_back(price(ct.member(i)));
+  std::vector<std::size_t> cut;
+  const std::uint64_t flow = ct.MinVertexCut(cap, &cut);
+  EXPECT_EQ(flow, BruteForceHittingSet(ct, cycles, cap));
+  if (flow == kInf) {
+    EXPECT_TRUE(cut.empty());
+    return {};
+  }
+  std::uint64_t paid = 0;
+  std::vector<VertexId> victims;
+  for (std::size_t i : cut) {
+    EXPECT_NE(i, ct.root_index());
+    paid += cap[i];
+    victims.push_back(ct.member(i));
+  }
+  EXPECT_EQ(paid, flow);
+  const Digraph rest = Without(g, victims);
+  EXPECT_TRUE(AllCyclesThrough(rest, root).empty());
+  EXPECT_FALSE(ct.Load(rest, root));
+  return victims;
+}
+
+// A DAG plus a requester: arcs between the other vertices only run forward
+// in a random order, so — as under continuous detection — every cycle
+// passes through the requester. Vertex ids are shuffled so the requester
+// is not always the smallest.
+TEST(CyclesThroughTest, MatchesEnumerationOracleOnRandomDagPlusRequester) {
+  pardb::Rng rng(1981);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t n = 2 + rng.Uniform(11);  // 2..12 vertices
+    std::vector<VertexId> id(n);
+    for (std::size_t i = 0; i < n; ++i) id[i] = i;
+    for (std::size_t i = n - 1; i > 0; --i) {
+      std::swap(id[i], id[rng.Uniform(i + 1)]);
+    }
+    const VertexId root = id[0];
+    Digraph g;
+    EdgeLabel label = 0;
+    const double density = 0.15 + 0.3 * rng.NextDouble();
+    for (std::size_t a = 1; a < n; ++a) {
+      if (rng.Bernoulli(0.4)) g.AddEdge(root, id[a], label++);
+      if (rng.Bernoulli(0.4)) g.AddEdge(id[a], root, label++);
+      for (std::size_t b = a + 1; b < n; ++b) {
+        if (!rng.Bernoulli(density)) continue;
+        g.AddEdge(id[a], id[b], label++);
+        if (rng.Bernoulli(0.1)) g.AddEdge(id[a], id[b], label++);  // parallel
+      }
+    }
+    std::vector<std::uint64_t> prices(n);
+    for (std::uint64_t& p : prices) {
+      p = rng.Bernoulli(0.2) ? kInf : rng.Uniform(10);
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    CheckAgainstOracle(g, root, [&prices](VertexId v) { return prices[v]; });
+  }
+}
+
+// Root 0 on every cycle; each listed member set becomes the ascending chain
+// 0 -> m1 -> ... -> mk -> 0.
+Digraph ChainsThroughRoot(const std::vector<std::vector<VertexId>>& chains) {
+  Digraph g;
+  EdgeLabel label = 0;
+  for (const auto& chain : chains) {
+    VertexId prev = 0;
+    for (VertexId m : chain) {
+      if (!g.HasEdge(prev, m)) g.AddEdge(prev, m, label++);
+      prev = m;
+    }
+    if (!g.HasEdge(prev, 0)) g.AddEdge(prev, 0, label++);
+  }
+  return g;
+}
+
+TEST(CyclesThroughTest, FixedCutInstances) {
+  struct Case {
+    const char* name;
+    std::vector<std::vector<VertexId>> chains;
+    std::vector<std::uint64_t> prices;  // by vertex id; [0] is the root
+    std::uint64_t cost;
+    std::vector<VertexId> cut;  // empty: any optimal cut
+  };
+  const std::vector<Case> cases = {
+      {"single cycle, cheapest member", {{1, 2, 3}}, {0, 5, 3, 9}, 3, {2}},
+      {"two cheap leaves beat the shared member", {{1, 2}, {1, 3}},
+       {0, 5, 2, 2}, 4, {2, 3}},
+      {"shared member beats two leaves", {{1, 2}, {1, 3}}, {0, 3, 2, 2}, 3,
+       {1}},
+      {"overlapping chain of cycles", {{1, 2}, {2, 3}, {3, 4}},
+       {0, 1, 1, 1, 1}, 2, {}},
+      {"greedy trap: two singles beat the hub", {{1, 3}, {2, 3}},
+       {0, 1, 1, 3}, 2, {1, 2}},
+      {"ties go to the holders the root waits on", {{1, 2}}, {0, 1, 1}, 1,
+       {2}},
+      {"uncuttable path", {{1, 2}, {3}}, {0, 1, 1, kInf}, kInf, {}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const Digraph g = ChainsThroughRoot(c.chains);
+    const std::vector<VertexId> cut = CheckAgainstOracle(
+        g, 0, [&c](VertexId v) { return c.prices[v]; });
+    CyclesThrough ct;
+    ASSERT_TRUE(ct.Load(g, 0));
+    std::vector<std::uint64_t> cap;
+    for (std::size_t i = 0; i < ct.size(); ++i) {
+      cap.push_back(c.prices[ct.member(i)]);
+    }
+    std::vector<std::size_t> unused;
+    EXPECT_EQ(ct.MinVertexCut(cap, &unused), c.cost);
+    if (!c.cut.empty()) {
+      EXPECT_EQ(cut, c.cut);
+    }
+  }
+}
+
+TEST(CyclesThroughTest, NoCycleThroughRootLoadsNothing) {
+  Digraph g;
+  g.AddEdge(0, 1, 0);
+  g.AddEdge(1, 2, 1);
+  g.AddEdge(2, 1, 2);  // a cycle, but not through 0
+  CyclesThrough ct;
+  EXPECT_FALSE(ct.Load(g, 0));
+  EXPECT_EQ(ct.size(), 0u);
+  EXPECT_FALSE(ct.Load(g, 7));  // absent vertex
+  Cycle c;
+  EXPECT_FALSE(ct.FirstCycle(&c));
+  EXPECT_TRUE(ct.Load(g, 1));
+  EXPECT_EQ(ct.size(), 2u);
+}
+
+TEST(CyclesThroughTest, ParallelArcsCountAsSeparateCycles) {
+  Digraph g;
+  g.AddEdge(0, 1, 10);
+  g.AddEdge(0, 1, 11);
+  g.AddEdge(1, 0, 12);
+  CyclesThrough ct;
+  ASSERT_TRUE(ct.Load(g, 0));
+  EXPECT_EQ(ct.size(), 2u);
+  EXPECT_EQ(ct.arc_count(), 3u);
+  EXPECT_EQ(ct.CountCycles(), 2u);
+  EXPECT_EQ(ct.CountCycles(), AllCyclesThrough(g, 0).size());
+}
+
+// A cyclic G − root (as in a periodic scan): the component still holds
+// every cycle through the root and the cut still breaks them all; the
+// count is only a lower bound.
+TEST(CyclesThroughTest, CyclicRemainderStillCutsEveryCycleThroughRoot) {
+  Digraph g;
+  g.AddEdge(0, 1, 0);
+  g.AddEdge(1, 2, 1);
+  g.AddEdge(2, 1, 2);  // cycle avoiding the root
+  g.AddEdge(2, 0, 3);
+  g.AddEdge(1, 0, 4);
+  CyclesThrough ct;
+  ASSERT_TRUE(ct.Load(g, 0));
+  EXPECT_LE(ct.CountCycles(), AllCyclesThrough(g, 0).size());
+  Cycle first;
+  ASSERT_TRUE(ct.FirstCycle(&first));
+  EXPECT_EQ(first.vertices, AllCyclesThrough(g, 0).front().vertices);
+  std::vector<std::size_t> cut;
+  EXPECT_EQ(ct.MinVertexCut({1, 1, 1}, &cut), 1u);
+  std::vector<VertexId> victims;
+  for (std::size_t i : cut) victims.push_back(ct.member(i));
+  EXPECT_TRUE(AllCyclesThrough(Without(g, victims), 0).empty());
+}
+
+TEST(CyclesThroughTest, FindCycleThroughReturnsASimpleCycleOnAnyGraph) {
+  pardb::Rng rng(31);
+  for (int trial = 0; trial < 100; ++trial) {
+    Digraph g;
+    const std::size_t n = 2 + rng.Uniform(7);
+    for (std::size_t e = 0; e < 2 * n; ++e) {
+      g.AddEdge(rng.Uniform(n), rng.Uniform(n), e);
+    }
+    const auto found = g.FindCycleThrough(0);
+    ASSERT_EQ(found.has_value(), !AllCyclesThrough(g, 0).empty()) << trial;
+    if (!found.has_value()) continue;
+    // On a cyclic remainder the walk may return another cycle than the
+    // enumeration's first; it is always a simple cycle through 0.
+    const std::vector<VertexId>& vs = found->vertices;
+    EXPECT_EQ(vs.front(), 0u);
+    EXPECT_EQ(std::set<VertexId>(vs.begin(), vs.end()).size(), vs.size());
+    ASSERT_EQ(found->edges.size(), vs.size());
+    for (std::size_t i = 0; i < vs.size(); ++i) {
+      const Edge& e = found->edges[i];
+      EXPECT_EQ(e.from, vs[i]);
+      EXPECT_EQ(e.to, vs[(i + 1) % vs.size()]);
+      EXPECT_TRUE(g.HasEdge(e.from, e.to, e.label));
+    }
   }
 }
 

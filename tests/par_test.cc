@@ -591,7 +591,10 @@ TEST(AdmissionQueueTest, BackpressureBlocksProducerWithoutDropping) {
     q.Close();
   });
   // With no consumer the producer must wedge at capacity, not run ahead.
-  while (q.depth() < kCapacity) std::this_thread::yield();
+  // Waiting for the block itself (not just a full queue) keeps the
+  // consumer from racing the producer's first blocked push.
+  while (q.blocked_pushes() == 0) std::this_thread::yield();
+  EXPECT_EQ(q.depth(), kCapacity);
   EXPECT_LE(produced.load(std::memory_order_acquire), kCapacity);
 
   txn::Program p;
@@ -613,6 +616,35 @@ TEST(AdmissionQueueTest, BackpressureBlocksProducerWithoutDropping) {
   EXPECT_EQ(q.popped(), kItems);
   EXPECT_GE(q.blocked_pushes(), 1u);  // backpressure actually engaged
   EXPECT_EQ(q.TryPop(&p), AdmissionQueue::Pop::kClosed);
+}
+
+TEST(AdmissionQueueTest, BlockedProducerRefillsInBursts) {
+  // A blocked producer sleeps until the queue is half drained, so against
+  // a slow consumer every block is followed by at least capacity/2 pushes:
+  // one hand-off per half queue, not one per program.
+  constexpr std::size_t kCapacity = 8;
+  constexpr std::uint64_t kItems = 64;
+  AdmissionQueue q(kCapacity);
+  std::thread producer([&q] {
+    for (std::uint64_t e = 0; e < kItems; ++e) {
+      q.Push(LockProgram({EntityId(e)}));
+    }
+    q.Close();
+  });
+  txn::Program p;
+  std::uint64_t next = 0;
+  for (;;) {
+    auto r = q.WaitPop(&p, std::chrono::microseconds(100));
+    if (r == AdmissionQueue::Pop::kEmpty) continue;
+    if (r == AdmissionQueue::Pop::kClosed) break;
+    EXPECT_EQ(p.op(0).entity, EntityId(next));
+    ++next;
+    std::this_thread::sleep_for(std::chrono::microseconds(20));
+  }
+  producer.join();
+  EXPECT_EQ(next, kItems);
+  EXPECT_GE(q.blocked_pushes(), 1u);
+  EXPECT_LE(q.blocked_pushes(), kItems / (kCapacity / 2));
 }
 
 TEST(AdmissionQueueTest, AbandonUnblocksProducerAndDiscards) {
