@@ -5,20 +5,19 @@
 //
 // Reproduces the bound with the worst-case adversarial transaction (write
 // every held entity between every pair of lock requests), shows the bound
-// is attained exactly when monitoring stops at the declared last lock
-// request (§5) and only slightly exceeded without the declaration, and
-// contrasts MCS's quadratic growth with the constant single-copy footprint
-// of the total-restart and SDG strategies.
+// is attained exactly when the §5 seal stops history at the last lock
+// request and only slightly exceeded without it, and contrasts MCS's
+// quadratic growth with the constant single-copy footprint of the
+// total-restart and SDG presets. Copies are a static fact of the program,
+// so the table reads them straight off each preset's rollback plan.
 
 #include <benchmark/benchmark.h>
 
 #include <iostream>
 
 #include "bench/table_util.h"
-#include "rollback/mcs_strategy.h"
-#include "rollback/sdg_strategy.h"
-#include "rollback/strategy.h"
-#include "rollback/total_restart.h"
+#include "rollback/plan.h"
+#include "rollback/sdg.h"
 #include "txn/program.h"
 
 namespace {
@@ -26,36 +25,33 @@ namespace {
 using namespace pardb;
 using bench::Section;
 using bench::Table;
-using rollback::RollbackStrategy;
 using rollback::StrategyKind;
 
-txn::Program DummyProgram(std::uint32_t num_vars) {
-  txn::ProgramBuilder b("space", num_vars);
-  b.LockExclusive(EntityId(0));
-  b.Commit();
-  auto p = b.Build();
-  return std::move(p).value();
-}
+constexpr txn::VarId kVars = 4;
 
-// Drives a strategy through the Theorem 3 worst case with n locks:
-// after the i-th lock request, write every held entity once.
-rollback::SpaceStats WorstCase(StrategyKind kind, std::size_t n,
-                               bool declare_last_lock) {
-  txn::Program program = DummyProgram(4);
-  auto strategy = rollback::MakeStrategy(kind, program);
+// The Theorem 3 worst case with n locks: after the i-th lock request,
+// write every held entity once and every variable once.
+txn::Program WorstCaseProgram(std::size_t n) {
+  txn::ProgramBuilder b("space", kVars);
   for (std::size_t i = 0; i < n; ++i) {
-    strategy->OnLockGranted(i, EntityId(i), lock::LockMode::kExclusive,
-                            Value(i), false);
-    if (declare_last_lock && i == n - 1) strategy->OnLastLockGranted();
+    b.LockExclusive(EntityId(i));
     for (std::size_t j = 0; j <= i; ++j) {
-      strategy->OnEntityWrite(EntityId(j), Value(100 * i + j),
-                              LockIndex(i + 1));
+      b.WriteImm(EntityId(j), Value(100 * i + j));
     }
-    for (txn::VarId v = 0; v < 4; ++v) {
-      strategy->OnVarWrite(v, Value(i), LockIndex(i + 1));
+    for (txn::VarId v = 0; v < kVars; ++v) {
+      b.Compute(v, txn::Operand::Imm(Value(i)), txn::ArithOp::kAdd,
+                txn::Operand::Imm(0));
     }
   }
-  return strategy->Space();
+  b.Commit();
+  return std::move(b.Build()).value();
+}
+
+// Copies the preset holds once every write has executed (before commit).
+rollback::CopyCounts WorstCase(StrategyKind kind, std::size_t n, bool seal) {
+  const txn::Program program = WorstCaseProgram(n);
+  return rollback::RollbackPlanner().Build(program, kind, seal)
+      .PeakCopiesAt(program.size() - 1);
 }
 
 void PrintReproduction() {
@@ -67,8 +63,8 @@ void PrintReproduction() {
     auto mcs_plain = WorstCase(StrategyKind::kMcs, n, false);
     auto total = WorstCase(StrategyKind::kTotalRestart, n, false);
     auto sdg = WorstCase(StrategyKind::kSdg, n, false);
-    t.AddRow(n, n * (n + 1) / 2, mcs_decl.entity_copies,
-             mcs_plain.entity_copies, total.entity_copies, sdg.entity_copies);
+    t.AddRow(n, n * (n + 1) / 2, mcs_decl.entity, mcs_plain.entity,
+             total.entity, sdg.entity);
   }
   t.Print();
   std::cout << "(with the §5 last-lock declaration the worst case attains "
@@ -81,15 +77,17 @@ void PrintReproduction() {
     auto mcs = WorstCase(StrategyKind::kMcs, n, true);
     auto total = WorstCase(StrategyKind::kTotalRestart, n, true);
     auto sdg = WorstCase(StrategyKind::kSdg, n, true);
-    v.AddRow(n, n * 4, mcs.var_copies, total.var_copies, sdg.var_copies);
+    v.AddRow(n, n * 4, mcs.var, total.var, sdg.var);
   }
   v.Print();
 
   Section("SDG metadata (write-log entries) — bookkeeping, not copies");
   Table s({"n", "sdg metadata entries", "sdg entity copies"});
   for (std::size_t n : {4, 16, 64}) {
-    auto sdg = WorstCase(StrategyKind::kSdg, n, false);
-    s.AddRow(n, sdg.metadata_entries, sdg.entity_copies);
+    // The chords a live SDG would log; the plan compiles them away.
+    const auto sdg = rollback::BuildSdgForProgram(WorstCaseProgram(n));
+    s.AddRow(n, sdg.NumRecordedWrites(),
+             WorstCase(StrategyKind::kSdg, n, false).entity);
   }
   s.Print();
   std::cout << "(paper: the SDG implementation needs \"no more storage "
@@ -97,11 +95,15 @@ void PrintReproduction() {
                "restart\")\n";
 }
 
+// Planning cost of the worst case: the once-per-program work that replaced
+// per-transaction history tracking.
 void BM_McsWorstCase(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
+  const txn::Program program = WorstCaseProgram(n);
+  rollback::RollbackPlanner planner;
   for (auto _ : state) {
-    auto stats = WorstCase(StrategyKind::kMcs, n, true);
-    benchmark::DoNotOptimize(stats.entity_copies);
+    auto plan = planner.Build(program, StrategyKind::kMcs, true);
+    benchmark::DoNotOptimize(plan.num_slots());
   }
   state.SetComplexityN(static_cast<std::int64_t>(n));
 }
@@ -109,9 +111,11 @@ BENCHMARK(BM_McsWorstCase)->Range(4, 128)->Complexity();
 
 void BM_SdgWorstCase(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
+  const txn::Program program = WorstCaseProgram(n);
+  rollback::RollbackPlanner planner;
   for (auto _ : state) {
-    auto stats = WorstCase(StrategyKind::kSdg, n, true);
-    benchmark::DoNotOptimize(stats.entity_copies);
+    auto plan = planner.Build(program, StrategyKind::kSdg, true);
+    benchmark::DoNotOptimize(plan.num_slots());
   }
   state.SetComplexityN(static_cast<std::int64_t>(n));
 }

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <new>
 #include <sstream>
+#include <string>
 
 #include "common/bits.h"
 #include "common/logging.h"
@@ -157,14 +159,22 @@ Result<TxnId> Engine::Spawn(std::shared_ptr<const txn::Program> program) {
   }
   TxnId id(next_txn_++);
   TxnCold cold;
-  cold.strategy =
-      rollback::MakeStrategy(options_.strategy, *program, &txn_arena_);
+  // Fetch (or lower) the µop stream and the rollback plan, both keyed by
+  // the program's executable content. With compile_programs off the µops
+  // go unused and the transaction runs on the interpreted fallback; a
+  // nullptr stream does too.
+  std::size_t entry = 0;
+  auto compiled = compile_cache_.Get(program, &entry);
+  if (entry == plans_.size()) {
+    plans_.push_back(planner_.Build(
+        *program, options_.strategy,
+        /*seal=*/options_.handling == DeadlockHandling::kDetection));
+  }
   if (options_.compile_programs) {
-    // Lower (or fetch) the µop stream; nullptr keeps this transaction on
-    // the interpreted fallback. Cache telemetry is a pure function of the
-    // admitted program sequence, so mirroring it into the metrics here
-    // keeps the counters deterministic.
-    cold.compiled = compile_cache_.Get(program);
+    // Cache telemetry is a pure function of the admitted program sequence,
+    // so mirroring it into the metrics here keeps the counters
+    // deterministic.
+    cold.compiled = std::move(compiled);
     const txn::CompileCache::Stats& cs = compile_cache_.stats();
     metrics_.programs_compiled = cs.compiles;
     metrics_.compile_cache_hits = cs.hits;
@@ -175,7 +185,16 @@ Result<TxnId> Engine::Spawn(std::shared_ptr<const txn::Program> program) {
   ctx.entry = clock_++;
   ctx.uops = cold.compiled != nullptr ? cold.compiled->uops() : nullptr;
   ctx.size = static_cast<std::uint32_t>(program->size());
-  ctx.strategy = cold.strategy.get();
+  ctx.plan = &plans_[entry];
+  // Slots [0, num_vars) seed the initial variable values; every other slot
+  // is written before any op reads it.
+  const std::size_t slot_bytes = ctx.plan->num_slots() * sizeof(Value);
+  ctx.slots = static_cast<Value*>(txn_arena_.TryAllocate(slot_bytes));
+  if (ctx.slots == nullptr) throw std::bad_alloc();
+  const std::vector<Value>& init = program->initial_vars();
+  std::copy(init.begin(), init.end(), ctx.slots);
+  std::fill(ctx.slots + init.size(), ctx.slots + ctx.plan->num_slots(),
+            Value{0});
   cold.program = std::move(program);
   ctx.granted.set_arena(&txn_arena_);
   if (recorder_ != nullptr) recorder_->OnBegin(id, ctx.entry);
@@ -196,7 +215,6 @@ Result<TxnId> Engine::SpawnSub(txn::Program program, std::size_t hold_pc) {
   ColdOf(*ctx).hold_pc = hold_pc;
   ++holds_active_;
   MarkReadyDirty(*ctx);
-  ctx->seal_deferred = true;
   if (journal_ != nullptr) journal_->OnHold(ctx->id, metrics_.steps, hold_pc);
   return id;
 }
@@ -216,18 +234,6 @@ Status Engine::ReleaseHold(TxnId txn) {
   cold.hold_pc = kNoHold;
   MarkReadyDirty(*ctx);
   if (journal_ != nullptr) journal_->OnRelease(ctx->id, metrics_.steps);
-  if (ctx->seal_deferred) {
-    ctx->seal_deferred = false;
-    // Apply the deferred §5 seal now that the sub has passed its last lock
-    // request and can no longer be a (distributed) rollback victim.
-    if (options_.use_last_lock_declaration &&
-        options_.handling == DeadlockHandling::kDetection) {
-      auto last = cold.program->LastLockRequestPosition();
-      if (last.has_value() && ctx->pc > *last) {
-        ctx->strategy->OnLastLockGranted();
-      }
-    }
-  }
   return Status::OK();
 }
 
@@ -248,6 +254,7 @@ Status Engine::ApplyExternalRollback(TxnId txn, LockIndex target,
     return Status::FailedPrecondition(
         "cannot roll back a committed transaction");
   }
+  PARDB_RETURN_IF_ERROR(CheckRollbackTarget(*victim, target));
   metrics_.wasted_ops += cost;
   metrics_.ideal_wasted_ops += ideal_cost;
   ++metrics_.preemptions;
@@ -288,14 +295,9 @@ const Engine::TxnContext* Engine::Find(TxnId txn) const {
   return v < txns_.size() ? &txns_[v] : nullptr;
 }
 
-Value Engine::EvalOperand(const TxnContext& ctx, const txn::Operand& o) const {
-  if (o.kind == txn::Operand::Kind::kImm) return o.imm;
-  return ctx.strategy->VarValue(o.var);
-}
-
-Result<Value> Engine::ReadEntityValue(const TxnContext& ctx,
-                                      EntityId entity) const {
-  if (auto local = ctx.strategy->LocalValue(entity)) return *local;
+Result<Value> Engine::EntityValue(const TxnContext& ctx, EntityId entity,
+                                  std::uint32_t source) const {
+  if (source != rollback::RollbackPlan::kGlobal) return ctx.slots[source];
   auto global = store_->Get(entity);
   if (!global.ok()) return global.status();
   return global.value().value;
@@ -319,11 +321,11 @@ Result<StepOutcome> Engine::ExecuteOp(TxnContext& ctx) {
     PARDB_RETURN_IF_ERROR(ExecuteCommit(ctx));
     return StepOutcome::kCommitted;
   }
-  // One fused dispatch per op: the µop carries the pre-resolved entity,
-  // folded immediates and the static lock index (== granted.size() here,
-  // an invariant partial rollback preserves because it truncates `granted`
-  // to the same prefix it resets the pc to).
+  // One fused dispatch per op: the µop carries the pre-resolved entity and
+  // folded immediates, the plan the slot every value comes from and goes
+  // to.
   const txn::MicroOp& u = ctx.uops[ctx.pc];
+  const rollback::RollbackPlan::Op& s = ctx.plan->op(ctx.pc);
   switch (static_cast<txn::MicroOpCode>(u.code)) {
     case txn::MicroOpCode::kLockShared:
       return ExecuteLock(ctx, EntityId(u.entity), lock::LockMode::kShared);
@@ -331,41 +333,27 @@ Result<StepOutcome> Engine::ExecuteOp(TxnContext& ctx) {
       return ExecuteLock(ctx, EntityId(u.entity), lock::LockMode::kExclusive);
     case txn::MicroOpCode::kRead: {
       const EntityId entity(u.entity);
-      Value v;
-      if (auto local = ctx.strategy->LocalValue(entity)) {
-        v = *local;
-      } else {
-        auto global = store_->Get(entity);
-        if (!global.ok()) return global.status();
-        v = global.value().value;
-      }
+      auto v = EntityValue(ctx, entity, s.a);
+      if (!v.ok()) return v.status();
       if (recorder_ != nullptr) {
         auto global = store_->Get(entity);
         if (!global.ok()) return global.status();
         recorder_->OnRead(ctx.id, entity, global.value().version, ctx.pc);
       }
-      ctx.strategy->OnVarWrite(u.dst, v, u.lock_index);
+      ctx.slots[s.dst] = v.value();
       break;
     }
-    case txn::MicroOpCode::kWrite: {
-      const Value v = (u.flags & txn::kMicroFlagAVar) != 0
-                          ? ctx.strategy->VarValue(
-                                static_cast<txn::VarId>(u.a))
-                          : u.a;
-      ctx.strategy->OnEntityWrite(EntityId(u.entity), v, u.lock_index);
+    case txn::MicroOpCode::kWrite:
+      ctx.slots[s.dst] =
+          (u.flags & txn::kMicroFlagAVar) != 0 ? ctx.slots[s.a] : u.a;
       break;
-    }
     case txn::MicroOpCode::kComputeAdd:
     case txn::MicroOpCode::kComputeSub:
     case txn::MicroOpCode::kComputeMul: {
-      const Value a = (u.flags & txn::kMicroFlagAVar) != 0
-                          ? ctx.strategy->VarValue(
-                                static_cast<txn::VarId>(u.a))
-                          : u.a;
-      const Value b = (u.flags & txn::kMicroFlagBVar) != 0
-                          ? ctx.strategy->VarValue(
-                                static_cast<txn::VarId>(u.b))
-                          : u.b;
+      const Value a =
+          (u.flags & txn::kMicroFlagAVar) != 0 ? ctx.slots[s.a] : u.a;
+      const Value b =
+          (u.flags & txn::kMicroFlagBVar) != 0 ? ctx.slots[s.b] : u.b;
       Value v;
       switch (static_cast<txn::MicroOpCode>(u.code)) {
         case txn::MicroOpCode::kComputeSub:
@@ -378,14 +366,14 @@ Result<StepOutcome> Engine::ExecuteOp(TxnContext& ctx) {
           v = a + b;
           break;
       }
-      ctx.strategy->OnVarWrite(u.dst, v, u.lock_index);
+      ctx.slots[s.dst] = v;
       break;
     }
     case txn::MicroOpCode::kLoadImm:
-      ctx.strategy->OnVarWrite(u.dst, u.a, u.lock_index);
+      ctx.slots[s.dst] = u.a;
       break;
     case txn::MicroOpCode::kUnlock:
-      PARDB_RETURN_IF_ERROR(ExecuteUnlockOne(ctx, EntityId(u.entity)));
+      PARDB_RETURN_IF_ERROR(ExecuteReleases(ctx));
       ctx.in_shrinking_phase = true;
       break;
     case txn::MicroOpCode::kCommit:
@@ -406,7 +394,10 @@ Result<StepOutcome> Engine::ExecuteOpInterpreted(TxnContext& ctx) {
     return StepOutcome::kCommitted;
   }
   const txn::Op& op = program.op(ctx.pc);
-  const LockIndex lock_index = ctx.granted.size();
+  const rollback::RollbackPlan::Op& s = ctx.plan->op(ctx.pc);
+  auto Eval = [&ctx](const txn::Operand& o, std::uint32_t slot) {
+    return o.kind == txn::Operand::Kind::kImm ? o.imm : ctx.slots[slot];
+  };
   switch (op.code) {
     case txn::OpCode::kLockShared:
     case txn::OpCode::kLockExclusive:
@@ -417,28 +408,27 @@ Result<StepOutcome> Engine::ExecuteOpInterpreted(TxnContext& ctx) {
     case txn::OpCode::kRead: {
       auto global = store_->Get(op.entity);
       if (!global.ok()) return global.status();
-      auto value = ReadEntityValue(ctx, op.entity);
+      auto value = EntityValue(ctx, op.entity, s.a);
       if (!value.ok()) return value.status();
       if (recorder_ != nullptr) {
         recorder_->OnRead(ctx.id, op.entity, global.value().version, ctx.pc);
       }
-      ctx.strategy->OnVarWrite(op.dst, value.value(), lock_index);
+      ctx.slots[s.dst] = value.value();
       ++ctx.pc;
       ++metrics_.ops_executed;
       if (txnlife_ != nullptr) txnlife_->OnStep(ctx.id, metrics_.steps);
       return StepOutcome::kExecuted;
     }
     case txn::OpCode::kWrite: {
-      ctx.strategy->OnEntityWrite(op.entity, EvalOperand(ctx, op.a),
-                                  lock_index);
+      ctx.slots[s.dst] = Eval(op.a, s.a);
       ++ctx.pc;
       ++metrics_.ops_executed;
       if (txnlife_ != nullptr) txnlife_->OnStep(ctx.id, metrics_.steps);
       return StepOutcome::kExecuted;
     }
     case txn::OpCode::kCompute: {
-      const Value a = EvalOperand(ctx, op.a);
-      const Value b = EvalOperand(ctx, op.b);
+      const Value a = Eval(op.a, s.a);
+      const Value b = Eval(op.b, s.b);
       Value v = 0;
       switch (op.arith) {
         case txn::ArithOp::kAdd:
@@ -451,14 +441,14 @@ Result<StepOutcome> Engine::ExecuteOpInterpreted(TxnContext& ctx) {
           v = a * b;
           break;
       }
-      ctx.strategy->OnVarWrite(op.dst, v, lock_index);
+      ctx.slots[s.dst] = v;
       ++ctx.pc;
       ++metrics_.ops_executed;
       if (txnlife_ != nullptr) txnlife_->OnStep(ctx.id, metrics_.steps);
       return StepOutcome::kExecuted;
     }
     case txn::OpCode::kUnlock: {
-      PARDB_RETURN_IF_ERROR(ExecuteUnlockOne(ctx, op.entity));
+      PARDB_RETURN_IF_ERROR(ExecuteReleases(ctx));
       ctx.in_shrinking_phase = true;
       ++ctx.pc;
       ++metrics_.ops_executed;
@@ -548,32 +538,7 @@ Status Engine::RegisterGrant(TxnContext& ctx, EntityId entity,
     }
     if (txnlife_ != nullptr) txnlife_->OnWake(ctx.id, metrics_.steps);
   }
-  const LockIndex lock_state = ctx.granted.size();
   ctx.granted.push_back(LockRecord{entity, mode, is_upgrade, ctx.pc});
-  auto global = store_->Get(entity);
-  if (!global.ok()) return global.status();
-  ctx.strategy->OnLockGranted(lock_state, entity, mode, global.value().value,
-                              is_upgrade);
-  // The §5 "stop monitoring after the last lock request" optimisation is
-  // only sound under detection: there a transaction past its final lock
-  // request can never become a rollback victim. The prevention schemes
-  // wound *running* holders, so their history must stay live. The compiled
-  // stream carries the answer as a flag on the lock µop (ctx.pc still
-  // names the request being granted here); the fallback walks the program.
-  if (options_.use_last_lock_declaration &&
-      options_.handling == DeadlockHandling::kDetection &&
-      !ctx.seal_deferred) {
-    if (ctx.uops != nullptr) {
-      if ((ctx.uops[ctx.pc].flags & txn::kMicroFlagLastLock) != 0) {
-        ctx.strategy->OnLastLockGranted();
-      }
-    } else {
-      auto last = ColdOf(ctx).program->LastLockRequestPosition();
-      if (last.has_value() && *last == ctx.pc) {
-        ctx.strategy->OnLastLockGranted();
-      }
-    }
-  }
   ++ctx.pc;
   ctx.status = TxnStatus::kReady;
   MarkReadyDirty(ctx);
@@ -595,21 +560,27 @@ Status Engine::HandleGrant(const lock::Grant& g) {
   return RegisterGrant(*ctx, g.entity, g.mode, g.was_upgrade);
 }
 
-Status Engine::ExecuteUnlockOne(TxnContext& ctx, EntityId entity) {
-  std::optional<Value> publish = ctx.strategy->OnUnlock(entity);
-  if (publish.has_value()) {
-    auto version = store_->Publish(entity, *publish);
-    if (!version.ok()) return version.status();
-    if (recorder_ != nullptr) {
-      recorder_->OnPublish(ctx.id, entity, version.value(), ctx.pc);
+Status Engine::ExecuteReleases(TxnContext& ctx) {
+  for (const rollback::RollbackPlan::Release& r : ctx.plan->releases(ctx.pc)) {
+    if (r.source != rollback::RollbackPlan::kNone) {
+      // An exclusive lock publishes the final value (the global one when
+      // the transaction never wrote the entity).
+      auto value = EntityValue(ctx, r.entity, r.source);
+      if (!value.ok()) return value.status();
+      auto version = store_->Publish(r.entity, value.value());
+      if (!version.ok()) return version.status();
+      if (recorder_ != nullptr) {
+        recorder_->OnPublish(ctx.id, r.entity, version.value(), ctx.pc);
+      }
     }
+    scratch_grants_.clear();
+    PARDB_RETURN_IF_ERROR(
+        locks_.ReleaseInto(ctx.id, r.entity, &scratch_grants_));
+    for (const lock::Grant& g : scratch_grants_) {
+      PARDB_RETURN_IF_ERROR(HandleGrant(g));
+    }
+    RefreshWaitEdges(r.entity);
   }
-  scratch_grants_.clear();
-  PARDB_RETURN_IF_ERROR(locks_.ReleaseInto(ctx.id, entity, &scratch_grants_));
-  for (const lock::Grant& g : scratch_grants_) {
-    PARDB_RETURN_IF_ERROR(HandleGrant(g));
-  }
-  RefreshWaitEdges(entity);
   return Status::OK();
 }
 
@@ -617,12 +588,9 @@ Status Engine::ExecuteCommit(TxnContext& ctx) {
   SampleSpace(ctx);
   // Release everything still held (publishing X-held final values), in
   // entity order for determinism.
-  scratch_held_.clear();
-  locks_.AppendHeldEntities(ctx.id, &scratch_held_);
-  std::sort(scratch_held_.begin(), scratch_held_.end());
-  for (std::size_t i = 0; i < scratch_held_.size(); ++i) {
-    PARDB_RETURN_IF_ERROR(ExecuteUnlockOne(ctx, scratch_held_[i]));
-  }
+  PARDB_RETURN_IF_ERROR(ExecuteReleases(ctx));
+  txn_arena_.FreeBlock(ctx.slots, ctx.plan->num_slots() * sizeof(Value));
+  ctx.slots = nullptr;
   ctx.status = TxnStatus::kCommitted;
   MarkReadyDirty(ctx);
   ctx.pc = ctx.size;
@@ -693,7 +661,7 @@ Result<VictimCandidate> Engine::MakeCandidate(
     }
   }
   c.ideal_target = ideal;
-  c.actual_target = member.strategy->LatestRestorableAtOrBefore(ideal);
+  c.actual_target = member.plan->LatestRestorableAtOrBefore(ideal, member.pc);
   auto StateIndexOfTarget = [&member](LockIndex target) -> std::size_t {
     return target < member.granted.size()
                ? member.granted[target].op_index
@@ -1148,7 +1116,25 @@ std::uint64_t Engine::RollbackCostOf(const TxnContext& victim,
                           : victim.pc);
 }
 
+Status Engine::CheckRollbackTarget(const TxnContext& victim,
+                                   LockIndex target) const {
+  if (victim.in_shrinking_phase) {
+    return Status::FailedPrecondition(
+        "rollback after unlock is not permitted (two-phase rule)");
+  }
+  if (target > victim.granted.size() ||
+      !victim.plan->IsRestorable(target, victim.pc)) {
+    return Status::InvalidArgument(
+        "lock state " + std::to_string(target) + " of " +
+        std::to_string(victim.id.value()) + " is not restorable under " +
+        std::string(rollback::StrategyKindName(options_.strategy)) +
+        " at state index " + std::to_string(victim.pc));
+  }
+  return Status::OK();
+}
+
 Status Engine::RollbackTxn(TxnContext& victim, LockIndex target) {
+  PARDB_RETURN_IF_ERROR(CheckRollbackTarget(victim, target));
   obs::ScopedTimer rollback_timer(
       probe_ != nullptr ? probe_->rollback_apply_ns : nullptr,
       probe_ != nullptr ? probe_->clock : nullptr);
@@ -1176,14 +1162,9 @@ Status Engine::RollbackTxn(TxnContext& victim, LockIndex target) {
     RefreshWaitEdges(pending->entity);
   }
 
-  // Restore values.
-  auto restored = victim.strategy->RestoreTo(target);
-  if (!restored.ok()) return restored.status();
-
-  // Undo lock requests with lock state >= target.
-  if (target > victim.granted.size()) {
-    return Status::Internal("rollback target beyond current lock state");
-  }
+  // Undo lock requests with lock state >= target. The value slots need no
+  // restore: the plan made target restorable exactly because every slot a
+  // later read resolves to still holds its value at that state.
   scratch_undone_.assign(victim.granted.begin() + target,
                          victim.granted.end());
   victim.granted.truncate(target);
@@ -1270,11 +1251,14 @@ std::uint64_t Engine::StateDigest() const {
 }
 
 void Engine::SampleSpace(const TxnContext& ctx) {
-  rollback::SpaceStats s = ctx.strategy->Space();
+  // Copies are a function of the position, and a transaction revisits only
+  // positions below the ones sampled at its earlier rollbacks, so the peak
+  // over [0, pc] is its peak over its whole history.
+  const rollback::CopyCounts peak = ctx.plan->PeakCopiesAt(ctx.pc);
   metrics_.max_entity_copies =
-      std::max(metrics_.max_entity_copies, s.peak_entity_copies);
+      std::max<std::size_t>(metrics_.max_entity_copies, peak.entity);
   metrics_.max_var_copies =
-      std::max(metrics_.max_var_copies, s.peak_var_copies);
+      std::max<std::size_t>(metrics_.max_var_copies, peak.var);
 }
 
 Result<std::optional<TxnId>> Engine::StepAny() {
@@ -1439,14 +1423,21 @@ Timestamp Engine::EntryOf(TxnId txn) const {
   return ctx == nullptr ? 0 : ctx->entry;
 }
 
-const rollback::RollbackStrategy* Engine::StrategyOf(TxnId txn) const {
-  const TxnContext* ctx = Find(txn);
-  return ctx == nullptr ? nullptr : ctx->strategy;
-}
-
 Value Engine::VarValueOf(TxnId txn, txn::VarId var) const {
   const TxnContext* ctx = Find(txn);
-  return ctx == nullptr ? 0 : ctx->strategy->VarValue(var);
+  if (ctx == nullptr || ctx->slots == nullptr) return 0;
+  const txn::Program& program = *ColdOf(*ctx).program;
+  if (var >= program.num_vars()) return 0;
+  return ctx->slots[ctx->plan->VarSlotAt(program, var, ctx->pc)];
+}
+
+Value Engine::EntityValueOf(TxnId txn, EntityId entity) const {
+  const TxnContext* ctx = Find(txn);
+  if (ctx == nullptr || ctx->slots == nullptr) return 0;
+  auto v = EntityValue(
+      *ctx, entity,
+      ctx->plan->EntitySlotAt(*ColdOf(*ctx).program, entity, ctx->pc));
+  return v.ok() ? v.value() : 0;
 }
 
 std::uint64_t Engine::PreemptionCountOf(TxnId txn) const {

@@ -2,6 +2,7 @@
 #define PARDB_CORE_ENGINE_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -28,7 +29,7 @@
 #include "graph/cycles_through.h"
 #include "graph/digraph.h"
 #include "lock/lock_manager.h"
-#include "rollback/strategy.h"
+#include "rollback/plan.h"
 #include "storage/entity_store.h"
 #include "txn/compiled.h"
 #include "txn/program.h"
@@ -85,6 +86,11 @@ enum class DetectionMode {
 };
 
 struct EngineOptions {
+  // Which rollback plan preset admitted programs are compiled with
+  // (rollback/plan.h). Under kDetection every plan applies the §5 seal: a
+  // transaction past its last lock request never waits again, so it can
+  // never be a rollback victim and its later writes keep no history. The
+  // prevention schemes wound running holders, so there is no seal.
   rollback::StrategyKind strategy = rollback::StrategyKind::kMcs;
   DeadlockHandling handling = DeadlockHandling::kDetection;
   VictimPolicyKind victim_policy = VictimPolicyKind::kMinCostOrdered;
@@ -107,10 +113,6 @@ struct EngineOptions {
   lock::LockManager::Options lock_options{
       /*fifo_fairness=*/true,
       /*wait_edge_policy=*/lock::WaitEdgePolicy::kHoldersAndQueue};
-  // §5 optimisation: once a transaction's statically known last lock
-  // request is granted it can never be rolled back again, so its rollback
-  // strategy stops recording history.
-  bool use_last_lock_declaration = true;
   // When true and several cycles exist (shared locks), cost-based policies
   // choose between the requester and a minimum-cost vertex cut (§3.2,
   // DESIGN D19). When false, multi-cycle deadlocks always roll back the
@@ -185,6 +187,9 @@ struct EngineMetrics {
   // Space accounting sampled at every rollback and commit.
   std::size_t max_entity_copies = 0;  // max per-transaction peak
   std::size_t max_var_copies = 0;
+
+  friend bool operator==(const EngineMetrics&,
+                         const EngineMetrics&) = default;
 };
 
 // Percentiles over the recorded per-rollback costs (lost state-index
@@ -255,10 +260,10 @@ class Engine {
   // program position (= its lock-acquisition count) at which it parks until
   // an external coordinator releases it. While parked the scheduler skips it
   // (it holds its locks but never runs), so the coordinator can line up the
-  // global lock point across shards. Because a held sub might still be
-  // rolled back by a *global* cycle, its §5 last-lock seal is deferred: the
-  // strategy keeps recording past the last local lock grant and is sealed
-  // only at ReleaseHold().
+  // global lock point across shards. A held sub might still be rolled back
+  // by a *global* cycle, which the §5 seal allows: the hold point follows
+  // the sub's last lock request and precedes its first write, so no write
+  // the seal covers runs before ReleaseHold().
 
   // Spawns `program` as a sub-transaction that parks at pc == hold_pc.
   Result<TxnId> SpawnSub(txn::Program program, std::size_t hold_pc);
@@ -266,9 +271,9 @@ class Engine {
   // True iff txn is parked at its hold point (ready, pc >= hold_pc).
   bool AtHold(TxnId txn) const;
 
-  // Clears the hold point, letting the scheduler run txn to completion, and
-  // applies the deferred §5 seal (under detection the sub can no longer be
-  // a rollback victim once the coordinator commits to the global order).
+  // Clears the hold point, letting the scheduler run txn to completion
+  // (under detection the sub can no longer be a rollback victim once the
+  // coordinator commits to the global order).
   Status ReleaseHold(TxnId txn);
 
   // Prices rolling txn back far enough to stop conflicting over `conflicts`
@@ -282,7 +287,9 @@ class Engine {
   // distributed analogue of a detection victim): accounts the cost as a
   // preemption and rolls txn back to lock state `target`. The victim may be
   // parked at a hold point (not waiting) — its pending request, if any, is
-  // cancelled like a local victim's.
+  // cancelled like a local victim's. A target beyond txn's granted requests
+  // or one its rollback plan cannot restore fails with InvalidArgument
+  // before anything is accounted, logged or changed.
   Status ApplyExternalRollback(TxnId txn, LockIndex target,
                                std::uint64_t cost, std::uint64_t ideal_cost);
 
@@ -332,8 +339,12 @@ class Engine {
   // Number of granted lock requests (current lock index).
   LockIndex LockCountOf(TxnId txn) const;
   Timestamp EntryOf(TxnId txn) const;
-  const rollback::RollbackStrategy* StrategyOf(TxnId txn) const;
+  // Current value of a live transaction's local variable (0 once
+  // committed: its value slots are freed).
   Value VarValueOf(TxnId txn, txn::VarId var) const;
+  // Value of `entity` as a live transaction reads it: its own latest write,
+  // else the global value.
+  Value EntityValueOf(TxnId txn, EntityId entity) const;
 
   const graph::Digraph& waits_for() const { return waits_for_; }
   const lock::LockManager& lock_manager() const { return locks_; }
@@ -442,19 +453,22 @@ class Engine {
   };
 
   // Hot per-transaction state: everything the step/readiness path touches,
-  // packed so it fits the first cache line (52 bytes before `granted`,
-  // whose header starts within the line). Ownership and cold forensics
-  // fields live in the parallel TxnCold side array (same dense index), so
-  // a readiness scan or an op execution never drags telemetry-only bytes
-  // through the cache.
+  // packed so it fills the first cache line (59 bytes before `granted`).
+  // Ownership and cold forensics fields live in the parallel TxnCold side
+  // array (same dense index), so a readiness scan or an op execution never
+  // drags telemetry-only bytes through the cache.
   struct TxnContext {
     TxnId id;
     // Compiled µop stream cursor base (uops[pc] is the next op); nullptr
     // routes the transaction through the interpreted fallback. The stream
     // is owned (kept alive) by TxnCold::compiled / the compile cache.
     const txn::MicroOp* uops = nullptr;
-    // Borrowed from TxnCold::strategy (which owns it).
-    rollback::RollbackStrategy* strategy = nullptr;
+    // The program's rollback plan (in the engine's plans_) and the
+    // transaction's value slots laid out by it (an engine-arena block,
+    // freed at commit). This is all the rollback state a transaction has:
+    // rolling back resets pc and undoes locks, and copies no value.
+    const rollback::RollbackPlan* plan = nullptr;
+    Value* slots = nullptr;
     std::uint32_t pc = 0;
     std::uint32_t size = 0;  // program size (pc >= size <=> finished)
     Timestamp entry = 0;
@@ -462,9 +476,6 @@ class Engine {
     std::uint64_t wait_since = 0;
     TxnStatus status = TxnStatus::kReady;
     bool in_shrinking_phase = false;
-    // Defer the §5 last-lock seal until ReleaseHold (a held sub can still
-    // be a distributed-rollback victim).
-    bool seal_deferred = false;
     // Coordinator-imposed backoff (SetBackoff): the scheduler skips the
     // transaction so it cannot re-request the locks it just released.
     bool backoff = false;
@@ -479,7 +490,6 @@ class Engine {
   struct TxnCold {
     std::shared_ptr<const txn::Program> program;
     std::shared_ptr<const txn::CompiledProgram> compiled;  // may be null
-    std::unique_ptr<rollback::RollbackStrategy> strategy;
     std::uint64_t preempted = 0;
     // Cross-shard sub-transaction state (see SpawnSub): park at this pc
     // until ReleaseHold; kNoHold for ordinary transactions.
@@ -495,14 +505,17 @@ class Engine {
   Result<StepOutcome> ExecuteOpInterpreted(TxnContext& ctx);
   Result<StepOutcome> ExecuteLock(TxnContext& ctx, EntityId entity,
                                   lock::LockMode mode);
-  Status ExecuteUnlockOne(TxnContext& ctx, EntityId entity);
+  // Publishes and releases what the unlock or commit at ctx.pc releases,
+  // in the plan's (ascending entity) order.
+  Status ExecuteReleases(TxnContext& ctx);
   Status ExecuteCommit(TxnContext& ctx);
-  Value EvalOperand(const TxnContext& ctx, const txn::Operand& o) const;
-  Result<Value> ReadEntityValue(const TxnContext& ctx, EntityId entity) const;
+  // Value of `entity` for ctx: its plan source slot, or the global store.
+  Result<Value> EntityValue(const TxnContext& ctx, EntityId entity,
+                            std::uint32_t source) const;
 
   // Called when the lock manager granted `g` during a release/cancel.
   Status HandleGrant(const lock::Grant& g);
-  // Registers a granted lock in ctx (records, strategy callbacks).
+  // Registers a granted lock in ctx.
   Status RegisterGrant(TxnContext& ctx, EntityId entity, lock::LockMode mode,
                        bool is_upgrade);
 
@@ -538,9 +551,13 @@ class Engine {
   // rollback to that target pays).
   std::uint64_t RollbackCostOf(const TxnContext& victim,
                                LockIndex target) const;
-  // Rolls `victim` back to lock state `target` (which its strategy can
-  // restore exactly). Releases/downgrades undone locks, cancels its wait,
-  // rewinds the recorder and resets the program counter.
+  // OK when `victim` may be rolled back to lock state `target`: it is not
+  // shrinking, and target is within its granted requests and restorable
+  // by its plan at its pc. Checked before anything is mutated.
+  Status CheckRollbackTarget(const TxnContext& victim, LockIndex target) const;
+  // Rolls `victim` back to lock state `target`. Releases/downgrades undone
+  // locks, cancels its wait, rewinds the recorder and resets the program
+  // counter; the value slots need no restore (DESIGN D20).
   Status RollbackTxn(TxnContext& victim, LockIndex target);
 
   void SampleSpace(const TxnContext& ctx);
@@ -579,8 +596,13 @@ class Engine {
   const TxnCold& ColdOf(const TxnContext& ctx) const {
     return cold_[ctx.id.value()];
   }
-  // Per-engine µop cache (engines are single-threaded).
+  // Per-engine µop cache (engines are single-threaded), and the rollback
+  // plan of each cache entry (indexed by its entry number) — built once per
+  // distinct program under options_.strategy. A deque keeps the plans the
+  // contexts point to in place as it grows.
   txn::CompileCache compile_cache_;
+  rollback::RollbackPlanner planner_;
+  std::deque<rollback::RollbackPlan> plans_;
   // Uncommitted transactions as an intrusive doubly-linked list over dense
   // ids (SoA; replaces std::set<TxnId>). Spawn appends at the tail and ids
   // increase monotonically, so traversal from live_head_ enumerates the
@@ -620,7 +642,6 @@ class Engine {
   std::vector<TxnId> scratch_blockers_;      // RefreshWaitEdges per waiter
   std::vector<LockRecord> scratch_undone_;   // RollbackTxn undo tail
   std::vector<EntityId> scratch_handled_;    // RollbackTxn entity dedup
-  std::vector<EntityId> scratch_held_;       // ExecuteCommit release order
   std::vector<TxnId> scratch_expired_;       // ExpireTimeouts collection
   // Deadlock resolution (DetectAndResolve): the requester's component and
   // the victim choice over it, reused so a warm engine allocates nothing

@@ -17,7 +17,7 @@ struct VictimCandidate {
   TxnId txn;
   Timestamp entry = 0;        // entry timestamp (Theorem 2's ordering)
   LockIndex ideal_target = 0;  // latest lock state clearing the conflicts
-  // What the transaction's rollback strategy can actually restore
+  // What the transaction's rollback plan can actually restore
   // (<= ideal_target; equal under MCS, 0 under total restart, the latest
   // well-defined state under SDG).
   LockIndex actual_target = 0;

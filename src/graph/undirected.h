@@ -14,9 +14,9 @@ namespace pardb::graph {
 // and join each write's "index of restorability" to the lock state after
 // which the write occurred. Corollary 1 characterises well-defined
 // (recreatable) lock states as articulation points, which this class
-// computes with Hopcroft–Tarjan. The production SDG tracker
-// (rollback/sdg_strategy) uses an equivalent interval-coverage method; this
-// class cross-validates it in tests and renders figures.
+// computes with Hopcroft–Tarjan. rollback::StateDependencyGraph uses an
+// equivalent interval-coverage method; this class cross-validates it in
+// tests and renders figures.
 class UndirectedGraph {
  public:
   using VertexId = std::uint64_t;

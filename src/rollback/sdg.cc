@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
+
+#include "rollback/plan.h"
 
 namespace pardb::rollback {
 
@@ -72,38 +73,10 @@ graph::UndirectedGraph StateDependencyGraph::ToUndirectedGraph() const {
 
 StateDependencyGraph BuildSdgForProgram(const txn::Program& program) {
   StateDependencyGraph sdg;
-  sdg.AddLockState(0);
-  LockIndex lock_index = 0;
-  // first_write[key] = lock index of the key's first write; the index of
-  // restorability is first_write - 1.
-  std::unordered_map<std::uint64_t, LockIndex> first_write;
-
-  auto Record = [&](std::uint64_t key, LockIndex m) {
-    auto [it, inserted] = first_write.emplace(key, m);
-    const LockIndex u = it->second == 0 ? 0 : it->second - 1;
-    (void)inserted;
-    sdg.RecordWrite(u, m);
-  };
-
-  for (const txn::Op& op : program.ops()) {
-    switch (op.code) {
-      case txn::OpCode::kLockShared:
-      case txn::OpCode::kLockExclusive:
-        sdg.AddLockState(lock_index);
-        ++lock_index;
-        break;
-      case txn::OpCode::kWrite:
-        Record(op.entity.value() << 1, lock_index);
-        break;
-      case txn::OpCode::kCompute:
-      case txn::OpCode::kRead:
-        Record((static_cast<std::uint64_t>(op.dst) << 1) | 1, lock_index);
-        break;
-      case txn::OpCode::kUnlock:
-      case txn::OpCode::kCommit:
-        break;
-    }
-  }
+  // Lock states 0..p-1 for p lock requests; state 0 exists regardless.
+  const LockIndex p = program.NumLockRequests();
+  sdg.AddLockState(p == 0 ? 0 : p - 1);
+  for (const WriteChord& c : WriteChords(program)) sdg.RecordWrite(c.u, c.m);
   return sdg;
 }
 

@@ -24,7 +24,9 @@ namespace pardb::rollback {
 //
 // This class implements the query with interval coverage counts, which is
 // exactly equivalent to the articulation-point formulation (cross-checked
-// in tests via ToUndirectedGraph()).
+// in tests via ToUndirectedGraph()). The engine never builds one: it reads
+// the same answer from the transaction's RollbackPlan (rollback/plan.h).
+// The graph renders Figures 4 and 5 and is the plan's test oracle.
 class StateDependencyGraph {
  public:
   StateDependencyGraph() = default;
@@ -76,11 +78,11 @@ class StateDependencyGraph {
 };
 
 // Builds the state-dependency graph a transaction running `program` alone
-// to completion would have at its final lock state: lock indices are
-// assigned statically (every lock request granted immediately), and every
-// kWrite (to its entity) and kCompute/kRead (to its destination variable)
-// records a write. This is how the paper analyses transaction *structure*
-// (Figures 4 and 5) independently of any interleaving.
+// to completion would have at its final lock state: one lock state per
+// lock request and one chord per write, from rollback::WriteChords — the
+// chords a kSdg RollbackPlan compiles into its restorable rule. This is
+// how the paper analyses transaction *structure* (Figures 4 and 5)
+// independently of any interleaving.
 StateDependencyGraph BuildSdgForProgram(const txn::Program& program);
 
 }  // namespace pardb::rollback

@@ -22,11 +22,11 @@ struct VersionedValue {
 
 // The set of global data entities (paper §2). Holds only *global* values:
 // under the paper's deferred-update discipline a transaction works on local
-// copies (owned by its RollbackStrategy) and publishes the final value of an
-// exclusively locked entity only when unlocking it. Because two-phase
-// transactions are never rolled back after their first unlock, a rollback
-// never needs to undo a global value — Restore is provided only for test
-// harnesses that reset the database between runs.
+// copies (its value slots, laid out by its rollback plan) and publishes the
+// final value of an exclusively locked entity only when unlocking it.
+// Because two-phase transactions are never rolled back after their first
+// unlock, a rollback never needs to undo a global value — Restore is
+// provided only for test harnesses that reset the database between runs.
 //
 // Storage is split by id shape. Entities created densely from id 0 — the
 // only pattern the drivers and benches use — live in a flat vector indexed

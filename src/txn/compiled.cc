@@ -25,8 +25,8 @@ std::uint64_t OperandWord(const Operand& o) {
 
 // Content hash of the executable part of a program: the op sequence plus
 // the var-frame width. Names and initial var values are excluded —
-// initial values live in the rollback strategy (built per instance from
-// the Program), never in the µop stream.
+// initial values seed each instance's value slots (copied per instance
+// from the Program), never the µop stream.
 std::uint64_t HashProgram(const Program& p) {
   std::uint64_t h = MixHash(0x243f6a8885a308d3ULL, p.num_vars());
   for (const Op& op : p.ops()) {
@@ -87,8 +87,6 @@ std::shared_ptr<const CompiledProgram> CompiledProgram::Compile(
   auto compiled = std::make_shared<CompiledProgram>(Private{});
   compiled->uops_.reserve(program.size());
 
-  const auto last_lock = program.LastLockRequestPosition();
-  std::uint32_t lock_count = 0;
   // Entities with an earlier shared lock: a later LX on one of them is the
   // S->X upgrade (the builder's protocol validation makes this the only
   // legal re-lock, and two-phase means no lock follows an unlock — so the
@@ -99,7 +97,6 @@ std::shared_ptr<const CompiledProgram> CompiledProgram::Compile(
   for (std::size_t i = 0; i < program.size(); ++i) {
     const Op& op = program.op(i);
     MicroOp u{};
-    u.lock_index = lock_count;
     switch (op.code) {
       case OpCode::kLockShared:
       case OpCode::kLockExclusive: {
@@ -114,10 +111,6 @@ std::shared_ptr<const CompiledProgram> CompiledProgram::Compile(
           u.flags |= kMicroFlagUpgrade;
         }
         if (!exclusive) shared_held.push_back(op.entity.value());
-        if (last_lock.has_value() && *last_lock == i) {
-          u.flags |= kMicroFlagLastLock;
-        }
-        ++lock_count;
         break;
       }
       case OpCode::kUnlock:
@@ -193,7 +186,7 @@ void CompileCache::GrowTable() {
 }
 
 std::shared_ptr<const CompiledProgram> CompileCache::Get(
-    const std::shared_ptr<const Program>& program) {
+    const std::shared_ptr<const Program>& program, std::size_t* entry) {
   // Grow at 3/4 load, before probing, so the insert below always finds an
   // empty slot.
   if ((entries_ + 1) * 4 > slots_.size() * 3) GrowTable();
@@ -204,6 +197,7 @@ std::shared_ptr<const CompiledProgram> CompileCache::Get(
     if (slots_[i].hash == h &&
         SameExecutableContent(*slots_[i].src, *program)) {
       ++stats_.hits;
+      if (entry != nullptr) *entry = slots_[i].entry;
       return slots_[i].compiled;
     }
     i = (i + 1) & mask;
@@ -214,6 +208,8 @@ std::shared_ptr<const CompiledProgram> CompileCache::Get(
   slots_[i].hash = h;
   slots_[i].src = program;
   slots_[i].compiled = compiled;
+  slots_[i].entry = entries_;
+  if (entry != nullptr) *entry = entries_;
   ++entries_;
   return compiled;
 }

@@ -13,11 +13,10 @@
 //   * a single fused opcode byte (arith folded into the opcode, both-imm
 //     computes folded into a load of the precomputed result),
 //   * pre-resolved raw entity ids and pre-folded immediates,
-//   * the lock index every strategy callback needs, pre-annotated per op
-//     (a static count of lock requests before the op — invariant under
-//     partial rollback, because rollback truncates `granted` to the same
-//     prefix it resets the pc to),
-//   * the upgrade and §5 last-lock-request flags precomputed on lock ops.
+//   * the upgrade flag precomputed on lock ops.
+// Where each op's values come from and go to is the rollback plan's
+// business (rollback/plan.h), which the engine caches per entry beside
+// the µops.
 //
 // A CompileCache keyed by the executable op content (names excluded: two
 // programs with identical op sequences execute identically) makes repeated
@@ -51,7 +50,6 @@ enum class MicroOpCode : std::uint8_t {
 inline constexpr std::uint8_t kMicroFlagAVar = 1;      // a is a VarId
 inline constexpr std::uint8_t kMicroFlagBVar = 2;      // b is a VarId
 inline constexpr std::uint8_t kMicroFlagUpgrade = 4;   // lock op: S->X upgrade
-inline constexpr std::uint8_t kMicroFlagLastLock = 8;  // §5 last lock request
 
 // One decoded op, packed to 32 bytes so two µops share a cache line and a
 // typical workload program (6-20 ops) spans 3-10 lines fetched linearly.
@@ -59,7 +57,6 @@ struct MicroOp {
   std::uint8_t code;        // MicroOpCode
   std::uint8_t flags;       // kMicroFlag*
   std::uint16_t dst;        // kRead/kCompute*/kLoadImm destination var
-  std::uint32_t lock_index; // lock requests granted before this op
   std::uint64_t entity;     // raw entity id (lock/unlock/read/write)
   std::int64_t a;           // immediate value or VarId (kMicroFlagAVar)
   std::int64_t b;           // immediate value or VarId (kMicroFlagBVar)
@@ -96,8 +93,9 @@ class CompiledProgram {
 // Keyed by the executable content of the op sequence — program names are
 // deliberately excluded, so a workload emitting "txn-0", "txn-1", ... over
 // repeated templates still hits. Initial var values are also excluded:
-// they live in the per-instance rollback strategy, never in the µop
-// stream, so programs differing only in seed values share one compilation.
+// they seed each instance's value slots, never the µop stream or the
+// rollback plan, so programs differing only in seed values share one
+// compilation.
 //
 // Open-addressed flat table probed by a block-mixed hash of the op fields;
 // a lookup materializes no key bytes, so the admission path costs one
@@ -114,9 +112,13 @@ class CompileCache {
   // Returns the compiled form of `program`, compiling on first sight.
   // Returns nullptr (and caches the negative result) for programs the
   // compiler rejects. The cache retains `program` as the collision guard
-  // for its slot, so entries pin their source programs alive.
+  // for its slot, so entries pin their source programs alive. `entry`
+  // (optional) receives the program's dense entry number — 0, 1, 2, ... in
+  // first-sight order — so a caller can keep its own per-program products
+  // (the engine's rollback plans) under the same content key.
   std::shared_ptr<const CompiledProgram> Get(
-      const std::shared_ptr<const Program>& program);
+      const std::shared_ptr<const Program>& program,
+      std::size_t* entry = nullptr);
 
   const Stats& stats() const { return stats_; }
 
@@ -125,6 +127,7 @@ class CompileCache {
     std::uint64_t hash = 0;
     std::shared_ptr<const Program> src;  // nullptr marks an empty slot
     std::shared_ptr<const CompiledProgram> compiled;
+    std::size_t entry = 0;
   };
 
   void GrowTable();

@@ -73,11 +73,6 @@ std::string Op::ToString() const {
   return os.str();
 }
 
-std::optional<std::size_t> Program::LastLockRequestPosition() const {
-  if (lock_positions_.empty()) return std::nullopt;
-  return lock_positions_.back();
-}
-
 std::uint64_t Program::WriteSpreadScore() const {
   // Lock index of each op = number of lock requests strictly before it.
   std::uint64_t score = 0;

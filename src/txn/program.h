@@ -2,7 +2,6 @@
 #define PARDB_TXN_PROGRAM_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -78,12 +77,6 @@ class Program {
     return lock_positions_;
   }
   std::size_t NumLockRequests() const { return lock_positions_.size(); }
-
-  // Position of the last lock request, or nullopt for lock-free programs.
-  // Models the paper's §5 "declare the execution of the last lock request":
-  // once this request is granted the transaction can never again be rolled
-  // back, so rollback monitoring may stop.
-  std::optional<std::size_t> LastLockRequestPosition() const;
 
   // Structure metrics (paper §5) -------------------------------------------
 

@@ -42,7 +42,7 @@ std::shared_ptr<const Program> Own(Result<Program> built) {
 // Lowering unit asserts.
 // ---------------------------------------------------------------------------
 
-TEST(CompiledLoweringTest, LockIndicesCountRequestsBeforeEachOp) {
+TEST(CompiledLoweringTest, OpsLowerToOneCodeAndEntityEach) {
   ProgramBuilder b("locks", 1);
   b.LockExclusive(EntityId(0))
       .LockExclusive(EntityId(1))
@@ -54,20 +54,22 @@ TEST(CompiledLoweringTest, LockIndicesCountRequestsBeforeEachOp) {
   ASSERT_EQ(compiled->size(), 5u);
   const MicroOp* u = compiled->uops();
   EXPECT_EQ(u[0].code, static_cast<std::uint8_t>(MicroOpCode::kLockExclusive));
-  EXPECT_EQ(u[0].lock_index, 0u);
-  EXPECT_EQ(u[1].lock_index, 1u);  // one request granted before this op
-  EXPECT_EQ(u[2].lock_index, 2u);
-  EXPECT_EQ(u[3].lock_index, 2u);
+  EXPECT_EQ(u[2].code, static_cast<std::uint8_t>(MicroOpCode::kRead));
+  EXPECT_EQ(u[2].dst, 0u);
+  EXPECT_EQ(u[3].code, static_cast<std::uint8_t>(MicroOpCode::kWrite));
+  EXPECT_TRUE(u[3].flags & txn::kMicroFlagAVar);
   EXPECT_EQ(u[4].code, static_cast<std::uint8_t>(MicroOpCode::kCommit));
   EXPECT_EQ(u[0].entity, 0u);
   EXPECT_EQ(u[1].entity, 1u);
+  EXPECT_EQ(u[2].entity, 0u);
+  EXPECT_EQ(u[3].entity, 1u);
 }
 
-TEST(CompiledLoweringTest, UpgradeAndLastLockFlagsAreStatic) {
+TEST(CompiledLoweringTest, UpgradeFlagIsStatic) {
   ProgramBuilder b("upgrade", 1);
   b.LockShared(EntityId(5))
       .Read(EntityId(5), 0)
-      .LockExclusive(EntityId(5))  // S->X upgrade; also the last request
+      .LockExclusive(EntityId(5))  // S->X upgrade
       .WriteImm(EntityId(5), 9)
       .Commit();
   auto compiled = txn::CompiledProgram::Compile(*Own(std::move(b).Build()));
@@ -75,10 +77,8 @@ TEST(CompiledLoweringTest, UpgradeAndLastLockFlagsAreStatic) {
   const MicroOp* u = compiled->uops();
   EXPECT_EQ(u[0].code, static_cast<std::uint8_t>(MicroOpCode::kLockShared));
   EXPECT_FALSE(u[0].flags & txn::kMicroFlagUpgrade);
-  EXPECT_FALSE(u[0].flags & txn::kMicroFlagLastLock);
   EXPECT_EQ(u[2].code, static_cast<std::uint8_t>(MicroOpCode::kLockExclusive));
   EXPECT_TRUE(u[2].flags & txn::kMicroFlagUpgrade);
-  EXPECT_TRUE(u[2].flags & txn::kMicroFlagLastLock);
 }
 
 TEST(CompiledLoweringTest, ArithFusesIntoOpcodeAndConstantsFold) {
@@ -136,6 +136,19 @@ TEST(CompileCacheTest, NamesAreExcludedFromProgramIdentity) {
   EXPECT_EQ(cache.stats().compiles, 1u);
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().compiled_bytes, a->byte_size());
+}
+
+TEST(CompileCacheTest, EntriesAreNumberedInFirstSightOrder) {
+  txn::CompileCache cache;
+  ProgramBuilder other("other", 1);
+  other.LockExclusive(EntityId(9)).WriteImm(EntityId(9), 1).Commit();
+  std::size_t e0 = 99, e1 = 99, e2 = 99;
+  cache.Get(MixProgram("txn-0"), &e0);
+  cache.Get(Own(std::move(other).Build()), &e1);
+  cache.Get(MixProgram("txn-2"), &e2);  // a hit keeps its first number
+  EXPECT_EQ(e0, 0u);
+  EXPECT_EQ(e1, 1u);
+  EXPECT_EQ(e2, 0u);
 }
 
 TEST(CompileCacheTest, DifferentOpsMissAndTemplateStampsHit) {

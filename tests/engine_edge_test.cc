@@ -49,7 +49,6 @@ TEST_F(EngineEdgeTest, AccessorsOnUnknownTxn) {
   EXPECT_EQ(engine_->StateIndexOf(TxnId(99)), 0u);
   EXPECT_EQ(engine_->LockCountOf(TxnId(99)), 0u);
   EXPECT_EQ(engine_->EntryOf(TxnId(99)), 0u);
-  EXPECT_EQ(engine_->StrategyOf(TxnId(99)), nullptr);
   EXPECT_EQ(engine_->VarValueOf(TxnId(99), 0), 0);
   EXPECT_EQ(engine_->PreemptionCountOf(TxnId(99)), 0u);
 }
@@ -63,8 +62,6 @@ TEST_F(EngineEdgeTest, AccessorsTrackProgress) {
   ASSERT_TRUE(engine_->StepTxn(t.value()).ok());
   EXPECT_EQ(engine_->StateIndexOf(t.value()), 1u);
   EXPECT_EQ(engine_->LockCountOf(t.value()), 1u);
-  ASSERT_NE(engine_->StrategyOf(t.value()), nullptr);
-  EXPECT_EQ(engine_->StrategyOf(t.value())->name(), "mcs");
 }
 
 TEST_F(EngineEdgeTest, RunToCompletionRespectsMaxSteps) {
@@ -91,14 +88,16 @@ TEST_F(EngineEdgeTest, DeadlockEventCapRespected) {
   EXPECT_EQ(engine_->deadlock_events().size(), 1u);
 }
 
-TEST_F(EngineEdgeTest, LastLockDeclarationReducesMcsCopies) {
-  // The same deadlock-free program with and without the §5 declaration:
-  // with it, writes after the final lock request keep a single copy.
-  auto Run = [&](bool use_declaration) {
+TEST_F(EngineEdgeTest, LastLockSealFollowsDeadlockHandling) {
+  // The same deadlock-free program under detection, where the §5 seal
+  // applies (writes after the final lock request keep a single copy), and
+  // under wound-wait, where running holders can be wounded and no write is
+  // sealed.
+  auto Run = [&](DeadlockHandling handling) {
     storage::EntityStore store;
     auto ids = store.CreateMany(3, 0);
     EngineOptions opt;
-    opt.use_last_lock_declaration = use_declaration;
+    opt.handling = handling;
     Engine engine(&store, opt);
     ProgramBuilder b("p", 1);
     b.LockExclusive(ids[0]).LockExclusive(ids[1]).LockExclusive(ids[2]);
@@ -111,12 +110,13 @@ TEST_F(EngineEdgeTest, LastLockDeclarationReducesMcsCopies) {
     auto t = engine.Spawn(std::move(p).value());
     EXPECT_TRUE(t.ok());
     EXPECT_TRUE(engine.RunToCompletion().ok());
+    EXPECT_EQ(store.Get(ids[2]).value().value, 3);
     return engine.metrics().max_entity_copies;
   };
-  const std::size_t with = Run(true);
-  const std::size_t without = Run(false);
-  EXPECT_LT(with, without);
-  EXPECT_EQ(with, 3u);  // just the three working copies
+  const std::size_t sealed = Run(DeadlockHandling::kDetection);
+  const std::size_t unsealed = Run(DeadlockHandling::kWoundWait);
+  EXPECT_EQ(sealed, 3u);  // just the three working copies
+  EXPECT_GT(unsealed, sealed);
 }
 
 TEST_F(EngineEdgeTest, DumpStateListsTransactionsAndLocks) {

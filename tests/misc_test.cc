@@ -7,7 +7,6 @@
 #include "core/trace.h"
 #include "dist/distributed.h"
 #include "par/sharded_driver.h"
-#include "rollback/sdg_strategy.h"
 #include "sim/workload.h"
 #include "storage/entity_store.h"
 #include "txn/program.h"
@@ -81,22 +80,6 @@ TEST(TraceIntegrationTest, DeathAndTimeoutEventsEmitted) {
     ASSERT_TRUE(engine.RunToCompletion().ok());
     EXPECT_GE(trace.CountOf(TraceEvent::Kind::kTimeout), 1u);
   }
-}
-
-TEST(SdgMonitoringTest, LastLockDeclarationStopsRecording) {
-  ProgramBuilder b("p", 1);
-  b.LockExclusive(EntityId(0)).WriteImm(EntityId(0), 1).Commit();
-  auto program = b.Build();
-  ASSERT_TRUE(program.ok());
-  rollback::SdgStrategy s(program.value());
-  s.OnLockGranted(0, EntityId(0), lock::LockMode::kExclusive, 7, false);
-  s.OnLastLockGranted();
-  // Writes after the declaration leave no trace in the graph.
-  s.OnEntityWrite(EntityId(0), 1, 1);
-  s.OnVarWrite(0, 2, 1);
-  EXPECT_EQ(s.sdg().NumRecordedWrites(), 0u);
-  EXPECT_EQ(s.LocalValue(EntityId(0)), std::optional<Value>(1));
-  EXPECT_EQ(s.VarValue(0), 2);
 }
 
 TEST(SiteAnalysisTest, ReportAndFractionBounds) {

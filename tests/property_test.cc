@@ -12,6 +12,7 @@
 #include "analysis/history.h"
 #include "core/engine.h"
 #include "par/sharded_driver.h"
+#include "rollback/plan.h"
 #include "sim/workload.h"
 #include "storage/entity_store.h"
 
@@ -295,6 +296,37 @@ TEST(McsSpacePropertyTest, EngineRunsRespectTheorem3Bound) {
   EXPECT_LE(report->aggregate.max_entity_copies, n * (n + 1) / 2);
   // |L| = one var per locked entity in the generator.
   EXPECT_LE(report->aggregate.max_var_copies, n * opt.workload.max_locks);
+}
+
+// Theorem 3 per program: the MCS preset's peak copies, sealed at the last
+// lock request as under detection, stay within n(n+1)/2 entity copies and
+// n*|L| variable copies, where n is the program's lock requests and |L|
+// its variables — for every write pattern, with and without shared locks.
+TEST(McsSpacePropertyTest, PlanPeaksRespectTheorem3Bound) {
+  for (sim::WritePattern pattern :
+       {sim::WritePattern::kScattered, sim::WritePattern::kClustered,
+        sim::WritePattern::kThreePhase}) {
+    for (double shared : {0.0, 0.3}) {
+      WorkloadOptions w;
+      w.num_entities = 32;
+      w.min_locks = 1;
+      w.max_locks = 12;
+      w.ops_per_entity = 4;
+      w.pattern = pattern;
+      w.shared_fraction = shared;
+      WorkloadGenerator gen(w, 5);
+      rollback::RollbackPlanner planner;
+      for (int i = 0; i < 200; ++i) {
+        const txn::Program p = gen.Next().value();
+        const rollback::CopyCounts peak =
+            planner.Build(p, StrategyKind::kMcs, /*seal=*/true)
+                .PeakCopiesAt(p.size());
+        const std::size_t n = p.NumLockRequests();
+        EXPECT_LE(peak.entity, n * (n + 1) / 2) << p.ToString();
+        EXPECT_LE(peak.var, n * p.num_vars()) << p.ToString();
+      }
+    }
+  }
 }
 
 // Strategy comparison on identical workloads: single-copy strategies can

@@ -20,7 +20,6 @@ TEST(ProgramBuilderTest, SimpleValidProgram) {
   EXPECT_EQ(p.size(), 4u);
   EXPECT_EQ(p.NumLockRequests(), 1u);
   EXPECT_EQ(p.LockRequestPositions(), std::vector<std::size_t>{0});
-  EXPECT_EQ(p.LastLockRequestPosition(), std::optional<std::size_t>(0));
   EXPECT_EQ(p.name(), "t");
 }
 
@@ -122,7 +121,6 @@ TEST(ProgramTest, LockRequestPositions) {
   b.Commit();
   Program p = MustBuild(b);
   EXPECT_EQ(p.LockRequestPositions(), (std::vector<std::size_t>{0, 2, 4}));
-  EXPECT_EQ(p.LastLockRequestPosition(), std::optional<std::size_t>(4));
 }
 
 TEST(ProgramTest, WriteSpreadScore) {
@@ -172,7 +170,7 @@ TEST(ProgramTest, EmptyProgramBuilds) {
   ProgramBuilder b("empty", 0);
   Program p = MustBuild(b);
   EXPECT_EQ(p.size(), 0u);
-  EXPECT_FALSE(p.LastLockRequestPosition().has_value());
+  EXPECT_TRUE(p.LockRequestPositions().empty());
   EXPECT_TRUE(p.IsThreePhase());
   EXPECT_EQ(p.WriteSpreadScore(), 0u);
 }
