@@ -86,12 +86,6 @@ std::uint64_t HeapAllocs() {
   return g_heap_allocs.load(std::memory_order_relaxed);
 }
 
-// --no-compile-cache: run the engine sections on the fallback interpreter
-// instead of compiled µop streams (the D16 ablation; results are
-// bit-identical, only the timings move). The regression gate reads the
-// "enabled" field and skips the compile-cost checks on the off leg.
-bool g_compile_programs = true;
-
 double Seconds(std::chrono::steady_clock::time_point a,
                std::chrono::steady_clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
@@ -204,7 +198,6 @@ RollbackMicroResult RunRollbackMicro() {
     store.CreateMany(2 * kPairs, 0);
     core::EngineOptions eopt;
     eopt.scheduler = core::SchedulerKind::kRoundRobin;
-    eopt.compile_programs = g_compile_programs;
     core::Engine engine(&store, eopt, nullptr);
     engine.ReserveTxns(2 * kPairs);
     for (const auto& p : programs) {
@@ -231,7 +224,6 @@ RollbackMicroResult RunRollbackMicro() {
 // ---------------------------------------------------------------------------
 
 struct CompileMicroResult {
-  bool enabled = true;
   std::uint64_t programs = 0;       // deterministic
   std::uint64_t compiles = 0;       // deterministic
   std::uint64_t hits = 0;           // deterministic
@@ -244,9 +236,7 @@ struct CompileMicroResult {
 CompileMicroResult RunCompileMicro(
     const std::vector<std::shared_ptr<const txn::Program>>& programs) {
   CompileMicroResult r;
-  r.enabled = g_compile_programs;
   r.programs = programs.size();
-  if (!g_compile_programs) return r;
 
   std::vector<double> cold_times, warm_times;
   for (int rep = 0; rep < 3; ++rep) {
@@ -319,7 +309,6 @@ EndToEndResult RunEndToEnd(
     core::EngineOptions eopt;
     eopt.scheduler = core::SchedulerKind::kRandom;
     eopt.seed = 21;
-    eopt.compile_programs = g_compile_programs;
     core::Engine engine(&store, eopt, nullptr);
     engine.ReserveTxns(kTxns);
     std::size_t spawned = 0;
@@ -395,7 +384,6 @@ SteadyAllocResult RunSteadyStateAllocAudit() {
   store.CreateMany(kBatchTxns * kLocksPerTxn, 0);
   core::EngineOptions eopt;
   eopt.scheduler = core::SchedulerKind::kRoundRobin;
-  eopt.compile_programs = g_compile_programs;
   core::Engine engine(&store, eopt, nullptr);
   engine.ReserveTxns(kBatchTxns * (kBatches + 2));
 
@@ -443,28 +431,23 @@ void PrintReproduction() {
   const EndToEndResult e2e = RunEndToEnd(programs);
   const SteadyAllocResult steady = RunSteadyStateAllocAudit();
 
-  Section(std::string("Single-engine hot path (1 shard, median of 3, ") +
-          (g_compile_programs ? "compiled µops)" : "interpreter)"));
+  Section("Single-engine hot path (1 shard, median of 3, compiled µops)");
   Table t({"section", "ops", "elapsed (s)", "rate (/s)", "allocs/op"});
   t.AddRow("lock+release micro", lock.ops, lock.elapsed, lock.ops_per_second,
            lock.allocs_per_op);
   t.AddRow("rollback micro", rb.rollbacks, rb.elapsed,
            rb.rollbacks_per_second, "-");
-  if (comp.enabled) {
-    t.AddRow("program compile micro", comp.compiles, comp.elapsed,
-             comp.elapsed > 0 ? comp.compiles / comp.elapsed : 0.0, "-");
-  }
+  t.AddRow("program compile micro", comp.compiles, comp.elapsed,
+           comp.elapsed > 0 ? comp.compiles / comp.elapsed : 0.0, "-");
   t.AddRow("end-to-end (pinned workload)", e2e.txns, e2e.elapsed,
            e2e.txns_per_second, "-");
   t.AddRow("steady-state step audit", steady.steps, "-", "-",
            steady.allocs_per_step);
   t.Print();
-  if (comp.enabled) {
-    std::cout << "(compile micro: " << comp.compiles << " distinct programs, "
-              << comp.us_per_program << " us/program cold, "
-              << comp.hit_us_per_program << " us/program on cache hits, "
-              << comp.compiled_bytes << " uop bytes)\n";
-  }
+  std::cout << "(compile micro: " << comp.compiles << " distinct programs, "
+            << comp.us_per_program << " us/program cold, "
+            << comp.hit_us_per_program << " us/program on cache hits, "
+            << comp.compiled_bytes << " uop bytes)\n";
   std::cout << "(end-to-end deterministic fields: committed=" << e2e.committed
             << " steps=" << e2e.steps << " rollbacks=" << e2e.rollbacks
             << "; rollback micro: " << rb.deadlocks << " deadlocks over "
@@ -473,8 +456,7 @@ void PrintReproduction() {
 
   std::ofstream json("BENCH_hotpath.json");
   json << "{\n"
-       << " \"compile\":{\"enabled\":" << (comp.enabled ? 1 : 0)
-       << ",\"programs\":" << comp.programs
+       << " \"compile\":{\"enabled\":1,\"programs\":" << comp.programs
        << ",\"compiles\":" << comp.compiles << ",\"hits\":" << comp.hits
        << ",\"compiled_bytes\":" << comp.compiled_bytes
        << ",\"elapsed_seconds\":" << comp.elapsed
@@ -515,15 +497,6 @@ BENCHMARK(BM_EndToEndPinnedWorkload)->Unit(benchmark::kMillisecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--no-compile-cache") {
-      g_compile_programs = false;
-      // Hide the flag from google-benchmark's parser.
-      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-      --argc;
-      --i;
-    }
-  }
   PrintReproduction();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

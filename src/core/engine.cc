@@ -158,32 +158,25 @@ Result<TxnId> Engine::Spawn(std::shared_ptr<const txn::Program> program) {
     }
   }
   TxnId id(next_txn_++);
-  TxnCold cold;
   // Fetch (or lower) the µop stream and the rollback plan, both keyed by
-  // the program's executable content. With compile_programs off the µops
-  // go unused and the transaction runs on the interpreted fallback; a
-  // nullptr stream does too.
+  // the program's executable content.
   std::size_t entry = 0;
-  auto compiled = compile_cache_.Get(program, &entry);
+  const txn::MicroOp* uops = compile_cache_.Get(program, &entry).uops();
   if (entry == plans_.size()) {
     plans_.push_back(planner_.Build(
         *program, options_.strategy,
         /*seal=*/options_.handling == DeadlockHandling::kDetection));
   }
-  if (options_.compile_programs) {
-    // Cache telemetry is a pure function of the admitted program sequence,
-    // so mirroring it into the metrics here keeps the counters
-    // deterministic.
-    cold.compiled = std::move(compiled);
-    const txn::CompileCache::Stats& cs = compile_cache_.stats();
-    metrics_.programs_compiled = cs.compiles;
-    metrics_.compile_cache_hits = cs.hits;
-    metrics_.compiled_bytes = cs.compiled_bytes;
-  }
+  // Cache telemetry is a pure function of the admitted program sequence,
+  // so mirroring it into the metrics here keeps the counters deterministic.
+  const txn::CompileCache::Stats& cs = compile_cache_.stats();
+  metrics_.programs_compiled = cs.compiles;
+  metrics_.compile_cache_hits = cs.hits;
+  metrics_.compiled_bytes = cs.compiled_bytes;
   TxnContext ctx;
   ctx.id = id;
   ctx.entry = clock_++;
-  ctx.uops = cold.compiled != nullptr ? cold.compiled->uops() : nullptr;
+  ctx.uops = uops;
   ctx.size = static_cast<std::uint32_t>(program->size());
   ctx.plan = &plans_[entry];
   // Slots [0, num_vars) seed the initial variable values; every other slot
@@ -195,6 +188,7 @@ Result<TxnId> Engine::Spawn(std::shared_ptr<const txn::Program> program) {
   std::copy(init.begin(), init.end(), ctx.slots);
   std::fill(ctx.slots + init.size(), ctx.slots + ctx.plan->num_slots(),
             Value{0});
+  TxnCold cold;
   cold.program = std::move(program);
   ctx.granted.set_arena(&txn_arena_);
   if (recorder_ != nullptr) recorder_->OnBegin(id, ctx.entry);
@@ -315,7 +309,6 @@ Result<StepOutcome> Engine::StepTxn(TxnId txn) {
 }
 
 Result<StepOutcome> Engine::ExecuteOp(TxnContext& ctx) {
-  if (ctx.uops == nullptr) return ExecuteOpInterpreted(ctx);
   if (ctx.pc >= ctx.size) {
     // Implicit commit for programs without a kCommit op.
     PARDB_RETURN_IF_ERROR(ExecuteCommit(ctx));
@@ -384,83 +377,6 @@ Result<StepOutcome> Engine::ExecuteOp(TxnContext& ctx) {
   ++metrics_.ops_executed;
   if (txnlife_ != nullptr) txnlife_->OnStep(ctx.id, metrics_.steps);
   return StepOutcome::kExecuted;
-}
-
-Result<StepOutcome> Engine::ExecuteOpInterpreted(TxnContext& ctx) {
-  const txn::Program& program = *ColdOf(ctx).program;
-  if (ctx.pc >= program.size()) {
-    // Implicit commit for programs without a kCommit op.
-    PARDB_RETURN_IF_ERROR(ExecuteCommit(ctx));
-    return StepOutcome::kCommitted;
-  }
-  const txn::Op& op = program.op(ctx.pc);
-  const rollback::RollbackPlan::Op& s = ctx.plan->op(ctx.pc);
-  auto Eval = [&ctx](const txn::Operand& o, std::uint32_t slot) {
-    return o.kind == txn::Operand::Kind::kImm ? o.imm : ctx.slots[slot];
-  };
-  switch (op.code) {
-    case txn::OpCode::kLockShared:
-    case txn::OpCode::kLockExclusive:
-      return ExecuteLock(ctx, op.entity,
-                         op.code == txn::OpCode::kLockShared
-                             ? lock::LockMode::kShared
-                             : lock::LockMode::kExclusive);
-    case txn::OpCode::kRead: {
-      auto global = store_->Get(op.entity);
-      if (!global.ok()) return global.status();
-      auto value = EntityValue(ctx, op.entity, s.a);
-      if (!value.ok()) return value.status();
-      if (recorder_ != nullptr) {
-        recorder_->OnRead(ctx.id, op.entity, global.value().version, ctx.pc);
-      }
-      ctx.slots[s.dst] = value.value();
-      ++ctx.pc;
-      ++metrics_.ops_executed;
-      if (txnlife_ != nullptr) txnlife_->OnStep(ctx.id, metrics_.steps);
-      return StepOutcome::kExecuted;
-    }
-    case txn::OpCode::kWrite: {
-      ctx.slots[s.dst] = Eval(op.a, s.a);
-      ++ctx.pc;
-      ++metrics_.ops_executed;
-      if (txnlife_ != nullptr) txnlife_->OnStep(ctx.id, metrics_.steps);
-      return StepOutcome::kExecuted;
-    }
-    case txn::OpCode::kCompute: {
-      const Value a = Eval(op.a, s.a);
-      const Value b = Eval(op.b, s.b);
-      Value v = 0;
-      switch (op.arith) {
-        case txn::ArithOp::kAdd:
-          v = a + b;
-          break;
-        case txn::ArithOp::kSub:
-          v = a - b;
-          break;
-        case txn::ArithOp::kMul:
-          v = a * b;
-          break;
-      }
-      ctx.slots[s.dst] = v;
-      ++ctx.pc;
-      ++metrics_.ops_executed;
-      if (txnlife_ != nullptr) txnlife_->OnStep(ctx.id, metrics_.steps);
-      return StepOutcome::kExecuted;
-    }
-    case txn::OpCode::kUnlock: {
-      PARDB_RETURN_IF_ERROR(ExecuteReleases(ctx));
-      ctx.in_shrinking_phase = true;
-      ++ctx.pc;
-      ++metrics_.ops_executed;
-      if (txnlife_ != nullptr) txnlife_->OnStep(ctx.id, metrics_.steps);
-      return StepOutcome::kExecuted;
-    }
-    case txn::OpCode::kCommit: {
-      PARDB_RETURN_IF_ERROR(ExecuteCommit(ctx));
-      return StepOutcome::kCommitted;
-    }
-  }
-  return Status::Internal("unhandled opcode");
 }
 
 Result<StepOutcome> Engine::ExecuteLock(TxnContext& ctx, EntityId entity,

@@ -96,13 +96,6 @@ struct EngineOptions {
   VictimPolicyKind victim_policy = VictimPolicyKind::kMinCostOrdered;
   SchedulerKind scheduler = SchedulerKind::kRoundRobin;
   std::uint64_t seed = 42;
-  // Lower each admitted program once into the flat µop stream the hot
-  // execution path dispatches on (txn/compiled.h, DESIGN D16), cached per
-  // unique op sequence. Off: every step decodes the AoS Op vector — the
-  // fallback interpreter kept for differential testing and as the path for
-  // programs the compiler rejects. Execution results, schedules, reports
-  // and journal chains are bit-identical either way.
-  bool compile_programs = true;
   // Default: strict FIFO lock queues with queue-aware waits-for arcs. The
   // paper's own grant rule (compatibility with holders only, §2) lets a
   // rolled-back victim's re-acquired shared locks bypass a queued writer
@@ -459,9 +452,8 @@ class Engine {
   // drags telemetry-only bytes through the cache.
   struct TxnContext {
     TxnId id;
-    // Compiled µop stream cursor base (uops[pc] is the next op); nullptr
-    // routes the transaction through the interpreted fallback. The stream
-    // is owned (kept alive) by TxnCold::compiled / the compile cache.
+    // Compiled µop stream cursor base (uops[pc] is the next op), owned by
+    // the engine's compile cache for the engine's lifetime.
     const txn::MicroOp* uops = nullptr;
     // The program's rollback plan (in the engine's plans_) and the
     // transaction's value slots laid out by it (an engine-arena block,
@@ -489,7 +481,6 @@ class Engine {
   // the cross-shard protocol touch.
   struct TxnCold {
     std::shared_ptr<const txn::Program> program;
-    std::shared_ptr<const txn::CompiledProgram> compiled;  // may be null
     std::uint64_t preempted = 0;
     // Cross-shard sub-transaction state (see SpawnSub): park at this pc
     // until ReleaseHold; kNoHold for ordinary transactions.
@@ -499,10 +490,6 @@ class Engine {
   // Op execution ------------------------------------------------------------
 
   Result<StepOutcome> ExecuteOp(TxnContext& ctx);
-  // The pre-D16 per-step decoder, kept as the path for programs the
-  // compiler rejects and for compile_programs == false (differential
-  // testing). Bit-identical behavior to the compiled path.
-  Result<StepOutcome> ExecuteOpInterpreted(TxnContext& ctx);
   Result<StepOutcome> ExecuteLock(TxnContext& ctx, EntityId entity,
                                   lock::LockMode mode);
   // Publishes and releases what the unlock or commit at ctx.pc releases,

@@ -78,12 +78,6 @@ std::int64_t LowerOperand(const Operand& o, std::uint8_t var_flag,
 
 std::shared_ptr<const CompiledProgram> CompiledProgram::Compile(
     const Program& program) {
-  // dst is packed to 16 bits and the pc to 32; programs beyond either bound
-  // run interpreted (none exist in practice — the bail-out is a guard, not
-  // a code path workloads reach).
-  if (program.num_vars() > 0xFFFF) return nullptr;
-  if (program.size() >= 0xFFFFFFFFull) return nullptr;
-
   auto compiled = std::make_shared<CompiledProgram>(Private{});
   compiled->uops_.reserve(program.size());
 
@@ -120,7 +114,6 @@ std::shared_ptr<const CompiledProgram> CompiledProgram::Compile(
       case OpCode::kRead:
         u.code = static_cast<std::uint8_t>(MicroOpCode::kRead);
         u.entity = op.entity.value();
-        u.dst = static_cast<std::uint16_t>(op.dst);
         break;
       case OpCode::kWrite:
         u.code = static_cast<std::uint8_t>(MicroOpCode::kWrite);
@@ -128,7 +121,6 @@ std::shared_ptr<const CompiledProgram> CompiledProgram::Compile(
         u.a = LowerOperand(op.a, kMicroFlagAVar, &u.flags);
         break;
       case OpCode::kCompute: {
-        u.dst = static_cast<std::uint16_t>(op.dst);
         if (op.a.kind == Operand::Kind::kImm &&
             op.b.kind == Operand::Kind::kImm) {
           // Constant fold: the result is known now; emit a plain load.
@@ -185,7 +177,7 @@ void CompileCache::GrowTable() {
   slots_ = std::move(fresh);
 }
 
-std::shared_ptr<const CompiledProgram> CompileCache::Get(
+const CompiledProgram& CompileCache::Get(
     const std::shared_ptr<const Program>& program, std::size_t* entry) {
   // Grow at 3/4 load, before probing, so the insert below always finds an
   // empty slot.
@@ -198,20 +190,19 @@ std::shared_ptr<const CompiledProgram> CompileCache::Get(
         SameExecutableContent(*slots_[i].src, *program)) {
       ++stats_.hits;
       if (entry != nullptr) *entry = slots_[i].entry;
-      return slots_[i].compiled;
+      return *slots_[i].compiled;
     }
     i = (i + 1) & mask;
   }
   ++stats_.compiles;
-  auto compiled = CompiledProgram::Compile(*program);
-  if (compiled != nullptr) stats_.compiled_bytes += compiled->byte_size();
   slots_[i].hash = h;
   slots_[i].src = program;
-  slots_[i].compiled = compiled;
+  slots_[i].compiled = CompiledProgram::Compile(*program);
   slots_[i].entry = entries_;
+  stats_.compiled_bytes += slots_[i].compiled->byte_size();
   if (entry != nullptr) *entry = entries_;
   ++entries_;
-  return compiled;
+  return *slots_[i].compiled;
 }
 
 }  // namespace pardb::txn

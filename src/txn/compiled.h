@@ -53,19 +53,20 @@ inline constexpr std::uint8_t kMicroFlagUpgrade = 4;   // lock op: S->X upgrade
 
 // One decoded op, packed to 32 bytes so two µops share a cache line and a
 // typical workload program (6-20 ops) spans 3-10 lines fetched linearly.
+// Destinations are not here: every op's value slots (destination and var
+// operands alike) are 32-bit positions in the rollback plan, so a µop
+// carries no var-frame width limit.
 struct MicroOp {
   std::uint8_t code;        // MicroOpCode
   std::uint8_t flags;       // kMicroFlag*
-  std::uint16_t dst;        // kRead/kCompute*/kLoadImm destination var
   std::uint64_t entity;     // raw entity id (lock/unlock/read/write)
   std::int64_t a;           // immediate value or VarId (kMicroFlagAVar)
   std::int64_t b;           // immediate value or VarId (kMicroFlagBVar)
 };
 static_assert(sizeof(MicroOp) == 32, "MicroOp must stay cache-line packed");
 
-// An immutable compiled program: the µop stream plus the source metadata
-// the engine still needs at admission. Shared (via shared_ptr) between the
-// cache and every running instance; never mutated after Compile.
+// An immutable compiled program: the µop stream. Owned by the compile cache;
+// running instances point into its stream. Never mutated after Compile.
 class CompiledProgram {
  public:
   // Passkey: construction goes through Compile, but make_shared needs a
@@ -75,9 +76,7 @@ class CompiledProgram {
   };
   explicit CompiledProgram(Private) {}
 
-  // Lowers `program` or returns nullptr when it cannot be represented
-  // (destination vars beyond uint16, or sizes beyond uint32 — such programs
-  // simply run on the interpreted fallback path).
+  // Lowers `program`. Total: every built program has a µop stream.
   static std::shared_ptr<const CompiledProgram> Compile(
       const Program& program);
 
@@ -109,16 +108,14 @@ class CompileCache {
     std::uint64_t compiled_bytes = 0;  // total µop bytes resident
   };
 
-  // Returns the compiled form of `program`, compiling on first sight.
-  // Returns nullptr (and caches the negative result) for programs the
-  // compiler rejects. The cache retains `program` as the collision guard
-  // for its slot, so entries pin their source programs alive. `entry`
-  // (optional) receives the program's dense entry number — 0, 1, 2, ... in
+  // Returns the compiled form of `program`, compiling on first sight; it
+  // stays in place (growth moves only the handle) for the cache's lifetime.
+  // The cache retains `program` as the collision guard for its slot, so
+  // entries pin their source programs alive. `entry` (optional) receives the program's dense entry number — 0, 1, 2, ... in
   // first-sight order — so a caller can keep its own per-program products
   // (the engine's rollback plans) under the same content key.
-  std::shared_ptr<const CompiledProgram> Get(
-      const std::shared_ptr<const Program>& program,
-      std::size_t* entry = nullptr);
+  const CompiledProgram& Get(const std::shared_ptr<const Program>& program,
+                             std::size_t* entry = nullptr);
 
   const Stats& stats() const { return stats_; }
 

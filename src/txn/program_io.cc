@@ -1,9 +1,11 @@
 #include "txn/program_io.h"
 
-#include <cctype>
-#include <cstdlib>
+#include <charconv>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 namespace pardb::txn {
@@ -26,26 +28,36 @@ Status LineError(std::size_t lineno, const std::string& msg) {
                                  msg);
 }
 
-bool ParseUint(const std::string& s, std::uint64_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtoull(s.c_str(), &end, 10);
-  return end != nullptr && *end == '\0';
+// The whole token as a decimal T: std::from_chars takes no '+', no
+// whitespace and a '-' only for a signed T, and reports overflow.
+template <typename T>
+bool ParseDecimal(std::string_view s, T* out) {
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
+  return ec == std::errc() && end == s.data() + s.size();
 }
 
+// The largest uint64 is the invalid-id sentinel, not an entity.
 bool ParseEntity(const std::string& s, EntityId* out) {
   if (s.size() < 2 || (s[0] != 'E' && s[0] != 'e')) return false;
   std::uint64_t v;
-  if (!ParseUint(s.substr(1), &v)) return false;
+  if (!ParseDecimal(std::string_view(s).substr(1), &v) ||
+      v == EntityId::Invalid().value()) {
+    return false;
+  }
   *out = EntityId(v);
   return true;
 }
 
+// Var ids stay below the VarId maximum so the frame width (largest id + 1)
+// fits in a VarId too.
 bool ParseVar(const std::string& s, VarId* out) {
   if (s.size() < 2 || (s[0] != 'v' && s[0] != 'V')) return false;
-  std::uint64_t v;
-  if (!ParseUint(s.substr(1), &v)) return false;
-  *out = static_cast<VarId>(v);
+  VarId v;
+  if (!ParseDecimal(std::string_view(s).substr(1), &v) ||
+      v == std::numeric_limits<VarId>::max()) {
+    return false;
+  }
+  *out = v;
   return true;
 }
 
@@ -55,10 +67,8 @@ bool ParseOperand(const std::string& s, Operand* out) {
     *out = Operand::Var(var);
     return true;
   }
-  if (s.empty()) return false;
-  char* end = nullptr;
-  const long long imm = std::strtoll(s.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
+  std::int64_t imm;
+  if (!ParseDecimal(s, &imm)) return false;
   *out = Operand::Imm(imm);
   return true;
 }
@@ -107,9 +117,8 @@ Result<Program> ParseProgram(std::string_view text) {
       if (!ParseVar(args[0], &v)) {
         return LineError(lineno, "bad variable \"" + args[0] + "\"");
       }
-      char* end = nullptr;
-      const long long init = std::strtoll(args[1].c_str(), &end, 10);
-      if (end == nullptr || *end != '\0') {
+      std::int64_t init;
+      if (!ParseDecimal(args[1], &init)) {
         return LineError(lineno, "bad initial value \"" + args[1] + "\"");
       }
       initials[v] = init;

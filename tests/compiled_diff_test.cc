@@ -1,10 +1,12 @@
-// D16 compiled-program tests: lowering unit asserts (lock indices, upgrade
-// and last-lock flags, arith fusion, constant folding), compile-cache
-// identity (names excluded), and the differential contract — interpreted
-// and compiled execution must produce identical commit logs, final entity
-// states and decision-journal chain heads on every workload, including
-// shared/exclusive mixes, S->X upgrades, mid-program unlocks and
-// deadlock-victim partial rollbacks.
+// D16 compiled-program tests: lowering unit asserts (one code and entity
+// per op, the static upgrade flag, arith fusion, constant folding, value
+// slots from the rollback plan, var frames of any width), compile-cache
+// identity (names excluded), and execution against an independent
+// reference: the engine's final store must equal the serial oracle's
+// replay of the committed programs, over plain txn::Op semantics, in the
+// run's serial order (tests/serial_oracle.h). Covered: shared/exclusive
+// mixes, deadlock-victim partial rollbacks, S->X upgrade deadlocks,
+// mid-program unlocks and every arith op on every operand kind.
 
 #include "txn/compiled.h"
 
@@ -15,10 +17,12 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/history.h"
+#include "common/random.h"
 #include "core/engine.h"
-#include "core/trace.h"
-#include "par/report_json.h"
 #include "par/sharded_driver.h"
+#include "rollback/plan.h"
+#include "serial_oracle.h"
 #include "sim/workload.h"
 #include "storage/entity_store.h"
 #include "txn/program.h"
@@ -38,6 +42,13 @@ std::shared_ptr<const Program> Own(Result<Program> built) {
   return std::make_shared<const Program>(std::move(built).value());
 }
 
+// The plan an engine under default options admits `p` with: the µops name
+// no value slot, the plan names every one.
+rollback::RollbackPlan Plan(const Program& p) {
+  return rollback::RollbackPlanner().Build(p, rollback::StrategyKind::kMcs,
+                                           /*seal=*/true);
+}
+
 // ---------------------------------------------------------------------------
 // Lowering unit asserts.
 // ---------------------------------------------------------------------------
@@ -49,15 +60,20 @@ TEST(CompiledLoweringTest, OpsLowerToOneCodeAndEntityEach) {
       .Read(EntityId(0), 0)
       .WriteVar(EntityId(1), 0)
       .Commit();
-  auto compiled = txn::CompiledProgram::Compile(*Own(std::move(b).Build()));
+  auto program = Own(std::move(b).Build());
+  auto compiled = txn::CompiledProgram::Compile(*program);
   ASSERT_NE(compiled, nullptr);
   ASSERT_EQ(compiled->size(), 5u);
   const MicroOp* u = compiled->uops();
+  const rollback::RollbackPlan plan = Plan(*program);
   EXPECT_EQ(u[0].code, static_cast<std::uint8_t>(MicroOpCode::kLockExclusive));
   EXPECT_EQ(u[2].code, static_cast<std::uint8_t>(MicroOpCode::kRead));
-  EXPECT_EQ(u[2].dst, 0u);
+  EXPECT_EQ(plan.op(2).a, rollback::RollbackPlan::kGlobal);
+  EXPECT_EQ(plan.op(2).dst, plan.VarSlotAt(*program, 0, 3));
+  EXPECT_GE(plan.op(2).dst, program->num_vars()) << "initial slots stay";
   EXPECT_EQ(u[3].code, static_cast<std::uint8_t>(MicroOpCode::kWrite));
   EXPECT_TRUE(u[3].flags & txn::kMicroFlagAVar);
+  EXPECT_EQ(plan.op(3).a, plan.op(2).dst);
   EXPECT_EQ(u[4].code, static_cast<std::uint8_t>(MicroOpCode::kCommit));
   EXPECT_EQ(u[0].entity, 0u);
   EXPECT_EQ(u[1].entity, 1u);
@@ -88,29 +104,28 @@ TEST(CompiledLoweringTest, ArithFusesIntoOpcodeAndConstantsFold) {
       .Compute(1, Operand::Var(0), ArithOp::kAdd, Operand::Imm(1))
       .Compute(0, Operand::Var(0), ArithOp::kSub, Operand::Var(1))
       .Commit();
-  auto compiled = txn::CompiledProgram::Compile(*Own(std::move(b).Build()));
+  auto program = Own(std::move(b).Build());
+  auto compiled = txn::CompiledProgram::Compile(*program);
   ASSERT_NE(compiled, nullptr);
   const MicroOp* u = compiled->uops();
+  const rollback::RollbackPlan plan = Plan(*program);
   // Both-imm compute folds to a constant load at compile time.
   EXPECT_EQ(u[1].code, static_cast<std::uint8_t>(MicroOpCode::kLoadImm));
   EXPECT_EQ(u[1].a, 6);
-  EXPECT_EQ(u[1].dst, 0u);
+  EXPECT_EQ(plan.op(1).dst, plan.VarSlotAt(*program, 0, 2));
   // Var-imm compute fuses the ArithOp into the opcode byte.
   EXPECT_EQ(u[2].code, static_cast<std::uint8_t>(MicroOpCode::kComputeAdd));
   EXPECT_TRUE(u[2].flags & txn::kMicroFlagAVar);
   EXPECT_FALSE(u[2].flags & txn::kMicroFlagBVar);
   EXPECT_EQ(u[2].a, 0);
   EXPECT_EQ(u[2].b, 1);
+  EXPECT_EQ(plan.op(2).a, plan.op(1).dst);
+  EXPECT_EQ(plan.op(2).dst, plan.VarSlotAt(*program, 1, 3));
   EXPECT_EQ(u[3].code, static_cast<std::uint8_t>(MicroOpCode::kComputeSub));
   EXPECT_TRUE(u[3].flags & txn::kMicroFlagAVar);
   EXPECT_TRUE(u[3].flags & txn::kMicroFlagBVar);
-}
-
-TEST(CompiledLoweringTest, WideVarFramesFallBackToInterpreter) {
-  ProgramBuilder b("wide", 0x10001);
-  b.LockExclusive(EntityId(0)).Read(EntityId(0), 0x10000).Commit();
-  auto program = Own(std::move(b).Build());
-  EXPECT_EQ(txn::CompiledProgram::Compile(*program), nullptr);
+  EXPECT_EQ(plan.op(3).a, plan.op(1).dst);
+  EXPECT_EQ(plan.op(3).b, plan.op(2).dst);
 }
 
 // ---------------------------------------------------------------------------
@@ -129,13 +144,12 @@ std::shared_ptr<const Program> MixProgram(const std::string& name) {
 
 TEST(CompileCacheTest, NamesAreExcludedFromProgramIdentity) {
   txn::CompileCache cache;
-  auto a = cache.Get(MixProgram("txn-0"));
-  auto b = cache.Get(MixProgram("txn-1"));
-  ASSERT_NE(a, nullptr);
-  EXPECT_EQ(a.get(), b.get()) << "renamed template must hit the cache";
+  const txn::CompiledProgram& a = cache.Get(MixProgram("txn-0"));
+  const txn::CompiledProgram& b = cache.Get(MixProgram("txn-1"));
+  EXPECT_EQ(&a, &b) << "renamed template must hit the cache";
   EXPECT_EQ(cache.stats().compiles, 1u);
   EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().compiled_bytes, a->byte_size());
+  EXPECT_EQ(cache.stats().compiled_bytes, a.byte_size());
 }
 
 TEST(CompileCacheTest, EntriesAreNumberedInFirstSightOrder) {
@@ -172,37 +186,37 @@ TEST(CompileCacheTest, DifferentOpsMissAndTemplateStampsHit) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential: interpreted vs compiled execution.
+// Execution against the serial oracle.
 // ---------------------------------------------------------------------------
 
-struct RunArtifacts {
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> commit_log;  // txn,step
-  std::vector<Value> final_values;
-  std::uint64_t steps = 0;
+struct RunMetrics {
   std::uint64_t rollbacks = 0;
   std::uint64_t deadlocks = 0;
 };
 
-RunArtifacts RunPrograms(
+// Runs `programs` (transaction k runs programs[k]) on one engine over
+// entities 0..initial.size()-1 starting at `initial`, and expects the final
+// store to equal the serial oracle's replay of the committed programs in
+// the recorded history's serial order. Admission is windowed like
+// par::RunSharded's, so the waits-for graph stays workload-shaped.
+RunMetrics RunAndCheck(
     const std::vector<std::shared_ptr<const Program>>& programs,
-    std::uint64_t num_entities, bool compile, core::SchedulerKind scheduler,
+    const std::vector<Value>& initial, core::SchedulerKind scheduler,
     std::uint64_t seed) {
-  // Admission is windowed like par::RunSharded's: dumping every program
-  // into the engine at once makes the waits-for graph dense enough that
-  // cycle enumeration dominates, which is a workload-shape pathology, not
-  // what this differential is probing. Both paths use the identical loop.
   constexpr std::size_t kConcurrency = 12;
+  constexpr std::uint64_t kMaxSteps = 2'000'000;
   storage::EntityStore store;
-  store.CreateMany(num_entities, 0);
+  for (std::size_t e = 0; e < initial.size(); ++e) {
+    EXPECT_TRUE(store.Create(EntityId(e), initial[e]).ok());
+  }
   core::EngineOptions opt;
-  opt.compile_programs = compile;
   opt.scheduler = scheduler;
   opt.seed = seed;
-  core::Engine engine(&store, opt, nullptr);
-  core::VectorTrace trace;
-  engine.set_trace(&trace);
+  analysis::HistoryRecorder recorder;
+  core::Engine engine(&store, opt, &recorder);
   std::size_t spawned = 0;
-  while (engine.metrics().commits < programs.size()) {
+  while (engine.metrics().commits < programs.size() &&
+         engine.metrics().steps < kMaxSteps) {
     while (spawned < programs.size() &&
            spawned - engine.metrics().commits < kConcurrency) {
       auto s = engine.Spawn(programs[spawned]);
@@ -213,38 +227,22 @@ RunArtifacts RunPrograms(
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     if (!r.ok()) break;
   }
+  EXPECT_EQ(recorder.committed_count(), programs.size());
 
-  RunArtifacts out;
-  for (const auto& ev : trace.events()) {
-    if (ev.kind == core::TraceEvent::Kind::kCommit) {
-      out.commit_log.emplace_back(ev.txn.value(), ev.step);
-    }
+  auto serial = txn::ReplaySerialOrder(recorder, programs, initial);
+  EXPECT_TRUE(serial.ok()) << serial.status().ToString();
+  std::vector<Value> final_values;
+  for (std::size_t e = 0; e < initial.size(); ++e) {
+    final_values.push_back(store.Get(EntityId(e)).value().value);
   }
-  for (std::uint64_t e = 0; e < num_entities; ++e) {
-    auto v = store.Get(EntityId(e));
-    EXPECT_TRUE(v.ok());
-    out.final_values.push_back(v.value().value);
+  if (serial.ok()) {
+    EXPECT_EQ(final_values, serial.value())
+        << "final store differs from the serial replay";
   }
-  out.steps = engine.metrics().steps;
-  out.rollbacks = engine.metrics().rollbacks;
-  out.deadlocks = engine.metrics().deadlocks;
-  return out;
+  return RunMetrics{engine.metrics().rollbacks, engine.metrics().deadlocks};
 }
 
-void ExpectIdenticalRuns(
-    const std::vector<std::shared_ptr<const Program>>& programs,
-    std::uint64_t num_entities, core::SchedulerKind scheduler,
-    std::uint64_t seed) {
-  const RunArtifacts compiled =
-      RunPrograms(programs, num_entities, true, scheduler, seed);
-  const RunArtifacts interp =
-      RunPrograms(programs, num_entities, false, scheduler, seed);
-  EXPECT_EQ(compiled.commit_log, interp.commit_log);
-  EXPECT_EQ(compiled.final_values, interp.final_values);
-  EXPECT_EQ(compiled.steps, interp.steps);
-  EXPECT_EQ(compiled.rollbacks, interp.rollbacks);
-  EXPECT_EQ(compiled.deadlocks, interp.deadlocks);
-}
+std::vector<Value> Zeros(std::size_t n) { return std::vector<Value>(n, 0); }
 
 std::vector<std::shared_ptr<const Program>> GenerateWorkload(
     const sim::WorkloadOptions& w, std::uint64_t seed, std::size_t n) {
@@ -259,7 +257,35 @@ std::vector<std::shared_ptr<const Program>> GenerateWorkload(
   return programs;
 }
 
-TEST(CompiledDifferentialTest, SharedExclusiveMixesMatchAcrossSeeds) {
+TEST(CompiledLoweringTest, WideVarFramesRunCompiled) {
+  // A frame wider than 16 bits: every slot is a 32-bit plan position, so
+  // the program lowers like any other and runs on its µops.
+  constexpr txn::VarId kWide = 0x10000;
+  std::vector<std::shared_ptr<const Program>> programs;
+  for (int i = 0; i < 2; ++i) {
+    ProgramBuilder b("wide-" + std::to_string(i), kWide + 1);
+    b.InitVar(kWide, 7 + i);
+    b.LockExclusive(EntityId(0))
+        .Read(EntityId(0), kWide - 1)
+        .Compute(kWide - 1, Operand::Var(kWide - 1), ArithOp::kMul,
+                 Operand::Var(kWide))
+        .Compute(kWide, Operand::Var(kWide - 1), ArithOp::kSub,
+                 Operand::Imm(i + 1))
+        .WriteVar(EntityId(0), kWide)
+        .Commit();
+    programs.push_back(Own(std::move(b).Build()));
+  }
+  auto compiled = txn::CompiledProgram::Compile(*programs[0]);
+  ASSERT_NE(compiled, nullptr);
+  EXPECT_EQ(compiled->size(), programs[0]->size());
+  const rollback::RollbackPlan plan = Plan(*programs[0]);
+  EXPECT_EQ(plan.op(2).a, plan.op(1).dst);
+  EXPECT_EQ(plan.op(2).b, kWide) << "var 0x10000's initial slot";
+  EXPECT_EQ(plan.op(4).a, plan.op(3).dst);
+  RunAndCheck(programs, {3}, core::SchedulerKind::kRoundRobin, 1);
+}
+
+TEST(SerialOracleTest, SharedExclusiveMixesMatchSerialReplay) {
   for (std::uint64_t seed : {3u, 17u, 29u}) {
     sim::WorkloadOptions w;
     w.num_entities = 24;
@@ -268,12 +294,12 @@ TEST(CompiledDifferentialTest, SharedExclusiveMixesMatchAcrossSeeds) {
     w.min_locks = 2;
     w.max_locks = 4;
     auto programs = GenerateWorkload(w, seed, 80);
-    ExpectIdenticalRuns(programs, w.num_entities,
-                        core::SchedulerKind::kRandom, seed);
+    RunAndCheck(programs, Zeros(w.num_entities), core::SchedulerKind::kRandom,
+                seed);
   }
 }
 
-TEST(CompiledDifferentialTest, DeadlockVictimRollbacksMatch) {
+TEST(SerialOracleTest, DeadlockVictimRollbacksMatchSerialReplay) {
   for (std::uint64_t seed : {5u, 11u}) {
     sim::WorkloadOptions w;
     w.num_entities = 12;
@@ -283,17 +309,15 @@ TEST(CompiledDifferentialTest, DeadlockVictimRollbacksMatch) {
     auto programs = GenerateWorkload(w, seed, 60);
     // High contention on a small hot set: the run must include real
     // deadlock-victim partial rollbacks for the comparison to mean much.
-    const RunArtifacts compiled = RunPrograms(
-        programs, w.num_entities, true, core::SchedulerKind::kRandom, seed);
-    EXPECT_GT(compiled.rollbacks, 0u) << "workload produced no rollbacks";
-    ExpectIdenticalRuns(programs, w.num_entities,
-                        core::SchedulerKind::kRandom, seed);
+    const RunMetrics m = RunAndCheck(programs, Zeros(w.num_entities),
+                                     core::SchedulerKind::kRandom, seed);
+    EXPECT_GT(m.rollbacks, 0u) << "workload produced no rollbacks";
   }
 }
 
-TEST(CompiledDifferentialTest, UpgradeDeadlocksMatch) {
+TEST(SerialOracleTest, UpgradeDeadlocksMatchSerialReplay) {
   // Two transactions both read-share e0 then upgrade: the classic S->X
-  // upgrade deadlock — one must be rolled back, on either path alike.
+  // upgrade deadlock — one must be rolled back.
   std::vector<std::shared_ptr<const Program>> programs;
   for (int i = 0; i < 2; ++i) {
     ProgramBuilder b("up-" + std::to_string(i), 1);
@@ -305,13 +329,12 @@ TEST(CompiledDifferentialTest, UpgradeDeadlocksMatch) {
         .Commit();
     programs.push_back(Own(std::move(b).Build()));
   }
-  const RunArtifacts compiled = RunPrograms(
-      programs, 1, true, core::SchedulerKind::kRoundRobin, 1);
-  EXPECT_GT(compiled.deadlocks, 0u);
-  ExpectIdenticalRuns(programs, 1, core::SchedulerKind::kRoundRobin, 1);
+  const RunMetrics m =
+      RunAndCheck(programs, {10}, core::SchedulerKind::kRoundRobin, 1);
+  EXPECT_GT(m.deadlocks, 0u);
 }
 
-TEST(CompiledDifferentialTest, MidProgramUnlocksMatch) {
+TEST(SerialOracleTest, MidProgramUnlocksMatchSerialReplay) {
   // Unlock mid-program (shrinking phase) interleaved across two entities
   // and three transactions.
   std::vector<std::shared_ptr<const Program>> programs;
@@ -327,50 +350,67 @@ TEST(CompiledDifferentialTest, MidProgramUnlocksMatch) {
         .Commit();
     programs.push_back(Own(std::move(b).Build()));
   }
-  ExpectIdenticalRuns(programs, 2, core::SchedulerKind::kRoundRobin, 1);
+  RunAndCheck(programs, {5, 9}, core::SchedulerKind::kRoundRobin, 1);
 }
 
-// Full-pipeline differential: the one-shard report and decision-journal
-// chain heads (what `pardb diff-runs` compares) must be identical with the
-// compile cache on and off.
-par::ShardedOptions OneShard() {
-  par::ShardedOptions opt;
-  opt.num_shards = 1;
-  opt.cross_shard_fraction = 0.0;
-  opt.engine.scheduler = core::SchedulerKind::kRandom;
-  return opt;
+// Every arith op on every operand kind (var/var, var/imm, imm/var and the
+// folded imm/imm), under contention. Each program computes one value from
+// what it read (at most doubling the largest magnitude, so no run
+// overflows) and one constant, and writes both.
+std::shared_ptr<const Program> ArithProgram(Rng& rng, std::size_t entities,
+                                            int i) {
+  ProgramBuilder b("arith-" + std::to_string(i), 3);
+  b.InitVar(2, static_cast<Value>(rng.Uniform(5)) + 1);
+  const EntityId x(rng.Uniform(entities));
+  EntityId y(rng.Uniform(entities));
+  if (y == x) y = EntityId((x.value() + 1) % entities);
+  const auto SmallImm = [&rng] {
+    return Operand::Imm(static_cast<Value>(rng.Uniform(5)) - 2);
+  };
+  const ArithOp arith[] = {ArithOp::kAdd, ArithOp::kSub, ArithOp::kMul};
+  const ArithOp op = arith[rng.Uniform(3)];
+  b.LockExclusive(x).Read(x, 0).LockExclusive(y).Read(y, 1);
+  switch (rng.Uniform(3)) {
+    case 0:  // var OP imm
+      b.Compute(0, Operand::Var(0), op, SmallImm());
+      break;
+    case 1:  // imm OP var
+      b.Compute(0, SmallImm(), op, Operand::Var(1));
+      break;
+    default:  // var OP var; a product of two reads could overflow
+      b.Compute(0, Operand::Var(static_cast<txn::VarId>(rng.Uniform(2))),
+                op == ArithOp::kMul ? ArithOp::kSub : op, Operand::Var(1));
+      break;
+  }
+  b.Compute(1, Operand::Imm(static_cast<Value>(rng.Uniform(20)) + 3),
+            arith[rng.Uniform(3)],
+            Operand::Imm(static_cast<Value>(rng.Uniform(7)) + 2));
+  b.Compute(1, Operand::Var(1), arith[rng.Uniform(3)], Operand::Var(2));
+  b.WriteVar(x, 0).WriteVar(y, 1).Commit();
+  return Own(std::move(b).Build());
 }
 
-TEST(CompiledDifferentialTest, OneShardReportAndJournalChainMatchAcrossPaths) {
-  for (std::uint64_t seed : {7u, 23u}) {
-    par::ShardedOptions on = OneShard();
-    on.total_txns = 120;
-    on.concurrency = 12;
-    on.workload.num_entities = 16;
-    on.workload.shared_fraction = 0.3;
-    on.workload.zipf_theta = 0.5;
-    on.seed = seed;
-    par::ShardedOptions off = on;
-    off.engine.compile_programs = false;
-
-    auto a = par::RunSharded(on);
-    auto b = par::RunSharded(off);
-    ASSERT_TRUE(a.ok()) << a.status().ToString();
-    ASSERT_TRUE(b.ok()) << b.status().ToString();
-    EXPECT_EQ(par::ShardedReportToJson(a.value()),
-              par::ShardedReportToJson(b.value()));
-    EXPECT_EQ(a->shards[0].journal_records, b->shards[0].journal_records);
-    EXPECT_EQ(a->shards[0].journal_chain, b->shards[0].journal_chain)
-        << "seed " << seed
-        << ": journal chain heads diverged between compiled and "
-           "interpreted execution";
+TEST(SerialOracleTest, ArithmeticMatchesSerialReplay) {
+  constexpr std::size_t kEntities = 5;
+  for (std::uint64_t seed : {2u, 13u, 41u}) {
+    Rng rng(seed);
+    std::vector<std::shared_ptr<const Program>> programs;
+    for (int i = 0; i < 40; ++i) {
+      programs.push_back(ArithProgram(rng, kEntities, i));
+    }
+    const RunMetrics m = RunAndCheck(programs, {4, 9, 15, 22, 31},
+                                     core::SchedulerKind::kRandom, seed);
+    EXPECT_GT(m.deadlocks, 0u) << "seed " << seed;
   }
 }
 
 // The cache-hit telemetry the CI observability smoke asserts on: a
 // templated one-shard run must report hits on the engine metrics.
-TEST(CompiledDifferentialTest, TemplatedWorkloadReportsCacheHits) {
-  par::ShardedOptions opt = OneShard();
+TEST(CompileCacheTest, TemplatedWorkloadReportsCacheHits) {
+  par::ShardedOptions opt;
+  opt.num_shards = 1;
+  opt.cross_shard_fraction = 0.0;
+  opt.engine.scheduler = core::SchedulerKind::kRandom;
   opt.total_txns = 100;
   opt.concurrency = 8;
   opt.workload.num_entities = 16;

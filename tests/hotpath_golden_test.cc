@@ -98,24 +98,6 @@ TEST(HotpathGoldenTest, ShardedReportAndChainsMatchPreRewriteBytes) {
                "golden_sharded_chain.txt");
 }
 
-// The D16 compiled µop path must be invisible in every deterministic
-// artifact: running the same pinned workloads on the fallback interpreter
-// (compile_programs = false) must reproduce the same golden bytes —
-// report JSON and journal chain heads alike.
-
-TEST(HotpathGoldenTest, OneShardGoldenBytesIdenticalWithCompileOff) {
-  par::ShardedOptions opt = PinnedOneShard();
-  opt.engine.compile_programs = false;
-  ExpectGolden(opt, "golden_one_shard_report.json",
-               "golden_one_shard_chain.txt");
-}
-
-TEST(HotpathGoldenTest, ShardedGoldenBytesIdenticalWithCompileOff) {
-  par::ShardedOptions opt = PinnedSharded();
-  opt.engine.compile_programs = false;
-  ExpectGolden(opt, "golden_sharded_report.json", "golden_sharded_chain.txt");
-}
-
 // ---------------------------------------------------------------------------
 // Holders / WaitQueue / HeldBy emission contract on the paper fixtures.
 // ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <utility>
+
 #include "sim/workload.h"
 #include "txn/program_io.h"
 
@@ -62,6 +65,37 @@ TEST(ParseProgramTest, ErrorsCarryLineNumbers) {
 
   auto bad_commit = ParseProgram("commit now\n");
   EXPECT_FALSE(bad_commit.ok());
+
+  // Ids and immediates are digits only (an immediate may carry a leading
+  // '-') and must fit their type; nothing is truncated or clamped.
+  const std::pair<const char*, const char*> kOutOfRange[] = {
+      {"lockx E0\nread E0 v4294967296\n", "line 2"},  // VarId overflow
+      {"lockx E0\nread E0 v4294967295\n", "line 2"},  // frame width overflow
+      {"lockx E+1\n", "line 1"},
+      {"lockx E0\nunlock E-0\n", "line 2"},
+      {"lockx E 1\n", "line 1"},
+      {"lockx E18446744073709551616\n", "line 1"},  // uint64 overflow
+      {"lockx E18446744073709551615\n", "line 1"},  // the invalid id
+      {"lockx E0\nread E0 v+1\n", "line 2"},
+      {"lockx E0\nread E0 v0\nadd v0 v0 +1\n", "line 3"},
+      {"lockx E0\nwrite E0 9223372036854775808\n", "line 2"},  // int64
+      {"lockx E0\nwrite E0 -\n", "line 2"},
+      {"var v0 = 99999999999999999999\n", "line 1"},
+      {"var v0 = +3\n", "line 1"},
+  };
+  for (const auto& [text, line] : kOutOfRange) {
+    auto p = ParseProgram(text);
+    ASSERT_FALSE(p.ok()) << text;
+    EXPECT_NE(p.status().message().find(line), std::string::npos)
+        << text << " -> " << p.status().message();
+  }
+  // The boundaries themselves still parse.
+  auto edges = ParseProgram(
+      "var v0 = -9223372036854775808\nlockx E18446744073709551614\n"
+      "write E18446744073709551614 9223372036854775807\ncommit\n");
+  ASSERT_TRUE(edges.ok()) << edges.status().ToString();
+  EXPECT_EQ(edges->initial_vars()[0], std::numeric_limits<Value>::min());
+  EXPECT_EQ(edges->op(1).a.imm, std::numeric_limits<Value>::max());
 }
 
 TEST(ParseProgramTest, ValidationStillApplies) {

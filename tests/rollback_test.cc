@@ -16,6 +16,7 @@
 #include "obs/journal.h"
 #include "rollback/plan.h"
 #include "rollback/sdg.h"
+#include "serial_oracle.h"
 #include "sim/workload.h"
 #include "storage/entity_store.h"
 #include "txn/program.h"
@@ -38,49 +39,6 @@ Program Build(ProgramBuilder& b) {
   auto p = b.Build();
   EXPECT_TRUE(p.ok()) << p.status().ToString();
   return std::move(p).value();
-}
-
-// ---------------------------------------------------------------------------
-// Serial reference: the program replayed alone from position 0. Running
-// alone, the transaction reads the entities' initial values throughout.
-// ---------------------------------------------------------------------------
-
-struct RefState {
-  std::vector<Value> vars;
-  std::map<EntityId, Value> written;  // entities written so far
-};
-
-RefState ReplayTo(const Program& p, std::size_t pc) {
-  RefState s;
-  s.vars = p.initial_vars();
-  auto Eval = [&s](const Operand& o) {
-    return o.kind == Operand::Kind::kImm ? o.imm : s.vars[o.var];
-  };
-  for (std::size_t i = 0; i < pc; ++i) {
-    const txn::Op& op = p.op(i);
-    switch (op.code) {
-      case txn::OpCode::kRead: {
-        auto it = s.written.find(op.entity);
-        s.vars[op.dst] =
-            it != s.written.end() ? it->second : InitialValue(op.entity);
-        break;
-      }
-      case txn::OpCode::kWrite:
-        s.written[op.entity] = Eval(op.a);
-        break;
-      case txn::OpCode::kCompute: {
-        const Value a = Eval(op.a);
-        const Value b = Eval(op.b);
-        s.vars[op.dst] = op.arith == txn::ArithOp::kAdd   ? a + b
-                         : op.arith == txn::ArithOp::kSub ? a - b
-                                                          : a * b;
-        break;
-      }
-      default:
-        break;
-    }
-  }
-  return s;
 }
 
 // Position of the first unlock or commit: rollback is legal before it.
@@ -131,7 +89,7 @@ class Solo {
 
   // Every value the transaction sees equals the serial replay's at pc.
   void ExpectMatchesReference() const {
-    const RefState ref = ReplayTo(program_, pc());
+    const txn::SerialState ref = txn::ReplayTo(program_, pc(), InitialValue);
     for (txn::VarId v = 0; v < program_.num_vars(); ++v) {
       EXPECT_EQ(engine_->VarValueOf(txn_, v), ref.vars[v])
           << "var " << v << " at pc " << pc() << "\n" << program_.ToString();
@@ -149,7 +107,8 @@ class Solo {
   // Runs to commit; the published values are the serial replay's.
   void FinishAndExpectPublished() {
     ASSERT_TRUE(engine_->RunToCompletion().ok());
-    const RefState ref = ReplayTo(program_, program_.size());
+    const txn::SerialState ref =
+        txn::ReplayTo(program_, program_.size(), InitialValue);
     for (std::uint64_t i = 0; i < kEntities; ++i) {
       const EntityId e(i);
       auto it = ref.written.find(e);
@@ -422,33 +381,14 @@ class ReplayCheck final : public core::TraceSink {
   void OnEvent(const core::TraceEvent& ev) override {
     if (ev.kind != core::TraceEvent::Kind::kLockGranted) return;
     const Program& p = (*programs_)[ev.txn.value()];
-    std::vector<Value> vars = p.initial_vars();
-    std::map<EntityId, Value> written;
-    auto Eval = [&vars](const Operand& o) {
-      return o.kind == Operand::Kind::kImm ? o.imm : vars[o.var];
-    };
-    for (std::size_t i = 0; i < ev.pc; ++i) {
-      const txn::Op& op = p.op(i);
-      if (op.code == txn::OpCode::kRead) {
-        auto it = written.find(op.entity);
-        vars[op.dst] = it != written.end() ? it->second
-                                           : store_->Get(op.entity)->value;
-      } else if (op.code == txn::OpCode::kWrite) {
-        written[op.entity] = Eval(op.a);
-      } else if (op.code == txn::OpCode::kCompute) {
-        const Value a = Eval(op.a);
-        const Value b = Eval(op.b);
-        vars[op.dst] = op.arith == txn::ArithOp::kAdd   ? a + b
-                       : op.arith == txn::ArithOp::kSub ? a - b
-                                                        : a * b;
-      }
-    }
+    const txn::SerialState ref = txn::ReplayTo(
+        p, ev.pc, [this](EntityId e) { return store_->Get(e)->value; });
     ++checks_;
     bool ok = true;
     for (txn::VarId v = 0; v < p.num_vars(); ++v) {
-      ok = ok && engine_->VarValueOf(ev.txn, v) == vars[v];
+      ok = ok && engine_->VarValueOf(ev.txn, v) == ref.vars[v];
     }
-    for (const auto& [e, value] : written) {
+    for (const auto& [e, value] : ref.written) {
       ok = ok && engine_->EntityValueOf(ev.txn, e) == value;
     }
     if (!ok) ++mismatches_;

@@ -46,8 +46,8 @@ throughput must stay at or above --min-hotpath-txns-per-sec (default
 rates other than that floor are informational.
 
 When the file carries an enabled "compile" section (the D16 µop cache;
-absent pre-D16 and disabled on the --no-compile-cache ablation leg), the
-cache population counters (programs, compiles, hits, compiled_bytes) must
+absent from pre-D16 files, which skip these gates), the cache population
+counters (programs, compiles, hits, compiled_bytes) must
 match the baseline exactly — the pinned program set is identical on every
 host — and the cold lowering cost must stay at or below
 --max-compile-us-per-program (default 5.0 µs per unique program; warm
@@ -307,11 +307,10 @@ def check_hotpath(current, baseline, min_txns_per_sec,
         base = baseline[section][field] if baseline else 0
         print(f"hotpath: {section}.{field} = {current[section][field]:.0f} "
               f"(baseline {base:.0f}, informational)")
-    # D16 compile gates. The "compile" section is absent from pre-D16 files
-    # and disabled (enabled=0) on the --no-compile-cache ablation leg; both
-    # skip the cost ceiling. When enabled, the cache population counters are
-    # deterministic (same pinned program set on every host) and the cold
-    # lowering cost per unique program is capped.
+    # D16 compile gates. The "compile" section is absent from pre-D16 files,
+    # which skip the cost ceiling. When present, the cache population
+    # counters are deterministic (same pinned program set on every host)
+    # and the cold lowering cost per unique program is capped.
     comp = current.get("compile")
     if comp and comp.get("enabled"):
         base_comp = (baseline or {}).get("compile")

@@ -50,9 +50,6 @@
 //   --templates=N                    cycle the first N programs as renamed
 //                                    templates (compile-cache hit workload;
 //                                    0 = every program unique) [0]
-//   --no-compile-cache               run the fallback interpreter instead
-//                                    of compiled µop streams (bit-identical
-//                                    results; differential/ablation runs)
 //   --shards=N (1..1024)             engines [sim 1, parallel 4]
 //   --cross=F (in [0,1])             share of transactions drawn across
 //                                    shard boundaries [sim 0, parallel 0.05]
@@ -473,9 +470,6 @@ Result<par::ShardedOptions> BuildRunOptions(const Flags& flags,
   opt.workload.num_templates = static_cast<std::uint32_t>(templates);
   PARDB_RETURN_IF_ERROR(
       ParseLocks(flags.GetString("locks", "3:6"), opt.workload));
-  // Differential escape hatch: run the fallback interpreter instead of the
-  // compiled µop path (results are bit-identical either way; D16).
-  opt.engine.compile_programs = !flags.GetBool("no-compile-cache", false);
 
   // Topology: shards, fork-join workers (0 = one per shard), the share of
   // transactions drawn across shard boundaries, and the one-shard quantum
