@@ -107,7 +107,7 @@ void Engine::LiveInsert(std::uint64_t v) {
     live_head_ = v;
   }
   live_tail_ = v;
-  ++live_count_;
+  peak_live_ = std::max(peak_live_, ++live_count_);
 }
 
 void Engine::LiveRemove(std::uint64_t v) {
@@ -159,13 +159,16 @@ Result<TxnId> Engine::Spawn(std::shared_ptr<const txn::Program> program) {
   }
   TxnId id(next_txn_++);
   // Fetch (or lower) the µop stream and the rollback plan, both keyed by
-  // the program's executable content.
+  // the program's executable content. A fresh lowering (first sight, or
+  // re-admission after eviction) gets a fresh plan under its entry number.
   std::size_t entry = 0;
+  const std::uint64_t lowered = compile_cache_.stats().compiles;
   const txn::MicroOp* uops = compile_cache_.Get(program, &entry).uops();
-  if (entry == plans_.size()) {
-    plans_.push_back(planner_.Build(
+  if (compile_cache_.stats().compiles != lowered) {
+    if (entry == plans_.size()) plans_.emplace_back();
+    plans_[entry] = planner_.Build(
         *program, options_.strategy,
-        /*seal=*/options_.handling == DeadlockHandling::kDetection));
+        /*seal=*/options_.handling == DeadlockHandling::kDetection);
   }
   // Cache telemetry is a pure function of the admitted program sequence,
   // so mirroring it into the metrics here keeps the counters deterministic.
@@ -190,6 +193,7 @@ Result<TxnId> Engine::Spawn(std::shared_ptr<const txn::Program> program) {
             Value{0});
   TxnCold cold;
   cold.program = std::move(program);
+  cold.cache_entry = entry;
   ctx.granted.set_arena(&txn_arena_);
   if (recorder_ != nullptr) recorder_->OnBegin(id, ctx.entry);
   txns_.push_back(std::move(ctx));  // index == id (dense admission ids)
@@ -236,6 +240,10 @@ Result<VictimCandidate> Engine::PlanConflictRelease(
     const std::vector<std::pair<EntityId, lock::LockMode>>& conflicts) const {
   const TxnContext* ctx = Find(txn);
   if (ctx == nullptr) return Status::NotFound("unknown transaction");
+  if (ctx->status == TxnStatus::kCommitted) {
+    return Status::FailedPrecondition(
+        "cannot plan a rollback of a committed transaction");
+  }
   return MakeCandidate(*ctx, conflicts, /*is_requester=*/false);
 }
 
@@ -507,6 +515,18 @@ Status Engine::ExecuteCommit(TxnContext& ctx) {
   PARDB_RETURN_IF_ERROR(ExecuteReleases(ctx));
   txn_arena_.FreeBlock(ctx.slots, ctx.plan->num_slots() * sizeof(Value));
   ctx.slots = nullptr;
+  // A committed transaction needs no rollback state (DESIGN D21): drop its
+  // program, stream and plan, and let the cache keep them only within the
+  // idle window of peak-live entries.
+  ctx.uops = nullptr;
+  ctx.plan = nullptr;
+  TxnCold& cold = ColdOf(ctx);
+  cold.program.reset();
+  const std::size_t evicted =
+      compile_cache_.Release(cold.cache_entry, peak_live_);
+  if (evicted != txn::CompileCache::kNoEntry) {
+    plans_[evicted] = rollback::RollbackPlan();
+  }
   ctx.status = TxnStatus::kCommitted;
   MarkReadyDirty(ctx);
   ctx.pc = ctx.size;

@@ -174,9 +174,9 @@ struct EngineMetrics {
   // Compile-cache telemetry (deterministic: a pure function of the admitted
   // program sequence, never of wall time). Excluded from report
   // serialization so pre-compilation goldens stay byte-identical.
-  std::uint64_t programs_compiled = 0;    // distinct programs lowered
+  std::uint64_t programs_compiled = 0;    // lowerings (incl. after eviction)
   std::uint64_t compile_cache_hits = 0;   // admissions served from cache
-  std::uint64_t compiled_bytes = 0;       // µop bytes resident in the cache
+  std::uint64_t compiled_bytes = 0;       // µop bytes lowered (monotone)
   // Space accounting sampled at every rollback and commit.
   std::size_t max_entity_copies = 0;  // max per-transaction peak
   std::size_t max_var_copies = 0;
@@ -271,7 +271,8 @@ class Engine {
 
   // Prices rolling txn back far enough to stop conflicting over `conflicts`
   // (the §3.1 candidate computation, exposed for a global victim search
-  // across shards). Does not mutate anything.
+  // across shards). Does not mutate anything. A committed transaction has
+  // no rollback plan left and fails with FailedPrecondition.
   Result<VictimCandidate> PlanConflictRelease(
       TxnId txn,
       const std::vector<std::pair<EntityId, lock::LockMode>>& conflicts) const;
@@ -336,7 +337,7 @@ class Engine {
   // committed: its value slots are freed).
   Value VarValueOf(TxnId txn, txn::VarId var) const;
   // Value of `entity` as a live transaction reads it: its own latest write,
-  // else the global value.
+  // else the global value (0 once committed: its plan is released).
   Value EntityValueOf(TxnId txn, EntityId entity) const;
 
   const graph::Digraph& waits_for() const { return waits_for_; }
@@ -414,6 +415,10 @@ class Engine {
   // schedules from.
   std::size_t live_txn_count() const { return live_count_; }
 
+  // Compile-cache entries resident (live programs plus at most
+  // peak-live idle ones; DESIGN D21).
+  std::size_t resident_programs() const { return compile_cache_.resident(); }
+
   // Capacity hint: pre-sizes the dense per-transaction arrays (and the
   // lock manager's) for `n` transactions, so admission never reallocates
   // mid-run. Purely an optimisation; the arrays grow on demand regardless.
@@ -453,12 +458,14 @@ class Engine {
   struct TxnContext {
     TxnId id;
     // Compiled µop stream cursor base (uops[pc] is the next op), owned by
-    // the engine's compile cache for the engine's lifetime.
+    // the engine's compile cache and resident while the transaction is
+    // live; null once it commits.
     const txn::MicroOp* uops = nullptr;
-    // The program's rollback plan (in the engine's plans_) and the
-    // transaction's value slots laid out by it (an engine-arena block,
-    // freed at commit). This is all the rollback state a transaction has:
-    // rolling back resets pc and undoes locks, and copies no value.
+    // The program's rollback plan (in the engine's plans_; null once
+    // committed) and the transaction's value slots laid out by it (an
+    // engine-arena block, freed at commit). This is all the rollback state
+    // a transaction has: rolling back resets pc and undoes locks, and
+    // copies no value.
     const rollback::RollbackPlan* plan = nullptr;
     Value* slots = nullptr;
     std::uint32_t pc = 0;
@@ -480,7 +487,9 @@ class Engine {
   // ownership handles plus fields only introspection, rollback planning or
   // the cross-shard protocol touch.
   struct TxnCold {
+    // Released at commit, with the compile-cache entry's live count.
     std::shared_ptr<const txn::Program> program;
+    std::size_t cache_entry = 0;
     std::uint64_t preempted = 0;
     // Cross-shard sub-transaction state (see SpawnSub): park at this pc
     // until ReleaseHold; kNoHold for ordinary transactions.
@@ -584,9 +593,10 @@ class Engine {
     return cold_[ctx.id.value()];
   }
   // Per-engine µop cache (engines are single-threaded), and the rollback
-  // plan of each cache entry (indexed by its entry number) — built once per
-  // distinct program under options_.strategy. A deque keeps the plans the
-  // contexts point to in place as it grows.
+  // plan of each resident cache entry (indexed by its entry number) — built
+  // at each lowering under options_.strategy, reset when the cache evicts
+  // the entry and rebuilt when a recycled number is reused (DESIGN D21). A
+  // deque keeps the plans the contexts point to in place as it grows.
   txn::CompileCache compile_cache_;
   rollback::RollbackPlanner planner_;
   std::deque<rollback::RollbackPlan> plans_;
@@ -601,6 +611,8 @@ class Engine {
   std::uint64_t live_head_ = kNoneIdx;
   std::uint64_t live_tail_ = kNoneIdx;
   std::size_t live_count_ = 0;
+  // Most transactions ever live at once: the compile cache's idle window.
+  std::size_t peak_live_ = 0;
 
   void LiveInsert(std::uint64_t v);
   void LiveRemove(std::uint64_t v);

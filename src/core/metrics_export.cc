@@ -36,6 +36,8 @@ void ExportEngineMetrics(const Engine& engine, obs::MetricsRegistry* registry,
       ->SetMax(static_cast<std::int64_t>(m.max_var_copies));
   registry->GetGauge(obs::kLiveTxns, labels)
       ->Set(static_cast<std::int64_t>(engine.live_txn_count()));
+  registry->GetGauge(obs::kCompileCacheResidentEntries, labels)
+      ->Set(static_cast<std::int64_t>(engine.resident_programs()));
   registry->GetGauge(obs::kWaitingTxns, labels)
       ->Set(static_cast<std::int64_t>(engine.lock_manager().WaitingCount()));
 
@@ -86,6 +88,8 @@ void EngineMetricsExporter::Export(const Engine& engine,
       ->SetMax(static_cast<std::int64_t>(m.max_var_copies));
   registry->GetGauge(obs::kLiveTxns, labels)
       ->Set(static_cast<std::int64_t>(engine.live_txn_count()));
+  registry->GetGauge(obs::kCompileCacheResidentEntries, labels)
+      ->Set(static_cast<std::int64_t>(engine.resident_programs()));
   registry->GetGauge(obs::kWaitingTxns, labels)
       ->Set(static_cast<std::int64_t>(engine.lock_manager().WaitingCount()));
 

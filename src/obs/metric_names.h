@@ -26,15 +26,20 @@ inline constexpr char kWastedOpsTotal[] = "pardb_wasted_ops_total";
 inline constexpr char kIdealWastedOpsTotal[] = "pardb_ideal_wasted_ops_total";
 inline constexpr char kCyclesFoundTotal[] = "pardb_cycles_found_total";
 inline constexpr char kPeriodicScansTotal[] = "pardb_periodic_scans_total";
-// Compiled-program admission (DESIGN D16): distinct programs lowered to
-// µop streams, admissions served from the compile cache, and µop bytes
-// resident. All three are deterministic functions of the admitted
-// program sequence and are exported even at zero so dashboards can tell
-// "cache never hits" from "series missing".
+// Compiled-program admission (DESIGN D16): programs lowered to µop
+// streams, admissions served from the compile cache, and µop bytes lowered
+// (monotone; a program evicted and re-admitted is lowered and counted
+// again). All three are deterministic functions of the admitted program
+// sequence and are exported even at zero so dashboards can tell "cache
+// never hits" from "series missing".
 inline constexpr char kProgramCompileTotal[] = "pardb_program_compile_total";
 inline constexpr char kProgramCacheHitsTotal[] =
     "pardb_program_cache_hits_total";
 inline constexpr char kCompiledBytesTotal[] = "pardb_compiled_bytes_total";
+// Compile-cache entries resident now (gauge; DESIGN D21): live programs
+// plus at most peak-live idle ones.
+inline constexpr char kCompileCacheResidentEntries[] =
+    "pardb_compile_cache_resident_entries";
 
 // Engine aggregate gauges.
 inline constexpr char kMaxEntityCopies[] = "pardb_max_entity_copies";

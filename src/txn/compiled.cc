@@ -168,11 +168,11 @@ void CompileCache::GrowTable() {
   const std::size_t new_size = slots_.empty() ? 64 : slots_.size() * 2;
   std::vector<Slot> fresh(new_size);
   const std::size_t mask = new_size - 1;
-  for (Slot& s : slots_) {
-    if (s.src == nullptr) continue;
+  for (const Slot& s : slots_) {
+    if (s.entry == kNoEntry) continue;
     std::size_t i = s.hash & mask;
-    while (fresh[i].src != nullptr) i = (i + 1) & mask;
-    fresh[i] = std::move(s);
+    while (fresh[i].entry != kNoEntry) i = (i + 1) & mask;
+    fresh[i] = s;
   }
   slots_ = std::move(fresh);
 }
@@ -181,28 +181,97 @@ const CompiledProgram& CompileCache::Get(
     const std::shared_ptr<const Program>& program, std::size_t* entry) {
   // Grow at 3/4 load, before probing, so the insert below always finds an
   // empty slot.
-  if ((entries_ + 1) * 4 > slots_.size() * 3) GrowTable();
+  if ((resident_ + 1) * 4 > slots_.size() * 3) GrowTable();
   const std::uint64_t h = HashProgram(*program);
   const std::size_t mask = slots_.size() - 1;
   std::size_t i = h & mask;
-  while (slots_[i].src != nullptr) {
-    if (slots_[i].hash == h &&
-        SameExecutableContent(*slots_[i].src, *program)) {
+  while (slots_[i].entry != kNoEntry) {
+    const std::size_t e = slots_[i].entry;
+    Entry& x = entries_[e];
+    if (slots_[i].hash == h && SameExecutableContent(*x.src, *program)) {
       ++stats_.hits;
-      if (entry != nullptr) *entry = slots_[i].entry;
-      return *slots_[i].compiled;
+      if (x.live++ == 0) UnlinkIdle(e);
+      if (entry != nullptr) *entry = e;
+      return *x.compiled;
     }
     i = (i + 1) & mask;
   }
   ++stats_.compiles;
-  slots_[i].hash = h;
-  slots_[i].src = program;
-  slots_[i].compiled = CompiledProgram::Compile(*program);
-  slots_[i].entry = entries_;
-  stats_.compiled_bytes += slots_[i].compiled->byte_size();
-  if (entry != nullptr) *entry = entries_;
-  ++entries_;
-  return *slots_[i].compiled;
+  std::size_t e;
+  if (!free_.empty()) {
+    e = free_.back();
+    free_.pop_back();
+  } else {
+    e = entries_.size();
+    entries_.emplace_back();
+    free_.reserve(entries_.capacity());
+  }
+  Entry& x = entries_[e];
+  x.hash = h;
+  x.src = program;
+  x.compiled = CompiledProgram::Compile(*program);
+  x.live = 1;
+  slots_[i] = Slot{h, e};
+  ++resident_;
+  stats_.compiled_bytes += x.compiled->byte_size();
+  if (entry != nullptr) *entry = e;
+  return *x.compiled;
+}
+
+std::size_t CompileCache::Release(std::size_t e, std::size_t idle_window) {
+  Entry& x = entries_[e];
+  if (--x.live != 0) return kNoEntry;
+  x.idle_prev = idle_tail_;
+  x.idle_next = kNoEntry;
+  if (idle_tail_ != kNoEntry) {
+    entries_[idle_tail_].idle_next = e;
+  } else {
+    idle_head_ = e;
+  }
+  idle_tail_ = e;
+  if (++idle_count_ <= idle_window) return kNoEntry;
+  const std::size_t oldest = idle_head_;
+  Evict(oldest);
+  return oldest;
+}
+
+void CompileCache::UnlinkIdle(std::size_t e) {
+  Entry& x = entries_[e];
+  if (x.idle_prev != kNoEntry) {
+    entries_[x.idle_prev].idle_next = x.idle_next;
+  } else {
+    idle_head_ = x.idle_next;
+  }
+  if (x.idle_next != kNoEntry) {
+    entries_[x.idle_next].idle_prev = x.idle_prev;
+  } else {
+    idle_tail_ = x.idle_prev;
+  }
+  --idle_count_;
+}
+
+void CompileCache::Evict(std::size_t e) {
+  UnlinkIdle(e);
+  Entry& x = entries_[e];
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t hole = x.hash & mask;
+  while (slots_[hole].entry != e) hole = (hole + 1) & mask;
+  // Backward-shift deletion: a later member of the probe run moves into the
+  // hole when the hole lies on its path from its home slot, so every
+  // remaining entry stays reachable without tombstones.
+  for (std::size_t j = (hole + 1) & mask; slots_[j].entry != kNoEntry;
+       j = (j + 1) & mask) {
+    const std::size_t home = slots_[j].hash & mask;
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole] = Slot{};
+  x.src.reset();
+  x.compiled.reset();
+  free_.push_back(e);
+  --resident_;
 }
 
 }  // namespace pardb::txn

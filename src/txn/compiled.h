@@ -20,7 +20,10 @@
 //
 // A CompileCache keyed by the executable op content (names excluded: two
 // programs with identical op sequences execute identically) makes repeated
-// workload templates compile once and share one immutable µop stream.
+// workload templates compile once and share one immutable µop stream. Its
+// entries are reference-counted by live instances, so an engine keeps a
+// program's source, µops and plan while some instance of it runs plus a
+// bounded idle window, not for the whole run (DESIGN D21).
 
 #include <cstdint>
 #include <memory>
@@ -66,7 +69,8 @@ struct MicroOp {
 static_assert(sizeof(MicroOp) == 32, "MicroOp must stay cache-line packed");
 
 // An immutable compiled program: the µop stream. Owned by the compile cache;
-// running instances point into its stream. Never mutated after Compile.
+// running instances point into its stream, which stays resident while any
+// of them runs. Never mutated after Compile.
 class CompiledProgram {
  public:
   // Passkey: construction goes through Compile, but make_shared needs a
@@ -100,37 +104,79 @@ class CompiledProgram {
 // a lookup materializes no key bytes, so the admission path costs one
 // pass over the ops plus a probe — no allocation on hit, and on miss only
 // the compiled program itself (plus amortized table growth).
+//
+// Residency (DESIGN D21): every Get counts one live instance on its entry
+// and Release ends one. An entry whose count reaches 0 joins a FIFO of
+// idle entries; a hit on an idle entry revives it under the same entry
+// number. When the FIFO holds more entries than the caller's idle window,
+// the oldest idle entry is evicted: its source program and µop stream are
+// dropped, its table slot is deleted by backward shift (no tombstones, so
+// probe chains do not grow under churn) and its number goes on a free list
+// for the next new program, so per-entry arrays stay sized to the resident
+// set. A cache nobody releases never evicts.
 class CompileCache {
  public:
+  // No entry: the empty-slot marker, and Release's "nothing evicted".
+  static constexpr std::size_t kNoEntry = ~std::size_t{0};
+
   struct Stats {
-    std::uint64_t compiles = 0;      // distinct programs lowered
+    std::uint64_t compiles = 0;      // lowerings, re-lowerings included
     std::uint64_t hits = 0;          // admissions served from the cache
-    std::uint64_t compiled_bytes = 0;  // total µop bytes resident
+    std::uint64_t compiled_bytes = 0;  // µop bytes lowered (monotone)
   };
 
-  // Returns the compiled form of `program`, compiling on first sight; it
-  // stays in place (growth moves only the handle) for the cache's lifetime.
-  // The cache retains `program` as the collision guard for its slot, so
-  // entries pin their source programs alive. `entry` (optional) receives the program's dense entry number — 0, 1, 2, ... in
-  // first-sight order — so a caller can keep its own per-program products
-  // (the engine's rollback plans) under the same content key.
+  // Returns the compiled form of `program`, compiling on first sight, and
+  // counts one live instance on its entry. The stream stays in place
+  // (growth moves only the handle) until the entry is evicted, which
+  // needs every instance released first. The entry retains `program` as
+  // the collision guard for its slot while it is resident. `entry`
+  // (optional) receives the program's entry number — 0, 1, 2, ... in
+  // first-sight order, or a recycled evictee's number — so a caller can
+  // keep its own per-program products (the engine's rollback plans) under
+  // the same content key.
   const CompiledProgram& Get(const std::shared_ptr<const Program>& program,
                              std::size_t* entry = nullptr);
+
+  // Ends one live instance of `entry` (a number Get returned). When that
+  // was its last, the entry goes idle; if more than `idle_window` entries
+  // are then idle, the oldest is evicted and its number returned, so the
+  // caller can drop its products under that number. Otherwise kNoEntry.
+  // Allocates nothing.
+  std::size_t Release(std::size_t entry, std::size_t idle_window);
+
+  // Entries holding a source program and µop stream (live or idle).
+  std::size_t resident() const { return resident_; }
 
   const Stats& stats() const { return stats_; }
 
  private:
   struct Slot {
     std::uint64_t hash = 0;
-    std::shared_ptr<const Program> src;  // nullptr marks an empty slot
+    std::size_t entry = kNoEntry;  // kNoEntry marks an empty slot
+  };
+  struct Entry {
+    std::shared_ptr<const Program> src;  // nullptr: a free number
     std::shared_ptr<const CompiledProgram> compiled;
-    std::size_t entry = 0;
+    std::uint64_t hash = 0;
+    std::uint64_t live = 0;  // instances admitted and not yet released
+    // Idle FIFO links, oldest first; meaningful only while live == 0.
+    std::size_t idle_prev = kNoEntry;
+    std::size_t idle_next = kNoEntry;
   };
 
   void GrowTable();
+  void UnlinkIdle(std::size_t e);
+  void Evict(std::size_t e);
 
   std::vector<Slot> slots_;  // power-of-two size; linear probing
-  std::size_t entries_ = 0;
+  std::vector<Entry> entries_;
+  // Evicted entry numbers; capacity tracks entries_ so Release never
+  // allocates.
+  std::vector<std::size_t> free_;
+  std::size_t resident_ = 0;
+  std::size_t idle_head_ = kNoEntry;
+  std::size_t idle_tail_ = kNoEntry;
+  std::size_t idle_count_ = 0;
   Stats stats_;
 };
 

@@ -167,38 +167,38 @@ ProgramBuilder& ProgramBuilder::InitVar(VarId var, Value initial) {
 }
 
 ProgramBuilder& ProgramBuilder::LockShared(EntityId e) {
-  ops_.push_back(Op{OpCode::kLockShared, e, 0, {}, {}, ArithOp::kAdd});
+  ops_.push_back(Op{e, {}, {}, 0, OpCode::kLockShared, ArithOp::kAdd});
   return *this;
 }
 
 ProgramBuilder& ProgramBuilder::LockExclusive(EntityId e) {
-  ops_.push_back(Op{OpCode::kLockExclusive, e, 0, {}, {}, ArithOp::kAdd});
+  ops_.push_back(Op{e, {}, {}, 0, OpCode::kLockExclusive, ArithOp::kAdd});
   return *this;
 }
 
 ProgramBuilder& ProgramBuilder::Unlock(EntityId e) {
-  ops_.push_back(Op{OpCode::kUnlock, e, 0, {}, {}, ArithOp::kAdd});
+  ops_.push_back(Op{e, {}, {}, 0, OpCode::kUnlock, ArithOp::kAdd});
   return *this;
 }
 
 ProgramBuilder& ProgramBuilder::Read(EntityId e, VarId dst) {
-  ops_.push_back(Op{OpCode::kRead, e, dst, {}, {}, ArithOp::kAdd});
+  ops_.push_back(Op{e, {}, {}, dst, OpCode::kRead, ArithOp::kAdd});
   return *this;
 }
 
 ProgramBuilder& ProgramBuilder::Write(EntityId e, Operand src) {
-  ops_.push_back(Op{OpCode::kWrite, e, 0, src, {}, ArithOp::kAdd});
+  ops_.push_back(Op{e, src, {}, 0, OpCode::kWrite, ArithOp::kAdd});
   return *this;
 }
 
 ProgramBuilder& ProgramBuilder::Compute(VarId dst, Operand a, ArithOp op,
                                         Operand b) {
-  ops_.push_back(Op{OpCode::kCompute, EntityId(), dst, a, b, op});
+  ops_.push_back(Op{EntityId(), a, b, dst, OpCode::kCompute, op});
   return *this;
 }
 
 ProgramBuilder& ProgramBuilder::Commit() {
-  ops_.push_back(Op{OpCode::kCommit, EntityId(), 0, {}, {}, ArithOp::kAdd});
+  ops_.push_back(Op{EntityId(), {}, {}, 0, OpCode::kCommit, ArithOp::kAdd});
   return *this;
 }
 

@@ -21,7 +21,7 @@ using VarId = std::uint32_t;
 // operations", so the state index of a running transaction equals its
 // program counter and rollback is a program-counter reset plus value
 // restoration.
-enum class OpCode {
+enum class OpCode : std::uint8_t {
   kLockShared,     // LS(entity)
   kLockExclusive,  // LX(entity); on an entity held in S this is an upgrade
   kUnlock,         // publish (if X) and release; enters the shrinking phase
@@ -33,29 +33,32 @@ enum class OpCode {
 
 std::string_view OpCodeName(OpCode code);
 
-// A value source: immediate constant or local variable.
+// A value source: immediate constant or local variable. Fields run from
+// widest to narrowest so an operand packs into 16 bytes.
 struct Operand {
-  enum class Kind { kImm, kVar };
-  Kind kind = Kind::kImm;
+  enum class Kind : std::uint8_t { kImm, kVar };
   Value imm = 0;
   VarId var = 0;
+  Kind kind = Kind::kImm;
 
-  static Operand Imm(Value v) { return Operand{Kind::kImm, v, 0}; }
-  static Operand Var(VarId v) { return Operand{Kind::kVar, 0, v}; }
+  static Operand Imm(Value v) { return Operand{v, 0, Kind::kImm}; }
+  static Operand Var(VarId v) { return Operand{0, v, Kind::kVar}; }
 };
 
-enum class ArithOp { kAdd, kSub, kMul };
+enum class ArithOp : std::uint8_t { kAdd, kSub, kMul };
 
+// Widest fields first: every generated program stores a vector of these.
 struct Op {
-  OpCode code;
   EntityId entity;  // lock/unlock/read/write target
-  VarId dst = 0;    // kRead / kCompute destination
   Operand a;        // kWrite source; kCompute left operand
   Operand b;        // kCompute right operand
+  VarId dst = 0;    // kRead / kCompute destination
+  OpCode code;
   ArithOp arith = ArithOp::kAdd;
 
   std::string ToString() const;
 };
+static_assert(sizeof(Op) == 48, "Op must stay packed to 48 bytes");
 
 // An immutable, validated transaction program. Build with ProgramBuilder.
 class Program {

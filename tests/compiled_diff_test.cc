@@ -186,6 +186,125 @@ TEST(CompileCacheTest, DifferentOpsMissAndTemplateStampsHit) {
 }
 
 // ---------------------------------------------------------------------------
+// Residency: release, idle window, eviction (DESIGN D21).
+// ---------------------------------------------------------------------------
+
+// One distinct program per i: locks and writes entity i.
+std::shared_ptr<const Program> Numbered(std::uint64_t i) {
+  ProgramBuilder b("n" + std::to_string(i), 1);
+  b.LockExclusive(EntityId(i))
+      .Read(EntityId(i), 0)
+      .WriteImm(EntityId(i), static_cast<Value>(i))
+      .Commit();
+  return Own(std::move(b).Build());
+}
+
+TEST(CompileCacheTest, EvictionUnderChurnKeepsSurvivorsReachable) {
+  // 400 entries in a 1024-slot table collide along probe runs; evicting
+  // them in a shuffled order exercises every backward-shift case.
+  constexpr std::size_t kPrograms = 400;
+  constexpr std::size_t kWindow = 200;
+  txn::CompileCache cache;
+  std::vector<std::shared_ptr<const Program>> programs;
+  std::vector<std::size_t> entry(kPrograms);
+  for (std::size_t i = 0; i < kPrograms; ++i) {
+    programs.push_back(Numbered(i));
+    cache.Get(programs[i], &entry[i]);
+  }
+  std::vector<std::size_t> order(kPrograms);
+  for (std::size_t i = 0; i < kPrograms; ++i) order[i] = i;
+  Rng rng(5);
+  for (std::size_t i = kPrograms - 1; i > 0; --i) {
+    std::swap(order[i], order[rng.Uniform(i + 1)]);
+  }
+  // The first kWindow releases go idle; each later one evicts the oldest
+  // idle entry, in release order.
+  for (std::size_t k = 0; k < kPrograms; ++k) {
+    const std::size_t evicted = cache.Release(entry[order[k]], kWindow);
+    EXPECT_EQ(evicted, k < kWindow ? txn::CompileCache::kNoEntry
+                                   : entry[order[k - kWindow]])
+        << "release " << k;
+  }
+  EXPECT_EQ(cache.resident(), kWindow);
+  // Survivors still hit under their numbers (probed before any evictee
+  // refills a hole); evictees lower again under recycled numbers, so
+  // numbering never grows past the peak resident set.
+  for (std::size_t n = 0; n < kPrograms; ++n) {
+    const std::size_t k = (n + kPrograms - kWindow) % kPrograms;
+    const std::size_t i = order[k];
+    std::size_t e = txn::CompileCache::kNoEntry;
+    const std::uint64_t compiles = cache.stats().compiles;
+    cache.Get(programs[i], &e);
+    if (k >= kPrograms - kWindow) {
+      EXPECT_EQ(e, entry[i]) << "survivor " << i;
+      EXPECT_EQ(cache.stats().compiles, compiles);
+    } else {
+      EXPECT_EQ(cache.stats().compiles, compiles + 1) << "evictee " << i;
+    }
+    EXPECT_LT(e, kPrograms);
+  }
+  EXPECT_EQ(cache.resident(), kPrograms);
+  EXPECT_EQ(cache.stats().compiles, kPrograms + (kPrograms - kWindow));
+  EXPECT_EQ(cache.stats().hits, kWindow);
+}
+
+TEST(CompileCacheTest, EvictedProgramRecompilesToIdenticalUopsAndPlan) {
+  txn::CompileCache cache;
+  auto mix = MixProgram("txn-0");
+  std::size_t e0 = 99;
+  const txn::CompiledProgram& first = cache.Get(mix, &e0);
+  const std::vector<MicroOp> uops(first.uops(), first.uops() + first.size());
+  const std::size_t bytes = first.byte_size();
+  // Window 0: the release evicts at once and drops the stream (`first`
+  // dangles from here on) and the cache's program reference.
+  EXPECT_EQ(cache.Release(e0, 0), e0);
+  EXPECT_EQ(cache.resident(), 0u);
+  EXPECT_EQ(mix.use_count(), 1);
+
+  // A warm planner (scratch left by another program) rebuilds the plan.
+  rollback::RollbackPlanner planner;
+  const rollback::RollbackPlan cold =
+      planner.Build(*mix, rollback::StrategyKind::kMcs, /*seal=*/true);
+  planner.Build(*Numbered(7), rollback::StrategyKind::kMcs, /*seal=*/true);
+
+  std::size_t e1 = 99;
+  const txn::CompiledProgram& again = cache.Get(MixProgram("txn-1"), &e1);
+  EXPECT_EQ(e1, e0);  // the recycled number
+  EXPECT_EQ(cache.stats().compiles, 2u);
+  EXPECT_EQ(cache.stats().compiled_bytes, 2 * bytes);
+  ASSERT_EQ(again.size(), uops.size());
+  for (std::size_t i = 0; i < uops.size(); ++i) {
+    EXPECT_EQ(again.uops()[i].code, uops[i].code) << i;
+    EXPECT_EQ(again.uops()[i].flags, uops[i].flags) << i;
+    EXPECT_EQ(again.uops()[i].entity, uops[i].entity) << i;
+    EXPECT_EQ(again.uops()[i].a, uops[i].a) << i;
+    EXPECT_EQ(again.uops()[i].b, uops[i].b) << i;
+  }
+  const rollback::RollbackPlan warm =
+      planner.Build(*mix, rollback::StrategyKind::kMcs, /*seal=*/true);
+  ASSERT_EQ(warm.num_slots(), cold.num_slots());
+  for (std::size_t pc = 0; pc <= mix->size(); ++pc) {
+    EXPECT_EQ(warm.op(pc).dst, cold.op(pc).dst) << pc;
+    EXPECT_EQ(warm.op(pc).a, cold.op(pc).a) << pc;
+    EXPECT_EQ(warm.op(pc).b, cold.op(pc).b) << pc;
+    EXPECT_EQ(warm.PeakCopiesAt(pc).entity, cold.PeakCopiesAt(pc).entity);
+    EXPECT_EQ(warm.PeakCopiesAt(pc).var, cold.PeakCopiesAt(pc).var);
+    for (LockIndex q = 0; q <= 2; ++q) {
+      EXPECT_EQ(warm.IsRestorable(q, pc), cold.IsRestorable(q, pc));
+    }
+  }
+}
+
+TEST(CompileCacheTest, UnreleasedCacheNeverEvicts) {
+  // The bare cache (no Release) keeps every entry, as the hot-path compile
+  // micro relies on.
+  txn::CompileCache cache;
+  for (std::uint64_t i = 0; i < 100; ++i) cache.Get(Numbered(i));
+  EXPECT_EQ(cache.resident(), 100u);
+  EXPECT_EQ(cache.stats().compiles, 100u);
+}
+
+// ---------------------------------------------------------------------------
 // Execution against the serial oracle.
 // ---------------------------------------------------------------------------
 
@@ -405,23 +524,28 @@ TEST(SerialOracleTest, ArithmeticMatchesSerialReplay) {
 }
 
 // The cache-hit telemetry the CI observability smoke asserts on: a
-// templated one-shard run must report hits on the engine metrics.
+// templated one-shard run must report hits on the engine metrics. With
+// T <= concurrency templates the idle window (the peak live count) keeps
+// every template resident while it sits idle between instances, so each
+// compiles exactly once (DESIGN D21).
 TEST(CompileCacheTest, TemplatedWorkloadReportsCacheHits) {
-  par::ShardedOptions opt;
-  opt.num_shards = 1;
-  opt.cross_shard_fraction = 0.0;
-  opt.engine.scheduler = core::SchedulerKind::kRandom;
-  opt.total_txns = 100;
-  opt.concurrency = 8;
-  opt.workload.num_entities = 16;
-  opt.workload.num_templates = 5;
-  opt.seed = 4;
-  auto rep = par::RunSharded(opt);
-  ASSERT_TRUE(rep.ok()) << rep.status().ToString();
-  const core::EngineMetrics& m = rep->shards[0].metrics;
-  EXPECT_GT(m.compile_cache_hits, 0u);
-  EXPECT_LE(m.programs_compiled, 5u);
-  EXPECT_GT(m.compiled_bytes, 0u);
+  for (std::uint32_t templates : {1u, 5u, 8u}) {
+    par::ShardedOptions opt;
+    opt.num_shards = 1;
+    opt.cross_shard_fraction = 0.0;
+    opt.engine.scheduler = core::SchedulerKind::kRandom;
+    opt.total_txns = 100;
+    opt.concurrency = 8;
+    opt.workload.num_entities = 16;
+    opt.workload.num_templates = templates;
+    opt.seed = 4;
+    auto rep = par::RunSharded(opt);
+    ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+    const core::EngineMetrics& m = rep->shards[0].metrics;
+    EXPECT_EQ(m.programs_compiled, templates) << templates << " templates";
+    EXPECT_EQ(m.compile_cache_hits, 100u - templates);
+    EXPECT_GT(m.compiled_bytes, 0u);
+  }
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "analysis/history.h"
 #include "core/engine.h"
 #include "par/sharded_driver.h"
@@ -305,11 +307,171 @@ TEST(SharedProgramTest, ManyTransactionsShareOneProgram) {
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(engine.Spawn(shared).ok());
   }
+  // 10 transactions + local + the compile cache's collision-guard
+  // reference — no per-transaction copies.
+  EXPECT_EQ(shared.use_count(), 12);
   ASSERT_TRUE(engine.RunToCompletion().ok());
   EXPECT_EQ(engine.metrics().commits, 10u);
-  // 10 transactions + local + the compile cache's collision-guard
-  // reference — still no per-transaction copies.
-  EXPECT_EQ(shared.use_count(), 12);
+  // Committed transactions release their program; the cache keeps its
+  // reference while the entry sits in the idle window.
+  EXPECT_EQ(shared.use_count(), 2);
+}
+
+// Residency (DESIGN D21) ---------------------------------------------------
+
+std::shared_ptr<const txn::Program> Own(txn::Program p) {
+  return std::make_shared<const txn::Program>(std::move(p));
+}
+
+TEST_F(EngineEdgeTest, CommittedTransactionHasNoRollbackPlan) {
+  Init();
+  auto t = engine_->Spawn(TwoLock(ids_[0], ids_[1], "t"));
+  ASSERT_TRUE(t.ok());
+  ASSERT_TRUE(engine_->RunToCompletion().ok());
+  ASSERT_EQ(engine_->StatusOf(t.value()), TxnStatus::kCommitted);
+  // Its plan is released: pricing it as a rollback candidate is an error,
+  // as rolling it back is.
+  const std::vector<std::pair<EntityId, lock::LockMode>> conflicts = {
+      {ids_[0], lock::LockMode::kExclusive}};
+  EXPECT_EQ(engine_->PlanConflictRelease(t.value(), conflicts).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(engine_->ApplyExternalRollback(t.value(), 0, 0, 0).code(),
+            StatusCode::kFailedPrecondition);
+  // Value reads answer 0 without touching plan or slot memory (run under
+  // ASan in CI).
+  EXPECT_EQ(engine_->VarValueOf(t.value(), 0), 0);
+  EXPECT_EQ(engine_->EntityValueOf(t.value(), ids_[1]), 0);
+}
+
+TEST_F(EngineEdgeTest, LiveTransactionStillPricesConflictRelease) {
+  Init();
+  auto t = engine_->Spawn(TwoLock(ids_[0], ids_[1], "t"));
+  ASSERT_TRUE(t.ok());
+  ASSERT_TRUE(engine_->StepTxn(t.value()).ok());  // LX E0 granted
+  const std::vector<std::pair<EntityId, lock::LockMode>> conflicts = {
+      {ids_[0], lock::LockMode::kExclusive}};
+  auto c = engine_->PlanConflictRelease(t.value(), conflicts);
+  ASSERT_TRUE(c.ok()) << c.status().ToString();
+  EXPECT_EQ(c->actual_target, 0u);
+  EXPECT_EQ(c->cost, 1u);
+}
+
+// Runs `programs` closed-loop at `concurrency` live transactions, refilling
+// after every commit; returns the most entries ever resident.
+std::size_t RunClosedLoop(
+    Engine* engine,
+    const std::vector<std::shared_ptr<const txn::Program>>& programs,
+    std::size_t concurrency) {
+  std::size_t next = 0;
+  std::size_t max_resident = 0;
+  while (next < programs.size() || engine->live_txn_count() > 0) {
+    while (next < programs.size() && engine->live_txn_count() < concurrency) {
+      EXPECT_TRUE(engine->Spawn(programs[next++]).ok());
+    }
+    max_resident = std::max(max_resident, engine->resident_programs());
+    auto q = engine->StepQuantum(1'000'000, /*stop_after_commit=*/true);
+    EXPECT_TRUE(q.ok());
+    if (!q.ok() || q->ran_dry) break;
+    max_resident = std::max(max_resident, engine->resident_programs());
+  }
+  return max_resident;
+}
+
+TEST(ResidencyTest, UniqueProgramsStayWithinTwicePeakLive) {
+  // Every program unique (no templates): a cache that never released
+  // would end the run holding all 8000 entries.
+  constexpr std::size_t kTxns = 8000;
+  constexpr std::size_t kConcurrency = 32;
+  sim::WorkloadOptions w;
+  w.num_entities = 256;
+  w.min_locks = 2;
+  w.max_locks = 4;
+  sim::WorkloadGenerator gen(w, 3);
+  std::vector<std::shared_ptr<const txn::Program>> programs;
+  for (std::size_t i = 0; i < kTxns; ++i) {
+    auto p = gen.Next();
+    ASSERT_TRUE(p.ok());
+    programs.push_back(Own(std::move(p).value()));
+  }
+  storage::EntityStore store;
+  store.CreateMany(w.num_entities, 0);
+  EngineOptions opt;
+  opt.scheduler = SchedulerKind::kRandom;
+  Engine engine(&store, opt);
+  const std::size_t max_resident =
+      RunClosedLoop(&engine, programs, kConcurrency);
+  EXPECT_EQ(engine.metrics().commits, kTxns);
+  EXPECT_EQ(engine.metrics().programs_compiled, kTxns);  // all distinct
+  // Live entries (at most the peak live count) plus an idle window of the
+  // peak live count.
+  EXPECT_LE(max_resident, 2 * kConcurrency);
+  EXPECT_LE(engine.resident_programs(), kConcurrency);
+  // Every committed program but the idle window's was released.
+  std::size_t still_referenced = 0;
+  for (const auto& p : programs) still_referenced += p.use_count() > 1;
+  EXPECT_LE(still_referenced, kConcurrency);
+}
+
+TEST(ResidencyTest, IdleProgramIsRevivedWithoutRecompiling) {
+  storage::EntityStore store;
+  auto ids = store.CreateMany(2, 0);
+  Engine engine(&store, EngineOptions{});
+  auto a = Own(TwoLock(ids[0], ids[1], "a"));
+  ASSERT_TRUE(engine.Spawn(a).ok());
+  ASSERT_TRUE(engine.Spawn(a).ok());  // peak live 2
+  ASSERT_TRUE(engine.RunToCompletion().ok());
+  EXPECT_EQ(engine.resident_programs(), 1u);  // idle, not evicted
+  ASSERT_TRUE(engine.Spawn(Own(TwoLock(ids[0], ids[1], "renamed"))).ok());
+  ASSERT_TRUE(engine.RunToCompletion().ok());
+  EXPECT_EQ(engine.metrics().programs_compiled, 1u);
+  EXPECT_EQ(engine.metrics().compile_cache_hits, 2u);
+}
+
+TEST(ResidencyTest, EvictedProgramRecompilesAndRunsIdentically) {
+  // Peak live 1, so the idle window holds one entry: committing b evicts a.
+  // a's re-admission lowers it again under a recycled entry number, with a
+  // fresh plan, and it must step through the same states and values.
+  storage::EntityStore store;
+  auto ids = store.CreateMany(3, 5);
+  Engine engine(&store, EngineOptions{});
+  ProgramBuilder pa("a", 2);
+  pa.InitVar(1, 7)
+      .LockExclusive(ids[0])
+      .Read(ids[0], 0)
+      .Compute(0, Operand::Var(0), txn::ArithOp::kAdd, Operand::Var(1))
+      .WriteVar(ids[0], 0)
+      .LockExclusive(ids[1])
+      .WriteVar(ids[1], 0)
+      .Commit();
+  auto a = Own(std::move(pa.Build()).value());
+  auto Trace = [&](TxnId t) {
+    std::vector<Value> seen;
+    while (engine.StatusOf(t) != TxnStatus::kCommitted) {
+      EXPECT_TRUE(engine.StepTxn(t).ok());
+      seen.push_back(engine.VarValueOf(t, 0));
+      seen.push_back(engine.EntityValueOf(t, ids[1]));
+      seen.push_back(static_cast<Value>(engine.StateIndexOf(t)));
+    }
+    return seen;
+  };
+  auto first = engine.Spawn(a);
+  ASSERT_TRUE(first.ok());
+  const std::vector<Value> before = Trace(first.value());
+  ASSERT_TRUE(store.Publish(ids[0], 5).ok());  // same starting store
+  ASSERT_TRUE(store.Publish(ids[1], 5).ok());
+
+  auto b = engine.Spawn(TwoLock(ids[2], ids[1], "b"));
+  ASSERT_TRUE(b.ok());
+  ASSERT_TRUE(engine.RunToCompletion().ok());
+  ASSERT_TRUE(store.Publish(ids[1], 5).ok());
+  EXPECT_EQ(engine.resident_programs(), 1u);  // a evicted, b idle
+  EXPECT_EQ(a.use_count(), 1);                // nothing holds a any more
+
+  auto again = engine.Spawn(a);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(engine.metrics().programs_compiled, 3u);
+  EXPECT_EQ(Trace(again.value()), before);
+  EXPECT_EQ(store.Get(ids[1]).value().value, 12);
 }
 
 }  // namespace

@@ -161,7 +161,7 @@ TEST(ProgramTest, CountOpsAndToString) {
 }
 
 TEST(OpTest, ComputeToString) {
-  Op op{OpCode::kCompute, EntityId(), 2, Operand::Var(1), Operand::Imm(5),
+  Op op{EntityId(), Operand::Var(1), Operand::Imm(5), 2, OpCode::kCompute,
         ArithOp::kMul};
   EXPECT_EQ(op.ToString(), "CP v2 <- v1 * 5");
 }
