@@ -42,30 +42,6 @@ static_assert(sizeof(FileHeader) == 64, "journal file header layout drifted");
 
 }  // namespace
 
-std::string_view JournalKindName(JournalKind kind) {
-  switch (kind) {
-    case JournalKind::kAdmit:
-      return "admit";
-    case JournalKind::kGrant:
-      return "grant";
-    case JournalKind::kBlock:
-      return "block";
-    case JournalKind::kCycle:
-      return "cycle";
-    case JournalKind::kVictim:
-      return "victim";
-    case JournalKind::kRollback:
-      return "rollback";
-    case JournalKind::kHold:
-      return "hold";
-    case JournalKind::kRelease:
-      return "release";
-    case JournalKind::kCommit:
-      return "commit";
-  }
-  return "unknown";
-}
-
 DecisionJournal::DecisionJournal(Options options) : options_(options) {
   if (options_.ring_capacity != 0) {
     ring_.reserve(options_.ring_capacity);
@@ -88,101 +64,46 @@ void DecisionJournal::Append(const JournalRecord& r) {
   if (bytes_counter_ != nullptr) bytes_counter_->Inc(sizeof(JournalRecord));
 }
 
-void DecisionJournal::OnAdmit(TxnId txn, std::uint64_t step) {
+void DecisionJournal::OnEvent(const EngineEvent& e) {
   JournalRecord r;
-  r.txn = static_cast<std::uint32_t>(txn.value());
-  r.kind = static_cast<std::uint8_t>(JournalKind::kAdmit);
-  r.step = step;
-  Append(r);
-}
-
-void DecisionJournal::OnGrant(TxnId txn, std::uint64_t step, EntityId entity,
-                              bool exclusive, bool upgrade) {
-  JournalRecord r;
-  r.txn = static_cast<std::uint32_t>(txn.value());
-  r.kind = static_cast<std::uint8_t>(JournalKind::kGrant);
-  r.aux = static_cast<std::uint8_t>((exclusive ? 1 : 0) | (upgrade ? 2 : 0));
-  r.step = step;
-  r.a = entity.value();
-  Append(r);
-}
-
-void DecisionJournal::OnBlock(TxnId txn, std::uint64_t step, EntityId entity) {
-  JournalRecord r;
-  r.txn = static_cast<std::uint32_t>(txn.value());
-  r.kind = static_cast<std::uint8_t>(JournalKind::kBlock);
-  r.step = step;
-  r.a = entity.value();
-  Append(r);
-}
-
-void DecisionJournal::OnCycle(TxnId requester, std::uint64_t step,
-                              EntityId entity,
-                              std::uint64_t deadlock_ordinal) {
-  JournalRecord r;
-  r.txn = static_cast<std::uint32_t>(requester.value());
-  r.kind = static_cast<std::uint8_t>(JournalKind::kCycle);
-  r.step = step;
-  r.a = entity.valid() ? entity.value() : 0;
-  r.b = deadlock_ordinal;
-  Append(r);
-}
-
-void DecisionJournal::OnVictim(TxnId victim, std::uint64_t step,
-                               std::uint64_t target, std::uint64_t cost,
-                               bool omega_constrained, bool is_requester,
-                               std::size_t candidates) {
-  JournalRecord r;
-  r.txn = static_cast<std::uint32_t>(victim.value());
-  r.kind = static_cast<std::uint8_t>(JournalKind::kVictim);
-  r.aux = static_cast<std::uint8_t>((omega_constrained ? 1 : 0) |
-                                    (is_requester ? 2 : 0));
-  r.aux2 = static_cast<std::uint16_t>(
-      std::min<std::size_t>(candidates, 0xffff));
-  r.step = step;
-  r.a = target;
-  r.b = cost;
-  Append(r);
-}
-
-void DecisionJournal::OnRollback(TxnId txn, std::uint64_t step,
-                                 std::uint64_t target, std::uint64_t cost,
-                                 RollbackCause cause, bool total) {
-  JournalRecord r;
-  r.txn = static_cast<std::uint32_t>(txn.value());
-  r.kind = static_cast<std::uint8_t>(JournalKind::kRollback);
-  r.aux = static_cast<std::uint8_t>(cause);
-  r.aux2 = total ? 1 : 0;
-  r.step = step;
-  r.a = target;
-  r.b = cost;
-  Append(r);
-}
-
-void DecisionJournal::OnHold(TxnId txn, std::uint64_t step, std::uint64_t pc) {
-  JournalRecord r;
-  r.txn = static_cast<std::uint32_t>(txn.value());
-  r.kind = static_cast<std::uint8_t>(JournalKind::kHold);
-  r.step = step;
-  r.a = pc;
-  Append(r);
-}
-
-void DecisionJournal::OnRelease(TxnId txn, std::uint64_t step) {
-  JournalRecord r;
-  r.txn = static_cast<std::uint32_t>(txn.value());
-  r.kind = static_cast<std::uint8_t>(JournalKind::kRelease);
-  r.step = step;
-  Append(r);
-}
-
-void DecisionJournal::OnCommit(TxnId txn, std::uint64_t step,
-                               std::uint64_t pc) {
-  JournalRecord r;
-  r.txn = static_cast<std::uint32_t>(txn.value());
-  r.kind = static_cast<std::uint8_t>(JournalKind::kCommit);
-  r.step = step;
-  r.a = pc;
+  r.txn = static_cast<std::uint32_t>(e.txn.value());
+  r.kind = static_cast<std::uint8_t>(e.kind);
+  r.step = e.step;
+  switch (e.kind) {
+    case EventKind::kAdmit:
+    case EventKind::kRelease:
+      break;
+    case EventKind::kGrant:
+      r.aux = static_cast<std::uint8_t>(e.flags &
+                                        (kEventExclusive | kEventUpgrade));
+      r.a = e.entity.value();
+      break;
+    case EventKind::kBlock:
+      r.a = e.entity.value();
+      break;
+    case EventKind::kCycle:
+      r.a = e.entity.valid() ? e.entity.value() : 0;
+      r.b = e.cycle;
+      break;
+    case EventKind::kVictim:
+      r.aux = static_cast<std::uint8_t>(e.flags &
+                                        (kEventOmega | kEventRequester));
+      r.aux2 = static_cast<std::uint16_t>(
+          std::min<std::uint32_t>(e.candidates, 0xffff));
+      r.a = e.target;
+      r.b = e.cost;
+      break;
+    case EventKind::kRollback:
+      r.aux = static_cast<std::uint8_t>(e.cause);
+      r.aux2 = e.target == 0 ? 1 : 0;
+      r.a = e.target;
+      r.b = e.cost;
+      break;
+    case EventKind::kHold:
+    case EventKind::kCommit:
+      r.a = e.pc;
+      break;
+  }
   Append(r);
 }
 
@@ -434,39 +355,39 @@ DivergenceReport DiffJournals(const JournalData& a, const JournalData& b) {
 
 std::string RenderJournalRecord(const JournalRecord& record) {
   std::ostringstream os;
-  const JournalKind kind = static_cast<JournalKind>(record.kind);
+  const EventKind kind = static_cast<EventKind>(record.kind);
   os << "step " << record.step << " T" << record.txn << " "
-     << JournalKindName(kind);
+     << EventKindName(kind);
   switch (kind) {
-    case JournalKind::kAdmit:
+    case EventKind::kAdmit:
       break;
-    case JournalKind::kGrant:
+    case EventKind::kGrant:
       os << " E" << record.a << ((record.aux & 1) != 0 ? " X" : " S");
       if ((record.aux & 2) != 0) os << " upgrade";
       break;
-    case JournalKind::kBlock:
+    case EventKind::kBlock:
       os << " E" << record.a;
       break;
-    case JournalKind::kCycle:
+    case EventKind::kCycle:
       os << " at E" << record.a << " deadlock#" << record.b;
       break;
-    case JournalKind::kVictim:
+    case EventKind::kVictim:
       os << " target=" << record.a << " cost=" << record.b << " candidates="
          << record.aux2;
       if ((record.aux & 1) != 0) os << " omega-constrained";
       if ((record.aux & 2) != 0) os << " self";
       break;
-    case JournalKind::kRollback:
+    case EventKind::kRollback:
       os << " to=" << record.a << " cost=" << record.b << " cause="
          << RollbackCauseName(static_cast<RollbackCause>(record.aux))
          << (record.aux2 != 0 ? " total" : " partial");
       break;
-    case JournalKind::kHold:
+    case EventKind::kHold:
       os << " pc=" << record.a;
       break;
-    case JournalKind::kRelease:
+    case EventKind::kRelease:
       break;
-    case JournalKind::kCommit:
+    case EventKind::kCommit:
       os << " pc=" << record.a;
       break;
   }
@@ -551,7 +472,7 @@ namespace {
 
 void RecordJson(std::ostringstream& os, const JournalRecord& r) {
   os << "{\"txn\":" << r.txn << ",\"kind\":\""
-     << JournalKindName(static_cast<JournalKind>(r.kind)) << "\",\"step\":"
+     << EventKindName(static_cast<EventKind>(r.kind)) << "\",\"step\":"
      << r.step << ",\"a\":" << r.a << ",\"b\":" << r.b << ",\"aux\":"
      << static_cast<unsigned>(r.aux) << ",\"aux2\":" << r.aux2
      << ",\"text\":\"" << RenderJournalRecord(r) << "\"}";

@@ -11,7 +11,7 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "obs/metrics.h"
-#include "obs/txnlife.h"
+#include "obs/event.h"
 
 namespace pardb::obs {
 
@@ -28,9 +28,9 @@ namespace pardb::obs {
 // checksum bisection narrows the break to the first divergent epoch and a
 // record-level diff pins the exact first divergent decision.
 //
-// Journal data NEVER enters the deterministic byte-compared reports: the
-// journal hangs off the engine through the same borrowed-observer pattern
-// as traces, lineage and lifecycle books, and everything it publishes flows
+// The journal is one renderer of the engine's event stream (DESIGN D22):
+// it packs each EngineEvent into one record. Journal data NEVER enters the
+// deterministic byte-compared reports; everything it publishes flows
 // through the metrics registry, the LiveHub, or side files.
 // ---------------------------------------------------------------------------
 
@@ -48,34 +48,20 @@ inline std::uint64_t FnvMix64(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-// What kind of schedule-relevant decision a record captures.
-enum class JournalKind : std::uint8_t {
-  kAdmit = 0,    // txn entered the live set (ω position assigned)
-  kGrant,        // lock granted (a = entity; aux bit0 exclusive, bit1 upgrade)
-  kBlock,        // lock request queued (a = entity)
-  kCycle,        // deadlock cycle detected (txn = requester, a = entity,
-                 // b = deadlock ordinal)
-  kVictim,       // victim chosen (a = rollback target, b = cost; aux bit0 set
-                 // when the ω-order constrained the pick away from plain
-                 // min-cost, bit1 when the victim is the requester itself;
-                 // aux2 = candidate count)
-  kRollback,     // rollback span applied (a = target state, b = cost,
-                 // aux = RollbackCause, aux2 bit0 = total rollback)
-  kHold,         // sub-txn reached its hold point (a = pc)
-  kRelease,      // sub-txn hold released
-  kCommit,       // txn committed (a = final pc)
-};
-
-inline constexpr std::size_t kNumJournalKinds = 9;
-
-std::string_view JournalKindName(JournalKind kind);
-
 // One decision record: 32 bytes, fixed layout, trivially copyable — the
-// unit of both the in-memory ring and the on-disk journal file.
+// unit of both the in-memory ring and the on-disk journal file. Per kind:
+//   grant    a = entity; aux bit0 exclusive, bit1 upgrade
+//   block    a = entity
+//   cycle    txn = requester, a = entity, b = deadlock ordinal
+//   victim   a = rollback target, b = cost; aux bit0 when the ω order moved
+//            the pick off plain min-cost, bit1 when the victim is the
+//            requester; aux2 = candidate count
+//   rollback a = target, b = cost, aux = RollbackCause, aux2 = 1 if total
+//   hold     a = hold point;  commit  a = final pc
 struct JournalRecord {
   std::uint32_t txn = 0;   // local TxnId value (truncated; ids are dense)
-  std::uint8_t kind = 0;   // JournalKind
-  std::uint8_t aux = 0;    // kind-specific flag byte (see JournalKind)
+  std::uint8_t kind = 0;   // EventKind
+  std::uint8_t aux = 0;    // kind-specific flag byte
   std::uint16_t aux2 = 0;  // kind-specific small count
   std::uint64_t step = 0;  // engine step counter at the decision
   std::uint64_t a = 0;     // kind-specific (entity / target / pc)
@@ -153,22 +139,9 @@ class DecisionJournal {
   DecisionJournal(const DecisionJournal&) = delete;
   DecisionJournal& operator=(const DecisionJournal&) = delete;
 
-  // Engine hooks -----------------------------------------------------------
-
-  void OnAdmit(TxnId txn, std::uint64_t step);
-  void OnGrant(TxnId txn, std::uint64_t step, EntityId entity, bool exclusive,
-               bool upgrade);
-  void OnBlock(TxnId txn, std::uint64_t step, EntityId entity);
-  void OnCycle(TxnId requester, std::uint64_t step, EntityId entity,
-               std::uint64_t deadlock_ordinal);
-  void OnVictim(TxnId victim, std::uint64_t step, std::uint64_t target,
-                std::uint64_t cost, bool omega_constrained, bool is_requester,
-                std::size_t candidates);
-  void OnRollback(TxnId txn, std::uint64_t step, std::uint64_t target,
-                  std::uint64_t cost, RollbackCause cause, bool total);
-  void OnHold(TxnId txn, std::uint64_t step, std::uint64_t pc);
-  void OnRelease(TxnId txn, std::uint64_t step);
-  void OnCommit(TxnId txn, std::uint64_t step, std::uint64_t pc);
+  // Appends the event's record: kind and txn as emitted; `a`, `b`, `aux`
+  // and `aux2` packed per kind (see JournalRecord).
+  void OnEvent(const EngineEvent& event);
 
   // Epoch checksum stamp. `state_digest` is the caller's deterministic
   // digest of lock-table state, live set and ω-order (Engine::StateDigest,

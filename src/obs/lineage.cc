@@ -13,21 +13,47 @@ void LineageTracker::AttachMetrics(MetricsRegistry* registry,
   events_counter_ = registry->GetCounter(kLineageEventsTotal, labels);
 }
 
-void LineageTracker::OnPreemption(std::uint64_t step, TxnId victim,
-                                  TxnId aggressor, LockIndex target,
-                                  std::uint64_t cost) {
+void LineageTracker::OnEvent(const EngineEvent& e) {
+  switch (e.kind) {
+    case EventKind::kVictim:
+      if ((e.flags & kEventOmega) != 0) {
+        ++omega_interventions_;
+        if (omega_counter_ != nullptr) omega_counter_->Inc();
+      }
+      break;
+    case EventKind::kRollback:
+      switch (e.cause) {
+        case RollbackCause::kDeadlockVictim:
+        case RollbackCause::kOmegaPreemption:
+        case RollbackCause::kSelfRollback:
+        case RollbackCause::kWoundWait:
+          Preempt(e);
+          break;
+        default:
+          break;
+      }
+      break;
+    case EventKind::kCommit:
+      records_.erase(e.txn);
+      break;
+    default:
+      break;
+  }
+}
+
+void LineageTracker::Preempt(const EngineEvent& rollback) {
   // The aggressor hands its chain on: a victim preempted by a transaction
   // that was itself preempted sits deeper in the lineage.
-  const std::uint64_t aggressor_chain = ChainLenOf(aggressor);
-  Record& rec = records_[victim];
+  const std::uint64_t aggressor_chain = ChainLenOf(rollback.causing);
+  Record& rec = records_[rollback.txn];
   rec.chain_len = std::max(rec.chain_len, aggressor_chain) + 1;
 
   PreemptionEvent ev;
-  ev.step = step;
-  ev.victim = victim;
-  ev.aggressor = aggressor;
-  ev.target = target;
-  ev.cost = cost;
+  ev.step = rollback.step;
+  ev.victim = rollback.txn;
+  ev.aggressor = rollback.causing;
+  ev.target = rollback.target;
+  ev.cost = rollback.cost;
   ev.chain_len = rec.chain_len;
   if (rec.events.size() < max_events_per_txn_) {
     rec.events.push_back(ev);
@@ -40,13 +66,6 @@ void LineageTracker::OnPreemption(std::uint64_t step, TxnId victim,
   }
   if (events_counter_ != nullptr) events_counter_->Inc();
 }
-
-void LineageTracker::OnOmegaIntervention() {
-  ++omega_interventions_;
-  if (omega_counter_ != nullptr) omega_counter_->Inc();
-}
-
-void LineageTracker::OnCommit(TxnId txn) { records_.erase(txn); }
 
 std::uint64_t LineageTracker::ChainLenOf(TxnId txn) const {
   auto it = records_.find(txn);

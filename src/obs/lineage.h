@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "obs/event.h"
 #include "obs/metrics.h"
 
 namespace pardb::obs {
@@ -57,15 +58,13 @@ class LineageTracker {
   // records lineage for snapshots/tests.
   void AttachMetrics(MetricsRegistry* registry, const LabelSet& labels = {});
 
-  // Engine hooks -----------------------------------------------------------
-
-  void OnPreemption(std::uint64_t step, TxnId victim, TxnId aggressor,
-                    LockIndex target, std::uint64_t cost);
-  // The ω-ordered victim policy chose differently than unconstrained
-  // min-cost would have (Theorem 2's cure actively intervening).
-  void OnOmegaIntervention();
-  // Commit retires the transaction's lineage record (its chain ends).
-  void OnCommit(TxnId txn);
+  // Engine hook: a rollback caused by a deadlock victim pick, an ω
+  // preemption, a self-rollback or a wound extends the victim's chain (the
+  // event's `causing` is the aggressor); a victim pick the ω-ordered policy
+  // moved off plain min-cost counts an ω-intervention (Theorem 2's cure
+  // actively intervening); a commit retires the transaction's record (its
+  // chain ends). Other events are ignored.
+  void OnEvent(const EngineEvent& event);
 
   // Introspection ----------------------------------------------------------
 
@@ -77,6 +76,8 @@ class LineageTracker {
   std::uint64_t total_events() const { return total_events_; }
 
  private:
+  void Preempt(const EngineEvent& rollback);
+
   struct Record {
     std::uint64_t chain_len = 0;
     std::vector<PreemptionEvent> events;

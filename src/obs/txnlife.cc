@@ -25,26 +25,6 @@ void AppendStepOrNull(std::ostringstream& os, const char* key,
 
 }  // namespace
 
-std::string_view RollbackCauseName(RollbackCause cause) {
-  switch (cause) {
-    case RollbackCause::kDeadlockVictim:
-      return "deadlock_victim";
-    case RollbackCause::kOmegaPreemption:
-      return "omega_preemption";
-    case RollbackCause::kSelfRollback:
-      return "self_rollback";
-    case RollbackCause::kWoundWait:
-      return "wound_wait";
-    case RollbackCause::kWaitDie:
-      return "wait_die";
-    case RollbackCause::kTimeout:
-      return "timeout";
-    case RollbackCause::kTwoPCAbort:
-      return "twopc_abort";
-  }
-  return "unknown";
-}
-
 std::string_view TxnLifeEventKindName(TxnLifeEvent::Kind kind) {
   switch (kind) {
     case TxnLifeEvent::Kind::kAdmit:
@@ -115,7 +95,30 @@ void TxnLifeBook::PushEvent(TxnLifeEvent event, bool always_wall) {
   if (dropped_counter_ != nullptr) dropped_counter_->Inc();
 }
 
-void TxnLifeBook::OnAdmit(TxnId txn, std::uint64_t step) {
+void TxnLifeBook::OnEvent(const EngineEvent& e) {
+  switch (e.kind) {
+    case EventKind::kAdmit:
+      Admit(e.txn, e.step);
+      break;
+    case EventKind::kGrant:
+      if ((e.flags & kEventWoke) != 0) Wake(e.txn, e.step);
+      OnStep(e.txn, e.step);
+      break;
+    case EventKind::kBlock:
+      Block(e.txn, e.step, e.entity);
+      break;
+    case EventKind::kRollback:
+      Rollback(e);
+      break;
+    case EventKind::kCommit:
+      Commit(e.txn, e.step, e.pc);
+      break;
+    default:
+      break;
+  }
+}
+
+void TxnLifeBook::Admit(TxnId txn, std::uint64_t step) {
   if (!txn.valid()) return;
   EnsureRow(txn.value());
   cols_.admit_step[txn.value()] = step;
@@ -143,7 +146,7 @@ void TxnLifeBook::OnStep(TxnId txn, std::uint64_t step) {
   }
 }
 
-void TxnLifeBook::OnBlock(TxnId txn, std::uint64_t step, EntityId entity) {
+void TxnLifeBook::Block(TxnId txn, std::uint64_t step, EntityId entity) {
   if (!Known(txn)) return;
   const std::uint64_t id = txn.value();
   ++cols_.blocks[id];
@@ -156,7 +159,7 @@ void TxnLifeBook::OnBlock(TxnId txn, std::uint64_t step, EntityId entity) {
   PushEvent(e, /*always_wall=*/false);
 }
 
-void TxnLifeBook::OnWake(TxnId txn, std::uint64_t step) {
+void TxnLifeBook::Wake(TxnId txn, std::uint64_t step) {
   if (!Known(txn)) return;
   const std::uint64_t id = txn.value();
   if (cols_.block_since[id] != kUnset) {
@@ -170,11 +173,11 @@ void TxnLifeBook::OnWake(TxnId txn, std::uint64_t step) {
   PushEvent(e, /*always_wall=*/false);
 }
 
-void TxnLifeBook::OnRollback(TxnId txn, std::uint64_t step,
-                             RollbackCause cause, TxnId causing,
-                             std::uint64_t cycle, std::uint64_t cost) {
-  if (!Known(txn)) return;
-  const std::uint64_t id = txn.value();
+void TxnLifeBook::Rollback(const EngineEvent& event) {
+  if (!Known(event.txn)) return;
+  const std::uint64_t id = event.txn.value();
+  const std::uint64_t step = event.step;
+  const std::uint64_t cost = event.cost;
   ++cols_.rollbacks[id];
   cols_.redo_steps[id] += cost;
   // A rollback cancels any pending wait; the time blocked still counts as
@@ -183,7 +186,7 @@ void TxnLifeBook::OnRollback(TxnId txn, std::uint64_t step,
     cols_.lock_wait_steps[id] += step - cols_.block_since[id];
     cols_.block_since[id] = kUnset;
   }
-  const auto c = static_cast<std::size_t>(cause);
+  const auto c = static_cast<std::size_t>(event.cause);
   wasted_steps_ += cost;
   wasted_by_cause_[c] += cost;
   ++rollbacks_by_cause_[c];
@@ -192,16 +195,16 @@ void TxnLifeBook::OnRollback(TxnId txn, std::uint64_t step,
   UpdateReworkGauge();
   TxnLifeEvent e;
   e.kind = TxnLifeEvent::Kind::kRollback;
-  e.cause = cause;
+  e.cause = event.cause;
   e.txn = id;
   e.step = step;
   e.detail = cost;
-  e.causing = causing.valid() ? causing.value() + 1 : 0;
-  e.cycle = cycle;
+  e.causing = event.causing.valid() ? event.causing.value() + 1 : 0;
+  e.cycle = event.cycle;
   PushEvent(e, /*always_wall=*/false);
 }
 
-void TxnLifeBook::OnCommit(TxnId txn, std::uint64_t step, StateIndex pc) {
+void TxnLifeBook::Commit(TxnId txn, std::uint64_t step, StateIndex pc) {
   if (!Known(txn)) return;
   const std::uint64_t id = txn.value();
   cols_.commit_step[id] = step;

@@ -9,6 +9,7 @@
 
 #include "common/types.h"
 #include "obs/clock.h"
+#include "obs/event.h"
 #include "obs/metrics.h"
 
 namespace pardb::obs {
@@ -26,28 +27,11 @@ namespace pardb::obs {
 // execution / rollback-redo components, p50/p99/p999), and the live
 // /debug/txn and /debug/slowest endpoints.
 //
-// Timeline data NEVER enters the deterministic byte-compared reports:
-// books hang off engines through the same borrowed-observer pattern as
-// traces and lineage, and everything they publish flows through the
-// metrics registry or the LiveHub.
+// The book renders the engine's event stream (DESIGN D22) plus one
+// per-op OnStep. Timeline data NEVER enters the deterministic
+// byte-compared reports: everything it publishes flows through the metrics
+// registry or the LiveHub.
 // ---------------------------------------------------------------------------
-
-// Why a transaction lost executed work. The taxonomy covers every rollback
-// call site in the engine plus the coordinator's distributed aborts.
-enum class RollbackCause : std::uint8_t {
-  kDeadlockVictim = 0,  // detection preempted a cycle holder (min cost, §3.1)
-  kOmegaPreemption,     // the Theorem 2 ω-ordered policy overrode min-cost
-  kSelfRollback,        // the requester itself was the cheapest victim
-  kWoundWait,           // an older requester wounded this holder
-  kWaitDie,             // this younger requester died on conflict
-  kTimeout,             // the wait expired
-  kTwoPCAbort,          // coordinator-applied distributed partial rollback
-};
-
-inline constexpr std::size_t kNumRollbackCauses = 7;
-
-// Canonical label value for {cause="..."} metric instances and JSON.
-std::string_view RollbackCauseName(RollbackCause cause);
 
 // One timeline event. `wall_ns` is 0 unless the event was wall-sampled
 // (admit/commit always are; interior events every wall_sample_period-th).
@@ -123,7 +107,7 @@ struct TxnLifeDigest {
 //
 // Storage is structure-of-arrays over dense local txn ids (the engine
 // assigns them sequentially) plus one bounded event ring shared by all
-// transactions; ring eviction is counted, mirroring RingTrace.
+// transactions; ring eviction is counted.
 class TxnLifeBook {
  public:
   struct Options {
@@ -137,14 +121,13 @@ class TxnLifeBook {
 
   // Engine hooks -----------------------------------------------------------
 
-  void OnAdmit(TxnId txn, std::uint64_t step);
-  // Called once per executed op; stamps the first step and counts work.
+  // Stamps admit, block, wake (a grant that ended a wait), rollback and
+  // commit; a grant also counts as one executed op. Other kinds are
+  // ignored.
+  void OnEvent(const EngineEvent& event);
+  // Called once per executed non-lock op; stamps the first step and counts
+  // work.
   void OnStep(TxnId txn, std::uint64_t step);
-  void OnBlock(TxnId txn, std::uint64_t step, EntityId entity);
-  void OnWake(TxnId txn, std::uint64_t step);
-  void OnRollback(TxnId txn, std::uint64_t step, RollbackCause cause,
-                  TxnId causing, std::uint64_t cycle, std::uint64_t cost);
-  void OnCommit(TxnId txn, std::uint64_t step, StateIndex pc);
 
   // Driver-side stamp: wall nanoseconds the program spent in the admission
   // queue before Spawn (measured by the queue, carried to the book on the
@@ -205,6 +188,11 @@ class TxnLifeBook {
     return txn.valid() && txn.value() < cols_.admit_step.size() &&
            cols_.admit_step[txn.value()] != TxnTimelineRecord::kUnset;
   }
+  void Admit(TxnId txn, std::uint64_t step);
+  void Block(TxnId txn, std::uint64_t step, EntityId entity);
+  void Wake(TxnId txn, std::uint64_t step);
+  void Rollback(const EngineEvent& event);
+  void Commit(TxnId txn, std::uint64_t step, StateIndex pc);
   void EnsureRow(std::uint64_t id);
   void PushEvent(TxnLifeEvent event, bool always_wall);
   std::uint64_t SampledWall(bool always) const;

@@ -7,10 +7,10 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "core/trace.h"
-#include "core/trace_export.h"
 #include "obs/forensics.h"
 #include "obs/metrics.h"
+#include "obs/event.h"
+#include "obs/trace_export.h"
 #include "obs/serve/hub.h"
 #include "obs/txnlife.h"
 #include "par/xshard/coordinator.h"
@@ -287,11 +287,11 @@ struct ShardedReport {
   obs::RegistrySnapshot merged_metrics;
   // One event stream per shard, in shard order (empty without
   // collect_traces).
-  std::vector<std::vector<core::TraceEvent>> shard_traces;
+  std::vector<std::vector<obs::EngineEvent>> shard_traces;
   // Cross-shard slice index for Chrome-trace flow arrows: every (global
   // seq, shard, local txn) slice the coordinator ever spawned. Several
   // shards with collect_traces only; empty otherwise.
-  std::vector<core::GlobalSlice> flow_slices;
+  std::vector<obs::GlobalSlice> flow_slices;
   // Deadlock dumps across shards, in shard order (empty without
   // collect_forensics).
   std::vector<obs::DeadlockDump> forensics;

@@ -56,7 +56,9 @@ Result<std::uint64_t> Coordinator::Admit(txn::Program program) {
   // Dispatch round: one request + ack per participating shard.
   stats_.messages += 2 * g.participants.size();
   if (options_.journal != nullptr) {
-    options_.journal->OnAdmit(TxnId(seq), decision_seq_++);
+    options_.journal->OnEvent({.kind = obs::EventKind::kAdmit,
+                               .step = decision_seq_++,
+                               .txn = TxnId(seq)});
   }
   active_.push_back(seq);
   txns_.push_back(std::move(g));
@@ -100,7 +102,9 @@ Result<std::uint64_t> Coordinator::Poll() {
         // The global lock point is the 2PC epoch boundary the coordinator
         // journal stamps on; the release record marks it in the stream.
         if (options_.journal != nullptr) {
-          options_.journal->OnRelease(TxnId(seq), decision_seq_++);
+          options_.journal->OnEvent({.kind = obs::EventKind::kRelease,
+                                     .step = decision_seq_++,
+                                     .txn = TxnId(seq)});
         }
         g.phase = Phase::kReleased;
         ++transitions;
@@ -121,8 +125,11 @@ Result<std::uint64_t> Coordinator::Poll() {
         ++stats_.global_commits;
         stats_.messages += 2 * g.participants.size();  // commit-ack round
         if (options_.journal != nullptr) {
-          options_.journal->OnCommit(TxnId(seq), decision_seq_++,
-                                     g.participants.size());
+          // pc = the number of slices that committed.
+          options_.journal->OnEvent({.kind = obs::EventKind::kCommit,
+                                     .step = decision_seq_++,
+                                     .txn = TxnId(seq),
+                                     .pc = g.participants.size()});
         }
         ++transitions;
         continue;  // retired: drop from the active list
@@ -152,9 +159,12 @@ Status Coordinator::ResolveComponent(
   if (globals.empty()) return Status::OK();  // a shard-local matter
   ++stats_.global_cycles;
   if (options_.journal != nullptr) {
-    // requester = the ω-senior global in the component; b = cycle ordinal.
-    options_.journal->OnCycle(TxnId(globals.front()), decision_seq_++,
-                              EntityId(0), stats_.global_cycles);
+    // requester = the ω-senior global in the component.
+    options_.journal->OnEvent({.kind = obs::EventKind::kCycle,
+                               .step = decision_seq_++,
+                               .txn = TxnId(globals.front()),
+                               .entity = EntityId(0),
+                               .cycle = stats_.global_cycles});
   }
 
   const std::set<graph::VertexId> members(component.begin(), component.end());
@@ -236,11 +246,17 @@ Status Coordinator::ResolveComponent(
     ++stats_.omega_exclusions;
   }
   if (options_.journal != nullptr) {
-    options_.journal->OnVictim(
-        TxnId(chosen->seq), decision_seq_++, /*target=*/chosen->plans.size(),
-        chosen->total_cost,
-        /*omega_constrained=*/unconstrained->total_cost < chosen->total_cost,
-        /*is_requester=*/false, candidates.size());
+    // target = the number of shards the rollback spans.
+    options_.journal->OnEvent(
+        {.kind = obs::EventKind::kVictim,
+         .flags = unconstrained->total_cost < chosen->total_cost
+                      ? obs::kEventOmega
+                      : std::uint8_t{0},
+         .candidates = static_cast<std::uint32_t>(candidates.size()),
+         .step = decision_seq_++,
+         .txn = TxnId(chosen->seq),
+         .target = chosen->plans.size(),
+         .cost = chosen->total_cost});
   }
   // Distributed partial rollback: prepare (ship the per-shard targets) and
   // resolve (apply + ack) on every conflicted shard. The victim's slices

@@ -28,7 +28,8 @@ using obs::EpochKind;
 using obs::EpochStamp;
 using obs::FirstDivergentEpoch;
 using obs::JournalData;
-using obs::JournalKind;
+using obs::EngineEvent;
+using obs::EventKind;
 using obs::JournalRecord;
 using obs::kNoDivergence;
 using obs::ReadJournalFile;
@@ -40,7 +41,7 @@ using obs::ReadJournalFile;
 TEST(JournalRingTest, BoundedRingEvictsOldestAndCountsDrops) {
   DecisionJournal j(DecisionJournal::Options{/*ring_capacity=*/4});
   for (std::uint64_t i = 0; i < 10; ++i) {
-    j.OnAdmit(TxnId(i), /*step=*/i);
+    j.OnEvent({.kind = EventKind::kAdmit, .step = i, .txn = TxnId(i)});
   }
   EXPECT_EQ(j.total_records(), 10u);
   EXPECT_EQ(j.dropped_records(), 6u);
@@ -49,14 +50,18 @@ TEST(JournalRingTest, BoundedRingEvictsOldestAndCountsDrops) {
   // Oldest-first: the survivors are the last four appends.
   for (std::size_t i = 0; i < kept.size(); ++i) {
     EXPECT_EQ(kept[i].txn, 6u + i);
-    EXPECT_EQ(static_cast<JournalKind>(kept[i].kind), JournalKind::kAdmit);
+    EXPECT_EQ(static_cast<EventKind>(kept[i].kind), EventKind::kAdmit);
   }
 }
 
 TEST(JournalRingTest, UnboundedModeNeverDrops) {
   DecisionJournal j(DecisionJournal::Options{/*ring_capacity=*/0});
   for (std::uint64_t i = 0; i < 100'000; ++i) {
-    j.OnGrant(TxnId(i % 7), i, EntityId(i % 13), (i & 1) != 0, false);
+    j.OnEvent({.kind = EventKind::kGrant,
+               .flags = static_cast<std::uint8_t>(i & 1),  // exclusive bit
+               .step = i,
+               .txn = TxnId(i % 7),
+               .entity = EntityId(i % 13)});
   }
   EXPECT_EQ(j.total_records(), 100'000u);
   EXPECT_EQ(j.dropped_records(), 0u);
@@ -67,9 +72,15 @@ TEST(JournalRingTest, MetricsCountRecordsEpochsDropsAndBytes) {
   obs::MetricsRegistry registry;
   DecisionJournal j(DecisionJournal::Options{/*ring_capacity=*/2});
   j.AttachMetrics(&registry, {{obs::kShardLabel, "0"}});
-  j.OnAdmit(TxnId(0), 0);
-  j.OnBlock(TxnId(0), 1, EntityId(3));
-  j.OnCommit(TxnId(0), 2, 5);  // evicts the admit
+  j.OnEvent({.kind = EventKind::kAdmit, .step = 0, .txn = TxnId(0)});
+  j.OnEvent({.kind = EventKind::kBlock,
+             .step = 1,
+             .txn = TxnId(0),
+             .entity = EntityId(3)});
+  j.OnEvent({.kind = EventKind::kCommit,
+             .step = 2,
+             .txn = TxnId(0),
+             .pc = 5});  // evicts the admit
   j.StampEpoch(2, /*state_digest=*/42);
   const std::string prom = registry.Snapshot().ToPrometheus();
   EXPECT_NE(prom.find("pardb_journal_records_total{shard=\"0\"} 3"),
@@ -90,11 +101,17 @@ TEST(JournalChainTest, ChainLinksFoldStateAndRecords) {
   // link; changing one record flips the chain from that epoch onward.
   auto build = [](std::uint64_t entity) {
     DecisionJournal j;
-    j.OnAdmit(TxnId(1), 0);
+    j.OnEvent({.kind = EventKind::kAdmit, .step = 0, .txn = TxnId(1)});
     j.StampEpoch(10, 111);
-    j.OnBlock(TxnId(1), 12, EntityId(entity));
+    j.OnEvent({.kind = EventKind::kBlock,
+               .step = 12,
+               .txn = TxnId(1),
+               .entity = EntityId(entity)});
     j.StampEpoch(20, 222);
-    j.OnCommit(TxnId(1), 25, 3);
+    j.OnEvent({.kind = EventKind::kCommit,
+               .step = 25,
+               .txn = TxnId(1),
+               .pc = 3});
     j.StampEpoch(30, 333);
     return j.ChainValues();
   };
@@ -252,8 +269,8 @@ TEST(JournalDiffTest, InjectedVictimFlipIsPinnedToItsDecisionRecord) {
   ASSERT_TRUE(d.has_record_b);
   // The first divergent decision IS the victim choice: same kind and step
   // on both sides, different victim.
-  EXPECT_EQ(static_cast<JournalKind>(d.record_a.kind), JournalKind::kVictim);
-  EXPECT_EQ(static_cast<JournalKind>(d.record_b.kind), JournalKind::kVictim);
+  EXPECT_EQ(static_cast<EventKind>(d.record_a.kind), EventKind::kVictim);
+  EXPECT_EQ(static_cast<EventKind>(d.record_b.kind), EventKind::kVictim);
   EXPECT_EQ(d.record_a.step, d.record_b.step);
   EXPECT_NE(d.record_a, d.record_b);
   // The divergent epoch really is the first chain mismatch.
@@ -288,15 +305,68 @@ TEST(JournalDiffTest, StateOnlyDriftDiagnosedWithoutDivergentRecord) {
   EXPECT_NE(d.state_a, d.state_b);
 }
 
+TEST(JournalRecordTest, OnEventPacksEachKindIntoItsFields) {
+  DecisionJournal j(DecisionJournal::Options{/*ring_capacity=*/0});
+  // Grant: exclusive/upgrade bits only; the wake bit stays engine-side.
+  j.OnEvent({.kind = EventKind::kGrant,
+             .flags = obs::kEventExclusive | obs::kEventWoke,
+             .step = 3,
+             .txn = TxnId(2),
+             .entity = EntityId(7),
+             .pc = 4});
+  // Victim: flags, clamped candidate count, target and cost.
+  j.OnEvent({.kind = EventKind::kVictim,
+             .flags = obs::kEventRequester,
+             .candidates = 70000,
+             .step = 5,
+             .txn = TxnId(2),
+             .target = 1,
+             .cost = 6});
+  // Rollback: cause in aux, the total flag in aux2.
+  j.OnEvent({.kind = EventKind::kRollback,
+             .cause = obs::RollbackCause::kWaitDie,
+             .step = 5,
+             .txn = TxnId(2),
+             .target = 0,
+             .cost = 6,
+             .causing = TxnId(1),
+             .cycle = 9});
+  j.OnEvent({.kind = EventKind::kHold, .step = 6, .txn = TxnId(3), .pc = 8});
+  const std::vector<JournalRecord> r = j.RetainedRecords();
+  ASSERT_EQ(r.size(), 4u);
+  EXPECT_EQ(r[0].aux, 1u);
+  EXPECT_EQ(r[0].a, 7u);
+  EXPECT_EQ(r[0].b, 0u);
+  EXPECT_EQ(r[1].aux, 2u);
+  EXPECT_EQ(r[1].aux2, 0xffffu);
+  EXPECT_EQ(r[1].a, 1u);
+  EXPECT_EQ(r[1].b, 6u);
+  EXPECT_EQ(r[2].aux, static_cast<std::uint8_t>(obs::RollbackCause::kWaitDie));
+  EXPECT_EQ(r[2].aux2, 1u);
+  EXPECT_EQ(r[2].a, 0u);
+  EXPECT_EQ(r[2].b, 6u);
+  EXPECT_EQ(static_cast<EventKind>(r[3].kind), EventKind::kHold);
+  EXPECT_EQ(r[3].txn, 3u);
+  EXPECT_EQ(r[3].a, 8u);
+}
+
 TEST(JournalFileTest, WriteReadRoundTripPreservesEverything) {
   const std::string path = ::testing::TempDir() + "jrnl_roundtrip";
   DecisionJournal j;
-  j.OnAdmit(TxnId(3), 1);
-  j.OnGrant(TxnId(3), 2, EntityId(9), /*exclusive=*/true, /*upgrade=*/false);
+  j.OnEvent({.kind = EventKind::kAdmit, .step = 1, .txn = TxnId(3)});
+  j.OnEvent({.kind = EventKind::kGrant,
+             .flags = obs::kEventExclusive,
+             .step = 2,
+             .txn = TxnId(3),
+             .entity = EntityId(9)});
   j.StampEpoch(5, 777);
-  j.OnVictim(TxnId(4), 6, /*target=*/2, /*cost=*/11,
-             /*omega_constrained=*/true, /*is_requester=*/false,
-             /*candidates=*/3);
+  j.OnEvent({.kind = EventKind::kVictim,
+             .flags = obs::kEventOmega,
+             .candidates = 3,
+             .step = 6,
+             .txn = TxnId(4),
+             .target = 2,
+             .cost = 11});
   j.StampEpoch(10, 888, EpochKind::kTwoPC);
   ASSERT_TRUE(j.WriteFile(path, /*shard=*/5, /*seed=*/1234).ok());
 

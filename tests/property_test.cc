@@ -5,12 +5,16 @@
 // combination.
 
 #include <algorithm>
+#include <array>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "analysis/history.h"
 #include "core/engine.h"
+#include "obs/journal.h"
+#include "obs/metric_names.h"
 #include "par/sharded_driver.h"
 #include "rollback/plan.h"
 #include "sim/workload.h"
@@ -351,6 +355,135 @@ TEST(StrategyComparisonTest, ActualCostNeverBelowIdeal) {
                 report->aggregate.ideal_wasted_ops);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// One rollback, one charge: every rollback site (detection victims and
+// self-rollbacks, wounds, deaths, timeouts and the coordinator's
+// distributed rollbacks) goes through one accounting path, so on every
+// shard the engine's wasted work, the journal's rollback records, the
+// lifecycle ledger and the lineage tracker describe the same rollbacks.
+// A site that charged its cost twice, or emitted a rollback to one
+// observer only, breaks an equality.
+// ---------------------------------------------------------------------------
+
+// `report` is the run of `opt`, which recorded its journals to files.
+void ExpectOneChargePerRollback(const par::ShardedOptions& opt,
+                                const par::ShardedReport& report,
+                                const std::string& what) {
+  std::uint64_t rollbacks = 0;
+  for (const par::ShardResult& shard : report.shards) {
+    const std::string where =
+        what + " shard " + std::to_string(shard.shard);
+    auto journal = obs::ReadJournalFile(opt.journal_out + ".shard" +
+                                        std::to_string(shard.shard) + ".jrnl");
+    ASSERT_TRUE(journal.ok()) << where << ": " << journal.status().ToString();
+    ASSERT_EQ(journal->dropped, 0u) << where;
+    std::uint64_t journal_cost = 0;
+    std::array<std::uint64_t, obs::kNumRollbackCauses> journal_by_cause{};
+    for (const obs::JournalRecord& r : journal->records) {
+      if (r.kind != static_cast<std::uint8_t>(obs::EventKind::kRollback)) {
+        continue;
+      }
+      journal_cost += r.b;
+      ++journal_by_cause.at(r.aux);
+    }
+    std::uint64_t ledger = 0;
+    std::uint64_t journal_rollbacks = 0;
+    for (std::size_t c = 0; c < obs::kNumRollbackCauses; ++c) {
+      ledger += shard.wasted_by_cause[c];
+      journal_rollbacks += journal_by_cause[c];
+    }
+    // Engine, journal and lifecycle book charge the same cost.
+    EXPECT_EQ(shard.metrics.wasted_ops, journal_cost) << where;
+    EXPECT_EQ(ledger, journal_cost) << where;
+    // ... for the same rollbacks, cause by cause.
+    EXPECT_EQ(shard.metrics.rollbacks, journal_rollbacks) << where;
+    EXPECT_EQ(shard.rollbacks_by_cause, journal_by_cause) << where;
+    // Lineage chains exactly the preemption-family rollbacks.
+    using C = obs::RollbackCause;
+    const std::uint64_t preemptions =
+        journal_by_cause[static_cast<std::size_t>(C::kDeadlockVictim)] +
+        journal_by_cause[static_cast<std::size_t>(C::kOmegaPreemption)] +
+        journal_by_cause[static_cast<std::size_t>(C::kSelfRollback)] +
+        journal_by_cause[static_cast<std::size_t>(C::kWoundWait)];
+    std::uint64_t lineage_events = ~0ULL;
+    const obs::LabelSet labels{{obs::kShardLabel,
+                                std::to_string(shard.shard)}};
+    for (const obs::MetricSnapshot& m : report.metrics.metrics) {
+      if (m.name == obs::kLineageEventsTotal && m.labels == labels) {
+        lineage_events = m.counter;
+      }
+    }
+    EXPECT_EQ(lineage_events, preemptions) << where;
+    rollbacks += journal_rollbacks;
+  }
+  EXPECT_GT(rollbacks, 0u) << what << ": the mix must contend";
+}
+
+par::ShardedOptions ContendedRecorded(const std::string& name) {
+  par::ShardedOptions opt = OneShard();
+  opt.instrument = true;  // lineage is wired only on instrumented shards
+  opt.engine.scheduler = SchedulerKind::kRandom;
+  opt.workload.num_entities = 6;
+  opt.workload.min_locks = 2;
+  opt.workload.max_locks = 4;
+  opt.workload.ops_per_entity = 2;
+  opt.workload.shared_fraction = 0.3;
+  opt.concurrency = 6;
+  opt.total_txns = 120;
+  opt.max_steps_per_shard = 200'000;
+  opt.seed = 77;
+  opt.journal_out = ::testing::TempDir() + "one_charge_" + name;
+  return opt;
+}
+
+TEST(OneChargePropertyTest, EverySingleShardRollbackSiteAgrees) {
+  struct Case {
+    const char* name;
+    core::DeadlockHandling handling;
+    VictimPolicyKind policy;
+  };
+  for (const Case& c :
+       {Case{"min_cost", core::DeadlockHandling::kDetection,
+             VictimPolicyKind::kMinCost},
+        Case{"min_cost_ordered", core::DeadlockHandling::kDetection,
+             VictimPolicyKind::kMinCostOrdered},
+        Case{"wound_wait", core::DeadlockHandling::kWoundWait,
+             VictimPolicyKind::kMinCostOrdered},
+        Case{"wait_die", core::DeadlockHandling::kWaitDie,
+             VictimPolicyKind::kMinCostOrdered},
+        Case{"timeout", core::DeadlockHandling::kTimeout,
+             VictimPolicyKind::kMinCostOrdered}}) {
+    par::ShardedOptions opt = ContendedRecorded(c.name);
+    opt.engine.handling = c.handling;
+    opt.engine.victim_policy = c.policy;
+    opt.engine.wait_timeout_steps = 16;
+    auto report = par::RunSharded(opt);
+    ASSERT_TRUE(report.ok()) << c.name << ": " << report.status().ToString();
+    ExpectOneChargePerRollback(opt, report.value(), c.name);
+  }
+}
+
+TEST(OneChargePropertyTest, FourShardDistributedRollbacksAgree) {
+  // Contested kLocks mix (as in xshard_test): slices of different globals
+  // block each other on several shards, so the coordinator applies
+  // distributed rollbacks beside each shard's local resolutions.
+  par::ShardedOptions opt;
+  opt.num_shards = 4;
+  opt.workload.num_entities = 24;
+  opt.workload.min_locks = 2;
+  opt.workload.max_locks = 4;
+  opt.workload.ops_per_entity = 2;
+  opt.cross_shard_fraction = 0.4;
+  opt.concurrency = 16;
+  opt.total_txns = 300;
+  opt.seed = 5;
+  opt.journal_out = ::testing::TempDir() + "one_charge_4shard";
+  auto report = par::RunSharded(opt);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_GE(report->xshard.distributed_rollbacks, 1u);
+  ExpectOneChargePerRollback(opt, report.value(), "4-shard");
 }
 
 }  // namespace

@@ -21,6 +21,7 @@ namespace pardb {
 namespace {
 
 using core::VictimPolicyKind;
+using obs::EventKind;
 using obs::kNumRollbackCauses;
 using obs::ManualClock;
 using obs::MetricsRegistry;
@@ -184,14 +185,21 @@ TEST(TxnLifeBookTest, RecordTracksLatencyComponentsAndQueueWait) {
   TxnLifeBook book(opt);
 
   const TxnId t0(0);
-  book.OnAdmit(t0, /*step=*/0);
+  book.OnEvent({.kind = EventKind::kAdmit, .step = 0, .txn = t0});
   book.RecordQueueWait(t0, /*wait_ns=*/1234);
   book.OnStep(t0, 1);
-  book.OnBlock(t0, 2, EntityId(7));
-  book.OnWake(t0, 5);
-  book.OnStep(t0, 5);
+  book.OnEvent({.kind = EventKind::kBlock,
+                .step = 2,
+                .txn = t0,
+                .entity = EntityId(7)});
+  // A grant that ends a wait: one wake plus one executed op.
+  book.OnEvent({.kind = EventKind::kGrant,
+                .flags = obs::kEventWoke,
+                .step = 5,
+                .txn = t0,
+                .entity = EntityId(7)});
   clock.SetNanos(5000);
-  book.OnCommit(t0, 6, /*pc=*/3);
+  book.OnEvent({.kind = EventKind::kCommit, .step = 6, .txn = t0, .pc = 3});
 
   ASSERT_TRUE(book.Has(t0));
   const TxnTimelineRecord rec = book.RecordOf(t0, /*shard=*/2);
@@ -227,10 +235,11 @@ TEST(TxnLifeBookTest, RingEvictionCountsDroppedAndMirrorsMetric) {
   TxnLifeBook book(opt);
   book.AttachMetrics(&registry, {{"shard", "0"}});
 
-  book.OnAdmit(TxnId(0), 0);
-  book.OnAdmit(TxnId(1), 1);
+  book.OnEvent({.kind = EventKind::kAdmit, .step = 0, .txn = TxnId(0)});
+  book.OnEvent({.kind = EventKind::kAdmit, .step = 1, .txn = TxnId(1)});
   EXPECT_EQ(book.dropped_events(), 0u);
-  book.OnAdmit(TxnId(2), 2);  // evicts txn 0's admit event
+  // Evicts txn 0's admit event.
+  book.OnEvent({.kind = EventKind::kAdmit, .step = 2, .txn = TxnId(2)});
   EXPECT_EQ(book.total_events(), 3u);
   EXPECT_EQ(book.dropped_events(), 1u);
 
@@ -252,10 +261,13 @@ TEST(TxnLifeBookTest, ZeroCapacityRingDropsEverythingButKeepsLedger) {
   TxnLifeBook::Options opt;
   opt.ring_capacity = 0;
   TxnLifeBook book(opt);
-  book.OnAdmit(TxnId(0), 0);
+  book.OnEvent({.kind = EventKind::kAdmit, .step = 0, .txn = TxnId(0)});
   book.OnStep(TxnId(0), 1);
-  book.OnRollback(TxnId(0), 2, RollbackCause::kTimeout, TxnId(),
-                  /*cycle=*/0, /*cost=*/1);
+  book.OnEvent({.kind = EventKind::kRollback,
+                .cause = RollbackCause::kTimeout,
+                .step = 2,
+                .txn = TxnId(0),
+                .cost = 1});
   EXPECT_EQ(book.dropped_events(), book.total_events());
   EXPECT_TRUE(book.RecordOf(TxnId(0)).events.empty());
   // The ledger is column-backed, not ring-backed: attribution survives.
