@@ -40,17 +40,17 @@ void PrintReproduction() {
     return;
   }
   (void)fig->TriggerDeadlock();
-  const auto& ev = fig->runner->engine().deadlock_events().at(0);
+  const obs::DeadlockDump& dump = fig->runner->deadlocks().dumps().at(0);
 
   Table t({"txn", "holds", "waits (state)", "locked at state", "cost",
            "paper"});
-  std::map<TxnId, const core::VictimCandidate*> by_txn;
-  for (const auto& c : ev.candidates) by_txn[c.txn] = &c;
+  std::map<TxnId, const obs::DeadlockParticipant*> by_txn;
+  for (const auto& p : dump.participants) by_txn[p.txn] = &p;
   t.AddRow("T2", "b", "e (12)", 8, by_txn[fig->t2]->cost, "12-8=4");
   t.AddRow("T3", "c", "b (11)", 5, by_txn[fig->t3]->cost, "11-5=6");
   t.AddRow("T4", "e", "c (15)", 10, by_txn[fig->t4]->cost, "15-10=5");
   t.Print();
-  std::cout << "victim: T" << ev.victims.at(0).value() - fig->t1.value() + 1
+  std::cout << "victim: T" << dump.victims.at(0).value() - fig->t1.value() + 1
             << " (paper: T2), rolled back to state "
             << fig->runner->engine().StateIndexOf(fig->t2)
             << " (paper: 8)\n";
@@ -70,10 +70,10 @@ void PrintReproduction() {
     auto f = BuildFigure1(Options(policy));
     if (!f.ok()) continue;
     (void)f->TriggerDeadlock();
-    const auto& e = f->runner->engine().deadlock_events().at(0);
-    std::string victim = "T" + std::to_string(e.victims.at(0).value() + 1);
+    const obs::DeadlockDump& d = f->runner->deadlocks().dumps().at(0);
+    std::string victim = "T" + std::to_string(d.victims.at(0).value() + 1);
     p.AddRow(std::string(core::VictimPolicyKindName(policy)), victim,
-             e.total_cost,
+             obs::VictimCost(d),
              f->runner->engine().metrics().total_rollbacks > 0 ? "yes" : "no");
   }
   p.Print();
@@ -87,10 +87,12 @@ void PrintReproduction() {
     auto f = BuildFigure1(Options(VictimPolicyKind::kMinCost, strategy));
     if (!f.ok()) continue;
     (void)f->TriggerDeadlock();
-    const auto& e = f->runner->engine().deadlock_events().at(0);
+    const obs::DeadlockDump& d = f->runner->deadlocks().dumps().at(0);
+    const std::uint64_t cost = obs::VictimCost(d);
+    const std::uint64_t ideal = obs::VictimIdealCost(d);
     s.AddRow(std::string(rollback::StrategyKindName(strategy)),
-             "T" + std::to_string(e.victims.at(0).value() + 1), e.total_cost,
-             e.total_ideal_cost, e.total_cost - e.total_ideal_cost);
+             "T" + std::to_string(d.victims.at(0).value() + 1), cost, ideal,
+             cost - ideal);
   }
   s.Print();
   std::cout << "\n(paper claim: partial rollback loses only the progress "

@@ -69,12 +69,12 @@ void PrintReproduction() {
       auto fig = sim::BuildFigure3b(Options(policy));
       if (!fig.ok()) continue;
       (void)fig->TriggerDeadlock();
-      // A copy: finishing the run can record more events and reallocate.
-      const core::DeadlockEvent ev =
-          fig->runner->engine().deadlock_events().at(0);
+      // A copy: finishing the run can record more dumps and reallocate.
+      const obs::DeadlockDump dump = fig->runner->deadlocks().dumps().at(0);
       bool done = fig->runner->FinishAll().ok();
-      t.AddRow(std::string(core::VictimPolicyKindName(policy)), ev.num_cycles,
-               VictimNames(ev.victims), ev.total_cost, done ? "yes" : "no");
+      t.AddRow(std::string(core::VictimPolicyKindName(policy)),
+               dump.num_cycles, VictimNames(dump.victims),
+               obs::VictimCost(dump), done ? "yes" : "no");
     }
     t.Print();
     std::cout << "(paper: all cycles include T1; rollback of T1 or of T2 "
@@ -88,9 +88,9 @@ void PrintReproduction() {
       auto fig = sim::BuildFigure3c(Options(VictimPolicyKind::kMinCost));
       if (fig.ok()) {
         (void)fig->TriggerDeadlock();
-        const auto& ev = fig->runner->engine().deadlock_events().at(0);
-        t.AddRow("min-cost vertex cut", ev.num_cycles,
-                 VictimNames(ev.victims), ev.total_cost);
+        const obs::DeadlockDump& dump = fig->runner->deadlocks().dumps().at(0);
+        t.AddRow("min-cost vertex cut", dump.num_cycles,
+                 VictimNames(dump.victims), obs::VictimCost(dump));
       }
     }
     {
@@ -98,9 +98,9 @@ void PrintReproduction() {
           Options(VictimPolicyKind::kMinCost, /*cut=*/false));
       if (fig.ok()) {
         (void)fig->TriggerDeadlock();
-        const auto& ev = fig->runner->engine().deadlock_events().at(0);
-        t.AddRow("requester only", ev.num_cycles, VictimNames(ev.victims),
-                 ev.total_cost);
+        const obs::DeadlockDump& dump = fig->runner->deadlocks().dumps().at(0);
+        t.AddRow("requester only", dump.num_cycles, VictimNames(dump.victims),
+                 obs::VictimCost(dump));
       }
     }
     t.Print();

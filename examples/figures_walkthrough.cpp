@@ -47,18 +47,17 @@ void Figure1() {
   std::cout << "before T2 requests e:\n"
             << engine.waits_for().ToDot(TxnName, entity_name);
   (void)fig->TriggerDeadlock();
-  const auto& ev = engine.deadlock_events().at(0);
+  const obs::DeadlockDump& dump = fig->runner->deadlocks().dumps().at(0);
   std::printf("deadlock: cycle of %zu transactions; candidate costs:\n",
-              ev.cycle_txns.size());
-  for (const auto& c : ev.candidates) {
+              dump.arcs.size());
+  for (const obs::DeadlockParticipant& p : dump.participants) {
     std::printf("  T%llu: roll back to lock state %llu, cost %llu ops\n",
-                (unsigned long long)c.txn.value() + 1,
-                (unsigned long long)c.ideal_target,
-                (unsigned long long)c.cost);
+                (unsigned long long)p.txn.value() + 1,
+                (unsigned long long)p.target, (unsigned long long)p.cost);
   }
   std::printf("victim: T%llu (cost %llu)\n\n",
-              (unsigned long long)ev.victims[0].value() + 1,
-              (unsigned long long)ev.total_cost);
+              (unsigned long long)dump.victims[0].value() + 1,
+              (unsigned long long)obs::VictimCost(dump));
   std::cout << "Figure 1(b), after the partial rollback of T2:\n"
             << engine.waits_for().ToDot(TxnName, entity_name) << "\n";
 }
@@ -89,9 +88,10 @@ void Figure3() {
   auto c = sim::BuildFigure3c(MinCostOptions());
   if (c.ok()) {
     (void)c->TriggerDeadlock();
-    const auto& ev = c->runner->engine().deadlock_events().at(0);
-    std::printf("(c) T1's request closed %zu cycles; victims:", ev.num_cycles);
-    for (TxnId v : ev.victims) {
+    const obs::DeadlockDump& dump = c->runner->deadlocks().dumps().at(0);
+    std::printf("(c) T1's request closed %zu cycles; victims:",
+                dump.num_cycles);
+    for (TxnId v : dump.victims) {
       std::printf(" T%llu", (unsigned long long)v.value() + 1);
     }
     std::printf(" (rolling back T1 alone would also clear every cycle)\n\n");

@@ -4,47 +4,6 @@
 
 namespace pardb::core {
 
-void ExportEngineMetrics(const Engine& engine, obs::MetricsRegistry* registry,
-                         const obs::LabelSet& labels) {
-  const EngineMetrics& m = engine.metrics();
-  auto Add = [&](const char* name, std::uint64_t v) {
-    registry->GetCounter(name, labels)->Inc(v);
-  };
-  Add(obs::kStepsTotal, m.steps);
-  Add(obs::kOpsExecutedTotal, m.ops_executed);
-  Add(obs::kCommitsTotal, m.commits);
-  Add(obs::kLockWaitsTotal, m.lock_waits);
-  Add(obs::kDeadlocksTotal, m.deadlocks);
-  Add(obs::kRollbacksTotal, m.rollbacks);
-  Add(obs::kPartialRollbacksTotal, m.partial_rollbacks);
-  Add(obs::kTotalRollbacksTotal, m.total_rollbacks);
-  Add(obs::kPreemptionsTotal, m.preemptions);
-  Add(obs::kWoundsTotal, m.wounds);
-  Add(obs::kDeathsTotal, m.deaths);
-  Add(obs::kTimeoutsTotal, m.timeouts);
-  Add(obs::kWastedOpsTotal, m.wasted_ops);
-  Add(obs::kIdealWastedOpsTotal, m.ideal_wasted_ops);
-  Add(obs::kCyclesFoundTotal, m.cycles_found);
-  Add(obs::kPeriodicScansTotal, m.periodic_scans);
-  Add(obs::kProgramCompileTotal, m.programs_compiled);
-  Add(obs::kProgramCacheHitsTotal, m.compile_cache_hits);
-  Add(obs::kCompiledBytesTotal, m.compiled_bytes);
-
-  registry->GetGauge(obs::kMaxEntityCopies, labels)
-      ->SetMax(static_cast<std::int64_t>(m.max_entity_copies));
-  registry->GetGauge(obs::kMaxVarCopies, labels)
-      ->SetMax(static_cast<std::int64_t>(m.max_var_copies));
-  registry->GetGauge(obs::kLiveTxns, labels)
-      ->Set(static_cast<std::int64_t>(engine.live_txn_count()));
-  registry->GetGauge(obs::kCompileCacheResidentEntries, labels)
-      ->Set(static_cast<std::int64_t>(engine.resident_programs()));
-  registry->GetGauge(obs::kWaitingTxns, labels)
-      ->Set(static_cast<std::int64_t>(engine.lock_manager().WaitingCount()));
-
-  obs::Histogram* costs = registry->GetHistogram(obs::kRollbackCostOps, labels);
-  for (std::uint32_t c : engine.rollback_cost_samples()) costs->Record(c);
-}
-
 void EngineMetricsExporter::Export(const Engine& engine,
                                    obs::MetricsRegistry* registry,
                                    const obs::LabelSet& labels) {

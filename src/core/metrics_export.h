@@ -6,23 +6,18 @@
 
 namespace pardb::core {
 
-// Mirrors an engine's end-of-run aggregates into `registry` under the
-// canonical pardb_* names (counters for EngineMetrics, gauges for space
-// high-water marks and live transactions, and the per-rollback cost sample
-// as the step-valued histogram pardb_rollback_cost_ops). Call once per
-// engine per registry — values are added, not overwritten, so a repeated
-// call double-counts.
-void ExportEngineMetrics(const Engine& engine, obs::MetricsRegistry* registry,
-                         const obs::LabelSet& labels = {});
-
-// Repeatable variant for live scraping: remembers what it already exported
-// and advances each counter by the delta since the previous Export, so a
-// shard can publish its engine aggregates at every hub-snapshot boundary
-// and the totals stay exact (no double counting). Histogram samples are
-// exported incrementally too — rollback_cost_samples() is append-only (a
-// bounded sample retaining the first 65536 costs), so the next-index
-// cursor never re-records a sample. Gauges are overwritten as in the
-// one-shot export. One exporter per (engine, registry, labels) triple.
+// Mirrors an engine's aggregates into `registry` under the canonical
+// pardb_* names: counters for EngineMetrics, gauges for space high-water
+// marks and live transactions, and the per-rollback cost sample as the
+// step-valued histogram pardb_rollback_cost_ops. Repeatable, for live
+// scraping: it remembers what it already exported and advances each
+// counter by the delta since the previous Export, so a shard can publish
+// its engine aggregates at every hub-snapshot boundary and the totals stay
+// exact (no double counting). Histogram samples are exported incrementally
+// too — rollback_cost_samples() is append-only (a bounded sample retaining
+// the first 65536 costs), so the next-index cursor never re-records a
+// sample. Gauges are overwritten. One exporter per (engine, registry,
+// labels) triple.
 class EngineMetricsExporter {
  public:
   // Exports the delta since the previous call (everything, on the first).

@@ -164,16 +164,11 @@ void LockManager::AppendBlockers(const EntityState& es, const Waiter& w,
     if (h.txn == w.txn) continue;
     if (w.is_upgrade || !Compatible(h.mode, w.mode)) out->push_back(h.txn);
   }
-  if (options_.wait_edge_policy == WaitEdgePolicy::kHoldersAndQueue) {
+  if (options_.fifo_fairness) {
+    // Nothing passes a queued waiter, so each one ahead is a blocker.
     const std::size_t ahead = std::min(position, es.queue.size());
     for (std::size_t i = 0; i < ahead; ++i) {
-      const Waiter& q = es.queue[i];
-      if (q.txn == w.txn) continue;
-      if (!Compatible(q.mode, w.mode) || !Compatible(w.mode, q.mode)) {
-        out->push_back(q.txn);
-      } else if (options_.fifo_fairness) {
-        out->push_back(q.txn);
-      }
+      if (es.queue[i].txn != w.txn) out->push_back(es.queue[i].txn);
     }
   }
   std::sort(out->begin() + base, out->end());

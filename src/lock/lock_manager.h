@@ -20,10 +20,9 @@ namespace pardb::lock {
 // the Engine's job, fed by `blockers`.
 struct RequestOutcome {
   bool granted = false;
-  // When not granted: the transactions this request now waits for. Under
-  // WaitEdgePolicy::kHoldersOnly these are the incompatible holders (the
-  // paper's model); under kHoldersAndQueue, incompatible queued waiters
-  // ahead of the request are included as well.
+  // When not granted: the transactions this request now waits for. In the
+  // paper model these are the incompatible holders; with fifo_fairness
+  // every waiter queued ahead of the request is included as well.
   std::vector<TxnId> blockers;
   // True when the request upgrades a held shared lock to exclusive.
   bool is_upgrade = false;
@@ -50,18 +49,6 @@ struct PendingRequest {
   EntityId entity;
   LockMode mode;
   bool is_upgrade = false;
-};
-
-// Which arcs the waits-for graph should contain for a waiting request.
-enum class WaitEdgePolicy {
-  // Arcs only from current incompatible holders — the paper's concurrency
-  // graph G(T) (§3.0). Complete for deadlock detection when shared
-  // requests may bypass the queue (see Options::fifo_fairness).
-  kHoldersOnly,
-  // Arcs from incompatible holders and from incompatible waiters queued
-  // ahead. Required for completeness when fifo_fairness forces compatible
-  // requests to queue behind incompatible ones.
-  kHoldersAndQueue,
 };
 
 // Table of entity locks with FIFO wait queues.
@@ -95,8 +82,14 @@ class LockManager {
     // granted even when exclusive requests wait in the queue (writers can
     // starve; the paper explicitly leaves fairness out of scope).
     // true: strict FIFO — nothing bypasses the queue.
+    //
+    // The queue discipline also fixes the waits-for arcs. The paper model
+    // draws arcs from incompatible holders only — its concurrency graph
+    // G(T) (§3.0), complete because a compatible request never waits
+    // behind the queue. Under FIFO a request also waits for every waiter
+    // queued ahead, so those arcs are drawn too; without them detection
+    // would miss cycles through the queue.
     bool fifo_fairness = false;
-    WaitEdgePolicy wait_edge_policy = WaitEdgePolicy::kHoldersOnly;
   };
 
   LockManager() : LockManager(Options{}) {}
@@ -191,9 +184,9 @@ class LockManager {
     for (const Waiter& w : es->queue) fn(w.txn, w.mode);
   }
 
-  // Blockers of txn's pending request under the configured edge policy.
-  // Empty when txn is not waiting (or is waiting purely on queue order
-  // under kHoldersOnly).
+  // Blockers of txn's pending request under the queue discipline (see
+  // Options::fifo_fairness). Empty when txn is not waiting (or, in the
+  // paper model, is waiting purely on queue order).
   std::vector<TxnId> BlockersOf(TxnId txn) const;
   // Appends the same blockers to *out (sorted, deduplicated) without
   // allocating when out has capacity.

@@ -1,9 +1,24 @@
 #include "obs/forensics.h"
 
-#include <fstream>
 #include <sstream>
 
 namespace pardb::obs {
+
+std::uint64_t VictimCost(const DeadlockDump& dump) {
+  std::uint64_t sum = 0;
+  for (const DeadlockParticipant& p : dump.participants) {
+    if (p.is_victim) sum += p.cost;
+  }
+  return sum;
+}
+
+std::uint64_t VictimIdealCost(const DeadlockDump& dump) {
+  std::uint64_t sum = 0;
+  for (const DeadlockParticipant& p : dump.participants) {
+    if (p.is_victim) sum += p.ideal_cost;
+  }
+  return sum;
+}
 
 std::string DeadlockDumpToDot(const DeadlockDump& dump) {
   std::ostringstream os;
@@ -37,14 +52,6 @@ std::string DeadlockDumpToDot(const DeadlockDump& dump) {
 void CollectingDeadlockSink::OnDeadlock(const DeadlockDump& dump) {
   ++total_seen_;
   if (dumps_.size() < max_dumps_) dumps_.push_back(dump);
-}
-
-void DotFileDeadlockSink::OnDeadlock(const DeadlockDump& dump) {
-  if (next_ >= max_files_) return;
-  std::ofstream out(prefix_ + std::to_string(next_) + ".dot");
-  if (!out) return;
-  out << DeadlockDumpToDot(dump);
-  ++next_;
 }
 
 }  // namespace pardb::obs

@@ -29,18 +29,29 @@ struct WaitsForArc {
   EntityId entity;
 };
 
-// Everything known about one detected deadlock at resolution time — the
-// forensic record behind the DOT dump.
+// Everything known about one detected deadlock at resolution time: the
+// engine's only per-deadlock record (built only while a DeadlockDumpSink is
+// installed) and the source of the DOT dump. Costs are the decision-time
+// prices the victim choice compared.
 struct DeadlockDump {
   std::uint64_t step = 0;  // engine step at detection
   TxnId requester;
   EntityId requested_entity;
-  std::size_t num_cycles = 0;        // simple cycles through the requester
+  // Simple cycles through the requester (exact, uncapped; a lower bound in
+  // a periodic scan, see DESIGN D19).
+  std::size_t num_cycles = 0;
   std::vector<WaitsForArc> arcs;     // arcs of the first cycle found
-  std::vector<DeadlockParticipant> participants;  // §3.1 candidates
+  // §3.1 candidates, one per member of the requester's deadlocked
+  // component, in ascending transaction id.
+  std::vector<DeadlockParticipant> participants;
   std::vector<TxnId> victims;        // chosen set (vertex cuts: several)
   std::string policy;                // victim policy name
 };
+
+// Summed over the victim participants: the price the resolution chose
+// (strategy-coarsened) and what exact restoration would have paid.
+std::uint64_t VictimCost(const DeadlockDump& dump);
+std::uint64_t VictimIdealCost(const DeadlockDump& dump);
 
 // Renders the dump as Graphviz DOT: cycle members as nodes annotated with
 // ω-order and rollback costs, victims filled red, the requester boxed, and
@@ -92,23 +103,6 @@ class FanOutDeadlockSink final : public DeadlockDumpSink {
  private:
   DeadlockDumpSink* first_ = nullptr;
   DeadlockDumpSink* second_ = nullptr;
-};
-
-// Writes each dump as DOT to `<prefix><n>.dot` (n counts from 0), up to
-// `max_files` files.
-class DotFileDeadlockSink final : public DeadlockDumpSink {
- public:
-  explicit DotFileDeadlockSink(std::string prefix, std::size_t max_files = 64)
-      : prefix_(std::move(prefix)), max_files_(max_files) {}
-
-  void OnDeadlock(const DeadlockDump& dump) override;
-
-  std::size_t files_written() const { return next_; }
-
- private:
-  std::string prefix_;
-  std::size_t max_files_;
-  std::size_t next_ = 0;
 };
 
 }  // namespace pardb::obs

@@ -9,7 +9,7 @@ namespace pardb::obs {
 // tests) must spell names through these constants so the Prometheus
 // exposition cannot drift between the file export and the server.
 
-// Engine aggregate counters (core::ExportEngineMetrics).
+// Engine aggregate counters (core::EngineMetricsExporter).
 inline constexpr char kStepsTotal[] = "pardb_steps_total";
 inline constexpr char kOpsExecutedTotal[] = "pardb_ops_executed_total";
 inline constexpr char kCommitsTotal[] = "pardb_commits_total";
@@ -55,8 +55,6 @@ inline constexpr char kDetectionNs[] = "pardb_detection_ns";
 inline constexpr char kRollbackApplyNs[] = "pardb_rollback_apply_ns";
 inline constexpr char kLockOpNs[] = "pardb_lock_op_ns";
 inline constexpr char kLockWaitSteps[] = "pardb_lock_wait_steps";
-inline constexpr char kVictimsRequesterTotal[] = "pardb_victims_requester_total";
-inline constexpr char kVictimsPreemptedTotal[] = "pardb_victims_preempted_total";
 inline constexpr char kLockRequestsTotal[] = "pardb_lock_requests_total";
 inline constexpr char kLockGrantsImmediateTotal[] =
     "pardb_lock_grants_immediate_total";

@@ -25,8 +25,6 @@ EngineProbe MakeEngineProbe(MetricsRegistry* registry, const LabelSet& labels,
   p.rollback_apply_ns = registry->GetHistogram(kRollbackApplyNs, labels);
   p.lock_op_ns = registry->GetHistogram(kLockOpNs, labels);
   p.lock_wait_steps = registry->GetHistogram(kLockWaitSteps, labels);
-  p.victims_requester = registry->GetCounter(kVictimsRequesterTotal, labels);
-  p.victims_preempted = registry->GetCounter(kVictimsPreemptedTotal, labels);
   p.lock = MakeLockProbe(registry, labels);
   return p;
 }

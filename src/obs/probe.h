@@ -33,11 +33,6 @@ struct EngineProbe {
   // logical clock, so the deterministic sim produces stable values.
   Histogram* lock_wait_steps = nullptr;
 
-  // Victim selection split: how often deadlock resolution hit the requester
-  // itself vs. preempted another transaction.
-  Counter* victims_requester = nullptr;
-  Counter* victims_preempted = nullptr;
-
   LockProbe lock;
 
   const Clock* EffectiveClock() const {

@@ -24,6 +24,10 @@ namespace pardb::par {
 
 namespace {
 
+// Engine steps per shard per multi-shard epoch; part of the deterministic
+// report's identity.
+constexpr std::uint64_t kEpochSteps = 256;
+
 // splitmix64 finalizer: decorrelates the per-shard engine/workload streams
 // from the top-level seed and from each other.
 std::uint64_t Mix(std::uint64_t x) {
@@ -748,8 +752,6 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
 
   xshard::Coordinator::Options copt;
   copt.num_shards = n;
-  copt.max_active_globals =
-      std::max<std::uint32_t>(1, options.xshard_max_active_globals);
   if (sched_registry != nullptr) {
     copt.prepare_ns = sched_registry->GetHistogram(obs::kXShardPrepareNs);
     copt.resolve_ns = sched_registry->GetHistogram(obs::kXShardResolveNs);
@@ -757,10 +759,6 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
   if (options.journal) copt.journal = &coord_journal;
   xshard::Coordinator coord(engines, copt);
 
-  const std::uint64_t epoch_steps =
-      std::max<std::uint64_t>(1, options.xshard_epoch_steps);
-  const std::uint64_t merge_period =
-      std::max<std::uint64_t>(1, options.xshard_merge_period);
   std::vector<std::uint64_t> next_local(n, 0);
   std::size_t next_global = 0;
   std::uint64_t epoch = 0;
@@ -835,43 +833,40 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
       ++progress;
     }
     if (!run_status.ok()) break;
-    // Union merge + distributed partial rollback: on the configured
-    // cadence, and forced after a zero-progress epoch — the only benign
-    // reason nothing moved is a global cycle awaiting the next merge.
-    if (epoch % merge_period == 0 || zero_epochs > 0) {
-      auto merged = coord.MergeAndResolve();
-      if (!merged.ok()) {
-        run_status = merged;
-        break;
+    // Union merge + distributed partial rollback, every epoch: a global
+    // cycle is resolved at the first coordinate phase after it closes.
+    auto merged = coord.MergeAndResolve();
+    if (!merged.ok()) {
+      run_status = merged;
+      break;
+    }
+    // 2PC-epoch checksum: every engine is quiescent in the coordinate
+    // phase, so folding the shard state digests here is deterministic
+    // (a pure function of the options and the epoch ordinal).
+    if (options.journal) {
+      std::uint64_t fold = obs::kFnvOffsetBasis;
+      for (std::uint32_t s = 0; s < n; ++s) {
+        fold = obs::FnvMix64(fold, engines[s]->StateDigest());
       }
-      // 2PC-epoch checksum: every engine is quiescent in the coordinate
-      // phase, so folding the shard state digests here is deterministic
-      // (a pure function of the options and the epoch ordinal).
-      if (options.journal) {
-        std::uint64_t fold = obs::kFnvOffsetBasis;
-        for (std::uint32_t s = 0; s < n; ++s) {
-          fold = obs::FnvMix64(fold, engines[s]->StateDigest());
-        }
-        coord_journal.StampEpoch(epoch, fold, obs::EpochKind::kTwoPC);
-      }
-      if (options.hub != nullptr) {
-        PublishGlobalWaitsFor(options.hub, coord, engines, epoch);
-        for (std::uint32_t s = 0; s < n; ++s) {
-          obs::WaitsForSnapshot snap = engines[s]->SnapshotWaitsFor();
-          snap.shard = s;
-          options.hub->PublishSnapshot(std::move(snap));
-          // Coordinate phase: every engine (and its book) is quiescent,
-          // so the single-threaded digest is safe here.
-          if (options.txnlife) {
-            options.hub->PublishTxnLife(runs[s].exec->txnlife.Digest(s));
-          }
-          if (options.journal) {
-            options.hub->PublishJournal(runs[s].exec->journal.Digest(s));
-          }
+      coord_journal.StampEpoch(epoch, fold, obs::EpochKind::kTwoPC);
+    }
+    if (options.hub != nullptr) {
+      PublishGlobalWaitsFor(options.hub, coord, engines, epoch);
+      for (std::uint32_t s = 0; s < n; ++s) {
+        obs::WaitsForSnapshot snap = engines[s]->SnapshotWaitsFor();
+        snap.shard = s;
+        options.hub->PublishSnapshot(std::move(snap));
+        // Coordinate phase: every engine (and its book) is quiescent,
+        // so the single-threaded digest is safe here.
+        if (options.txnlife) {
+          options.hub->PublishTxnLife(runs[s].exec->txnlife.Digest(s));
         }
         if (options.journal) {
-          options.hub->PublishJournal(coord_journal.Digest(n));
+          options.hub->PublishJournal(runs[s].exec->journal.Digest(s));
         }
+      }
+      if (options.journal) {
+        options.hub->PublishJournal(coord_journal.Digest(n));
       }
     }
     // Termination: everything admitted, every global retired, every
@@ -906,7 +901,7 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
       if (worker != s % threads) steals.fetch_add(1, std::memory_order_relaxed);
       ShardExec& ex = *runs[s].exec;
       const std::uint64_t budget =
-          std::min(epoch_steps, options.max_steps_per_shard - ex.steps);
+          std::min(kEpochSteps, options.max_steps_per_shard - ex.steps);
       // ran_dry is routine here (a shard whose transactions all wait on
       // another shard has nothing to do this epoch); real stalls are
       // caught by the zero-progress counter below.
@@ -933,8 +928,9 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
     }
     if (!run_status.ok()) break;
     if (progress == 0) {
-      // One grace epoch: the first zero-progress epoch forces a merge
-      // above; a second in a row means nothing can ever move again.
+      // One grace epoch: the next epoch's merge may still resolve a
+      // global cycle; a second zero-progress epoch in a row means nothing
+      // can ever move again.
       if (++zero_epochs >= 2) {
         std::ostringstream os;
         os << "xshard run stalled at epoch " << epoch << " ("

@@ -52,12 +52,6 @@ struct ShardedOptions {
   // Shard that cross-shard transactions are routed to (must be <
   // num_shards); ShardResult::assigned counts them there.
   std::uint32_t coordinator_shard = 0;
-  // Multi-shard epoch shape: engine steps per shard per epoch, union-merge
-  // cadence in epochs, and the cap on globals concurrently in flight. All
-  // three are part of the deterministic report's identity.
-  std::uint64_t xshard_epoch_steps = 256;
-  std::uint64_t xshard_merge_period = 1;
-  std::uint32_t xshard_max_active_globals = 8;
   // Template for every shard's engine; engine.seed is overridden with
   // DeriveShardSeed(seed, shard).
   core::EngineOptions engine;

@@ -59,9 +59,6 @@ class Coordinator : public SubResolver {
  public:
   struct Options {
     std::uint32_t num_shards = 1;
-    // Globals concurrently in flight; bounds coordinator admission the way
-    // ShardedOptions::concurrency_per_shard bounds local admission.
-    std::uint32_t max_active_globals = 8;
     // Wall-clock 2PC phase timers (registry histograms, nanoseconds); both
     // optional and excluded from deterministic reports.
     obs::Histogram* prepare_ns = nullptr;
@@ -75,8 +72,12 @@ class Coordinator : public SubResolver {
 
   Coordinator(std::vector<core::Engine*> engines, Options options);
 
+  // Globals concurrently in flight; bounds coordinator admission the way
+  // the per-shard multiprogramming level bounds local admission.
+  static constexpr std::size_t kMaxActiveGlobals = 8;
+
   // True when another global transaction may be admitted now.
-  bool CanAdmit() const { return active_.size() < options_.max_active_globals; }
+  bool CanAdmit() const { return active_.size() < kMaxActiveGlobals; }
 
   // Splits `program` and spawns its slices (held at their lock points).
   // Returns the global sequence number.

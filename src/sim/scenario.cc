@@ -20,18 +20,19 @@ void AddFiller(ProgramBuilder& b, int count) {
 }
 
 // The figure scenarios reproduce the paper's exact concurrency graphs,
-// which assume its §2 grant rule: compatibility with current holders only
-// and waits-for arcs from holders alone.
+// which assume its §2 grant rule: compatibility with current holders only,
+// so waits-for arcs come from holders alone.
 EngineOptions PaperModel(EngineOptions options) {
   options.lock_options.fifo_fairness = false;
-  options.lock_options.wait_edge_policy = lock::WaitEdgePolicy::kHoldersOnly;
   return options;
 }
 
 }  // namespace
 
 ScenarioRunner::ScenarioRunner(core::EngineOptions options)
-    : engine_(std::make_unique<core::Engine>(&store_, options, &recorder_)) {}
+    : engine_(std::make_unique<core::Engine>(&store_, options, &recorder_)) {
+  engine_->set_forensics(&deadlocks_);
+}
 
 EntityId ScenarioRunner::AddEntity(const std::string& name, Value initial) {
   auto it = names_.find(name);
@@ -217,8 +218,8 @@ Result<Figure2Outcome> RunFigure2MutualPreemption(core::EngineOptions options,
   if (lineage != nullptr) eng.set_lineage(lineage);
 
   auto LastVictims = [&]() -> std::vector<TxnId> {
-    if (eng.deadlock_events().empty()) return {};
-    return eng.deadlock_events().back().victims;
+    if (r.deadlocks().dumps().empty()) return {};
+    return r.deadlocks().dumps().back().victims;
   };
   auto FinishBroken = [&](Status* status) {
     out.pattern_sustained = false;

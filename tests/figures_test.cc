@@ -54,22 +54,23 @@ TEST(Figure1Test, CostsAndVictimMatchPaper) {
   EXPECT_EQ(outcome.value(), StepOutcome::kRolledBack);
 
   auto& engine = fig->runner->engine();
-  ASSERT_EQ(engine.deadlock_events().size(), 1u);
-  const auto& ev = engine.deadlock_events()[0];
+  ASSERT_EQ(fig->runner->deadlocks().dumps().size(), 1u);
+  const obs::DeadlockDump& ev = fig->runner->deadlocks().dumps()[0];
   EXPECT_EQ(ev.requester, fig->t2);
   EXPECT_EQ(ev.num_cycles, 1u);
+  EXPECT_EQ(ev.arcs.size(), 3u);
 
   // Candidate costs 4 (T2), 6 (T3), 5 (T4) — the paper's 12-8, 11-5, 15-10.
-  ASSERT_EQ(ev.candidates.size(), 3u);
+  ASSERT_EQ(ev.participants.size(), 3u);
   std::map<TxnId, std::uint64_t> costs;
-  for (const auto& c : ev.candidates) costs[c.txn] = c.cost;
+  for (const auto& p : ev.participants) costs[p.txn] = p.cost;
   EXPECT_EQ(costs[fig->t2], 4u);
   EXPECT_EQ(costs[fig->t3], 6u);
   EXPECT_EQ(costs[fig->t4], 5u);
 
   ASSERT_EQ(ev.victims.size(), 1u);
   EXPECT_EQ(ev.victims[0], fig->t2);
-  EXPECT_EQ(ev.total_cost, 4u);
+  EXPECT_EQ(obs::VictimCost(ev), 4u);
 
   // T2 resumed at state 8 (just before locking b).
   EXPECT_EQ(engine.StateIndexOf(fig->t2), 8u);
@@ -109,9 +110,9 @@ TEST(Figure1Test, OrderedPolicyPreemptsCheapestYoungerMember) {
   auto fig = BuildFigure1(Fig1Options(VictimPolicyKind::kMinCostOrdered));
   ASSERT_TRUE(fig.ok());
   ASSERT_TRUE(fig->TriggerDeadlock().ok());
-  const auto& ev = fig->runner->engine().deadlock_events().at(0);
+  const obs::DeadlockDump& ev = fig->runner->deadlocks().dumps().at(0);
   EXPECT_EQ(ev.victims, std::vector<TxnId>{fig->t4});
-  EXPECT_EQ(ev.total_cost, 5u);
+  EXPECT_EQ(obs::VictimCost(ev), 5u);
   ASSERT_TRUE(fig->runner->FinishAll().ok());
   EXPECT_TRUE(fig->runner->recorder().IsConflictSerializable());
 }
@@ -157,17 +158,17 @@ TEST(Figure1Test, TotalRestartPaysFullCost) {
   ASSERT_TRUE(fig.ok());
   ASSERT_TRUE(fig->TriggerDeadlock().ok());
   auto& engine = fig->runner->engine();
-  const auto& ev = engine.deadlock_events().at(0);
+  const obs::DeadlockDump& ev = fig->runner->deadlocks().dumps().at(0);
   // All candidates cost their full progress: T2=12, T3=11, T4=15 (rolling
   // to state index 0 = position of the first lock request).
   std::map<TxnId, std::uint64_t> costs;
-  for (const auto& c : ev.candidates) costs[c.txn] = c.cost;
+  for (const auto& p : ev.participants) costs[p.txn] = p.cost;
   EXPECT_EQ(costs[fig->t2], 12u);
   EXPECT_EQ(costs[fig->t3], 11u);
   EXPECT_EQ(costs[fig->t4], 15u);
   // Ideal (partial) costs are still reported for comparison.
   std::map<TxnId, std::uint64_t> ideal;
-  for (const auto& c : ev.candidates) ideal[c.txn] = c.ideal_cost;
+  for (const auto& p : ev.participants) ideal[p.txn] = p.ideal_cost;
   EXPECT_EQ(ideal[fig->t2], 4u);
   EXPECT_EQ(ideal[fig->t3], 6u);
   EXPECT_EQ(ideal[fig->t4], 5u);
@@ -195,9 +196,8 @@ TEST(Figure3Test, FigureBOneRequestClosesTwoCycles) {
   auto fig = BuildFigure3b(Fig1Options(VictimPolicyKind::kRequester));
   ASSERT_TRUE(fig.ok()) << fig.status().ToString();
   ASSERT_TRUE(fig->TriggerDeadlock().ok());
-  auto& engine = fig->runner->engine();
-  ASSERT_EQ(engine.deadlock_events().size(), 1u);
-  const auto& ev = engine.deadlock_events()[0];
+  ASSERT_EQ(fig->runner->deadlocks().dumps().size(), 1u);
+  const obs::DeadlockDump& ev = fig->runner->deadlocks().dumps()[0];
   EXPECT_EQ(ev.requester, fig->t1);
   EXPECT_EQ(ev.num_cycles, 2u);
   // Rolling back the requester removes all cycles at once.
@@ -212,9 +212,10 @@ TEST(Figure3Test, FigureBMinCostCanPickT2) {
   auto fig = BuildFigure3b(Fig1Options(VictimPolicyKind::kMinCost));
   ASSERT_TRUE(fig.ok());
   ASSERT_TRUE(fig->TriggerDeadlock().ok());
-  const auto& ev = fig->runner->engine().deadlock_events().at(0);
+  const obs::DeadlockDump& ev = fig->runner->deadlocks().dumps().at(0);
   EXPECT_EQ(ev.num_cycles, 2u);
   EXPECT_EQ(ev.victims, std::vector<TxnId>{fig->t2});
+  EXPECT_EQ(obs::VictimCost(ev), 3u);
   ASSERT_TRUE(fig->runner->FinishAll().ok());
 }
 
@@ -225,12 +226,12 @@ TEST(Figure3Test, FigureCNeedsBothSharedHoldersIfNotRequester) {
   auto fig = BuildFigure3c(Fig1Options(VictimPolicyKind::kMinCost));
   ASSERT_TRUE(fig.ok()) << fig.status().ToString();
   ASSERT_TRUE(fig->TriggerDeadlock().ok());
-  auto& engine = fig->runner->engine();
-  const auto& ev = engine.deadlock_events().at(0);
+  const obs::DeadlockDump& ev = fig->runner->deadlocks().dumps().at(0);
   EXPECT_EQ(ev.requester, fig->t1);
   EXPECT_EQ(ev.num_cycles, 2u);
   std::vector<TxnId> expected{fig->t2, fig->t3};
   EXPECT_EQ(ev.victims, expected);
+  EXPECT_EQ(obs::VictimCost(ev), 2u);
   ASSERT_TRUE(fig->runner->FinishAll().ok());
   EXPECT_TRUE(fig->runner->recorder().IsConflictSerializable());
 }
@@ -241,7 +242,7 @@ TEST(Figure3Test, FigureCRequesterOnlyModeRollsBackT1) {
   auto fig = BuildFigure3c(opt);
   ASSERT_TRUE(fig.ok());
   ASSERT_TRUE(fig->TriggerDeadlock().ok());
-  const auto& ev = fig->runner->engine().deadlock_events().at(0);
+  const obs::DeadlockDump& ev = fig->runner->deadlocks().dumps().at(0);
   EXPECT_EQ(ev.victims, std::vector<TxnId>{fig->t1});
   ASSERT_TRUE(fig->runner->FinishAll().ok());
 }

@@ -106,7 +106,6 @@ TEST(LockManagerTest, SharedBypassInPaperModel) {
 TEST(LockManagerTest, FifoFairnessBlocksBypass) {
   LockManager::Options opt;
   opt.fifo_fairness = true;
-  opt.wait_edge_policy = WaitEdgePolicy::kHoldersAndQueue;
   LockManager lm(opt);
   ASSERT_TRUE(lm.Request(kT1, kA, LockMode::kShared).value().granted);
   ASSERT_FALSE(lm.Request(kT2, kA, LockMode::kExclusive).value().granted);

@@ -432,9 +432,8 @@ core::EngineOptions MinCostOptions() {
 TEST(ForensicsTest, Figure1DumpShowsCycleCostsAndMinCostVictim) {
   auto fig = sim::BuildFigure1(MinCostOptions());
   ASSERT_TRUE(fig.ok()) << fig.status().ToString();
-  obs::CollectingDeadlockSink sink;
-  fig->runner->engine().set_forensics(&sink);
   ASSERT_TRUE(fig->TriggerDeadlock().ok());
+  const obs::CollectingDeadlockSink& sink = fig->runner->deadlocks();
 
   ASSERT_EQ(sink.dumps().size(), 1u);
   EXPECT_EQ(sink.total_seen(), 1u);
@@ -470,9 +469,8 @@ TEST(ForensicsTest, Figure1DumpShowsCycleCostsAndMinCostVictim) {
 TEST(ForensicsTest, Figure1DotRendering) {
   auto fig = sim::BuildFigure1(MinCostOptions());
   ASSERT_TRUE(fig.ok());
-  obs::CollectingDeadlockSink sink;
-  fig->runner->engine().set_forensics(&sink);
   ASSERT_TRUE(fig->TriggerDeadlock().ok());
+  const obs::CollectingDeadlockSink& sink = fig->runner->deadlocks();
   ASSERT_EQ(sink.dumps().size(), 1u);
 
   const std::string dot = obs::DeadlockDumpToDot(sink.dumps()[0]);
@@ -506,19 +504,27 @@ TEST(EngineProbeTest, Figure1CountsLandInRegistry) {
   obs::ManualClock clock;
   obs::EngineProbe probe = obs::MakeEngineProbe(&reg, {}, &clock);
 
-  auto fig = sim::BuildFigure1(MinCostOptions());
+  obs::TxnLifeBook book;
+  book.AttachMetrics(&reg);
+  auto fig = sim::BuildFigure1(MinCostOptions(), &book);
   ASSERT_TRUE(fig.ok());
   fig->runner->engine().set_probe(&probe);
   ASSERT_TRUE(fig->TriggerDeadlock().ok());
-  core::ExportEngineMetrics(fig->runner->engine(), &reg);
+  core::EngineMetricsExporter().Export(fig->runner->engine(), &reg);
 
   RegistrySnapshot snap = reg.Snapshot();
   const MetricSnapshot* deadlocks = snap.Find("pardb_deadlocks_total");
   ASSERT_NE(deadlocks, nullptr);
   EXPECT_EQ(deadlocks->counter, 1u);
-  // The min-cost victim was the requester itself.
-  EXPECT_EQ(snap.Find("pardb_victims_requester_total")->counter, 1u);
-  EXPECT_EQ(snap.Find("pardb_victims_preempted_total")->counter, 0u);
+  // The min-cost victim was the requester itself: one self-rollback, no
+  // preempted victim.
+  auto Cause = [&snap](const char* cause) {
+    const MetricSnapshot* m =
+        snap.Find("pardb_rollback_cause_total", {{"cause", cause}});
+    return m != nullptr ? m->counter : ~std::uint64_t{0};
+  };
+  EXPECT_EQ(Cause("self_rollback"), 1u);
+  EXPECT_EQ(Cause("deadlock_victim") + Cause("omega_preemption"), 0u);
   // Rollback cost histogram carries the paper's cost-4 rollback.
   const MetricSnapshot* cost = snap.Find("pardb_rollback_cost_ops");
   ASSERT_NE(cost, nullptr);

@@ -163,7 +163,6 @@ TEST(LockFuzzTest, PaperModelInvariants) {
 TEST(LockFuzzTest, FifoModelInvariants) {
   LockManager::Options opt;
   opt.fifo_fairness = true;
-  opt.wait_edge_policy = lock::WaitEdgePolicy::kHoldersAndQueue;
   LockFuzz fuzz(opt, 202);
   fuzz.Run(4000);
 }
