@@ -271,7 +271,7 @@ Status Coordinator::ResolveComponent(
     PhaseTimer timer(options_.resolve_ns);
     for (const ShardPlan& sp : chosen->plans) {
       auto st = engines_[sp.shard]->ApplyExternalRollback(
-          sp.txn, sp.plan.actual_target, sp.plan.cost, sp.plan.ideal_cost);
+          sp.txn, sp.plan.actual_target, sp.plan.ideal_target);
       if (!st.ok()) return st;
       st = engines_[sp.shard]->SetBackoff(sp.txn, true);
       if (!st.ok()) return st;

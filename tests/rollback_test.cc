@@ -80,7 +80,7 @@ class Solo {
   }
 
   Status RollbackTo(LockIndex target) {
-    return engine_->ApplyExternalRollback(txn_, target, 0, 0);
+    return engine_->ApplyExternalRollback(txn_, target, target);
   }
 
   std::size_t pc() const { return engine_->StateIndexOf(txn_); }
