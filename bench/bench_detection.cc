@@ -48,7 +48,8 @@ void PrintDetectionModeComparison() {
       return;
     }
     t.AddRow(label, rep->aggregate.deadlocks, rep->aggregate.periodic_scans,
-             rep->aggregate.timeouts, rep->aggregate.wasted_ops,
+             rep->aggregate.RollbacksOf(pardb::obs::RollbackCause::kTimeout),
+             rep->aggregate.wasted_ops,
              rep->aggregate.ops_executed, rep->goodput);
   };
   {

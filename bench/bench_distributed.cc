@@ -100,7 +100,8 @@ void PrintReproduction() {
       }
       t.AddRow(std::string(core::DeadlockHandlingName(row.handling)),
                std::string(rollback::StrategyKindName(row.strategy)),
-               rep->aggregate.wounds + rep->aggregate.deaths,
+               rep->aggregate.RollbacksOf(obs::RollbackCause::kWoundWait) +
+                   rep->aggregate.RollbacksOf(obs::RollbackCause::kWaitDie),
                rep->aggregate.rollbacks, rep->aggregate.wasted_ops,
                rep->wasted_fraction, rep->goodput);
     }

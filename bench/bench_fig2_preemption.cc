@@ -77,7 +77,7 @@ void PrintReproduction() {
       continue;
     }
     r.AddRow(std::string(core::VictimPolicyKindName(policy)),
-             rep->aggregate.deadlocks, rep->aggregate.preemptions,
+             rep->aggregate.deadlocks, rep->aggregate.Preemptions(),
              rep->max_preemptions_single_txn, rep->aggregate.wasted_ops,
              rep->completed
                  ? "yes"

@@ -123,7 +123,7 @@ void PrintReproduction() {
     auto rep = par::RunSharded(opt);
     if (!rep.ok()) continue;
     p.AddRow(std::string(core::VictimPolicyKindName(policy)),
-             rep->aggregate.deadlocks, rep->aggregate.preemptions,
+             rep->aggregate.deadlocks, rep->aggregate.Preemptions(),
              rep->aggregate.wasted_ops, rep->wasted_fraction,
              rep->completed ? "yes" : "NO (livelock)");
   }

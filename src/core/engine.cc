@@ -653,6 +653,7 @@ Result<bool> Engine::DetectAndResolve(TxnContext& requester,
           ChooseVictim(VictimPolicyKind::kMinCost, candidates,
                        requester.entry)
               .txn != pick.txn;
+      if (omega_intervened) ++metrics_.omega_interventions;
     }
     std::size_t chosen = static_cast<std::size_t>(&pick - candidates.data());
     if (options_.debug_flip_victim_deadlock != 0 && k > 1 &&
@@ -962,26 +963,11 @@ Status Engine::RollbackTxn(TxnContext& victim, const RollbackDecision& d) {
   const std::uint64_t ideal_cost = OpsLost(victim, d.ideal_target);
   metrics_.wasted_ops += cost;
   metrics_.ideal_wasted_ops += ideal_cost;
-  switch (d.cause) {
-    case obs::RollbackCause::kDeadlockVictim:
-    case obs::RollbackCause::kOmegaPreemption:
-    case obs::RollbackCause::kTwoPCAbort:
-      ++metrics_.preemptions;
-      ++ColdOf(victim).preempted;
-      break;
-    case obs::RollbackCause::kWoundWait:
-      ++metrics_.wounds;
-      ++metrics_.preemptions;
-      ++ColdOf(victim).preempted;
-      break;
-    case obs::RollbackCause::kSelfRollback:
-      break;
-    case obs::RollbackCause::kWaitDie:
-      ++metrics_.deaths;
-      break;
-    case obs::RollbackCause::kTimeout:
-      ++metrics_.timeouts;
-      break;
+  const auto c = static_cast<std::size_t>(d.cause);
+  ++metrics_.rollbacks_by_cause[c];
+  metrics_.wasted_by_cause[c] += cost;
+  if (obs::IsPreemption(d.cause)) {
+    max_preempted_ = std::max(max_preempted_, ++ColdOf(victim).preempted);
   }
   if (d.candidates != 0) {
     Emit({.kind = obs::EventKind::kVictim,
@@ -1306,14 +1292,6 @@ std::uint64_t Engine::PreemptionCountOf(TxnId txn) const {
   return ctx == nullptr ? 0 : ColdOf(*ctx).preempted;
 }
 
-std::uint64_t Engine::MaxPreemptionCount() const {
-  std::uint64_t max = 0;
-  for (const TxnContext& ctx : txns_) {
-    max = std::max<std::uint64_t>(max, ColdOf(ctx).preempted);
-  }
-  return max;
-}
-
 obs::WaitsForSnapshot Engine::SnapshotWaitsFor() const {
   obs::WaitsForSnapshot snap;
   snap.step = metrics_.steps;
@@ -1361,6 +1339,29 @@ obs::WaitsForSnapshot Engine::SnapshotWaitsFor() const {
   return snap;
 }
 
+namespace {
+
+// Rollbacks summed over the causes `family` selects.
+std::uint64_t RollbacksWhere(
+    const std::array<std::uint64_t, obs::kNumRollbackCauses>& by_cause,
+    bool (*family)(obs::RollbackCause)) {
+  std::uint64_t n = 0;
+  for (std::size_t c = 0; c < obs::kNumRollbackCauses; ++c) {
+    if (family(static_cast<obs::RollbackCause>(c))) n += by_cause[c];
+  }
+  return n;
+}
+
+}  // namespace
+
+std::uint64_t EngineMetrics::Preemptions() const {
+  return RollbacksWhere(rollbacks_by_cause, obs::IsPreemption);
+}
+
+std::uint64_t EngineMetrics::LineageEvents() const {
+  return RollbacksWhere(rollbacks_by_cause, obs::ExtendsLineage);
+}
+
 CostDistribution ComputeCostDistribution(std::vector<std::uint32_t> costs) {
   CostDistribution d;
   if (costs.empty()) return d;
@@ -1389,14 +1390,13 @@ CostDistribution Engine::RollbackCostDistribution() const {
 
 std::string Engine::DumpState() const {
   std::ostringstream os;
-  os << "engine state (" << txns_.size() << " txns):\n";
-  for (const TxnContext& ctx : txns_) {
+  os << "engine state (" << live_count_ << " live of " << txns_.size()
+     << " txns):\n";
+  for (std::uint64_t v = live_head_; v != kNoneIdx; v = live_next_[v]) {
+    const TxnContext& ctx = txns_[v];
     os << "  " << ctx.id << " pc=" << ctx.pc << "/" << ctx.size
        << " locks=" << ctx.granted.size() << " status="
-       << (ctx.status == TxnStatus::kReady
-               ? "ready"
-               : ctx.status == TxnStatus::kWaiting ? "waiting" : "committed")
-       << "\n";
+       << (ctx.status == TxnStatus::kReady ? "ready" : "waiting") << "\n";
   }
   os << "lock table:\n" << locks_.ToString();
   os << "waits-for:\n" << waits_for_.ToDot();

@@ -1,6 +1,7 @@
 #ifndef PARDB_CORE_ENGINE_H_
 #define PARDB_CORE_ENGINE_H_
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -143,12 +144,15 @@ struct EngineMetrics {
   std::uint64_t rollbacks = 0;          // victims rolled back
   std::uint64_t partial_rollbacks = 0;  // target lock state > 0
   std::uint64_t total_rollbacks = 0;    // target lock state == 0
-  std::uint64_t preemptions = 0;        // victim != requester
-  std::uint64_t wounds = 0;             // wound-wait preemptions
-  std::uint64_t deaths = 0;             // wait-die self-rollbacks
-  std::uint64_t timeouts = 0;           // kTimeout wait expirations
   std::uint64_t wasted_ops = 0;         // sum of actual rollback costs
   std::uint64_t ideal_wasted_ops = 0;   // sum of ideal rollback costs
+  // The rollback ledger, indexed by obs::RollbackCause: each rollback and
+  // the ops it discarded, counted once, when RollbackTxn applies it.
+  std::array<std::uint64_t, obs::kNumRollbackCauses> rollbacks_by_cause{};
+  std::array<std::uint64_t, obs::kNumRollbackCauses> wasted_by_cause{};
+  // Single-cycle victim picks the ω-ordered policy moved off plain
+  // min-cost (Theorem 2 actively intervening).
+  std::uint64_t omega_interventions = 0;
   std::uint64_t cycles_found = 0;
   std::uint64_t periodic_scans = 0;  // kPeriodic graph sweeps performed
   // Compile-cache telemetry (deterministic: a pure function of the admitted
@@ -160,6 +164,14 @@ struct EngineMetrics {
   // Space accounting sampled at every rollback and commit.
   std::size_t max_entity_copies = 0;  // max per-transaction peak
   std::size_t max_var_copies = 0;
+
+  std::uint64_t RollbacksOf(obs::RollbackCause cause) const {
+    return rollbacks_by_cause[static_cast<std::size_t>(cause)];
+  }
+  // Rollbacks of a victim other than the requester (obs::IsPreemption).
+  std::uint64_t Preemptions() const;
+  // Rollbacks that extend a preemption lineage (obs::ExtendsLineage).
+  std::uint64_t LineageEvents() const;
 
   friend bool operator==(const EngineMetrics&,
                          const EngineMetrics&) = default;
@@ -362,9 +374,9 @@ class Engine {
   // (DESIGN D22).
 
   // Installs a rollback-lineage tracker (nullptr to detach): it chains the
-  // preemption rollbacks (detection victims, self-rollbacks and wounds),
-  // counts ω-interventions and retires a transaction at commit. Not owned;
-  // must outlive the engine or be detached first.
+  // preemption rollbacks (detection victims, self-rollbacks and wounds)
+  // and retires a transaction at commit. Not owned; must outlive the
+  // engine or be detached first.
   void set_lineage(obs::LineageTracker* lineage) { lineage_ = lineage; }
 
   // Installs a transaction-lifecycle book (nullptr to detach): stamped at
@@ -422,8 +434,10 @@ class Engine {
   std::uint64_t PreemptionCountOf(TxnId txn) const;
   // The largest PreemptionCountOf over every transaction ever spawned:
   // Figure 2's repeated-preemption tail.
-  std::uint64_t MaxPreemptionCount() const;
+  std::uint64_t MaxPreemptionCount() const { return max_preempted_; }
 
+  // The live transactions, the lock table and the waits-for graph, for
+  // stall diagnostics.
   std::string DumpState() const;
 
  private:
@@ -555,8 +569,8 @@ class Engine {
   // The one rollback path. Validates the target (nothing changes when it
   // is not restorable), prices it from the victim's pc and granted locks
   // as they are now — the §3.1 cost is exactly the ops the rewind
-  // discards — and charges that wasted and ideal cost and the cause's
-  // counters, emits the victim and rollback events, then rolls `victim`
+  // discards — and charges that wasted and ideal cost to the cause's
+  // ledger, emits the victim and rollback events, then rolls `victim`
   // back: releases/downgrades undone locks, cancels its wait, rewinds the
   // recorder and resets the program counter; the value slots need no
   // restore (DESIGN D20).
@@ -618,6 +632,8 @@ class Engine {
   std::size_t live_count_ = 0;
   // Most transactions ever live at once: the compile cache's idle window.
   std::size_t peak_live_ = 0;
+  // Most preemptions of one transaction (MaxPreemptionCount).
+  std::uint64_t max_preempted_ = 0;
 
   void LiveInsert(std::uint64_t v);
   void LiveRemove(std::uint64_t v);

@@ -1,5 +1,7 @@
 #include "core/metrics_export.h"
 
+#include <string>
+
 #include "obs/metric_names.h"
 
 namespace pardb::core {
@@ -20,26 +22,46 @@ void EngineMetricsExporter::Export(const Engine& engine,
   Add(obs::kPartialRollbacksTotal, m.partial_rollbacks,
       last_.partial_rollbacks);
   Add(obs::kTotalRollbacksTotal, m.total_rollbacks, last_.total_rollbacks);
-  Add(obs::kPreemptionsTotal, m.preemptions, last_.preemptions);
-  Add(obs::kWoundsTotal, m.wounds, last_.wounds);
-  Add(obs::kDeathsTotal, m.deaths, last_.deaths);
-  Add(obs::kTimeoutsTotal, m.timeouts, last_.timeouts);
+  Add(obs::kPreemptionsTotal, m.Preemptions(), last_.Preemptions());
   Add(obs::kWastedOpsTotal, m.wasted_ops, last_.wasted_ops);
   Add(obs::kIdealWastedOpsTotal, m.ideal_wasted_ops, last_.ideal_wasted_ops);
   Add(obs::kCyclesFoundTotal, m.cycles_found, last_.cycles_found);
   Add(obs::kPeriodicScansTotal, m.periodic_scans, last_.periodic_scans);
-  // Compile-cache series are created unconditionally (not through the
-  // cur > prev guard): a zero-hit run must still expose the series so
-  // consumers can distinguish "no hits" from "not instrumented".
+  // The compile-cache and rollback-ledger series are created
+  // unconditionally (not through the cur > prev guard): a zero-hit or
+  // rollback-free run must still expose every series (each cause at 0) so
+  // consumers can distinguish "none" from "not instrumented".
   auto AddAlways = [&](const char* name, std::uint64_t cur,
-                       std::uint64_t prev) {
-    registry->GetCounter(name, labels)->Inc(cur - prev);
+                       std::uint64_t prev,
+                       const obs::LabelSet& series_labels) {
+    registry->GetCounter(name, series_labels)->Inc(cur - prev);
   };
   AddAlways(obs::kProgramCompileTotal, m.programs_compiled,
-            last_.programs_compiled);
+            last_.programs_compiled, labels);
   AddAlways(obs::kProgramCacheHitsTotal, m.compile_cache_hits,
-            last_.compile_cache_hits);
-  AddAlways(obs::kCompiledBytesTotal, m.compiled_bytes, last_.compiled_bytes);
+            last_.compile_cache_hits, labels);
+  AddAlways(obs::kCompiledBytesTotal, m.compiled_bytes, last_.compiled_bytes,
+            labels);
+  for (std::size_t c = 0; c < obs::kNumRollbackCauses; ++c) {
+    const auto cause = static_cast<obs::RollbackCause>(c);
+    obs::LabelSet with_cause = labels;
+    with_cause.emplace_back(obs::kCauseLabel,
+                            std::string(obs::RollbackCauseName(cause)));
+    AddAlways(obs::kRollbackCauseTotal, m.rollbacks_by_cause[c],
+              last_.rollbacks_by_cause[c], with_cause);
+    AddAlways(obs::kWastedStepsTotal, m.wasted_by_cause[c],
+              last_.wasted_by_cause[c], with_cause);
+  }
+  AddAlways(obs::kOmegaInterventionsTotal, m.omega_interventions,
+            last_.omega_interventions, labels);
+  AddAlways(obs::kLineageEventsTotal, m.LineageEvents(),
+            last_.LineageEvents(), labels);
+  // Share of executed work that was later discarded, in parts per million:
+  // wasted ops over the ops executed (commits excluded).
+  const std::uint64_t worked = m.ops_executed - m.commits;
+  registry->GetGauge(obs::kReworkRatioPpm, labels)
+      ->Set(static_cast<std::int64_t>(
+          worked == 0 ? 0 : m.wasted_ops * 1'000'000 / worked));
 
   registry->GetGauge(obs::kMaxEntityCopies, labels)
       ->SetMax(static_cast<std::int64_t>(m.max_entity_copies));

@@ -7,8 +7,9 @@
 namespace pardb::core {
 
 // Mirrors an engine's aggregates into `registry` under the canonical
-// pardb_* names: counters for EngineMetrics, gauges for space high-water
-// marks and live transactions, and the per-rollback cost sample as the
+// pardb_* names: counters for EngineMetrics (the rollback ledger as one
+// series per cause), gauges for space high-water marks, live transactions
+// and the rework ratio, and the per-rollback cost sample as the
 // step-valued histogram pardb_rollback_cost_ops. Repeatable, for live
 // scraping: it remembers what it already exported and advances each
 // counter by the delta since the previous Export, so a shard can publish

@@ -36,6 +36,26 @@ enum class RollbackCause : std::uint8_t {
 
 inline constexpr std::size_t kNumRollbackCauses = 7;
 
+// A rollback whose victim is not the transaction whose request caused it:
+// detection and ω victims, wounds and distributed aborts (Figure 2's
+// preemption count).
+constexpr bool IsPreemption(RollbackCause cause) {
+  return cause == RollbackCause::kDeadlockVictim ||
+         cause == RollbackCause::kOmegaPreemption ||
+         cause == RollbackCause::kWoundWait ||
+         cause == RollbackCause::kTwoPCAbort;
+}
+
+// A rollback that extends the victim's preemption lineage (lineage.h): the
+// local preemptions plus requester self-rollbacks, whose aggressor is the
+// holder the requester waited on.
+constexpr bool ExtendsLineage(RollbackCause cause) {
+  return cause == RollbackCause::kDeadlockVictim ||
+         cause == RollbackCause::kOmegaPreemption ||
+         cause == RollbackCause::kSelfRollback ||
+         cause == RollbackCause::kWoundWait;
+}
+
 // Canonical label value for {cause="..."} metric instances and JSON.
 std::string_view RollbackCauseName(RollbackCause cause);
 

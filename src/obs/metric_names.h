@@ -19,13 +19,26 @@ inline constexpr char kRollbacksTotal[] = "pardb_rollbacks_total";
 inline constexpr char kPartialRollbacksTotal[] = "pardb_partial_rollbacks_total";
 inline constexpr char kTotalRollbacksTotal[] = "pardb_total_rollbacks_total";
 inline constexpr char kPreemptionsTotal[] = "pardb_preemptions_total";
-inline constexpr char kWoundsTotal[] = "pardb_wounds_total";
-inline constexpr char kDeathsTotal[] = "pardb_deaths_total";
-inline constexpr char kTimeoutsTotal[] = "pardb_timeouts_total";
 inline constexpr char kWastedOpsTotal[] = "pardb_wasted_ops_total";
 inline constexpr char kIdealWastedOpsTotal[] = "pardb_ideal_wasted_ops_total";
 inline constexpr char kCyclesFoundTotal[] = "pardb_cycles_found_total";
 inline constexpr char kPeriodicScansTotal[] = "pardb_periodic_scans_total";
+// The engine's rollback ledger (DESIGN D13), every cause series exported
+// even at 0. Ops executed and then rolled back, attributed to the decision
+// that caused the loss (labeled {cause="deadlock_victim"|...}); their sum
+// over causes is pardb_wasted_ops_total.
+inline constexpr char kWastedStepsTotal[] = "pardb_wasted_steps_total";
+// Rollbacks per cause (same label set; sums to pardb_rollbacks_total).
+inline constexpr char kRollbackCauseTotal[] = "pardb_rollback_cause_total";
+// wasted / executed ops (commits excluded), parts-per-million (gauge; the
+// paper's "loss of progress" as a live ratio).
+inline constexpr char kReworkRatioPpm[] = "pardb_rework_ratio_ppm";
+// Times the Theorem 2 ω-ordered policy overrode the unconstrained min-cost
+// victim choice (the cure for Figure 2's infinite mutual preemption).
+inline constexpr char kOmegaInterventionsTotal[] =
+    "pardb_omega_interventions_total";
+// Rollbacks that extend a preemption lineage chain (obs::ExtendsLineage).
+inline constexpr char kLineageEventsTotal[] = "pardb_lineage_events_total";
 // Compiled-program admission (DESIGN D16): programs lowered to µop
 // streams, admissions served from the compile cache, and µop bytes lowered
 // (monotone; a program evicted and re-admitted is lowered and counted
@@ -99,12 +112,6 @@ inline constexpr char kOverlapFraction[] = "pardb_overlap_fraction";
 // Preemption lineage (obs::LineageTracker).
 // High-water mark of any live transaction's preemption chain depth.
 inline constexpr char kPreemptionChainLen[] = "pardb_preemption_chain_len";
-// Times the Theorem 2 ω-ordered policy overrode the unconstrained min-cost
-// victim choice (the cure for Figure 2's infinite mutual preemption).
-inline constexpr char kOmegaInterventionsTotal[] =
-    "pardb_omega_interventions_total";
-// Preemption events recorded into lineage chains.
-inline constexpr char kLineageEventsTotal[] = "pardb_lineage_events_total";
 
 // Cross-shard coordination (multi-shard par::RunSharded; see DESIGN D12).
 inline constexpr char kXShardGlobalTxnsTotal[] = "pardb_xshard_global_txns_total";
@@ -138,14 +145,6 @@ inline constexpr char kCertifierInvariantViolationsTotal[] =
     "pardb_certifier_invariant_violations_total";
 
 // Transaction lifecycle timelines (obs::TxnLifeBook; see DESIGN D13).
-// Steps executed and then rolled back, attributed to the decision that
-// caused the loss (labeled {cause="deadlock_victim"|...}).
-inline constexpr char kWastedStepsTotal[] = "pardb_wasted_steps_total";
-// Rollback events per cause (same label set as the wasted-steps counter).
-inline constexpr char kRollbackCauseTotal[] = "pardb_rollback_cause_total";
-// wasted / executed steps, parts-per-million (gauge; the paper's "loss of
-// progress" as a live ratio).
-inline constexpr char kReworkRatioPpm[] = "pardb_rework_ratio_ppm";
 // End-to-end latency components, recorded once per commit. Step-valued
 // histograms except queue wait, which is wall nanoseconds sampled on the
 // admission queue (wall data never enters the deterministic report).

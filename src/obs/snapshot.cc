@@ -1,7 +1,6 @@
 #include "obs/snapshot.h"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 
 namespace pardb::obs {
@@ -20,64 +19,6 @@ void AppendLockRef(std::ostringstream& os, const LockGrantRef& l) {
 }
 
 }  // namespace
-
-std::string WaitsForGraphToDot(const std::string& graph_name,
-                               std::vector<WaitsForDotNode> nodes,
-                               std::vector<WaitsForArc> arcs) {
-  std::sort(nodes.begin(), nodes.end(),
-            [](const WaitsForDotNode& a, const WaitsForDotNode& b) {
-              return a.txn < b.txn;
-            });
-  std::sort(arcs.begin(), arcs.end(), ArcLess);
-  std::ostringstream os;
-  os << "digraph " << graph_name << " {\n";
-  os << "  rankdir=LR;\n";
-  for (const WaitsForDotNode& n : nodes) {
-    os << "  T" << n.txn.value() << " [label=\"T" << n.txn.value()
-       << "\\n\xCF\x89=" << n.entry << "\"];\n";
-  }
-  for (const WaitsForArc& a : arcs) {
-    os << "  T" << a.waiter.value() << " -> T" << a.holder.value()
-       << " [label=\"E" << a.entity.value() << "\"];\n";
-  }
-  os << "}\n";
-  return os.str();
-}
-
-std::string DeadlockDumpToCycleDot(const DeadlockDump& dump) {
-  std::vector<WaitsForDotNode> nodes;
-  for (const DeadlockParticipant& p : dump.participants) {
-    nodes.push_back(WaitsForDotNode{p.txn, p.entry});
-  }
-  return WaitsForGraphToDot("waits_for_cycle", std::move(nodes), dump.arcs);
-}
-
-std::string SnapshotCycleDot(const WaitsForSnapshot& snapshot) {
-  std::vector<WaitsForDotNode> nodes;
-  for (const TxnSnapshot& t : snapshot.txns) {
-    nodes.push_back(WaitsForDotNode{t.txn, t.entry});
-  }
-  return WaitsForGraphToDot("waits_for_cycle", std::move(nodes),
-                            snapshot.arcs);
-}
-
-WaitsForSnapshot WaitsForSnapshot::Restricted(
-    const std::vector<TxnId>& members) const {
-  const std::set<TxnId> keep(members.begin(), members.end());
-  WaitsForSnapshot out;
-  out.shard = shard;
-  out.step = step;
-  out.commits = commits;
-  out.acyclic = acyclic;
-  out.forest = forest;
-  for (const TxnSnapshot& t : txns) {
-    if (keep.count(t.txn)) out.txns.push_back(t);
-  }
-  for (const WaitsForArc& a : arcs) {
-    if (keep.count(a.waiter) && keep.count(a.holder)) out.arcs.push_back(a);
-  }
-  return out;
-}
 
 std::string WaitsForSnapshot::ToDot() const {
   std::ostringstream os;

@@ -55,10 +55,6 @@ struct WaitsForSnapshot {
   bool acyclic = true;
   bool forest = true;
 
-  // Sub-snapshot restricted to `members` and the arcs among them (used to
-  // compare the live view of a deadlock cycle against its forensic dump).
-  WaitsForSnapshot Restricted(const std::vector<TxnId>& members) const;
-
   // Graphviz DOT of this shard's graph: nodes annotated with ω-order,
   // state/lock indices and lineage; arcs labeled with the contended entity.
   std::string ToDot() const;
@@ -66,32 +62,6 @@ struct WaitsForSnapshot {
   // Object fragment used by WaitsForSnapshotsToJson; also valid standalone.
   std::string ToJson(int indent = 0) const;
 };
-
-// The canonical rendering of a waits-for graph as DOT. Both the live
-// snapshot path and the post-mortem forensics path (DeadlockDumpToCycleDot)
-// funnel through this, so a live `/debug/waits-for` capture of a deadlock
-// instant byte-matches the forensic record of the same instant.
-//
-// `graph_name` is the DOT identifier; each node is "T<id>" labeled with its
-// ω position; arcs are labeled with the entity. Nodes and arcs are emitted
-// in sorted order for deterministic output.
-struct WaitsForDotNode {
-  TxnId txn;
-  Timestamp entry = 0;
-};
-std::string WaitsForGraphToDot(const std::string& graph_name,
-                               std::vector<WaitsForDotNode> nodes,
-                               std::vector<WaitsForArc> arcs);
-
-// Renders the *graph portion* of a forensic dump (cycle members + cycle
-// arcs, ω annotations only) through WaitsForGraphToDot. A live snapshot of
-// the same instant restricted to the cycle members renders byte-identically
-// via WaitsForSnapshot::Restricted().CycleDot().
-std::string DeadlockDumpToCycleDot(const DeadlockDump& dump);
-
-// The snapshot-side counterpart of DeadlockDumpToCycleDot: same renderer,
-// same graph name, nodes from the snapshot's transactions.
-std::string SnapshotCycleDot(const WaitsForSnapshot& snapshot);
 
 // Multi-shard aggregation: the /debug/waits-for document.
 // {"phase":...,"shards":[{...}, ...]} — `phase` is the run phase string the

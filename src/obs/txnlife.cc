@@ -135,7 +135,6 @@ void TxnLifeBook::OnStep(TxnId txn, std::uint64_t step) {
   if (!Known(txn)) return;
   const std::uint64_t id = txn.value();
   ++cols_.exec_steps[id];
-  ++steps_executed_;
   if (cols_.first_step[id] == kUnset) {
     cols_.first_step[id] = step;
     TxnLifeEvent e;
@@ -186,13 +185,6 @@ void TxnLifeBook::Rollback(const EngineEvent& event) {
     cols_.lock_wait_steps[id] += step - cols_.block_since[id];
     cols_.block_since[id] = kUnset;
   }
-  const auto c = static_cast<std::size_t>(event.cause);
-  wasted_steps_ += cost;
-  wasted_by_cause_[c] += cost;
-  ++rollbacks_by_cause_[c];
-  if (wasted_counters_[c] != nullptr) wasted_counters_[c]->Inc(cost);
-  if (cause_counters_[c] != nullptr) cause_counters_[c]->Inc();
-  UpdateReworkGauge();
   TxnLifeEvent e;
   e.kind = TxnLifeEvent::Kind::kRollback;
   e.cause = event.cause;
@@ -211,7 +203,6 @@ void TxnLifeBook::Commit(TxnId txn, std::uint64_t step, StateIndex pc) {
   cols_.commit_ns[id] = clock_->NowNanos();
   cols_.block_since[id] = kUnset;
   ++committed_;
-  UpdateReworkGauge();
   if (e2e_steps_hist_ != nullptr) {
     e2e_steps_hist_->Record(step - cols_.admit_step[id]);
   }
@@ -234,32 +225,8 @@ void TxnLifeBook::RecordQueueWait(TxnId txn, std::uint64_t wait_ns) {
   if (queue_wait_hist_ != nullptr) queue_wait_hist_->Record(wait_ns);
 }
 
-void TxnLifeBook::UpdateReworkGauge() {
-  if (rework_ppm_ == nullptr) return;
-  const std::uint64_t ppm =
-      steps_executed_ == 0 ? 0 : wasted_steps_ * 1'000'000 / steps_executed_;
-  rework_ppm_->Set(static_cast<std::int64_t>(ppm));
-}
-
 void TxnLifeBook::AttachMetrics(MetricsRegistry* registry,
                                 const LabelSet& labels) {
-  for (std::size_t c = 0; c < kNumRollbackCauses; ++c) {
-    LabelSet with_cause = labels;
-    with_cause.emplace_back(
-        kCauseLabel,
-        std::string(RollbackCauseName(static_cast<RollbackCause>(c))));
-    wasted_counters_[c] = registry->GetCounter(kWastedStepsTotal, with_cause);
-    cause_counters_[c] =
-        registry->GetCounter(kRollbackCauseTotal, with_cause);
-    if (wasted_counters_[c] != nullptr && wasted_by_cause_[c] > 0) {
-      wasted_counters_[c]->Inc(wasted_by_cause_[c]);
-    }
-    if (cause_counters_[c] != nullptr && rollbacks_by_cause_[c] > 0) {
-      cause_counters_[c]->Inc(rollbacks_by_cause_[c]);
-    }
-  }
-  rework_ppm_ = registry->GetGauge(kReworkRatioPpm, labels);
-  UpdateReworkGauge();
   dropped_counter_ = registry->GetCounter(kTxnlifeDroppedTotal, labels);
   if (dropped_counter_ != nullptr && dropped_events_ > 0) {
     dropped_counter_->Inc(dropped_events_);
@@ -314,12 +281,7 @@ TxnLifeDigest TxnLifeBook::Digest(std::uint32_t shard, std::size_t top_k,
   d.shard = shard;
   d.txns = admitted_;
   d.committed = committed_;
-  d.steps_executed = steps_executed_;
-  d.wasted_steps = wasted_steps_;
-  d.total_events = total_events_;
   d.dropped_events = dropped_events_;
-  d.wasted_by_cause = wasted_by_cause_;
-  d.rollbacks_by_cause = rollbacks_by_cause_;
 
   const std::uint64_t rows = cols_.admit_step.size();
   // Top-k committed by end-to-end steps.

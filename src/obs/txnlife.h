@@ -1,7 +1,6 @@
 #ifndef PARDB_OBS_TXNLIFE_H_
 #define PARDB_OBS_TXNLIFE_H_
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -21,11 +20,11 @@ namespace pardb::obs {
 // first step, each block/wake, each rollback (tagged with the decision that
 // caused the loss and the causing transaction/cycle) and commit — in
 // virtual step time always, in wall time on a sampled subset of events.
-// The records power the wasted-work ledger (pardb_wasted_steps_total by
-// cause — the first direct measurement of the paper's partial-vs-total
-// claim), the end-to-end latency histograms (queue wait / lock wait /
-// execution / rollback-redo components, p50/p99/p999), and the live
-// /debug/txn and /debug/slowest endpoints.
+// The records power the end-to-end latency histograms (queue wait / lock
+// wait / execution / rollback-redo components, p50/p99/p999) and the live
+// /debug/txn and /debug/slowest endpoints. The run's per-cause rollback
+// ledger is the engine's (EngineMetrics); the book keeps only what each
+// transaction went through.
 //
 // The book renders the engine's event stream (DESIGN D22) plus one
 // per-op OnStep. Timeline data NEVER enters the deterministic
@@ -81,7 +80,7 @@ struct TxnTimelineRecord {
   std::vector<TxnLifeEvent> events;
 };
 
-// What a shard publishes to the LiveHub at snapshot cadence: the ledger
+// What a shard publishes to the LiveHub at snapshot cadence: the book's
 // totals plus a bounded set of full records (top-k slowest committed and
 // the most recently admitted), with per-record events recovered from the
 // ring in one pass.
@@ -89,12 +88,10 @@ struct TxnLifeDigest {
   std::uint32_t shard = 0;
   std::uint64_t txns = 0;       // records in the book
   std::uint64_t committed = 0;  // of which committed
-  std::uint64_t steps_executed = 0;
+  // The shard engine's wasted ops (EngineMetrics::wasted_ops), filled in
+  // by the publisher: the book does not count them.
   std::uint64_t wasted_steps = 0;
-  std::uint64_t total_events = 0;
   std::uint64_t dropped_events = 0;
-  std::array<std::uint64_t, kNumRollbackCauses> wasted_by_cause{};
-  std::array<std::uint64_t, kNumRollbackCauses> rollbacks_by_cause{};
   std::vector<TxnTimelineRecord> slowest;  // descending e2e_steps
   std::vector<TxnTimelineRecord> recent;   // ascending txn id
 };
@@ -126,7 +123,7 @@ class TxnLifeBook {
   // ignored.
   void OnEvent(const EngineEvent& event);
   // Called once per executed non-lock op; stamps the first step and counts
-  // work.
+  // the transaction's work.
   void OnStep(TxnId txn, std::uint64_t step);
 
   // Driver-side stamp: wall nanoseconds the program spent in the admission
@@ -134,25 +131,14 @@ class TxnLifeBook {
   // shard thread — no cross-thread engine reads).
   void RecordQueueWait(TxnId txn, std::uint64_t wait_ns);
 
-  // Registers the ledger metric set in `registry` (wasted-steps and
-  // rollback counters per cause — eagerly, so every cause series exists at
-  // 0 —, the rework-ratio gauge, the latency component histograms and the
-  // dropped-events counter). Updates happen inline at stamp time; there is
-  // no separate export step. The registry must outlive the book.
+  // Registers the book's metric set in `registry` (the latency component
+  // histograms and the dropped-events counter). Updates happen inline at
+  // stamp time; there is no separate export step. The registry must
+  // outlive the book.
   void AttachMetrics(MetricsRegistry* registry, const LabelSet& labels = {});
 
-  // Ledger introspection ---------------------------------------------------
+  // Introspection ----------------------------------------------------------
 
-  const std::array<std::uint64_t, kNumRollbackCauses>& wasted_by_cause()
-      const {
-    return wasted_by_cause_;
-  }
-  const std::array<std::uint64_t, kNumRollbackCauses>& rollbacks_by_cause()
-      const {
-    return rollbacks_by_cause_;
-  }
-  std::uint64_t wasted_steps() const { return wasted_steps_; }
-  std::uint64_t steps_executed() const { return steps_executed_; }
   std::uint64_t txns() const { return admitted_; }
   std::uint64_t committed() const { return committed_; }
   std::uint64_t total_events() const { return total_events_; }
@@ -196,7 +182,6 @@ class TxnLifeBook {
   void EnsureRow(std::uint64_t id);
   void PushEvent(TxnLifeEvent event, bool always_wall);
   std::uint64_t SampledWall(bool always) const;
-  void UpdateReworkGauge();
   TxnTimelineRecord SummaryOf(std::uint64_t id, std::uint32_t shard) const;
 
   Options options_;
@@ -209,18 +194,10 @@ class TxnLifeBook {
   std::uint64_t total_events_ = 0;
   std::uint64_t dropped_events_ = 0;
 
-  // Ledger.
   std::uint64_t admitted_ = 0;
   std::uint64_t committed_ = 0;
-  std::uint64_t steps_executed_ = 0;
-  std::uint64_t wasted_steps_ = 0;
-  std::array<std::uint64_t, kNumRollbackCauses> wasted_by_cause_{};
-  std::array<std::uint64_t, kNumRollbackCauses> rollbacks_by_cause_{};
 
   // Attached registry objects (all may be null).
-  std::array<Counter*, kNumRollbackCauses> wasted_counters_{};
-  std::array<Counter*, kNumRollbackCauses> cause_counters_{};
-  Gauge* rework_ppm_ = nullptr;
   Counter* dropped_counter_ = nullptr;
   Histogram* e2e_steps_hist_ = nullptr;
   Histogram* lock_wait_hist_ = nullptr;
@@ -241,7 +218,7 @@ std::string SlowestTxnsJson(const std::vector<TxnLifeDigest>& digests,
                             std::size_t k);
 
 // /debug/txn?id= : every published record whose local txn id equals `id`
-// (one per shard at most), plus the ledger context of each owning shard.
+// (one per shard at most), plus the totals of each owning shard.
 std::string TxnByIdJson(const std::vector<TxnLifeDigest>& digests,
                         std::uint64_t id);
 

@@ -19,8 +19,10 @@ void AppendMetrics(std::ostringstream& os, const core::EngineMetrics& m) {
      << ",\"deadlocks\":" << m.deadlocks << ",\"rollbacks\":" << m.rollbacks
      << ",\"partial_rollbacks\":" << m.partial_rollbacks
      << ",\"total_rollbacks\":" << m.total_rollbacks
-     << ",\"preemptions\":" << m.preemptions << ",\"wounds\":" << m.wounds
-     << ",\"deaths\":" << m.deaths << ",\"timeouts\":" << m.timeouts
+     << ",\"preemptions\":" << m.Preemptions()
+     << ",\"wounds\":" << m.RollbacksOf(obs::RollbackCause::kWoundWait)
+     << ",\"deaths\":" << m.RollbacksOf(obs::RollbackCause::kWaitDie)
+     << ",\"timeouts\":" << m.RollbacksOf(obs::RollbackCause::kTimeout)
      << ",\"wasted_ops\":" << m.wasted_ops
      << ",\"ideal_wasted_ops\":" << m.ideal_wasted_ops
      << ",\"cycles_found\":" << m.cycles_found << "}";

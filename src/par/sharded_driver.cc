@@ -28,6 +28,13 @@ namespace {
 // report's identity.
 constexpr std::uint64_t kEpochSteps = 256;
 
+// Consecutive multi-shard epochs in which no shard commits anything before
+// the run fails as stalled. A wedged run steps nothing; a livelocked one
+// keeps stepping and rolling back without a commit (about 35k such epochs
+// per second on one core). Healthy runs go at most a few epochs without a
+// commit (EXPERIMENTS E27).
+constexpr std::uint64_t kMaxCommitFreeEpochs = 65536;
+
 // splitmix64 finalizer: decorrelates the per-shard engine/workload streams
 // from the top-level seed and from each other.
 std::uint64_t Mix(std::uint64_t x) {
@@ -49,27 +56,19 @@ core::EngineMetrics SumMetrics(const std::vector<ShardResult>& shards) {
     m.rollbacks += a.rollbacks;
     m.partial_rollbacks += a.partial_rollbacks;
     m.total_rollbacks += a.total_rollbacks;
-    m.preemptions += a.preemptions;
-    m.wounds += a.wounds;
-    m.deaths += a.deaths;
-    m.timeouts += a.timeouts;
     m.wasted_ops += a.wasted_ops;
     m.ideal_wasted_ops += a.ideal_wasted_ops;
+    for (std::size_t c = 0; c < obs::kNumRollbackCauses; ++c) {
+      m.rollbacks_by_cause[c] += a.rollbacks_by_cause[c];
+      m.wasted_by_cause[c] += a.wasted_by_cause[c];
+    }
+    m.omega_interventions += a.omega_interventions;
     m.cycles_found += a.cycles_found;
     m.periodic_scans += a.periodic_scans;
     m.max_entity_copies = std::max(m.max_entity_copies, a.max_entity_copies);
     m.max_var_copies = std::max(m.max_var_copies, a.max_var_copies);
   }
   return m;
-}
-
-void SumLedgers(ShardedReport& report) {
-  for (const ShardResult& s : report.shards) {
-    for (std::size_t c = 0; c < obs::kNumRollbackCauses; ++c) {
-      report.wasted_by_cause[c] += s.wasted_by_cause[c];
-      report.rollbacks_by_cause[c] += s.rollbacks_by_cause[c];
-    }
-  }
 }
 
 std::uint64_t NowNanos() {
@@ -215,6 +214,15 @@ void InitShardExec(const ShardedOptions& options, std::uint32_t shard,
       options.hub_snapshot_period == 0 ? 512 : options.hub_snapshot_period);
 }
 
+// Publishes the shard's lifecycle digest, with the engine's wasted ops as
+// its wasted-steps total (the book keeps no ledger).
+void PublishTxnLife(obs::LiveHub* hub, const ShardExec& ex,
+                    std::uint32_t shard) {
+  obs::TxnLifeDigest digest = ex.txnlife.Digest(shard);
+  digest.wasted_steps = ex.engine->metrics().wasted_ops;
+  hub->PublishTxnLife(std::move(digest));
+}
+
 // Finalizes the shard's slice of the report once it committed everything
 // (or exhausted its step budget).
 void FinishShard(const ShardedOptions& options, std::uint32_t shard,
@@ -232,12 +240,8 @@ void FinishShard(const ShardedOptions& options, std::uint32_t shard,
   run.result.rollback_costs = engine.RollbackCostDistribution();
   run.result.max_preemptions_single_txn = engine.MaxPreemptionCount();
   run.cost_samples = engine.rollback_cost_samples();
-  if (options.txnlife) {
-    run.result.wasted_by_cause = ex.txnlife.wasted_by_cause();
-    run.result.rollbacks_by_cause = ex.txnlife.rollbacks_by_cause();
-    if (options.hub != nullptr) {
-      options.hub->PublishTxnLife(ex.txnlife.Digest(shard));
-    }
+  if (options.txnlife && options.hub != nullptr) {
+    PublishTxnLife(options.hub, ex, shard);
   }
   if (options.journal) {
     run.result.journal_chain = ex.journal.ChainValues();
@@ -392,7 +396,7 @@ bool RunShardQuantum(const ShardedOptions& options, ShardRun& run,
       if (options.instrument) {
         ex.exporter.Export(engine, ex.registry, ex.labels);
       }
-      if (options.txnlife) hub->PublishTxnLife(ex.txnlife.Digest(shard));
+      if (options.txnlife) PublishTxnLife(hub, ex, shard);
       if (options.journal) hub->PublishJournal(ex.journal.Digest(shard));
       const std::uint64_t period = RoundUpPowerOfTwo(
           options.hub_snapshot_period == 0 ? 512
@@ -647,7 +651,8 @@ Status AssembleReport(const ShardedOptions& options,
     report.merged_metrics = report.metrics.WithoutLabel("shard");
   }
   report.aggregate = SumMetrics(report.shards);
-  SumLedgers(report);
+  report.wasted_by_cause = report.aggregate.wasted_by_cause;
+  report.rollbacks_by_cause = report.aggregate.rollbacks_by_cause;
   report.rollback_costs =
       core::ComputeCostDistribution(std::move(merged_costs));
   // Whole transactions: a global's slices collapse into one commit.
@@ -762,7 +767,8 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
   std::vector<std::uint64_t> next_local(n, 0);
   std::size_t next_global = 0;
   std::uint64_t epoch = 0;
-  int zero_epochs = 0;
+  std::uint64_t commits_seen = 0;
+  std::uint64_t commit_free_epochs = 0;
   bool completed = true;
   Status run_status = Status::OK();
 
@@ -775,12 +781,8 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
   const std::uint64_t e0 = NowNanos();
   for (;; ++epoch) {
     // ---- Coordinate: 2PC polling (single-threaded; engines quiescent) ----
-    auto polled = coord.Poll();
-    if (!polled.ok()) {
-      run_status = polled.status();
-      break;
-    }
-    std::uint64_t progress = polled.value();
+    run_status = coord.Poll();
+    if (!run_status.ok()) break;
     // ---- Local admission (parallel): top each shard's level up from its
     // queue, one task per shard that has room and programs left. Slice
     // commits are subtracted out so subs never consume local slots. It
@@ -815,7 +817,6 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
         break;
       }
       next_local[s] += room[s];
-      progress += room[s];
     }
     if (!run_status.ok()) break;
     for (std::uint32_t s = 0; s < queue_depth.size(); ++s) {
@@ -830,7 +831,6 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
         break;
       }
       ++next_global;
-      ++progress;
     }
     if (!run_status.ok()) break;
     // Union merge + distributed partial rollback, every epoch: a global
@@ -858,9 +858,7 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
         options.hub->PublishSnapshot(std::move(snap));
         // Coordinate phase: every engine (and its book) is quiescent,
         // so the single-threaded digest is safe here.
-        if (options.txnlife) {
-          options.hub->PublishTxnLife(runs[s].exec->txnlife.Digest(s));
-        }
+        if (options.txnlife) PublishTxnLife(options.hub, *runs[s].exec, s);
         if (options.journal) {
           options.hub->PublishJournal(runs[s].exec->journal.Digest(s));
         }
@@ -904,7 +902,7 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
           std::min(kEpochSteps, options.max_steps_per_shard - ex.steps);
       // ran_dry is routine here (a shard whose transactions all wait on
       // another shard has nothing to do this epoch); real stalls are
-      // caught by the zero-progress counter below.
+      // caught by the commit-free epoch bound below.
       const std::uint64_t t0 = NowNanos();
       auto q = engines[s]->StepQuantum(budget, /*stop_after_commit=*/false);
       if (!q.ok()) {
@@ -922,35 +920,29 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
     report.scheduler.quanta += submitted.size();
     report.scheduler.virtual_makespan_steps +=
         VirtualMakespanSteps(epoch_shard_steps, submitted, threads);
+    std::uint64_t commits = 0;
     for (std::uint32_t s = 0; s < n; ++s) {
       if (!runs[s].status.ok()) run_status = runs[s].status;
-      progress += epoch_shard_steps[s];
+      commits += engines[s]->metrics().commits;
     }
     if (!run_status.ok()) break;
-    if (progress == 0) {
-      // One grace epoch: the next epoch's merge may still resolve a
-      // global cycle; a second zero-progress epoch in a row means nothing
-      // can ever move again.
-      if (++zero_epochs >= 2) {
-        std::ostringstream os;
-        os << "xshard run stalled at epoch " << epoch << " ("
-           << coord.active() << " globals in flight)";
-        for (std::uint32_t s = 0; s < n; ++s) {
-          os << "\n--- shard " << s << " ---\n" << engines[s]->DumpState();
-        }
-        run_status = Status::Internal(os.str());
-        break;
+    commit_free_epochs = commits == commits_seen ? commit_free_epochs + 1 : 0;
+    commits_seen = commits;
+    if (commit_free_epochs == kMaxCommitFreeEpochs) {
+      std::ostringstream os;
+      os << "xshard run stalled: no commit for " << kMaxCommitFreeEpochs
+         << " epochs, at epoch " << epoch << "; globals in flight:";
+      for (std::uint64_t seq : coord.active()) os << " G" << seq;
+      for (std::uint32_t s = 0; s < n; ++s) {
+        os << "\n--- shard " << s << " ---\n" << engines[s]->DumpState();
       }
-    } else {
-      zero_epochs = 0;
+      run_status = Status::Internal(os.str());
+      break;
     }
   }
-  if (run_status.ok()) {
-    // Observe the final slice commits (the loop may exit right after the
-    // step phase that committed them).
-    auto polled = coord.Poll();
-    if (!polled.ok()) run_status = polled.status();
-  }
+  // Observe the final slice commits (the loop may exit right after the
+  // step phase that committed them).
+  if (run_status.ok()) run_status = coord.Poll();
   std::vector<std::uint64_t> busy_ns(threads);
   for (std::size_t w = 0; w < threads; ++w) {
     busy_ns[w] = fork_join.busy_nanos(w);

@@ -111,9 +111,9 @@ struct ShardedOptions {
   bool instrument = true;
   // Per-transaction lifecycle timelines (DESIGN D13): one TxnLifeBook per
   // shard engine, stamped on the shard's own thread, digested to the hub at
-  // snapshot cadence. Drives the per-cause wasted-work ledger, the latency
-  // component histograms and the /debug/txn endpoints. Off only for
-  // overhead measurements.
+  // snapshot cadence. Drives the latency component histograms and the
+  // /debug/txn endpoints; the per-cause rollback ledger is the engine's
+  // and does not depend on it. Off only for overhead measurements.
   bool txnlife = true;
   // Decision journal (DESIGN D14): one DecisionJournal per shard engine,
   // recording every schedule-relevant decision plus an epoch checksum
@@ -164,11 +164,6 @@ struct ShardResult {
   // Most times one of the shard's transactions was preempted (Figure 2's
   // repeated-preemption tail). Excluded from ShardedReportToJson.
   std::uint64_t max_preemptions_single_txn = 0;
-  // Per-cause wasted-work ledger from the shard's lifecycle book (all zero
-  // when ShardedOptions::txnlife is off). Excluded from ShardedReportToJson
-  // — live visibility goes through pardb_wasted_steps_total{cause}.
-  std::array<std::uint64_t, obs::kNumRollbackCauses> wasted_by_cause{};
-  std::array<std::uint64_t, obs::kNumRollbackCauses> rollbacks_by_cause{};
   // Decision-journal epoch checksum chain and totals (empty/zero when
   // ShardedOptions::journal is off). Excluded from ShardedReportToJson —
   // the chain is what determinism tests compare across schedulers and
@@ -269,7 +264,10 @@ struct ShardedReport {
   // from ShardedReportToJson and ToString (byte-compared goldens).
   std::uint64_t max_preemptions_single_txn = 0;
 
-  // Summed per-cause wasted-work ledger over shards (see ShardResult).
+  // The per-cause rollback ledger summed over shards: a copy of
+  // aggregate.wasted_by_cause and aggregate.rollbacks_by_cause. Excluded
+  // from ShardedReportToJson — live visibility goes through
+  // pardb_wasted_steps_total{cause}.
   std::array<std::uint64_t, obs::kNumRollbackCauses> wasted_by_cause{};
   std::array<std::uint64_t, obs::kNumRollbackCauses> rollbacks_by_cause{};
 

@@ -65,8 +65,7 @@ Result<std::uint64_t> Coordinator::Admit(txn::Program program) {
   return seq;
 }
 
-Result<std::uint64_t> Coordinator::Poll() {
-  std::uint64_t transitions = 0;
+Status Coordinator::Poll() {
   std::vector<std::uint64_t> still_active;
   still_active.reserve(active_.size());
   for (std::uint64_t seq : active_) {
@@ -107,7 +106,6 @@ Result<std::uint64_t> Coordinator::Poll() {
                                      .txn = TxnId(seq)});
         }
         g.phase = Phase::kReleased;
-        ++transitions;
       }
     }
     if (g.phase == Phase::kReleased) {
@@ -131,14 +129,13 @@ Result<std::uint64_t> Coordinator::Poll() {
                                      .txn = TxnId(seq),
                                      .pc = g.participants.size()});
         }
-        ++transitions;
         continue;  // retired: drop from the active list
       }
     }
     still_active.push_back(seq);
   }
   active_ = std::move(still_active);
-  return transitions;
+  return Status::OK();
 }
 
 std::optional<std::uint64_t> Coordinator::GlobalOf(std::uint32_t shard,

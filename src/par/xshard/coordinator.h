@@ -85,17 +85,16 @@ class Coordinator : public SubResolver {
 
   // One coordination round: advances every active global's 2PC state
   // machine (prepare when all slices hold, resolve by releasing the holds,
-  // retire when all slices committed). Returns the number of state
-  // transitions, the coordinator's contribution to the epoch progress
-  // signal.
-  Result<std::uint64_t> Poll();
+  // retire when all slices committed).
+  Status Poll();
 
   // Union-of-forests merge + distributed partial rollback, repeated until
   // the merged graph has no cycle through a global transaction.
   Status MergeAndResolve();
 
   bool AllDone() const { return active_.empty(); }
-  std::size_t active() const { return active_.size(); }
+  // Sequence numbers of the globals in flight, ascending.
+  const std::vector<std::uint64_t>& active() const { return active_; }
   const XShardStats& stats() const { return stats_; }
   XShardStats& mutable_stats() { return stats_; }
   // Slice commits observed on `shard` so far — what the driver subtracts

@@ -112,8 +112,8 @@ struct Figure2Outcome {
 // under `options`' victim policy. `lineage` and `txnlife` (optional,
 // borrowed) are attached to the engine before the first deadlock, so the
 // preemption chains behind pardb_preemption_chain_len and the D13
-// wasted-work ledger can be asserted against the paper's exact Figure 2
-// schedule.
+// per-transaction timelines can be asserted against the paper's exact
+// Figure 2 schedule.
 Result<Figure2Outcome> RunFigure2MutualPreemption(
     core::EngineOptions options, int rounds,
     obs::LineageTracker* lineage = nullptr,

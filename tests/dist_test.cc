@@ -83,7 +83,7 @@ TEST_F(PreventionTest, WoundWaitOlderPreemptsYoungerHolder) {
   ASSERT_TRUE(outcome.ok());
   // t1 was rolled back past its lock on 0; t0 holds it now.
   EXPECT_EQ(outcome.value(), StepOutcome::kExecuted);
-  EXPECT_EQ(engine_->metrics().wounds, 1u);
+  EXPECT_EQ(engine_->metrics().RollbacksOf(obs::RollbackCause::kWoundWait), 1u);
   EXPECT_EQ(engine_->PreemptionCountOf(t1.value()), 1u);
   EXPECT_EQ(engine_->lock_manager().HeldMode(t0.value(), ids_[0]),
             lock::LockMode::kExclusive);
@@ -101,7 +101,7 @@ TEST_F(PreventionTest, WoundWaitYoungerWaitsForOlder) {
   auto outcome = engine_->StepTxn(t1.value());     // t1 requests 0 -> waits
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome.value(), StepOutcome::kBlocked);
-  EXPECT_EQ(engine_->metrics().wounds, 0u);
+  EXPECT_EQ(engine_->metrics().RollbacksOf(obs::RollbackCause::kWoundWait), 0u);
   ASSERT_TRUE(engine_->RunToCompletion().ok());
 }
 
@@ -125,7 +125,7 @@ TEST_F(PreventionTest, WoundWaitNeverWoundsShrinkingHolder) {
   auto outcome = engine_->StepTxn(t0.value());  // t0 requests 0
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome.value(), StepOutcome::kBlocked);
-  EXPECT_EQ(engine_->metrics().wounds, 0u);
+  EXPECT_EQ(engine_->metrics().RollbacksOf(obs::RollbackCause::kWoundWait), 0u);
   ASSERT_TRUE(engine_->RunToCompletion().ok());
 }
 
@@ -139,7 +139,7 @@ TEST_F(PreventionTest, WaitDieYoungerRequesterDies) {
   auto outcome = engine_->StepTxn(t1.value());     // t1 requests 0 -> dies
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome.value(), StepOutcome::kRolledBack);
-  EXPECT_EQ(engine_->metrics().deaths, 1u);
+  EXPECT_EQ(engine_->metrics().RollbacksOf(obs::RollbackCause::kWaitDie), 1u);
   // Nothing held an older transaction was queued for: a zero-cost
   // cancel-and-retry.
   EXPECT_EQ(engine_->metrics().wasted_ops, 0u);
@@ -157,7 +157,7 @@ TEST_F(PreventionTest, WaitDieOlderRequesterWaits) {
   auto outcome = engine_->StepTxn(t0.value());     // t0 requests 0 -> waits
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome.value(), StepOutcome::kBlocked);
-  EXPECT_EQ(engine_->metrics().deaths, 0u);
+  EXPECT_EQ(engine_->metrics().RollbacksOf(obs::RollbackCause::kWaitDie), 0u);
   ASSERT_TRUE(engine_->RunToCompletion().ok());
 }
 
@@ -180,7 +180,7 @@ TEST_F(PreventionTest, WaitDieReleasesLocksOlderTransactionsNeed) {
   auto died = engine_->StepTxn(t1.value());  // t1 requests 0 -> dies
   ASSERT_TRUE(died.ok());
   EXPECT_EQ(died.value(), StepOutcome::kRolledBack);
-  EXPECT_EQ(engine_->metrics().deaths, 1u);
+  EXPECT_EQ(engine_->metrics().RollbacksOf(obs::RollbackCause::kWaitDie), 1u);
   EXPECT_GT(engine_->metrics().wasted_ops, 0u);  // real progress lost
   // t0 got entity 1.
   EXPECT_EQ(engine_->lock_manager().HeldMode(t0.value(), ids_[1]),
@@ -225,11 +225,11 @@ TEST(PreventionLivenessTest, BothSchemesCompleteContendedWorkloads) {
       // Prevention never runs the cycle detector.
       EXPECT_EQ(rep->aggregate.deadlocks, 0u);
       EXPECT_TRUE(rep->forensics.empty());
-      if (handling == DeadlockHandling::kWoundWait) {
-        EXPECT_EQ(rep->aggregate.deaths, 0u);
-      } else {
-        EXPECT_EQ(rep->aggregate.wounds, 0u);
-      }
+      using C = obs::RollbackCause;
+      EXPECT_EQ(rep->aggregate.RollbacksOf(
+                    handling == DeadlockHandling::kWoundWait ? C::kWaitDie
+                                                             : C::kWoundWait),
+                0u);
     }
   }
 }

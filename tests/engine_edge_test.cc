@@ -133,6 +133,14 @@ TEST_F(EngineEdgeTest, DumpStateListsTransactionsAndLocks) {
   EXPECT_NE(s.find("T0"), std::string::npos);
   EXPECT_NE(s.find("status=ready"), std::string::npos);
   EXPECT_NE(s.find("E0"), std::string::npos);
+
+  // Only live transactions are listed: a committed one drops out.
+  ASSERT_TRUE(engine_->RunToCompletion().ok());
+  ASSERT_TRUE(engine_->Spawn(TwoLock(ids_[0], ids_[1], "u")).ok());
+  s = engine_->DumpState();
+  EXPECT_NE(s.find("(1 live of 2 txns)"), std::string::npos) << s;
+  EXPECT_EQ(s.find("T0 "), std::string::npos) << s;
+  EXPECT_NE(s.find("T1 pc=0"), std::string::npos) << s;
 }
 
 TEST_F(EngineEdgeTest, RollbackCostDistributionPercentiles) {
@@ -215,9 +223,10 @@ TEST_F(EngineEdgeTest, TimeoutExpiresLongNonDeadlockedWait) {
   ASSERT_TRUE(engine_->RunToCompletion().ok());  // drives via StepAny
   EXPECT_TRUE(engine_->AllCommitted());
   EXPECT_EQ(engine_->metrics().deadlocks, 0u);
-  EXPECT_GE(engine_->metrics().timeouts, 1u);
+  EXPECT_GE(engine_->metrics().RollbacksOf(obs::RollbackCause::kTimeout), 1u);
   // The waiter held nothing, so expiring it was a zero-cost total rollback.
-  EXPECT_EQ(engine_->metrics().rollbacks, engine_->metrics().timeouts);
+  EXPECT_EQ(engine_->metrics().rollbacks,
+            engine_->metrics().RollbacksOf(obs::RollbackCause::kTimeout));
 }
 
 TEST_F(EngineEdgeTest, ManualStepTxnNeverExpiresTimeouts) {
@@ -240,7 +249,7 @@ TEST_F(EngineEdgeTest, ManualStepTxnNeverExpiresTimeouts) {
   // engine steps but is never expired.
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(engine_->StepTxn(holder.value()).ok());
-    EXPECT_EQ(engine_->metrics().timeouts, 0u);
+    EXPECT_EQ(engine_->metrics().RollbacksOf(obs::RollbackCause::kTimeout), 0u);
     EXPECT_EQ(engine_->StatusOf(waiter.value()), TxnStatus::kWaiting);
   }
   // Finish both; the waiter is granted on release, never timed out.
@@ -250,7 +259,7 @@ TEST_F(EngineEdgeTest, ManualStepTxnNeverExpiresTimeouts) {
     auto waiter_step = engine_->StepTxn(waiter.value());
     ASSERT_TRUE(waiter_step.ok());
   }
-  EXPECT_EQ(engine_->metrics().timeouts, 0u);
+  EXPECT_EQ(engine_->metrics().RollbacksOf(obs::RollbackCause::kTimeout), 0u);
   EXPECT_EQ(engine_->metrics().rollbacks, 0u);
 }
 

@@ -279,7 +279,7 @@ TEST_F(EngineTest, RequesterPolicyRollsBackRequester) {
   ASSERT_GE(dumps().size(), 1u);
   const obs::DeadlockDump& ev = dumps()[0];
   EXPECT_EQ(ev.victims, std::vector<TxnId>{ev.requester});
-  EXPECT_EQ(engine_->metrics().preemptions, 0u);
+  EXPECT_EQ(engine_->metrics().Preemptions(), 0u);
 }
 
 TEST_F(EngineTest, YoungestAndOldestPolicies) {
@@ -380,7 +380,7 @@ TEST_F(EngineTest, PreemptionCounterTracksNonRequesterVictims) {
   EXPECT_EQ(ev.requester, t1.value());
   ASSERT_EQ(ev.victims.size(), 1u);
   EXPECT_EQ(ev.victims[0], t0.value());  // cheaper victim preempted
-  EXPECT_EQ(engine_->metrics().preemptions, 1u);
+  EXPECT_EQ(engine_->metrics().Preemptions(), 1u);
   EXPECT_EQ(engine_->PreemptionCountOf(t0.value()), 1u);
   EXPECT_EQ(engine_->PreemptionCountOf(t1.value()), 0u);
   ASSERT_TRUE(engine_->RunToCompletion().ok());
@@ -397,7 +397,7 @@ TEST_F(EngineTest, TimeoutHandlingResolvesDeadlock) {
   ASSERT_TRUE(tb.ok());
   // RunToCompletion uses StepAny, which expires stale waits.
   ASSERT_TRUE(engine_->RunToCompletion().ok()) << engine_->DumpState();
-  EXPECT_GE(engine_->metrics().timeouts, 1u);
+  EXPECT_GE(engine_->metrics().RollbacksOf(obs::RollbackCause::kTimeout), 1u);
   EXPECT_EQ(engine_->metrics().deadlocks, 0u);  // no graph detection ran
   EXPECT_EQ(store_.Get(EntityId(0)).value().value, 103);
   EXPECT_EQ(store_.Get(EntityId(1)).value().value, 103);
@@ -414,7 +414,7 @@ TEST_F(EngineTest, TimeoutDoesNotFireOnShortWaits) {
     ASSERT_TRUE(engine_->Spawn(IncrementProgram(EntityId(0), 1)).ok());
   }
   ASSERT_TRUE(engine_->RunToCompletion().ok());
-  EXPECT_EQ(engine_->metrics().timeouts, 0u);
+  EXPECT_EQ(engine_->metrics().RollbacksOf(obs::RollbackCause::kTimeout), 0u);
   EXPECT_EQ(store_.Get(EntityId(0)).value().value, 103);
 }
 

@@ -15,6 +15,7 @@
 #include "obs/forensics.h"
 #include "obs/journal.h"
 #include "obs/lineage.h"
+#include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "obs/snapshot.h"
 #include "obs/phase_timer.h"
@@ -607,38 +608,54 @@ TEST(EngineMetricsExporterTest, RepeatedDeltaExportsLandOnExactTotals) {
   EXPECT_EQ(cost->hist.count, engine.rollback_cost_samples().size());
 }
 
-// ---------------------------------------------------------------------------
-// Live waits-for snapshots vs the post-mortem forensic record.
-// ---------------------------------------------------------------------------
-
-// Captures a live engine snapshot from inside the deadlock sink — the
-// engine has recorded the closing arc but not yet rolled anyone back, so
-// the capture sees the exact instant the forensic dump describes.
-class LiveCaptureSink final : public obs::DeadlockDumpSink {
- public:
-  explicit LiveCaptureSink(core::Engine* engine) : engine_(engine) {}
-
-  void OnDeadlock(const obs::DeadlockDump& dump) override {
-    dump_ = dump;
-    std::vector<TxnId> members;
-    for (const auto& p : dump.participants) members.push_back(p.txn);
-    full_ = engine_->SnapshotWaitsFor();
-    restricted_ = full_.Restricted(members);
-    fired_ = true;
+TEST(EngineMetricsExporterTest, ExportsTheRollbackLedgerWithEveryCause) {
+  // The ledger series come from the engine alone: every {cause=...} series
+  // exists from the first export (at 0 when no such rollback happened),
+  // and the cause series sum to the engine's rollback and wasted totals.
+  auto fig = sim::BuildFigure1(MinCostOptions());
+  ASSERT_TRUE(fig.ok()) << fig.status().ToString();
+  core::Engine& engine = fig->runner->engine();
+  MetricsRegistry reg;
+  core::EngineMetricsExporter exporter;
+  exporter.Export(engine, &reg);
+  ASSERT_TRUE(fig->TriggerDeadlock().ok());
+  exporter.Export(engine, &reg);
+  const RegistrySnapshot snap = reg.Snapshot();
+  std::size_t wasted_series = 0, cause_series = 0;
+  std::uint64_t wasted = 0, rollbacks = 0;
+  for (const MetricSnapshot& m : snap.metrics) {
+    if (m.name == obs::kWastedStepsTotal) {
+      ++wasted_series;
+      wasted += m.counter;
+    }
+    if (m.name == obs::kRollbackCauseTotal) {
+      ++cause_series;
+      rollbacks += m.counter;
+    }
   }
+  EXPECT_EQ(wasted_series, obs::kNumRollbackCauses);
+  EXPECT_EQ(cause_series, obs::kNumRollbackCauses);
+  const core::EngineMetrics& m = engine.metrics();
+  EXPECT_EQ(rollbacks, m.rollbacks);
+  EXPECT_EQ(wasted, m.wasted_ops);
+  EXPECT_EQ(snap.Find(obs::kRollbackCauseTotal, {{obs::kCauseLabel,
+                                                  "self_rollback"}})
+                ->counter,
+            1u);
+  EXPECT_EQ(snap.Find(obs::kWastedStepsTotal, {{obs::kCauseLabel,
+                                                "self_rollback"}})
+                ->counter,
+            4u);
+  EXPECT_EQ(snap.Find(obs::kLineageEventsTotal)->counter, 1u);
+  EXPECT_EQ(snap.Find(obs::kOmegaInterventionsTotal)->counter, 0u);
+  EXPECT_EQ(snap.Find(obs::kReworkRatioPpm)->gauge,
+            static_cast<std::int64_t>(m.wasted_ops * 1'000'000 /
+                                      (m.ops_executed - m.commits)));
+}
 
-  bool fired() const { return fired_; }
-  const obs::DeadlockDump& dump() const { return dump_; }
-  const obs::WaitsForSnapshot& full() const { return full_; }
-  const obs::WaitsForSnapshot& restricted() const { return restricted_; }
-
- private:
-  core::Engine* engine_;
-  obs::DeadlockDump dump_;
-  obs::WaitsForSnapshot full_;
-  obs::WaitsForSnapshot restricted_;
-  bool fired_ = false;
-};
+// ---------------------------------------------------------------------------
+// Live waits-for snapshots.
+// ---------------------------------------------------------------------------
 
 TEST(SnapshotTest, Figure1SnapshotShowsWaitersLocksAndForestShape) {
   // Before the deadlock trigger: T1 and T3 wait for b (held by T2), T4
@@ -676,33 +693,6 @@ TEST(SnapshotTest, Figure1SnapshotShowsWaitersLocksAndForestShape) {
   EXPECT_NE(dot.find("digraph"), std::string::npos);
   EXPECT_NE(dot.find("T" + std::to_string(fig->t2.value())),
             std::string::npos);
-}
-
-TEST(SnapshotTest, LiveCaptureByteMatchesForensicCycleDot) {
-  // The live /debug/waits-for view of a deadlock instant, restricted to
-  // the cycle members, renders byte-identically to the post-mortem
-  // forensic record of the same instant: both funnel through
-  // WaitsForGraphToDot with the same nodes, entries and arcs.
-  auto fig = sim::BuildFigure1(MinCostOptions());
-  ASSERT_TRUE(fig.ok()) << fig.status().ToString();
-  core::Engine& engine = fig->runner->engine();
-  LiveCaptureSink sink(&engine);
-  engine.set_forensics(&sink);
-  ASSERT_TRUE(fig->TriggerDeadlock().ok());
-  ASSERT_TRUE(sink.fired());
-
-  // The capture really was mid-deadlock: the full graph held the cycle.
-  EXPECT_FALSE(sink.full().acyclic);
-  ASSERT_EQ(sink.restricted().txns.size(), 3u);
-  ASSERT_EQ(sink.restricted().arcs.size(), 3u);
-
-  const std::string live = obs::SnapshotCycleDot(sink.restricted());
-  const std::string forensic = obs::DeadlockDumpToCycleDot(sink.dump());
-  EXPECT_EQ(live, forensic);
-  EXPECT_NE(live.find("digraph waits_for_cycle"), std::string::npos);
-
-  // After resolution the engine's own snapshot is clean again.
-  EXPECT_TRUE(engine.SnapshotWaitsFor().acyclic);
 }
 
 TEST(SnapshotTest, ChainLenSurfacesInSnapshotWhenLineageAttached) {

@@ -14,7 +14,6 @@
 #include "analysis/history.h"
 #include "core/engine.h"
 #include "obs/journal.h"
-#include "obs/metric_names.h"
 #include "par/sharded_driver.h"
 #include "rollback/plan.h"
 #include "sim/workload.h"
@@ -363,10 +362,10 @@ TEST(StrategyComparisonTest, ActualCostNeverBelowIdeal) {
 // One rollback, one charge: every rollback site (detection victims and
 // self-rollbacks, wounds, deaths, timeouts and the coordinator's
 // distributed rollbacks) goes through one accounting path, so on every
-// shard the engine's wasted work, the journal's rollback records, the
-// lifecycle ledger and the lineage tracker describe the same rollbacks.
-// A site that charged its cost twice, or emitted a rollback to one
-// observer only, breaks an equality.
+// shard the engine's ledger and the journal's rollback records — the two
+// independent records of a run's rollbacks — describe the same rollbacks,
+// cause by cause. A site that charged its cost twice, or emitted a
+// rollback it did not count, breaks an equality.
 // ---------------------------------------------------------------------------
 
 // `report` is the run of `opt`, which recorded its journals to files.
@@ -381,51 +380,31 @@ void ExpectOneChargePerRollback(const par::ShardedOptions& opt,
                                         std::to_string(shard.shard) + ".jrnl");
     ASSERT_TRUE(journal.ok()) << where << ": " << journal.status().ToString();
     ASSERT_EQ(journal->dropped, 0u) << where;
-    std::uint64_t journal_cost = 0;
-    std::array<std::uint64_t, obs::kNumRollbackCauses> journal_by_cause{};
+    std::array<std::uint64_t, obs::kNumRollbackCauses> rollbacks_by_cause{};
+    std::array<std::uint64_t, obs::kNumRollbackCauses> wasted_by_cause{};
     for (const obs::JournalRecord& r : journal->records) {
       if (r.kind != static_cast<std::uint8_t>(obs::EventKind::kRollback)) {
         continue;
       }
-      journal_cost += r.b;
-      ++journal_by_cause.at(r.aux);
+      ++rollbacks_by_cause.at(r.aux);
+      wasted_by_cause.at(r.aux) += r.b;
     }
-    std::uint64_t ledger = 0;
-    std::uint64_t journal_rollbacks = 0;
+    const core::EngineMetrics& m = shard.metrics;
+    EXPECT_EQ(m.rollbacks_by_cause, rollbacks_by_cause) << where;
+    EXPECT_EQ(m.wasted_by_cause, wasted_by_cause) << where;
+    std::uint64_t wasted = 0;
     for (std::size_t c = 0; c < obs::kNumRollbackCauses; ++c) {
-      ledger += shard.wasted_by_cause[c];
-      journal_rollbacks += journal_by_cause[c];
+      rollbacks += rollbacks_by_cause[c];
+      wasted += wasted_by_cause[c];
     }
-    // Engine, journal and lifecycle book charge the same cost.
-    EXPECT_EQ(shard.metrics.wasted_ops, journal_cost) << where;
-    EXPECT_EQ(ledger, journal_cost) << where;
-    // ... for the same rollbacks, cause by cause.
-    EXPECT_EQ(shard.metrics.rollbacks, journal_rollbacks) << where;
-    EXPECT_EQ(shard.rollbacks_by_cause, journal_by_cause) << where;
-    // Lineage chains exactly the preemption-family rollbacks.
-    using C = obs::RollbackCause;
-    const std::uint64_t preemptions =
-        journal_by_cause[static_cast<std::size_t>(C::kDeadlockVictim)] +
-        journal_by_cause[static_cast<std::size_t>(C::kOmegaPreemption)] +
-        journal_by_cause[static_cast<std::size_t>(C::kSelfRollback)] +
-        journal_by_cause[static_cast<std::size_t>(C::kWoundWait)];
-    std::uint64_t lineage_events = ~0ULL;
-    const obs::LabelSet labels{{obs::kShardLabel,
-                                std::to_string(shard.shard)}};
-    for (const obs::MetricSnapshot& m : report.metrics.metrics) {
-      if (m.name == obs::kLineageEventsTotal && m.labels == labels) {
-        lineage_events = m.counter;
-      }
-    }
-    EXPECT_EQ(lineage_events, preemptions) << where;
-    rollbacks += journal_rollbacks;
+    EXPECT_EQ(m.wasted_ops, wasted) << where;
   }
+  EXPECT_EQ(report.aggregate.rollbacks, rollbacks) << what;
   EXPECT_GT(rollbacks, 0u) << what << ": the mix must contend";
 }
 
 par::ShardedOptions ContendedRecorded(const std::string& name) {
   par::ShardedOptions opt = OneShard();
-  opt.instrument = true;  // lineage is wired only on instrumented shards
   opt.engine.scheduler = SchedulerKind::kRandom;
   opt.workload.num_entities = 6;
   opt.workload.min_locks = 2;
@@ -488,6 +467,36 @@ TEST(OneChargePropertyTest, FourShardDistributedRollbacksAgree) {
   ExpectOneChargePerRollback(opt, report.value(), "4-shard");
 }
 
+// The per-cause ledger is the engine's: a run without the lifecycle book
+// reports the same one.
+TEST(OneChargePropertyTest, LedgerDoesNotDependOnTheLifecycleBook) {
+  par::ShardedOptions one = ContendedRecorded("txnlife_one");
+  one.journal_out.clear();
+  par::ShardedOptions four = one;
+  four.num_shards = 4;
+  four.cross_shard_fraction = 0.3;
+  four.engine.scheduler = SchedulerKind::kRoundRobin;
+  four.concurrency = 16;
+  four.total_txns = 300;
+  for (par::ShardedOptions opt : {one, four}) {
+    const std::string what = std::to_string(opt.num_shards) + " shard(s)";
+    opt.txnlife = true;
+    auto with_book = par::RunSharded(opt);
+    opt.txnlife = false;
+    auto without = par::RunSharded(opt);
+    ASSERT_TRUE(with_book.ok())
+        << what << ": " << with_book.status().ToString();
+    ASSERT_TRUE(without.ok()) << what << ": " << without.status().ToString();
+    EXPECT_GT(with_book->aggregate.rollbacks, 0u) << what;
+    EXPECT_EQ(without->rollbacks_by_cause, with_book->rollbacks_by_cause)
+        << what;
+    EXPECT_EQ(without->wasted_by_cause, with_book->wasted_by_cause) << what;
+    std::uint64_t wasted = 0;
+    for (std::uint64_t w : without->wasted_by_cause) wasted += w;
+    EXPECT_EQ(wasted, without->aggregate.wasted_ops) << what;
+  }
+}
+
 // A rollback is charged the ops its rewind discards, priced when it is
 // applied. Several victims of one resolution roll back in turn, and an
 // earlier victim's release can grant a later one its pending lock: that
@@ -526,7 +535,7 @@ TEST(OneChargePropertyTest, ChargeEqualsTheOpsEachRewindDiscards) {
   ASSERT_EQ(samples.size(), engine.metrics().rollbacks);
   std::uint64_t discarded = 0;
   for (std::uint32_t c : samples) discarded += c;
-  EXPECT_GT(engine.metrics().preemptions, 0u) << "the mix must contend";
+  EXPECT_GT(engine.metrics().Preemptions(), 0u) << "the mix must contend";
   EXPECT_EQ(engine.metrics().wasted_ops, discarded);
 }
 

@@ -474,7 +474,7 @@ TEST(RollbackTargetTest, BadTargetLeavesEngineUntouched) {
   }
   RollBackAndCheck(solo, 3);  // the current lock state: nothing undone
   RollBackAndCheck(solo, 0);
-  EXPECT_EQ(solo.engine().metrics().preemptions, 2u);
+  EXPECT_EQ(solo.engine().metrics().Preemptions(), 2u);
   solo.FinishAndExpectPublished();
 }
 

@@ -1,8 +1,8 @@
-// D13 transaction lifecycle timelines: the wasted-work ledger attributed by
-// rollback cause (asserted against the paper's exact Figure 1 and Figure 2
-// schedules), the bounded event ring with counted eviction, the per-txn
-// record/latency-component arithmetic, and the JSON the live endpoints
-// serve.
+// D13 transaction lifecycle timelines: each victim's cause-tagged rollback
+// record beside the engine's per-cause ledger (asserted against the
+// paper's exact Figure 1 and Figure 2 schedules), the bounded event ring
+// with counted eviction, the per-txn record/latency-component arithmetic,
+// and the JSON the live endpoints serve.
 
 #include <gtest/gtest.h>
 
@@ -55,12 +55,13 @@ TEST(TxnLifeLedgerTest, Figure1MinCostAttributesSelfRollbackCost4) {
   ASSERT_TRUE(fig.ok()) << fig.status().ToString();
   ASSERT_TRUE(fig->TriggerDeadlock().ok());
 
+  const core::EngineMetrics& m = fig->runner->engine().metrics();
   const auto self = static_cast<std::size_t>(RollbackCause::kSelfRollback);
-  EXPECT_EQ(book.rollbacks_by_cause()[self], 1u);
-  EXPECT_EQ(book.wasted_by_cause()[self], 4u);
-  EXPECT_EQ(book.wasted_steps(), 4u);
-  EXPECT_EQ(SumCauses(book.wasted_by_cause()), 4u);
-  EXPECT_EQ(SumCauses(book.rollbacks_by_cause()), 1u);
+  EXPECT_EQ(m.rollbacks_by_cause[self], 1u);
+  EXPECT_EQ(m.wasted_by_cause[self], 4u);
+  EXPECT_EQ(m.wasted_ops, 4u);
+  EXPECT_EQ(SumCauses(m.wasted_by_cause), 4u);
+  EXPECT_EQ(SumCauses(m.rollbacks_by_cause), 1u);
 
   // The victim's own record carries the tagged event: cause label, cost,
   // the holder it was waiting on (T4) and the deadlock ordinal.
@@ -93,11 +94,13 @@ TEST(TxnLifeLedgerTest, Figure1OrderedAttributesOmegaPreemptionCost5) {
   ASSERT_TRUE(fig.ok()) << fig.status().ToString();
   ASSERT_TRUE(fig->TriggerDeadlock().ok());
 
+  const core::EngineMetrics& m = fig->runner->engine().metrics();
   const auto omega =
       static_cast<std::size_t>(RollbackCause::kOmegaPreemption);
-  EXPECT_EQ(book.rollbacks_by_cause()[omega], 1u);
-  EXPECT_EQ(book.wasted_by_cause()[omega], 5u);
-  EXPECT_EQ(SumCauses(book.wasted_by_cause()), 5u);
+  EXPECT_EQ(m.rollbacks_by_cause[omega], 1u);
+  EXPECT_EQ(m.wasted_by_cause[omega], 5u);
+  EXPECT_EQ(SumCauses(m.wasted_by_cause), 5u);
+  EXPECT_EQ(m.omega_interventions, 1u);
 
   const TxnTimelineRecord rec = book.RecordOf(fig->t4);
   EXPECT_EQ(rec.rollbacks, 1u);
@@ -124,15 +127,21 @@ TEST(TxnLifeLedgerTest, Figure2AlternationIsSelfRollbacksAllTheWayDown) {
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   ASSERT_TRUE(out->pattern_sustained);
 
+  const core::EngineMetrics& m = out->runner->engine().metrics();
   const auto self = static_cast<std::size_t>(RollbackCause::kSelfRollback);
   const auto omega =
       static_cast<std::size_t>(RollbackCause::kOmegaPreemption);
-  EXPECT_GE(book.rollbacks_by_cause()[self], 8u);
-  EXPECT_EQ(book.rollbacks_by_cause()[omega], 0u);
-  EXPECT_EQ(SumCauses(book.rollbacks_by_cause()),
-            book.rollbacks_by_cause()[self]);
-  EXPECT_EQ(SumCauses(book.wasted_by_cause()), book.wasted_steps());
-  EXPECT_GT(book.wasted_steps(), 0u);
+  EXPECT_GE(m.rollbacks_by_cause[self], 8u);
+  EXPECT_EQ(m.rollbacks_by_cause[omega], 0u);
+  EXPECT_EQ(SumCauses(m.rollbacks_by_cause), m.rollbacks_by_cause[self]);
+  EXPECT_EQ(SumCauses(m.wasted_by_cause), m.wasted_ops);
+  EXPECT_GT(m.wasted_ops, 0u);
+  // Every rollback is on a victim's own timeline.
+  std::uint64_t recorded = 0;
+  for (TxnId t : {out->t1, out->t2, out->t3, out->t4}) {
+    recorded += book.RecordOf(t).rollbacks;
+  }
+  EXPECT_EQ(recorded, m.rollbacks);
 }
 
 TEST(TxnLifeLedgerTest, Figure2OrderedPolicyPaysOnceAndCommitsAll) {
@@ -146,18 +155,20 @@ TEST(TxnLifeLedgerTest, Figure2OrderedPolicyPaysOnceAndCommitsAll) {
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   EXPECT_TRUE(out->all_committed);
 
+  const core::EngineMetrics& m = out->runner->engine().metrics();
   const auto omega =
       static_cast<std::size_t>(RollbackCause::kOmegaPreemption);
-  EXPECT_EQ(book.rollbacks_by_cause()[omega], 1u);
-  EXPECT_EQ(book.wasted_by_cause()[omega], 5u);
-  EXPECT_EQ(SumCauses(book.rollbacks_by_cause()), 1u);
-  EXPECT_EQ(book.wasted_steps(), 5u);
+  EXPECT_EQ(m.rollbacks_by_cause[omega], 1u);
+  EXPECT_EQ(m.wasted_by_cause[omega], 5u);
+  EXPECT_EQ(SumCauses(m.rollbacks_by_cause), 1u);
+  EXPECT_EQ(m.wasted_ops, 5u);
   EXPECT_EQ(book.committed(), 4u);
 
   // Digest ranks committed transactions by end-to-end steps, descending.
-  const obs::TxnLifeDigest d = book.Digest(/*shard=*/0);
+  // Its wasted-steps total is the engine's, filled in by the publisher.
+  obs::TxnLifeDigest d = book.Digest(/*shard=*/0);
+  d.wasted_steps = m.wasted_ops;
   EXPECT_EQ(d.committed, 4u);
-  EXPECT_EQ(d.wasted_steps, 5u);
   EXPECT_EQ(d.dropped_events, 0u);
   ASSERT_GE(d.slowest.size(), 2u);
   for (std::size_t i = 1; i < d.slowest.size(); ++i) {
@@ -257,7 +268,7 @@ TEST(TxnLifeBookTest, RingEvictionCountsDroppedAndMirrorsMetric) {
   EXPECT_EQ(book.Digest(0).dropped_events, 1u);
 }
 
-TEST(TxnLifeBookTest, ZeroCapacityRingDropsEverythingButKeepsLedger) {
+TEST(TxnLifeBookTest, ZeroCapacityRingDropsEverythingButKeepsColumns) {
   TxnLifeBook::Options opt;
   opt.ring_capacity = 0;
   TxnLifeBook book(opt);
@@ -270,28 +281,21 @@ TEST(TxnLifeBookTest, ZeroCapacityRingDropsEverythingButKeepsLedger) {
                 .cost = 1});
   EXPECT_EQ(book.dropped_events(), book.total_events());
   EXPECT_TRUE(book.RecordOf(TxnId(0)).events.empty());
-  // The ledger is column-backed, not ring-backed: attribution survives.
-  const auto timeout = static_cast<std::size_t>(RollbackCause::kTimeout);
-  EXPECT_EQ(book.wasted_by_cause()[timeout], 1u);
-  EXPECT_EQ(book.rollbacks_by_cause()[timeout], 1u);
+  // The per-txn record is column-backed, not ring-backed: it survives.
+  const TxnTimelineRecord rec = book.RecordOf(TxnId(0));
+  EXPECT_EQ(rec.rollbacks, 1u);
+  EXPECT_EQ(rec.redo_steps, 1u);
+  EXPECT_EQ(rec.exec_steps, 1u);
 }
 
-TEST(TxnLifeBookTest, AttachMetricsMaterializesEveryCauseSeriesAtZero) {
-  // Every {cause=...} series must exist from the first scrape (CI greps
-  // for them on a live run that may not have hit every cause yet).
+TEST(TxnLifeBookTest, AttachMetricsMaterializesLatencySeriesAtZero) {
+  // The latency series must exist from the first scrape (CI greps for
+  // them on a live run).
   MetricsRegistry registry;
   TxnLifeBook book;
   book.AttachMetrics(&registry);
   const auto snap = registry.Snapshot();
-  std::size_t wasted_series = 0;
-  std::size_t cause_series = 0;
-  for (const auto& m : snap.metrics) {
-    if (m.name == obs::kWastedStepsTotal) ++wasted_series;
-    if (m.name == obs::kRollbackCauseTotal) ++cause_series;
-  }
-  EXPECT_EQ(wasted_series, kNumRollbackCauses);
-  EXPECT_EQ(cause_series, kNumRollbackCauses);
-  ASSERT_NE(snap.Find(obs::kReworkRatioPpm, {}), nullptr);
+  ASSERT_NE(snap.Find(obs::kTxnlifeDroppedTotal, {}), nullptr);
   ASSERT_NE(snap.Find(obs::kTxnE2eSteps, {}), nullptr);
   ASSERT_NE(snap.Find(obs::kTxnQueueWaitNs, {}), nullptr);
 }

@@ -507,5 +507,37 @@ TEST(LocksModeTest, PublishesGlobalWaitsForSnapshotToHub) {
   EXPECT_EQ(hub.Snapshots().size(), opt.num_shards);
 }
 
+TEST(LocksModeTest, CommitFreeLivelockFailsWithinTheEpochBound) {
+  // `pardb parallel --shards=4 --txns=10000 --threads=1 --seed=7`: after
+  // 1,291 commits one shard rolls a transaction back every epoch and
+  // the coordinator applies a distributed rollback every second one, so
+  // the shards keep stepping but nothing commits. The run must finish or
+  // fail as stalled after the bounded number of commit-free epochs, not
+  // spin until its step budget runs out.
+  ShardedOptions opt;
+  opt.num_shards = 4;
+  opt.num_threads = 1;
+  opt.cross_shard_fraction = 0.05;
+  opt.engine.scheduler = core::SchedulerKind::kRandom;
+  opt.total_txns = 10000;
+  opt.concurrency = 8;
+  opt.workload.num_entities = 32;
+  opt.workload.min_locks = 3;
+  opt.workload.max_locks = 6;
+  opt.seed = 7;
+  auto rep = RunSharded(opt);
+  if (rep.ok()) {
+    EXPECT_TRUE(rep->completed);
+    EXPECT_EQ(rep->committed, opt.total_txns);
+    return;
+  }
+  EXPECT_EQ(rep.status().code(), StatusCode::kInternal);
+  EXPECT_NE(rep.status().message().find("no commit for 65536 epochs"),
+            std::string::npos)
+      << rep.status().message().substr(0, 200);
+  EXPECT_NE(rep.status().message().find("globals in flight: G"),
+            std::string::npos);
+}
+
 }  // namespace
 }  // namespace pardb

@@ -520,10 +520,11 @@ void PrintRollbackMix(const core::EngineMetrics& m,
               "timeouts=%llu\n",
               (unsigned long long)m.partial_rollbacks,
               (unsigned long long)m.total_rollbacks,
-              (unsigned long long)m.preemptions,
+              (unsigned long long)m.Preemptions(),
               (unsigned long long)max_preemptions,
-              (unsigned long long)m.wounds, (unsigned long long)m.deaths,
-              (unsigned long long)m.timeouts);
+              (unsigned long long)m.RollbacksOf(obs::RollbackCause::kWoundWait),
+              (unsigned long long)m.RollbacksOf(obs::RollbackCause::kWaitDie),
+              (unsigned long long)m.RollbacksOf(obs::RollbackCause::kTimeout));
   std::printf("  space peaks: %zu entity copies, %zu var copies (one txn)\n",
               m.max_entity_copies, m.max_var_copies);
 }
