@@ -29,7 +29,7 @@ std::uint32_t& HistoryRecorder::IdIndex::Ref(std::uint64_t id) {
 HistoryRecorder::Slot* HistoryRecorder::ActiveSlot(TxnId txn,
                                                    std::uint32_t* node) {
   *node = node_of_.Find(txn.value());
-  if (*node == kNone || nodes_[*node].slot == kNone) return nullptr;
+  if (*node == IdSlots::kNone || nodes_[*node].slot == kNone) return nullptr;
   return &slots_[nodes_[*node].slot];
 }
 
@@ -37,20 +37,27 @@ HistoryRecorder::EntityLog& HistoryRecorder::Entity(EntityId entity) {
   std::uint32_t& index = entity_of_.Ref(entity.value());
   if (index == kNone) {
     index = static_cast<std::uint32_t>(entities_.size());
-    entities_.push_back(EntityLog{entity, {}, {}});
+    entities_.push_back(EntityLog{});
+    entities_.back().id = entity;
   }
   return entities_[index];
 }
 
 void HistoryRecorder::OnBegin(TxnId txn, Timestamp entry) {
-  std::uint32_t& index = node_of_.Ref(txn.value());
-  if (index == kNone) {
-    index = static_cast<std::uint32_t>(nodes_.size());
-    nodes_.push_back(Node{});
-    nodes_.back().txn = txn;
+  std::uint32_t index = node_of_.Find(txn.value());
+  if (index == IdSlots::kNone) {
+    index = node_of_.Insert(txn.value());
+    if (index == nodes_.size()) nodes_.emplace_back();
+    // A reused number keeps only its generation, bumped.
+    const std::uint32_t gen = nodes_[index].gen + 1;
+    nodes_[index] = Node{};
+    nodes_[index].gen = gen;
+    nodes_[index].txn = txn;
   }
   Node& n = nodes_[index];
   n.entry = entry;
+  n.begin_tick = ++tick_;
+  if (!n.committed) live_order_.emplace_back(index, n.gen);
   // Beginning again drops the earlier log; a committed or published one
   // cannot be taken back from the online graph.
   if (n.committed || n.published) exact_ = false;
@@ -87,16 +94,21 @@ void HistoryRecorder::OnPublish(TxnId txn, EntityId entity,
     ++live_publishers_;
   }
   EntityLog& log = Entity(entity);
-  if (!log.writers.empty()) {
-    if (log.writers.back().first >= version) {
+  if (log.published) {
+    if (log.latest >= version) {
       exact_ = false;  // not strictly ascending: the batch builder decides
       return;
     }
-    AddEdge(log.writers.back().second, node);  // w -> w
+    // w -> w, unless the latest writer was pruned (then no arc is needed).
+    if (!log.writers.empty() && log.writers.back().first == log.latest) {
+      AddEdge(log.writers.back().second, node);
+    }
   }
   for (std::uint32_t reader : log.awaiting) AddEdge(reader, node);  // r -> w
   log.awaiting.clear();
   log.writers.emplace_back(version, node);
+  log.latest = version;
+  log.published = true;
 }
 
 void HistoryRecorder::OnRollback(TxnId txn, StateIndex target_state) {
@@ -120,16 +132,25 @@ void HistoryRecorder::OnCommit(TxnId txn) {
   Slot* slot = ActiveSlot(txn, &node);
   if (slot == nullptr) return;
   Node& n = nodes_[node];
-  committed_.push_back(CommittedRange{txn, n.entry, committed_events_.size(),
-                                      committed_events_.size() +
-                                          slot->events.size()});
+  const std::size_t end = log_base_ + committed_events_.size();
+  committed_.push_back(
+      CommittedRange{txn, n.entry, end, end + slot->events.size()});
   committed_events_.insert(committed_events_.end(), slot->events.begin(),
                            slot->events.end());
+  ++commits_;
   n.committed = true;
+  n.commit_tick = ++tick_;
+  n.range = ranges_base_ + committed_.size() - 1;
+  retained_.emplace_back(node, n.gen);
   if (exact_) {
     n.ord = next_ord_++;
     if (n.published) --live_publishers_;
-    for (const auto& [from, to] : slot->parked) AddEdge(from, to);
+    for (const Parked& p : slot->parked) {
+      // An endpoint pruned meanwhile is on no cycle: drop the edge.
+      if (nodes_[p.from].gen == p.from_gen && nodes_[p.to].gen == p.to_gen) {
+        AddEdge(p.from, p.to);
+      }
+    }
     for (const AccessEvent& e : slot->events) {
       if (!e.is_write) FoldCommittedRead(node, e);
     }
@@ -138,13 +159,18 @@ void HistoryRecorder::OnCommit(TxnId txn) {
   slot->parked.clear();
   free_slots_.push_back(n.slot);
   n.slot = kNone;
+  while (!live_order_.empty()) {
+    const auto [front, gen] = live_order_.front();
+    if (nodes_[front].gen == gen && !nodes_[front].committed) break;
+    live_order_.pop_front();
+  }
 }
 
 void HistoryRecorder::FoldCommittedRead(std::uint32_t node,
                                         const AccessEvent& e) {
   EntityLog& log = Entity(e.entity);
   const auto& writers = log.writers;
-  const std::uint64_t latest = writers.empty() ? 0 : writers.back().first;
+  const std::uint64_t latest = log.latest;
   if (e.version > latest) {
     exact_ = false;  // read of a version nobody has published yet
     return;
@@ -169,10 +195,11 @@ void HistoryRecorder::FoldCommittedRead(std::uint32_t node,
 
 void HistoryRecorder::AddEdge(std::uint32_t a, std::uint32_t b) {
   if (a == b) return;
+  const Parked p{a, b, nodes_[a].gen, nodes_[b].gen};
   if (!nodes_[a].committed) {
-    slots_[nodes_[a].slot].parked.emplace_back(a, b);
+    slots_[nodes_[a].slot].parked.push_back(p);
   } else if (!nodes_[b].committed) {
-    slots_[nodes_[b].slot].parked.emplace_back(a, b);
+    slots_[nodes_[b].slot].parked.push_back(p);
   } else {
     Insert(a, b);
   }
@@ -185,10 +212,18 @@ void HistoryRecorder::Insert(std::uint32_t a, std::uint32_t b) {
       (nodes_[b].in != kNone && arcs_[nodes_[b].in].from == a)) {
     return;
   }
-  const auto arc = static_cast<std::uint32_t>(arcs_.size());
-  arcs_.push_back(Arc{a, b, nodes_[a].out, nodes_[b].in});
+  std::uint32_t arc;
+  if (free_arcs_.empty()) {
+    arc = static_cast<std::uint32_t>(arcs_.size());
+    arcs_.emplace_back();
+  } else {
+    arc = free_arcs_.back();
+    free_arcs_.pop_back();
+  }
+  arcs_[arc] = Arc{a, b, nodes_[a].out, nodes_[b].in};
   nodes_[a].out = arc;
   nodes_[b].in = arc;
+  ++nodes_[b].preds;
   const std::uint32_t lb = nodes_[b].ord;
   const std::uint32_t ub = nodes_[a].ord;
   if (cyclic_ || ub < lb) return;  // verdict final, or already in order
@@ -224,6 +259,7 @@ void HistoryRecorder::Insert(std::uint32_t a, std::uint32_t b) {
     delta_b_.push_back(v);
     for (std::uint32_t i = nodes_[v].in; i != kNone; i = arcs_[i].next_in) {
       const std::uint32_t w = arcs_[i].from;
+      if (w == kNone) continue;  // from a pruned node
       if (nodes_[w].mark != epoch_ && nodes_[w].ord > lb) {
         nodes_[w].mark = epoch_;
         stack_.push_back(w);
@@ -244,15 +280,131 @@ void HistoryRecorder::Insert(std::uint32_t a, std::uint32_t b) {
   for (std::uint32_t v : delta_f_) nodes_[v].ord = pool_[i++];
 }
 
+std::uint64_t HistoryRecorder::OldestLiveBegin() const {
+  return live_order_.empty() ? ~std::uint64_t{0}
+                             : nodes_[live_order_.front().first].begin_tick;
+}
+
+bool HistoryRecorder::NodePrunable(std::uint32_t node) const {
+  const Node& n = nodes_[node];
+  return n.committed && n.preds == 0 && n.commit_tick < OldestLiveBegin();
+}
+
+bool HistoryRecorder::Prunable(TxnId txn) const {
+  const std::uint32_t node = node_of_.Find(txn.value());
+  return exact_ && node != IdSlots::kNone && NodePrunable(node);
+}
+
+void HistoryRecorder::Pin(TxnId txn) {
+  const std::uint32_t node = node_of_.Find(txn.value());
+  if (node != IdSlots::kNone) nodes_[node].pinned = true;
+}
+
+bool HistoryRecorder::PruneTxn(TxnId txn) {
+  if (!Prunable(txn)) return false;
+  PruneCascading(node_of_.Find(txn.value()));
+  return true;
+}
+
+void HistoryRecorder::PruneCascading(std::uint32_t node) {
+  cascade_.assign(1, node);
+  while (!cascade_.empty()) {
+    const std::uint32_t next = cascade_.back();
+    cascade_.pop_back();
+    PruneNode(next);
+  }
+}
+
+std::size_t HistoryRecorder::Prune() {
+  if (!exact_) return 0;
+  const std::uint64_t before = pruned_;
+  const std::uint64_t oldest = OldestLiveBegin();
+  // Commit order: once one fails (a), every later one does too.
+  std::size_t kept = 0, i = 0;
+  for (; i < retained_.size(); ++i) {
+    const auto [node, gen] = retained_[i];
+    if (nodes_[node].gen != gen) continue;  // pruned by a cascade
+    if (nodes_[node].commit_tick >= oldest) break;
+    if (!nodes_[node].pinned && nodes_[node].preds == 0) {
+      PruneCascading(node);
+      continue;
+    }
+    retained_[kept++] = retained_[i];
+  }
+  retained_.erase(retained_.begin() + static_cast<std::ptrdiff_t>(kept),
+                  retained_.begin() + static_cast<std::ptrdiff_t>(i));
+  return static_cast<std::size_t>(pruned_ - before);
+}
+
+void HistoryRecorder::PruneNode(std::uint32_t node) {
+  Node& n = nodes_[node];
+  // Every arc in comes from a pruned node (preds == 0): free them.
+  for (std::uint32_t i = n.in; i != kNone;) {
+    const std::uint32_t next = arcs_[i].next_in;
+    arcs_[i].from = arcs_[i].to = kNone;
+    free_arcs_.push_back(i);
+    i = next;
+  }
+  // Arcs out die; each successor loses a predecessor.
+  const std::uint64_t oldest = OldestLiveBegin();
+  for (std::uint32_t i = n.out; i != kNone; i = arcs_[i].next_out) {
+    const std::uint32_t w = arcs_[i].to;
+    arcs_[i].from = kNone;
+    Node& succ = nodes_[w];
+    if (--succ.preds == 0 && succ.committed && !succ.pinned &&
+        succ.commit_tick < oldest) {
+      cascade_.push_back(w);
+    }
+  }
+  // Its entity versions and its place among awaiting readers. A pruned
+  // writer's version can still be read by a live transaction; the read
+  // then simply gets no arc from it.
+  const CommittedRange& range = committed_[n.range - ranges_base_];
+  for (std::size_t k = range.begin; k < range.end; ++k) {
+    const AccessEvent& e = committed_events_[k - log_base_];
+    EntityLog& log = Entity(e.entity);
+    if (e.is_write) {
+      auto it = std::lower_bound(
+          log.writers.begin(), log.writers.end(), e.version,
+          [](const auto& w, std::uint64_t v) { return w.first < v; });
+      if (it != log.writers.end() && it->second == node) log.writers.erase(it);
+    } else {
+      auto it = std::find(log.awaiting.begin(), log.awaiting.end(), node);
+      if (it != log.awaiting.end()) log.awaiting.erase(it);
+    }
+  }
+  node_of_.Erase(n.txn.value());
+  n.committed = false;
+  n.in = n.out = kNone;
+  ++n.gen;
+  ++pruned_;
+  // Drop the log's pruned prefix.
+  while (!committed_.empty() &&
+         node_of_.Find(committed_.front().txn.value()) == IdSlots::kNone) {
+    const std::size_t events =
+        committed_.front().end - committed_.front().begin;
+    committed_events_.erase(committed_events_.begin(),
+                            committed_events_.begin() +
+                                static_cast<std::ptrdiff_t>(events));
+    log_base_ += events;
+    committed_.pop_front();
+    ++ranges_base_;
+  }
+}
+
 std::vector<HistoryRecorder::CommittedTxn> HistoryRecorder::CommittedLog()
     const {
   std::vector<CommittedTxn> out;
   out.reserve(committed_.size());
   for (const CommittedRange& r : committed_) {
+    if (pruned_ > 0 && node_of_.Find(r.txn.value()) == IdSlots::kNone) {
+      continue;
+    }
     out.push_back(CommittedTxn{
         r.txn, r.entry,
-        std::vector<AccessEvent>(committed_events_.begin() + r.begin,
-                                 committed_events_.begin() + r.end)});
+        std::vector<AccessEvent>(
+            committed_events_.begin() + (r.begin - log_base_),
+            committed_events_.begin() + (r.end - log_base_))});
   }
   std::sort(out.begin(), out.end(),
             [](const CommittedTxn& a, const CommittedTxn& b) {
@@ -272,9 +424,12 @@ HistoryRecorder::BuildPrecedence() const {
   std::vector<std::uint64_t> keys;
   keys.reserve(committed_.size());
   for (const CommittedRange& r : committed_) {
+    if (pruned_ > 0 && node_of_.Find(r.txn.value()) == IdSlots::kNone) {
+      continue;
+    }
     keys.push_back(r.txn.value());
     for (std::size_t i = r.begin; i < r.end; ++i) {
-      const AccessEvent& e = committed_events_[i];
+      const AccessEvent& e = committed_events_[i - log_base_];
       acc.push_back(precedence::FlatAccess{r.txn.value(), e.entity.value(),
                                            e.version, e.is_write});
     }
@@ -287,6 +442,7 @@ HistoryRecorder::BuildPrecedence() const {
 bool HistoryRecorder::IsConflictSerializable() const {
   if (violations_ > 0) return false;
   if (certifier_exact()) return !cyclic_;
+  if (pruned_ > 0 && !exact_) return false;
   return precedence::FindCycleFlat(BuildPrecedence()).empty();
 }
 

@@ -44,6 +44,7 @@ Engine::Engine(storage::EntityStore* store, EngineOptions options,
 }
 
 void Engine::ReserveTxns(std::size_t n) {
+  free_rows_.reserve(n);
   txns_.reserve(n);
   cold_.reserve(n);
   live_next_.reserve(n);
@@ -60,7 +61,7 @@ const FastMod& Engine::FastModFor(std::size_t bound) {
 
 void Engine::MarkReadyDirty(const TxnContext& ctx) {
   const std::uint64_t v = ctx.id.value();
-  const std::size_t w = static_cast<std::size_t>(v >> 6);
+  const std::size_t w = static_cast<std::size_t>((v >> 6) - ready_base_);
   if (w >= ready_bits_.size()) ready_bits_.resize(w + 1, 0);
   const std::uint64_t mask = std::uint64_t{1} << (v & 63);
   const bool want = ctx.status == TxnStatus::kReady && !ctx.backoff;
@@ -87,11 +88,29 @@ std::uint64_t Engine::SelectKthReady(std::size_t k) {
       continue;
     }
     while (k--) word &= word - 1;  // drop the k lowest set bits
-    return (static_cast<std::uint64_t>(w) << 6) +
+    return ((ready_base_ + static_cast<std::uint64_t>(w)) << 6) +
            static_cast<std::uint64_t>(std::countr_zero(word));
   }
   assert(false && "SelectKthReady past population");
   return kNoneIdx;
+}
+
+void Engine::TrimReadyWindow() {
+  // Every id below the oldest live one is committed: its bits are zero and
+  // its row entry kNoRow. Dropping those words once they are at least half
+  // the window keeps the erase amortized O(1) per commit and
+  // allocation-free.
+  const std::uint64_t oldest =
+      live_head_ == kNoneIdx ? next_txn_ : txns_[live_head_].id.value();
+  const auto dead = static_cast<std::size_t>((oldest >> 6) - ready_base_);
+  if (dead < 64 || 2 * 64 * dead < row_window_.size()) return;
+  const auto words =
+      static_cast<std::ptrdiff_t>(std::min(dead, ready_bits_.size()));
+  const auto ids = static_cast<std::ptrdiff_t>(64 * dead);
+  ready_bits_.erase(ready_bits_.begin(), ready_bits_.begin() + words);
+  row_window_.erase(row_window_.begin(), row_window_.begin() + ids);
+  ready_base_ += dead;
+  ready_lo_ = ready_lo_ > dead ? ready_lo_ - dead : 0;
 }
 
 void Engine::LiveInsert(std::uint64_t v) {
@@ -176,9 +195,27 @@ Result<TxnId> Engine::Spawn(std::shared_ptr<const txn::Program> program) {
   metrics_.programs_compiled = cs.compiles;
   metrics_.compile_cache_hits = cs.hits;
   metrics_.compiled_bytes = cs.compiled_bytes;
-  TxnContext ctx;
+  std::uint32_t row;
+  if (free_rows_.empty()) {
+    row = static_cast<std::uint32_t>(txns_.size());
+    txns_.emplace_back();
+    cold_.emplace_back();
+    txns_.back().granted.set_arena(&txn_arena_);
+  } else {
+    row = free_rows_.back();
+    free_rows_.pop_back();
+  }
+  row_window_.push_back(row);  // ids are handed out in order
+  // A reused row keeps its granted list's spill capacity.
+  TxnContext& ctx = txns_[row];
   ctx.id = id;
   ctx.entry = clock_++;
+  ctx.wait_since = 0;
+  ctx.status = TxnStatus::kReady;
+  ctx.in_shrinking_phase = false;
+  ctx.backoff = false;
+  ctx.pc = 0;
+  ctx.granted.clear();
   ctx.uops = uops;
   ctx.size = static_cast<std::uint32_t>(program->size());
   ctx.plan = &plans_[entry];
@@ -191,15 +228,14 @@ Result<TxnId> Engine::Spawn(std::shared_ptr<const txn::Program> program) {
   std::copy(init.begin(), init.end(), ctx.slots);
   std::fill(ctx.slots + init.size(), ctx.slots + ctx.plan->num_slots(),
             Value{0});
-  TxnCold cold;
+  TxnCold& cold = cold_[row];
   cold.program = std::move(program);
   cold.cache_entry = entry;
-  ctx.granted.set_arena(&txn_arena_);
+  cold.preempted = 0;
+  cold.hold_pc = kNoHold;
   if (recorder_ != nullptr) recorder_->OnBegin(id, ctx.entry);
-  txns_.push_back(std::move(ctx));  // index == id (dense admission ids)
-  cold_.push_back(std::move(cold));
-  LiveInsert(id.value());
-  MarkReadyDirty(txns_.back());
+  LiveInsert(row);
+  MarkReadyDirty(ctx);
   Emit({.kind = obs::EventKind::kAdmit, .txn = id});
   return id;
 }
@@ -237,22 +273,22 @@ Result<VictimCandidate> Engine::PlanConflictRelease(
     TxnId txn,
     const std::vector<std::pair<EntityId, lock::LockMode>>& conflicts) const {
   const TxnContext* ctx = Find(txn);
-  if (ctx == nullptr) return Status::NotFound("unknown transaction");
-  if (ctx->status == TxnStatus::kCommitted) {
+  if (ctx == nullptr && Spawned(txn)) {
     return Status::FailedPrecondition(
         "cannot plan a rollback of a committed transaction");
   }
+  if (ctx == nullptr) return Status::NotFound("unknown transaction");
   return MakeCandidate(*ctx, conflicts, /*is_requester=*/false);
 }
 
 Status Engine::ApplyExternalRollback(TxnId txn, LockIndex target,
                                      LockIndex ideal_target) {
   TxnContext* victim = Find(txn);
-  if (victim == nullptr) return Status::NotFound("unknown transaction");
-  if (victim->status == TxnStatus::kCommitted) {
+  if (victim == nullptr && Spawned(txn)) {
     return Status::FailedPrecondition(
         "cannot roll back a committed transaction");
   }
+  if (victim == nullptr) return Status::NotFound("unknown transaction");
   // The coordinator's victim decision resolves a *global* cycle this shard
   // cannot see; the causing transaction is unknown here.
   return RollbackTxn(*victim, {.target = target,
@@ -262,24 +298,28 @@ Status Engine::ApplyExternalRollback(TxnId txn, LockIndex target,
 
 Status Engine::SetBackoff(TxnId txn, bool on) {
   TxnContext* ctx = Find(txn);
-  if (ctx == nullptr) return Status::NotFound("unknown transaction");
-  if (on && ctx->status == TxnStatus::kCommitted) {
-    return Status::FailedPrecondition(
-        "cannot back off a committed transaction");
+  if (ctx == nullptr && Spawned(txn)) {
+    // Nothing to unpark once committed.
+    return on ? Status::FailedPrecondition(
+                    "cannot back off a committed transaction")
+              : Status::OK();
   }
+  if (ctx == nullptr) return Status::NotFound("unknown transaction");
   ctx->backoff = on;
   MarkReadyDirty(*ctx);
   return Status::OK();
 }
 
 Engine::TxnContext* Engine::Find(TxnId txn) {
-  const std::uint64_t v = txn.value();
-  return v < txns_.size() ? &txns_[v] : nullptr;
+  const std::uint64_t i = txn.value() - (ready_base_ << 6);  // wraps below
+  const std::uint32_t row = i < row_window_.size() ? row_window_[i] : kNoRow;
+  return row == kNoRow ? nullptr : &txns_[row];
 }
 
 const Engine::TxnContext* Engine::Find(TxnId txn) const {
-  const std::uint64_t v = txn.value();
-  return v < txns_.size() ? &txns_[v] : nullptr;
+  const std::uint64_t i = txn.value() - (ready_base_ << 6);  // wraps below
+  const std::uint32_t row = i < row_window_.size() ? row_window_[i] : kNoRow;
+  return row == kNoRow ? nullptr : &txns_[row];
 }
 
 Result<Value> Engine::EntityValue(const TxnContext& ctx, EntityId entity,
@@ -293,6 +333,7 @@ Result<Value> Engine::EntityValue(const TxnContext& ctx, EntityId entity,
 Result<StepOutcome> Engine::StepTxn(TxnId txn) {
   TxnContext* ctx = Find(txn);
   if (ctx == nullptr) {
+    if (Spawned(txn)) return StepOutcome::kIdle;  // committed
     return Status::NotFound("unknown transaction");
   }
   if (ctx->status != TxnStatus::kReady) return StepOutcome::kIdle;
@@ -516,12 +557,19 @@ Status Engine::ExecuteCommit(TxnContext& ctx) {
   ctx.status = TxnStatus::kCommitted;
   MarkReadyDirty(ctx);
   ctx.pc = ctx.size;
-  LiveRemove(ctx.id.value());
+  LiveRemove(RowOf(ctx));
   waits_for_.RemoveVertex(ctx.id.value());
   if (recorder_ != nullptr) recorder_->OnCommit(ctx.id);
   Emit({.kind = obs::EventKind::kCommit, .txn = ctx.id, .pc = ctx.pc});
   ++metrics_.commits;
   ++metrics_.ops_executed;  // the commit itself
+  // Retire the id (DESIGN D23): its row and lock-table row go to the next
+  // admission, and every later query on it answers as for a committed
+  // transaction.
+  locks_.ForgetTxn(ctx.id);
+  row_window_[ctx.id.value() - (ready_base_ << 6)] = kNoRow;
+  free_rows_.push_back(static_cast<std::uint32_t>(RowOf(ctx)));
+  TrimReadyWindow();
   // Commits are the natural flush cadence for batched telemetry: rare
   // enough to stay off the per-step path, frequent enough that registry
   // readers are never more than one transaction behind.
@@ -1087,7 +1135,7 @@ std::uint64_t Engine::StateDigest() const {
   std::uint64_t h = obs::kFnvOffsetBasis;
   for (std::uint64_t v = live_head_; v != kNoneIdx; v = live_next_[v]) {
     const TxnContext& ctx = txns_[v];
-    h = obs::FnvMix64(h, v);
+    h = obs::FnvMix64(h, ctx.id.value());
     h = obs::FnvMix64(h, ctx.entry);
     h = obs::FnvMix64(h, ctx.pc);
     h = obs::FnvMix64(h, static_cast<std::uint64_t>(ctx.status));
@@ -1390,7 +1438,7 @@ CostDistribution Engine::RollbackCostDistribution() const {
 
 std::string Engine::DumpState() const {
   std::ostringstream os;
-  os << "engine state (" << live_count_ << " live of " << txns_.size()
+  os << "engine state (" << live_count_ << " live of " << next_txn_
      << " txns):\n";
   for (std::uint64_t v = live_head_; v != kNoneIdx; v = live_next_[v]) {
     const TxnContext& ctx = txns_[v];

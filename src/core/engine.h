@@ -417,10 +417,15 @@ class Engine {
   // peak-live idle ones; DESIGN D21).
   std::size_t resident_programs() const { return compile_cache_.resident(); }
 
-  // Capacity hint: pre-sizes the dense per-transaction arrays (and the
-  // lock manager's) for `n` transactions, so admission never reallocates
-  // mid-run. Purely an optimisation; the arrays grow on demand regardless.
+  // Capacity hint: pre-sizes the per-transaction rows (and the lock
+  // manager's) for `n` transactions live at once — the multiprogramming
+  // level, not the run length: a committed transaction's row is reused by
+  // a later one (DESIGN D23). Purely an optimisation; the rows grow on
+  // demand regardless.
   void ReserveTxns(std::size_t n);
+
+  // Per-transaction rows held: the most transactions ever live at once.
+  std::size_t txn_rows() const { return txns_.size(); }
 
   // Pushes locally batched telemetry (lock-probe counter deltas) into the
   // shared atomic registry. Called automatically at quantum boundaries and
@@ -430,7 +435,8 @@ class Engine {
   void FlushProbes() { locks_.FlushProbe(); }
 
   // Per-transaction counters for preemption analysis (Figure 2): how many
-  // times txn was rolled back as a victim of another's conflict.
+  // times a live txn was rolled back as a victim of another's conflict (0
+  // once it committed).
   std::uint64_t PreemptionCountOf(TxnId txn) const;
   // The largest PreemptionCountOf over every transaction ever spawned:
   // Figure 2's repeated-preemption tail.
@@ -453,7 +459,7 @@ class Engine {
   // Hot per-transaction state: everything the step/readiness path touches,
   // packed so it fills the first cache line (59 bytes before `granted`).
   // Ownership and cold forensics fields live in the parallel TxnCold side
-  // array (same dense index), so a readiness scan or an op execution never
+  // array (same row), so a readiness scan or an op execution never
   // drags telemetry-only bytes through the cache.
   struct TxnContext {
     TxnId id;
@@ -483,7 +489,7 @@ class Engine {
     SmallVec<LockRecord, 8> granted;
   };
 
-  // Cold per-transaction state, indexed by the same dense id as txns_:
+  // Cold per-transaction state, indexed by the same row as txns_:
   // ownership handles plus fields only introspection, rollback planning or
   // the cross-shard protocol touch.
   struct TxnCold {
@@ -584,8 +590,13 @@ class Engine {
   // journal_epoch_steps boundary (called once per counted step).
   void MaybeStampJournalEpoch();
 
+  // The live transaction's context, or nullptr once it committed (or when
+  // it was never spawned).
   TxnContext* Find(TxnId txn);
   const TxnContext* Find(TxnId txn) const;
+  // True for an id this engine handed out: with Find == nullptr, one that
+  // committed.
+  bool Spawned(TxnId txn) const { return txn.value() < next_txn_; }
 
   storage::EntityStore* store_;
   EngineOptions options_;
@@ -601,15 +612,21 @@ class Engine {
   // Spill storage for per-transaction granted-lock records (DESIGN D15).
   // Declared before txns_ so it outlives every SmallVec pointing into it.
   Arena txn_arena_;
-  // Dense by transaction id (Spawn assigns ids 0,1,2,...), so Find is an
-  // index instead of a map walk. Committed contexts stay for
-  // introspection; the live list below keeps the scheduler scan O(live).
+  // One row per live transaction (DESIGN D23): Spawn gives the new id a
+  // row, reusing the row of a committed one (free_rows_), and commit
+  // retires the id, so the arrays are as long as the peak live count and a
+  // committed id finds no row. The live list below keeps the scheduler
+  // scan O(live).
   std::vector<TxnContext> txns_;
-  // Cold side array parallel to txns_ (same index).
+  std::vector<std::uint32_t> free_rows_;
+  // Cold side array parallel to txns_ (same row).
   std::vector<TxnCold> cold_;
-  TxnCold& ColdOf(const TxnContext& ctx) { return cold_[ctx.id.value()]; }
+  std::size_t RowOf(const TxnContext& ctx) const {
+    return static_cast<std::size_t>(&ctx - txns_.data());
+  }
+  TxnCold& ColdOf(const TxnContext& ctx) { return cold_[RowOf(ctx)]; }
   const TxnCold& ColdOf(const TxnContext& ctx) const {
-    return cold_[ctx.id.value()];
+    return cold_[RowOf(ctx)];
   }
   // Per-engine µop cache (engines are single-threaded), and the rollback
   // plan of each resident cache entry (indexed by its entry number) — built
@@ -619,8 +636,8 @@ class Engine {
   txn::CompileCache compile_cache_;
   rollback::RollbackPlanner planner_;
   std::deque<rollback::RollbackPlan> plans_;
-  // Uncommitted transactions as an intrusive doubly-linked list over dense
-  // ids (SoA; replaces std::set<TxnId>). Spawn appends at the tail and ids
+  // Uncommitted transactions as an intrusive doubly-linked list over rows
+  // (SoA; replaces std::set<TxnId>). Spawn appends at the tail and ids
   // increase monotonically, so traversal from live_head_ enumerates the
   // live set in id order — the same order the set gave — with O(1)
   // removal at commit.
@@ -643,21 +660,33 @@ class Engine {
   // its single point of use; the call trees below them never touch the
   // same buffer reentrantly.
   std::vector<TxnId> scratch_ready_;        // StepAny candidate set
-  // Readiness is tracked as a bitmap over dense admission indices,
-  // maintained at every transition (spawn, block, grant, commit, rollback,
-  // backoff). The live list appends monotonically increasing indices and
-  // never reorders, so ascending bit order is exactly the live-list scan
-  // order the scheduler always used — picking the k-th set bit yields the
-  // identical candidate. Steps that merely advance a ready transaction's
-  // pc touch nothing. Debug holds gate on pc, so any active hold falls
-  // back to a full scan into scratch_ready_ (holds_active_ counts hold_pc
-  // assignments, conservatively).
+  // Readiness is tracked as a bitmap over transaction ids, maintained at
+  // every transition (spawn, block, grant, commit, rollback, backoff). The
+  // live list holds monotonically increasing ids and never reorders, so
+  // ascending bit order is exactly the live-list scan order the scheduler
+  // always used — picking the k-th set bit yields the identical candidate.
+  // Steps that merely advance a ready transaction's pc touch nothing.
+  // Debug holds gate on pc, so any active hold falls back to a full scan
+  // into scratch_ready_ (holds_active_ counts hold_pc assignments,
+  // conservatively).
+  //
+  // The id window: ready_bits_ word w covers ids [64 (ready_base_ + w),
+  // +64), and row_window_[i] is the row of id 64 ready_base_ + i (kNoRow
+  // once committed), up to the newest id. Everything below the oldest
+  // live id is committed, so TrimReadyWindow drops it as that id
+  // advances: the window spans the live ids, not the run, and Find is one
+  // index.
+  static constexpr std::uint32_t kNoRow = ~std::uint32_t{0};
   std::vector<std::uint64_t> ready_bits_;
+  std::vector<std::uint32_t> row_window_;
+  std::uint64_t ready_base_ = 0;
   std::size_t ready_count_ = 0;
   std::size_t ready_lo_ = 0;  // first possibly-nonzero word (monotone hint)
   std::uint64_t holds_active_ = 0;
   void MarkReadyDirty(const TxnContext& ctx);
+  // The id of the k-th ready transaction in id order.
   std::uint64_t SelectKthReady(std::size_t k);
+  void TrimReadyWindow();
   std::vector<lock::Grant> scratch_grants_;  // release/cancel grant batches
   std::vector<TxnId> scratch_blockers_;      // RefreshWaitEdges per waiter
   std::vector<LockRecord> scratch_undone_;   // RollbackTxn undo tail

@@ -53,12 +53,14 @@ void LockManager::ReserveEntities(std::size_t n) {
 }
 
 void LockManager::ReserveTxns(std::size_t n) {
-  if (txn_state_.size() >= n) return;
-  const std::size_t old = txn_state_.size();
-  txn_state_.resize(n);
-  for (std::size_t i = old; i < n; ++i) {
-    txn_state_[i].held.set_arena(&arena_);
-  }
+  txn_rows_.Reserve(n);
+  txn_state_.reserve(n);
+}
+
+void LockManager::ForgetTxn(TxnId txn) {
+  const TxnState* ts = StateFor(txn);
+  if (ts == nullptr || !ts->held.empty() || ts->waiting_for.valid()) return;
+  txn_rows_.Erase(txn.value());
 }
 
 LockManager::EntityState& LockManager::EnsureSlot(EntityId entity) {
@@ -92,9 +94,14 @@ void LockManager::MaybeFreeSlot(EntityState& es) {
 }
 
 LockManager::TxnState& LockManager::EnsureTxn(TxnId txn) {
-  const std::uint64_t v = txn.value();
-  if (v >= txn_state_.size()) ReserveTxns(v + 1);
-  return txn_state_[v];
+  if (TxnState* ts = StateFor(txn)) return *ts;
+  const std::uint32_t row = txn_rows_.Insert(txn.value());
+  if (row == txn_state_.size()) {
+    txn_state_.emplace_back();
+    txn_state_.back().held.set_arena(&arena_);
+  }
+  // A retired row held nothing and waited for nothing.
+  return txn_state_[row];
 }
 
 void LockManager::UpsertHolder(EntityState& es, TxnId txn, LockMode mode) {
@@ -105,8 +112,7 @@ void LockManager::UpsertHolder(EntityState& es, TxnId txn, LockMode mode) {
   es.holders.push_back(HolderEntry{txn, mode});
 }
 
-void LockManager::UpsertHeld(TxnId txn, EntityId entity, LockMode mode) {
-  TxnState& ts = EnsureTxn(txn);
+void LockManager::UpsertHeld(TxnState& ts, EntityId entity, LockMode mode) {
   if (HeldEntry* h = ts.FindHeld(entity)) {
     h->mode = mode;
     return;
@@ -188,7 +194,8 @@ Result<RequestOutcome> LockManager::Request(TxnId txn, EntityId entity,
 
 Result<RequestResult> LockManager::TryRequest(TxnId txn, EntityId entity,
                                               LockMode mode) {
-  if (IsWaiting(txn)) {
+  TxnState* ts = StateFor(txn);
+  if (ts != nullptr && ts->waiting_for.valid()) {
     return Status::FailedPrecondition(
         "transaction already waiting; one pending request at a time (" +
         Describe(txn, entity) + ")");
@@ -208,7 +215,7 @@ Result<RequestResult> LockManager::TryRequest(TxnId txn, EntityId entity,
   Waiter w{txn, mode, is_upgrade};
   if (Grantable(es, w, es.queue.size())) {
     UpsertHolder(es, txn, mode);
-    UpsertHeld(txn, entity, mode);
+    UpsertHeld(ts != nullptr ? *ts : EnsureTxn(txn), entity, mode);
     if (probe_ != nullptr) ++delta_.grants_immediate;
     return RequestResult{true, is_upgrade};
   }
@@ -220,7 +227,7 @@ Result<RequestResult> LockManager::TryRequest(TxnId txn, EntityId entity,
   } else {
     es.queue.push_back(w);
   }
-  EnsureTxn(txn).waiting_for = entity;
+  (ts != nullptr ? *ts : EnsureTxn(txn)).waiting_for = entity;
   ++waiting_count_;
   if (probe_ != nullptr) {
     ++delta_.queued;
@@ -314,7 +321,7 @@ Status LockManager::DowngradeInto(TxnId txn, EntityId entity,
                             Describe(txn, entity) + ")");
   }
   h->mode = LockMode::kShared;
-  UpsertHeld(txn, entity, LockMode::kShared);
+  UpsertHeld(EnsureTxn(txn), entity, LockMode::kShared);
   ProcessQueue(*es, out);
   return Status::OK();
 }
@@ -357,10 +364,11 @@ void LockManager::ProcessQueue(EntityState& es, std::vector<Grant>* out) {
     Waiter head = es.queue[0];
     if (Grantable(es, head, 0)) {
       es.queue.erase_at(0);
-      txn_state_[head.txn.value()].waiting_for = EntityId();
+      TxnState& ts = *StateFor(head.txn);
+      ts.waiting_for = EntityId();
       --waiting_count_;
       UpsertHolder(es, head.txn, head.mode);
-      UpsertHeld(head.txn, entity, head.mode);
+      UpsertHeld(ts, entity, head.mode);
       out->push_back(Grant{head.txn, entity, head.mode, head.is_upgrade});
       progressed = true;
       continue;
@@ -373,10 +381,11 @@ void LockManager::ProcessQueue(EntityState& es, std::vector<Grant>* out) {
         if (w.mode == LockMode::kShared && !w.is_upgrade &&
             Grantable(es, w, i)) {
           es.queue.erase_at(i);
-          txn_state_[w.txn.value()].waiting_for = EntityId();
+          TxnState& ts = *StateFor(w.txn);
+          ts.waiting_for = EntityId();
           --waiting_count_;
           UpsertHolder(es, w.txn, w.mode);
-          UpsertHeld(w.txn, entity, w.mode);
+          UpsertHeld(ts, entity, w.mode);
           out->push_back(Grant{w.txn, entity, w.mode, false});
           progressed = true;
           break;

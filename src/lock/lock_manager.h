@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/arena.h"
+#include "common/id_slots.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "common/types.h"
@@ -116,8 +117,17 @@ class LockManager {
   // Pre-sizes the entity-slot remap for `n` dense entity ids (capacity
   // hint only; the table grows on first touch regardless).
   void ReserveEntities(std::size_t n);
-  // Pre-sizes per-transaction state for `n` dense transaction ids.
+  // Pre-sizes per-transaction state for `n` transactions at once (capacity
+  // hint only; rows are created on first use regardless).
   void ReserveTxns(std::size_t n);
+
+  // Retires txn's row once it holds nothing and waits for nothing (the
+  // engine calls it at commit), so the next transaction reuses it (DESIGN
+  // D23). A no-op otherwise. Later queries on txn answer as for a
+  // transaction that never locked anything.
+  void ForgetTxn(TxnId txn);
+  // Per-transaction rows held: the most transactions ever known at once.
+  std::size_t txn_rows() const { return txn_state_.size(); }
 
   // Requests `mode` on `entity` for `txn`. Errors:
   //  * FailedPrecondition — txn is already waiting for some entity;
@@ -244,7 +254,8 @@ class LockManager {
     LockMode mode;
   };
 
-  // Per-transaction lock state, direct-indexed by dense txn id.
+  // Per-transaction lock state, one row per transaction known to the table
+  // (see txn_rows_).
   struct TxnState {
     SmallVec<HeldEntry, 8> held;  // grant order; sorted at emission
     EntityId waiting_for;         // invalid when not waiting
@@ -282,19 +293,19 @@ class LockManager {
   void MaybeFreeSlot(EntityState& es);
 
   const TxnState* StateFor(TxnId txn) const {
-    const std::uint64_t v = txn.value();
-    return v < txn_state_.size() ? &txn_state_[v] : nullptr;
+    const std::uint32_t row = txn_rows_.Find(txn.value());
+    return row == IdSlots::kNone ? nullptr : &txn_state_[row];
   }
   TxnState* StateFor(TxnId txn) {
-    const std::uint64_t v = txn.value();
-    return v < txn_state_.size() ? &txn_state_[v] : nullptr;
+    const std::uint32_t row = txn_rows_.Find(txn.value());
+    return row == IdSlots::kNone ? nullptr : &txn_state_[row];
   }
   TxnState& EnsureTxn(TxnId txn);
 
   // Sets holder `txn` to `mode`, inserting or overwriting (an upgrade
   // rewrites the shared entry in place, preserving grant order).
   static void UpsertHolder(EntityState& es, TxnId txn, LockMode mode);
-  void UpsertHeld(TxnId txn, EntityId entity, LockMode mode);
+  static void UpsertHeld(TxnState& ts, EntityId entity, LockMode mode);
   void EraseHeld(TxnId txn, EntityId entity);
 
   // True when `w` can be granted right now given holders and the queue
@@ -329,7 +340,8 @@ class LockManager {
   std::vector<EntityState> slots_;
   std::vector<std::uint32_t> slot_of_;  // entity id -> slot index
   std::uint32_t free_head_ = kNoSlot;
-  std::vector<TxnState> txn_state_;  // txn id -> lock state
+  IdSlots txn_rows_;                 // txn id -> row of txn_state_
+  std::vector<TxnState> txn_state_;  // by row; reused after ForgetTxn
   std::size_t waiting_count_ = 0;
 };
 

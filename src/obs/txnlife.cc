@@ -53,21 +53,31 @@ TxnLifeBook::TxnLifeBook(Options options)
   ring_.reserve(std::min<std::size_t>(options_.ring_capacity, 4096));
 }
 
-void TxnLifeBook::EnsureRow(std::uint64_t id) {
-  if (id < cols_.admit_step.size()) return;
-  const std::size_t n = id + 1;
-  cols_.admit_step.resize(n, kUnset);
-  cols_.first_step.resize(n, kUnset);
-  cols_.commit_step.resize(n, kUnset);
-  cols_.admit_ns.resize(n, 0);
-  cols_.commit_ns.resize(n, 0);
-  cols_.queue_wait_ns.resize(n, 0);
-  cols_.lock_wait_steps.resize(n, 0);
-  cols_.block_since.resize(n, kUnset);
-  cols_.exec_steps.resize(n, 0);
-  cols_.redo_steps.resize(n, 0);
-  cols_.blocks.resize(n, 0);
-  cols_.rollbacks.resize(n, 0);
+TxnLifeBook::Row* TxnLifeBook::Find(TxnId txn) {
+  if (!txn.valid()) return nullptr;
+  const std::uint32_t row = row_of_.Find(txn.value());
+  return row == IdSlots::kNone ? nullptr : &rows_[row];
+}
+
+const TxnLifeBook::Row* TxnLifeBook::Find(TxnId txn) const {
+  if (!txn.valid()) return nullptr;
+  const std::uint32_t row = row_of_.Find(txn.value());
+  return row == IdSlots::kNone ? nullptr : &rows_[row];
+}
+
+void TxnLifeBook::MaybeRetire(std::uint64_t txn) {
+  const Row* row = Find(TxnId(txn));
+  if (row == nullptr || row->commit_step == kUnset) return;
+  // Kept while one of the last kRecent admissions.
+  if (row->ordinal + kRecent >= admitted_) return;
+  row_of_.Erase(txn);
+}
+
+bool TxnLifeBook::Slower(const Row& a, const Row& b) {
+  const std::uint64_t ea = a.commit_step - a.admit_step;
+  const std::uint64_t eb = b.commit_step - b.admit_step;
+  if (ea != eb) return ea > eb;
+  return a.txn < b.txn;
 }
 
 std::uint64_t TxnLifeBook::SampledWall(bool always) const {
@@ -119,11 +129,25 @@ void TxnLifeBook::OnEvent(const EngineEvent& e) {
 }
 
 void TxnLifeBook::Admit(TxnId txn, std::uint64_t step) {
-  if (!txn.valid()) return;
-  EnsureRow(txn.value());
-  cols_.admit_step[txn.value()] = step;
-  cols_.admit_ns[txn.value()] = clock_->NowNanos();
+  if (!txn.valid() || Find(txn) != nullptr) return;
+  const std::uint32_t index = row_of_.Insert(txn.value());
+  if (index == rows_.size()) rows_.emplace_back();
+  Row& row = rows_[index];
+  row = Row{};
+  row.txn = txn.value();
+  row.ordinal = admitted_;
+  row.admit_step = step;
+  row.admit_ns = clock_->NowNanos();
+  // The admission that leaves the recent window retires, if committed.
+  std::uint64_t leaving = kUnset;
+  if (recent_.size() < kRecent) {
+    recent_.push_back(txn.value());
+  } else {
+    leaving = recent_[admitted_ % kRecent];
+    recent_[admitted_ % kRecent] = txn.value();
+  }
   ++admitted_;
+  if (leaving != kUnset) MaybeRetire(leaving);
   TxnLifeEvent e;
   e.kind = TxnLifeEvent::Kind::kAdmit;
   e.txn = txn.value();
@@ -132,63 +156,63 @@ void TxnLifeBook::Admit(TxnId txn, std::uint64_t step) {
 }
 
 void TxnLifeBook::OnStep(TxnId txn, std::uint64_t step) {
-  if (!Known(txn)) return;
-  const std::uint64_t id = txn.value();
-  ++cols_.exec_steps[id];
-  if (cols_.first_step[id] == kUnset) {
-    cols_.first_step[id] = step;
+  Row* row = Find(txn);
+  if (row == nullptr) return;
+  ++row->exec_steps;
+  if (row->first_step == kUnset) {
+    row->first_step = step;
     TxnLifeEvent e;
     e.kind = TxnLifeEvent::Kind::kFirstStep;
-    e.txn = id;
+    e.txn = row->txn;
     e.step = step;
     PushEvent(e, /*always_wall=*/false);
   }
 }
 
 void TxnLifeBook::Block(TxnId txn, std::uint64_t step, EntityId entity) {
-  if (!Known(txn)) return;
-  const std::uint64_t id = txn.value();
-  ++cols_.blocks[id];
-  cols_.block_since[id] = step;
+  Row* row = Find(txn);
+  if (row == nullptr) return;
+  ++row->blocks;
+  row->block_since = step;
   TxnLifeEvent e;
   e.kind = TxnLifeEvent::Kind::kBlock;
-  e.txn = id;
+  e.txn = row->txn;
   e.step = step;
   e.detail = entity.valid() ? entity.value() : 0;
   PushEvent(e, /*always_wall=*/false);
 }
 
 void TxnLifeBook::Wake(TxnId txn, std::uint64_t step) {
-  if (!Known(txn)) return;
-  const std::uint64_t id = txn.value();
-  if (cols_.block_since[id] != kUnset) {
-    cols_.lock_wait_steps[id] += step - cols_.block_since[id];
-    cols_.block_since[id] = kUnset;
+  Row* row = Find(txn);
+  if (row == nullptr) return;
+  if (row->block_since != kUnset) {
+    row->lock_wait_steps += step - row->block_since;
+    row->block_since = kUnset;
   }
   TxnLifeEvent e;
   e.kind = TxnLifeEvent::Kind::kWake;
-  e.txn = id;
+  e.txn = row->txn;
   e.step = step;
   PushEvent(e, /*always_wall=*/false);
 }
 
 void TxnLifeBook::Rollback(const EngineEvent& event) {
-  if (!Known(event.txn)) return;
-  const std::uint64_t id = event.txn.value();
+  Row* row = Find(event.txn);
+  if (row == nullptr) return;
   const std::uint64_t step = event.step;
   const std::uint64_t cost = event.cost;
-  ++cols_.rollbacks[id];
-  cols_.redo_steps[id] += cost;
+  ++row->rollbacks;
+  row->redo_steps += cost;
   // A rollback cancels any pending wait; the time blocked still counts as
   // lock wait (it ended in a rollback instead of a grant).
-  if (cols_.block_since[id] != kUnset) {
-    cols_.lock_wait_steps[id] += step - cols_.block_since[id];
-    cols_.block_since[id] = kUnset;
+  if (row->block_since != kUnset) {
+    row->lock_wait_steps += step - row->block_since;
+    row->block_since = kUnset;
   }
   TxnLifeEvent e;
   e.kind = TxnLifeEvent::Kind::kRollback;
   e.cause = event.cause;
-  e.txn = id;
+  e.txn = row->txn;
   e.step = step;
   e.detail = cost;
   e.causing = event.causing.valid() ? event.causing.value() + 1 : 0;
@@ -197,31 +221,40 @@ void TxnLifeBook::Rollback(const EngineEvent& event) {
 }
 
 void TxnLifeBook::Commit(TxnId txn, std::uint64_t step, StateIndex pc) {
-  if (!Known(txn)) return;
-  const std::uint64_t id = txn.value();
-  cols_.commit_step[id] = step;
-  cols_.commit_ns[id] = clock_->NowNanos();
-  cols_.block_since[id] = kUnset;
+  Row* row = Find(txn);
+  if (row == nullptr || row->commit_step != kUnset) return;
+  row->commit_step = step;
+  row->commit_ns = clock_->NowNanos();
+  row->block_since = kUnset;
   ++committed_;
   if (e2e_steps_hist_ != nullptr) {
-    e2e_steps_hist_->Record(step - cols_.admit_step[id]);
+    e2e_steps_hist_->Record(step - row->admit_step);
   }
-  if (lock_wait_hist_ != nullptr) {
-    lock_wait_hist_->Record(cols_.lock_wait_steps[id]);
-  }
-  if (exec_hist_ != nullptr) exec_hist_->Record(cols_.exec_steps[id]);
-  if (redo_hist_ != nullptr) redo_hist_->Record(cols_.redo_steps[id]);
+  if (lock_wait_hist_ != nullptr) lock_wait_hist_->Record(row->lock_wait_steps);
+  if (exec_hist_ != nullptr) exec_hist_->Record(row->exec_steps);
+  if (redo_hist_ != nullptr) redo_hist_->Record(row->redo_steps);
   TxnLifeEvent e;
   e.kind = TxnLifeEvent::Kind::kCommit;
-  e.txn = id;
+  e.txn = row->txn;
   e.step = step;
   e.detail = pc;
   PushEvent(e, /*always_wall=*/true);
+  // Fold into the bounded top-kSlowest heap (fastest on top).
+  if (slowest_.size() < kSlowest) {
+    slowest_.push_back(*row);
+    std::push_heap(slowest_.begin(), slowest_.end(), Slower);
+  } else if (Slower(*row, slowest_.front())) {
+    std::pop_heap(slowest_.begin(), slowest_.end(), Slower);
+    slowest_.back() = *row;
+    std::push_heap(slowest_.begin(), slowest_.end(), Slower);
+  }
+  MaybeRetire(row->txn);
 }
 
 void TxnLifeBook::RecordQueueWait(TxnId txn, std::uint64_t wait_ns) {
-  if (!Known(txn)) return;
-  cols_.queue_wait_ns[txn.value()] = wait_ns;
+  Row* row = Find(txn);
+  if (row == nullptr) return;
+  row->queue_wait_ns = wait_ns;
   if (queue_wait_hist_ != nullptr) queue_wait_hist_->Record(wait_ns);
 }
 
@@ -238,24 +271,30 @@ void TxnLifeBook::AttachMetrics(MetricsRegistry* registry,
   queue_wait_hist_ = registry->GetHistogram(kTxnQueueWaitNs, labels);
 }
 
-bool TxnLifeBook::Has(TxnId txn) const { return Known(txn); }
+bool TxnLifeBook::Has(TxnId txn) const {
+  if (Find(txn) != nullptr) return true;
+  for (const Row& r : slowest_) {
+    if (r.txn == txn.value()) return true;
+  }
+  return false;
+}
 
-TxnTimelineRecord TxnLifeBook::SummaryOf(std::uint64_t id,
-                                         std::uint32_t shard) const {
+TxnTimelineRecord TxnLifeBook::SummaryOf(const Row& row,
+                                         std::uint32_t shard) {
   TxnTimelineRecord r;
-  r.txn = id;
+  r.txn = row.txn;
   r.shard = shard;
-  r.admit_step = cols_.admit_step[id];
-  r.first_step = cols_.first_step[id];
-  r.commit_step = cols_.commit_step[id];
-  r.admit_ns = cols_.admit_ns[id];
-  r.commit_ns = cols_.commit_ns[id];
-  r.queue_wait_ns = cols_.queue_wait_ns[id];
-  r.lock_wait_steps = cols_.lock_wait_steps[id];
-  r.exec_steps = cols_.exec_steps[id];
-  r.redo_steps = cols_.redo_steps[id];
-  r.blocks = cols_.blocks[id];
-  r.rollbacks = cols_.rollbacks[id];
+  r.admit_step = row.admit_step;
+  r.first_step = row.first_step;
+  r.commit_step = row.commit_step;
+  r.admit_ns = row.admit_ns;
+  r.commit_ns = row.commit_ns;
+  r.queue_wait_ns = row.queue_wait_ns;
+  r.lock_wait_steps = row.lock_wait_steps;
+  r.exec_steps = row.exec_steps;
+  r.redo_steps = row.redo_steps;
+  r.blocks = row.blocks;
+  r.rollbacks = row.rollbacks;
   r.committed = r.commit_step != kUnset;
   if (r.committed && r.admit_step != kUnset) {
     r.e2e_steps = r.commit_step - r.admit_step;
@@ -265,8 +304,12 @@ TxnTimelineRecord TxnLifeBook::SummaryOf(std::uint64_t id,
 
 TxnTimelineRecord TxnLifeBook::RecordOf(TxnId txn,
                                         std::uint32_t shard) const {
-  if (!Known(txn)) return TxnTimelineRecord{};
-  TxnTimelineRecord r = SummaryOf(txn.value(), shard);
+  const Row* row = Find(txn);
+  for (std::size_t i = 0; row == nullptr && i < slowest_.size(); ++i) {
+    if (slowest_[i].txn == txn.value()) row = &slowest_[i];
+  }
+  if (row == nullptr) return TxnTimelineRecord{};
+  TxnTimelineRecord r = SummaryOf(*row, shard);
   const std::size_t n = ring_.size();
   for (std::size_t i = 0; i < n; ++i) {
     const TxnLifeEvent& e = ring_[(ring_head_ + i) % n];
@@ -283,38 +326,28 @@ TxnLifeDigest TxnLifeBook::Digest(std::uint32_t shard, std::size_t top_k,
   d.committed = committed_;
   d.dropped_events = dropped_events_;
 
-  const std::uint64_t rows = cols_.admit_step.size();
   // Top-k committed by end-to-end steps.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> closed;  // (e2e, id)
-  closed.reserve(committed_);
-  for (std::uint64_t id = 0; id < rows; ++id) {
-    if (cols_.admit_step[id] == kUnset) continue;
-    if (cols_.commit_step[id] == kUnset) continue;
-    closed.emplace_back(cols_.commit_step[id] - cols_.admit_step[id], id);
-  }
-  const std::size_t k = std::min(top_k, closed.size());
-  std::partial_sort(closed.begin(), closed.begin() + k, closed.end(),
-                    [](const auto& a, const auto& b) {
-                      if (a.first != b.first) return a.first > b.first;
-                      return a.second < b.second;  // stable tie-break by id
-                    });
-  closed.resize(k);
+  std::vector<const Row*> closed;
+  closed.reserve(slowest_.size());
+  for (const Row& r : slowest_) closed.push_back(&r);
+  std::sort(closed.begin(), closed.end(),
+            [](const Row* a, const Row* b) { return Slower(*a, *b); });
+  closed.resize(std::min(top_k, closed.size()));
 
-  // Most recently admitted rows (ids are dense, so the tail of the table).
-  std::vector<std::uint64_t> recent_ids;
-  for (std::uint64_t id = rows; id-- > 0 && recent_ids.size() < recent;) {
-    if (cols_.admit_step[id] != kUnset) recent_ids.push_back(id);
+  // The most recently admitted rows, ascending (admission order is id
+  // order). The ring's oldest entry sits at admitted_ % kRecent once full.
+  std::vector<const Row*> recent_rows;
+  const std::size_t window = recent_.size();
+  const std::size_t take = std::min(recent, window);
+  for (std::size_t i = window - take; i < window; ++i) {
+    const std::uint64_t id =
+        recent_[window < kRecent ? i : (admitted_ + i) % kRecent];
+    if (const Row* row = Find(TxnId(id))) recent_rows.push_back(row);
   }
-  std::reverse(recent_ids.begin(), recent_ids.end());
 
   std::unordered_map<std::uint64_t, std::vector<TxnLifeEvent>> events;
-  for (const auto& [e2e, id] : closed) {
-    (void)e2e;
-    events.emplace(id, std::vector<TxnLifeEvent>{});
-  }
-  for (std::uint64_t id : recent_ids) {
-    events.emplace(id, std::vector<TxnLifeEvent>{});
-  }
+  for (const Row* r : closed) events.try_emplace(r->txn);
+  for (const Row* r : recent_rows) events.try_emplace(r->txn);
   const std::size_t n = ring_.size();
   for (std::size_t i = 0; i < n; ++i) {
     const TxnLifeEvent& e = ring_[(ring_head_ + i) % n];
@@ -322,19 +355,16 @@ TxnLifeDigest TxnLifeBook::Digest(std::uint32_t shard, std::size_t top_k,
     if (it != events.end()) it->second.push_back(e);
   }
 
-  auto Materialize = [&](std::uint64_t id) {
-    TxnTimelineRecord r = SummaryOf(id, shard);
-    auto it = events.find(id);
+  auto Materialize = [&](const Row& row) {
+    TxnTimelineRecord r = SummaryOf(row, shard);
+    auto it = events.find(row.txn);
     if (it != events.end()) r.events = it->second;
     return r;
   };
   d.slowest.reserve(closed.size());
-  for (const auto& [e2e, id] : closed) {
-    (void)e2e;
-    d.slowest.push_back(Materialize(id));
-  }
-  d.recent.reserve(recent_ids.size());
-  for (std::uint64_t id : recent_ids) d.recent.push_back(Materialize(id));
+  for (const Row* r : closed) d.slowest.push_back(Materialize(*r));
+  d.recent.reserve(recent_rows.size());
+  for (const Row* r : recent_rows) d.recent.push_back(Materialize(*r));
   return d;
 }
 

@@ -6,6 +6,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/id_slots.h"
 #include "common/types.h"
 #include "obs/clock.h"
 #include "obs/event.h"
@@ -102,9 +103,12 @@ struct TxnLifeDigest {
 // through attached metrics (lock-free registry objects) and through
 // Digest(), which the shard thread materializes and hands to the hub.
 //
-// Storage is structure-of-arrays over dense local txn ids (the engine
-// assigns them sequentially) plus one bounded event ring shared by all
-// transactions; ring eviction is counted.
+// Storage is one row per transaction still worth publishing (DESIGN D23):
+// the live ones, plus the committed ones among the kRecent most recently
+// admitted (Digest's `recent` set). A committed row otherwise folds into
+// the latency histograms and, when it ranks, into the bounded top-kSlowest
+// set — so the book is O(live) however long the run. One bounded event
+// ring is shared by all transactions; ring eviction is counted.
 class TxnLifeBook {
  public:
   struct Options {
@@ -145,48 +149,67 @@ class TxnLifeBook {
   // Events evicted from the ring because it was full.
   std::uint64_t dropped_events() const { return dropped_events_; }
 
+  // Rows retained, live or not: at most the live count plus kRecent.
+  std::size_t rows() const { return rows_.size(); }
+
   // Timeline materialization (shard thread only) ---------------------------
 
+  // Committed transactions answer while they are among the kRecent most
+  // recently admitted or the kSlowest slowest; older ones are folded away.
   bool Has(TxnId txn) const;
-  // Full record with its ring-retained events.
+  // Full record with its ring-retained events (an empty record when the
+  // book no longer has the transaction).
   TxnTimelineRecord RecordOf(TxnId txn, std::uint32_t shard = 0) const;
-  TxnLifeDigest Digest(std::uint32_t shard, std::size_t top_k = 64,
-                       std::size_t recent = 128) const;
+  // `top_k` and `recent` are clamped to kSlowest and kRecent.
+  TxnLifeDigest Digest(std::uint32_t shard, std::size_t top_k = kSlowest,
+                       std::size_t recent = kRecent) const;
+
+  static constexpr std::size_t kSlowest = 64;
+  static constexpr std::size_t kRecent = 128;
 
  private:
-  struct Columns {
-    // Parallel per-txn columns, indexed by local txn id.
-    std::vector<std::uint64_t> admit_step;
-    std::vector<std::uint64_t> first_step;
-    std::vector<std::uint64_t> commit_step;
-    std::vector<std::uint64_t> admit_ns;
-    std::vector<std::uint64_t> commit_ns;
-    std::vector<std::uint64_t> queue_wait_ns;
-    std::vector<std::uint64_t> lock_wait_steps;
-    std::vector<std::uint64_t> block_since;  // kUnset when not blocked
-    std::vector<std::uint64_t> exec_steps;
-    std::vector<std::uint64_t> redo_steps;
-    std::vector<std::uint32_t> blocks;
-    std::vector<std::uint32_t> rollbacks;
+  // One transaction's columns.
+  struct Row {
+    std::uint64_t txn = 0;
+    std::uint64_t ordinal = 0;  // admissions before this one
+    std::uint64_t admit_step = TxnTimelineRecord::kUnset;
+    std::uint64_t first_step = TxnTimelineRecord::kUnset;
+    std::uint64_t commit_step = TxnTimelineRecord::kUnset;
+    std::uint64_t admit_ns = 0;
+    std::uint64_t commit_ns = 0;
+    std::uint64_t queue_wait_ns = 0;
+    std::uint64_t lock_wait_steps = 0;
+    std::uint64_t block_since = TxnTimelineRecord::kUnset;  // not blocked
+    std::uint64_t exec_steps = 0;
+    std::uint64_t redo_steps = 0;
+    std::uint32_t blocks = 0;
+    std::uint32_t rollbacks = 0;
   };
 
-  bool Known(TxnId txn) const {
-    return txn.valid() && txn.value() < cols_.admit_step.size() &&
-           cols_.admit_step[txn.value()] != TxnTimelineRecord::kUnset;
-  }
+  Row* Find(TxnId txn);
+  const Row* Find(TxnId txn) const;
+  // Drops txn's row once it is committed and out of the recent window.
+  void MaybeRetire(std::uint64_t txn);
   void Admit(TxnId txn, std::uint64_t step);
   void Block(TxnId txn, std::uint64_t step, EntityId entity);
   void Wake(TxnId txn, std::uint64_t step);
   void Rollback(const EngineEvent& event);
   void Commit(TxnId txn, std::uint64_t step, StateIndex pc);
-  void EnsureRow(std::uint64_t id);
   void PushEvent(TxnLifeEvent event, bool always_wall);
   std::uint64_t SampledWall(bool always) const;
-  TxnTimelineRecord SummaryOf(std::uint64_t id, std::uint32_t shard) const;
+  static TxnTimelineRecord SummaryOf(const Row& row, std::uint32_t shard);
+  // Digest's ranking: more end-to-end steps first, then the lower id.
+  static bool Slower(const Row& a, const Row& b);
 
   Options options_;
   const Clock* clock_;
-  Columns cols_;
+  IdSlots row_of_;         // txn id -> index into rows_
+  std::vector<Row> rows_;  // reused after MaybeRetire
+  // Ids of the kRecent most recently admitted transactions (ring, oldest
+  // at admitted_ % kRecent once full).
+  std::vector<std::uint64_t> recent_;
+  // The kSlowest slowest committed rows, a heap with the fastest on top.
+  std::vector<Row> slowest_;
 
   // Bounded event ring (oldest evicted first).
   std::vector<TxnLifeEvent> ring_;

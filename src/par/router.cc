@@ -7,7 +7,6 @@
 
 #include "common/random.h"
 #include "dist/distributed.h"
-#include "par/fork_join.h"
 #include "sim/workload.h"
 
 namespace pardb::par {
@@ -73,25 +72,21 @@ std::vector<std::vector<EntityId>> ShardEntityUniverses(
   return universes;
 }
 
-namespace {
-
 // The routing plan (see router.h): generator index num_shards is the
 // full-universe generator, index s the local generator of shard s.
-class RoutingPlan {
+class RoutingStream::Plan {
  public:
-  explicit RoutingPlan(const ShardedOptions& options);
+  explicit Plan(const ShardedOptions& options);
 
   // Generator index for the next transaction.
   std::uint32_t Next();
 
-  // One fresh generator per index, num_shards + 1 in all; null for a
-  // shard that owns no entity (the plan never picks it).
-  std::vector<std::unique_ptr<sim::WorkloadGenerator>> MakeGenerators() const;
+  // One generator per index, num_shards + 1 in all; null for a shard that
+  // owns no entity (the plan never picks it).
+  std::vector<std::unique_ptr<sim::WorkloadGenerator>> generators;
 
  private:
-  sim::WorkloadOptions workload_;
   std::uint32_t num_shards_;
-  std::uint64_t seed_;
   double cross_shard_fraction_;
   bool hot_shard_routing_;
   std::vector<std::vector<EntityId>> universes_;
@@ -102,10 +97,9 @@ class RoutingPlan {
   ZipfianGenerator home_zipf_;
 };
 
-RoutingPlan::RoutingPlan(const ShardedOptions& options)
-    : workload_(options.workload),
+RoutingStream::Plan::Plan(const ShardedOptions& options)
+    : generators(options.num_shards + 1),
       num_shards_(options.num_shards),
-      seed_(options.seed),
       cross_shard_fraction_(options.cross_shard_fraction),
       hot_shard_routing_(options.hot_shard_routing),
       universes_(ShardEntityUniverses(options.workload.num_entities,
@@ -113,11 +107,18 @@ RoutingPlan::RoutingPlan(const ShardedOptions& options)
       route_rng_(DeriveShardSeed(options.seed, 0x30000u)),
       home_zipf_(options.workload.num_entities, options.workload.zipf_theta) {
   for (std::uint32_t s = 0; s < num_shards_; ++s) {
-    if (!universes_[s].empty()) populated_.push_back(s);
+    if (universes_[s].empty()) continue;
+    populated_.push_back(s);
+    sim::WorkloadOptions w = options.workload;
+    w.entity_universe = universes_[s];
+    generators[s] = std::make_unique<sim::WorkloadGenerator>(
+        w, DeriveShardSeed(options.seed, 0x10000u + s));
   }
+  generators[num_shards_] = std::make_unique<sim::WorkloadGenerator>(
+      options.workload, DeriveShardSeed(options.seed, 0x20000u));
 }
 
-std::uint32_t RoutingPlan::Next() {
+std::uint32_t RoutingStream::Plan::Next() {
   if (populated_.empty() || route_rng_.Bernoulli(cross_shard_fraction_)) {
     return num_shards_;
   }
@@ -129,79 +130,36 @@ std::uint32_t RoutingPlan::Next() {
   return populated_[route_rng_.Uniform(populated_.size())];
 }
 
-std::vector<std::unique_ptr<sim::WorkloadGenerator>>
-RoutingPlan::MakeGenerators() const {
-  std::vector<std::unique_ptr<sim::WorkloadGenerator>> generators(
-      num_shards_ + 1);
-  for (std::uint32_t s : populated_) {
-    sim::WorkloadOptions w = workload_;
-    w.entity_universe = universes_[s];
-    generators[s] = std::make_unique<sim::WorkloadGenerator>(
-        w, DeriveShardSeed(seed_, 0x10000u + s));
-  }
-  generators[num_shards_] = std::make_unique<sim::WorkloadGenerator>(
-      workload_, DeriveShardSeed(seed_, 0x20000u));
-  return generators;
+RoutingStream::RoutingStream(const ShardedOptions& options)
+    : plan_(std::make_unique<Plan>(options)),
+      num_shards_(options.num_shards),
+      total_(options.total_txns) {}
+
+RoutingStream::~RoutingStream() = default;
+
+std::uint32_t RoutingStream::Next() {
+  ++position_;
+  return plan_->Next();
 }
 
-}  // namespace
+Result<txn::Program> RoutingStream::Draw(std::uint32_t g) {
+  return plan_->generators[g]->Next();
+}
+
+sim::WorkloadGenerator RoutingStream::Bookmark() const {
+  return *plan_->generators[num_shards_];
+}
 
 Status GenerateAndRoute(const ShardedOptions& options,
                         const EmitRouted& emit) {
-  RoutingPlan plan(options);
-  const auto generators = plan.MakeGenerators();
-  for (std::uint64_t t = 0; t < options.total_txns; ++t) {
-    auto program = generators[plan.Next()]->Next();
+  RoutingStream stream(options);
+  while (!stream.done()) {
+    const std::uint64_t t = stream.position();
+    auto program = stream.Draw(stream.Next());
     if (!program.ok()) return program.status();
     const Route route = RouteProgram(program.value(), options.num_shards,
                                      options.coordinator_shard, t);
     emit(route, std::move(program).value());
-  }
-  return Status::OK();
-}
-
-Status GenerateAndRouteParallel(const ShardedOptions& options,
-                                ForkJoin& fork_join, const EmitRouted& emit) {
-  RoutingPlan plan(options);
-  const auto generators = plan.MakeGenerators();
-  std::vector<std::uint32_t> picks(options.total_txns);
-  std::vector<std::size_t> share_size(generators.size(), 0);
-  for (std::uint32_t& g : picks) {
-    g = plan.Next();
-    ++share_size[g];
-  }
-  // One generator's share: its programs and their routes, in plan order,
-  // cut short by a failed draw.
-  struct Share {
-    std::vector<txn::Program> programs;
-    std::vector<Route> routes;
-    Status status = Status::OK();
-  };
-  std::vector<Share> shares(generators.size());
-  fork_join.Run(generators.size(), [&](std::size_t g, std::size_t) {
-    Share& share = shares[g];
-    share.programs.reserve(share_size[g]);
-    share.routes.reserve(share_size[g]);
-    for (std::uint64_t t = 0; t < picks.size(); ++t) {
-      if (picks[t] != g) continue;
-      auto program = generators[g]->Next();
-      if (!program.ok()) {
-        share.status = program.status();
-        return;
-      }
-      share.routes.push_back(RouteProgram(program.value(), options.num_shards,
-                                          options.coordinator_shard, t));
-      share.programs.push_back(std::move(program).value());
-    }
-  });
-  std::vector<std::size_t> cursor(generators.size(), 0);
-  for (std::uint32_t g : picks) {
-    Share& share = shares[g];
-    const std::size_t k = cursor[g]++;
-    // The share ran out exactly where its draw failed: stop there, as the
-    // serial walk would.
-    if (k == share.programs.size()) return share.status;
-    emit(share.routes[k], std::move(share.programs[k]));
   }
   return Status::OK();
 }

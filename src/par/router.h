@@ -3,11 +3,14 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
+#include "common/result.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "par/sharded_driver.h"
+#include "sim/workload.h"
 #include "txn/program.h"
 
 namespace pardb::par {
@@ -44,32 +47,66 @@ Route RouteProgram(const txn::Program& program, std::uint32_t num_shards,
 std::vector<std::vector<EntityId>> ShardEntityUniverses(
     std::uint64_t num_entities, std::uint32_t num_shards);
 
-class ForkJoin;
-
 // Phase 1 of a sharded run is two steps. Step one, the routing plan,
 // picks the generator of each transaction t in turn: with probability
 // cross_shard_fraction the full-universe generator, otherwise the local
 // generator of a populated home shard (Zipf-homed under
 // hot_shard_routing). It draws only from its own route stream, and every
 // generator's stream depends only on its own seed, so step two — program
-// generation — may run per generator in any order. Both functions below
-// share the plan, so they cannot drift apart.
+// generation — may draw each generator's share whenever it likes, as long
+// as each generator draws in plan order.
+//
+// A local generator's programs lock only its shard's entities (every
+// program locks at least one), so they always route to that shard as local
+// transactions; only the full-universe generator's programs need routing.
+
+// The plan and its generators, walked lazily: Next() advances the plan one
+// transaction and Draw() draws a generator's next program. The multi-shard
+// driver walks the plan on its coordinating thread and lets each shard draw
+// its own generator's programs in its admission task (DESIGN D23), so no
+// program exists ahead of its admission: the full-universe programs the
+// walk has passed wait as bookmarks.
+class RoutingStream {
+ public:
+  explicit RoutingStream(const ShardedOptions& options);
+  ~RoutingStream();
+
+  RoutingStream(const RoutingStream&) = delete;
+  RoutingStream& operator=(const RoutingStream&) = delete;
+
+  // Index of the full-universe generator (num_shards); generator s < it is
+  // shard s's local one.
+  std::uint32_t global_generator() const { return num_shards_; }
+  // Transactions walked so far; the plan ends at total_txns.
+  std::uint64_t position() const { return position_; }
+  bool done() const { return position_ == total_; }
+  // Generator of the next transaction (call only while !done()).
+  std::uint32_t Next();
+  // Generator g's next program. Different generators may draw from
+  // different threads at once.
+  Result<txn::Program> Draw(std::uint32_t g);
+  // A bookmark on the full-universe generator: its Next() draws the
+  // program this stream's next Draw(global_generator()) returns, at any
+  // later time — so a caller may route that program, drop it, and draw it
+  // again once it can be admitted.
+  sim::WorkloadGenerator Bookmark() const;
+
+ private:
+  class Plan;
+  std::unique_ptr<Plan> plan_;
+  std::uint32_t num_shards_;
+  std::uint64_t total_;
+  std::uint64_t position_ = 0;
+};
 
 // Receives every routed program of phase 1, in generation order.
 using EmitRouted = std::function<void(const Route&, txn::Program)>;
 
-// Step two, serially: walks the plan and draws each program from its
-// generator when its turn comes, so nothing is materialized ahead of
-// `emit` (the one-shard pipelined producer streams this way).
+// Walks the plan and draws each program from its generator when its turn
+// comes, so nothing is materialized ahead of `emit` (the one-shard
+// pipelined producer streams this way).
 Status GenerateAndRoute(const ShardedOptions& options,
                         const EmitRouted& emit);
-
-// Step two, fanned out: each generator draws and routes its whole
-// share of the plan in its own fork-join task, then the programs are
-// emitted on the calling thread in generation order. Emits exactly what
-// GenerateAndRoute emits, including the prefix before a failed draw.
-Status GenerateAndRouteParallel(const ShardedOptions& options,
-                                ForkJoin& fork_join, const EmitRouted& emit);
 
 }  // namespace pardb::par
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <deque>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -132,11 +133,21 @@ struct ShardExec {
 };
 
 struct ShardRun {
-  // Batch mode: the shard's routed programs, materialized up front.
+  // One-shard batch mode: the shard's routed programs, materialized up
+  // front.
   std::vector<txn::Program> programs;
-  // Pipelined mode: programs stream through this queue instead (programs
-  // stays empty); null in batch mode.
+  // One-shard pipelined mode: programs stream through this queue instead
+  // (programs stays empty); null otherwise.
   std::unique_ptr<AdmissionQueue> queue;
+  // Multi-shard streamed admission (DESIGN D23): the shard's local
+  // transactions the plan walk has reached (`walked`) and admitted
+  // (`admitted`), in plan order. Most are draws from the shard's own
+  // generator, made in its admission task; the few full-universe programs
+  // that routed here wait in `parked` under their local index, as
+  // bookmarks that draw them again.
+  std::uint64_t walked = 0;
+  std::uint64_t admitted = 0;
+  std::deque<std::pair<std::uint64_t, sim::WorkloadGenerator>> parked;
   std::uint32_t concurrency = 1;
   Status status = Status::OK();
   ShardResult result;
@@ -173,9 +184,11 @@ void InitShardExec(const ShardedOptions& options, std::uint32_t shard,
   ex.engine = std::make_unique<core::Engine>(
       &ex.store, eopt, options.check_serializability ? &ex.recorder : nullptr);
   core::Engine& engine = *ex.engine;
-  // Pre-size the txn-indexed tables with the whole run's upper bound so
-  // shard admission never pays a rehash or reallocation mid-flight.
-  engine.ReserveTxns(options.total_txns);
+  // Pre-size the per-transaction rows for the shard's share of the
+  // multiprogramming level: rows are recycled at commit (DESIGN D23), so
+  // that — not the run length — is what admission needs. Cross-shard
+  // slices add at most a few rows on demand.
+  engine.ReserveTxns(run.concurrency);
 
   // Per-shard telemetry. Without a hub the registry is private to this
   // shard and merged after the run; with one it is hub-owned and
@@ -237,6 +250,8 @@ void FinishShard(const ShardedOptions& options, std::uint32_t shard,
     run.certify_ns = NowNanos() - c0;
   }
   run.result.metrics = engine.metrics();
+  run.result.footprint = {engine.txn_rows(), engine.lock_manager().txn_rows(),
+                          ex.txnlife.rows(), ex.recorder.certifier_nodes()};
   run.result.rollback_costs = engine.RollbackCostDistribution();
   run.result.max_preemptions_single_txn = engine.MaxPreemptionCount();
   run.cost_samples = engine.rollback_cost_samples();
@@ -444,18 +459,20 @@ std::uint64_t VirtualMakespanSteps(const std::vector<std::uint64_t>& costs,
 }
 
 // Merged-history conflict-serializability (the global invariant): every
-// shard's committed log, renamed into one key space in which the slices of
-// each global transaction fuse under its global sequence number and local
-// transactions keep a shard-qualified key.
+// shard's committed projection, renamed into one key space in which the
+// slices of each global transaction fuse under its global sequence number
+// and local transactions keep a shard-qualified key.
 //
 // One shard (no coordinator) is its own verdict: one store publishes no
 // version twice and LocalKey(0, .) is a bijection, so the merge would
 // rebuild the same graph. Otherwise the shards' online certifier graphs
-// are unioned (DESIGN D17); only when two shards touched one published
-// entity — a routing fault, since every entity has one home shard — does
-// the merged event log get rebuilt.
-bool CheckGlobalSerializability(const std::vector<ShardRun>& runs,
-                                const xshard::Coordinator* coord) {
+// are unioned (DESIGN D17). The union is always exact here (DESIGN D23):
+// a generated program publishes only inside its commit step, so every
+// recorder is certifier_exact() at any step boundary, complete run or
+// not, and every entity has one home shard. A refusal is therefore a
+// fault in the driver, and fails the run.
+Result<bool> CheckGlobalSerializability(const std::vector<ShardRun>& runs,
+                                        const xshard::Coordinator* coord) {
   if (coord == nullptr) return runs[0].result.serializable;
   std::vector<const analysis::HistoryRecorder*> recorders;
   for (const ShardRun& run : runs) recorders.push_back(&run.exec->recorder);
@@ -469,24 +486,20 @@ bool CheckGlobalSerializability(const std::vector<ShardRun>& runs,
   if (auto verdict = analysis::CertifyUnion(recorders, key_of)) {
     return *verdict;
   }
-  analysis::GlobalHistory merged;
-  for (std::size_t i = 0; i < recorders.size(); ++i) {
-    for (const auto& c : recorders[i]->CommittedLog()) {
-      merged.Add(key_of(i, c.txn), c.events);
-    }
-  }
-  return merged.IsConflictSerializable();
+  return Status::Internal(
+      "the shards' certifier graphs cannot be unioned: a recorder is "
+      "inexact or two shards published one entity");
 }
 
 // Runs the global check and prices the whole verdict step — every shard's
 // own verdict plus the merge — as pardb_phase_seconds{phase="certify"}.
-bool CertifyRun(const ShardedOptions& options,
-                const std::vector<ShardRun>& runs,
-                const xshard::Coordinator* coord,
-                obs::MetricsRegistry* sched_registry) {
+Result<bool> CertifyRun(const ShardedOptions& options,
+                        const std::vector<ShardRun>& runs,
+                        const xshard::Coordinator* coord,
+                        obs::MetricsRegistry* sched_registry) {
   if (!options.check_serializability) return true;
   const std::uint64_t c0 = NowNanos();
-  const bool verdict = CheckGlobalSerializability(runs, coord);
+  const Result<bool> verdict = CheckGlobalSerializability(runs, coord);
   std::uint64_t nanos = NowNanos() - c0;
   for (const ShardRun& run : runs) nanos += run.certify_ns;
   if (sched_registry != nullptr) {
@@ -639,8 +652,10 @@ Status AssembleReport(const ShardedOptions& options,
     }
   }
   const std::uint64_t aggregate_ns = NowNanos() - a0;
-  report.global_serializable =
+  const Result<bool> verdict =
       CertifyRun(options, runs, coord, sched_registry);
+  if (!verdict.ok()) return verdict.status();
+  report.global_serializable = verdict.value();
   if (sched_registry != nullptr) {
     sched_registry
         ->GetGauge(obs::kPhaseSeconds, {{obs::kPhaseLabel, "aggregate"}})
@@ -688,43 +703,18 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
   std::vector<ShardRun> runs = MakeRuns(options);
   ShardedReport report;
   report.num_shards = n;
-  // Phase 1 always runs in batch mode here: the coordinate phase admits
-  // from materialized queues, which is what makes every epoch's admission
-  // deterministic. (Streaming admission would tie epoch content to
-  // producer timing.)
+  // Admission streams (DESIGN D23): the coordinate phase walks the
+  // routing plan only as far as admission needs, so each epoch admits the
+  // same programs in the same order as if the whole run had been generated
+  // up front, while no program exists before its admission draws it.
   obs::MetricsRegistry sched_local;
   obs::MetricsRegistry* sched_registry =
       AttachTelemetry(options, runs, &sched_local);
-  if (options.hub != nullptr) {
-    options.hub->SetPhase(obs::RunPhase::kGenerating);
-  }
+  if (options.hub != nullptr) options.hub->SetPhase(obs::RunPhase::kRunning);
 
   // The fork-join behind every parallel part of the run; the calling
   // thread is its worker 0.
   ForkJoin fork_join(options.num_threads == 0 ? n : options.num_threads);
-
-  // Phase 1: generation + routing, one fork-join task per generator,
-  // emitted in generation order; spanning programs are diverted to the
-  // global admission queue (in generation order — their ω order).
-  std::vector<std::uint64_t> routed(n, 0);
-  std::vector<txn::Program> globals;
-  const std::uint64_t g0 = NowNanos();
-  Status gen = GenerateAndRouteParallel(
-      options, fork_join,
-      [&runs, &globals, &report, &routed](const Route& route,
-                                          txn::Program program) {
-        ++routed[route.shard];
-        if (route.cross_shard) {
-          ++report.cross_shard_txns;
-          globals.push_back(std::move(program));
-        } else {
-          runs[route.shard].programs.push_back(std::move(program));
-        }
-      });
-  if (!gen.ok()) return gen;
-  report.admission.generate_seconds = Seconds(NowNanos() - g0);
-  report.admission.peak_materialized_programs = options.total_txns;
-  if (options.hub != nullptr) options.hub->SetPhase(obs::RunPhase::kRunning);
 
   // Shard engines, built up front on this thread (their seeds and state
   // never depend on construction order).
@@ -734,8 +724,8 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
   for (std::uint32_t s = 0; s < n; ++s) {
     engines.push_back(runs[s].exec->engine.get());
   }
-  // Routed-but-unadmitted local programs per shard: the batch counterpart
-  // of the one-shard admission-queue depth, set every coordinate phase.
+  // Walked-but-unadmitted local transactions per shard, set every
+  // coordinate phase.
   std::vector<obs::Gauge*> queue_depth;
   if (sched_registry != nullptr) {
     for (std::uint32_t s = 0; s < n; ++s) {
@@ -743,6 +733,45 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
           obs::kAdmissionQueueDepth, {{obs::kShardLabel, std::to_string(s)}}));
     }
   }
+
+  // The plan walk, on the coordinating thread only. A full-universe draw
+  // is routed at once and dropped: one that stays on a shard parks there,
+  // a spanning one queues for global admission (in plan order — its ω
+  // order), each as a bookmark that draws it again when it is admitted. A
+  // shard slower than the walk, or a coordinator at its limit of globals
+  // in flight, thus holds about 200 bytes per waiting program.
+  RoutingStream stream(options);
+  std::vector<std::uint64_t> routed(n, 0);
+  std::deque<sim::WorkloadGenerator> globals;
+  std::uint64_t parked = 0;  // bookmarks waiting in runs[s].parked
+  std::uint64_t generate_ns = 0;
+  auto walk_one = [&]() -> Status {
+    const std::uint64_t t = stream.position();
+    const std::uint32_t g = stream.Next();
+    if (g != stream.global_generator()) {
+      ++routed[g];
+      ++runs[g].walked;
+      return Status::OK();
+    }
+    sim::WorkloadGenerator mark = stream.Bookmark();
+    auto program = stream.Draw(g);
+    if (!program.ok()) return program.status();
+    const Route route = RouteProgram(program.value(), n,
+                                     options.coordinator_shard, t);
+    ++routed[route.shard];
+    if (route.cross_shard) {
+      ++report.cross_shard_txns;
+      globals.push_back(std::move(mark));
+    } else {
+      ShardRun& home = runs[route.shard];
+      home.parked.emplace_back(home.walked++, std::move(mark));
+      ++parked;
+    }
+    report.admission.peak_materialized_programs =
+        std::max<std::uint64_t>(report.admission.peak_materialized_programs,
+                                globals.size() + parked);
+    return Status::OK();
+  };
 
   // Coordinator decision journal: global admits, lock-point releases,
   // retires, global cycles and distributed-rollback victims, plus one
@@ -762,10 +791,11 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
     copt.resolve_ns = sched_registry->GetHistogram(obs::kXShardResolveNs);
   }
   if (options.journal) copt.journal = &coord_journal;
+  if (options.check_serializability) {
+    for (ShardRun& run : runs) copt.recorders.push_back(&run.exec->recorder);
+  }
   xshard::Coordinator coord(engines, copt);
 
-  std::vector<std::uint64_t> next_local(n, 0);
-  std::size_t next_global = 0;
   std::uint64_t epoch = 0;
   std::uint64_t commits_seen = 0;
   std::uint64_t commit_free_epochs = 0;
@@ -783,32 +813,54 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
     // ---- Coordinate: 2PC polling (single-threaded; engines quiescent) ----
     run_status = coord.Poll();
     if (!run_status.ok()) break;
-    // ---- Local admission (parallel): top each shard's level up from its
-    // queue, one task per shard that has room and programs left. Slice
+    // Globals whose slices no future cycle can reach leave every recorder
+    // together; each shard prunes its own transactions after its quantum.
+    if (options.check_serializability) coord.PruneRetired();
+    // ---- Local admission (parallel): top each shard's level up in plan
+    // order, one task per shard that has room and programs left. Slice
     // commits are subtracted out so subs never consume local slots. It
     // stays ahead of global admission, so each engine still assigns this
-    // epoch's local ids and ω positions before its slices'.
+    // epoch's local ids and ω positions before its slices'. The walk first
+    // reaches far enough for every shard's room (or the plan's end), so
+    // room is what a fully generated run would have had.
+    const std::uint64_t w0 = NowNanos();
+    for (std::uint32_t s = 0; s < n && run_status.ok(); ++s) {
+      const std::uint64_t live_locals =
+          runs[s].admitted -
+          (engines[s]->metrics().commits - coord.sub_commits_on(s));
+      const std::uint64_t want = live_locals < runs[s].concurrency
+                                     ? runs[s].concurrency - live_locals
+                                     : 0;
+      while (run_status.ok() && !stream.done() &&
+             runs[s].walked - runs[s].admitted < want) {
+        run_status = walk_one();
+      }
+      room[s] = std::min(want, runs[s].walked - runs[s].admitted);
+    }
+    if (!run_status.ok()) break;
     admitting.clear();
     for (std::uint32_t s = 0; s < n; ++s) {
-      const std::uint64_t live_locals =
-          next_local[s] -
-          (engines[s]->metrics().commits - coord.sub_commits_on(s));
-      room[s] = live_locals < runs[s].concurrency
-                    ? std::min<std::uint64_t>(
-                          runs[s].concurrency - live_locals,
-                          runs[s].programs.size() - next_local[s])
-                    : 0;
       if (room[s] > 0) admitting.push_back(s);
     }
     fork_join.Run(admitting.size(), [&](std::size_t i, std::size_t) {
       const std::uint32_t s = admitting[i];
+      ShardRun& run = runs[s];
       for (std::uint64_t k = 0; k < room[s]; ++k) {
-        auto id = engines[s]->Spawn(
-            std::move(runs[s].programs[next_local[s] + k]));
-        if (!id.ok()) {
-          runs[s].status = id.status();
+        const bool is_parked =
+            !run.parked.empty() && run.parked.front().first == run.admitted;
+        auto program = is_parked ? run.parked.front().second.Next()
+                                 : stream.Draw(s);
+        if (is_parked) run.parked.pop_front();
+        if (!program.ok()) {
+          run.status = program.status();
           return;
         }
+        auto id = engines[s]->Spawn(std::move(program).value());
+        if (!id.ok()) {
+          run.status = id.status();
+          return;
+        }
+        ++run.admitted;
       }
     });
     for (std::uint32_t s : admitting) {
@@ -816,22 +868,40 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
         run_status = runs[s].status;
         break;
       }
-      next_local[s] += room[s];
     }
+    parked = 0;
+    for (const ShardRun& run : runs) parked += run.parked.size();
     if (!run_status.ok()) break;
     for (std::uint32_t s = 0; s < queue_depth.size(); ++s) {
       queue_depth[s]->Set(
-          static_cast<std::int64_t>(runs[s].programs.size() - next_local[s]));
+          static_cast<std::int64_t>(runs[s].walked - runs[s].admitted));
     }
-    // ---- Coordinate: global admission, in ω order ----
-    while (next_global < globals.size() && coord.CanAdmit()) {
-      auto seq = coord.Admit(std::move(globals[next_global]));
+    // ---- Coordinate: global admission, in ω order, walking the plan on
+    // to the next spanning program whenever the coordinator has room ----
+    while (coord.CanAdmit()) {
+      while (run_status.ok() && globals.empty() && !stream.done()) {
+        run_status = walk_one();
+      }
+      if (!run_status.ok() || globals.empty()) break;
+      auto program = globals.front().Next();
+      globals.pop_front();
+      if (!program.ok()) {
+        run_status = program.status();
+        break;
+      }
+      auto seq = coord.Admit(std::move(program).value());
       if (!seq.ok()) {
         run_status = seq.status();
         break;
       }
-      ++next_global;
+      if (options.collect_traces) {
+        for (const auto& [shard, txn] : coord.SlicesOf(seq.value())) {
+          report.flow_slices.push_back(
+              obs::GlobalSlice{seq.value(), shard, txn.value()});
+        }
+      }
     }
+    generate_ns += NowNanos() - w0;
     if (!run_status.ok()) break;
     // Union merge + distributed partial rollback, every epoch: a global
     // cycle is resolved at the first coordinate phase after it closes.
@@ -867,11 +937,11 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
         options.hub->PublishJournal(coord_journal.Digest(n));
       }
     }
-    // Termination: everything admitted, every global retired, every
-    // engine drained.
-    bool done = next_global == globals.size() && coord.AllDone();
+    // Termination: the plan walked and admitted, every global retired,
+    // every engine drained.
+    bool done = stream.done() && globals.empty() && coord.AllDone();
     for (std::uint32_t s = 0; done && s < n; ++s) {
-      done = next_local[s] == runs[s].programs.size() &&
+      done = runs[s].admitted == runs[s].walked &&
              engines[s]->live_txn_count() == 0;
     }
     if (done) break;
@@ -911,6 +981,7 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
       }
       epoch_shard_steps[s] = q.value().steps;
       ex.steps += q.value().steps;
+      if (options.check_serializability) ex.recorder.Prune();
       // Feed the hub's skew EWMAs (wall clock: gauges only, never the
       // deterministic report).
       if (options.hub != nullptr && q.value().steps > 0) {
@@ -949,6 +1020,7 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
   }
   const std::uint64_t uptime_ns = fork_join.uptime_nanos();
   report.admission.execute_seconds = Seconds(NowNanos() - e0);
+  report.admission.generate_seconds = Seconds(generate_ns);
   if (!run_status.ok()) return run_status;
   if (options.hub != nullptr) {
     options.hub->SetPhase(obs::RunPhase::kAggregating);
@@ -990,14 +1062,13 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
   for (std::uint32_t s = 0; s < n; ++s) {
     FinishShard(options, s, runs[s], completed);
   }
-  if (options.collect_traces) {
-    // Slice index for the Chrome trace's flow arrows: one entry per slice
-    // the coordinator ever spawned, under its global sequence number.
-    for (const auto& [key, seq] : coord.sub_index()) {
-      report.flow_slices.push_back(
-          obs::GlobalSlice{seq, key.first, key.second});
-    }
-  }
+  // Slice index for the Chrome trace's flow arrows: one entry per slice
+  // the coordinator ever spawned, under its global sequence number, in
+  // (shard, local txn) order.
+  std::sort(report.flow_slices.begin(), report.flow_slices.end(),
+            [](const obs::GlobalSlice& a, const obs::GlobalSlice& b) {
+              return a.pid != b.pid ? a.pid < b.pid : a.tid < b.tid;
+            });
   PARDB_RETURN_IF_ERROR(
       AssembleReport(options, runs, routed, &coord, sched_registry, report));
   return report;
@@ -1091,6 +1162,8 @@ Result<ShardedReport> RunOneShard(const ShardedOptions& options) {
   for (bool done = false; !done; ++report.scheduler.quanta) {
     const std::uint64_t q0 = NowNanos();
     done = RunShardQuantum(options, run, quantum_hist, max_q);
+    // Quantum boundary: drop what no future cycle can reach (DESIGN D23).
+    if (!done && options.check_serializability) run.exec->recorder.Prune();
     busy_ns += NowNanos() - q0;
   }
   if (producer.joinable()) producer.join();

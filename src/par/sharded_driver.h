@@ -37,8 +37,10 @@ namespace pardb::par {
 // and 2PC stamp on the calling thread, then one quantum per shard fanned
 // out. Every fan-out joins before the next phase, so no engine is ever
 // touched by two threads, and serializability is a *global* property,
-// checked over the merged commit log. Phase-1 generation is fanned out
-// too, one task per workload generator. With one shard there is nothing
+// checked over the union of the shards' certifier graphs. Generation is
+// streamed into admission: the coordinate phase walks the routing plan as
+// far as admission needs, and each shard draws its own programs in its
+// admission task (DESIGN D23). With one shard there is nothing
 // to coordinate: the shard runs as a chain of bounded quanta on the
 // calling thread, fed by a pipelined producer.
 //
@@ -171,6 +173,17 @@ struct ShardResult {
   std::vector<std::uint64_t> journal_chain;
   std::uint64_t journal_records = 0;
   std::uint64_t journal_dropped = 0;
+  // Per-transaction rows the shard ever held at once (DESIGN D23): engine
+  // contexts, lock-table rows, lifecycle-book rows and certifier nodes.
+  // Each table reuses a finished transaction's row, so these follow the
+  // live count, not the run length. Excluded from ShardedReportToJson.
+  struct Footprint {
+    std::size_t engine_rows = 0;
+    std::size_t lock_rows = 0;
+    std::size_t txnlife_rows = 0;
+    std::size_t certifier_nodes = 0;
+  };
+  Footprint footprint;
 };
 
 // How the run was scheduled onto workers (the fork-join's, the calling
@@ -197,7 +210,8 @@ struct SchedulerStats {
   std::uint64_t virtual_makespan_steps = 0;
 };
 
-// How admission was pipelined (only a one-shard run pipelines). The
+// How admission was pipelined (only a one-shard run pipelines; several
+// shards stream admission from the routing plan instead). The
 // wall-clock fields are timing-dependent and excluded from
 // ShardedReportToJson / ToString (byte-compared by the determinism tests);
 // overlap_fraction and peak_materialized_programs in *batch* mode are
@@ -206,7 +220,10 @@ struct SchedulerStats {
 struct AdmissionStats {
   bool pipelined = false;
   std::size_t queue_capacity = 0;
-  double generate_seconds = 0.0;  // producer thread active (wall)
+  // Wall time generating: one shard, the producer thread's (or the batch
+  // sweep's); several shards, the coordinating phases that walk the plan
+  // and admit (each shard's draws happen inside its admission task).
+  double generate_seconds = 0.0;
   double execute_seconds = 0.0;   // execution start to end (wall)
   // Deterministic lower bound on the fraction of generation work that
   // overlapped with execution: max(0, total - capacity) / total. Program
@@ -216,7 +233,11 @@ struct AdmissionStats {
   double overlap_fraction = 0.0;
   // High-water mark of programs generated but not yet admitted to an
   // engine. Batch mode materializes everything: total_txns. Pipelined:
-  // bounded by queue_capacity (+1 in the producer's hand).
+  // bounded by queue_capacity (+1 in the producer's hand). Several shards
+  // (streamed admission, DESIGN D23): none are held — a shard draws its
+  // own programs as it admits them — so this counts the full-universe
+  // programs the plan walk has passed and holds as generator bookmarks
+  // until their admission draws them again.
   std::uint64_t peak_materialized_programs = 0;
   // Producer pushes that found a full queue and waited (backpressure).
   std::uint64_t producer_blocked_pushes = 0;
@@ -253,9 +274,10 @@ struct ShardedReport {
   // Excluded from ShardedReportToJson like the per-shard chains.
   std::vector<std::uint64_t> coord_journal_chain;
   // Conflict-serializability of the *merged* committed projection across
-  // shards (analysis::GlobalHistory's verdict, computed from the shards'
-  // online certifier graphs where exact — DESIGN D17); computed whenever
-  // check_serializability is on. One shard: the shard's own verdict.
+  // shards (analysis::GlobalHistory's verdict, computed from the union of
+  // the shards' online certifier graphs — DESIGN D17, D23); computed
+  // whenever check_serializability is on. One shard: the shard's own
+  // verdict.
   bool global_serializable = true;
 
   double wasted_fraction = 0.0;

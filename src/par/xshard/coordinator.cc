@@ -40,7 +40,7 @@ Coordinator::Coordinator(std::vector<core::Engine*> engines, Options options)
 Result<std::uint64_t> Coordinator::Admit(txn::Program program) {
   auto subs = SplitProgram(program, options_.num_shards);
   if (!subs.ok()) return subs.status();
-  const std::uint64_t seq = txns_.size();
+  const std::uint64_t seq = next_seq_++;
   GlobalTxn g;
   g.seq = seq;
   g.participants.reserve(subs.value().size());
@@ -50,6 +50,9 @@ Result<std::uint64_t> Coordinator::Admit(txn::Program program) {
     if (!id.ok()) return id.status();
     g.participants.push_back({sub.shard, id.value(), false});
     sub_index_[{sub.shard, id.value().value()}] = seq;
+    if (!options_.recorders.empty()) {
+      options_.recorders[sub.shard]->Pin(id.value());
+    }
   }
   stats_.global_txns += 1;
   stats_.sub_txns += g.participants.size();
@@ -61,15 +64,55 @@ Result<std::uint64_t> Coordinator::Admit(txn::Program program) {
                                .txn = TxnId(seq)});
   }
   active_.push_back(seq);
-  txns_.push_back(std::move(g));
+  txns_.emplace(seq, std::move(g));
   return seq;
+}
+
+std::vector<std::pair<std::uint32_t, TxnId>> Coordinator::SlicesOf(
+    std::uint64_t seq) const {
+  std::vector<std::pair<std::uint32_t, TxnId>> out;
+  auto it = txns_.find(seq);
+  if (it == txns_.end()) return out;
+  for (const Participant& p : it->second.participants) {
+    out.emplace_back(p.shard, p.txn);
+  }
+  return out;
+}
+
+void Coordinator::Forget(const GlobalTxn& g) {
+  for (const Participant& p : g.participants) {
+    sub_index_.erase({p.shard, p.txn.value()});
+  }
+}
+
+std::size_t Coordinator::PruneRetired() {
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < retired_.size(); ++i) {
+    const GlobalTxn& g = retired_[i];
+    bool prunable = true;
+    for (const Participant& p : g.participants) {
+      prunable = prunable && options_.recorders[p.shard]->Prunable(p.txn);
+    }
+    if (!prunable) {
+      if (kept != i) retired_[kept] = std::move(retired_[i]);
+      ++kept;
+      continue;
+    }
+    for (const Participant& p : g.participants) {
+      options_.recorders[p.shard]->PruneTxn(p.txn);
+    }
+    Forget(g);
+  }
+  const std::size_t pruned = retired_.size() - kept;
+  retired_.resize(kept);
+  return pruned;
 }
 
 Status Coordinator::Poll() {
   std::vector<std::uint64_t> still_active;
   still_active.reserve(active_.size());
   for (std::uint64_t seq : active_) {
-    GlobalTxn& g = txns_[seq];
+    GlobalTxn& g = txns_.at(seq);
     if (g.phase == Phase::kAcquiring) {
       bool all_hold = true;
       {
@@ -129,7 +172,15 @@ Status Coordinator::Poll() {
                                      .txn = TxnId(seq),
                                      .pc = g.participants.size()});
         }
-        continue;  // retired: drop from the active list
+        // Retired: drop from the active list; keep it for PruneRetired
+        // while a recorder may still hold its slices.
+        if (options_.recorders.empty()) {
+          Forget(g);
+        } else {
+          retired_.push_back(std::move(g));
+        }
+        txns_.erase(seq);
+        continue;
       }
     }
     still_active.push_back(seq);
@@ -200,7 +251,7 @@ Status Coordinator::ResolveComponent(
       GlobalCandidate cand;
       cand.seq = seq;
       for (const auto& [shard, entries] : conflicts) {
-        const GlobalTxn& g = txns_[seq];
+        const GlobalTxn& g = txns_.at(seq);
         auto part = std::find_if(
             g.participants.begin(), g.participants.end(),
             [shard = shard](const Participant& p) { return p.shard == shard; });

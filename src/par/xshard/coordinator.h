@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/history.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "common/types.h"
@@ -68,6 +69,12 @@ class Coordinator : public SubResolver {
     // journal's "step" is the coordinator's own decision ordinal, so the
     // record stream is deterministic regardless of epoch timing.
     obs::DecisionJournal* journal = nullptr;
+    // The shards' history recorders, by shard (empty when the run is not
+    // checked). Each slice is pinned in its recorder at admission, and a
+    // retired global stays known (GlobalOf) until PruneRetired prunes it
+    // from every recorder at once (DESIGN D23); without recorders a
+    // global is forgotten when it retires.
+    std::vector<analysis::HistoryRecorder*> recorders;
   };
 
   Coordinator(std::vector<core::Engine*> engines, Options options);
@@ -104,15 +111,20 @@ class Coordinator : public SubResolver {
     return sub_commits_by_shard_[shard];
   }
 
-  // (shard, local txn id) -> global sequence number, for every slice ever
-  // spawned. The merged-history checker uses this to fuse per-shard commit
-  // logs under global keys.
-  const std::map<std::pair<std::uint32_t, std::uint64_t>, std::uint64_t>&
-  sub_index() const {
-    return sub_index_;
-  }
+  // Prunes every retired global that is prunable in each recorder holding
+  // one of its slices, from all of them, oldest first (DESIGN D23); its
+  // slices then leave GlobalOf. Call at an epoch boundary. Returns how
+  // many globals it pruned.
+  std::size_t PruneRetired();
 
-  // SubResolver: renames slices of *live* globals during the merge.
+  // (shard, local txn) of every slice of the global admitted as `seq`,
+  // while it is in flight (empty otherwise).
+  std::vector<std::pair<std::uint32_t, TxnId>> SlicesOf(
+      std::uint64_t seq) const;
+
+  // SubResolver: renames slices of globals in flight, and of retired ones
+  // not yet pruned (the merged-history checker fuses their nodes under
+  // global keys).
   std::optional<std::uint64_t> GlobalOf(std::uint32_t shard,
                                         TxnId txn) const override;
 
@@ -139,10 +151,17 @@ class Coordinator : public SubResolver {
   Options options_;
   XShardStats stats_;
   std::uint64_t decision_seq_ = 0;  // journal "step" for coordinator records
-  std::vector<GlobalTxn> txns_;        // indexed by seq
+  std::uint64_t next_seq_ = 0;
+  std::map<std::uint64_t, GlobalTxn> txns_;  // in flight, by seq
   std::vector<std::uint64_t> active_;  // seqs still in flight, ascending
+  // Retired globals awaiting PruneRetired, in retire order.
+  std::vector<GlobalTxn> retired_;
   std::vector<std::uint64_t> sub_commits_by_shard_;
+  // (shard, local txn id) -> global sequence number, for every slice of a
+  // global in flight or retired-but-unpruned.
   std::map<std::pair<std::uint32_t, std::uint64_t>, std::uint64_t> sub_index_;
+  // Drops g's slices from sub_index_.
+  void Forget(const GlobalTxn& g);
   // Slices of distributed-rollback victims backed off until the next merge
   // (one epoch): re-running them immediately lets the coordinator and a
   // shard's local detection re-create the identical cycle forever.

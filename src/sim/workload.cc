@@ -33,7 +33,7 @@ Result<txn::Program> WorkloadGenerator::Next() {
   // Template mode: once the pool is full, stamp renamed instances instead
   // of drawing from the rng (see WorkloadOptions::num_templates).
   if (o.num_templates > 0 && sequence_ >= o.num_templates) {
-    const txn::Program& t = templates_[sequence_ % o.num_templates];
+    const txn::Program& t = (*templates_)[sequence_ % o.num_templates];
     return t.WithName("txn-" + std::to_string(sequence_++));
   }
   const std::uint64_t universe =
@@ -121,8 +121,9 @@ Result<txn::Program> WorkloadGenerator::Next() {
   }
   b.Commit();
   auto built = std::move(b).Build();
-  if (built.ok() && options_.num_templates > 0) {
-    templates_.push_back(built.value());
+  if (built.ok() && options_.num_templates > 0 &&
+      templates_->size() + 1 == sequence_) {
+    templates_->push_back(built.value());
   }
   return built;
 }

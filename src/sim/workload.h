@@ -2,6 +2,7 @@
 #define PARDB_SIM_WORKLOAD_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -61,7 +62,10 @@ struct WorkloadOptions {
 };
 
 // Deterministic generator of random transaction programs. Two generators
-// with the same options and seed produce identical program sequences.
+// with the same options and seed produce identical program sequences. A
+// copy is a bookmark: it draws the same sequence from where the original
+// stood, independently (the template pool is shared, read-only once
+// full), at about 200 bytes however large the programs.
 class WorkloadGenerator {
  public:
   WorkloadGenerator(const WorkloadOptions& options, std::uint64_t seed);
@@ -78,8 +82,10 @@ class WorkloadGenerator {
   std::uint64_t sequence_ = 0;
   // First num_templates programs, kept for cycling (empty when 0). Rng
   // draws stop once the pool is full, so a templated stream's tail costs
-  // no randomness — determinism is unaffected by how far it runs.
-  std::vector<txn::Program> templates_;
+  // no randomness — determinism is unaffected by how far it runs. Shared
+  // with copies; only the generator that draws a template first adds it.
+  std::shared_ptr<std::vector<txn::Program>> templates_ =
+      std::make_shared<std::vector<txn::Program>>();
 };
 
 }  // namespace pardb::sim

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "analysis/history.h"
@@ -392,6 +393,145 @@ TEST(CertifierTest, RandomUnlockedHistoriesMatchOracle) {
   // The corpus must exercise both verdicts and mostly the online path.
   EXPECT_GT(cyclic, 50);
   EXPECT_GT(exact, 200);
+}
+
+// ---------------------------------------------------------------------------
+// Pruning (DESIGN D23)
+// ---------------------------------------------------------------------------
+
+TEST(CertifierPruneTest, SourceIsKeptWhileATransactionLiveAtItsCommitRuns) {
+  // T1 commits as a source, but T2 — live at T1's commit — read A before
+  // T1 overwrote it, so T2 -> T1 arrives only at T2's commit and closes a
+  // cycle through T1. Pruning T1 as "a source now" would lose it.
+  HistoryRecorder h;
+  h.OnBegin(kT1, 0);
+  h.OnBegin(kT2, 1);
+  h.OnRead(kT2, kA, 0, 1);
+  h.OnPublish(kT1, kA, 1, 1);
+  h.OnPublish(kT1, kB, 1, 2);
+  h.OnCommit(kT1);
+  EXPECT_FALSE(h.Prunable(kT1));
+  EXPECT_EQ(h.Prune(), 0u);
+  h.OnRead(kT2, kB, 1, 2);
+  h.OnCommit(kT2);
+  EXPECT_FALSE(h.IsConflictSerializable());
+  // A cyclic pair keeps each other's predecessor: neither is ever pruned.
+  EXPECT_EQ(h.Prune(), 0u);
+  EXPECT_EQ(h.CommittedLog().size(), 2u);
+}
+
+TEST(CertifierPruneTest, PruningCascadesAndPinnedWaitsForPruneTxn) {
+  for (bool pin : {false, true}) {
+    HistoryRecorder h;
+    h.OnBegin(kT1, 0);
+    h.OnPublish(kT1, kA, 1, 1);
+    h.OnCommit(kT1);
+    h.OnBegin(kT2, 1);  // after T1's commit: no arc can enter T1 now
+    if (pin) h.Pin(kT1);
+    h.OnRead(kT2, kA, 1, 1);  // T1 -> T2
+    h.OnPublish(kT2, kB, 1, 2);
+    h.OnCommit(kT2);
+    EXPECT_TRUE(h.Prunable(kT1));
+    EXPECT_FALSE(h.Prunable(kT2));  // its predecessor T1 is still there
+    if (pin) {
+      EXPECT_EQ(h.Prune(), 0u);
+      EXPECT_TRUE(h.PruneTxn(kT1));
+    } else {
+      EXPECT_EQ(h.Prune(), 2u);
+    }
+    EXPECT_EQ(h.pruned_count(), 2u);
+    EXPECT_EQ(h.committed_count(), 2u);
+    EXPECT_TRUE(h.CommittedLog().empty());
+    EXPECT_FALSE(h.PruneTxn(kT2));  // gone
+    // A later reader of the pruned writers' versions still certifies.
+    const TxnId t3(3);
+    h.OnBegin(t3, 2);
+    h.OnRead(t3, kB, 1, 1);
+    h.OnPublish(t3, kA, 2, 2);
+    h.OnCommit(t3);
+    EXPECT_TRUE(h.certifier_exact());
+    EXPECT_TRUE(h.IsConflictSerializable());
+    EXPECT_EQ(h.Prune(), 1u);
+  }
+}
+
+// Random unlocked histories (cycles are common), staggered so early
+// commits become prunable: one recorder prunes at random points, a twin
+// fed the same events never does. The verdicts must agree — and agree with
+// the batch oracle — including on cycles through transactions that were
+// already committed, and so pruning candidates, when a prune ran.
+TEST(CertifierPruneTest, RandomHistoriesKeepTheOracleVerdict) {
+  int cyclic = 0, pruning = 0, through_candidate = 0;
+  for (std::uint64_t seed = 1; seed <= 600; ++seed) {
+    Rng rng(seed);
+    HistoryRecorder whole, pruned;
+    constexpr std::uint64_t kTxns = 12, kEntities = 4;
+    std::vector<std::uint64_t> version(kEntities, 0);
+    std::vector<StateIndex> state(kTxns, 0), floor(kTxns, 0);
+    std::vector<bool> begun(kTxns, false), live(kTxns, false);
+    std::set<std::uint64_t> candidates;  // committed when a prune ran
+    std::uint64_t next = 0;
+    for (int step = 0; step < 120; ++step) {
+      if (next < kTxns && rng.Uniform(6) == 0) {
+        whole.OnBegin(TxnId(next), next);
+        pruned.OnBegin(TxnId(next), next);
+        begun[next] = live[next] = true;
+        ++next;
+      }
+      const std::uint64_t t = rng.Uniform(kTxns);
+      if (live[t]) {
+        const EntityId e(rng.Uniform(kEntities));
+        const std::uint64_t action = rng.Uniform(10);
+        if (action < 5) {
+          whole.OnRead(TxnId(t), e, version[e.value()], state[t]);
+          pruned.OnRead(TxnId(t), e, version[e.value()], state[t]++);
+        } else if (action < 7) {
+          whole.OnPublish(TxnId(t), e, ++version[e.value()], state[t]);
+          pruned.OnPublish(TxnId(t), e, version[e.value()], state[t]);
+          floor[t] = ++state[t];
+        } else if (action < 8 && state[t] > floor[t]) {
+          state[t] = floor[t] + rng.Uniform(state[t] - floor[t]);
+          whole.OnRollback(TxnId(t), state[t]);
+          pruned.OnRollback(TxnId(t), state[t]);
+        } else if (action == 9) {
+          whole.OnCommit(TxnId(t));
+          pruned.OnCommit(TxnId(t));
+          live[t] = false;
+        }
+      }
+      if (rng.Uniform(3) == 0) {
+        pruned.Prune();
+        for (std::uint64_t c = 0; c < kTxns; ++c) {
+          if (begun[c] && !live[c]) candidates.insert(c);
+        }
+      }
+    }
+    for (std::uint64_t t = 0; t < kTxns; ++t) {
+      if (live[t]) {
+        whole.OnCommit(TxnId(t));
+        pruned.OnCommit(TxnId(t));
+      }
+    }
+    pruned.Prune();
+    ASSERT_TRUE(whole.certifier_exact());
+    const bool verdict = whole.IsConflictSerializable();
+    EXPECT_EQ(verdict, OracleSerializable(whole)) << "seed " << seed;
+    EXPECT_EQ(pruned.IsConflictSerializable(), verdict) << "seed " << seed;
+    pruning += pruned.pruned_count() > 0 ? 1 : 0;
+    if (!verdict) {
+      ++cyclic;
+      for (TxnId t : whole.WitnessCycle()) {
+        if (candidates.count(t.value()) != 0) {
+          ++through_candidate;
+          break;
+        }
+      }
+    }
+  }
+  // The corpus must prune, find cycles, and find some through candidates.
+  EXPECT_GT(pruning, 200);
+  EXPECT_GT(cyclic, 100);
+  EXPECT_GT(through_candidate, 50);
 }
 
 struct EngineRun {

@@ -1,3 +1,6 @@
+#include <algorithm>
+#include <iterator>
+#include <map>
 #include <set>
 #include <sstream>
 
@@ -5,6 +8,7 @@
 
 #include "common/bits.h"
 #include "common/flags.h"
+#include "common/id_slots.h"
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/result.h"
@@ -266,6 +270,57 @@ TEST(BitsTest, RoundUpPowerOfTwoIsConstexpr) {
   static_assert(RoundUpPowerOfTwo(100) == 128, "usable as a mask at compile time");
   static_assert((RoundUpPowerOfTwo(100) & (RoundUpPowerOfTwo(100) - 1)) == 0,
                 "always a power of two");
+}
+
+TEST(IdSlotsTest, RowsAreReusedAndRetiredIdsFindNothing) {
+  IdSlots slots;
+  EXPECT_EQ(slots.Find(0), IdSlots::kNone);
+  EXPECT_EQ(slots.Erase(0), IdSlots::kNone);
+  const std::uint32_t a = slots.Insert(10);
+  const std::uint32_t b = slots.Insert(11);
+  EXPECT_NE(a, b);
+  EXPECT_EQ(slots.Find(10), a);
+  EXPECT_EQ(slots.Erase(10), a);
+  EXPECT_EQ(slots.Find(10), IdSlots::kNone);
+  // The next id reuses the released row; the retired id never aliases it.
+  EXPECT_EQ(slots.Insert(12), a);
+  EXPECT_EQ(slots.Find(10), IdSlots::kNone);
+  EXPECT_EQ(slots.Find(12), a);
+  EXPECT_EQ(slots.rows(), 2u);
+  EXPECT_EQ(slots.size(), 2u);
+}
+
+TEST(IdSlotsTest, MatchesAMapUnderChurn) {
+  // Monotone ids, a sliding live window and strided ids that share low
+  // bits: every lookup agrees with a reference map, and the row count
+  // stays at the peak live count.
+  IdSlots slots;
+  std::map<std::uint64_t, std::uint32_t> ref;
+  Rng rng(5);
+  std::uint64_t next = 0;
+  std::size_t peak = 0;
+  for (int step = 0; step < 20000; ++step) {
+    if (ref.size() < 40 && rng.Uniform(3) != 0) {
+      const std::uint64_t id = rng.Bernoulli(0.2) ? next * 1024 : next;
+      ++next;
+      if (ref.count(id) != 0) continue;
+      ref[id] = slots.Insert(id);
+      peak = std::max(peak, ref.size());
+    } else if (!ref.empty()) {
+      auto it = ref.begin();
+      std::advance(it, rng.Uniform(ref.size()));
+      EXPECT_EQ(slots.Erase(it->first), it->second);
+      ref.erase(it);
+    }
+    if (step % 97 == 0) {
+      for (const auto& [id, row] : ref) ASSERT_EQ(slots.Find(id), row);
+      EXPECT_EQ(slots.Find(next + 5), IdSlots::kNone);
+    }
+  }
+  std::set<std::uint32_t> rows;
+  for (const auto& [id, row] : ref) rows.insert(row);
+  EXPECT_EQ(rows.size(), ref.size());  // no two live ids share a row
+  EXPECT_EQ(slots.rows(), peak);
 }
 
 TEST(LoggingTest, LevelGating) {

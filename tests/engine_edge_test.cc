@@ -55,6 +55,54 @@ TEST_F(EngineEdgeTest, AccessorsOnUnknownTxn) {
   EXPECT_EQ(engine_->PreemptionCountOf(TxnId(99)), 0u);
 }
 
+TEST_F(EngineEdgeTest, CommittedIdKeepsItsAnswersAfterItsRowIsReused) {
+  // DESIGN D23: a committed transaction's row goes to the next admission;
+  // the old id must never alias it.
+  Init();
+  auto first = engine_->Spawn(TwoLock(ids_[0], ids_[1], "first"));
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(engine_->RunToCompletion().ok());
+  auto second = engine_->Spawn(TwoLock(ids_[1], ids_[2], "second"));
+  ASSERT_TRUE(second.ok());
+  ASSERT_TRUE(engine_->StepTxn(second.value()).ok());
+  EXPECT_EQ(engine_->txn_rows(), 1u);  // the second reused the first's row
+  EXPECT_EQ(engine_->lock_manager().txn_rows(), 1u);
+
+  const TxnId old = first.value();
+  EXPECT_EQ(engine_->StatusOf(old), TxnStatus::kCommitted);
+  auto step = engine_->StepTxn(old);
+  ASSERT_TRUE(step.ok());
+  EXPECT_EQ(step.value(), StepOutcome::kIdle);
+  EXPECT_EQ(engine_->StateIndexOf(old), 0u);
+  EXPECT_EQ(engine_->LockCountOf(old), 0u);
+  EXPECT_EQ(engine_->EntryOf(old), 0u);
+  EXPECT_EQ(engine_->VarValueOf(old, 0), 0);
+  EXPECT_EQ(engine_->EntityValueOf(old, ids_[1]), 0);
+  EXPECT_EQ(engine_->PreemptionCountOf(old), 0u);
+  EXPECT_FALSE(engine_->AtHold(old));
+  EXPECT_TRUE(engine_->lock_manager().HeldBy(old).empty());
+  const std::vector<std::pair<EntityId, lock::LockMode>> conflicts = {
+      {ids_[1], lock::LockMode::kExclusive}};
+  EXPECT_EQ(engine_->PlanConflictRelease(old, conflicts).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(engine_->ApplyExternalRollback(old, 0, 0).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(engine_->SetBackoff(old, true).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(engine_->SetBackoff(old, false).ok());
+
+  // The live transaction in the reused row is untouched by all of that.
+  EXPECT_EQ(engine_->StatusOf(second.value()), TxnStatus::kReady);
+  EXPECT_EQ(engine_->StateIndexOf(second.value()), 1u);
+  EXPECT_EQ(engine_->LockCountOf(second.value()), 1u);
+  EXPECT_EQ(engine_->EntryOf(second.value()), 1u);
+  ASSERT_TRUE(engine_->RunToCompletion().ok());
+  EXPECT_EQ(engine_->StatusOf(second.value()), TxnStatus::kCommitted);
+  // An id never handed out is still unknown, not committed-and-idle.
+  EXPECT_EQ(engine_->StepTxn(TxnId(99)).status().code(),
+            StatusCode::kNotFound);
+}
+
 TEST_F(EngineEdgeTest, AccessorsTrackProgress) {
   Init();
   auto t = engine_->Spawn(TwoLock(ids_[0], ids_[1], "t"));

@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <functional>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -203,6 +204,12 @@ TEST(ForkJoinTest, DestroyingWithParkedHelpersJoinsCleanly) {
 // Phase 1 as the driver consumes it: every emission in order — its route,
 // name and op sequence — plus the per-shard streams and globals list it
 // builds from them.
+std::string ProgramText(const txn::Program& program) {
+  std::string text = program.name();
+  for (const txn::Op& op : program.ops()) text += ";" + op.ToString();
+  return text;
+}
+
 struct Phase1Streams {
   std::vector<std::string> emissions;
   std::vector<std::vector<std::string>> shard_programs;
@@ -210,8 +217,7 @@ struct Phase1Streams {
 
   EmitRouted Emitter() {
     return [this](const Route& route, txn::Program program) {
-      std::string text = program.name();
-      for (const txn::Op& op : program.ops()) text += ";" + op.ToString();
+      const std::string text = ProgramText(program);
       emissions.push_back(std::to_string(route.shard) +
                           (route.cross_shard ? "x " : " ") + text);
       if (route.cross_shard) {
@@ -242,7 +248,7 @@ ShardedOptions Phase1Options(std::uint32_t shards, std::uint64_t entities,
   return opt;
 }
 
-TEST(Phase1Test, ParallelGenerationMatchesTheSerialPlanWalk) {
+TEST(Phase1Test, StreamedDrawsMatchTheSerialPlanWalk) {
   std::vector<ShardedOptions> cases;
   for (std::uint32_t shards : {2u, 3u, 4u, 8u}) {
     for (double cross : {0.0, 0.05, 1.0}) {
@@ -259,28 +265,71 @@ TEST(Phase1Test, ParallelGenerationMatchesTheSerialPlanWalk) {
   const auto pools = ShardEntityUniverses(3, 8);
   EXPECT_TRUE(std::any_of(pools.begin(), pools.end(),
                           [](const auto& pool) { return pool.empty(); }));
+  // Templated programs: a bookmark taken while the pool fills must draw
+  // from the rng again, one taken later from the shared pool.
+  for (double cross : {0.05, 1.0}) {
+    cases.push_back(Phase1Options(4, 64, cross, false));
+    cases.back().workload.num_templates = 5;
+  }
 
   for (const ShardedOptions& opt : cases) {
     const std::string where =
         "shards=" + std::to_string(opt.num_shards) +
         " entities=" + std::to_string(opt.workload.num_entities) +
         " cross=" + std::to_string(opt.cross_shard_fraction) +
-        " hot=" + std::to_string(opt.hot_shard_routing);
+        " hot=" + std::to_string(opt.hot_shard_routing) +
+        " templates=" + std::to_string(opt.workload.num_templates);
     Phase1Streams serial;
     ASSERT_TRUE(GenerateAndRoute(opt, serial.Emitter()).ok()) << where;
     ASSERT_EQ(serial.emissions.size(), opt.total_txns) << where;
-    for (std::size_t threads : {1u, 2u, 7u}) {
-      ForkJoin fj(threads);
-      Phase1Streams parallel;
-      ASSERT_TRUE(GenerateAndRouteParallel(opt, fj, parallel.Emitter()).ok())
-          << where;
-      EXPECT_EQ(parallel.shard_programs, serial.shard_programs)
-          << where << " threads=" << threads;
-      EXPECT_EQ(parallel.globals, serial.globals)
-          << where << " threads=" << threads;
-      EXPECT_EQ(parallel.emissions, serial.emissions)
-          << where << " threads=" << threads;
+
+    // The streamed admission's extreme: walk the whole plan drawing only
+    // full-universe programs (each also drawn again from a bookmark taken
+    // before it, later), then draw every local generator's share last, one
+    // generator after another. Each local draw must route to its own
+    // shard, and the programs in plan order must be the serial walk's.
+    RoutingStream stream(opt);
+    std::vector<std::uint32_t> picks;
+    std::vector<std::optional<txn::Program>> drawn;
+    std::vector<sim::WorkloadGenerator> marks;
+    while (!stream.done()) {
+      const std::uint32_t g = stream.Next();
+      picks.push_back(g);
+      drawn.emplace_back();
+      if (g == stream.global_generator()) {
+        marks.push_back(stream.Bookmark());
+        auto p = stream.Draw(g);
+        ASSERT_TRUE(p.ok()) << where;
+        drawn.back() = std::move(p).value();
+      }
     }
+    std::size_t m = 0;
+    for (std::size_t t = 0; t < picks.size(); ++t) {
+      if (picks[t] != stream.global_generator()) continue;
+      auto again = marks[m++].Next();
+      ASSERT_TRUE(again.ok()) << where;
+      EXPECT_EQ(ProgramText(again.value()), ProgramText(*drawn[t])) << where;
+    }
+    for (std::uint32_t g = 0; g < opt.num_shards; ++g) {
+      for (std::size_t t = 0; t < picks.size(); ++t) {
+        if (picks[t] != g) continue;
+        auto p = stream.Draw(g);
+        ASSERT_TRUE(p.ok()) << where;
+        const Route r = RouteProgram(p.value(), opt.num_shards,
+                                     opt.coordinator_shard, t);
+        EXPECT_EQ(r.shard, g) << where;
+        EXPECT_FALSE(r.cross_shard) << where;
+        drawn[t] = std::move(p).value();
+      }
+    }
+    Phase1Streams streamed;
+    const EmitRouted emit = streamed.Emitter();
+    for (std::size_t t = 0; t < drawn.size(); ++t) {
+      const Route r = RouteProgram(*drawn[t], opt.num_shards,
+                                   opt.coordinator_shard, t);
+      emit(r, std::move(*drawn[t]));
+    }
+    EXPECT_EQ(streamed.emissions, serial.emissions) << where;
   }
 }
 
@@ -321,6 +370,70 @@ TEST(ShardedDriverTest, CommitsEveryTransactionAndStaysSerializable) {
                                 rep->xshard.sub_commits);
   EXPECT_TRUE(std::isfinite(rep->goodput));
   EXPECT_TRUE(std::isfinite(rep->wasted_fraction));
+}
+
+// DESIGN D23: every per-transaction table on the default path holds rows
+// for the live transactions (plus a bounded window), never for the run.
+TEST(ShardedDriverTest, PerTransactionStateFollowsTheLiveCount) {
+  for (std::uint32_t shards : {1u, 4u}) {
+    ShardedOptions opt;
+    opt.num_shards = shards;
+    opt.cross_shard_fraction = shards > 1 ? 0.05 : 0.0;
+    opt.workload.num_entities = 256;
+    opt.workload.min_locks = 2;
+    opt.workload.max_locks = 4;
+    opt.workload.zipf_theta = 0.2;
+    opt.concurrency = 16;
+    opt.total_txns = 50'000;
+    opt.seed = 3;
+    auto rep = RunSharded(opt);
+    ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+    ASSERT_TRUE(rep->completed);
+    EXPECT_TRUE(rep->serializable);
+    EXPECT_EQ(rep->committed, opt.total_txns);
+    // A shard runs its share of the level plus at most the coordinator's
+    // globals in flight as slices.
+    const std::size_t live =
+        opt.concurrency + (shards > 1 ? xshard::Coordinator::kMaxActiveGlobals
+                                      : 0);
+    for (const ShardResult& s : rep->shards) {
+      const std::string where = "shards=" + std::to_string(shards) +
+                                " shard=" + std::to_string(s.shard);
+      EXPECT_GT(s.committed, 5'000u) << where;
+      EXPECT_LE(s.footprint.engine_rows, live) << where;
+      EXPECT_LE(s.footprint.lock_rows, live) << where;
+      EXPECT_LE(s.footprint.txnlife_rows,
+                live + obs::TxnLifeBook::kRecent) << where;
+      EXPECT_GT(s.footprint.certifier_nodes, 0u) << where;
+      EXPECT_LE(s.footprint.certifier_nodes, 8 * live) << where;
+    }
+    if (shards > 1) {
+      // Streamed admission: only the walked full-universe programs wait,
+      // as bookmarks.
+      EXPECT_GT(rep->admission.peak_materialized_programs, 0u);
+      EXPECT_LT(rep->admission.peak_materialized_programs,
+                opt.total_txns / 50);
+    }
+  }
+}
+
+// DESIGN D23: a generated program publishes only in its commit step, so
+// even a run cut short by its step budget leaves every recorder exact and
+// the global verdict comes from the certifier union (a refusal would fail
+// the run). No cross-shard traffic: a shard out of budget would leave its
+// slices of a global unfinished.
+TEST(ShardedDriverTest, IncompleteRunCertifiesThroughTheUnion) {
+  ShardedOptions opt = SmallOptions(4, 5);
+  opt.cross_shard_fraction = 0.0;
+  opt.total_txns = 2'000;
+  opt.max_steps_per_shard = 3'000;
+  auto rep = RunSharded(opt);
+  ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+  EXPECT_FALSE(rep->completed);
+  EXPECT_GT(rep->committed, 0u);
+  EXPECT_LT(rep->committed, opt.total_txns);
+  EXPECT_TRUE(rep->global_serializable);
+  EXPECT_TRUE(rep->serializable);
 }
 
 TEST(ShardedDriverTest, BitIdenticalAcrossRepeatedRuns) {

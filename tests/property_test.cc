@@ -240,10 +240,16 @@ TEST(OrderedPolicyPropertyTest, VictimsNeverOlderThanRequester) {
     ASSERT_TRUE(stepped.ok());
     ASSERT_TRUE(stepped.value().has_value());
   }
+  // Entries as the dump priced them: a committed transaction's id no
+  // longer answers EntryOf.
   for (const obs::DeadlockDump& ev : deadlocks.dumps()) {
-    for (TxnId v : ev.victims) {
-      if (v == ev.requester) continue;
-      EXPECT_GT(engine.EntryOf(v), engine.EntryOf(ev.requester))
+    Timestamp requester_entry = 0;
+    for (const obs::DeadlockParticipant& p : ev.participants) {
+      if (p.is_requester) requester_entry = p.entry;
+    }
+    for (const obs::DeadlockParticipant& p : ev.participants) {
+      if (!p.is_victim || p.is_requester) continue;
+      EXPECT_GT(p.entry, requester_entry)
           << "older transaction preempted under the ordered policy";
     }
   }
