@@ -1,6 +1,7 @@
 // Single-engine hot-path benchmark for the data-oriented rewrite (D15).
 //
-// Four measurements, all on one shard / one thread:
+// Four measurements, all on one shard / one thread, plus two micros on
+// the admission path (program generation and compile):
 //
 //   1. lock/release micro — raw LockManager Request/ReleaseInto ops/sec on
 //      disjoint exclusive locks, with a heap-allocation counter proving the
@@ -15,11 +16,15 @@
 //   4. steady-state allocation audit — a warm engine stepping lock-only
 //      transactions; allocations per step in the counted window must be 0.
 //
+// The generate micro draws the pinned workload's programs from a fresh
+// WorkloadGenerator, counting the heap blocks each program costs (its three
+// final arrays, DESIGN D24) and the µs per program.
+//
 // Deterministic fields (committed/steps/rollbacks and the per-op counts)
 // are identical on every host and every run; only the timings vary. The
 // run writes BENCH_hotpath.json and tools/check_bench_regression.py gates
-// on the deterministic fields, the zero-allocation invariants and the
-// end-to-end throughput floor against bench/baselines/BENCH_hotpath.json.
+// on the deterministic fields, the allocation counts and the end-to-end
+// throughput floor against bench/baselines/BENCH_hotpath.json.
 
 #include <benchmark/benchmark.h>
 
@@ -219,6 +224,58 @@ RollbackMicroResult RunRollbackMicro() {
   return r;
 }
 
+// The pinned 1-shard workload of bench_parallel_scaling (section 3).
+constexpr std::uint64_t kE2eTxns = 2400;
+constexpr std::uint64_t kE2eEntities = 256;
+
+sim::WorkloadOptions PinnedWorkloadOptions() {
+  sim::WorkloadOptions w;
+  w.num_entities = kE2eEntities;
+  w.min_locks = 2;
+  w.max_locks = 4;
+  w.ops_per_entity = 2;
+  w.zipf_theta = 0.2;
+  return w;
+}
+
+// ---------------------------------------------------------------------------
+// 2a. Generate micro: WorkloadGenerator::Next on the pinned workload (D24).
+// ---------------------------------------------------------------------------
+
+struct GenerateMicroResult {
+  std::uint64_t programs = 0;       // deterministic
+  std::uint64_t ops = 0;            // deterministic: total ops drawn
+  double allocs_per_program = 0.0;  // deterministic: heap blocks per program
+  double elapsed = 0.0;
+  double us_per_program = 0.0;
+};
+
+GenerateMicroResult RunGenerateMicro() {
+  GenerateMicroResult r;
+  std::vector<double> times;
+  times.reserve(3);  // keep the harness's own bookkeeping out of the count
+  for (int rep = 0; rep < 3; ++rep) {
+    sim::WorkloadGenerator gen(PinnedWorkloadOptions(), 21);
+    std::uint64_t ops = 0;
+    const std::uint64_t a0 = HeapAllocs();
+    const auto start = std::chrono::steady_clock::now();
+    for (std::uint64_t i = 0; i < kE2eTxns; ++i) {
+      auto p = gen.Next();
+      if (!p.ok()) std::abort();
+      ops += p.value().size();
+    }
+    const auto stop = std::chrono::steady_clock::now();
+    // Identical every rep; keep the last.
+    r.allocs_per_program = static_cast<double>(HeapAllocs() - a0) / kE2eTxns;
+    r.ops = ops;
+    times.push_back(Seconds(start, stop));
+  }
+  r.programs = kE2eTxns;
+  r.elapsed = Median(times);
+  r.us_per_program = r.elapsed * 1e6 / r.programs;
+  return r;
+}
+
 // ---------------------------------------------------------------------------
 // 2b. Compile micro: admission-time lowering cost (D16).
 // ---------------------------------------------------------------------------
@@ -272,21 +329,12 @@ struct EndToEndResult {
   double txns_per_second = 0.0;
 };
 
-constexpr std::uint64_t kE2eTxns = 2400;
-constexpr std::uint64_t kE2eEntities = 256;
-
 // The exact 1-shard workload bench_parallel_scaling pins, generated once
 // outside the timed regions: the e2e measurement is lock/schedule/execute
 // throughput, not program generation, and the compile micro lowers the
 // same program population the engine admits.
 std::vector<std::shared_ptr<const txn::Program>> PinnedWorkloadPrograms() {
-  sim::WorkloadOptions w;
-  w.num_entities = kE2eEntities;
-  w.min_locks = 2;
-  w.max_locks = 4;
-  w.ops_per_entity = 2;
-  w.zipf_theta = 0.2;
-  sim::WorkloadGenerator gen(w, 21);
+  sim::WorkloadGenerator gen(PinnedWorkloadOptions(), 21);
   std::vector<std::shared_ptr<const txn::Program>> programs;
   programs.reserve(kE2eTxns);
   for (std::uint64_t i = 0; i < kE2eTxns; ++i) {
@@ -427,6 +475,7 @@ void PrintReproduction() {
   const auto programs = PinnedWorkloadPrograms();
   const LockMicroResult lock = RunLockReleaseMicro();
   const RollbackMicroResult rb = RunRollbackMicro();
+  const GenerateMicroResult gen = RunGenerateMicro();
   const CompileMicroResult comp = RunCompileMicro(programs);
   const EndToEndResult e2e = RunEndToEnd(programs);
   const SteadyAllocResult steady = RunSteadyStateAllocAudit();
@@ -437,6 +486,9 @@ void PrintReproduction() {
            lock.allocs_per_op);
   t.AddRow("rollback micro", rb.rollbacks, rb.elapsed,
            rb.rollbacks_per_second, "-");
+  t.AddRow("program generate micro", gen.programs, gen.elapsed,
+           gen.elapsed > 0 ? gen.programs / gen.elapsed : 0.0,
+           gen.allocs_per_program);
   t.AddRow("program compile micro", comp.compiles, comp.elapsed,
            comp.elapsed > 0 ? comp.compiles / comp.elapsed : 0.0, "-");
   t.AddRow("end-to-end (pinned workload)", e2e.txns, e2e.elapsed,
@@ -444,6 +496,10 @@ void PrintReproduction() {
   t.AddRow("steady-state step audit", steady.steps, "-", "-",
            steady.allocs_per_step);
   t.Print();
+  std::cout << "(generate micro: " << gen.programs << " programs, "
+            << gen.ops << " ops, " << gen.us_per_program
+            << " us/program, " << gen.allocs_per_program
+            << " heap blocks/program)\n";
   std::cout << "(compile micro: " << comp.compiles << " distinct programs, "
             << comp.us_per_program << " us/program cold, "
             << comp.hit_us_per_program << " us/program on cache hits, "
@@ -462,6 +518,11 @@ void PrintReproduction() {
        << ",\"elapsed_seconds\":" << comp.elapsed
        << ",\"us_per_program\":" << comp.us_per_program
        << ",\"hit_us_per_program\":" << comp.hit_us_per_program << "},\n"
+       << " \"generate\":{\"programs\":" << gen.programs
+       << ",\"ops\":" << gen.ops
+       << ",\"allocs_per_program\":" << gen.allocs_per_program
+       << ",\"elapsed_seconds\":" << gen.elapsed
+       << ",\"us_per_program\":" << gen.us_per_program << "},\n"
        << " \"lock_release\":{\"ops\":" << lock.ops
        << ",\"elapsed_seconds\":" << lock.elapsed
        << ",\"ops_per_second\":" << lock.ops_per_second
@@ -480,9 +541,9 @@ void PrintReproduction() {
        << ",\"allocs\":" << steady.allocs
        << ",\"allocs_per_step\":" << steady.allocs_per_step << "}\n"
        << "}\n";
-  std::cout << "(wrote BENCH_hotpath.json; committed/steps/rollbacks and "
-               "both allocation counters are deterministic — only the "
-               "timings vary)\n";
+  std::cout << "(wrote BENCH_hotpath.json; committed/steps/rollbacks, the "
+               "generated op count and every allocation counter are "
+               "deterministic — only the timings vary)\n";
 }
 
 void BM_EndToEndPinnedWorkload(benchmark::State& state) {

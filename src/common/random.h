@@ -166,6 +166,7 @@ class ZipfianGenerator {
   double zetan_;
   double eta_;
   double zeta2theta_;
+  double half_pow_theta_;  // 0.5^theta, the rank-1 band's width
 };
 
 }  // namespace pardb

@@ -945,10 +945,17 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
              engines[s]->live_txn_count() == 0;
     }
     if (done) break;
+    // A shard out of steps with work left can finish none of it (even a
+    // slice commits in its own step), so the run is stranded: it cannot
+    // complete. The other shards run on until they are out of steps too
+    // or have nothing they can step.
     bool budget_left = false;
+    bool stranded = false;
     for (std::uint32_t s = 0; s < n; ++s) {
-      budget_left =
-          budget_left || runs[s].exec->steps < options.max_steps_per_shard;
+      const bool spent = runs[s].exec->steps >= options.max_steps_per_shard;
+      budget_left = budget_left || !spent;
+      stranded = stranded || (spent && (engines[s]->live_txn_count() > 0 ||
+                                        runs[s].admitted < runs[s].walked));
     }
     if (!budget_left) {
       completed = false;
@@ -992,11 +999,17 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
     report.scheduler.virtual_makespan_steps +=
         VirtualMakespanSteps(epoch_shard_steps, submitted, threads);
     std::uint64_t commits = 0;
+    std::uint64_t stepped = 0;
     for (std::uint32_t s = 0; s < n; ++s) {
       if (!runs[s].status.ok()) run_status = runs[s].status;
       commits += engines[s]->metrics().commits;
+      stepped += epoch_shard_steps[s];
     }
     if (!run_status.ok()) break;
+    if (stranded && stepped == 0) {
+      completed = false;
+      break;
+    }
     commit_free_epochs = commits == commits_seen ? commit_free_epochs + 1 : 0;
     commits_seen = commits;
     if (commit_free_epochs == kMaxCommitFreeEpochs) {

@@ -67,6 +67,10 @@ struct ShardedOptions {
   // (every shard gets at least 1).
   std::uint32_t concurrency = 16;
   std::uint64_t total_txns = 400;
+  // Step budget of each shard; a run that cannot finish within it is
+  // incomplete. With several shards, a shard that spends it with work left
+  // ends the run at the first epoch in which no shard steps (whatever
+  // still waits, waits on it).
   std::uint64_t max_steps_per_shard = 20'000'000;
   std::uint64_t seed = 1;
   // Threads of the multi-shard fork-join, the calling thread included

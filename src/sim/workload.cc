@@ -1,7 +1,6 @@
 #include "sim/workload.h"
 
 #include <algorithm>
-#include <set>
 
 namespace pardb::sim {
 
@@ -17,6 +16,35 @@ std::string_view WritePatternName(WritePattern p) {
   return "unknown";
 }
 
+namespace {
+
+// Working buffer of one Next call: on the stack for the programs
+// workloads usually draw, on the heap past kInline entries, so any
+// max_locks or ops_per_entity stays correct. Never a generator member: a
+// copy of the generator is a bookmark and carries no buffers.
+template <typename T, std::size_t kInline>
+class DrawBuffer {
+ public:
+  explicit DrawBuffer(std::size_t n) {
+    if (n > kInline) {
+      heap_.resize(n);
+      data_ = heap_.data();
+    }
+  }
+  DrawBuffer(const DrawBuffer&) = delete;
+  DrawBuffer& operator=(const DrawBuffer&) = delete;
+
+  T& operator[](std::size_t i) { return data_[i]; }
+  T* data() { return data_; }
+
+ private:
+  T inline_[kInline] = {};
+  T* data_ = inline_;
+  std::vector<T> heap_;
+};
+
+}  // namespace
+
 WorkloadGenerator::WorkloadGenerator(const WorkloadOptions& options,
                                      std::uint64_t seed)
     : options_(options),
@@ -26,6 +54,10 @@ WorkloadGenerator::WorkloadGenerator(const WorkloadOptions& options,
             options.zipf_theta) {}
 
 Result<txn::Program> WorkloadGenerator::Next() {
+  using txn::ArithOp;
+  using txn::Op;
+  using txn::OpCode;
+  using txn::Operand;
   const WorkloadOptions& o = options_;
   if (o.min_locks == 0 || o.max_locks < o.min_locks) {
     return Status::InvalidArgument("invalid lock count range");
@@ -36,96 +68,120 @@ Result<txn::Program> WorkloadGenerator::Next() {
     const txn::Program& t = (*templates_)[sequence_ % o.num_templates];
     return t.WithName("txn-" + std::to_string(sequence_++));
   }
+  const bool pooled = !o.entity_universe.empty();
   const std::uint64_t universe =
-      o.entity_universe.empty() ? o.num_entities : o.entity_universe.size();
+      pooled ? o.entity_universe.size() : o.num_entities;
   const std::uint32_t k = static_cast<std::uint32_t>(
       o.min_locks + rng_.Uniform(o.max_locks - o.min_locks + 1));
+  // Draws stop at k entities or when the universe is used up.
+  const std::size_t n =
+      static_cast<std::size_t>(std::min<std::uint64_t>(k, universe));
 
-  // Distinct entities (Zipfian with rejection of duplicates).
-  std::vector<EntityId> entities;
-  std::set<std::uint64_t> seen;
-  while (entities.size() < k && seen.size() < universe) {
-    std::uint64_t e = zipf_.Next(rng_);
-    if (seen.insert(e).second) {
-      entities.push_back(o.entity_universe.empty() ? EntityId(e)
-                                                   : o.entity_universe[e]);
-    }
-  }
-  if (o.sorted_entities) std::sort(entities.begin(), entities.end());
-
-  std::vector<bool> shared(entities.size());
-  for (std::size_t i = 0; i < entities.size(); ++i) {
-    shared[i] = rng_.Bernoulli(o.shared_fraction);
-  }
-
-  // Access ops per entity. Variable v_i accumulates entity i's value.
-  const auto n = static_cast<std::uint32_t>(entities.size());
-  txn::ProgramBuilder b("txn-" + std::to_string(sequence_++), n);
-
-  struct Access {
-    std::size_t entity_index;
-    int step;  // 0 = read, 1 = compute, 2 = write (reads only for shared)
+  // Distinct entities (Zipfian with rejection of duplicates), found by a
+  // linear scan over the few drawn so far. Distinct pool entries make
+  // equal entities equal indices; a pool listing one entity twice would
+  // lock it twice, so it is refused.
+  struct Drawn {
+    std::uint64_t index;
+    std::uint64_t entity;
+    bool shared;
   };
-  // slots[i] = access ops placed between lock i and lock i+1 (slot n-1 is
-  // after the last lock).
-  std::vector<std::vector<Access>> slots(n);
+  DrawBuffer<Drawn, 16> drawn(n);
+  for (std::size_t got = 0; got < n;) {
+    const std::uint64_t e = zipf_.Next(rng_);
+    const std::uint64_t entity = pooled ? o.entity_universe[e].value() : e;
+    bool fresh = true;
+    for (std::size_t j = 0; j < got && fresh; ++j) {
+      if (drawn[j].entity != entity) continue;
+      if (drawn[j].index != e) {
+        return Status::InvalidArgument("entity_universe lists entity " +
+                                       std::to_string(entity) + " twice");
+      }
+      fresh = false;
+    }
+    if (fresh) drawn[got++] = Drawn{e, entity, false};
+  }
+  if (o.sorted_entities) {
+    std::sort(drawn.data(), drawn.data() + n,
+              [](const Drawn& a, const Drawn& b) {
+                return a.entity < b.entity;
+              });
+  }
+  std::size_t total = n + 1;  // n lock requests and the commit
+  const std::size_t reps = std::max<std::uint32_t>(1, o.ops_per_entity);
+  for (std::size_t i = 0; i < n; ++i) {
+    drawn[i].shared = rng_.Bernoulli(o.shared_fraction);
+    total += reps * (drawn[i].shared ? 1 : 3);
+  }
 
-  for (std::size_t i = 0; i < entities.size(); ++i) {
-    const std::uint32_t reps = std::max<std::uint32_t>(1, o.ops_per_entity);
-    // Choose a slot for each access group, >= the entity's lock position.
-    std::vector<std::size_t> positions;
-    for (std::uint32_t r = 0; r < reps; ++r) {
+  // Access groups: entity i has `reps`, each a read (plus compute and
+  // write for an X lock) placed in a slot >= i; slot p runs from lock p to
+  // lock p+1, and slot n-1 from the last lock to the commit.
+  DrawBuffer<std::uint32_t, 64> slot(n * reps);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t r = 0; r < reps; ++r) {
+      std::size_t p = i;
       switch (o.pattern) {
         case WritePattern::kScattered:
-          positions.push_back(i + rng_.Uniform(n - i));
+          p = i + rng_.Uniform(n - i);
           break;
         case WritePattern::kClustered:
-          positions.push_back(i);
           break;
         case WritePattern::kThreePhase:
-          positions.push_back(n - 1);
+          p = n - 1;
           break;
       }
-    }
-    std::sort(positions.begin(), positions.end());
-    for (std::size_t p : positions) {
-      slots[p].push_back(Access{i, 0});
-      if (!shared[i]) {
-        slots[p].push_back(Access{i, 1});
-        slots[p].push_back(Access{i, 2});
-      }
+      slot[i * reps + r] = static_cast<std::uint32_t>(p);
     }
   }
 
-  for (std::size_t i = 0; i < entities.size(); ++i) {
-    if (shared[i]) {
-      b.LockShared(entities[i]);
-    } else {
-      b.LockExclusive(entities[i]);
+  // Counting sort of the groups by slot, stable, straight into the final
+  // arrays: lock_positions first counts each slot's accesses, then holds
+  // each slot's end as a fill cursor, and ends at each lock's position.
+  std::vector<std::size_t> lock_positions(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t r = 0; r < reps; ++r) {
+      lock_positions[slot[i * reps + r]] += drawn[i].shared ? 1 : 3;
     }
-    for (const Access& a : slots[i]) {
-      const auto var = static_cast<txn::VarId>(a.entity_index);
-      switch (a.step) {
-        case 0:
-          b.Read(entities[a.entity_index], var);
-          break;
-        case 1:
-          b.Compute(var, txn::Operand::Var(var), txn::ArithOp::kAdd,
-                    txn::Operand::Imm(1));
-          break;
-        case 2:
-          b.WriteVar(entities[a.entity_index], var);
-          break;
+  }
+  std::size_t end = 0;
+  for (std::size_t& p : lock_positions) p = end += 1 + p;
+  std::vector<Op> ops(total);
+  // Filling every slot from its end, last group first, keeps groups that
+  // share a slot in entity order.
+  for (std::size_t i = n; i-- > 0;) {
+    const EntityId e(drawn[i].entity);
+    const auto var = static_cast<txn::VarId>(i);
+    for (std::size_t r = reps; r-- > 0;) {
+      std::size_t& cursor = lock_positions[slot[i * reps + r]];
+      if (!drawn[i].shared) {
+        ops[--cursor] =
+            Op{e, Operand::Var(var), {}, 0, OpCode::kWrite, ArithOp::kAdd};
+        ops[--cursor] = Op{EntityId(),     Operand::Var(var),
+                           Operand::Imm(1), var,
+                           OpCode::kCompute, ArithOp::kAdd};
       }
+      ops[--cursor] = Op{e, {}, {}, var, OpCode::kRead, ArithOp::kAdd};
     }
   }
-  b.Commit();
-  auto built = std::move(b).Build();
-  if (built.ok() && options_.num_templates > 0 &&
-      templates_->size() + 1 == sequence_) {
-    templates_->push_back(built.value());
+  std::uint64_t max_entity_bound = 0;
+  for (std::size_t p = 0; p < n; ++p) {
+    const OpCode lock =
+        drawn[p].shared ? OpCode::kLockShared : OpCode::kLockExclusive;
+    ops[--lock_positions[p]] =
+        Op{EntityId(drawn[p].entity), {}, {}, 0, lock, ArithOp::kAdd};
+    max_entity_bound = std::max(max_entity_bound, drawn[p].entity + 1);
   }
-  return built;
+  ops.back() = Op{EntityId(), {}, {}, 0, OpCode::kCommit, ArithOp::kAdd};
+
+  txn::Program program = txn::Program::Trusted(
+      "txn-" + std::to_string(sequence_++), std::move(ops),
+      static_cast<std::uint32_t>(n), std::vector<Value>(n, 0),
+      std::move(lock_positions), max_entity_bound);
+  if (o.num_templates > 0 && templates_->size() + 1 == sequence_) {
+    templates_->push_back(program);
+  }
+  return program;
 }
 
 }  // namespace pardb::sim

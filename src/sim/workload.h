@@ -37,7 +37,8 @@ struct WorkloadOptions {
   // into locality domains (e.g. par::RunSharded generates mostly
   // shard-local transactions from per-shard pools). Zipf skew applies to
   // the pool's index order. Programs lock at most pool-size entities even
-  // if min_locks asks for more.
+  // if min_locks asks for more. Entries must be distinct: Next refuses a
+  // draw that meets one entity twice.
   std::vector<EntityId> entity_universe;
   // Zipfian skew over entities; 0 = uniform.
   double zipf_theta = 0.0;
@@ -65,7 +66,9 @@ struct WorkloadOptions {
 // with the same options and seed produce identical program sequences. A
 // copy is a bookmark: it draws the same sequence from where the original
 // stood, independently (the template pool is shared, read-only once
-// full), at about 200 bytes however large the programs.
+// full), at about 200 bytes however large the programs. Next writes each
+// program straight into its final arrays (DESIGN D24); its working
+// buffers live on the stack of the call, never in the generator.
 class WorkloadGenerator {
  public:
   WorkloadGenerator(const WorkloadOptions& options, std::uint64_t seed);

@@ -1,7 +1,7 @@
 #include "txn/program.h"
 
 #include <algorithm>
-#include <map>
+#include <cassert>
 #include <sstream>
 #include <unordered_map>
 
@@ -202,14 +202,76 @@ ProgramBuilder& ProgramBuilder::Commit() {
   return *this;
 }
 
-Result<Program> ProgramBuilder::Build() {
-  // Static validation of protocol rules.
-  std::map<EntityId, lock::LockMode> held;
+Program Program::Trusted(std::string name, std::vector<Op> ops,
+                         std::uint32_t num_vars,
+                         std::vector<Value> initial_vars,
+                         std::vector<std::size_t> lock_positions,
+                         std::uint64_t max_entity_bound) {
+  Program p;
+  p.name_ = std::move(name);
+  p.ops_ = std::move(ops);
+  p.num_vars_ = num_vars;
+  p.initial_vars_ = std::move(initial_vars);
+  p.lock_positions_ = std::move(lock_positions);
+  p.max_entity_bound_ = max_entity_bound;
+#ifndef NDEBUG
+  std::vector<std::size_t> positions;
+  std::uint64_t bound = 0;
+  const Status checked = p.CheckProtocol(&positions, &bound);
+  assert(checked.ok());
+  assert(positions == p.lock_positions_);
+  assert(bound == p.max_entity_bound_);
+  assert(p.initial_vars_.size() == p.num_vars_);
+#endif
+  return p;
+}
+
+Status Program::CheckProtocol(std::vector<std::size_t>* lock_positions,
+                              std::uint64_t* max_entity_bound) const {
+  // Held modes in a flat table: the program's distinct lock targets,
+  // sorted, each with the mode it holds at the current op. A handful of
+  // entries for real programs; binary search keeps long ones O(n log n).
+  enum class Held : std::uint8_t { kNone, kShared, kExclusive };
+  struct Slot {
+    EntityId entity;
+    Held held;
+  };
+  auto IsLock = [](const Op& op) {
+    return op.code == OpCode::kLockShared || op.code == OpCode::kLockExclusive;
+  };
+  const auto num_locks = static_cast<std::size_t>(
+      std::count_if(ops_.begin(), ops_.end(), IsLock));
+  std::vector<Slot> table;
+  table.reserve(num_locks);
+  for (const Op& op : ops_) {
+    if (IsLock(op)) table.push_back(Slot{op.entity, Held::kNone});
+  }
+  auto by_entity = [](const Slot& a, const Slot& b) {
+    return a.entity < b.entity;
+  };
+  lock_positions->clear();
+  lock_positions->reserve(num_locks);
+  std::sort(table.begin(), table.end(), by_entity);
+  table.erase(std::unique(table.begin(), table.end(),
+                          [](const Slot& a, const Slot& b) {
+                            return a.entity == b.entity;
+                          }),
+              table.end());
+  // Null for an entity the program never locks: it is never held.
+  auto Find = [&](EntityId e) -> Held* {
+    auto it = std::lower_bound(table.begin(), table.end(),
+                               Slot{e, Held::kNone}, by_entity);
+    return it != table.end() && it->entity == e ? &it->held : nullptr;
+  };
+  auto HeldOf = [&](EntityId e) {
+    const Held* h = Find(e);
+    return h == nullptr ? Held::kNone : *h;
+  };
+
   bool unlocked_any = false;
   bool saw_lock = false;
   bool committed = false;
-  std::vector<std::size_t> lock_positions;
-  std::uint64_t max_entity_bound = 0;
+  *max_entity_bound = 0;
 
   auto CheckVar = [this](VarId v) { return v < num_vars_; };
   auto CheckOperand = [&](const Operand& o) {
@@ -233,7 +295,7 @@ Result<Program> ProgramBuilder::Build() {
       case OpCode::kUnlock:
       case OpCode::kRead:
       case OpCode::kWrite:
-        max_entity_bound = std::max(max_entity_bound, op.entity.value() + 1);
+        *max_entity_bound = std::max(*max_entity_bound, op.entity.value() + 1);
         break;
       default:
         break;
@@ -245,32 +307,32 @@ Result<Program> ProgramBuilder::Build() {
           return Status::ProtocolViolation(
               "two-phase rule violated: lock request after unlock" + where());
         }
-        auto it = held.find(op.entity);
-        if (it != held.end()) {
-          const bool upgrade = it->second == lock::LockMode::kShared &&
+        Held& held = *Find(op.entity);  // every lock target has an entry
+        if (held != Held::kNone) {
+          const bool upgrade = held == Held::kShared &&
                                op.code == OpCode::kLockExclusive;
           if (!upgrade) {
             return Status::ProtocolViolation(
                 "entity already locked in equal or stronger mode" + where());
           }
         }
-        held[op.entity] = op.code == OpCode::kLockShared
-                              ? lock::LockMode::kShared
-                              : lock::LockMode::kExclusive;
-        lock_positions.push_back(i);
+        held = op.code == OpCode::kLockShared ? Held::kShared
+                                              : Held::kExclusive;
+        lock_positions->push_back(i);
         saw_lock = true;
         break;
       }
       case OpCode::kUnlock: {
-        if (held.erase(op.entity) == 0) {
+        if (HeldOf(op.entity) == Held::kNone) {
           return Status::ProtocolViolation("unlock of entity not held" +
                                            where());
         }
+        *Find(op.entity) = Held::kNone;
         unlocked_any = true;
         break;
       }
       case OpCode::kRead: {
-        if (!held.count(op.entity)) {
+        if (HeldOf(op.entity) == Held::kNone) {
           return Status::ProtocolViolation("read without a lock" + where());
         }
         if (!CheckVar(op.dst)) {
@@ -280,8 +342,7 @@ Result<Program> ProgramBuilder::Build() {
         break;
       }
       case OpCode::kWrite: {
-        auto it = held.find(op.entity);
-        if (it == held.end() || it->second != lock::LockMode::kExclusive) {
+        if (HeldOf(op.entity) != Held::kExclusive) {
           return Status::ProtocolViolation(
               "write without an exclusive lock" + where());
         }
@@ -311,14 +372,17 @@ Result<Program> ProgramBuilder::Build() {
       }
     }
   }
+  return Status::OK();
+}
 
+Result<Program> ProgramBuilder::Build() {
   Program p;
   p.name_ = std::move(name_);
   p.ops_ = std::move(ops_);
   p.num_vars_ = num_vars_;
   p.initial_vars_ = std::move(initial_vars_);
-  p.lock_positions_ = std::move(lock_positions);
-  p.max_entity_bound_ = max_entity_bound;
+  PARDB_RETURN_IF_ERROR(
+      p.CheckProtocol(&p.lock_positions_, &p.max_entity_bound_));
   return p;
 }
 

@@ -60,10 +60,24 @@ struct Op {
 };
 static_assert(sizeof(Op) == 48, "Op must stay packed to 48 bytes");
 
-// An immutable, validated transaction program. Build with ProgramBuilder.
+// An immutable, validated transaction program. Build with ProgramBuilder,
+// which checks the protocol rules, or, for programs valid by construction,
+// with Program::Trusted.
 class Program {
  public:
   Program() = default;
+
+  // Trusted construction: takes the final arrays as they are, with no
+  // checks in release builds. The caller guarantees the program passes the
+  // protocol rules ProgramBuilder lists, that `initial_vars` has `num_vars`
+  // entries, and that `lock_positions` and `max_entity_bound` are what
+  // Build would derive; debug builds assert all of it. The workload
+  // generator draws every program through here.
+  static Program Trusted(std::string name, std::vector<Op> ops,
+                         std::uint32_t num_vars,
+                         std::vector<Value> initial_vars,
+                         std::vector<std::size_t> lock_positions,
+                         std::uint64_t max_entity_bound);
 
   const std::string& name() const { return name_; }
   std::size_t size() const { return ops_.size(); }
@@ -112,6 +126,12 @@ class Program {
 
  private:
   friend class ProgramBuilder;
+
+  // The one statement of the protocol rules: checks ops_ against them and
+  // derives the lock request positions and entity bound. The error names
+  // the first offending op.
+  Status CheckProtocol(std::vector<std::size_t>* lock_positions,
+                       std::uint64_t* max_entity_bound) const;
 
   std::string name_;
   std::vector<Op> ops_;

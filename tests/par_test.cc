@@ -420,11 +420,11 @@ TEST(ShardedDriverTest, PerTransactionStateFollowsTheLiveCount) {
 // DESIGN D23: a generated program publishes only in its commit step, so
 // even a run cut short by its step budget leaves every recorder exact and
 // the global verdict comes from the certifier union (a refusal would fail
-// the run). No cross-shard traffic: a shard out of budget would leave its
-// slices of a global unfinished.
+// the run). With cross-shard traffic a shard out of budget strands its
+// slices of globals, and the shards waiting on them; the run then ends
+// incomplete instead of stalling.
 TEST(ShardedDriverTest, IncompleteRunCertifiesThroughTheUnion) {
   ShardedOptions opt = SmallOptions(4, 5);
-  opt.cross_shard_fraction = 0.0;
   opt.total_txns = 2'000;
   opt.max_steps_per_shard = 3'000;
   auto rep = RunSharded(opt);

@@ -7,6 +7,7 @@
 #include "par/report_json.h"
 #include "par/sharded_driver.h"
 #include "sim/workload.h"
+#include "workload_oracle.h"
 
 namespace pardb::sim {
 namespace {
@@ -124,6 +125,152 @@ TEST(WorkloadTest, InvalidLockRangeRejected) {
   opt.max_locks = 2;
   WorkloadGenerator gen(opt, 1);
   EXPECT_EQ(gen.Next().status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(WorkloadTest, PoolListingAnEntityTwiceIsRefused) {
+  WorkloadOptions opt;
+  opt.entity_universe = {EntityId(5), EntityId(5), EntityId(6)};
+  opt.min_locks = opt.max_locks = 3;  // draws every pool index
+  WorkloadGenerator gen(opt, 1);
+  EXPECT_EQ(gen.Next().status().code(), StatusCode::kInvalidArgument);
+}
+
+// Generator oracle (tests/workload_oracle.h): the builder-based generator,
+// program by program, over every option that shapes a program.
+void ExpectSameProgram(const txn::Program& want, const txn::Program& got) {
+  ASSERT_EQ(want.name(), got.name());
+  ASSERT_EQ(want.size(), got.size()) << want.name();
+  auto SameOperand = [](const txn::Operand& x, const txn::Operand& y) {
+    return x.kind == y.kind && x.imm == y.imm && x.var == y.var;
+  };
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const txn::Op& w = want.op(i);
+    const txn::Op& g = got.op(i);
+    ASSERT_TRUE(w.code == g.code && w.entity == g.entity && w.dst == g.dst &&
+                w.arith == g.arith && SameOperand(w.a, g.a) &&
+                SameOperand(w.b, g.b))
+        << want.name() << " op " << i << ": " << w.ToString() << " vs "
+        << g.ToString();
+  }
+  ASSERT_EQ(want.num_vars(), got.num_vars());
+  ASSERT_EQ(want.initial_vars(), got.initial_vars());
+  ASSERT_EQ(want.LockRequestPositions(), got.LockRequestPositions());
+  ASSERT_EQ(want.MaxEntityBound(), got.MaxEntityBound());
+}
+
+// Draws `count` programs from both and compares them; then a bookmark of
+// each draws the next `count` while the originals draw them too.
+void ExpectMatchesOracle(const WorkloadOptions& opt, std::uint64_t seed,
+                         int count) {
+  SCOPED_TRACE("seed " + std::to_string(seed));
+  WorkloadGenerator gen(opt, seed);
+  OracleWorkloadGenerator oracle(opt, seed);
+  auto Same = [](OracleWorkloadGenerator& o, WorkloadGenerator& g) {
+    auto want = o.Next();
+    auto got = g.Next();
+    ASSERT_EQ(want.ok(), got.ok());
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ExpectSameProgram(want.value(), got.value());
+  };
+  for (int i = 0; i < count; ++i) {
+    ASSERT_NO_FATAL_FAILURE(Same(oracle, gen));
+  }
+  WorkloadGenerator gen_mark = gen;
+  OracleWorkloadGenerator oracle_mark = oracle;
+  for (int i = 0; i < count; ++i) {
+    ASSERT_NO_FATAL_FAILURE(Same(oracle, gen));
+  }
+  for (int i = 0; i < count; ++i) {
+    ASSERT_NO_FATAL_FAILURE(Same(oracle_mark, gen_mark));
+  }
+}
+
+TEST(WorkloadOracleTest, DrawsTheBuilderGeneratorsProgramsExactly) {
+  struct Case {
+    const char* label;
+    WorkloadOptions opt;
+    int count;
+  };
+  std::vector<Case> cases;
+  auto Add = [&](const char* label, auto edit, int count = 20) {
+    WorkloadOptions o;
+    edit(o);
+    cases.push_back(Case{label, o, count});
+  };
+  Add("default scattered", [](WorkloadOptions&) {});
+  Add("clustered", [](WorkloadOptions& o) {
+    o.pattern = WritePattern::kClustered;
+  });
+  Add("three-phase", [](WorkloadOptions& o) {
+    o.pattern = WritePattern::kThreePhase;
+  });
+  for (WritePattern w : {WritePattern::kScattered, WritePattern::kClustered,
+                         WritePattern::kThreePhase}) {
+    for (double shared : {0.3, 1.0}) {
+      Add("shared mix", [&](WorkloadOptions& o) {
+        o.pattern = w;
+        o.shared_fraction = shared;
+        o.zipf_theta = 0.8;
+      });
+    }
+  }
+  Add("sorted entities", [](WorkloadOptions& o) {
+    o.sorted_entities = true;
+    o.shared_fraction = 0.3;
+    o.zipf_theta = 0.9;
+    o.num_entities = 12;
+  });
+  Add("entity universe", [](WorkloadOptions& o) {
+    for (std::uint64_t e = 0; e < 40; ++e) {
+      o.entity_universe.push_back(EntityId(1000 - 7 * e));
+    }
+    o.zipf_theta = 0.5;
+    o.shared_fraction = 0.3;
+  });
+  Add("sorted entity universe", [](WorkloadOptions& o) {
+    for (std::uint64_t e = 0; e < 16; ++e) {
+      o.entity_universe.push_back(EntityId(300 - 11 * e));
+    }
+    o.sorted_entities = true;
+  });
+  Add("templates", [](WorkloadOptions& o) {
+    o.num_templates = 5;
+    o.shared_fraction = 0.3;
+  });
+  for (std::uint32_t reps : {0u, 1u, 3u}) {
+    Add("ops per entity", [&](WorkloadOptions& o) {
+      o.ops_per_entity = reps;
+      o.shared_fraction = 0.3;
+    });
+  }
+  Add("fixed lock count", [](WorkloadOptions& o) {
+    o.min_locks = o.max_locks = 4;
+  });
+  Add("200+ locks", [](WorkloadOptions& o) {
+    o.num_entities = 1000;
+    o.min_locks = 200;
+    o.max_locks = 260;
+    o.ops_per_entity = 3;
+    o.shared_fraction = 0.3;
+  }, 2);
+  Add("universe smaller than k", [](WorkloadOptions& o) {
+    o.num_entities = 3;
+    o.min_locks = 5;
+    o.max_locks = 8;
+  });
+  Add("pool smaller than k", [](WorkloadOptions& o) {
+    o.entity_universe = {EntityId(9), EntityId(4)};
+    o.min_locks = 3;
+    o.max_locks = 6;
+    o.shared_fraction = 0.5;
+  });
+  Add("empty universe", [](WorkloadOptions& o) { o.num_entities = 0; });
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.label);
+    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+      ASSERT_NO_FATAL_FAILURE(ExpectMatchesOracle(c.opt, seed, c.count));
+    }
+  }
 }
 
 // The closed loop (§1): concurrency transactions live until total_txns

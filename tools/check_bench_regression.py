@@ -53,6 +53,14 @@ host — and the cold lowering cost must stay at or below
 --max-compile-us-per-program (default 5.0 µs per unique program; warm
 cache hits are printed for reference, not gated).
 
+When the file carries a "generate" section (the D24 generation micro;
+absent from older files, which skip these gates unless the baseline has
+one), the program and op
+counts and allocs_per_program (heap blocks per generated program: the
+ops, lock positions and initial vars) must match the baseline exactly,
+and the generation cost must stay at or below
+--max-generate-us-per-program (default 2.0 µs per program).
+
 Usage:
   check_bench_regression.py \
       --current BENCH_parallel.json \
@@ -66,7 +74,8 @@ Usage:
       --hotpath-baseline bench/baselines/BENCH_hotpath.json \
       [--max-speedup-drop-pct 15] [--max-overhead-pct 5] \
       [--min-overlap-fraction 0.8] [--min-pipeline-speedup 1.25] \
-      [--min-cross-goodput 0.8] [--min-hotpath-txns-per-sec 210000]
+      [--min-cross-goodput 0.8] [--min-hotpath-txns-per-sec 210000] \
+      [--max-compile-us-per-program 5.0] [--max-generate-us-per-program 2.0]
 """
 
 import argparse
@@ -259,7 +268,7 @@ def check_cross_shard(current, baseline, min_goodput_ratio):
 
 
 def check_hotpath(current, baseline, min_txns_per_sec,
-                  max_compile_us_per_program):
+                  max_compile_us_per_program, max_generate_us_per_program):
     failures = []
     # Deterministic counts: identical on every host and on both sides of
     # the rewrite (the workload, seeds and schedulers are pinned). Any
@@ -334,6 +343,32 @@ def check_hotpath(current, baseline, min_txns_per_sec,
     else:
         print("hotpath: compile cache disabled or absent; skipping "
               "compile-cost gates")
+    # D24 generation gates: the pinned draw is deterministic, so its op
+    # count and its heap blocks per program are exact.
+    gen = current.get("generate")
+    base_gen = (baseline or {}).get("generate")
+    if gen:
+        if base_gen:
+            for field in ("programs", "ops", "allocs_per_program"):
+                if gen[field] != base_gen[field]:
+                    failures.append(
+                        f"hotpath: generate.{field} {gen[field]} != baseline "
+                        f"{base_gen[field]} (deterministic result drifted)")
+        us = gen["us_per_program"]
+        verdict = "ok" if us <= max_generate_us_per_program else "FAIL"
+        print(f"hotpath: generate {us:.3f} us/program (ceiling "
+              f"{max_generate_us_per_program}) {verdict}, "
+              f"{gen['allocs_per_program']} heap blocks/program over "
+              f"{gen['programs']} programs")
+        if us > max_generate_us_per_program:
+            failures.append(
+                f"hotpath: generation cost {us:.3f} us/program above ceiling "
+                f"{max_generate_us_per_program}")
+    elif base_gen:
+        failures.append("hotpath: generate section missing but the baseline "
+                        "has one")
+    else:
+        print("hotpath: generate section absent; skipping generation gates")
     return failures
 
 
@@ -381,6 +416,7 @@ def main():
     ap.add_argument("--min-cross-goodput", type=float, default=0.8)
     ap.add_argument("--min-hotpath-txns-per-sec", type=float, default=210000.0)
     ap.add_argument("--max-compile-us-per-program", type=float, default=5.0)
+    ap.add_argument("--max-generate-us-per-program", type=float, default=2.0)
     args = ap.parse_args()
 
     failures = []
@@ -403,7 +439,8 @@ def main():
             load(args.current_hotpath),
             load(args.hotpath_baseline) if args.hotpath_baseline else None,
             args.min_hotpath_txns_per_sec,
-            args.max_compile_us_per_program)
+            args.max_compile_us_per_program,
+            args.max_generate_us_per_program)
     if args.current_overhead:
         failures += check_overhead(load(args.current_overhead),
                                    args.max_overhead_pct)
