@@ -99,102 +99,6 @@ void PrintReproduction() {
                "timings vary)\n";
 }
 
-// Pipelined admission vs batch phase 1 on one shard (the only path that
-// streams): generation runs on a producer thread into a bounded queue
-// while the shard executes, instead of materializing all 2400 programs
-// first. Wall-clock speedup needs enough cores to give the producer its
-// own CPU; the deterministic signals — byte-identical report JSON and the
-// overlap fraction (the share of generation work provably emitted after
-// execution started, max(0, total - capacity) / total) — hold on any host
-// and are what check_bench_regression.py gates on single-CPU runners.
-void PrintPipelineComparison() {
-  constexpr int kRounds = 3;
-  struct ModeResult {
-    double elapsed = 0.0;
-    std::uint64_t committed = 0;
-    par::AdmissionStats admission;
-    std::string report_json;
-    bool ok = false;
-  };
-  auto run = [](bool pipeline) {
-    ModeResult r;
-    auto opt = Base(1, 2400);
-    opt.pipeline = pipeline;
-    (void)par::RunSharded(opt);  // warm-up
-    std::vector<double> times;
-    Result<par::ShardedReport> rep = Status::Internal("no rounds");
-    for (int round = 0; round < kRounds; ++round) {
-      const auto start = std::chrono::steady_clock::now();
-      rep = par::RunSharded(opt);
-      times.push_back(Seconds(start, std::chrono::steady_clock::now()));
-      if (!rep.ok()) return r;
-    }
-    std::sort(times.begin(), times.end());
-    r.elapsed = times[times.size() / 2];
-    r.committed = rep->committed;
-    r.admission = rep->admission;  // overlap/peak deterministic across rounds
-    r.report_json = par::ShardedReportToJson(rep.value());
-    r.ok = true;
-    return r;
-  };
-  const ModeResult batch = run(false);
-  const ModeResult piped = run(true);
-  if (!batch.ok || !piped.ok) {
-    std::cerr << "pipeline comparison failed\n";
-    return;
-  }
-  const double speedup =
-      piped.elapsed > 0 ? batch.elapsed / piped.elapsed : 0.0;
-  const bool identical = batch.report_json == piped.report_json;
-  if (!identical) {
-    // Leave both sides on disk so the regression gate can report the first
-    // differing key path instead of a bare boolean.
-    std::ofstream("BENCH_parallel_pipeline_report_batch.json")
-        << batch.report_json;
-    std::ofstream("BENCH_parallel_pipeline_report_pipelined.json")
-        << piped.report_json;
-  }
-
-  Section("Pipelined admission vs batch generation (1 shard, 2400 txns)");
-  Table t({"mode", "committed", "elapsed (s)", "generate (s)", "execute (s)",
-           "overlap frac", "peak materialized", "speedup vs batch"});
-  t.AddRow("batch", batch.committed, batch.elapsed,
-           batch.admission.generate_seconds, batch.admission.execute_seconds,
-           batch.admission.overlap_fraction,
-           batch.admission.peak_materialized_programs, 1.0);
-  t.AddRow("pipelined", piped.committed, piped.elapsed,
-           piped.admission.generate_seconds, piped.admission.execute_seconds,
-           piped.admission.overlap_fraction,
-           piped.admission.peak_materialized_programs, speedup);
-  t.Print();
-  std::cout << "(report JSON identical to batch: " << (identical ? "yes" : "NO")
-            << "; overlap fraction and peak materialized are deterministic, "
-               "timings vary with the host)\n";
-
-  std::ofstream json("BENCH_parallel_pipeline.json");
-  json << "{\"shards\":1,\"total_txns\":2400,\"queue_capacity\":"
-       << piped.admission.queue_capacity
-       << ",\n \"batch\":{\"elapsed_seconds\":" << batch.elapsed
-       << ",\"generate_seconds\":" << batch.admission.generate_seconds
-       << ",\"execute_seconds\":" << batch.admission.execute_seconds
-       << ",\"committed\":" << batch.committed
-       << ",\"peak_materialized_programs\":"
-       << batch.admission.peak_materialized_programs
-       << ",\"overlap_fraction\":" << batch.admission.overlap_fraction
-       << "},\n \"pipelined\":{\"elapsed_seconds\":" << piped.elapsed
-       << ",\"generate_seconds\":" << piped.admission.generate_seconds
-       << ",\"execute_seconds\":" << piped.admission.execute_seconds
-       << ",\"committed\":" << piped.committed
-       << ",\"peak_materialized_programs\":"
-       << piped.admission.peak_materialized_programs
-       << ",\"overlap_fraction\":" << piped.admission.overlap_fraction
-       << ",\"producer_blocked_pushes\":"
-       << piped.admission.producer_blocked_pushes
-       << "},\n \"speedup_vs_batch\":" << speedup
-       << ",\"report_json_identical_to_batch\":"
-       << (identical ? "true" : "false") << "}\n";
-}
-
 // Telemetry overhead: the same 4-shard run with the metric probes attached
 // (counters, sampled timers — trace sink disabled, the production default)
 // against ShardedOptions::instrument = false, plus a third variant adding
@@ -286,7 +190,6 @@ BENCHMARK(BM_ShardedThroughput)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 
 int main(int argc, char** argv) {
   PrintReproduction();
-  PrintPipelineComparison();
   PrintInstrumentationOverhead();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

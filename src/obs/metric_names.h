@@ -86,28 +86,20 @@ inline constexpr char kShardStepEwmaNs[] = "pardb_shard_step_ewma_ns";
 inline constexpr char kShardLoadSkew[] = "pardb_shard_load_skew";
 
 // Worker scheduling (par::RunSharded: the fork-join's workers — the calling
-// thread is worker 0 — or the calling thread alone for one shard).
+// thread is worker 0).
 // Quanta executed on a worker other than their shard's home worker
 // (shard % workers).
 inline constexpr char kStealsTotal[] = "pardb_steals_total";
 // Per-worker busy/wall fraction scaled by 1000 (gauge; labeled by worker).
 inline constexpr char kWorkerUtilization[] = "pardb_worker_utilization";
-// Engine steps per one-shard quantum (histogram; yielded quanta excluded).
-inline constexpr char kQuantumSteps[] = "pardb_quantum_steps";
 
-// Admission pipeline (par::RunSharded streaming phase 1).
+// Streamed admission (par::RunSharded, DESIGN D23).
 // Wall seconds per driver phase, scaled by 1000 (gauge; labeled
-// {phase="generate"|"execute"|"aggregate"}; generate and execute overlap
-// in pipelined mode, so their sum may exceed the run's wall time).
+// {phase="generate"|"execute"|"certify"|"aggregate"}; generate lies
+// inside execute).
 inline constexpr char kPhaseSeconds[] = "pardb_phase_seconds";
-// Programs materialized but not yet admitted, per shard (gauge).
+// Local transactions walked but not yet admitted, per shard (gauge).
 inline constexpr char kAdmissionQueueDepth[] = "pardb_admission_queue_depth";
-// Producer pushes that found a full queue and had to wait (backpressure).
-inline constexpr char kAdmissionBlockedTotal[] =
-    "pardb_admission_blocked_total";
-// Deterministic lower bound on the fraction of generation work overlapped
-// with execution, scaled by 1000 (gauge; 0 in batch mode — see DESIGN D11).
-inline constexpr char kOverlapFraction[] = "pardb_overlap_fraction";
 
 // Preemption lineage (obs::LineageTracker).
 // High-water mark of any live transaction's preemption chain depth.

@@ -31,7 +31,7 @@ struct RunInfo {
   std::string build_id;    // compiler + build date, or a caller override
   std::uint64_t seed = 0;
   std::uint32_t shards = 0;
-  std::string scheduler;   // "epochs" / "quantum-loop"
+  std::string scheduler;   // "epochs" (the one driver)
   std::string mode;        // the pardb subcommand: "sim" / "parallel" / ...
 };
 

@@ -150,18 +150,4 @@ sim::WorkloadGenerator RoutingStream::Bookmark() const {
   return *plan_->generators[num_shards_];
 }
 
-Status GenerateAndRoute(const ShardedOptions& options,
-                        const EmitRouted& emit) {
-  RoutingStream stream(options);
-  while (!stream.done()) {
-    const std::uint64_t t = stream.position();
-    auto program = stream.Draw(stream.Next());
-    if (!program.ok()) return program.status();
-    const Route route = RouteProgram(program.value(), options.num_shards,
-                                     options.coordinator_shard, t);
-    emit(route, std::move(program).value());
-  }
-  return Status::OK();
-}
-
 }  // namespace pardb::par

@@ -2,7 +2,6 @@
 #define PARDB_PAR_ROUTER_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -61,11 +60,11 @@ std::vector<std::vector<EntityId>> ShardEntityUniverses(
 // transactions; only the full-universe generator's programs need routing.
 
 // The plan and its generators, walked lazily: Next() advances the plan one
-// transaction and Draw() draws a generator's next program. The multi-shard
-// driver walks the plan on its coordinating thread and lets each shard draw
-// its own generator's programs in its admission task (DESIGN D23), so no
-// program exists ahead of its admission: the full-universe programs the
-// walk has passed wait as bookmarks.
+// transaction and Draw() draws a generator's next program. The driver
+// walks the plan on one thread at a time and lets each shard draw its own
+// generator's programs on its own task (DESIGN D23), so no program exists
+// ahead of its admission: the full-universe programs the walk has passed
+// wait as bookmarks.
 class RoutingStream {
  public:
   explicit RoutingStream(const ShardedOptions& options);
@@ -98,15 +97,6 @@ class RoutingStream {
   std::uint64_t total_;
   std::uint64_t position_ = 0;
 };
-
-// Receives every routed program of phase 1, in generation order.
-using EmitRouted = std::function<void(const Route&, txn::Program)>;
-
-// Walks the plan and draws each program from its generator when its turn
-// comes, so nothing is materialized ahead of `emit` (the one-shard
-// pipelined producer streams this way).
-Status GenerateAndRoute(const ShardedOptions& options,
-                        const EmitRouted& emit);
 
 }  // namespace pardb::par
 

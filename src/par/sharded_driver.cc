@@ -5,17 +5,15 @@
 #include <chrono>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "analysis/global_history.h"
 #include "analysis/history.h"
-#include "common/bits.h"
 #include "core/metrics_export.h"
 #include "obs/lineage.h"
 #include "obs/metric_names.h"
-#include "par/admission_queue.h"
 #include "par/fork_join.h"
 #include "par/router.h"
 #include "par/xshard/global_graph.h"
@@ -25,8 +23,9 @@ namespace pardb::par {
 
 namespace {
 
-// Engine steps per shard per multi-shard epoch; part of the deterministic
-// report's identity.
+// Engine steps per shard per epoch. The step sequence does not depend on
+// it (DESIGN D25); it sets the cadence of the coordinate phase, pruning
+// and the hub's publications.
 constexpr std::uint64_t kEpochSteps = 256;
 
 // Consecutive multi-shard epochs in which no shard commits anything before
@@ -83,24 +82,12 @@ double Seconds(std::uint64_t nanos) {
   return static_cast<double>(nanos) * 1e-9;
 }
 
-// Materialized-but-unadmitted program accounting: the producer increments
-// on generate, and the AdmissionQueue decrements inside its pop critical
-// section (set_materialized_counter) — so a freed slot is never visible to
-// the producer before the decrement, and the high-water mark is bounded by
-// capacity + 1. The peak is a producer-side
-// high-water mark: only the producer writes it, right after its own
-// increment.
-struct AdmissionShared {
-  std::atomic<std::int64_t> materialized{0};
-  std::atomic<std::int64_t> peak{0};
-};
-
-// Per-shard state that persists across quanta: the engine and everything
-// wired into it. A multi-shard epoch runs at most one admission task and
-// one quantum per shard, and each fork-join returns only after all of its
-// tasks finished, which orders their writes before the next phase — so
-// this struct is only ever touched by one thread at a time even though
-// tasks migrate between workers.
+// Per-shard state that persists across epochs: the engine and everything
+// wired into it. An epoch runs at most one admission task and one quantum
+// per shard, and each fork-join returns only after all of its tasks
+// finished, which orders their writes before the next phase — so this
+// struct is only ever touched by one thread at a time even though tasks
+// migrate between workers.
 struct ShardExec {
   ShardExec(std::size_t max_dumps, obs::DeadlockDumpSink* hub_sink,
             obs::DecisionJournal::Options journal_options)
@@ -122,29 +109,20 @@ struct ShardExec {
   obs::MetricsRegistry* registry = nullptr;  // hub-owned or &local_registry
   obs::Histogram* step_ns = nullptr;
   obs::LabelSet labels;
-  // Delta exporter behind the interim (hub-cadence) and final engine
-  // aggregate publications — repeated exports never double-count.
+  // Delta exporter behind the interim (per-epoch, with a hub) and final
+  // engine aggregate publications — repeated exports never double-count.
   core::EngineMetricsExporter exporter;
 
-  std::uint64_t spawned = 0;
-  std::uint64_t steps = 0;         // engine steps consumed (budget account)
-  std::uint64_t next_snap_at = 0;  // steps threshold for next hub snapshot
-  bool eos = false;  // pipelined: end-of-stream token observed
+  std::uint64_t steps = 0;  // engine steps consumed (budget account)
 };
 
 struct ShardRun {
-  // One-shard batch mode: the shard's routed programs, materialized up
-  // front.
-  std::vector<txn::Program> programs;
-  // One-shard pipelined mode: programs stream through this queue instead
-  // (programs stays empty); null otherwise.
-  std::unique_ptr<AdmissionQueue> queue;
-  // Multi-shard streamed admission (DESIGN D23): the shard's local
-  // transactions the plan walk has reached (`walked`) and admitted
-  // (`admitted`), in plan order. Most are draws from the shard's own
-  // generator, made in its admission task; the few full-universe programs
-  // that routed here wait in `parked` under their local index, as
-  // bookmarks that draw them again.
+  // Streamed admission (DESIGN D23): the shard's local transactions the
+  // plan walk has reached (`walked`) and admitted (`admitted`), in plan
+  // order. Most are draws from the shard's own generator, made on the
+  // thread that runs the shard; the few full-universe programs that routed
+  // here wait in `parked` under their local index, as bookmarks that draw
+  // them again.
   std::uint64_t walked = 0;
   std::uint64_t admitted = 0;
   std::deque<std::pair<std::uint64_t, sim::WorkloadGenerator>> parked;
@@ -221,10 +199,6 @@ void InitShardExec(const ShardedOptions& options, std::uint32_t shard,
   } else if (run.hub_sink != nullptr) {
     engine.set_forensics(run.hub_sink);
   }
-  // Rounded up so callers may pass any cadence (it used to be masked as
-  // period-1 and silently misbehaved for non-powers-of-two).
-  ex.next_snap_at = RoundUpPowerOfTwo(
-      options.hub_snapshot_period == 0 ? 512 : options.hub_snapshot_period);
 }
 
 // Publishes the shard's lifecycle digest, with the engine's wasted ops as
@@ -289,153 +263,6 @@ void FinishShard(const ShardedOptions& options, std::uint32_t shard,
   }
   if (options.collect_traces) run.trace_events = std::move(ex.trace.events);
   if (options.collect_forensics) run.forensics = ex.forensics.dumps();
-}
-
-// Advances the one-shard run by at most `max_q` engine steps; returns true
-// once the shard is done (finished or failed — run.status tells which).
-// The step sequence this produces is identical for every chopping of the
-// run into quanta: spawning tops the multiprogramming level up at exactly
-// the points a per-step loop would (quantum start and after every commit —
-// between commits the refill condition cannot change).
-//
-// The pipelined path preserves that sequence against a stream that
-// materializes over time by one rule: the shard steps only when its level
-// is topped up or the end-of-stream token arrived. Below level with the
-// queue open-but-empty, the batch path would have admitted more programs
-// before stepping — so the shard yields its quantum instead of stepping
-// early, and the admission order plus every refill point land exactly
-// where the batch run put them.
-bool RunShardQuantum(const ShardedOptions& options, ShardRun& run,
-                     obs::Histogram* quantum_hist, std::uint64_t max_q) {
-  const std::uint32_t shard = run.result.shard;
-  ShardExec& ex = *run.exec;
-  core::Engine& engine = *ex.engine;
-  obs::LiveHub* hub = options.hub;
-  AdmissionQueue* queue = run.queue.get();
-  const std::uint64_t total = run.programs.size();  // batch mode only
-  const std::uint64_t t0 = NowNanos();
-  std::uint64_t q_steps = 0;
-  bool completed = true;
-  bool finished = false;
-  bool yielded = false;
-  auto fail = [&](Status status) {
-    run.status = std::move(status);
-    if (queue != nullptr) queue->Abandon();
-    return true;
-  };
-  while (q_steps < max_q) {
-    // Terminal check: batch knows the shard's total up front; pipelined
-    // knows it once the end-of-stream token has been observed.
-    if (queue == nullptr ? engine.metrics().commits >= total
-                         : (ex.eos && engine.metrics().commits >= ex.spawned)) {
-      finished = true;
-      break;
-    }
-    if (ex.steps >= options.max_steps_per_shard) {
-      completed = false;
-      finished = true;
-      break;
-    }
-    if (queue == nullptr) {
-      while (ex.spawned < total &&
-             ex.spawned - engine.metrics().commits < run.concurrency) {
-        auto id = engine.Spawn(std::move(run.programs[ex.spawned]));
-        if (!id.ok()) return fail(id.status());
-        ++ex.spawned;
-      }
-    } else {
-      while (!ex.eos &&
-             ex.spawned - engine.metrics().commits < run.concurrency) {
-        txn::Program program;
-        std::uint64_t queue_wait_ns = 0;
-        AdmissionQueue::Pop r = queue->TryPop(&program, &queue_wait_ns);
-        if (r == AdmissionQueue::Pop::kEmpty && q_steps == 0) {
-          // Nothing ran this quantum yet: give the producer a moment
-          // before yielding, so a starved shard doesn't cycle through the
-          // scheduler at full speed doing nothing.
-          r = queue->WaitPop(&program, std::chrono::microseconds(200),
-                             &queue_wait_ns);
-        }
-        if (r == AdmissionQueue::Pop::kClosed) {
-          ex.eos = true;
-          break;
-        }
-        if (r == AdmissionQueue::Pop::kEmpty) {
-          yielded = true;
-          break;
-        }
-        // materialized was already decremented inside the pop — under the
-        // queue mutex, so the producer can't refill the slot first and
-        // push the high-water mark past num_shards * capacity + 1.
-        auto id = engine.Spawn(std::move(program));
-        if (!id.ok()) return fail(id.status());
-        // Queue-wait stamp: measured by the queue under its own mutex,
-        // carried to the book here on the shard thread (wall clock only —
-        // never enters the deterministic report).
-        if (options.txnlife) {
-          ex.txnlife.RecordQueueWait(id.value(), queue_wait_ns);
-        }
-        ++ex.spawned;
-      }
-      if (yielded) break;
-      if (ex.eos && engine.metrics().commits >= ex.spawned) {
-        // The token arrived mid-refill with nothing left to run; the
-        // batch loop exits at its terminal check without stepping here.
-        finished = true;
-        break;
-      }
-    }
-    const std::uint64_t budget =
-        std::min(max_q - q_steps, options.max_steps_per_shard - ex.steps);
-    auto quantum = engine.StepQuantum(budget, /*stop_after_commit=*/true);
-    if (!quantum.ok()) return fail(quantum.status());
-    q_steps += quantum.value().steps;
-    ex.steps += quantum.value().steps;
-    // ran_dry: a step found no ready transaction. steps == 0 without a
-    // commit: every live transaction terminated yet more remain. Both mean
-    // the shard can make no further progress. (A yield never reaches this
-    // point — the pipelined refill breaks out before stepping.)
-    if (quantum.value().ran_dry ||
-        (quantum.value().steps == 0 && !quantum.value().committed)) {
-      return fail(Status::Internal("shard " + std::to_string(shard) +
-                                   " stalled:\n" + engine.DumpState()));
-    }
-    if (hub != nullptr && ex.steps >= ex.next_snap_at) {
-      obs::WaitsForSnapshot snap = engine.SnapshotWaitsFor();
-      snap.shard = shard;
-      hub->PublishSnapshot(std::move(snap));
-      // Publish the engine aggregates (including any new rollback-cost
-      // samples) at the same cadence, so /metrics histogram quantiles are
-      // live during the run instead of end-of-run only. The exporter
-      // advances by deltas; the final FinishShard export stays exact.
-      if (options.instrument) {
-        ex.exporter.Export(engine, ex.registry, ex.labels);
-      }
-      if (options.txnlife) PublishTxnLife(hub, ex, shard);
-      if (options.journal) hub->PublishJournal(ex.journal.Digest(shard));
-      const std::uint64_t period = RoundUpPowerOfTwo(
-          options.hub_snapshot_period == 0 ? 512
-                                           : options.hub_snapshot_period);
-      ex.next_snap_at = (ex.steps / period + 1) * period;
-    }
-  }
-  // Quantum-granularity timing: one clock pair per quantum whose per-step
-  // mean feeds the pardb_shard_step_ns histogram and the hub's skew EWMA.
-  if (q_steps > 0) {
-    const std::uint64_t per_step = (NowNanos() - t0) / q_steps;
-    if (ex.step_ns != nullptr) ex.step_ns->Record(per_step);
-    if (hub != nullptr) hub->RecordShardStep(shard, per_step);
-  }
-  // Yield quanta stay out of the histogram: a starved shard would flood
-  // the distribution with zeros that say nothing about quantum sizing.
-  if (quantum_hist != nullptr && !yielded) quantum_hist->Record(q_steps);
-  if (finished) {
-    FinishShard(options, shard, run, completed);
-    // Normally the queue is already drained+closed; on a step-budget
-    // overrun it is not, and the producer must not block on it forever.
-    if (queue != nullptr) queue->Abandon();
-  }
-  return finished;
 }
 
 // Deterministic makespan of greedy list scheduling: each job (one shard's
@@ -581,10 +408,8 @@ obs::MetricsRegistry* AttachTelemetry(const ShardedOptions& options,
 }
 
 // Fills the wall-clock scheduler fields from per-worker busy time and
-// publishes the run-level scheduler and admission series, so both paths
-// export the same ones: a one-shard run is one worker (the calling thread)
-// that never steals, and a multi-shard run admits in batch, so its overlap
-// is 0. Gauges are integral, so seconds and fractions are scaled by 1000.
+// publishes the run-level scheduler and phase series. Gauges are integral,
+// so seconds and fractions are scaled by 1000.
 void PublishRunStats(const std::vector<std::uint64_t>& busy_ns,
                      std::uint64_t uptime_ns, std::uint64_t steals,
                      obs::MetricsRegistry* registry, ShardedReport& report) {
@@ -618,10 +443,6 @@ void PublishRunStats(const std::vector<std::uint64_t>& busy_ns,
       ->Set(static_cast<std::int64_t>(adm.generate_seconds * 1000.0));
   PhaseGauge("execute")
       ->Set(static_cast<std::int64_t>(adm.execute_seconds * 1000.0));
-  registry->GetGauge(obs::kOverlapFraction)
-      ->Set(static_cast<std::int64_t>(adm.overlap_fraction * 1000.0));
-  registry->GetCounter(obs::kAdmissionBlockedTotal)
-      ->Inc(adm.producer_blocked_pushes);
 }
 
 // Folds the finished shards into the report — per-shard results, merged
@@ -693,20 +514,50 @@ Status AssembleReport(const ShardedOptions& options,
   return Status::OK();
 }
 
-// The multi-shard path: epochs of 2PC polling, parallel local admission,
-// global admission with union merge + distributed partial rollback, and
-// one parallel quantum per shard (DESIGN D12). Epoch content is a pure
-// function of the options and each shard's deterministic state, so the
-// report is bit-identical across runs and worker counts.
-Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
+// Publishes one epoch to the live hub from the coordinate phase, where
+// every engine (and its book and journal) is quiescent: the union view
+// (several shards), each shard's waits-for snapshot, engine aggregates (as
+// deltas, so the final export stays exact), lifecycle and journal
+// digests, and the coordinator's journal digest.
+void PublishEpoch(const ShardedOptions& options, std::vector<ShardRun>& runs,
+                  const std::vector<core::Engine*>& engines,
+                  const xshard::Coordinator* coord,
+                  const obs::DecisionJournal* coord_journal,
+                  std::uint64_t epoch) {
+  obs::LiveHub* hub = options.hub;
+  if (coord != nullptr) PublishGlobalWaitsFor(hub, *coord, engines, epoch);
+  for (std::uint32_t s = 0; s < runs.size(); ++s) {
+    ShardExec& ex = *runs[s].exec;
+    obs::WaitsForSnapshot snap = ex.engine->SnapshotWaitsFor();
+    snap.shard = s;
+    hub->PublishSnapshot(std::move(snap));
+    if (options.instrument) {
+      ex.exporter.Export(*ex.engine, ex.registry, ex.labels);
+    }
+    if (options.txnlife) PublishTxnLife(hub, ex, s);
+    if (options.journal) hub->PublishJournal(ex.journal.Digest(s));
+  }
+  if (coord_journal != nullptr && options.journal) {
+    hub->PublishJournal(coord_journal->Digest(runs.size()));
+  }
+}
+
+// The driver (DESIGN D25): epochs of 2PC polling, parallel local
+// admission, global admission with union merge + distributed partial
+// rollback, and one parallel quantum per shard (DESIGN D12). Two things
+// depend on the shard count. The coordinator, and with it the
+// commit-free-epoch bound, exists only with several shards: one shard has
+// nothing to coordinate. And the refill rule: several shards top their
+// levels up at epoch start, while a lone shard, which waits on no
+// coordinator, also refills after every commit inside its quantum — the
+// paper's closed loop. Epoch content is a pure function of the options
+// and each shard's deterministic state, so the report is bit-identical
+// across runs and worker counts.
+Result<ShardedReport> RunEpochs(const ShardedOptions& options) {
   const std::uint32_t n = options.num_shards;
   std::vector<ShardRun> runs = MakeRuns(options);
   ShardedReport report;
   report.num_shards = n;
-  // Admission streams (DESIGN D23): the coordinate phase walks the
-  // routing plan only as far as admission needs, so each epoch admits the
-  // same programs in the same order as if the whole run had been generated
-  // up front, while no program exists before its admission draws it.
   obs::MetricsRegistry sched_local;
   obs::MetricsRegistry* sched_registry =
       AttachTelemetry(options, runs, &sched_local);
@@ -734,16 +585,45 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
     }
   }
 
-  // The plan walk, on the coordinating thread only. A full-universe draw
-  // is routed at once and dropped: one that stays on a shard parks there,
-  // a spanning one queues for global admission (in plan order — its ω
+  // Coordinator decision journal: global admits, lock-point releases,
+  // retires, global cycles and distributed-rollback victims, plus one
+  // kTwoPC checksum stamp per merge round folding every shard's state
+  // digest. Published to the hub as pseudo-shard n. Both exist only with
+  // several shards.
+  std::optional<obs::DecisionJournal> coord_journal;
+  std::optional<xshard::Coordinator> coord;
+  if (n > 1) {
+    coord_journal.emplace(obs::DecisionJournal::Options{
+        options.journal_out.empty() ? std::size_t{65536} : std::size_t{0}});
+    if (options.journal && sched_registry != nullptr) {
+      coord_journal->AttachMetrics(sched_registry,
+                                   {{obs::kShardLabel, "coord"}});
+    }
+    xshard::Coordinator::Options copt;
+    copt.num_shards = n;
+    if (sched_registry != nullptr) {
+      copt.prepare_ns = sched_registry->GetHistogram(obs::kXShardPrepareNs);
+      copt.resolve_ns = sched_registry->GetHistogram(obs::kXShardResolveNs);
+    }
+    if (options.journal) copt.journal = &*coord_journal;
+    if (options.check_serializability) {
+      for (ShardRun& run : runs) copt.recorders.push_back(&run.exec->recorder);
+    }
+    coord.emplace(engines, copt);
+  }
+
+  // Admission streams (DESIGN D23): the plan is walked only as far as
+  // admission needs, so every shard admits the same programs in the same
+  // order as if the whole run had been generated up front, while no
+  // program exists before its admission draws it. A full-universe draw is
+  // routed at once and dropped: one that stays on a shard parks there, a
+  // spanning one queues for global admission (in plan order — its ω
   // order), each as a bookmark that draws it again when it is admitted. A
   // shard slower than the walk, or a coordinator at its limit of globals
   // in flight, thus holds about 200 bytes per waiting program.
   RoutingStream stream(options);
   std::vector<std::uint64_t> routed(n, 0);
   std::deque<sim::WorkloadGenerator> globals;
-  std::uint64_t parked = 0;  // bookmarks waiting in runs[s].parked
   std::uint64_t generate_ns = 0;
   auto walk_one = [&]() -> Status {
     const std::uint64_t t = stream.position();
@@ -765,36 +645,46 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
     } else {
       ShardRun& home = runs[route.shard];
       home.parked.emplace_back(home.walked++, std::move(mark));
-      ++parked;
     }
+    std::uint64_t waiting = globals.size();
+    for (const ShardRun& run : runs) waiting += run.parked.size();
     report.admission.peak_materialized_programs =
-        std::max<std::uint64_t>(report.admission.peak_materialized_programs,
-                                globals.size() + parked);
+        std::max(report.admission.peak_materialized_programs, waiting);
     return Status::OK();
   };
-
-  // Coordinator decision journal: global admits, lock-point releases,
-  // retires, global cycles and distributed-rollback victims, plus one
-  // kTwoPC checksum stamp per merge round folding every shard's state
-  // digest. Published to the hub as pseudo-shard n.
-  obs::DecisionJournal coord_journal(obs::DecisionJournal::Options{
-      options.journal_out.empty() ? std::size_t{65536} : std::size_t{0}});
-  if (options.journal && sched_registry != nullptr) {
-    coord_journal.AttachMetrics(sched_registry,
-                                {{obs::kShardLabel, "coord"}});
-  }
-
-  xshard::Coordinator::Options copt;
-  copt.num_shards = n;
-  if (sched_registry != nullptr) {
-    copt.prepare_ns = sched_registry->GetHistogram(obs::kXShardPrepareNs);
-    copt.resolve_ns = sched_registry->GetHistogram(obs::kXShardResolveNs);
-  }
-  if (options.journal) copt.journal = &coord_journal;
-  if (options.check_serializability) {
-    for (ShardRun& run : runs) copt.recorders.push_back(&run.exec->recorder);
-  }
-  xshard::Coordinator coord(engines, copt);
+  // Free slots of shard s's level, walking the plan until as many of its
+  // local transactions are walked but unadmitted (or the plan ends); slice
+  // commits are subtracted out, so subs never take local slots. One
+  // thread walks at a time: the coordinating one, or a lone shard's own.
+  auto room_for = [&](std::uint32_t s) -> Result<std::uint64_t> {
+    ShardRun& run = runs[s];
+    const std::uint64_t live_locals =
+        run.admitted - (engines[s]->metrics().commits -
+                        (coord ? coord->sub_commits_on(s) : 0));
+    const std::uint64_t want =
+        live_locals < run.concurrency ? run.concurrency - live_locals : 0;
+    while (!stream.done() && run.walked - run.admitted < want) {
+      PARDB_RETURN_IF_ERROR(walk_one());
+    }
+    return std::min(want, run.walked - run.admitted);
+  };
+  // Spawns shard s's next `room` local transactions in plan order, drawing
+  // each on the calling thread.
+  auto admit = [&](std::uint32_t s, std::uint64_t room) -> Status {
+    ShardRun& run = runs[s];
+    for (std::uint64_t k = 0; k < room; ++k) {
+      const bool is_parked =
+          !run.parked.empty() && run.parked.front().first == run.admitted;
+      auto program =
+          is_parked ? run.parked.front().second.Next() : stream.Draw(s);
+      if (is_parked) run.parked.pop_front();
+      if (!program.ok()) return program.status();
+      auto id = engines[s]->Spawn(std::move(program).value());
+      if (!id.ok()) return id.status();
+      ++run.admitted;
+    }
+    return Status::OK();
+  };
 
   std::uint64_t epoch = 0;
   std::uint64_t commits_seen = 0;
@@ -811,31 +701,23 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
   const std::uint64_t e0 = NowNanos();
   for (;; ++epoch) {
     // ---- Coordinate: 2PC polling (single-threaded; engines quiescent) ----
-    run_status = coord.Poll();
-    if (!run_status.ok()) break;
-    // Globals whose slices no future cycle can reach leave every recorder
-    // together; each shard prunes its own transactions after its quantum.
-    if (options.check_serializability) coord.PruneRetired();
+    if (coord) {
+      run_status = coord->Poll();
+      if (!run_status.ok()) break;
+      // Globals whose slices no future cycle can reach leave every
+      // recorder together; each shard prunes its own transactions after
+      // its quantum.
+      if (options.check_serializability) coord->PruneRetired();
+    }
     // ---- Local admission (parallel): top each shard's level up in plan
-    // order, one task per shard that has room and programs left. Slice
-    // commits are subtracted out so subs never consume local slots. It
-    // stays ahead of global admission, so each engine still assigns this
-    // epoch's local ids and ω positions before its slices'. The walk first
-    // reaches far enough for every shard's room (or the plan's end), so
-    // room is what a fully generated run would have had.
+    // order, one task per shard that has room. It stays ahead of global
+    // admission, so each engine still assigns this epoch's local ids and ω
+    // positions before its slices'.
     const std::uint64_t w0 = NowNanos();
     for (std::uint32_t s = 0; s < n && run_status.ok(); ++s) {
-      const std::uint64_t live_locals =
-          runs[s].admitted -
-          (engines[s]->metrics().commits - coord.sub_commits_on(s));
-      const std::uint64_t want = live_locals < runs[s].concurrency
-                                     ? runs[s].concurrency - live_locals
-                                     : 0;
-      while (run_status.ok() && !stream.done() &&
-             runs[s].walked - runs[s].admitted < want) {
-        run_status = walk_one();
-      }
-      room[s] = std::min(want, runs[s].walked - runs[s].admitted);
+      auto r = room_for(s);
+      run_status = r.status();
+      if (r.ok()) room[s] = r.value();
     }
     if (!run_status.ok()) break;
     admitting.clear();
@@ -844,24 +726,7 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
     }
     fork_join.Run(admitting.size(), [&](std::size_t i, std::size_t) {
       const std::uint32_t s = admitting[i];
-      ShardRun& run = runs[s];
-      for (std::uint64_t k = 0; k < room[s]; ++k) {
-        const bool is_parked =
-            !run.parked.empty() && run.parked.front().first == run.admitted;
-        auto program = is_parked ? run.parked.front().second.Next()
-                                 : stream.Draw(s);
-        if (is_parked) run.parked.pop_front();
-        if (!program.ok()) {
-          run.status = program.status();
-          return;
-        }
-        auto id = engines[s]->Spawn(std::move(program).value());
-        if (!id.ok()) {
-          run.status = id.status();
-          return;
-        }
-        ++run.admitted;
-      }
+      runs[s].status = admit(s, room[s]);
     });
     for (std::uint32_t s : admitting) {
       if (!runs[s].status.ok()) {
@@ -869,8 +734,6 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
         break;
       }
     }
-    parked = 0;
-    for (const ShardRun& run : runs) parked += run.parked.size();
     if (!run_status.ok()) break;
     for (std::uint32_t s = 0; s < queue_depth.size(); ++s) {
       queue_depth[s]->Set(
@@ -878,7 +741,7 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
     }
     // ---- Coordinate: global admission, in ω order, walking the plan on
     // to the next spanning program whenever the coordinator has room ----
-    while (coord.CanAdmit()) {
+    while (coord && coord->CanAdmit()) {
       while (run_status.ok() && globals.empty() && !stream.done()) {
         run_status = walk_one();
       }
@@ -889,13 +752,13 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
         run_status = program.status();
         break;
       }
-      auto seq = coord.Admit(std::move(program).value());
+      auto seq = coord->Admit(std::move(program).value());
       if (!seq.ok()) {
         run_status = seq.status();
         break;
       }
       if (options.collect_traces) {
-        for (const auto& [shard, txn] : coord.SlicesOf(seq.value())) {
+        for (const auto& [shard, txn] : coord->SlicesOf(seq.value())) {
           report.flow_slices.push_back(
               obs::GlobalSlice{seq.value(), shard, txn.value()});
         }
@@ -903,43 +766,30 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
     }
     generate_ns += NowNanos() - w0;
     if (!run_status.ok()) break;
-    // Union merge + distributed partial rollback, every epoch: a global
-    // cycle is resolved at the first coordinate phase after it closes.
-    auto merged = coord.MergeAndResolve();
-    if (!merged.ok()) {
-      run_status = merged;
-      break;
-    }
-    // 2PC-epoch checksum: every engine is quiescent in the coordinate
-    // phase, so folding the shard state digests here is deterministic
-    // (a pure function of the options and the epoch ordinal).
-    if (options.journal) {
-      std::uint64_t fold = obs::kFnvOffsetBasis;
-      for (std::uint32_t s = 0; s < n; ++s) {
-        fold = obs::FnvMix64(fold, engines[s]->StateDigest());
+    if (coord) {
+      // Union merge + distributed partial rollback, every epoch: a global
+      // cycle is resolved at the first coordinate phase after it closes.
+      run_status = coord->MergeAndResolve();
+      if (!run_status.ok()) break;
+      // 2PC-epoch checksum: every engine is quiescent in the coordinate
+      // phase, so folding the shard state digests here is deterministic
+      // (a pure function of the options and the epoch ordinal).
+      if (options.journal) {
+        std::uint64_t fold = obs::kFnvOffsetBasis;
+        for (std::uint32_t s = 0; s < n; ++s) {
+          fold = obs::FnvMix64(fold, engines[s]->StateDigest());
+        }
+        coord_journal->StampEpoch(epoch, fold, obs::EpochKind::kTwoPC);
       }
-      coord_journal.StampEpoch(epoch, fold, obs::EpochKind::kTwoPC);
     }
     if (options.hub != nullptr) {
-      PublishGlobalWaitsFor(options.hub, coord, engines, epoch);
-      for (std::uint32_t s = 0; s < n; ++s) {
-        obs::WaitsForSnapshot snap = engines[s]->SnapshotWaitsFor();
-        snap.shard = s;
-        options.hub->PublishSnapshot(std::move(snap));
-        // Coordinate phase: every engine (and its book) is quiescent,
-        // so the single-threaded digest is safe here.
-        if (options.txnlife) PublishTxnLife(options.hub, *runs[s].exec, s);
-        if (options.journal) {
-          options.hub->PublishJournal(runs[s].exec->journal.Digest(s));
-        }
-      }
-      if (options.journal) {
-        options.hub->PublishJournal(coord_journal.Digest(n));
-      }
+      PublishEpoch(options, runs, engines, coord ? &*coord : nullptr,
+                   coord_journal ? &*coord_journal : nullptr, epoch);
     }
     // Termination: the plan walked and admitted, every global retired,
     // every engine drained.
-    bool done = stream.done() && globals.empty() && coord.AllDone();
+    bool done =
+        stream.done() && globals.empty() && (!coord || coord->AllDone());
     for (std::uint32_t s = 0; done && s < n; ++s) {
       done = runs[s].admitted == runs[s].walked &&
              engines[s]->live_txn_count() == 0;
@@ -977,22 +827,39 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
       ShardExec& ex = *runs[s].exec;
       const std::uint64_t budget =
           std::min(kEpochSteps, options.max_steps_per_shard - ex.steps);
-      // ran_dry is routine here (a shard whose transactions all wait on
-      // another shard has nothing to do this epoch); real stalls are
-      // caught by the commit-free epoch bound below.
+      // The refill rule: a lone shard stops at each commit and tops its
+      // level up before the next step (it runs as the only task, so it
+      // may walk the plan); several shards step their quanta through.
+      // ran_dry just ends the quantum (with several shards, a shard whose
+      // transactions all wait on another has nothing to do this epoch);
+      // real stalls are caught by the stall guard below.
       const std::uint64_t t0 = NowNanos();
-      auto q = engines[s]->StepQuantum(budget, /*stop_after_commit=*/false);
-      if (!q.ok()) {
-        runs[s].status = q.status();
-        return;
+      std::uint64_t stepped = 0;
+      for (;;) {
+        auto q = engines[s]->StepQuantum(budget - stepped,
+                                         /*stop_after_commit=*/!coord);
+        if (!q.ok()) {
+          runs[s].status = q.status();
+          return;
+        }
+        stepped += q.value().steps;
+        if (!q.value().committed || stepped == budget) break;
+        const std::uint64_t r0 = NowNanos();
+        auto r = room_for(s);
+        runs[s].status = r.ok() ? admit(s, r.value()) : r.status();
+        generate_ns += NowNanos() - r0;
+        if (!runs[s].status.ok()) return;
       }
-      epoch_shard_steps[s] = q.value().steps;
-      ex.steps += q.value().steps;
+      epoch_shard_steps[s] = stepped;
+      ex.steps += stepped;
       if (options.check_serializability) ex.recorder.Prune();
-      // Feed the hub's skew EWMAs (wall clock: gauges only, never the
-      // deterministic report).
-      if (options.hub != nullptr && q.value().steps > 0) {
-        options.hub->RecordShardStep(s, (NowNanos() - t0) / q.value().steps);
+      // One clock pair per quantum: its per-step mean feeds the
+      // pardb_shard_step_ns histogram and the hub's skew EWMAs (wall clock:
+      // never the deterministic report).
+      if (stepped > 0) {
+        const std::uint64_t per_step = (NowNanos() - t0) / stepped;
+        if (ex.step_ns != nullptr) ex.step_ns->Record(per_step);
+        if (options.hub != nullptr) options.hub->RecordShardStep(s, per_step);
       }
     });
     report.scheduler.quanta += submitted.size();
@@ -1010,13 +877,25 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
       completed = false;
       break;
     }
+    // Stall guard. Nothing outside a lone shard can wake it, so an epoch
+    // in which it steps nothing is a stall at once, while a livelock that
+    // keeps stepping spends the step budget and ends the run incomplete
+    // (the requester-always ablation, EXPERIMENTS E11). With several
+    // shards the coordinator may release a shard later; a cross-layer
+    // livelock (ROADMAP item 1) fails after kMaxCommitFreeEpochs.
+    if (!coord) {
+      if (stepped > 0) continue;
+      run_status = Status::Internal("shard 0 stalled:\n" +
+                                    engines[0]->DumpState());
+      break;
+    }
     commit_free_epochs = commits == commits_seen ? commit_free_epochs + 1 : 0;
     commits_seen = commits;
     if (commit_free_epochs == kMaxCommitFreeEpochs) {
       std::ostringstream os;
       os << "xshard run stalled: no commit for " << kMaxCommitFreeEpochs
          << " epochs, at epoch " << epoch << "; globals in flight:";
-      for (std::uint64_t seq : coord.active()) os << " G" << seq;
+      for (std::uint64_t seq : coord->active()) os << " G" << seq;
       for (std::uint32_t s = 0; s < n; ++s) {
         os << "\n--- shard " << s << " ---\n" << engines[s]->DumpState();
       }
@@ -1026,7 +905,7 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
   }
   // Observe the final slice commits (the loop may exit right after the
   // step phase that committed them).
-  if (run_status.ok()) run_status = coord.Poll();
+  if (run_status.ok() && coord) run_status = coord->Poll();
   std::vector<std::uint64_t> busy_ns(threads);
   for (std::size_t w = 0; w < threads; ++w) {
     busy_ns[w] = fork_join.busy_nanos(w);
@@ -1041,35 +920,37 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
   PublishRunStats(busy_ns, uptime_ns, steals.load(std::memory_order_relaxed),
                   sched_registry, report);
 
-  report.xshard = coord.stats();
-  report.xshard.epochs = epoch;
-  if (options.journal) {
-    report.coord_journal_chain = coord_journal.ChainValues();
-    if (options.hub != nullptr) {
-      options.hub->PublishJournal(coord_journal.Digest(n));
+  if (coord) {
+    report.xshard = coord->stats();
+    report.xshard.epochs = epoch;
+    if (options.journal) {
+      report.coord_journal_chain = coord_journal->ChainValues();
+      if (options.hub != nullptr) {
+        options.hub->PublishJournal(coord_journal->Digest(n));
+      }
+      if (!options.journal_out.empty()) {
+        PARDB_RETURN_IF_ERROR(coord_journal->WriteFile(
+            options.journal_out + ".coord.jrnl", n, options.seed));
+      }
     }
-    if (!options.journal_out.empty()) {
-      PARDB_RETURN_IF_ERROR(coord_journal.WriteFile(
-          options.journal_out + ".coord.jrnl", n, options.seed));
+    if (sched_registry != nullptr) {
+      const xshard::XShardStats& xs = report.xshard;
+      auto Set = [&](const char* name, std::uint64_t v) {
+        sched_registry->GetCounter(name)->Inc(v);
+      };
+      Set(obs::kXShardGlobalTxnsTotal, xs.global_txns);
+      Set(obs::kXShardSubTxnsTotal, xs.sub_txns);
+      Set(obs::kXShardGlobalCommitsTotal, xs.global_commits);
+      Set(obs::kXShardMergesTotal, xs.merges);
+      Set(obs::kXShardGlobalCyclesTotal, xs.global_cycles);
+      Set(obs::kXShardDistributedRollbacksTotal, xs.distributed_rollbacks);
+      Set(obs::kXShardOmegaExclusionsTotal, xs.omega_exclusions);
+      Set(obs::kXShardPreparesTotal, xs.prepares);
+      Set(obs::kXShardResolvesTotal, xs.resolves);
+      Set(obs::kXShardMessagesTotal, xs.messages);
+      sched_registry->GetGauge(obs::kXShardEpochs)
+          ->Set(static_cast<std::int64_t>(xs.epochs));
     }
-  }
-  if (sched_registry != nullptr) {
-    const xshard::XShardStats& xs = report.xshard;
-    auto Set = [&](const char* name, std::uint64_t v) {
-      sched_registry->GetCounter(name)->Inc(v);
-    };
-    Set(obs::kXShardGlobalTxnsTotal, xs.global_txns);
-    Set(obs::kXShardSubTxnsTotal, xs.sub_txns);
-    Set(obs::kXShardGlobalCommitsTotal, xs.global_commits);
-    Set(obs::kXShardMergesTotal, xs.merges);
-    Set(obs::kXShardGlobalCyclesTotal, xs.global_cycles);
-    Set(obs::kXShardDistributedRollbacksTotal, xs.distributed_rollbacks);
-    Set(obs::kXShardOmegaExclusionsTotal, xs.omega_exclusions);
-    Set(obs::kXShardPreparesTotal, xs.prepares);
-    Set(obs::kXShardResolvesTotal, xs.resolves);
-    Set(obs::kXShardMessagesTotal, xs.messages);
-    sched_registry->GetGauge(obs::kXShardEpochs)
-        ->Set(static_cast<std::int64_t>(xs.epochs));
   }
 
   for (std::uint32_t s = 0; s < n; ++s) {
@@ -1082,129 +963,9 @@ Result<ShardedReport> RunShardedLocks(const ShardedOptions& options) {
             [](const obs::GlobalSlice& a, const obs::GlobalSlice& b) {
               return a.pid != b.pid ? a.pid < b.pid : a.tid < b.tid;
             });
-  PARDB_RETURN_IF_ERROR(
-      AssembleReport(options, runs, routed, &coord, sched_registry, report));
-  return report;
-}
-
-// The one-shard path: nothing to coordinate, so the shard runs as a chain
-// of bounded quanta on the calling thread while, pipelined, a producer
-// thread generates into its admission queue.
-Result<ShardedReport> RunOneShard(const ShardedOptions& options) {
-  std::vector<ShardRun> runs = MakeRuns(options);
-  ShardRun& run = runs[0];
-  ShardedReport report;
-  const std::size_t queue_capacity =
-      std::max<std::size_t>(1, options.admission_queue_capacity);
-  report.admission.pipelined = options.pipeline;
-  report.admission.queue_capacity = options.pipeline ? queue_capacity : 0;
-  obs::MetricsRegistry sched_local;
-  obs::MetricsRegistry* sched_registry =
-      AttachTelemetry(options, runs, &sched_local);
-
-  // Phase 1: generation. Batch mode runs the sweep serially up front (the
-  // design the pipeline is measured against); pipelined mode defers it to
-  // a producer thread that overlaps with phase 2, feeding a bounded queue
-  // created here.
-  std::vector<std::uint64_t> routed(1, 0);
-  AdmissionShared admission_shared;
-  Status producer_status = Status::OK();
-  if (!options.pipeline) {
-    if (options.hub != nullptr) {
-      options.hub->SetPhase(obs::RunPhase::kGenerating);
-    }
-    const std::uint64_t g0 = NowNanos();
-    Status gen = GenerateAndRoute(
-        options, [&run, &report, &routed](const Route& route,
-                                          txn::Program program) {
-          if (route.cross_shard) ++report.cross_shard_txns;
-          ++routed[route.shard];
-          run.programs.push_back(std::move(program));
-        });
-    if (!gen.ok()) return gen;
-    report.admission.generate_seconds = Seconds(NowNanos() - g0);
-    // Everything exists at once before the engine runs.
-    report.admission.peak_materialized_programs = options.total_txns;
-  } else {
-    run.queue = std::make_unique<AdmissionQueue>(queue_capacity);
-    run.queue->set_materialized_counter(&admission_shared.materialized);
-    if (sched_registry != nullptr) {
-      run.queue->set_depth_gauge(sched_registry->GetGauge(
-          obs::kAdmissionQueueDepth, {{obs::kShardLabel, "0"}}));
-    }
-  }
-  if (options.hub != nullptr) options.hub->SetPhase(obs::RunPhase::kRunning);
-
-  const std::uint64_t e0 = NowNanos();
-  std::thread producer;
-  if (options.pipeline) {
-    // The producer is phase 1, running concurrently with the shard. It
-    // pushes every program in generation order (blocking on a full queue —
-    // backpressure) and then delivers the end-of-stream token on every
-    // exit path: the shard waits for its token even when generation
-    // failed, and a failed shard abandons its queue rather than blocking,
-    // so neither side can wedge the other.
-    producer = std::thread([&options, &run, &routed, &report,
-                            &admission_shared, &producer_status] {
-      const std::uint64_t g0 = NowNanos();
-      Status gen = GenerateAndRoute(
-          options, [&run, &report, &routed, &admission_shared](
-                       const Route& route, txn::Program program) {
-            if (route.cross_shard) ++report.cross_shard_txns;
-            ++routed[route.shard];
-            const std::int64_t now = admission_shared.materialized.fetch_add(
-                                         1, std::memory_order_relaxed) +
-                                     1;
-            if (now > admission_shared.peak.load(std::memory_order_relaxed)) {
-              admission_shared.peak.store(now, std::memory_order_relaxed);
-            }
-            run.queue->Push(std::move(program));
-          });
-      run.queue->Close();
-      producer_status = std::move(gen);
-      report.admission.generate_seconds = Seconds(NowNanos() - g0);
-    });
-  }
-  InitShardExec(options, 0, run);
-  obs::Histogram* quantum_hist =
-      sched_registry != nullptr
-          ? sched_registry->GetHistogram(obs::kQuantumSteps)
-          : nullptr;
-  const std::uint64_t max_q = std::max<std::uint64_t>(1, options.quantum_steps);
-  std::uint64_t busy_ns = 0;
-  for (bool done = false; !done; ++report.scheduler.quanta) {
-    const std::uint64_t q0 = NowNanos();
-    done = RunShardQuantum(options, run, quantum_hist, max_q);
-    // Quantum boundary: drop what no future cycle can reach (DESIGN D23).
-    if (!done && options.check_serializability) run.exec->recorder.Prune();
-    busy_ns += NowNanos() - q0;
-  }
-  if (producer.joinable()) producer.join();
-  const std::uint64_t uptime_ns = NowNanos() - e0;
-  report.admission.execute_seconds = Seconds(uptime_ns);
-  if (!producer_status.ok()) return producer_status;
-  if (options.hub != nullptr) {
-    options.hub->SetPhase(obs::RunPhase::kAggregating);
-  }
-
-  if (options.pipeline) {
-    report.admission.peak_materialized_programs =
-        static_cast<std::uint64_t>(std::max<std::int64_t>(
-            0, admission_shared.peak.load(std::memory_order_relaxed)));
-    // Deterministic overlap lower bound: program j >= capacity can only be
-    // pushed after program j - capacity was popped, i.e. after execution
-    // began, so at least routed - capacity of the generation work
-    // overlapped with phase 2.
-    report.admission.producer_blocked_pushes = run.queue->blocked_pushes();
-    report.admission.overlap_fraction = SafeRatio(
-        routed[0] > queue_capacity ? routed[0] - queue_capacity : 0,
-        options.total_txns);
-  }
-  report.scheduler.virtual_makespan_steps = run.result.metrics.steps;
-  PublishRunStats({busy_ns}, uptime_ns, /*steals=*/0, sched_registry, report);
   PARDB_RETURN_IF_ERROR(AssembleReport(options, runs, routed,
-                                       /*coord=*/nullptr, sched_registry,
-                                       report));
+                                       coord ? &*coord : nullptr,
+                                       sched_registry, report));
   return report;
 }
 
@@ -1238,15 +999,15 @@ Result<ShardedReport> RunSharded(const ShardedOptions& options) {
   if (options.workload.num_entities == 0) {
     return Status::InvalidArgument("workload needs at least one entity");
   }
-  if (options.num_shards == 1) return RunOneShard(options);
   // Distributed partial rollback rides on the detection machinery (the
   // union merge extends it across shards); the other handling modes have
   // no notion of an externally chosen victim.
-  if (options.engine.handling != core::DeadlockHandling::kDetection) {
+  if (options.num_shards > 1 &&
+      options.engine.handling != core::DeadlockHandling::kDetection) {
     return Status::InvalidArgument(
         "more than one shard requires engine.handling == kDetection");
   }
-  return RunShardedLocks(options);
+  return RunEpochs(options);
 }
 
 }  // namespace pardb::par

@@ -38,16 +38,17 @@ namespace pardb::par {
 // out. Every fan-out joins before the next phase, so no engine is ever
 // touched by two threads, and serializability is a *global* property,
 // checked over the union of the shards' certifier graphs. Generation is
-// streamed into admission: the coordinate phase walks the routing plan as
-// far as admission needs, and each shard draws its own programs in its
-// admission task (DESIGN D23). With one shard there is nothing
-// to coordinate: the shard runs as a chain of bounded quanta on the
-// calling thread, fed by a pipelined producer.
+// streamed into admission: the routing plan is walked as far as admission
+// needs, and each shard draws its own programs on its own task (DESIGN
+// D23).
 //
-// This is the only closed-loop driver (DESIGN D18): one shard with
-// cross_shard_fraction = 0 draws every program from one generator over the
-// whole entity universe — the paper's single-engine loop that every
-// reproduction table, `pardb sim` and the tests run.
+// One shard runs through the same epochs (DESIGN D25). With nothing to
+// coordinate there is no coordinator, and its quantum refills the level
+// after every commit, so it runs the paper's closed loop: the only
+// closed-loop driver (DESIGN D18). One shard with cross_shard_fraction = 0
+// draws every program from one generator over the whole entity universe —
+// the single-engine loop that every reproduction table, `pardb sim` and
+// the tests run.
 
 struct ShardedOptions {
   std::uint32_t num_shards = 4;
@@ -73,33 +74,11 @@ struct ShardedOptions {
   // still waits, waits on it).
   std::uint64_t max_steps_per_shard = 20'000'000;
   std::uint64_t seed = 1;
-  // Threads of the multi-shard fork-join, the calling thread included
-  // (so num_threads - 1 helpers are spawned); 0 means one per shard. A
-  // one-shard run executes on the calling thread.
+  // Threads of the fork-join, the calling thread included (so
+  // num_threads - 1 helpers are spawned); 0 means one per shard.
   std::size_t num_threads = 0;
   bool check_serializability = true;
   Value initial_value = 100;
-
-  // One shard: upper bound on engine steps per quantum. Does not affect
-  // the report's contents (the step sequence is quantum-invariant) — only
-  // how often the loop checks its admission queue and the hub cadence.
-  std::uint64_t quantum_steps = 256;
-
-  // Streaming admission (pipelined phase 1, one shard only — the
-  // multi-shard path admits from materialized queues so every epoch's
-  // admission is deterministic): generation runs on a producer thread that
-  // feeds a bounded SPSC queue while the shard's quanta execute, so the
-  // formerly-serial phase 1 overlaps with phase 2. The producer blocks
-  // when the queue is full (backpressure bounds materialized-but-unadmitted
-  // programs to admission_queue_capacity) and closes the queue when the
-  // sweep ends (the end-of-stream token); a shard whose queue is
-  // drained-but-open yields its quantum instead of stepping, which is
-  // exactly what keeps the report byte-identical to the batch path (see
-  // DESIGN D11): the shard steps only when its multiprogramming level is
-  // topped up or the stream has ended, the same rule the batch refill loop
-  // enforces.
-  bool pipeline = true;
-  std::size_t admission_queue_capacity = 32;  // clamped to >= 1
 
   // Workload skew: when true, a shard-local transaction's home shard is
   // the home of an entity drawn Zipf(workload.zipf_theta)-distributed from
@@ -145,14 +124,12 @@ struct ShardedOptions {
   // the run). When set and `instrument` is on, each shard's registry is
   // owned by the hub and registered before any shard runs, so an HTTP
   // server scraping the hub sees live counters while the run is in flight;
-  // shards additionally publish waits-for snapshots at step boundaries
-  // (one shard: every `hub_snapshot_period` steps; several: every merge
-  // round; both once at the end), feed the per-shard step-time EWMAs
-  // behind pardb_shard_load_skew, and route deadlock dumps into the hub's
-  // ring. nullptr: no live introspection, no
-  // extra work on the step loop.
+  // shards additionally publish waits-for snapshots, interim metric
+  // exports and lifecycle and journal digests at every epoch boundary
+  // (and once at the end), feed the per-shard step-time EWMAs behind
+  // pardb_shard_load_skew, and route deadlock dumps into the hub's ring.
+  // nullptr: no live introspection, no extra work on the step loop.
   obs::LiveHub* hub = nullptr;
-  std::uint64_t hub_snapshot_period = 512;  // rounded up to a power of two
 };
 
 // Deterministic per-shard seed: shards must not share RNG streams, and the
@@ -191,9 +168,8 @@ struct ShardResult {
 };
 
 // How the run was scheduled onto workers (the fork-join's, the calling
-// thread being worker 0; one shard: the calling thread alone). Excluded
-// from ShardedReportToJson and ToString (which determinism tests
-// byte-compare); the wall-clock fields also land
+// thread being worker 0). Excluded from ShardedReportToJson and ToString
+// (which determinism tests byte-compare); the wall-clock fields also land
 // in the metrics registry (pardb_steals_total, pardb_worker_utilization).
 struct SchedulerStats {
   std::size_t num_workers = 0;
@@ -214,36 +190,22 @@ struct SchedulerStats {
   std::uint64_t virtual_makespan_steps = 0;
 };
 
-// How admission was pipelined (only a one-shard run pipelines; several
-// shards stream admission from the routing plan instead). The
+// How admission ran (streamed from the routing plan, DESIGN D23). The
 // wall-clock fields are timing-dependent and excluded from
-// ShardedReportToJson / ToString (byte-compared by the determinism tests);
-// overlap_fraction and peak_materialized_programs in *batch* mode are
-// deterministic, and in pipelined mode overlap_fraction still is (it
-// depends only on routing counts and the queue capacity).
+// ShardedReportToJson / ToString (byte-compared by the determinism tests).
 struct AdmissionStats {
-  bool pipelined = false;
-  std::size_t queue_capacity = 0;
-  // Wall time generating: one shard, the producer thread's (or the batch
-  // sweep's); several shards, the coordinating phases that walk the plan
-  // and admit (each shard's draws happen inside its admission task).
+  // Wall time admitting: the coordinating phases that walk the plan and
+  // admit (each shard's draws happen inside its admission task), plus a
+  // lone shard's refills after each commit.
   double generate_seconds = 0.0;
   double execute_seconds = 0.0;   // execution start to end (wall)
-  // Deterministic lower bound on the fraction of generation work that
-  // overlapped with execution: max(0, total - capacity) / total. Program
-  // j >= capacity can only enter the queue after program j - capacity was
-  // popped, i.e. after the shard started executing — so at least that much
-  // of the sweep ran concurrently with phase 2. Batch mode: 0.
-  double overlap_fraction = 0.0;
   // High-water mark of programs generated but not yet admitted to an
-  // engine. Batch mode materializes everything: total_txns. Pipelined:
-  // bounded by queue_capacity (+1 in the producer's hand). Several shards
-  // (streamed admission, DESIGN D23): none are held — a shard draws its
-  // own programs as it admits them — so this counts the full-universe
-  // programs the plan walk has passed and holds as generator bookmarks
-  // until their admission draws them again.
+  // engine. A shard draws its own programs as it admits them, so this
+  // counts the full-universe programs the plan walk has passed and holds
+  // as generator bookmarks until their admission draws them again.
   std::uint64_t peak_materialized_programs = 0;
-  // Producer pushes that found a full queue and waited (backpressure).
+  // Always 0: admission has no queue to block on. Kept for readers that
+  // still sum it.
   std::uint64_t producer_blocked_pushes = 0;
 };
 

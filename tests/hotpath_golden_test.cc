@@ -2,7 +2,9 @@
 //
 // The golden files under tests/golden/ pin two workloads: one shard (seed
 // 7 / 120 txns, every program from one generator — the closed loop every
-// paper table runs on) and four shards (seed 11 / 200 txns). The contract
+// paper table runs on) and four shards (seed 11 / 200 txns). The one-shard
+// workload is pinned again under each prevention handling mode (wound-wait,
+// wait-die, timeout), which only one shard runs. The contract
 // is byte identity: the same report JSON and the same D14 journal chain
 // heads, which is exactly what `pardb diff-runs` checks between two
 // recorded runs — chain-head equality here proves diff-runs would report
@@ -91,6 +93,24 @@ void ExpectGolden(const par::ShardedOptions& opt, const std::string& report,
 TEST(HotpathGoldenTest, OneShardReportAndChainMatchGoldenBytes) {
   ExpectGolden(PinnedOneShard(), "golden_one_shard_report.json",
                "golden_one_shard_chain.txt");
+}
+
+// Prevention modes: every rollback is a wound, a death or a timeout, so
+// these pin the refill points the closed loop admits at under each.
+TEST(HotpathGoldenTest, OneShardHandlingModesMatchGoldenBytes) {
+  const struct {
+    core::DeadlockHandling handling;
+    const char* name;
+  } kModes[] = {{core::DeadlockHandling::kWoundWait, "wound_wait"},
+                {core::DeadlockHandling::kWaitDie, "wait_die"},
+                {core::DeadlockHandling::kTimeout, "timeout"}};
+  for (const auto& mode : kModes) {
+    SCOPED_TRACE(mode.name);
+    par::ShardedOptions opt = PinnedOneShard();
+    opt.engine.handling = mode.handling;
+    const std::string stem = std::string("golden_one_shard_") + mode.name;
+    ExpectGolden(opt, stem + "_report.json", stem + "_chain.txt");
+  }
 }
 
 TEST(HotpathGoldenTest, ShardedReportAndChainsMatchPreRewriteBytes) {

@@ -1,7 +1,7 @@
 // Sharded parallel execution: routing, the fork-join, phase-1 generation,
-// determinism and aggregate correctness of par::RunSharded on both paths
-// (several shards in epochs; one shard as a quantum loop). The whole suite
-// is also run under ThreadSanitizer in CI (-DPARDB_TSAN=ON).
+// determinism and aggregate correctness of par::RunSharded, on one shard
+// and on several (one epoch driver runs both). The whole suite is also run
+// under ThreadSanitizer in CI (-DPARDB_TSAN=ON).
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include <set>
 
 #include <chrono>
-#include <functional>
 #include <optional>
 #include <string>
 #include <thread>
@@ -20,7 +19,6 @@
 #include "dist/distributed.h"
 #include "obs/metric_names.h"
 #include "obs/serve/hub.h"
-#include "par/admission_queue.h"
 #include "par/fork_join.h"
 #include "par/report_json.h"
 #include "par/router.h"
@@ -201,36 +199,34 @@ TEST(ForkJoinTest, DestroyingWithParkedHelpersJoinsCleanly) {
   }
 }
 
-// Phase 1 as the driver consumes it: every emission in order — its route,
-// name and op sequence — plus the per-shard streams and globals list it
-// builds from them.
 std::string ProgramText(const txn::Program& program) {
   std::string text = program.name();
   for (const txn::Op& op : program.ops()) text += ";" + op.ToString();
   return text;
 }
 
-struct Phase1Streams {
-  std::vector<std::string> emissions;
-  std::vector<std::vector<std::string>> shard_programs;
-  std::vector<std::string> globals;
+// One routed program of phase 1: its route, name and op sequence.
+std::string Emission(const Route& route, const txn::Program& program) {
+  return std::to_string(route.shard) + (route.cross_shard ? "x " : " ") +
+         ProgramText(program);
+}
 
-  EmitRouted Emitter() {
-    return [this](const Route& route, txn::Program program) {
-      const std::string text = ProgramText(program);
-      emissions.push_back(std::to_string(route.shard) +
-                          (route.cross_shard ? "x " : " ") + text);
-      if (route.cross_shard) {
-        globals.push_back(text);
-      } else {
-        if (shard_programs.size() <= route.shard) {
-          shard_programs.resize(route.shard + 1);
-        }
-        shard_programs[route.shard].push_back(text);
-      }
-    };
+// The serial plan walk: each program drawn from its generator when its
+// turn comes and routed at once, in plan order.
+std::vector<std::string> SerialPlanWalk(const ShardedOptions& opt) {
+  RoutingStream stream(opt);
+  std::vector<std::string> emissions;
+  while (!stream.done()) {
+    const std::uint64_t t = stream.position();
+    auto program = stream.Draw(stream.Next());
+    EXPECT_TRUE(program.ok());
+    if (!program.ok()) break;
+    emissions.push_back(Emission(
+        RouteProgram(program.value(), opt.num_shards, opt.coordinator_shard, t),
+        program.value()));
   }
-};
+  return emissions;
+}
 
 ShardedOptions Phase1Options(std::uint32_t shards, std::uint64_t entities,
                              double cross, bool hot) {
@@ -279,9 +275,8 @@ TEST(Phase1Test, StreamedDrawsMatchTheSerialPlanWalk) {
         " cross=" + std::to_string(opt.cross_shard_fraction) +
         " hot=" + std::to_string(opt.hot_shard_routing) +
         " templates=" + std::to_string(opt.workload.num_templates);
-    Phase1Streams serial;
-    ASSERT_TRUE(GenerateAndRoute(opt, serial.Emitter()).ok()) << where;
-    ASSERT_EQ(serial.emissions.size(), opt.total_txns) << where;
+    const std::vector<std::string> serial = SerialPlanWalk(opt);
+    ASSERT_EQ(serial.size(), opt.total_txns) << where;
 
     // The streamed admission's extreme: walk the whole plan drawing only
     // full-universe programs (each also drawn again from a bookmark taken
@@ -322,14 +317,13 @@ TEST(Phase1Test, StreamedDrawsMatchTheSerialPlanWalk) {
         drawn[t] = std::move(p).value();
       }
     }
-    Phase1Streams streamed;
-    const EmitRouted emit = streamed.Emitter();
+    std::vector<std::string> streamed;
     for (std::size_t t = 0; t < drawn.size(); ++t) {
-      const Route r = RouteProgram(*drawn[t], opt.num_shards,
-                                   opt.coordinator_shard, t);
-      emit(r, std::move(*drawn[t]));
+      streamed.push_back(Emission(
+          RouteProgram(*drawn[t], opt.num_shards, opt.coordinator_shard, t),
+          *drawn[t]));
     }
-    EXPECT_EQ(streamed.emissions, serial.emissions) << where;
+    EXPECT_EQ(streamed, serial) << where;
   }
 }
 
@@ -407,13 +401,11 @@ TEST(ShardedDriverTest, PerTransactionStateFollowsTheLiveCount) {
       EXPECT_GT(s.footprint.certifier_nodes, 0u) << where;
       EXPECT_LE(s.footprint.certifier_nodes, 8 * live) << where;
     }
-    if (shards > 1) {
-      // Streamed admission: only the walked full-universe programs wait,
-      // as bookmarks.
-      EXPECT_GT(rep->admission.peak_materialized_programs, 0u);
-      EXPECT_LT(rep->admission.peak_materialized_programs,
-                opt.total_txns / 50);
-    }
+    // Streamed admission: only the walked full-universe programs wait,
+    // as bookmarks (one shard draws none).
+    EXPECT_EQ(rep->admission.peak_materialized_programs > 0, shards > 1);
+    EXPECT_LT(rep->admission.peak_materialized_programs,
+              opt.total_txns / 50);
   }
 }
 
@@ -422,18 +414,24 @@ TEST(ShardedDriverTest, PerTransactionStateFollowsTheLiveCount) {
 // the global verdict comes from the certifier union (a refusal would fail
 // the run). With cross-shard traffic a shard out of budget strands its
 // slices of globals, and the shards waiting on them; the run then ends
-// incomplete instead of stalling.
+// incomplete instead of stalling. One shard ends the same way once its
+// budget is spent.
 TEST(ShardedDriverTest, IncompleteRunCertifiesThroughTheUnion) {
-  ShardedOptions opt = SmallOptions(4, 5);
-  opt.total_txns = 2'000;
-  opt.max_steps_per_shard = 3'000;
-  auto rep = RunSharded(opt);
-  ASSERT_TRUE(rep.ok()) << rep.status().ToString();
-  EXPECT_FALSE(rep->completed);
-  EXPECT_GT(rep->committed, 0u);
-  EXPECT_LT(rep->committed, opt.total_txns);
-  EXPECT_TRUE(rep->global_serializable);
-  EXPECT_TRUE(rep->serializable);
+  for (std::uint32_t shards : {1u, 4u}) {
+    ShardedOptions opt = SmallOptions(shards, 5);
+    opt.total_txns = 2'000;
+    opt.max_steps_per_shard = 3'000;
+    auto rep = RunSharded(opt);
+    ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+    EXPECT_FALSE(rep->completed) << "shards=" << shards;
+    EXPECT_GT(rep->committed, 0u) << "shards=" << shards;
+    EXPECT_LT(rep->committed, opt.total_txns) << "shards=" << shards;
+    EXPECT_TRUE(rep->global_serializable) << "shards=" << shards;
+    EXPECT_TRUE(rep->serializable) << "shards=" << shards;
+    if (shards == 1) {
+      EXPECT_EQ(rep->shards[0].metrics.steps, opt.max_steps_per_shard);
+    }
+  }
 }
 
 TEST(ShardedDriverTest, BitIdenticalAcrossRepeatedRuns) {
@@ -525,41 +523,30 @@ TEST(ShardedDriverTest, AggregateMatchesShardSums) {
 TEST(ShardedDriverTest, ReportBitIdenticalAcrossRunsAndWorkers) {
   // Workers decide only *where and when* an epoch's quanta run, never what
   // a shard computes — so the report must be byte-identical across any
-  // worker count and repeated runs.
-  auto opt = SmallOptions(4, 13);
-  opt.num_threads = 4;
-  auto golden_rep = RunSharded(opt);
-  ASSERT_TRUE(golden_rep.ok());
-  const std::string golden = ShardedReportToJson(golden_rep.value());
+  // worker count and repeated runs. One shard on a multi-worker fork-join
+  // runs its quantum, refills included, on whichever worker claims it.
+  for (std::uint32_t shards : {1u, 4u}) {
+    auto opt = SmallOptions(shards, 13);
+    opt.num_threads = 4;
+    auto golden_rep = RunSharded(opt);
+    ASSERT_TRUE(golden_rep.ok()) << golden_rep.status().ToString();
+    const std::string golden = ShardedReportToJson(golden_rep.value());
+    const std::string where = "shards=" + std::to_string(shards);
 
-  for (int rep = 0; rep < 4; ++rep) {  // 5 runs total with the golden one
-    auto r = RunSharded(opt);
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(golden, ShardedReportToJson(r.value())) << "repeat " << rep;
-  }
-  for (std::size_t workers : {1u, 2u, 7u}) {
-    auto v = opt;
-    v.num_threads = workers;
-    auto r = RunSharded(v);
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(golden, ShardedReportToJson(r.value())) << "workers=" << workers;
-  }
-}
-
-TEST(ShardedDriverTest, OneShardReportInvariantUnderQuantumChopping) {
-  // A one-shard run is a chain of quanta; the refill rule makes the step
-  // sequence independent of where the chain is cut.
-  auto opt = SmallOptions(1, 13);
-  auto golden_rep = RunSharded(opt);
-  ASSERT_TRUE(golden_rep.ok()) << golden_rep.status().ToString();
-  const std::string golden = ShardedReportToJson(golden_rep.value());
-  EXPECT_NE(golden.find("\"mode\":\"local\""), std::string::npos);
-  for (std::uint64_t quantum : {1u, 7u, 100000u}) {
-    auto v = opt;
-    v.quantum_steps = quantum;
-    auto r = RunSharded(v);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_EQ(golden, ShardedReportToJson(r.value())) << "quantum=" << quantum;
+    for (int rep = 0; rep < 4; ++rep) {  // 5 runs total with the golden one
+      auto r = RunSharded(opt);
+      ASSERT_TRUE(r.ok());
+      EXPECT_EQ(golden, ShardedReportToJson(r.value()))
+          << where << " repeat " << rep;
+    }
+    for (std::size_t workers : {1u, 2u, 7u}) {
+      auto v = opt;
+      v.num_threads = workers;
+      auto r = RunSharded(v);
+      ASSERT_TRUE(r.ok());
+      EXPECT_EQ(golden, ShardedReportToJson(r.value()))
+          << where << " workers=" << workers;
+    }
   }
 }
 
@@ -643,24 +630,6 @@ TEST(ShardedDriverTest, HotShardRoutingIsDeterministicAndChangesPlacement) {
   EXPECT_TRUE(differs);
 }
 
-TEST(ShardedDriverTest, NonPowerOfTwoHubSnapshotPeriodRoundsUpAndPublishes) {
-  // hub_snapshot_period = 100 used to corrupt the cadence mask (100 & 99
-  // is not a power-of-two mask); it now rounds up to 128 internally. The
-  // period drives the one-shard loop; several shards publish every merge.
-  for (std::uint32_t shards : {1u, 2u}) {
-    obs::LiveHub hub;
-    auto opt = SmallOptions(shards, 7);
-    opt.hub = &hub;
-    opt.hub_snapshot_period = 100;
-    auto rep = RunSharded(opt);
-    ASSERT_TRUE(rep.ok()) << rep.status().ToString();
-    EXPECT_TRUE(rep->completed);
-    EXPECT_EQ(rep->committed, opt.total_txns);
-    auto snaps = hub.Snapshots();
-    EXPECT_EQ(snaps.size(), shards);  // the latest snapshot per shard
-  }
-}
-
 TEST(ShardedDriverTest, JsonIsWellFormedEnoughToGrep) {
   auto rep = RunSharded(SmallOptions(2, 5));
   ASSERT_TRUE(rep.ok());
@@ -672,184 +641,18 @@ TEST(ShardedDriverTest, JsonIsWellFormedEnoughToGrep) {
             std::count(json.begin(), json.end(), '}'));
 }
 
-TEST(AdmissionQueueTest, DeliversFifoThenReportsClosedForever) {
-  AdmissionQueue q(8);
-  for (std::uint64_t e = 0; e < 5; ++e) q.Push(LockProgram({EntityId(e)}));
-  q.Close();
-  EXPECT_TRUE(q.closed());
-  txn::Program p;
-  for (std::uint64_t e = 0; e < 5; ++e) {
-    ASSERT_EQ(q.TryPop(&p), AdmissionQueue::Pop::kItem);
-    EXPECT_EQ(p.op(0).entity, EntityId(e));  // FIFO: admission order is
-  }                                          // generation order
-  EXPECT_EQ(q.TryPop(&p), AdmissionQueue::Pop::kClosed);
-  EXPECT_EQ(q.WaitPop(&p, std::chrono::microseconds(1)),
-            AdmissionQueue::Pop::kClosed);  // end-of-stream is sticky
-  EXPECT_EQ(q.pushed(), 5u);
-  EXPECT_EQ(q.popped(), 5u);
-}
-
-TEST(AdmissionQueueTest, BackpressureBlocksProducerWithoutDropping) {
-  // Producer blocks on a full queue, nothing is dropped, and the consumer
-  // observes the end-of-stream token exactly once. Runs under TSan in CI.
-  constexpr std::size_t kCapacity = 4;
-  constexpr std::uint64_t kItems = 64;
-  AdmissionQueue q(kCapacity);
-  std::atomic<std::uint64_t> produced{0};
-  std::thread producer([&q, &produced] {
-    for (std::uint64_t e = 0; e < kItems; ++e) {
-      q.Push(LockProgram({EntityId(e)}));
-      produced.fetch_add(1, std::memory_order_release);
-    }
-    q.Close();
-  });
-  // With no consumer the producer must wedge at capacity, not run ahead.
-  // Waiting for the block itself (not just a full queue) keeps the
-  // consumer from racing the producer's first blocked push.
-  while (q.blocked_pushes() == 0) std::this_thread::yield();
-  EXPECT_EQ(q.depth(), kCapacity);
-  EXPECT_LE(produced.load(std::memory_order_acquire), kCapacity);
-
-  txn::Program p;
-  std::uint64_t next = 0, closed_seen = 0;
-  for (;;) {
-    auto r = q.WaitPop(&p, std::chrono::microseconds(100));
-    if (r == AdmissionQueue::Pop::kEmpty) continue;
-    if (r == AdmissionQueue::Pop::kClosed) {
-      ++closed_seen;
-      break;
-    }
-    EXPECT_EQ(p.op(0).entity, EntityId(next));  // in order, none dropped
-    ++next;
-  }
-  producer.join();
-  EXPECT_EQ(next, kItems);
-  EXPECT_EQ(closed_seen, 1u);
-  EXPECT_EQ(q.pushed(), kItems);
-  EXPECT_EQ(q.popped(), kItems);
-  EXPECT_GE(q.blocked_pushes(), 1u);  // backpressure actually engaged
-  EXPECT_EQ(q.TryPop(&p), AdmissionQueue::Pop::kClosed);
-}
-
-TEST(AdmissionQueueTest, BlockedProducerRefillsInBursts) {
-  // A blocked producer sleeps until the queue is half drained, so against
-  // a slow consumer every block is followed by at least capacity/2 pushes:
-  // one hand-off per half queue, not one per program.
-  constexpr std::size_t kCapacity = 8;
-  constexpr std::uint64_t kItems = 64;
-  AdmissionQueue q(kCapacity);
-  std::thread producer([&q] {
-    for (std::uint64_t e = 0; e < kItems; ++e) {
-      q.Push(LockProgram({EntityId(e)}));
-    }
-    q.Close();
-  });
-  txn::Program p;
-  std::uint64_t next = 0;
-  for (;;) {
-    auto r = q.WaitPop(&p, std::chrono::microseconds(100));
-    if (r == AdmissionQueue::Pop::kEmpty) continue;
-    if (r == AdmissionQueue::Pop::kClosed) break;
-    EXPECT_EQ(p.op(0).entity, EntityId(next));
-    ++next;
-    std::this_thread::sleep_for(std::chrono::microseconds(20));
-  }
-  producer.join();
-  EXPECT_EQ(next, kItems);
-  EXPECT_GE(q.blocked_pushes(), 1u);
-  EXPECT_LE(q.blocked_pushes(), kItems / (kCapacity / 2));
-}
-
-TEST(AdmissionQueueTest, AbandonUnblocksProducerAndDiscards) {
-  // Consumer death (shard failure) must not wedge the producer mid-sweep.
-  AdmissionQueue q(1);
-  q.Push(LockProgram({EntityId(0)}));  // queue now full
-  std::thread producer([&q] {
-    for (std::uint64_t e = 1; e < 8; ++e) q.Push(LockProgram({EntityId(e)}));
-    q.Close();
-  });
-  q.Abandon();
-  producer.join();  // every Push returned despite nobody popping
-  EXPECT_TRUE(q.closed());
-  EXPECT_EQ(q.depth(), 0u);
-  txn::Program p;
-  EXPECT_EQ(q.TryPop(&p), AdmissionQueue::Pop::kClosed);
-}
-
-TEST(ShardedDriverTest, PipelinedReportMatchesBatchByteForByte) {
-  // The pipelined-admission determinism contract: streaming generation
-  // through a bounded queue must reproduce the batch report exactly — same
-  // generation sweep, same refill points, same step sequences — across
-  // queue capacities and quantum sizes.
-  auto opt = SmallOptions(1, 13);
-  opt.pipeline = false;
-  auto batch = RunSharded(opt);
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  EXPECT_FALSE(batch->admission.pipelined);
-  EXPECT_EQ(batch->admission.overlap_fraction, 0.0);
-  EXPECT_EQ(batch->admission.peak_materialized_programs, opt.total_txns);
-  const std::string golden = ShardedReportToJson(batch.value());
-
-  for (std::size_t capacity : {1u, 8u, 1024u}) {
-    auto v = opt;
-    v.pipeline = true;
-    v.admission_queue_capacity = capacity;
-    auto r = RunSharded(v);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_EQ(golden, ShardedReportToJson(r.value()))
-        << "capacity=" << capacity;
-    EXPECT_TRUE(r->admission.pipelined);
-    EXPECT_EQ(r->admission.queue_capacity, capacity);
-    // Backpressure bounds materialization: one program per queue slot
-    // plus at most one in the producer's hand.
-    EXPECT_LE(r->admission.peak_materialized_programs, capacity + 1);
-  }
-  // Short quanta over a streaming queue: still the same report.
-  auto chopped = opt;
-  chopped.pipeline = true;
-  chopped.quantum_steps = 7;
-  auto r = RunSharded(chopped);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(golden, ShardedReportToJson(r.value())) << "quantum=7";
-}
-
-TEST(ShardedDriverTest, OverlapFractionIsTheDeterministicRoutingFormula) {
-  // overlap = max(0, assigned - capacity) / total: a function of the
-  // transaction count and the capacity only, so it is exactly
-  // reproducible — the single-CPU CI proxy for pipelining effectiveness.
-  auto opt = SmallOptions(1, 17);
-  opt.admission_queue_capacity = 4;
-  auto rep = RunSharded(opt);  // pipeline defaults on
-  ASSERT_TRUE(rep.ok()) << rep.status().ToString();
-  ASSERT_TRUE(rep->admission.pipelined);
-  std::uint64_t overflow = 0;
-  for (const ShardResult& s : rep->shards) {
-    if (s.assigned > opt.admission_queue_capacity) {
-      overflow += s.assigned - opt.admission_queue_capacity;
-    }
-  }
-  const double expected =
-      static_cast<double>(overflow) / static_cast<double>(opt.total_txns);
-  EXPECT_EQ(rep->admission.overlap_fraction, expected);
-  EXPECT_GT(rep->admission.overlap_fraction, 0.0);
-  auto again = RunSharded(opt);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(again->admission.overlap_fraction,
-            rep->admission.overlap_fraction);
-}
-
 TEST(ShardedDriverTest, InterimHubExportsDoNotDoubleCountTotals) {
-  // A tight snapshot cadence makes a one-shard run export its engine
-  // aggregates many times mid-run (live /metrics quantiles). The delta
-  // exporter must still land the registry on the exact totals, on both
-  // paths.
+  // With a hub every shard exports its engine aggregates at every epoch
+  // boundary (live /metrics quantiles). The delta exporter must still land
+  // the registry on the exact totals.
   for (std::uint32_t shards : {1u, 2u}) {
     obs::LiveHub hub;
     auto opt = SmallOptions(shards, 7);
     opt.hub = &hub;
-    opt.hub_snapshot_period = 16;
     auto rep = RunSharded(opt);
     ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+    EXPECT_EQ(rep->committed, opt.total_txns);
+    EXPECT_EQ(hub.Snapshots().size(), shards);  // the latest per shard
     for (const ShardResult& s : rep->shards) {
       const obs::LabelSet labels{{obs::kShardLabel, std::to_string(s.shard)}};
       const auto* steps = rep->metrics.Find(obs::kStepsTotal, labels);

@@ -487,7 +487,6 @@ par::ShardedOptions ContestedShardedOptions(LiveHub* hub) {
   opt.total_txns = 300;
   opt.seed = 7;
   opt.hub = hub;
-  opt.hub_snapshot_period = 64;
   return opt;
 }
 

@@ -12,20 +12,10 @@ lifecycle timelines vs the instrumented run) and journal_overhead_pct
 (the D14 decision journal vs the txnlife run) must each stay within
 --max-overhead-pct.
 
-On any report-identity failure (pipeline vs batch, or cross-shard across
-worker counts) the gate also prints the first differing JSON key path and
+On a report-identity failure (cross-shard across worker counts) the gate
+also prints the first differing JSON key path and
 both values, read from the mismatch side-files the bench leaves on disk;
 the exit code contract (0 pass / 1 fail) is unchanged.
-
-The pipeline check gates streaming admission (BENCH_parallel_pipeline.json):
-the pipelined run's report JSON must be byte-identical to the batch run's
-(the determinism contract), committed counts must match the baseline
-exactly, and the deterministic overlap fraction — the provable share of
-generation work emitted after execution started — must stay at or above
---min-overlap-fraction and must not drift from the baseline. The
-wall-clock speedup over batch is gated at --min-pipeline-speedup only on
-hosts with >= 4 CPUs: the producer needs a core of its own, and CI
-runners below that report pure noise (informational there).
 
 The cross-shard check gates locks-mode execution (BENCH_cross_shard.json):
 every sweep point's report must be byte-identical across repeated runs and
@@ -66,21 +56,17 @@ Usage:
       --current BENCH_parallel.json \
       --baseline bench/baselines/BENCH_parallel.json \
       --current-overhead BENCH_parallel_overhead.json \
-      --current-pipeline BENCH_parallel_pipeline.json \
-      --pipeline-baseline bench/baselines/BENCH_parallel_pipeline.json \
       --current-cross-shard BENCH_cross_shard.json \
       --cross-shard-baseline bench/baselines/BENCH_cross_shard.json \
       --current-hotpath BENCH_hotpath.json \
       --hotpath-baseline bench/baselines/BENCH_hotpath.json \
       [--max-speedup-drop-pct 15] [--max-overhead-pct 5] \
-      [--min-overlap-fraction 0.8] [--min-pipeline-speedup 1.25] \
       [--min-cross-goodput 0.8] [--min-hotpath-txns-per-sec 210000] \
       [--max-compile-us-per-program 5.0] [--max-generate-us-per-program 2.0]
 """
 
 import argparse
 import json
-import os
 import sys
 
 
@@ -172,53 +158,6 @@ def check_scaling(current, baseline, max_drop_pct):
             failures.append(
                 f"shards={shards}: speedup {speedup:.3f} dropped more than "
                 f"{max_drop_pct}% below baseline {base_speedup:.3f}")
-    return failures
-
-
-def check_pipeline(current, baseline, min_overlap, min_speedup):
-    failures = []
-    if not current.get("report_json_identical_to_batch", False):
-        failures.append(
-            "pipeline: pipelined report JSON differs from batch "
-            "(determinism contract broken)")
-        describe_report_mismatch(
-            "pipeline",
-            "BENCH_parallel_pipeline_report_batch.json",
-            "BENCH_parallel_pipeline_report_pipelined.json",
-            "batch", "pipelined")
-    for field in ("committed",):
-        cur = current["pipelined"][field]
-        base = baseline["pipelined"][field] if baseline else cur
-        if cur != base:
-            failures.append(
-                f"pipeline: {field} {cur} != baseline {base} "
-                f"(deterministic result drifted)")
-    overlap = current["pipelined"]["overlap_fraction"]
-    verdict = "ok" if overlap >= min_overlap else "FAIL"
-    print(f"pipeline: overlap fraction {overlap:.3f} "
-          f"(floor {min_overlap}) {verdict}")
-    if overlap < min_overlap:
-        failures.append(
-            f"pipeline: overlap fraction {overlap:.3f} below floor "
-            f"{min_overlap}")
-    if baseline:
-        base_overlap = baseline["pipelined"]["overlap_fraction"]
-        if overlap != base_overlap:
-            failures.append(
-                f"pipeline: overlap fraction {overlap} != baseline "
-                f"{base_overlap} (routing or capacity drifted)")
-    speedup = current["speedup_vs_batch"]
-    if os.cpu_count() and os.cpu_count() >= 4:
-        verdict = "ok" if speedup >= min_speedup else "FAIL"
-        print(f"pipeline: wall speedup vs batch {speedup:.3f} "
-              f"(floor {min_speedup}) {verdict}")
-        if speedup < min_speedup:
-            failures.append(
-                f"pipeline: wall speedup {speedup:.3f} below floor "
-                f"{min_speedup}")
-    else:
-        print(f"pipeline: wall speedup vs batch {speedup:.3f} "
-              f"(informational; host has < 4 CPUs, gate skipped)")
     return failures
 
 
@@ -403,16 +342,12 @@ def main():
     ap.add_argument("--current")
     ap.add_argument("--baseline")
     ap.add_argument("--current-overhead")
-    ap.add_argument("--current-pipeline")
-    ap.add_argument("--pipeline-baseline")
     ap.add_argument("--current-cross-shard")
     ap.add_argument("--cross-shard-baseline")
     ap.add_argument("--current-hotpath")
     ap.add_argument("--hotpath-baseline")
     ap.add_argument("--max-speedup-drop-pct", type=float, default=15.0)
     ap.add_argument("--max-overhead-pct", type=float, default=5.0)
-    ap.add_argument("--min-overlap-fraction", type=float, default=0.8)
-    ap.add_argument("--min-pipeline-speedup", type=float, default=1.25)
     ap.add_argument("--min-cross-goodput", type=float, default=0.8)
     ap.add_argument("--min-hotpath-txns-per-sec", type=float, default=210000.0)
     ap.add_argument("--max-compile-us-per-program", type=float, default=5.0)
@@ -423,11 +358,6 @@ def main():
     if args.current:
         failures += check_scaling(load(args.current), load(args.baseline),
                                   args.max_speedup_drop_pct)
-    if args.current_pipeline:
-        failures += check_pipeline(
-            load(args.current_pipeline),
-            load(args.pipeline_baseline) if args.pipeline_baseline else None,
-            args.min_overlap_fraction, args.min_pipeline_speedup)
     if args.current_cross_shard:
         failures += check_cross_shard(
             load(args.current_cross_shard),

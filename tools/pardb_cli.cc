@@ -58,11 +58,7 @@
 //   --threads=N (0..1024)            fork-join workers, the calling thread
 //                                    included; 0 = one per shard [0]
 //   --coordinator=K                  shard cross-shard txns are counted on
-//   --quantum-steps=N (>= 1)         one-shard quantum bound [256]
 //   --hot-routing                    route local txns to Zipf-hot shards
-//   --no-pipeline                    one shard: batch admission instead of
-//                                    the streaming producer
-//   --queue-capacity=N (>= 1)        streaming admission queue bound [32]
 //   --log-level=debug|info|warning|error|off   (any subcommand; applied
 //                                    before anything is constructed)
 //
@@ -181,13 +177,12 @@ Result<ServeConfig> GetServeConfig(const Flags& flags) {
 
 // /healthz run metadata: build id, seed, shard count, scheduler, mode.
 obs::RunInfo MakeRunInfo(std::uint64_t seed, std::uint32_t shards,
-                         const std::string& scheduler,
                          const std::string& mode) {
   obs::RunInfo info;
   info.build_id = std::string("pardb ") + __DATE__;
   info.seed = seed;
   info.shards = shards;
-  info.scheduler = scheduler;
+  info.scheduler = "epochs";
   info.mode = mode;
   return info;
 }
@@ -469,9 +464,8 @@ Result<par::ShardedOptions> BuildRunOptions(const Flags& flags,
   PARDB_RETURN_IF_ERROR(
       ParseLocks(flags.GetString("locks", "3:6"), opt.workload));
 
-  // Topology: shards, fork-join workers (0 = one per shard), the share of
-  // transactions drawn across shard boundaries, and the one-shard quantum
-  // loop and admission pipeline.
+  // Topology: shards, fork-join workers (0 = one per shard) and the share
+  // of transactions drawn across shard boundaries.
   PARDB_ASSIGN_OR_RETURN(
       auto shards, GetIntIn(flags, "shards", defaults.shards, 1, kMaxShards));
   opt.num_shards = static_cast<std::uint32_t>(shards);
@@ -487,15 +481,7 @@ Result<par::ShardedOptions> BuildRunOptions(const Flags& flags,
   PARDB_ASSIGN_OR_RETURN(auto coord,
                          GetIntIn(flags, "coordinator", 0, 0, shards - 1));
   opt.coordinator_shard = static_cast<std::uint32_t>(coord);
-  PARDB_ASSIGN_OR_RETURN(auto quantum,
-                         GetIntIn(flags, "quantum-steps", 256, 1, kMaxInt));
-  opt.quantum_steps = static_cast<std::uint64_t>(quantum);
   opt.hot_shard_routing = flags.GetBool("hot-routing", false);
-  opt.pipeline =
-      flags.GetBool("pipeline", true) && !flags.GetBool("no-pipeline", false);
-  PARDB_ASSIGN_OR_RETURN(auto qcap,
-                         GetIntIn(flags, "queue-capacity", 32, 1, kMaxInt));
-  opt.admission_queue_capacity = static_cast<std::size_t>(qcap);
 
   // Decision journal (DESIGN D14) and its test hooks.
   opt.journal = !flags.GetBool("no-journal", false);
@@ -541,14 +527,9 @@ void PrintRunReport(const par::ShardedOptions& opt,
               report.scheduler.mean_worker_utilization,
               report.scheduler.min_worker_utilization,
               (unsigned long long)report.scheduler.virtual_makespan_steps);
-  std::printf("admission: pipelined=%s queue_capacity=%zu overlap=%.3f "
-              "peak_materialized=%llu blocked_pushes=%llu "
-              "generate_s=%.3f execute_s=%.3f\n",
-              report.admission.pipelined ? "yes" : "no",
-              report.admission.queue_capacity,
-              report.admission.overlap_fraction,
+  std::printf("admission: peak_materialized=%llu generate_s=%.3f "
+              "execute_s=%.3f\n",
               (unsigned long long)report.admission.peak_materialized_programs,
-              (unsigned long long)report.admission.producer_blocked_pushes,
               report.admission.generate_seconds,
               report.admission.execute_seconds);
   if (opt.num_shards > 1) {
@@ -637,9 +618,7 @@ int RunWorkload(const Flags& flags, const std::string& command,
   if (serve->enabled) {
     opt.hub = &hub;
     opt.instrument = true;  // live /metrics needs the per-shard registries
-    hub.SetRunInfo(MakeRunInfo(opt.seed, opt.num_shards,
-                               opt.num_shards > 1 ? "epochs" : "quantum-loop",
-                               command));
+    hub.SetRunInfo(MakeRunInfo(opt.seed, opt.num_shards, command));
     auto started = StartIntrospectionServer(&hub, serve->port);
     if (!started.ok()) {
       std::fprintf(stderr, "%s\n", started.status().ToString().c_str());
@@ -1016,9 +995,7 @@ int RunServe(const Flags& flags) {
   obs::LiveHub hub;
   opt->hub = &hub;
   opt->instrument = true;
-  hub.SetRunInfo(MakeRunInfo(opt->seed, opt->num_shards,
-                             opt->num_shards > 1 ? "epochs" : "quantum-loop",
-                             "serve"));
+  hub.SetRunInfo(MakeRunInfo(opt->seed, opt->num_shards, "serve"));
   auto started = StartIntrospectionServer(&hub, static_cast<int>(port.value()));
   if (!started.ok()) {
     std::fprintf(stderr, "%s\n", started.status().ToString().c_str());
