@@ -277,17 +277,15 @@ GenerateMicroResult RunGenerateMicro() {
 }
 
 // ---------------------------------------------------------------------------
-// 2b. Compile micro: admission-time lowering cost (D16).
+// 2b. Compile micro: admission-time lowering cost (D16, D26). Every
+// admission lowers its program once, so this lowers every pinned program.
 // ---------------------------------------------------------------------------
 
 struct CompileMicroResult {
   std::uint64_t programs = 0;       // deterministic
-  std::uint64_t compiles = 0;       // deterministic
-  std::uint64_t hits = 0;           // deterministic
   std::uint64_t compiled_bytes = 0; // deterministic
   double elapsed = 0.0;
-  double us_per_program = 0.0;      // cold: hash + lower + insert
-  double hit_us_per_program = 0.0;  // warm: hash + probe only
+  double us_per_program = 0.0;
 };
 
 CompileMicroResult RunCompileMicro(
@@ -295,24 +293,19 @@ CompileMicroResult RunCompileMicro(
   CompileMicroResult r;
   r.programs = programs.size();
 
-  std::vector<double> cold_times, warm_times;
+  std::vector<double> times;
   for (int rep = 0; rep < 3; ++rep) {
-    txn::CompileCache cache;
+    std::uint64_t bytes = 0;
     const auto start = std::chrono::steady_clock::now();
-    for (const auto& p : programs) cache.Get(p);
-    const auto mid = std::chrono::steady_clock::now();
-    for (const auto& p : programs) cache.Get(p);
+    for (const auto& p : programs) {
+      bytes += txn::CompiledProgram::Compile(*p)->byte_size();
+    }
     const auto stop = std::chrono::steady_clock::now();
-    cold_times.push_back(Seconds(start, mid));
-    warm_times.push_back(Seconds(mid, stop));
-    r.compiles = cache.stats().compiles;
-    r.hits = cache.stats().hits;
-    r.compiled_bytes = cache.stats().compiled_bytes;
+    times.push_back(Seconds(start, stop));
+    r.compiled_bytes = bytes;
   }
-  r.elapsed = Median(cold_times);
+  r.elapsed = Median(times);
   r.us_per_program = r.programs > 0 ? r.elapsed * 1e6 / r.programs : 0.0;
-  r.hit_us_per_program =
-      r.programs > 0 ? Median(warm_times) * 1e6 / r.programs : 0.0;
   return r;
 }
 
@@ -489,8 +482,8 @@ void PrintReproduction() {
   t.AddRow("program generate micro", gen.programs, gen.elapsed,
            gen.elapsed > 0 ? gen.programs / gen.elapsed : 0.0,
            gen.allocs_per_program);
-  t.AddRow("program compile micro", comp.compiles, comp.elapsed,
-           comp.elapsed > 0 ? comp.compiles / comp.elapsed : 0.0, "-");
+  t.AddRow("program compile micro", comp.programs, comp.elapsed,
+           comp.elapsed > 0 ? comp.programs / comp.elapsed : 0.0, "-");
   t.AddRow("end-to-end (pinned workload)", e2e.txns, e2e.elapsed,
            e2e.txns_per_second, "-");
   t.AddRow("steady-state step audit", steady.steps, "-", "-",
@@ -500,9 +493,8 @@ void PrintReproduction() {
             << gen.ops << " ops, " << gen.us_per_program
             << " us/program, " << gen.allocs_per_program
             << " heap blocks/program)\n";
-  std::cout << "(compile micro: " << comp.compiles << " distinct programs, "
-            << comp.us_per_program << " us/program cold, "
-            << comp.hit_us_per_program << " us/program on cache hits, "
+  std::cout << "(compile micro: " << comp.programs << " programs, "
+            << comp.us_per_program << " us/program, "
             << comp.compiled_bytes << " uop bytes)\n";
   std::cout << "(end-to-end deterministic fields: committed=" << e2e.committed
             << " steps=" << e2e.steps << " rollbacks=" << e2e.rollbacks
@@ -513,11 +505,9 @@ void PrintReproduction() {
   std::ofstream json("BENCH_hotpath.json");
   json << "{\n"
        << " \"compile\":{\"enabled\":1,\"programs\":" << comp.programs
-       << ",\"compiles\":" << comp.compiles << ",\"hits\":" << comp.hits
        << ",\"compiled_bytes\":" << comp.compiled_bytes
        << ",\"elapsed_seconds\":" << comp.elapsed
-       << ",\"us_per_program\":" << comp.us_per_program
-       << ",\"hit_us_per_program\":" << comp.hit_us_per_program << "},\n"
+       << ",\"us_per_program\":" << comp.us_per_program << "},\n"
        << " \"generate\":{\"programs\":" << gen.programs
        << ",\"ops\":" << gen.ops
        << ",\"allocs_per_program\":" << gen.allocs_per_program

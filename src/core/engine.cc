@@ -46,7 +46,6 @@ Engine::Engine(storage::EntityStore* store, EngineOptions options,
 void Engine::ReserveTxns(std::size_t n) {
   free_rows_.reserve(n);
   txns_.reserve(n);
-  cold_.reserve(n);
   live_next_.reserve(n);
   live_prev_.reserve(n);
   locks_.ReserveTxns(n);
@@ -126,7 +125,7 @@ void Engine::LiveInsert(std::uint64_t v) {
     live_head_ = v;
   }
   live_tail_ = v;
-  peak_live_ = std::max(peak_live_, ++live_count_);
+  ++live_count_;
 }
 
 void Engine::LiveRemove(std::uint64_t v) {
@@ -177,24 +176,6 @@ Result<TxnId> Engine::Spawn(std::shared_ptr<const txn::Program> program) {
     }
   }
   TxnId id(next_txn_++);
-  // Fetch (or lower) the µop stream and the rollback plan, both keyed by
-  // the program's executable content. A fresh lowering (first sight, or
-  // re-admission after eviction) gets a fresh plan under its entry number.
-  std::size_t entry = 0;
-  const std::uint64_t lowered = compile_cache_.stats().compiles;
-  const txn::MicroOp* uops = compile_cache_.Get(program, &entry).uops();
-  if (compile_cache_.stats().compiles != lowered) {
-    if (entry == plans_.size()) plans_.emplace_back();
-    plans_[entry] = planner_.Build(
-        *program, options_.strategy,
-        /*seal=*/options_.handling == DeadlockHandling::kDetection);
-  }
-  // Cache telemetry is a pure function of the admitted program sequence,
-  // so mirroring it into the metrics here keeps the counters deterministic.
-  const txn::CompileCache::Stats& cs = compile_cache_.stats();
-  metrics_.programs_compiled = cs.compiles;
-  metrics_.compile_cache_hits = cs.hits;
-  metrics_.compiled_bytes = cs.compiled_bytes;
   std::uint32_t row;
   if (free_rows_.empty()) {
     row = static_cast<std::uint32_t>(txns_.size());
@@ -216,9 +197,18 @@ Result<TxnId> Engine::Spawn(std::shared_ptr<const txn::Program> program) {
   ctx.backoff = false;
   ctx.pc = 0;
   ctx.granted.clear();
-  ctx.uops = uops;
+  // Lower the program once, into the row (DESIGN D26): the µop stream and
+  // the rollback plan belong to this transaction until it commits.
+  TxnCold& cold = cold_[row];
+  cold.compiled = txn::CompiledProgram::Compile(*program);
+  cold.plan = planner_.Build(
+      *program, options_.strategy,
+      /*seal=*/options_.handling == DeadlockHandling::kDetection);
+  ++metrics_.programs_compiled;
+  metrics_.compiled_bytes += cold.compiled->byte_size();
+  ctx.uops = cold.compiled->uops();
   ctx.size = static_cast<std::uint32_t>(program->size());
-  ctx.plan = &plans_[entry];
+  ctx.plan = &cold.plan;
   // Slots [0, num_vars) seed the initial variable values; every other slot
   // is written before any op reads it.
   const std::size_t slot_bytes = ctx.plan->num_slots() * sizeof(Value);
@@ -228,9 +218,7 @@ Result<TxnId> Engine::Spawn(std::shared_ptr<const txn::Program> program) {
   std::copy(init.begin(), init.end(), ctx.slots);
   std::fill(ctx.slots + init.size(), ctx.slots + ctx.plan->num_slots(),
             Value{0});
-  TxnCold& cold = cold_[row];
   cold.program = std::move(program);
-  cold.cache_entry = entry;
   cold.preempted = 0;
   cold.hold_pc = kNoHold;
   if (recorder_ != nullptr) recorder_->OnBegin(id, ctx.entry);
@@ -542,18 +530,14 @@ Status Engine::ExecuteCommit(TxnContext& ctx) {
   PARDB_RETURN_IF_ERROR(ExecuteReleases(ctx));
   txn_arena_.FreeBlock(ctx.slots, ctx.plan->num_slots() * sizeof(Value));
   ctx.slots = nullptr;
-  // A committed transaction needs no rollback state (DESIGN D21): drop its
-  // program, stream and plan, and let the cache keep them only within the
-  // idle window of peak-live entries.
+  // A committed transaction needs no rollback state (DESIGN D26): drop its
+  // program, stream and plan.
   ctx.uops = nullptr;
   ctx.plan = nullptr;
   TxnCold& cold = ColdOf(ctx);
   cold.program.reset();
-  const std::size_t evicted =
-      compile_cache_.Release(cold.cache_entry, peak_live_);
-  if (evicted != txn::CompileCache::kNoEntry) {
-    plans_[evicted] = rollback::RollbackPlan();
-  }
+  cold.compiled.reset();
+  cold.plan = rollback::RollbackPlan();
   ctx.status = TxnStatus::kCommitted;
   MarkReadyDirty(ctx);
   ctx.pc = ctx.size;

@@ -155,11 +155,10 @@ struct EngineMetrics {
   std::uint64_t omega_interventions = 0;
   std::uint64_t cycles_found = 0;
   std::uint64_t periodic_scans = 0;  // kPeriodic graph sweeps performed
-  // Compile-cache telemetry (deterministic: a pure function of the admitted
+  // Lowering telemetry (deterministic: a pure function of the admitted
   // program sequence, never of wall time). Excluded from report
   // serialization so pre-compilation goldens stay byte-identical.
-  std::uint64_t programs_compiled = 0;    // lowerings (incl. after eviction)
-  std::uint64_t compile_cache_hits = 0;   // admissions served from cache
+  std::uint64_t programs_compiled = 0;    // admissions lowered
   std::uint64_t compiled_bytes = 0;       // µop bytes lowered (monotone)
   // Space accounting sampled at every rollback and commit.
   std::size_t max_entity_copies = 0;  // max per-transaction peak
@@ -413,10 +412,6 @@ class Engine {
   // schedules from.
   std::size_t live_txn_count() const { return live_count_; }
 
-  // Compile-cache entries resident (live programs plus at most
-  // peak-live idle ones; DESIGN D21).
-  std::size_t resident_programs() const { return compile_cache_.resident(); }
-
   // Capacity hint: pre-sizes the per-transaction rows (and the lock
   // manager's) for `n` transactions live at once — the multiprogramming
   // level, not the run length: a committed transaction's row is reused by
@@ -464,10 +459,10 @@ class Engine {
   struct TxnContext {
     TxnId id;
     // Compiled µop stream cursor base (uops[pc] is the next op), owned by
-    // the engine's compile cache and resident while the transaction is
-    // live; null once it commits.
+    // the row's TxnCold while the transaction is live; null once it
+    // commits.
     const txn::MicroOp* uops = nullptr;
-    // The program's rollback plan (in the engine's plans_; null once
+    // The program's rollback plan (in the row's TxnCold; null once
     // committed) and the transaction's value slots laid out by it (an
     // engine-arena block, freed at commit). This is all the rollback state
     // a transaction has: rolling back resets pc and undoes locks, and
@@ -493,9 +488,11 @@ class Engine {
   // ownership handles plus fields only introspection, rollback planning or
   // the cross-shard protocol touch.
   struct TxnCold {
-    // Released at commit, with the compile-cache entry's live count.
+    // The program and its one lowering (DESIGN D26): built at Spawn,
+    // released at commit. TxnContext::uops and ::plan point into them.
     std::shared_ptr<const txn::Program> program;
-    std::size_t cache_entry = 0;
+    std::unique_ptr<const txn::CompiledProgram> compiled;
+    rollback::RollbackPlan plan;
     std::uint64_t preempted = 0;
     // Cross-shard sub-transaction state (see SpawnSub): park at this pc
     // until ReleaseHold; kNoHold for ordinary transactions.
@@ -619,8 +616,9 @@ class Engine {
   // scan O(live).
   std::vector<TxnContext> txns_;
   std::vector<std::uint32_t> free_rows_;
-  // Cold side array parallel to txns_ (same row).
-  std::vector<TxnCold> cold_;
+  // Cold side array parallel to txns_ (same row). A deque, so the plan a
+  // context points to stays in place as rows are added.
+  std::deque<TxnCold> cold_;
   std::size_t RowOf(const TxnContext& ctx) const {
     return static_cast<std::size_t>(&ctx - txns_.data());
   }
@@ -628,14 +626,8 @@ class Engine {
   const TxnCold& ColdOf(const TxnContext& ctx) const {
     return cold_[RowOf(ctx)];
   }
-  // Per-engine µop cache (engines are single-threaded), and the rollback
-  // plan of each resident cache entry (indexed by its entry number) — built
-  // at each lowering under options_.strategy, reset when the cache evicts
-  // the entry and rebuilt when a recycled number is reused (DESIGN D21). A
-  // deque keeps the plans the contexts point to in place as it grows.
-  txn::CompileCache compile_cache_;
+  // Builds each admitted program's rollback plan under options_.strategy.
   rollback::RollbackPlanner planner_;
-  std::deque<rollback::RollbackPlan> plans_;
   // Uncommitted transactions as an intrusive doubly-linked list over rows
   // (SoA; replaces std::set<TxnId>). Spawn appends at the tail and ids
   // increase monotonically, so traversal from live_head_ enumerates the
@@ -647,8 +639,6 @@ class Engine {
   std::uint64_t live_head_ = kNoneIdx;
   std::uint64_t live_tail_ = kNoneIdx;
   std::size_t live_count_ = 0;
-  // Most transactions ever live at once: the compile cache's idle window.
-  std::size_t peak_live_ = 0;
   // Most preemptions of one transaction (MaxPreemptionCount).
   std::uint64_t max_preempted_ = 0;
 

@@ -27,8 +27,8 @@ void EngineMetricsExporter::Export(const Engine& engine,
   Add(obs::kIdealWastedOpsTotal, m.ideal_wasted_ops, last_.ideal_wasted_ops);
   Add(obs::kCyclesFoundTotal, m.cycles_found, last_.cycles_found);
   Add(obs::kPeriodicScansTotal, m.periodic_scans, last_.periodic_scans);
-  // The compile-cache and rollback-ledger series are created
-  // unconditionally (not through the cur > prev guard): a zero-hit or
+  // The lowering and rollback-ledger series are created
+  // unconditionally (not through the cur > prev guard): an idle or
   // rollback-free run must still expose every series (each cause at 0) so
   // consumers can distinguish "none" from "not instrumented".
   auto AddAlways = [&](const char* name, std::uint64_t cur,
@@ -38,8 +38,6 @@ void EngineMetricsExporter::Export(const Engine& engine,
   };
   AddAlways(obs::kProgramCompileTotal, m.programs_compiled,
             last_.programs_compiled, labels);
-  AddAlways(obs::kProgramCacheHitsTotal, m.compile_cache_hits,
-            last_.compile_cache_hits, labels);
   AddAlways(obs::kCompiledBytesTotal, m.compiled_bytes, last_.compiled_bytes,
             labels);
   for (std::size_t c = 0; c < obs::kNumRollbackCauses; ++c) {
@@ -69,8 +67,6 @@ void EngineMetricsExporter::Export(const Engine& engine,
       ->SetMax(static_cast<std::int64_t>(m.max_var_copies));
   registry->GetGauge(obs::kLiveTxns, labels)
       ->Set(static_cast<std::int64_t>(engine.live_txn_count()));
-  registry->GetGauge(obs::kCompileCacheResidentEntries, labels)
-      ->Set(static_cast<std::int64_t>(engine.resident_programs()));
   registry->GetGauge(obs::kWaitingTxns, labels)
       ->Set(static_cast<std::int64_t>(engine.lock_manager().WaitingCount()));
 

@@ -39,20 +39,16 @@ inline constexpr char kOmegaInterventionsTotal[] =
     "pardb_omega_interventions_total";
 // Rollbacks that extend a preemption lineage chain (obs::ExtendsLineage).
 inline constexpr char kLineageEventsTotal[] = "pardb_lineage_events_total";
-// Compiled-program admission (DESIGN D16): programs lowered to µop
-// streams, admissions served from the compile cache, and µop bytes lowered
-// (monotone; a program evicted and re-admitted is lowered and counted
-// again). All three are deterministic functions of the admitted program
-// sequence and are exported even at zero so dashboards can tell "cache
-// never hits" from "series missing".
+// Compiled-program admission (DESIGN D16, D26): admissions lowered to µop
+// streams (one per admitted transaction; a rollback re-executes without
+// lowering again) and µop bytes lowered (monotone). Both are deterministic
+// functions of the admitted program sequence and are exported even at
+// zero so dashboards can tell "nothing admitted" from "series missing".
 inline constexpr char kProgramCompileTotal[] = "pardb_program_compile_total";
+inline constexpr char kCompiledBytesTotal[] = "pardb_compiled_bytes_total";
+// Not exported; kept because perfbench names it (txn.cache_hit_ratio: 0).
 inline constexpr char kProgramCacheHitsTotal[] =
     "pardb_program_cache_hits_total";
-inline constexpr char kCompiledBytesTotal[] = "pardb_compiled_bytes_total";
-// Compile-cache entries resident now (gauge; DESIGN D21): live programs
-// plus at most peak-live idle ones.
-inline constexpr char kCompileCacheResidentEntries[] =
-    "pardb_compile_cache_resident_entries";
 
 // Engine aggregate gauges.
 inline constexpr char kMaxEntityCopies[] = "pardb_max_entity_copies";
@@ -137,14 +133,11 @@ inline constexpr char kCertifierInvariantViolationsTotal[] =
     "pardb_certifier_invariant_violations_total";
 
 // Transaction lifecycle timelines (obs::TxnLifeBook; see DESIGN D13).
-// End-to-end latency components, recorded once per commit. Step-valued
-// histograms except queue wait, which is wall nanoseconds sampled on the
-// admission queue (wall data never enters the deterministic report).
+// End-to-end latency components, recorded once per commit, in steps.
 inline constexpr char kTxnE2eSteps[] = "pardb_txn_e2e_steps";
 inline constexpr char kTxnLockWaitSteps[] = "pardb_txn_lock_wait_steps";
 inline constexpr char kTxnExecSteps[] = "pardb_txn_exec_steps";
 inline constexpr char kTxnRedoSteps[] = "pardb_txn_redo_steps";
-inline constexpr char kTxnQueueWaitNs[] = "pardb_txn_queue_wait_ns";
 // Timeline events evicted from a book's bounded ring (asserted 0 in the CI
 // observability smoke).
 inline constexpr char kTxnlifeDroppedTotal[] = "pardb_txnlife_dropped_total";

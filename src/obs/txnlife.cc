@@ -251,13 +251,6 @@ void TxnLifeBook::Commit(TxnId txn, std::uint64_t step, StateIndex pc) {
   MaybeRetire(row->txn);
 }
 
-void TxnLifeBook::RecordQueueWait(TxnId txn, std::uint64_t wait_ns) {
-  Row* row = Find(txn);
-  if (row == nullptr) return;
-  row->queue_wait_ns = wait_ns;
-  if (queue_wait_hist_ != nullptr) queue_wait_hist_->Record(wait_ns);
-}
-
 void TxnLifeBook::AttachMetrics(MetricsRegistry* registry,
                                 const LabelSet& labels) {
   dropped_counter_ = registry->GetCounter(kTxnlifeDroppedTotal, labels);
@@ -268,7 +261,6 @@ void TxnLifeBook::AttachMetrics(MetricsRegistry* registry,
   lock_wait_hist_ = registry->GetHistogram(kTxnLockWaitSteps, labels);
   exec_hist_ = registry->GetHistogram(kTxnExecSteps, labels);
   redo_hist_ = registry->GetHistogram(kTxnRedoSteps, labels);
-  queue_wait_hist_ = registry->GetHistogram(kTxnQueueWaitNs, labels);
 }
 
 bool TxnLifeBook::Has(TxnId txn) const {
@@ -289,7 +281,6 @@ TxnTimelineRecord TxnLifeBook::SummaryOf(const Row& row,
   r.commit_step = row.commit_step;
   r.admit_ns = row.admit_ns;
   r.commit_ns = row.commit_ns;
-  r.queue_wait_ns = row.queue_wait_ns;
   r.lock_wait_steps = row.lock_wait_steps;
   r.exec_steps = row.exec_steps;
   r.redo_steps = row.redo_steps;
@@ -380,7 +371,6 @@ std::string TxnTimelineToJson(const TxnTimelineRecord& r) {
   os << ",";
   AppendStepOrNull(os, "commit_step", r.commit_step);
   os << ",\"e2e_steps\":" << r.e2e_steps
-     << ",\"queue_wait_ns\":" << r.queue_wait_ns
      << ",\"lock_wait_steps\":" << r.lock_wait_steps
      << ",\"exec_steps\":" << r.exec_steps
      << ",\"redo_steps\":" << r.redo_steps << ",\"blocks\":" << r.blocks

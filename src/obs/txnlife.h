@@ -21,8 +21,8 @@ namespace pardb::obs {
 // first step, each block/wake, each rollback (tagged with the decision that
 // caused the loss and the causing transaction/cycle) and commit — in
 // virtual step time always, in wall time on a sampled subset of events.
-// The records power the end-to-end latency histograms (queue wait / lock
-// wait / execution / rollback-redo components, p50/p99/p999) and the live
+// The records power the end-to-end latency histograms (lock wait /
+// execution / rollback-redo components, p50/p99/p999) and the live
 // /debug/txn and /debug/slowest endpoints. The run's per-cause rollback
 // ledger is the engine's (EngineMetrics); the book keeps only what each
 // transaction went through.
@@ -71,7 +71,6 @@ struct TxnTimelineRecord {
   std::uint64_t commit_step = kUnset;
   std::uint64_t admit_ns = 0;
   std::uint64_t commit_ns = 0;
-  std::uint64_t queue_wait_ns = 0;
   std::uint64_t lock_wait_steps = 0;
   std::uint64_t exec_steps = 0;  // ops executed, redo included
   std::uint64_t redo_steps = 0;  // sum of rollback costs (lost then redone)
@@ -130,11 +129,6 @@ class TxnLifeBook {
   // the transaction's work.
   void OnStep(TxnId txn, std::uint64_t step);
 
-  // Driver-side stamp: wall nanoseconds the program spent in the admission
-  // queue before Spawn (measured by the queue, carried to the book on the
-  // shard thread — no cross-thread engine reads).
-  void RecordQueueWait(TxnId txn, std::uint64_t wait_ns);
-
   // Registers the book's metric set in `registry` (the latency component
   // histograms and the dropped-events counter). Updates happen inline at
   // stamp time; there is no separate export step. The registry must
@@ -177,7 +171,6 @@ class TxnLifeBook {
     std::uint64_t commit_step = TxnTimelineRecord::kUnset;
     std::uint64_t admit_ns = 0;
     std::uint64_t commit_ns = 0;
-    std::uint64_t queue_wait_ns = 0;
     std::uint64_t lock_wait_steps = 0;
     std::uint64_t block_since = TxnTimelineRecord::kUnset;  // not blocked
     std::uint64_t exec_steps = 0;
@@ -226,7 +219,6 @@ class TxnLifeBook {
   Histogram* lock_wait_hist_ = nullptr;
   Histogram* exec_hist_ = nullptr;
   Histogram* redo_hist_ = nullptr;
-  Histogram* queue_wait_hist_ = nullptr;
 };
 
 // JSON rendering for the live endpoints -------------------------------------

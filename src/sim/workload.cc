@@ -62,12 +62,6 @@ Result<txn::Program> WorkloadGenerator::Next() {
   if (o.min_locks == 0 || o.max_locks < o.min_locks) {
     return Status::InvalidArgument("invalid lock count range");
   }
-  // Template mode: once the pool is full, stamp renamed instances instead
-  // of drawing from the rng (see WorkloadOptions::num_templates).
-  if (o.num_templates > 0 && sequence_ >= o.num_templates) {
-    const txn::Program& t = (*templates_)[sequence_ % o.num_templates];
-    return t.WithName("txn-" + std::to_string(sequence_++));
-  }
   const bool pooled = !o.entity_universe.empty();
   const std::uint64_t universe =
       pooled ? o.entity_universe.size() : o.num_entities;
@@ -174,14 +168,10 @@ Result<txn::Program> WorkloadGenerator::Next() {
   }
   ops.back() = Op{EntityId(), {}, {}, 0, OpCode::kCommit, ArithOp::kAdd};
 
-  txn::Program program = txn::Program::Trusted(
+  return txn::Program::Trusted(
       "txn-" + std::to_string(sequence_++), std::move(ops),
       static_cast<std::uint32_t>(n), std::vector<Value>(n, 0),
       std::move(lock_positions), max_entity_bound);
-  if (o.num_templates > 0 && templates_->size() + 1 == sequence_) {
-    templates_->push_back(program);
-  }
-  return program;
 }
 
 }  // namespace pardb::sim

@@ -2,7 +2,6 @@
 #define PARDB_SIM_WORKLOAD_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -54,19 +53,13 @@ struct WorkloadOptions {
   // the hierarchical-order discipline that makes deadlock impossible
   // (useful as a control).
   bool sorted_entities = false;
-  // When > 0, only the first num_templates programs are drawn from the
-  // rng; every later program is a renamed copy of template
-  // (sequence % num_templates). Models a parameterized-statement OLTP mix:
-  // after the first cycle the engine's compile cache serves every
-  // admission from an existing entry. 0 = every program unique.
-  std::uint32_t num_templates = 0;
 };
 
 // Deterministic generator of random transaction programs. Two generators
 // with the same options and seed produce identical program sequences. A
-// copy is a bookmark: it draws the same sequence from where the original
-// stood, independently (the template pool is shared, read-only once
-// full), at about 200 bytes however large the programs. Next writes each
+// copy is a plain value bookmark: it draws the same sequence from where the
+// original stood, independently, sharing nothing with it, at about 200
+// bytes however large the programs. Next writes each
 // program straight into its final arrays (DESIGN D24); its working
 // buffers live on the stack of the call, never in the generator.
 class WorkloadGenerator {
@@ -83,12 +76,6 @@ class WorkloadGenerator {
   Rng rng_;
   ZipfianGenerator zipf_;
   std::uint64_t sequence_ = 0;
-  // First num_templates programs, kept for cycling (empty when 0). Rng
-  // draws stop once the pool is full, so a templated stream's tail costs
-  // no randomness — determinism is unaffected by how far it runs. Shared
-  // with copies; only the generator that draws a template first adds it.
-  std::shared_ptr<std::vector<txn::Program>> templates_ =
-      std::make_shared<std::vector<txn::Program>>();
 };
 
 }  // namespace pardb::sim

@@ -142,12 +142,6 @@ std::string Program::ToString() const {
   return os.str();
 }
 
-Program Program::WithName(std::string name) const {
-  Program copy = *this;
-  copy.name_ = std::move(name);
-  return copy;
-}
-
 ProgramBuilder::ProgramBuilder(std::string name, std::uint32_t num_vars)
     : name_(std::move(name)),
       num_vars_(num_vars),

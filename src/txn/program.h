@@ -118,12 +118,6 @@ class Program {
 
   std::string ToString() const;
 
-  // Copy of this program under a different name. Ops, variables and lock
-  // positions are identical, so the compile cache (which excludes names
-  // from program identity) serves every renamed instance from one entry —
-  // how workload templates model parameterized OLTP statements.
-  Program WithName(std::string name) const;
-
  private:
   friend class ProgramBuilder;
 

@@ -1,12 +1,11 @@
 // D16 compiled-program tests: lowering unit asserts (one code and entity
 // per op, the static upgrade flag, arith fusion, constant folding, value
-// slots from the rollback plan, var frames of any width), compile-cache
-// identity (names excluded), and execution against an independent
-// reference: the engine's final store must equal the serial oracle's
-// replay of the committed programs, over plain txn::Op semantics, in the
-// run's serial order (tests/serial_oracle.h). Covered: shared/exclusive
-// mixes, deadlock-victim partial rollbacks, S->X upgrade deadlocks,
-// mid-program unlocks and every arith op on every operand kind.
+// slots from the rollback plan, var frames of any width) and execution
+// against an independent reference: the engine's final store must equal
+// the serial oracle's replay of the committed programs, over plain txn::Op
+// semantics, in the run's serial order (tests/serial_oracle.h). Covered:
+// shared/exclusive mixes, deadlock-victim partial rollbacks, S->X upgrade
+// deadlocks, mid-program unlocks and every arith op on every operand kind.
 
 #include "txn/compiled.h"
 
@@ -20,7 +19,6 @@
 #include "analysis/history.h"
 #include "common/random.h"
 #include "core/engine.h"
-#include "par/sharded_driver.h"
 #include "rollback/plan.h"
 #include "serial_oracle.h"
 #include "sim/workload.h"
@@ -128,158 +126,31 @@ TEST(CompiledLoweringTest, ArithFusesIntoOpcodeAndConstantsFold) {
   EXPECT_EQ(plan.op(3).b, plan.op(2).dst);
 }
 
-// ---------------------------------------------------------------------------
-// Cache identity.
-// ---------------------------------------------------------------------------
-
-std::shared_ptr<const Program> MixProgram(const std::string& name) {
-  ProgramBuilder b(name, 1);
-  b.LockShared(EntityId(3))
+// The engine keeps one planner and lowers every admission with it, so a
+// planner whose scratch another program left behind must build the plan a
+// fresh one does.
+TEST(CompiledLoweringTest, WarmPlannerBuildsTheSamePlan) {
+  ProgramBuilder mb("mix", 1);
+  mb.LockShared(EntityId(3))
       .Read(EntityId(3), 0)
       .LockExclusive(EntityId(4))
       .WriteVar(EntityId(4), 0)
       .Commit();
-  return Own(std::move(b).Build());
-}
-
-TEST(CompileCacheTest, NamesAreExcludedFromProgramIdentity) {
-  txn::CompileCache cache;
-  const txn::CompiledProgram& a = cache.Get(MixProgram("txn-0"));
-  const txn::CompiledProgram& b = cache.Get(MixProgram("txn-1"));
-  EXPECT_EQ(&a, &b) << "renamed template must hit the cache";
-  EXPECT_EQ(cache.stats().compiles, 1u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().compiled_bytes, a.byte_size());
-}
-
-TEST(CompileCacheTest, EntriesAreNumberedInFirstSightOrder) {
-  txn::CompileCache cache;
-  ProgramBuilder other("other", 1);
-  other.LockExclusive(EntityId(9)).WriteImm(EntityId(9), 1).Commit();
-  std::size_t e0 = 99, e1 = 99, e2 = 99;
-  cache.Get(MixProgram("txn-0"), &e0);
-  cache.Get(Own(std::move(other).Build()), &e1);
-  cache.Get(MixProgram("txn-2"), &e2);  // a hit keeps its first number
-  EXPECT_EQ(e0, 0u);
-  EXPECT_EQ(e1, 1u);
-  EXPECT_EQ(e2, 0u);
-}
-
-TEST(CompileCacheTest, DifferentOpsMissAndTemplateStampsHit) {
-  txn::CompileCache cache;
-  sim::WorkloadOptions w;
-  w.num_entities = 16;
-  w.num_templates = 4;
-  sim::WorkloadGenerator gen(w, 9);
-  std::uint64_t compiles_after_pool = 0;
-  for (int i = 0; i < 32; ++i) {
-    auto p = gen.Next();
-    ASSERT_TRUE(p.ok());
-    cache.Get(std::make_shared<const Program>(std::move(p).value()));
-    if (i == 3) compiles_after_pool = cache.stats().compiles;
-  }
-  // Every admission past the template pool is a stamped copy: compile
-  // count stays frozen while hits absorb the remaining 28 admissions.
-  EXPECT_EQ(cache.stats().compiles, compiles_after_pool);
-  EXPECT_EQ(cache.stats().hits + cache.stats().compiles, 32u);
-  EXPECT_GE(cache.stats().hits, 28u);
-}
-
-// ---------------------------------------------------------------------------
-// Residency: release, idle window, eviction (DESIGN D21).
-// ---------------------------------------------------------------------------
-
-// One distinct program per i: locks and writes entity i.
-std::shared_ptr<const Program> Numbered(std::uint64_t i) {
-  ProgramBuilder b("n" + std::to_string(i), 1);
-  b.LockExclusive(EntityId(i))
-      .Read(EntityId(i), 0)
-      .WriteImm(EntityId(i), static_cast<Value>(i))
+  auto mix = Own(std::move(mb).Build());
+  ProgramBuilder ob("other", 2);
+  ob.LockExclusive(EntityId(7))
+      .Read(EntityId(7), 0)
+      .LockExclusive(EntityId(8))
+      .Read(EntityId(8), 1)
+      .Compute(0, Operand::Var(0), ArithOp::kAdd, Operand::Var(1))
+      .WriteVar(EntityId(7), 0)
+      .WriteVar(EntityId(8), 0)
       .Commit();
-  return Own(std::move(b).Build());
-}
+  auto other = Own(std::move(ob).Build());
 
-TEST(CompileCacheTest, EvictionUnderChurnKeepsSurvivorsReachable) {
-  // 400 entries in a 1024-slot table collide along probe runs; evicting
-  // them in a shuffled order exercises every backward-shift case.
-  constexpr std::size_t kPrograms = 400;
-  constexpr std::size_t kWindow = 200;
-  txn::CompileCache cache;
-  std::vector<std::shared_ptr<const Program>> programs;
-  std::vector<std::size_t> entry(kPrograms);
-  for (std::size_t i = 0; i < kPrograms; ++i) {
-    programs.push_back(Numbered(i));
-    cache.Get(programs[i], &entry[i]);
-  }
-  std::vector<std::size_t> order(kPrograms);
-  for (std::size_t i = 0; i < kPrograms; ++i) order[i] = i;
-  Rng rng(5);
-  for (std::size_t i = kPrograms - 1; i > 0; --i) {
-    std::swap(order[i], order[rng.Uniform(i + 1)]);
-  }
-  // The first kWindow releases go idle; each later one evicts the oldest
-  // idle entry, in release order.
-  for (std::size_t k = 0; k < kPrograms; ++k) {
-    const std::size_t evicted = cache.Release(entry[order[k]], kWindow);
-    EXPECT_EQ(evicted, k < kWindow ? txn::CompileCache::kNoEntry
-                                   : entry[order[k - kWindow]])
-        << "release " << k;
-  }
-  EXPECT_EQ(cache.resident(), kWindow);
-  // Survivors still hit under their numbers (probed before any evictee
-  // refills a hole); evictees lower again under recycled numbers, so
-  // numbering never grows past the peak resident set.
-  for (std::size_t n = 0; n < kPrograms; ++n) {
-    const std::size_t k = (n + kPrograms - kWindow) % kPrograms;
-    const std::size_t i = order[k];
-    std::size_t e = txn::CompileCache::kNoEntry;
-    const std::uint64_t compiles = cache.stats().compiles;
-    cache.Get(programs[i], &e);
-    if (k >= kPrograms - kWindow) {
-      EXPECT_EQ(e, entry[i]) << "survivor " << i;
-      EXPECT_EQ(cache.stats().compiles, compiles);
-    } else {
-      EXPECT_EQ(cache.stats().compiles, compiles + 1) << "evictee " << i;
-    }
-    EXPECT_LT(e, kPrograms);
-  }
-  EXPECT_EQ(cache.resident(), kPrograms);
-  EXPECT_EQ(cache.stats().compiles, kPrograms + (kPrograms - kWindow));
-  EXPECT_EQ(cache.stats().hits, kWindow);
-}
-
-TEST(CompileCacheTest, EvictedProgramRecompilesToIdenticalUopsAndPlan) {
-  txn::CompileCache cache;
-  auto mix = MixProgram("txn-0");
-  std::size_t e0 = 99;
-  const txn::CompiledProgram& first = cache.Get(mix, &e0);
-  const std::vector<MicroOp> uops(first.uops(), first.uops() + first.size());
-  const std::size_t bytes = first.byte_size();
-  // Window 0: the release evicts at once and drops the stream (`first`
-  // dangles from here on) and the cache's program reference.
-  EXPECT_EQ(cache.Release(e0, 0), e0);
-  EXPECT_EQ(cache.resident(), 0u);
-  EXPECT_EQ(mix.use_count(), 1);
-
-  // A warm planner (scratch left by another program) rebuilds the plan.
+  const rollback::RollbackPlan cold = Plan(*mix);
   rollback::RollbackPlanner planner;
-  const rollback::RollbackPlan cold =
-      planner.Build(*mix, rollback::StrategyKind::kMcs, /*seal=*/true);
-  planner.Build(*Numbered(7), rollback::StrategyKind::kMcs, /*seal=*/true);
-
-  std::size_t e1 = 99;
-  const txn::CompiledProgram& again = cache.Get(MixProgram("txn-1"), &e1);
-  EXPECT_EQ(e1, e0);  // the recycled number
-  EXPECT_EQ(cache.stats().compiles, 2u);
-  EXPECT_EQ(cache.stats().compiled_bytes, 2 * bytes);
-  ASSERT_EQ(again.size(), uops.size());
-  for (std::size_t i = 0; i < uops.size(); ++i) {
-    EXPECT_EQ(again.uops()[i].code, uops[i].code) << i;
-    EXPECT_EQ(again.uops()[i].flags, uops[i].flags) << i;
-    EXPECT_EQ(again.uops()[i].entity, uops[i].entity) << i;
-    EXPECT_EQ(again.uops()[i].a, uops[i].a) << i;
-    EXPECT_EQ(again.uops()[i].b, uops[i].b) << i;
-  }
+  planner.Build(*other, rollback::StrategyKind::kMcs, /*seal=*/true);
   const rollback::RollbackPlan warm =
       planner.Build(*mix, rollback::StrategyKind::kMcs, /*seal=*/true);
   ASSERT_EQ(warm.num_slots(), cold.num_slots());
@@ -293,15 +164,6 @@ TEST(CompileCacheTest, EvictedProgramRecompilesToIdenticalUopsAndPlan) {
       EXPECT_EQ(warm.IsRestorable(q, pc), cold.IsRestorable(q, pc));
     }
   }
-}
-
-TEST(CompileCacheTest, UnreleasedCacheNeverEvicts) {
-  // The bare cache (no Release) keeps every entry, as the hot-path compile
-  // micro relies on.
-  txn::CompileCache cache;
-  for (std::uint64_t i = 0; i < 100; ++i) cache.Get(Numbered(i));
-  EXPECT_EQ(cache.resident(), 100u);
-  EXPECT_EQ(cache.stats().compiles, 100u);
 }
 
 // ---------------------------------------------------------------------------
@@ -520,31 +382,6 @@ TEST(SerialOracleTest, ArithmeticMatchesSerialReplay) {
     const RunMetrics m = RunAndCheck(programs, {4, 9, 15, 22, 31},
                                      core::SchedulerKind::kRandom, seed);
     EXPECT_GT(m.deadlocks, 0u) << "seed " << seed;
-  }
-}
-
-// The cache-hit telemetry the CI observability smoke asserts on: a
-// templated one-shard run must report hits on the engine metrics. With
-// T <= concurrency templates the idle window (the peak live count) keeps
-// every template resident while it sits idle between instances, so each
-// compiles exactly once (DESIGN D21).
-TEST(CompileCacheTest, TemplatedWorkloadReportsCacheHits) {
-  for (std::uint32_t templates : {1u, 5u, 8u}) {
-    par::ShardedOptions opt;
-    opt.num_shards = 1;
-    opt.cross_shard_fraction = 0.0;
-    opt.engine.scheduler = core::SchedulerKind::kRandom;
-    opt.total_txns = 100;
-    opt.concurrency = 8;
-    opt.workload.num_entities = 16;
-    opt.workload.num_templates = templates;
-    opt.seed = 4;
-    auto rep = par::RunSharded(opt);
-    ASSERT_TRUE(rep.ok()) << rep.status().ToString();
-    const core::EngineMetrics& m = rep->shards[0].metrics;
-    EXPECT_EQ(m.programs_compiled, templates) << templates << " templates";
-    EXPECT_EQ(m.compile_cache_hits, 100u - templates);
-    EXPECT_GT(m.compiled_bytes, 0u);
   }
 }
 

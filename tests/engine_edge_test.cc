@@ -3,13 +3,12 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "analysis/history.h"
 #include "core/engine.h"
 #include "par/sharded_driver.h"
 #include "sim/workload.h"
 #include "storage/entity_store.h"
+#include "txn/compiled.h"
 #include "txn/program.h"
 
 namespace pardb::core {
@@ -367,17 +366,15 @@ TEST(SharedProgramTest, ManyTransactionsShareOneProgram) {
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(engine.Spawn(shared).ok());
   }
-  // 10 transactions + local + the compile cache's collision-guard
-  // reference — no per-transaction copies.
-  EXPECT_EQ(shared.use_count(), 12);
+  // 10 transactions + local — no per-transaction copies.
+  EXPECT_EQ(shared.use_count(), 11);
   ASSERT_TRUE(engine.RunToCompletion().ok());
   EXPECT_EQ(engine.metrics().commits, 10u);
-  // Committed transactions release their program; the cache keeps its
-  // reference while the entry sits in the idle window.
-  EXPECT_EQ(shared.use_count(), 2);
+  // Committed transactions release their program.
+  EXPECT_EQ(shared.use_count(), 1);
 }
 
-// Residency (DESIGN D21) ---------------------------------------------------
+// One lowering per admission (DESIGN D26) -----------------------------------
 
 std::shared_ptr<const txn::Program> Own(txn::Program p) {
   return std::make_shared<const txn::Program>(std::move(p));
@@ -417,29 +414,25 @@ TEST_F(EngineEdgeTest, LiveTransactionStillPricesConflictRelease) {
 }
 
 // Runs `programs` closed-loop at `concurrency` live transactions, refilling
-// after every commit; returns the most entries ever resident.
-std::size_t RunClosedLoop(
+// after every commit.
+void RunClosedLoop(
     Engine* engine,
     const std::vector<std::shared_ptr<const txn::Program>>& programs,
     std::size_t concurrency) {
   std::size_t next = 0;
-  std::size_t max_resident = 0;
   while (next < programs.size() || engine->live_txn_count() > 0) {
     while (next < programs.size() && engine->live_txn_count() < concurrency) {
       EXPECT_TRUE(engine->Spawn(programs[next++]).ok());
     }
-    max_resident = std::max(max_resident, engine->resident_programs());
     auto q = engine->StepQuantum(1'000'000, /*stop_after_commit=*/true);
     EXPECT_TRUE(q.ok());
     if (!q.ok() || q->ran_dry) break;
-    max_resident = std::max(max_resident, engine->resident_programs());
   }
-  return max_resident;
 }
 
-TEST(ResidencyTest, UniqueProgramsStayWithinTwicePeakLive) {
-  // Every program unique (no templates): a cache that never released
-  // would end the run holding all 8000 entries.
+// DESIGN D26: every admission lowers its program once, into its own row,
+// and its commit frees the lowering.
+TEST(LoweringTest, CommitsReleaseEveryProgram) {
   constexpr std::size_t kTxns = 8000;
   constexpr std::size_t kConcurrency = 32;
   sim::WorkloadOptions w;
@@ -458,39 +451,33 @@ TEST(ResidencyTest, UniqueProgramsStayWithinTwicePeakLive) {
   EngineOptions opt;
   opt.scheduler = SchedulerKind::kRandom;
   Engine engine(&store, opt);
-  const std::size_t max_resident =
-      RunClosedLoop(&engine, programs, kConcurrency);
+  RunClosedLoop(&engine, programs, kConcurrency);
   EXPECT_EQ(engine.metrics().commits, kTxns);
-  EXPECT_EQ(engine.metrics().programs_compiled, kTxns);  // all distinct
-  // Live entries (at most the peak live count) plus an idle window of the
-  // peak live count.
-  EXPECT_LE(max_resident, 2 * kConcurrency);
-  EXPECT_LE(engine.resident_programs(), kConcurrency);
-  // Every committed program but the idle window's was released.
-  std::size_t still_referenced = 0;
-  for (const auto& p : programs) still_referenced += p.use_count() > 1;
-  EXPECT_LE(still_referenced, kConcurrency);
+  EXPECT_EQ(engine.metrics().programs_compiled, kTxns);
+  for (const auto& p : programs) EXPECT_EQ(p.use_count(), 1);
 }
 
-TEST(ResidencyTest, IdleProgramIsRevivedWithoutRecompiling) {
+TEST(LoweringTest, EachAdmissionOfOneProgramLowersOnce) {
   storage::EntityStore store;
   auto ids = store.CreateMany(2, 0);
   Engine engine(&store, EngineOptions{});
   auto a = Own(TwoLock(ids[0], ids[1], "a"));
+  const std::size_t bytes = txn::CompiledProgram::Compile(*a)->byte_size();
   ASSERT_TRUE(engine.Spawn(a).ok());
-  ASSERT_TRUE(engine.Spawn(a).ok());  // peak live 2
+  ASSERT_TRUE(engine.Spawn(a).ok());
+  EXPECT_EQ(engine.metrics().programs_compiled, 2u);
   ASSERT_TRUE(engine.RunToCompletion().ok());
-  EXPECT_EQ(engine.resident_programs(), 1u);  // idle, not evicted
-  ASSERT_TRUE(engine.Spawn(Own(TwoLock(ids[0], ids[1], "renamed"))).ok());
+  ASSERT_TRUE(engine.Spawn(a).ok());
   ASSERT_TRUE(engine.RunToCompletion().ok());
-  EXPECT_EQ(engine.metrics().programs_compiled, 1u);
-  EXPECT_EQ(engine.metrics().compile_cache_hits, 2u);
+  EXPECT_EQ(engine.metrics().programs_compiled, 3u);
+  EXPECT_EQ(engine.metrics().compiled_bytes, 3 * bytes);
+  EXPECT_EQ(a.use_count(), 1);
 }
 
-TEST(ResidencyTest, EvictedProgramRecompilesAndRunsIdentically) {
-  // Peak live 1, so the idle window holds one entry: committing b evicts a.
-  // a's re-admission lowers it again under a recycled entry number, with a
-  // fresh plan, and it must step through the same states and values.
+TEST(LoweringTest, ReadmittedProgramRunsIdentically) {
+  // a commits and releases its lowering; b reuses a's row; a's
+  // re-admission lowers it again, with a fresh plan, and it must step
+  // through the same states and values.
   storage::EntityStore store;
   auto ids = store.CreateMany(3, 5);
   Engine engine(&store, EngineOptions{});
@@ -519,19 +506,41 @@ TEST(ResidencyTest, EvictedProgramRecompilesAndRunsIdentically) {
   const std::vector<Value> before = Trace(first.value());
   ASSERT_TRUE(store.Publish(ids[0], 5).ok());  // same starting store
   ASSERT_TRUE(store.Publish(ids[1], 5).ok());
+  EXPECT_EQ(a.use_count(), 1);  // the commit released a
 
   auto b = engine.Spawn(TwoLock(ids[2], ids[1], "b"));
   ASSERT_TRUE(b.ok());
   ASSERT_TRUE(engine.RunToCompletion().ok());
   ASSERT_TRUE(store.Publish(ids[1], 5).ok());
-  EXPECT_EQ(engine.resident_programs(), 1u);  // a evicted, b idle
-  EXPECT_EQ(a.use_count(), 1);                // nothing holds a any more
 
   auto again = engine.Spawn(a);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(engine.metrics().programs_compiled, 3u);
   EXPECT_EQ(Trace(again.value()), before);
   EXPECT_EQ(store.Get(ids[1]).value().value, 12);
+}
+
+TEST(LoweringTest, RolledBackVictimIsNotLoweredAgain) {
+  storage::EntityStore store;
+  auto ids = store.CreateMany(2, 0);
+  Engine engine(&store, EngineOptions{});
+  auto ta = engine.Spawn(TwoLock(ids[0], ids[1], "a"));
+  auto tb = engine.Spawn(TwoLock(ids[1], ids[0], "b"));
+  ASSERT_TRUE(ta.ok());
+  ASSERT_TRUE(tb.ok());
+  const std::uint64_t bytes = engine.metrics().compiled_bytes;
+  EXPECT_EQ(engine.metrics().programs_compiled, 2u);
+  // a holds E0 and waits for E1; b holds E1 and closes the cycle on E0.
+  ASSERT_TRUE(engine.StepTxn(ta.value()).ok());
+  ASSERT_TRUE(engine.StepTxn(tb.value()).ok());
+  ASSERT_TRUE(engine.StepTxn(ta.value()).ok());
+  ASSERT_TRUE(engine.StepTxn(tb.value()).ok());
+  EXPECT_EQ(engine.metrics().rollbacks, 1u);
+  EXPECT_EQ(engine.metrics().programs_compiled, 2u);
+  ASSERT_TRUE(engine.RunToCompletion().ok());
+  EXPECT_EQ(engine.metrics().commits, 2u);
+  EXPECT_EQ(engine.metrics().programs_compiled, 2u);
+  EXPECT_EQ(engine.metrics().compiled_bytes, bytes);
 }
 
 }  // namespace

@@ -261,20 +261,13 @@ TEST(Phase1Test, StreamedDrawsMatchTheSerialPlanWalk) {
   const auto pools = ShardEntityUniverses(3, 8);
   EXPECT_TRUE(std::any_of(pools.begin(), pools.end(),
                           [](const auto& pool) { return pool.empty(); }));
-  // Templated programs: a bookmark taken while the pool fills must draw
-  // from the rng again, one taken later from the shared pool.
-  for (double cross : {0.05, 1.0}) {
-    cases.push_back(Phase1Options(4, 64, cross, false));
-    cases.back().workload.num_templates = 5;
-  }
 
   for (const ShardedOptions& opt : cases) {
     const std::string where =
         "shards=" + std::to_string(opt.num_shards) +
         " entities=" + std::to_string(opt.workload.num_entities) +
         " cross=" + std::to_string(opt.cross_shard_fraction) +
-        " hot=" + std::to_string(opt.hot_shard_routing) +
-        " templates=" + std::to_string(opt.workload.num_templates);
+        " hot=" + std::to_string(opt.hot_shard_routing);
     const std::vector<std::string> serial = SerialPlanWalk(opt);
     ASSERT_EQ(serial.size(), opt.total_txns) << where;
 

@@ -233,10 +233,6 @@ TEST(WorkloadOracleTest, DrawsTheBuilderGeneratorsProgramsExactly) {
     }
     o.sorted_entities = true;
   });
-  Add("templates", [](WorkloadOptions& o) {
-    o.num_templates = 5;
-    o.shared_fraction = 0.3;
-  });
   for (std::uint32_t reps : {0u, 1u, 3u}) {
     Add("ops per entity", [&](WorkloadOptions& o) {
       o.ops_per_entity = reps;

@@ -189,7 +189,7 @@ TEST(TxnLifeLedgerTest, Figure2OrderedPolicyPaysOnceAndCommitsAll) {
 // Record arithmetic and the bounded event ring.
 // ---------------------------------------------------------------------------
 
-TEST(TxnLifeBookTest, RecordTracksLatencyComponentsAndQueueWait) {
+TEST(TxnLifeBookTest, RecordTracksLatencyComponents) {
   ManualClock clock(1000);
   TxnLifeBook::Options opt;
   opt.clock = &clock;
@@ -197,7 +197,6 @@ TEST(TxnLifeBookTest, RecordTracksLatencyComponentsAndQueueWait) {
 
   const TxnId t0(0);
   book.OnEvent({.kind = EventKind::kAdmit, .step = 0, .txn = t0});
-  book.RecordQueueWait(t0, /*wait_ns=*/1234);
   book.OnStep(t0, 1);
   book.OnEvent({.kind = EventKind::kBlock,
                 .step = 2,
@@ -220,7 +219,6 @@ TEST(TxnLifeBookTest, RecordTracksLatencyComponentsAndQueueWait) {
   EXPECT_EQ(rec.first_step, 1u);
   EXPECT_EQ(rec.commit_step, 6u);
   EXPECT_EQ(rec.e2e_steps, 6u);
-  EXPECT_EQ(rec.queue_wait_ns, 1234u);
   EXPECT_EQ(rec.lock_wait_steps, 3u);  // blocked at 2, woken at 5
   EXPECT_EQ(rec.exec_steps, 2u);
   EXPECT_EQ(rec.redo_steps, 0u);
@@ -233,7 +231,6 @@ TEST(TxnLifeBookTest, RecordTracksLatencyComponentsAndQueueWait) {
   const std::string json = obs::TxnTimelineToJson(rec);
   EXPECT_NE(json.find("\"txn\":0"), std::string::npos);
   EXPECT_NE(json.find("\"committed\":true"), std::string::npos);
-  EXPECT_NE(json.find("\"queue_wait_ns\":1234"), std::string::npos);
   EXPECT_NE(json.find("\"kind\":\"block\",\"step\":2"), std::string::npos);
   EXPECT_NE(json.find("\"entity\":7"), std::string::npos);
   EXPECT_NE(json.find("\"pc\":3"), std::string::npos);
@@ -297,7 +294,9 @@ TEST(TxnLifeBookTest, AttachMetricsMaterializesLatencySeriesAtZero) {
   const auto snap = registry.Snapshot();
   ASSERT_NE(snap.Find(obs::kTxnlifeDroppedTotal, {}), nullptr);
   ASSERT_NE(snap.Find(obs::kTxnE2eSteps, {}), nullptr);
-  ASSERT_NE(snap.Find(obs::kTxnQueueWaitNs, {}), nullptr);
+  ASSERT_NE(snap.Find(obs::kTxnLockWaitSteps, {}), nullptr);
+  ASSERT_NE(snap.Find(obs::kTxnExecSteps, {}), nullptr);
+  ASSERT_NE(snap.Find(obs::kTxnRedoSteps, {}), nullptr);
 }
 
 }  // namespace

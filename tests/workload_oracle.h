@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -38,10 +37,6 @@ class OracleWorkloadGenerator {
     const WorkloadOptions& o = options_;
     if (o.min_locks == 0 || o.max_locks < o.min_locks) {
       return Status::InvalidArgument("invalid lock count range");
-    }
-    if (o.num_templates > 0 && sequence_ >= o.num_templates) {
-      const txn::Program& t = (*templates_)[sequence_ % o.num_templates];
-      return t.WithName("txn-" + std::to_string(sequence_++));
     }
     const std::uint64_t universe = o.entity_universe.empty()
                                        ? o.num_entities
@@ -128,12 +123,7 @@ class OracleWorkloadGenerator {
       }
     }
     b.Commit();
-    auto built = std::move(b).Build();
-    if (built.ok() && o.num_templates > 0 &&
-        templates_->size() + 1 == sequence_) {
-      templates_->push_back(built.value());
-    }
-    return built;
+    return std::move(b).Build();
   }
 
  private:
@@ -141,8 +131,6 @@ class OracleWorkloadGenerator {
   Rng rng_;
   ZipfianGenerator zipf_;
   std::uint64_t sequence_ = 0;
-  std::shared_ptr<std::vector<txn::Program>> templates_ =
-      std::make_shared<std::vector<txn::Program>>();
 };
 
 }  // namespace pardb::sim

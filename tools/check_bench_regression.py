@@ -35,13 +35,12 @@ throughput must stay at or above --min-hotpath-txns-per-sec (default
 210000: 10x the pinned ~21k pre-rewrite single-shard number). Wall-clock
 rates other than that floor are informational.
 
-When the file carries an enabled "compile" section (the D16 µop cache;
-absent from pre-D16 files, which skip these gates), the cache population
-counters (programs, compiles, hits, compiled_bytes) must
-match the baseline exactly — the pinned program set is identical on every
-host — and the cold lowering cost must stay at or below
---max-compile-us-per-program (default 5.0 µs per unique program; warm
-cache hits are printed for reference, not gated).
+When the file carries an enabled "compile" section (the D16 µop lowering;
+absent from pre-D16 files, which skip these gates), the lowering counters
+(programs, compiled_bytes) must match the baseline exactly — the pinned
+program set is identical on every host, and each program is lowered once,
+as admission does (D26) — and the lowering cost must stay at or below
+--max-compile-us-per-program (default 5.0 µs per program).
 
 When the file carries a "generate" section (the D24 generation micro;
 absent from older files, which skip these gates unless the baseline has
@@ -256,31 +255,30 @@ def check_hotpath(current, baseline, min_txns_per_sec,
         print(f"hotpath: {section}.{field} = {current[section][field]:.0f} "
               f"(baseline {base:.0f}, informational)")
     # D16 compile gates. The "compile" section is absent from pre-D16 files,
-    # which skip the cost ceiling. When present, the cache population
-    # counters are deterministic (same pinned program set on every host)
-    # and the cold lowering cost per unique program is capped.
+    # which skip the cost ceiling. When present, the lowering counters are
+    # deterministic (same pinned program set on every host) and the
+    # lowering cost per program is capped.
     comp = current.get("compile")
     if comp and comp.get("enabled"):
         base_comp = (baseline or {}).get("compile")
         if base_comp and base_comp.get("enabled"):
-            for field in ("programs", "compiles", "hits", "compiled_bytes"):
+            for field in ("programs", "compiled_bytes"):
                 if comp[field] != base_comp[field]:
                     failures.append(
                         f"hotpath: compile.{field} {comp[field]} != baseline "
                         f"{base_comp[field]} (deterministic result drifted)")
         us = comp["us_per_program"]
         verdict = "ok" if us <= max_compile_us_per_program else "FAIL"
-        print(f"hotpath: compile {us:.3f} us/program cold "
+        print(f"hotpath: compile {us:.3f} us/program "
               f"(ceiling {max_compile_us_per_program}) {verdict}, "
-              f"{comp['hit_us_per_program']:.3f} us/program on hits, "
-              f"{comp['compiles']} compiles / {comp['hits']} hits over "
+              f"{comp['compiled_bytes']} uop bytes over "
               f"{comp['programs']} programs")
         if us > max_compile_us_per_program:
             failures.append(
                 f"hotpath: compile cost {us:.3f} us/program above ceiling "
                 f"{max_compile_us_per_program}")
     else:
-        print("hotpath: compile cache disabled or absent; skipping "
+        print("hotpath: compile section disabled or absent; skipping "
               "compile-cost gates")
     # D24 generation gates: the pinned draw is deterministic, so its op
     # count and its heap blocks per program are exact.

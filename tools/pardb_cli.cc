@@ -49,9 +49,6 @@
 //   --locks=MIN:MAX (1 <= MIN <= MAX) --shared=F (in [0,1])
 //   --zipf=T (in [0,1))
 //   --pattern=scattered|clustered|three-phase
-//   --templates=N                    cycle the first N programs as renamed
-//                                    templates (compile-cache hit workload;
-//                                    0 = every program unique) [0]
 //   --shards=N (1..1024)             engines [sim 1, parallel 4]
 //   --cross=F (in [0,1])             share of transactions drawn across
 //                                    shard boundaries [sim 0, parallel 0.05]
@@ -455,12 +452,6 @@ Result<par::ShardedOptions> BuildRunOptions(const Flags& flags,
   PARDB_ASSIGN_OR_RETURN(
       opt.workload.pattern,
       ParsePattern(flags.GetString("pattern", "scattered")));
-  // Parameterized-statement mode: cycle the first N generated programs as
-  // templates (fresh names, identical ops), so the compile cache hits on
-  // every admission after the first cycle.
-  PARDB_ASSIGN_OR_RETURN(auto templates,
-                         GetIntIn(flags, "templates", 0, 0, kMaxU32));
-  opt.workload.num_templates = static_cast<std::uint32_t>(templates);
   PARDB_RETURN_IF_ERROR(
       ParseLocks(flags.GetString("locks", "3:6"), opt.workload));
 
