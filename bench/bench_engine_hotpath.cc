@@ -1,6 +1,6 @@
 // Single-engine hot-path benchmark for the data-oriented rewrite (D15).
 //
-// Four measurements, all on one shard / one thread, plus two micros on
+// Five measurements, all on one shard / one thread, plus two micros on
 // the admission path (program generation and compile):
 //
 //   1. lock/release micro — raw LockManager Request/ReleaseInto ops/sec on
@@ -15,6 +15,11 @@
 //      engine execution throughput, not workload generation. Median of 3.
 //   4. steady-state allocation audit — a warm engine stepping lock-only
 //      transactions; allocations per step in the counted window must be 0.
+//   5. contended waits — the detect layer on the perfbench contention_rw
+//      shape (hot keys, 30% shared, 3-6 locks, FIFO queues, continuous
+//      detection): waits, detections, µs per wait and the heap blocks the
+//      stepping loop allocates per wait, which must be exactly 0 (DESIGN
+//      D27: the waits-for arcs are read off the lock table, not kept).
 //
 // The generate micro draws the pinned workload's programs from a fresh
 // WorkloadGenerator, counting the heap blocks each program costs (its three
@@ -463,6 +468,113 @@ SteadyAllocResult RunSteadyStateAllocAudit() {
 }
 
 // ---------------------------------------------------------------------------
+// 5. Contended waits: the detect layer.
+// ---------------------------------------------------------------------------
+
+struct ContendedWaitResult {
+  std::uint64_t txns = 0;       // counted run
+  std::uint64_t committed = 0;  // deterministic
+  std::uint64_t steps = 0;      // deterministic
+  std::uint64_t waits = 0;      // deterministic: lock waits
+  std::uint64_t detections = 0; // deterministic: deadlocks resolved
+  std::uint64_t rollbacks = 0;  // deterministic
+  std::uint64_t allocs = 0;     // deterministic: stepping-loop heap blocks
+  double allocs_per_wait = 0.0;  // must be exactly 0
+  double elapsed = 0.0;
+  double us_per_wait = 0.0;
+};
+
+ContendedWaitResult RunContendedWait() {
+  constexpr std::uint64_t kWarmTxns = 4000;
+  constexpr std::uint64_t kTxns = 2000;
+  constexpr std::size_t kConcurrency = 32;
+
+  // perfbench's contention_rw shape on one engine.
+  sim::WorkloadOptions w;
+  w.num_entities = 128;
+  w.zipf_theta = 0.7;
+  w.shared_fraction = 0.3;
+  w.min_locks = 3;
+  w.max_locks = 6;
+  w.pattern = sim::WritePattern::kScattered;
+  sim::WorkloadGenerator gen(w, 21);
+  std::vector<std::shared_ptr<const txn::Program>> programs;
+  programs.reserve(kWarmTxns + kTxns);
+  for (std::uint64_t i = 0; i < kWarmTxns + kTxns; ++i) {
+    auto p = gen.Next();
+    if (!p.ok()) std::abort();
+    programs.push_back(
+        std::make_shared<const txn::Program>(std::move(p).value()));
+  }
+
+  auto Once = [&](ContendedWaitResult* out) {
+    storage::EntityStore store;
+    store.CreateMany(w.num_entities, 0);
+    core::EngineOptions eopt;  // FIFO queues, continuous detection
+    eopt.scheduler = core::SchedulerKind::kRandom;
+    eopt.seed = 21;
+    core::Engine engine(&store, eopt, nullptr);
+    engine.ReserveTxns(kConcurrency);
+    std::size_t spawned = 0;
+    // Runs the closed loop until `until` commits; the heap blocks Spawn
+    // takes (admission builds per-transaction state) are not counted.
+    auto Run = [&](std::uint64_t until, std::uint64_t* steps) {
+      std::uint64_t spawn_allocs = 0;
+      const std::uint64_t a0 = HeapAllocs();
+      while (engine.metrics().commits < until) {
+        while (spawned < until &&
+               spawned - engine.metrics().commits < kConcurrency) {
+          const std::uint64_t s0 = HeapAllocs();
+          if (!engine.Spawn(programs[spawned]).ok()) std::abort();
+          spawn_allocs += HeapAllocs() - s0;
+          ++spawned;
+        }
+        auto r = engine.StepQuantum(256, false);
+        if (!r.ok()) std::abort();
+        *steps += r.value().steps;
+      }
+      return HeapAllocs() - a0 - spawn_allocs;
+    };
+    // The warm transactions grow every scratch buffer of the detect and
+    // rollback path to the sizes this workload reaches.
+    std::uint64_t warm_steps = 0;
+    Run(kWarmTxns, &warm_steps);
+    const core::EngineMetrics before = engine.metrics();
+    std::uint64_t steps = 0;
+    const auto start = std::chrono::steady_clock::now();
+    const std::uint64_t allocs = Run(kWarmTxns + kTxns, &steps);
+    out->elapsed = Seconds(start, std::chrono::steady_clock::now());
+    const core::EngineMetrics& m = engine.metrics();
+    out->txns = kTxns;
+    out->committed = m.commits - before.commits;
+    out->steps = steps;
+    out->waits = m.lock_waits - before.lock_waits;
+    out->detections = m.deadlocks - before.deadlocks;
+    out->rollbacks = m.rollbacks - before.rollbacks;
+    out->allocs = allocs;
+  };
+
+  ContendedWaitResult r;
+  std::vector<double> times;
+  for (int rep = 0; rep < 3; ++rep) {
+    ContendedWaitResult cur;
+    Once(&cur);
+    if (rep > 0 && (cur.committed != r.committed || cur.steps != r.steps ||
+                    cur.waits != r.waits || cur.allocs != r.allocs)) {
+      std::cerr << "contended wait: nondeterministic run\n";
+      std::abort();
+    }
+    times.push_back(cur.elapsed);
+    r = cur;
+  }
+  r.elapsed = Median(times);
+  r.allocs_per_wait =
+      r.waits > 0 ? static_cast<double>(r.allocs) / r.waits : 0.0;
+  r.us_per_wait = r.waits > 0 ? r.elapsed * 1e6 / r.waits : 0.0;
+  return r;
+}
+
+// ---------------------------------------------------------------------------
 
 void PrintReproduction() {
   const auto programs = PinnedWorkloadPrograms();
@@ -472,6 +584,7 @@ void PrintReproduction() {
   const CompileMicroResult comp = RunCompileMicro(programs);
   const EndToEndResult e2e = RunEndToEnd(programs);
   const SteadyAllocResult steady = RunSteadyStateAllocAudit();
+  const ContendedWaitResult contended = RunContendedWait();
 
   Section("Single-engine hot path (1 shard, median of 3, compiled µops)");
   Table t({"section", "ops", "elapsed (s)", "rate (/s)", "allocs/op"});
@@ -488,6 +601,9 @@ void PrintReproduction() {
            e2e.txns_per_second, "-");
   t.AddRow("steady-state step audit", steady.steps, "-", "-",
            steady.allocs_per_step);
+  t.AddRow("contended waits (per wait)", contended.waits, contended.elapsed,
+           contended.elapsed > 0 ? contended.waits / contended.elapsed : 0.0,
+           contended.allocs_per_wait);
   t.Print();
   std::cout << "(generate micro: " << gen.programs << " programs, "
             << gen.ops << " ops, " << gen.us_per_program
@@ -501,6 +617,11 @@ void PrintReproduction() {
             << "; rollback micro: " << rb.deadlocks << " deadlocks over "
             << rb.pairs << " pairs; allocation counts must be exactly 0 on "
             << "the warm fast path)\n";
+  std::cout << "(contended waits: " << contended.committed << " txns, "
+            << contended.steps << " steps, " << contended.waits << " waits, "
+            << contended.detections << " detections, " << contended.rollbacks
+            << " rollbacks, " << contended.us_per_wait << " us/wait, "
+            << contended.allocs << " stepping heap blocks)\n";
 
   std::ofstream json("BENCH_hotpath.json");
   json << "{\n"
@@ -529,7 +650,17 @@ void PrintReproduction() {
        << ",\"txns_per_second\":" << e2e.txns_per_second << "},\n"
        << " \"steady_state\":{\"steps\":" << steady.steps
        << ",\"allocs\":" << steady.allocs
-       << ",\"allocs_per_step\":" << steady.allocs_per_step << "}\n"
+       << ",\"allocs_per_step\":" << steady.allocs_per_step << "},\n"
+       << " \"contended_wait\":{\"txns\":" << contended.txns
+       << ",\"committed\":" << contended.committed
+       << ",\"steps\":" << contended.steps
+       << ",\"waits\":" << contended.waits
+       << ",\"detections\":" << contended.detections
+       << ",\"rollbacks\":" << contended.rollbacks
+       << ",\"allocs\":" << contended.allocs
+       << ",\"allocs_per_wait\":" << contended.allocs_per_wait
+       << ",\"elapsed_seconds\":" << contended.elapsed
+       << ",\"us_per_wait\":" << contended.us_per_wait << "}\n"
        << "}\n";
   std::cout << "(wrote BENCH_hotpath.json; committed/steps/rollbacks, the "
                "generated op count and every allocation counter are "

@@ -51,7 +51,7 @@ void PrintReproduction() {
     if (!fig.ok()) {
       std::cerr << "scenario failed: " << fig.status() << "\n";
     } else {
-      const auto& g = fig->runner->engine().waits_for();
+      const auto g = fig->runner->engine().WaitsFor();
       Table t({"property", "measured", "paper"});
       t.AddRow("acyclic", g.IsAcyclic() ? "yes" : "no", "yes (no deadlock)");
       t.AddRow("forest", g.IsForest() ? "yes" : "no",
@@ -177,7 +177,9 @@ std::uint64_t FlowCutCost(const graph::Digraph& g,
                           graph::CyclesThrough* cycles,
                           std::vector<std::uint64_t>* capacity,
                           std::vector<std::size_t>* cut) {
-  if (!cycles->Load(g, 0)) return 0;
+  if (!cycles->Load(0, [&g](graph::VertexId v) { return g.InArcs(v); })) {
+    return 0;
+  }
   capacity->clear();
   for (std::size_t i = 0; i < cycles->size(); ++i) {
     capacity->push_back(costs[cycles->member(i)]);
@@ -228,7 +230,8 @@ void BM_RequesterOnly(benchmark::State& state) {
   graph::CyclesThrough cycles;
   bool found = false;
   for (auto _ : state) {
-    found = cycles.Load(g, 0);  // detection only; the victim is vertex 0
+    // Detection only; the victim is vertex 0.
+    found = cycles.Load(0, [&g](graph::VertexId v) { return g.InArcs(v); });
     benchmark::DoNotOptimize(found);
   }
   state.counters["cut_cost"] = found ? static_cast<double>(costs[0]) : 0.0;

@@ -45,7 +45,7 @@ void Figure1() {
   };
   // Trigger and show both states.
   std::cout << "before T2 requests e:\n"
-            << engine.waits_for().ToDot(TxnName, entity_name);
+            << engine.WaitsFor().ToDot(TxnName, entity_name);
   (void)fig->TriggerDeadlock();
   const obs::DeadlockDump& dump = fig->runner->deadlocks().dumps().at(0);
   std::printf("deadlock: cycle of %zu transactions; candidate costs:\n",
@@ -59,7 +59,7 @@ void Figure1() {
               (unsigned long long)dump.victims[0].value() + 1,
               (unsigned long long)obs::VictimCost(dump));
   std::cout << "Figure 1(b), after the partial rollback of T2:\n"
-            << engine.waits_for().ToDot(TxnName, entity_name) << "\n";
+            << engine.WaitsFor().ToDot(TxnName, entity_name) << "\n";
 }
 
 void Figure2() {
@@ -83,7 +83,7 @@ void Figure3() {
   auto a = sim::BuildFigure3a(MinCostOptions());
   if (a.ok()) {
     std::cout << "(a) acyclic but not a forest:\n"
-              << a->runner->engine().waits_for().ToDot(TxnName);
+              << a->runner->engine().WaitsFor().ToDot(TxnName);
   }
   auto c = sim::BuildFigure3c(MinCostOptions());
   if (c.ok()) {

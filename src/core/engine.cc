@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <new>
+#include <span>
 #include <sstream>
 #include <string>
 
@@ -418,16 +419,11 @@ Result<StepOutcome> Engine::ExecuteLock(TxnContext& ctx, EntityId entity,
   if (outcome.value().granted) {
     PARDB_RETURN_IF_ERROR(
         RegisterGrant(ctx, entity, mode, outcome.value().is_upgrade));
-    // An immediate grant (e.g. a shared request bypassing queued exclusive
-    // waiters) makes this transaction a blocker of those waiters: the
-    // waits-for arcs must reflect it or a later cycle through them goes
-    // undetected. The grant itself cannot close a cycle — the grantee is
-    // not waiting — so refreshing the arcs suffices.
-    RefreshWaitEdges(entity);
     return StepOutcome::kExecuted;
   }
-  // Wait response (§2 rule 2): record arcs, then keep the system
-  // deadlock-free (§2 rule 3) by the configured means.
+  // Wait response (§2 rule 2): the lock table now holds the new arcs
+  // (DESIGN D27); keep the system deadlock-free (§2 rule 3) by the
+  // configured means.
   ctx.status = TxnStatus::kWaiting;
   MarkReadyDirty(ctx);
   ctx.wait_since = metrics_.steps;
@@ -436,7 +432,6 @@ Result<StepOutcome> Engine::ExecuteLock(TxnContext& ctx, EntityId entity,
         .txn = ctx.id,
         .entity = entity,
         .pc = ctx.pc});
-  RefreshWaitEdges(entity);
   switch (options_.handling) {
     case DeadlockHandling::kDetection: {
       if (options_.detection_mode == DetectionMode::kPeriodic) {
@@ -518,7 +513,6 @@ Status Engine::ExecuteReleases(TxnContext& ctx) {
     for (const lock::Grant& g : scratch_grants_) {
       PARDB_RETURN_IF_ERROR(HandleGrant(g));
     }
-    RefreshWaitEdges(r.entity);
   }
   return Status::OK();
 }
@@ -542,7 +536,6 @@ Status Engine::ExecuteCommit(TxnContext& ctx) {
   MarkReadyDirty(ctx);
   ctx.pc = ctx.size;
   LiveRemove(RowOf(ctx));
-  waits_for_.RemoveVertex(ctx.id.value());
   if (recorder_ != nullptr) recorder_->OnCommit(ctx.id);
   Emit({.kind = obs::EventKind::kCommit, .txn = ctx.id, .pc = ctx.pc});
   ++metrics_.commits;
@@ -561,21 +554,44 @@ Status Engine::ExecuteCommit(TxnContext& ctx) {
   return Status::OK();
 }
 
-void Engine::RefreshWaitEdges(EntityId entity) {
-  const graph::EdgeLabel label = entity.value();
-  const bool has_waiters = locks_.HasWaiters(entity);
-  // Fast path: nothing waits and no stale arcs carry this label — the
-  // overwhelmingly common case for an uncontended grant or release.
-  if (!has_waiters && !waits_for_.HasEdgesLabeled(label)) return;
-  waits_for_.RemoveEdgesLabeled(label);
-  if (!has_waiters) return;
-  locks_.ForEachWaiter(entity, [&](TxnId waiter, lock::LockMode) {
+bool Engine::LoadCyclesThrough(TxnId root) {
+  // A waiting transaction's in-arcs are its blockers, labeled with the
+  // entity it waits for (DESIGN D27); everyone else has none.
+  return cycles_.Load(root.value(), [this](graph::VertexId v) {
     scratch_blockers_.clear();
-    locks_.AppendBlockersOf(waiter, &scratch_blockers_);
-    for (TxnId blocker : scratch_blockers_) {
-      waits_for_.AddEdge(blocker.value(), waiter.value(), label);
+    const EntityId entity =
+        locks_.AppendBlockersOf(TxnId(v), &scratch_blockers_);
+    scratch_arcs_.clear();
+    for (TxnId b : scratch_blockers_) {
+      scratch_arcs_.push_back(graph::Arc{b.value(), entity.value()});
     }
+    return std::span<const graph::Arc>(scratch_arcs_);
   });
+}
+
+void Engine::AppendWaitsFor(std::vector<graph::Edge>* out) const {
+  const std::size_t base = out->size();
+  std::vector<TxnId> blockers;
+  for (std::uint64_t v = live_head_; v != kNoneIdx; v = live_next_[v]) {
+    const TxnId waiter = txns_[v].id;
+    blockers.clear();
+    const EntityId entity = locks_.AppendBlockersOf(waiter, &blockers);
+    for (TxnId b : blockers) {
+      out->push_back(graph::Edge{b.value(), waiter.value(), entity.value()});
+    }
+  }
+  std::sort(out->begin() + base, out->end());
+}
+
+graph::Digraph Engine::WaitsFor() const {
+  graph::Digraph g;
+  for (std::uint64_t v = live_head_; v != kNoneIdx; v = live_next_[v]) {
+    g.AddVertex(txns_[v].id.value());
+  }
+  std::vector<graph::Edge> arcs;
+  AppendWaitsFor(&arcs);
+  for (const graph::Edge& e : arcs) g.AddEdge(e.from, e.to, e.label);
+  return g;
 }
 
 Result<VictimCandidate> Engine::MakeCandidate(
@@ -632,7 +648,7 @@ Result<bool> Engine::DetectAndResolve(TxnContext& requester,
     obs::ScopedTimer detect_timer(
         probe_ != nullptr ? probe_->detection_ns : nullptr,
         probe_ != nullptr ? probe_->clock : nullptr);
-    if (!cycles_.Load(waits_for_, requester.id.value())) return false;
+    if (!LoadCyclesThrough(requester.id)) return false;
     num_cycles = cycles_.CountCycles();
     cycles_.FirstCycle(&deadlock_cycle_);
   }
@@ -820,8 +836,7 @@ Result<bool> Engine::DetectAndResolve(TxnContext& requester,
   // through the requester. Victims stop waiting, so they leave every cycle,
   // and a rollback adds arcs only out of newly granted transactions, which
   // wait for nothing (DESIGN D19).
-  if (!requester_rolled_back &&
-      cycles_.Load(waits_for_, requester.id.value())) {
+  if (!requester_rolled_back && LoadCyclesThrough(requester.id)) {
     return Status::Internal(
         "deadlock resolution left a cycle through the requester");
   }
@@ -838,7 +853,9 @@ Status Engine::HandleWoundWait(TxnContext& requester, EntityId entity,
   for (int guard = 0; guard < 1024; ++guard) {
     if (!locks_.IsWaiting(requester.id)) return Status::OK();  // granted
     TxnContext* victim = nullptr;
-    for (TxnId b : locks_.BlockersOf(requester.id)) {
+    scratch_blockers_.clear();
+    locks_.AppendBlockersOf(requester.id, &scratch_blockers_);
+    for (TxnId b : scratch_blockers_) {
       TxnContext* blocker = Find(b);
       if (blocker == nullptr) {
         return Status::Internal("unknown blocker in wound-wait");
@@ -880,7 +897,9 @@ Result<bool> Engine::HandleWaitDie(TxnContext& requester) {
   // it holds no lock that an *older* transaction is currently queued for —
   // locally available information only — and retries from there.
   TxnId older_blocker;
-  for (TxnId b : locks_.BlockersOf(requester.id)) {
+  scratch_blockers_.clear();
+  locks_.AppendBlockersOf(requester.id, &scratch_blockers_);
+  for (TxnId b : scratch_blockers_) {
     const TxnContext* blocker = Find(b);
     if (blocker != nullptr && blocker->entry < requester.entry) {
       older_blocker = b;
@@ -931,7 +950,7 @@ Status Engine::PeriodicScan() {
   // occasionally re-arrange another (grants shift queues), hence the outer
   // loop until acyclic.
   for (int guard = 0; guard < 4096; ++guard) {
-    auto groups = waits_for_.CyclicComponents();
+    auto groups = WaitsFor().CyclicComponents();
     if (groups.empty()) return Status::OK();
     for (const auto& group : groups) {
       TxnContext* pseudo = nullptr;
@@ -1025,7 +1044,10 @@ Status Engine::RollbackTxn(TxnContext& victim, const RollbackDecision& d) {
   obs::ScopedTimer rollback_timer(
       probe_ != nullptr ? probe_->rollback_apply_ns : nullptr,
       probe_ != nullptr ? probe_->clock : nullptr);
-  if (rollback_costs_.size() < 65536) {
+  if (rollback_costs_.size() < kRollbackCostSamples) {
+    // Sized once, at the first rollback, so sampling never reallocates on
+    // the rollback path.
+    if (rollback_costs_.empty()) rollback_costs_.reserve(kRollbackCostSamples);
     rollback_costs_.push_back(static_cast<std::uint32_t>(cost));
   }
   ++metrics_.rollbacks;
@@ -1044,7 +1066,6 @@ Status Engine::RollbackTxn(TxnContext& victim, const RollbackDecision& d) {
     for (const lock::Grant& g : scratch_grants_) {
       PARDB_RETURN_IF_ERROR(HandleGrant(g));
     }
-    RefreshWaitEdges(pending->entity);
   }
 
   // Undo lock requests with lock state >= target. The value slots need no
@@ -1079,7 +1100,6 @@ Status Engine::RollbackTxn(TxnContext& victim, const RollbackDecision& d) {
     for (const lock::Grant& g : scratch_grants_) {
       PARDB_RETURN_IF_ERROR(HandleGrant(g));
     }
-    RefreshWaitEdges(r.entity);
   }
 
   // Reset the program counter to re-execute from lock request target+1.
@@ -1360,14 +1380,15 @@ obs::WaitsForSnapshot Engine::SnapshotWaitsFor() const {
     }
     snap.txns.push_back(std::move(t));
   }
-  for (const graph::Edge& e : waits_for_.Edges()) {
+  const graph::Digraph waits_for = WaitsFor();
+  for (const graph::Edge& e : waits_for.Edges()) {
     // Edge: holder (from) -> waiter (to); the snapshot arc reads "waiter
     // waits for holder", matching the forensic dump's orientation.
     snap.arcs.push_back(
         obs::WaitsForArc{TxnId(e.to), TxnId(e.from), EntityId(e.label)});
   }
-  snap.acyclic = waits_for_.IsAcyclic();
-  snap.forest = waits_for_.IsForest();
+  snap.acyclic = waits_for.IsAcyclic();
+  snap.forest = waits_for.IsForest();
   return snap;
 }
 
@@ -1431,7 +1452,7 @@ std::string Engine::DumpState() const {
        << (ctx.status == TxnStatus::kReady ? "ready" : "waiting") << "\n";
   }
   os << "lock table:\n" << locks_.ToString();
-  os << "waits-for:\n" << waits_for_.ToDot();
+  os << "waits-for:\n" << WaitsFor().ToDot();
   return os.str();
 }
 

@@ -333,12 +333,19 @@ class Engine {
   // else the global value (0 once committed: its plan is released).
   Value EntityValueOf(TxnId txn, EntityId entity) const;
 
-  const graph::Digraph& waits_for() const { return waits_for_; }
+  // The paper's labeled concurrency graph G_L(T) (§3.0) at this instant,
+  // derived from the lock table (DESIGN D27): every live transaction is a
+  // vertex, and each waiting one has an arc from each of its blockers,
+  // labeled with the entity it waits for.
+  graph::Digraph WaitsFor() const;
+  // Appends the same arcs to *out, sorted as Digraph::Edges() sorts them,
+  // without building a graph (the cross-shard merge reads these).
+  void AppendWaitsFor(std::vector<graph::Edge>* out) const;
   const lock::LockManager& lock_manager() const { return locks_; }
   const storage::EntityStore& store() const { return *store_; }
   const EngineMetrics& metrics() const { return metrics_; }
-  // Distribution of individual rollback costs (bounded sample of the most
-  // recent 64k rollbacks).
+  // Distribution of individual rollback costs (bounded sample: the first
+  // 64k rollbacks).
   CostDistribution RollbackCostDistribution() const;
   // The raw bounded sample behind RollbackCostDistribution, for aggregators
   // that merge several engines' costs into one distribution.
@@ -520,8 +527,10 @@ class Engine {
 
   // Deadlock machinery --------------------------------------------------------
 
-  // Rebuilds waits-for arcs labeled by `entity` from the lock table.
-  void RefreshWaitEdges(EntityId entity);
+  // Loads cycles_ with root's strongly connected component of the
+  // waits-for graph, reading each transaction's in-arcs off the lock table
+  // (DESIGN D27). False when root is on no cycle.
+  bool LoadCyclesThrough(TxnId root);
   // Detects and resolves any deadlock created by `requester`'s wait.
   // Returns true when the requester itself was rolled back.
   Result<bool> DetectAndResolve(TxnContext& requester, EntityId entity);
@@ -605,7 +614,6 @@ class Engine {
   obs::TxnLifeBook* txnlife_ = nullptr;         // may be null
   obs::DecisionJournal* journal_ = nullptr;     // may be null
   lock::LockManager locks_;
-  graph::Digraph waits_for_;
   // Spill storage for per-transaction granted-lock records (DESIGN D15).
   // Declared before txns_ so it outlives every SmallVec pointing into it.
   Arena txn_arena_;
@@ -678,7 +686,8 @@ class Engine {
   std::uint64_t SelectKthReady(std::size_t k);
   void TrimReadyWindow();
   std::vector<lock::Grant> scratch_grants_;  // release/cancel grant batches
-  std::vector<TxnId> scratch_blockers_;      // RefreshWaitEdges per waiter
+  std::vector<TxnId> scratch_blockers_;      // one waiter's blockers
+  std::vector<graph::Arc> scratch_arcs_;     // ... as in-arcs (cycles_)
   std::vector<LockRecord> scratch_undone_;   // RollbackTxn undo tail
   std::vector<EntityId> scratch_handled_;    // RollbackTxn entity dedup
   std::vector<TxnId> scratch_expired_;       // ExpireTimeouts collection
@@ -702,6 +711,7 @@ class Engine {
   // EngineOptions::debug_flip_victim_deadlock (test hook).
   std::uint64_t debug_flip_opportunities_ = 0;
   EngineMetrics metrics_;
+  static constexpr std::size_t kRollbackCostSamples = 65536;
   std::vector<std::uint32_t> rollback_costs_;  // bounded sample
   Rng rng_;
   std::uint64_t next_txn_ = 0;

@@ -22,18 +22,26 @@ std::string_view VictimPolicyKindName(VictimPolicyKind kind) {
 
 namespace {
 
-// Lexicographic (key, txn id) minimisation for determinism.
-template <typename KeyFn>
+// Lexicographic (key, txn id) minimisation over the candidates `keep`
+// accepts, for determinism; nullptr when it accepts none.
+template <typename KeyFn, typename KeepFn>
 const VictimCandidate* MinBy(const std::vector<VictimCandidate>& cs,
-                             KeyFn key) {
+                             KeyFn key, KeepFn keep) {
   const VictimCandidate* best = nullptr;
   for (const VictimCandidate& c : cs) {
+    if (!keep(c)) continue;
     if (best == nullptr || key(c) < key(*best) ||
         (key(c) == key(*best) && c.txn < best->txn)) {
       best = &c;
     }
   }
   return best;
+}
+
+template <typename KeyFn>
+const VictimCandidate* MinBy(const std::vector<VictimCandidate>& cs,
+                             KeyFn key) {
+  return MinBy(cs, key, [](const VictimCandidate&) { return true; });
 }
 
 }  // namespace
@@ -54,26 +62,17 @@ const VictimCandidate& ChooseVictim(
       // where repeated cheapest self-rollbacks recreate the same deadlock
       // indefinitely. The requester is the fallback when every other cycle
       // member is older.
-      std::vector<VictimCandidate> eligible;
+      const VictimCandidate* best = MinBy(
+          candidates, [](const VictimCandidate& c) { return c.cost; },
+          [requester_entry](const VictimCandidate& c) {
+            return !c.is_requester && c.entry > requester_entry;
+          });
+      if (best != nullptr) return *best;
       for (const VictimCandidate& c : candidates) {
-        if (!c.is_requester && c.entry > requester_entry) {
-          eligible.push_back(c);
-        }
+        if (c.is_requester) return c;
       }
-      if (eligible.empty()) {
-        for (const VictimCandidate& c : candidates) {
-          if (c.is_requester) return c;
-        }
-        return *MinBy(candidates,
-                      [](const VictimCandidate& c) { return c.cost; });
-      }
-      const VictimCandidate* best =
-          MinBy(eligible, [](const VictimCandidate& c) { return c.cost; });
-      // Return the corresponding entry of the original vector.
-      for (const VictimCandidate& c : candidates) {
-        if (c.txn == best->txn) return c;
-      }
-      return candidates.front();
+      return *MinBy(candidates,
+                    [](const VictimCandidate& c) { return c.cost; });
     }
     case VictimPolicyKind::kYoungest: {
       const VictimCandidate* best = nullptr;

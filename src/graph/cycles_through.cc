@@ -24,41 +24,32 @@ std::size_t CyclesThrough::IndexOf(VertexId v) const {
   return Find(members_, v);
 }
 
-bool CyclesThrough::Load(const Digraph& g, VertexId root) {
-  members_.clear();
-  offsets_.clear();
-  arcs_.clear();
-  // Forward reach: every vertex root reaches, kept sorted for the lookups
-  // below (waits-for components hold at most the concurrency level).
-  reach_.assign(1, root);
-  queue_.assign(1, root);
-  for (std::size_t head = 0; head < queue_.size(); ++head) {
-    for (const Arc& a : g.OutArcs(queue_[head])) {
-      auto it = std::lower_bound(reach_.begin(), reach_.end(), a.first);
-      if (it == reach_.end() || *it != a.first) {
-        reach_.insert(it, a.first);
-        queue_.push_back(a.first);
-      }
-    }
-  }
-  // Backward reach inside the forward reach. When no in-neighbour of root
-  // was forward-reached — the common, deadlock-free wait — root is on no
-  // cycle and the load stops here.
+bool CyclesThrough::CloseForward(VertexId root) {
+  // Every collected arc runs inside the backward reach B, and every arc
+  // with both ends in B was collected (its head was visited). A vertex
+  // forward-reachable from root inside B is in root's SCC; conversely
+  // every path root ⇝ v with v ∈ B stays in B, since each vertex on it
+  // reaches v and so root. Sorting the arcs by (tail, head, label) gives
+  // each vertex's out-arcs in the digraph's sorted order.
+  std::sort(in_arcs_.begin(), in_arcs_.end());
+  auto out_arcs = [this](VertexId u) {
+    auto lo = std::lower_bound(in_arcs_.begin(), in_arcs_.end(),
+                               Edge{u, 0, 0});
+    auto hi = lo;
+    while (hi != in_arcs_.end() && hi->from == u) ++hi;
+    return std::span<const Edge>(lo, hi);
+  };
   mark_.assign(reach_.size(), 0);
   mark_[Find(reach_, root)] = 1;
   queue_.assign(1, root);
-  bool closed = false;
   for (std::size_t head = 0; head < queue_.size(); ++head) {
-    for (const Arc& a : g.InArcs(queue_[head])) {
-      const std::size_t i = Find(reach_, a.first);
-      if (i == reach_.size()) continue;
-      closed = true;
+    for (const Edge& e : out_arcs(queue_[head])) {
+      const std::size_t i = Find(reach_, e.to);
       if (mark_[i]) continue;
       mark_[i] = 1;
-      queue_.push_back(a.first);
+      queue_.push_back(e.to);
     }
   }
-  if (!closed) return false;
   for (std::size_t i = 0; i < reach_.size(); ++i) {
     if (mark_[i]) members_.push_back(reach_[i]);
   }
@@ -66,10 +57,10 @@ bool CyclesThrough::Load(const Digraph& g, VertexId root) {
 
   offsets_.push_back(0);
   for (VertexId v : members_) {
-    for (const Arc& a : g.OutArcs(v)) {
-      const std::size_t j = IndexOf(a.first);
+    for (const Edge& e : out_arcs(v)) {
+      const std::size_t j = IndexOf(e.to);
       if (j < members_.size()) {
-        arcs_.push_back(LocalArc{static_cast<std::uint32_t>(j), a.second});
+        arcs_.push_back(LocalArc{static_cast<std::uint32_t>(j), e.label});
       }
     }
     offsets_.push_back(arcs_.size());

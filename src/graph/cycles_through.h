@@ -1,6 +1,7 @@
 #ifndef PARDB_GRAPH_CYCLES_THROUGH_H_
 #define PARDB_GRAPH_CYCLES_THROUGH_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -31,9 +32,15 @@ class CyclesThrough {
     EdgeLabel label;
   };
 
-  // Loads the SCC of `root` in `g` as forward reach ∩ backward reach.
-  // Returns false, leaving the component empty, when root is on no cycle.
-  bool Load(const Digraph& g, VertexId root);
+  // Loads the SCC of `root` from an in-arc source: `in_arcs(v)` returns
+  // v's in-arcs as (tail, label) pairs, each once, in any order, as a
+  // range valid until the next call (Digraph::InArcs; the engine derives
+  // them from its lock table). Backward-first: the backward reach of root,
+  // collecting the arcs into it, then the forward closure from root inside
+  // that set over the collected arcs. Returns false, leaving the component
+  // empty, when root is on no cycle.
+  template <typename InArcs>
+  bool Load(VertexId root, InArcs&& in_arcs);
 
   std::size_t size() const { return members_.size(); }
   VertexId member(std::size_t i) const { return members_[i]; }
@@ -69,6 +76,9 @@ class CyclesThrough {
                              std::vector<std::size_t>* cut);
 
  private:
+  // Load's second half: the forward closure from root inside reach_ over
+  // the collected in-arcs, then the component's CSR.
+  bool CloseForward(VertexId root);
   void AddFlowArc(std::uint32_t from, std::uint32_t to, std::uint64_t cap);
 
   // The component as a compact local graph (CSR over members).
@@ -86,8 +96,9 @@ class CyclesThrough {
     std::uint32_t to;
     std::uint64_t cap;  // residual; arc e's reverse is e ^ 1
   };
-  std::vector<VertexId> reach_;     // forward reach, ascending
+  std::vector<VertexId> reach_;     // backward reach, ascending
   std::vector<VertexId> queue_;     // BFS frontier
+  std::vector<Edge> in_arcs_;       // arcs into the backward reach
   std::vector<char> mark_;          // per reach_ entry / member / node
   std::vector<std::uint32_t> indeg_;
   std::vector<std::uint64_t> paths_;
@@ -97,6 +108,37 @@ class CyclesThrough {
   std::vector<std::int64_t> flow_head_;  // per node: first arc, -1 if none
   std::vector<std::int64_t> via_;        // per node: BFS parent arc
 };
+
+template <typename InArcs>
+bool CyclesThrough::Load(VertexId root, InArcs&& in_arcs) {
+  members_.clear();
+  offsets_.clear();
+  arcs_.clear();
+  in_arcs_.clear();
+  // Backward reach: every vertex that reaches root, kept sorted for the
+  // lookups (waits-for components hold at most the concurrency level).
+  // Root is on a cycle iff it is the tail of an arc into that set; when it
+  // is not — the common, deadlock-free wait — the load stops here.
+  reach_.assign(1, root);
+  queue_.assign(1, root);
+  bool closed = false;
+  for (std::size_t head = 0; head < queue_.size(); ++head) {
+    const VertexId v = queue_[head];
+    for (const Arc& a : in_arcs(v)) {
+      in_arcs_.push_back(Edge{a.first, v, a.second});
+      if (a.first == root) {
+        closed = true;
+        continue;
+      }
+      auto it = std::lower_bound(reach_.begin(), reach_.end(), a.first);
+      if (it == reach_.end() || *it != a.first) {
+        reach_.insert(it, a.first);
+        queue_.push_back(a.first);
+      }
+    }
+  }
+  return closed && CloseForward(root);
+}
 
 }  // namespace pardb::graph
 

@@ -1,35 +1,11 @@
 #include "graph/digraph.h"
 
 #include <algorithm>
-#include <cassert>
 #include <sstream>
 
 #include "graph/cycles_through.h"
 
 namespace pardb::graph {
-
-namespace {
-
-using AdjList = SmallVec<Arc, 2>;
-
-// Sorted-list helpers. Adjacency lists are kept sorted by (vertex,
-// label), so membership and erase are binary searches and iteration is
-// deterministic by construction.
-Arc* FindPair(AdjList& list, VertexId v, EdgeLabel l) {
-  auto* it = std::lower_bound(list.begin(), list.end(), Arc{v, l});
-  if (it != list.end() && it->first == v && it->second == l) return it;
-  return list.end();
-}
-
-void ErasePair(AdjList& list, VertexId v, EdgeLabel l) {
-  auto* it = FindPair(list, v, l);
-  assert(it != list.end());
-  if (it != list.end()) {
-    list.erase_at(static_cast<std::size_t>(it - list.begin()));
-  }
-}
-
-}  // namespace
 
 bool Cycle::Contains(VertexId v) const {
   return std::find(vertices.begin(), vertices.end(), v) != vertices.end();
@@ -46,26 +22,6 @@ std::string Cycle::ToString() const {
 }
 
 void Digraph::AddVertex(VertexId v) { verts_.try_emplace(v); }
-
-void Digraph::RemoveVertex(VertexId v) {
-  auto it = verts_.find(v);
-  if (it == verts_.end()) return;
-  VertexRec& rec = it->second;
-  // Drop outgoing edges from the targets' in-lists (this also clears any
-  // self-loop's in-entry, so the second pass never sees `v` itself).
-  edge_count_ -= rec.out.size();
-  for (const auto& [to, l] : rec.out) {
-    EraseLabelPair(l, v, to);
-    ErasePair(verts_[to].in, v, l);
-  }
-  // Drop incoming edges from the sources' out-lists.
-  edge_count_ -= rec.in.size();
-  for (const auto& [from, l] : rec.in) {
-    EraseLabelPair(l, from, v);
-    ErasePair(verts_[from].out, v, l);
-  }
-  verts_.erase(it);
-}
 
 bool Digraph::HasVertex(VertexId v) const { return verts_.count(v) > 0; }
 
@@ -88,63 +44,7 @@ void Digraph::AddEdge(VertexId from, VertexId to, EdgeLabel label) {
                                  Arc{from, label});
   tr.in.insert_at(static_cast<std::size_t>(in_it - tr.in.begin()),
                   Arc{from, label});
-  label_index_[label].emplace_back(from, to);
   ++edge_count_;
-}
-
-void Digraph::EraseLabelPair(EdgeLabel label, VertexId from, VertexId to) {
-  auto it = label_index_.find(label);
-  if (it == label_index_.end()) return;
-  auto& pairs = it->second;
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    if (pairs[i].first == from && pairs[i].second == to) {
-      pairs[i] = pairs.back();
-      pairs.pop_back();
-      return;
-    }
-  }
-}
-
-void Digraph::RemoveEdge(VertexId from, VertexId to, EdgeLabel label) {
-  auto fit = verts_.find(from);
-  if (fit == verts_.end()) return;
-  auto* it = FindPair(fit->second.out, to, label);
-  if (it == fit->second.out.end()) return;
-  fit->second.out.erase_at(
-      static_cast<std::size_t>(it - fit->second.out.begin()));
-  --edge_count_;
-  EraseLabelPair(label, from, to);
-  ErasePair(verts_[to].in, from, label);
-}
-
-void Digraph::RemoveEdgesBetween(VertexId from, VertexId to) {
-  auto fit = verts_.find(from);
-  if (fit == verts_.end()) return;
-  auto& out = fit->second.out;
-  auto* lo = std::lower_bound(out.begin(), out.end(),
-                              Arc{to, EdgeLabel{0}});
-  auto* hi = lo;
-  while (hi != out.end() && hi->first == to) ++hi;
-  if (lo == hi) return;
-  auto& tin = verts_[to].in;
-  for (auto* it = lo; it != hi; ++it) {
-    EraseLabelPair(it->second, from, to);
-    ErasePair(tin, from, it->second);
-  }
-  edge_count_ -= static_cast<std::size_t>(hi - lo);
-  out.erase_range(static_cast<std::size_t>(lo - out.begin()),
-                  static_cast<std::size_t>(hi - out.begin()));
-}
-
-void Digraph::RemoveEdgesLabeled(EdgeLabel label) {
-  auto lit = label_index_.find(label);
-  if (lit == label_index_.end() || lit->second.empty()) return;
-  // Copy the pair list into reusable scratch so the targeted RemoveEdge
-  // calls below scan an empty index entry instead of the list being
-  // consumed (and the per-grant sweep stays allocation-free once warm).
-  scratch_pairs_.assign(lit->second.begin(), lit->second.end());
-  lit->second.clear();
-  for (const auto& [from, to] : scratch_pairs_) RemoveEdge(from, to, label);
 }
 
 bool Digraph::HasEdge(VertexId from, VertexId to) const {
@@ -228,7 +128,8 @@ bool Digraph::WouldCreateCycle(VertexId from, VertexId to) const {
 std::optional<Cycle> Digraph::FindCycleThrough(VertexId v) const {
   CyclesThrough cycles;
   Cycle found;
-  if (!cycles.Load(*this, v) || !cycles.FirstCycle(&found)) {
+  if (!cycles.Load(v, [this](VertexId u) { return InArcs(u); }) ||
+      !cycles.FirstCycle(&found)) {
     return std::nullopt;
   }
   return found;
@@ -237,7 +138,9 @@ std::optional<Cycle> Digraph::FindCycleThrough(VertexId v) const {
 bool Digraph::IsAcyclic() const {
   CyclesThrough cycles;
   for (const auto& [v, _] : verts_) {
-    if (cycles.Load(*this, v)) return false;
+    if (cycles.Load(v, [this](VertexId u) { return InArcs(u); })) {
+      return false;
+    }
   }
   return true;
 }
@@ -251,7 +154,7 @@ std::vector<std::vector<VertexId>> Digraph::CyclicComponents() const {
   CyclesThrough cycles;
   for (const auto& [v, _] : verts_) {
     if (std::binary_search(covered.begin(), covered.end(), v) ||
-        !cycles.Load(*this, v)) {
+        !cycles.Load(v, [this](VertexId u) { return InArcs(u); })) {
       continue;
     }
     std::vector<VertexId>& component = out.emplace_back();

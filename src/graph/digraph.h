@@ -8,7 +8,6 @@
 #include <set>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/arena.h"
@@ -67,9 +66,11 @@ struct Cycle {
   std::string ToString() const;
 };
 
-// Labeled multidigraph with explicit vertex membership. Deterministic: all
-// iteration orders are sorted, so algorithms return the same cycle for the
-// same graph regardless of insertion order.
+// Labeled multidigraph with explicit vertex membership, built once and then
+// queried (the engine derives its waits-for graph from the lock table on
+// demand, DESIGN D27, so nothing edits a graph in place). Deterministic:
+// all iteration orders are sorted, so algorithms return the same cycle for
+// the same graph regardless of insertion order.
 class Digraph {
  public:
   Digraph() = default;
@@ -78,8 +79,6 @@ class Digraph {
 
   // Adds v if absent; idempotent.
   void AddVertex(VertexId v);
-  // Removes v and all incident edges. No-op when absent.
-  void RemoveVertex(VertexId v);
   bool HasVertex(VertexId v) const;
   std::size_t VertexCount() const { return verts_.size(); }
   std::vector<VertexId> Vertices() const;
@@ -89,25 +88,13 @@ class Digraph {
   // Adds the arc (from, to, label); creates missing endpoints. Duplicate
   // (from, to, label) triples are ignored (set semantics).
   void AddEdge(VertexId from, VertexId to, EdgeLabel label);
-  // Removes the exact arc; no-op when absent.
-  void RemoveEdge(VertexId from, VertexId to, EdgeLabel label);
-  // Removes every arc from `from` to `to` regardless of label.
-  void RemoveEdgesBetween(VertexId from, VertexId to);
-  // Removes every arc whose label is `label`. O(edges with that label),
-  // via the label index — O(1) when there are none, which is the common
-  // case on the per-lock-op wait-edge refresh.
-  void RemoveEdgesLabeled(EdgeLabel label);
-  // True iff any arc carries `label`. Allocation-free fast-path guard.
-  bool HasEdgesLabeled(EdgeLabel label) const {
-    auto it = label_index_.find(label);
-    return it != label_index_.end() && !it->second.empty();
-  }
   bool HasEdge(VertexId from, VertexId to) const;
   bool HasEdge(VertexId from, VertexId to, EdgeLabel label) const;
   std::size_t EdgeCount() const { return edge_count_; }
   std::vector<Edge> Edges() const;
   // The sorted (neighbour, label) arcs leaving / entering v, without
-  // copying; empty when v is absent. Valid until the next mutation.
+  // copying; empty when v is absent. Valid until the next AddEdge. InArcs
+  // is the in-arc source CyclesThrough::Load reads.
   std::span<const Arc> OutArcs(VertexId v) const;
   std::span<const Arc> InArcs(VertexId v) const;
   std::size_t InDegree(VertexId v) const;
@@ -158,35 +145,22 @@ class Digraph {
   // vertices never touch the heap for their lists.
   using AdjList = SmallVec<Arc, 2>;
 
-  void EraseLabelPair(EdgeLabel label, VertexId from, VertexId to);
-
   // Per-vertex adjacency as (neighbour, label) pairs kept sorted — the
-  // same iteration order the old map-of-sets produced, at a fraction of
-  // the allocation cost: an edge insert is a binary-searched inline-array
-  // insert instead of two tree-node allocations per direction. Waits-for
-  // graphs are small and edge-churn-heavy (every block/wake rewrites a
-  // handful of arcs), which is exactly the shape sorted small-vectors
-  // win at.
+  // same iteration order a map-of-sets produces, at a fraction of the
+  // allocation cost: an edge insert is a binary-searched inline-array
+  // insert instead of two tree-node allocations per direction.
   struct VertexRec {
     AdjList out;
     AdjList in;
   };
   // Outer std::map keeps vertex iteration deterministic (sorted).
   std::map<VertexId, VertexRec> verts_;
-  // label -> (from, to) pairs carrying it; order-insensitive (only
-  // consulted for membership and bulk label removal).
-  std::unordered_map<EdgeLabel, std::vector<std::pair<VertexId, VertexId>>>
-      label_index_;
   std::size_t edge_count_ = 0;
 
-  // Scratch buffers for the hot queries (per-grant label sweep,
-  // prevention-mode path test). Cleared, never shrunk: after
-  // warm-up these paths perform zero heap allocations. `mutable` because
-  // the queries are logically const; the digraph is single-threaded like
-  // the engine that owns it.
+  // Scratch buffers for the path test. Cleared, never shrunk. `mutable`
+  // because the query is logically const; a digraph is single-threaded.
   mutable std::vector<VertexId> scratch_frontier_;
   mutable std::vector<VertexId> scratch_seen_;
-  std::vector<std::pair<VertexId, VertexId>> scratch_pairs_;
 };
 
 }  // namespace pardb::graph

@@ -474,24 +474,19 @@ void LockManager::AppendHeldEntities(TxnId txn,
   for (const HeldEntry& h : ts->held) out->push_back(h.entity);
 }
 
-void LockManager::AppendBlockersOf(TxnId txn,
-                                   std::vector<TxnId>* out) const {
+EntityId LockManager::AppendBlockersOf(TxnId txn,
+                                       std::vector<TxnId>* out) const {
   const TxnState* ts = StateFor(txn);
-  if (ts == nullptr || !ts->waiting_for.valid()) return;
+  if (ts == nullptr || !ts->waiting_for.valid()) return EntityId();
   const EntityState* es = SlotFor(ts->waiting_for);
-  if (es == nullptr) return;
+  if (es == nullptr) return EntityId();
   for (std::size_t i = 0; i < es->queue.size(); ++i) {
     if (es->queue[i].txn == txn) {
       AppendBlockers(*es, es->queue[i], i, out);
-      return;
+      return ts->waiting_for;
     }
   }
-}
-
-std::vector<TxnId> LockManager::BlockersOf(TxnId txn) const {
-  std::vector<TxnId> blockers;
-  AppendBlockersOf(txn, &blockers);
-  return blockers;
+  return EntityId();
 }
 
 std::uint64_t LockManager::StateDigest() const {

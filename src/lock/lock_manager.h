@@ -18,7 +18,8 @@ namespace pardb::lock {
 
 // The answer to a lock request (paper §2 rules 1-2: grant when available,
 // otherwise make the requester wait). Rule 3 — deadlock intervention — is
-// the Engine's job, fed by `blockers`.
+// the Engine's job: it reads the waits-for arcs off this table on demand
+// (AppendBlockersOf; DESIGN D27).
 struct RequestOutcome {
   bool granted = false;
   // When not granted: the transactions this request now waits for. In the
@@ -178,29 +179,14 @@ class LockManager {
   // pardb_waiting_txns reads this).
   std::size_t WaitingCount() const { return waiting_count_; }
 
-  // True when any transaction waits on `entity` — the allocation-free
-  // fast-path guard for waits-for edge refresh.
-  bool HasWaiters(EntityId entity) const {
-    const EntityState* es = SlotFor(entity);
-    return es != nullptr && !es->queue.empty();
-  }
-
-  // Invokes fn(TxnId, LockMode) for each waiter of `entity` in queue
-  // order, without materializing a vector.
-  template <typename Fn>
-  void ForEachWaiter(EntityId entity, Fn&& fn) const {
-    const EntityState* es = SlotFor(entity);
-    if (es == nullptr) return;
-    for (const Waiter& w : es->queue) fn(w.txn, w.mode);
-  }
-
-  // Blockers of txn's pending request under the queue discipline (see
-  // Options::fifo_fairness). Empty when txn is not waiting (or, in the
-  // paper model, is waiting purely on queue order).
-  std::vector<TxnId> BlockersOf(TxnId txn) const;
-  // Appends the same blockers to *out (sorted, deduplicated) without
-  // allocating when out has capacity.
-  void AppendBlockersOf(TxnId txn, std::vector<TxnId>* out) const;
+  // Appends the blockers of txn's pending request under the queue
+  // discipline (see Options::fifo_fairness) to *out, sorted and
+  // deduplicated, without allocating when out has capacity, and returns
+  // the entity it waits for. These are txn's waits-for in-arcs, each
+  // labeled with that entity. Appends nothing and returns an invalid id
+  // when txn is not waiting; appends nothing in the paper model when txn
+  // waits purely on queue order.
+  EntityId AppendBlockersOf(TxnId txn, std::vector<TxnId>* out) const;
 
   // Appends every entity txn holds to *out (unsorted; callers needing the
   // HeldBy order sort the appended range by entity id).

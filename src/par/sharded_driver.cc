@@ -344,10 +344,11 @@ Result<bool> CertifyRun(const ShardedOptions& options,
 void PublishGlobalWaitsFor(obs::LiveHub* hub, const xshard::Coordinator& coord,
                            const std::vector<core::Engine*>& engines,
                            std::uint64_t epoch) {
-  std::vector<const graph::Digraph*> graphs;
-  graphs.reserve(engines.size());
-  for (const core::Engine* e : engines) graphs.push_back(&e->waits_for());
-  const xshard::MergedGraph merged = xshard::MergeWaitsFor(graphs, coord);
+  std::vector<std::vector<graph::Edge>> arcs(engines.size());
+  for (std::size_t s = 0; s < engines.size(); ++s) {
+    engines[s]->AppendWaitsFor(&arcs[s]);
+  }
+  const xshard::MergedGraph merged = xshard::MergeWaitsFor(arcs, coord);
   obs::WaitsForSnapshot snap;
   snap.shard = 0;  // scope=global; the shard field is not meaningful here
   snap.step = epoch;

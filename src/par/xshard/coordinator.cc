@@ -342,13 +342,16 @@ Status Coordinator::MergeAndResolve() {
   backed_off_.clear();
   // One status exchange per shard to collect the wait graphs.
   stats_.messages += 2 * engines_.size();
-  std::vector<const graph::Digraph*> graphs;
-  graphs.reserve(engines_.size());
-  for (core::Engine* e : engines_) graphs.push_back(&e->waits_for());
   // A resolved cycle can unblock waiters everywhere (grant cascades), so
-  // re-merge after each rollback instead of resolving a stale snapshot.
+  // re-read every shard's arcs and re-merge after each rollback instead of
+  // resolving a stale snapshot.
+  std::vector<std::vector<graph::Edge>> arcs(engines_.size());
   for (int round = 0; round < 64; ++round) {
-    MergedGraph merged = MergeWaitsFor(graphs, *this);
+    for (std::size_t s = 0; s < engines_.size(); ++s) {
+      arcs[s].clear();
+      engines_[s]->AppendWaitsFor(&arcs[s]);
+    }
+    MergedGraph merged = MergeWaitsFor(arcs, *this);
     bool resolved_any = false;
     for (const auto& component : merged.graph.CyclicComponents()) {
       bool resolved = false;

@@ -3,11 +3,11 @@
 namespace pardb::par::xshard {
 
 MergedGraph MergeWaitsFor(
-    const std::vector<const graph::Digraph*>& shard_graphs,
+    const std::vector<std::vector<graph::Edge>>& shard_arcs,
     const SubResolver& resolver) {
   MergedGraph merged;
-  for (std::uint32_t s = 0; s < shard_graphs.size(); ++s) {
-    for (const graph::Edge& e : shard_graphs[s]->Edges()) {
+  for (std::uint32_t s = 0; s < shard_arcs.size(); ++s) {
+    for (const graph::Edge& e : shard_arcs[s]) {
       const TxnId blocker(e.from);
       const TxnId waiter(e.to);
       const auto gb = resolver.GlobalOf(s, blocker);

@@ -64,10 +64,11 @@ class SubResolver {
                                                TxnId txn) const = 0;
 };
 
-// Builds the union of the given per-shard waits-for graphs under the
-// resolver's renaming. `shard_graphs[s]` is engine s's waits_for().
-MergedGraph MergeWaitsFor(const std::vector<const graph::Digraph*>& shard_graphs,
-                          const SubResolver& resolver);
+// Builds the union of the given per-shard waits-for arcs under the
+// resolver's renaming. `shard_arcs[s]` is engine s's AppendWaitsFor().
+MergedGraph MergeWaitsFor(
+    const std::vector<std::vector<graph::Edge>>& shard_arcs,
+    const SubResolver& resolver);
 
 }  // namespace pardb::par::xshard
 

@@ -28,7 +28,7 @@ TEST(Figure1Test, GraphBeforeDeadlockMatchesPaper) {
   auto fig = BuildFigure1(Fig1Options());
   ASSERT_TRUE(fig.ok()) << fig.status().ToString();
   auto& engine = fig->runner->engine();
-  const auto& g = engine.waits_for();
+  const auto g = engine.WaitsFor();
 
   // Arcs: T2 -b-> T1, T2 -b-> T3, T3 -c-> T4; T2 is still running.
   EXPECT_TRUE(g.HasEdge(fig->t2.value(), fig->t1.value(), fig->b.value()));
@@ -82,7 +82,7 @@ TEST(Figure1Test, PostRollbackGraphMatchesFigure1b) {
   ASSERT_TRUE(fig.ok());
   ASSERT_TRUE(fig->TriggerDeadlock().ok());
   auto& engine = fig->runner->engine();
-  const auto& g = engine.waits_for();
+  const auto g = engine.WaitsFor();
 
   // "T1 no longer waits for T2": b was granted to T1 (first in queue).
   EXPECT_EQ(engine.StatusOf(fig->t1), TxnStatus::kReady);
@@ -181,7 +181,7 @@ TEST(Figure1Test, TotalRestartPaysFullCost) {
 TEST(Figure3Test, FigureAIsAcyclicButNotForest) {
   auto fig = BuildFigure3a(Fig1Options());
   ASSERT_TRUE(fig.ok()) << fig.status().ToString();
-  const auto& g = fig->runner->engine().waits_for();
+  const auto g = fig->runner->engine().WaitsFor();
   // T3 waits for both shared holders of c: in-degree 2.
   EXPECT_TRUE(g.HasEdge(fig->t1.value(), fig->t3.value(), fig->c.value()));
   EXPECT_TRUE(g.HasEdge(fig->t2.value(), fig->t3.value(), fig->c.value()));

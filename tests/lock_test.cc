@@ -276,8 +276,12 @@ TEST(LockManagerTest, BlockersOfWaiter) {
   LockManager lm;
   ASSERT_TRUE(lm.Request(kT1, kA, LockMode::kExclusive).value().granted);
   ASSERT_FALSE(lm.Request(kT2, kA, LockMode::kExclusive).value().granted);
-  EXPECT_EQ(lm.BlockersOf(kT2), std::vector<TxnId>{kT1});
-  EXPECT_TRUE(lm.BlockersOf(kT1).empty());
+  std::vector<TxnId> blockers;
+  EXPECT_EQ(lm.AppendBlockersOf(kT2, &blockers), kA);
+  EXPECT_EQ(blockers, std::vector<TxnId>{kT1});
+  blockers.clear();
+  EXPECT_FALSE(lm.AppendBlockersOf(kT1, &blockers).valid());
+  EXPECT_TRUE(blockers.empty());
 }
 
 TEST(LockManagerTest, ToStringMentionsHoldersAndQueue) {

@@ -42,6 +42,12 @@ program set is identical on every host, and each program is lowered once,
 as admission does (D26) — and the lowering cost must stay at or below
 --max-compile-us-per-program (default 5.0 µs per program).
 
+The "contended_wait" section (the D27 detect layer: hot keys, 30% shared
+locks, FIFO queues, continuous detection) is gated the same way: its
+counts (txns, committed, steps, waits, detections, rollbacks) exactly,
+its stepping-loop allocations per wait at exactly 0, and its cost at or
+below --max-contended-us-per-wait (default 6.0 µs per wait).
+
 When the file carries a "generate" section (the D24 generation micro;
 absent from older files, which skip these gates unless the baseline has
 one), the program and op
@@ -61,7 +67,8 @@ Usage:
       --hotpath-baseline bench/baselines/BENCH_hotpath.json \
       [--max-speedup-drop-pct 15] [--max-overhead-pct 5] \
       [--min-cross-goodput 0.8] [--min-hotpath-txns-per-sec 210000] \
-      [--max-compile-us-per-program 5.0] [--max-generate-us-per-program 2.0]
+      [--max-compile-us-per-program 5.0] [--max-generate-us-per-program 2.0] \
+      [--max-contended-us-per-wait 6.0]
 """
 
 import argparse
@@ -206,7 +213,8 @@ def check_cross_shard(current, baseline, min_goodput_ratio):
 
 
 def check_hotpath(current, baseline, min_txns_per_sec,
-                  max_compile_us_per_program, max_generate_us_per_program):
+                  max_compile_us_per_program, max_generate_us_per_program,
+                  max_contended_us_per_wait):
     failures = []
     # Deterministic counts: identical on every host and on both sides of
     # the rewrite (the workload, seeds and schedulers are pinned). Any
@@ -221,6 +229,12 @@ def check_hotpath(current, baseline, min_txns_per_sec,
         ("end_to_end", "steps"),
         ("end_to_end", "rollbacks"),
         ("steady_state", "steps"),
+        ("contended_wait", "txns"),
+        ("contended_wait", "committed"),
+        ("contended_wait", "steps"),
+        ("contended_wait", "waits"),
+        ("contended_wait", "detections"),
+        ("contended_wait", "rollbacks"),
     ]
     for section, field in deterministic:
         cur = current[section][field]
@@ -230,9 +244,11 @@ def check_hotpath(current, baseline, min_txns_per_sec,
                 f"hotpath: {section}.{field} {cur} != baseline {base} "
                 f"(deterministic result drifted)")
     # The D15 invariant: the warm grant/release fast path performs zero
-    # heap allocations — gated exactly, not within a tolerance.
+    # heap allocations — gated exactly, not within a tolerance. D27 extends
+    # it to a contended wait, its detection and the rollbacks it causes.
     for section, field in (("lock_release", "allocs_per_op"),
-                           ("steady_state", "allocs_per_step")):
+                           ("steady_state", "allocs_per_step"),
+                           ("contended_wait", "allocs_per_wait")):
         val = current[section][field]
         verdict = "ok" if val == 0 else "FAIL"
         print(f"hotpath: {section}.{field} = {val} (must be exactly 0) "
@@ -306,6 +322,15 @@ def check_hotpath(current, baseline, min_txns_per_sec,
                         "has one")
     else:
         print("hotpath: generate section absent; skipping generation gates")
+    # D27 detect-layer ceiling; its counts and allocations are gated above.
+    us = current["contended_wait"]["us_per_wait"]
+    verdict = "ok" if us <= max_contended_us_per_wait else "FAIL"
+    print(f"hotpath: contended_wait {us:.3f} us/wait (ceiling "
+          f"{max_contended_us_per_wait}) {verdict}")
+    if us > max_contended_us_per_wait:
+        failures.append(
+            f"hotpath: contended wait cost {us:.3f} us/wait above ceiling "
+            f"{max_contended_us_per_wait}")
     return failures
 
 
@@ -350,6 +375,7 @@ def main():
     ap.add_argument("--min-hotpath-txns-per-sec", type=float, default=210000.0)
     ap.add_argument("--max-compile-us-per-program", type=float, default=5.0)
     ap.add_argument("--max-generate-us-per-program", type=float, default=2.0)
+    ap.add_argument("--max-contended-us-per-wait", type=float, default=6.0)
     args = ap.parse_args()
 
     failures = []
@@ -368,7 +394,8 @@ def main():
             load(args.hotpath_baseline) if args.hotpath_baseline else None,
             args.min_hotpath_txns_per_sec,
             args.max_compile_us_per_program,
-            args.max_generate_us_per_program)
+            args.max_generate_us_per_program,
+            args.max_contended_us_per_wait)
     if args.current_overhead:
         failures += check_overhead(load(args.current_overhead),
                                    args.max_overhead_pct)

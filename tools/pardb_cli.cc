@@ -719,8 +719,8 @@ int RunFigure(const std::string& mode) {
     auto fig = sim::BuildFigure3a(opt);
     if (!fig.ok()) return 1;
     std::printf("Figure 3(a): acyclic=%s forest=%s\n",
-                fig->runner->engine().waits_for().IsAcyclic() ? "yes" : "no",
-                fig->runner->engine().waits_for().IsForest() ? "yes" : "no");
+                fig->runner->engine().WaitsFor().IsAcyclic() ? "yes" : "no",
+                fig->runner->engine().WaitsFor().IsForest() ? "yes" : "no");
     return 0;
   }
   if (mode == "figure3b" || mode == "figure3c") {
