@@ -17,9 +17,11 @@
 //      transactions; allocations per step in the counted window must be 0.
 //   5. contended waits — the detect layer on the perfbench contention_rw
 //      shape (hot keys, 30% shared, 3-6 locks, FIFO queues, continuous
-//      detection): waits, detections, µs per wait and the heap blocks the
-//      stepping loop allocates per wait, which must be exactly 0 (DESIGN
-//      D27: the waits-for arcs are read off the lock table, not kept).
+//      detection): waits, component loads (the waits whose requester
+//      someone waits for, so detection swept its component, DESIGN D28),
+//      detections, µs per wait and the heap blocks the stepping loop
+//      allocates per wait, which must be exactly 0 (DESIGN D27: the
+//      waits-for arcs are read off the lock table, not kept).
 //
 // The generate micro draws the pinned workload's programs from a fresh
 // WorkloadGenerator, counting the heap blocks each program costs (its three
@@ -477,6 +479,7 @@ struct ContendedWaitResult {
   std::uint64_t steps = 0;      // deterministic
   std::uint64_t waits = 0;      // deterministic: lock waits
   std::uint64_t detections = 0; // deterministic: deadlocks resolved
+  std::uint64_t component_loads = 0;  // deterministic: waits that swept
   std::uint64_t rollbacks = 0;  // deterministic
   std::uint64_t allocs = 0;     // deterministic: stepping-loop heap blocks
   double allocs_per_wait = 0.0;  // must be exactly 0
@@ -550,6 +553,7 @@ ContendedWaitResult RunContendedWait() {
     out->steps = steps;
     out->waits = m.lock_waits - before.lock_waits;
     out->detections = m.deadlocks - before.deadlocks;
+    out->component_loads = m.component_loads - before.component_loads;
     out->rollbacks = m.rollbacks - before.rollbacks;
     out->allocs = allocs;
   };
@@ -560,7 +564,9 @@ ContendedWaitResult RunContendedWait() {
     ContendedWaitResult cur;
     Once(&cur);
     if (rep > 0 && (cur.committed != r.committed || cur.steps != r.steps ||
-                    cur.waits != r.waits || cur.allocs != r.allocs)) {
+                    cur.waits != r.waits ||
+                    cur.component_loads != r.component_loads ||
+                    cur.allocs != r.allocs)) {
       std::cerr << "contended wait: nondeterministic run\n";
       std::abort();
     }
@@ -619,6 +625,7 @@ void PrintReproduction() {
             << "the warm fast path)\n";
   std::cout << "(contended waits: " << contended.committed << " txns, "
             << contended.steps << " steps, " << contended.waits << " waits, "
+            << contended.component_loads << " component loads, "
             << contended.detections << " detections, " << contended.rollbacks
             << " rollbacks, " << contended.us_per_wait << " us/wait, "
             << contended.allocs << " stepping heap blocks)\n";
@@ -655,6 +662,7 @@ void PrintReproduction() {
        << ",\"committed\":" << contended.committed
        << ",\"steps\":" << contended.steps
        << ",\"waits\":" << contended.waits
+       << ",\"component_loads\":" << contended.component_loads
        << ",\"detections\":" << contended.detections
        << ",\"rollbacks\":" << contended.rollbacks
        << ",\"allocs\":" << contended.allocs

@@ -642,12 +642,15 @@ Result<bool> Engine::DetectAndResolve(TxnContext& requester,
                                       EntityId entity) {
   // Every cycle this wait closed passes through the requester (§3.2), so
   // the requester's strongly connected component holds them all: one
-  // sweep, no enumeration (DESIGN D19).
+  // sweep, no enumeration (DESIGN D19). A requester nobody waits for is on
+  // no cycle, and the lock table says so without a sweep (DESIGN D28).
   std::uint64_t num_cycles = 0;
   {
     obs::ScopedTimer detect_timer(
         probe_ != nullptr ? probe_->detection_ns : nullptr,
         probe_ != nullptr ? probe_->clock : nullptr);
+    if (!locks_.MayBlockWaiters(requester.id)) return false;
+    ++metrics_.component_loads;
     if (!LoadCyclesThrough(requester.id)) return false;
     num_cycles = cycles_.CountCycles();
     cycles_.FirstCycle(&deadlock_cycle_);
@@ -662,9 +665,18 @@ Result<bool> Engine::DetectAndResolve(TxnContext& requester,
 
   // One candidate per member, in ascending id order. Its conflicts are the
   // entities on its out-arcs inside the component — exactly the arcs on
-  // cycles through the requester — with the pending mode of the waiter.
+  // cycles through the requester — with the pending mode of the waiter,
+  // read once per member: every member heads an arc, so every one waits.
   const std::size_t k = cycles_.size();
   const std::size_t r = cycles_.root_index();
+  scratch_pending_modes_.clear();
+  for (std::size_t i = 0; i < k; ++i) {
+    auto pending = locks_.Waiting(TxnId(cycles_.member(i)));
+    if (!pending.has_value()) {
+      return Status::Internal("cycle contains a non-waiting transaction");
+    }
+    scratch_pending_modes_.push_back(pending->mode);
+  }
   scratch_candidates_.clear();
   for (std::size_t i = 0; i < k; ++i) {
     const TxnContext* member = Find(TxnId(cycles_.member(i)));
@@ -673,11 +685,8 @@ Result<bool> Engine::DetectAndResolve(TxnContext& requester,
     }
     scratch_conflicts_.clear();
     for (const auto& arc : cycles_.OutArcs(i)) {
-      auto pending = locks_.Waiting(TxnId(cycles_.member(arc.head)));
-      if (!pending.has_value()) {
-        return Status::Internal("cycle contains a non-waiting transaction");
-      }
-      scratch_conflicts_.emplace_back(EntityId(arc.label), pending->mode);
+      scratch_conflicts_.emplace_back(EntityId(arc.label),
+                                      scratch_pending_modes_[arc.head]);
     }
     auto cand = MakeCandidate(*member, scratch_conflicts_, i == r);
     if (!cand.ok()) return cand.status();

@@ -155,6 +155,10 @@ struct EngineMetrics {
   std::uint64_t omega_interventions = 0;
   std::uint64_t cycles_found = 0;
   std::uint64_t periodic_scans = 0;  // kPeriodic graph sweeps performed
+  // Detections that swept the requester's component: the rest stopped at
+  // the lock table's "nobody waits for the requester" (DESIGN D28). Not
+  // serialized in reports.
+  std::uint64_t component_loads = 0;
   // Lowering telemetry (deterministic: a pure function of the admitted
   // program sequence, never of wall time). Excluded from report
   // serialization so pre-compilation goldens stay byte-identical.
@@ -697,6 +701,7 @@ class Engine {
   graph::CyclesThrough cycles_;
   graph::Cycle deadlock_cycle_;  // representative cycle of this deadlock
   graph::Cycle scratch_cycle_;   // non-cost policies: next uncovered cycle
+  std::vector<lock::LockMode> scratch_pending_modes_;  // per member
   std::vector<std::pair<EntityId, lock::LockMode>> scratch_conflicts_;
   std::vector<VictimCandidate> scratch_candidates_;  // one per member
   std::vector<VictimCandidate> scratch_cycle_members_;

@@ -10,59 +10,86 @@ std::uint64_t SaturatingAdd(std::uint64_t a, std::uint64_t b) {
   return a > CyclesThrough::kInfinite - b ? CyclesThrough::kInfinite : a + b;
 }
 
-// Position of v in the ascending `sorted`, or sorted.size() when absent.
-std::size_t Find(const std::vector<VertexId>& sorted, VertexId v) {
-  auto it = std::lower_bound(sorted.begin(), sorted.end(), v);
-  return it != sorted.end() && *it == v
-             ? static_cast<std::size_t>(it - sorted.begin())
-             : sorted.size();
-}
-
 }  // namespace
 
 std::size_t CyclesThrough::IndexOf(VertexId v) const {
-  return Find(members_, v);
+  auto it = std::lower_bound(members_.begin(), members_.end(), v);
+  return it != members_.end() && *it == v
+             ? static_cast<std::size_t>(it - members_.begin())
+             : members_.size();
 }
 
-bool CyclesThrough::CloseForward(VertexId root) {
+void CyclesThrough::BeginSweep() {
+  reach_.clear();
+  if (index_.empty()) index_.resize(kFirstIndexSlots);
+  if (++stamp_ == 0) {  // wrapped: old stamps could match again
+    for (IndexSlot& slot : index_) slot.stamp = 0;
+    stamp_ = 1;
+  }
+}
+
+void CyclesThrough::GrowIndex() {
+  index_.assign(2 * index_.size(), IndexSlot{});
+  const std::size_t mask = index_.size() - 1;
+  for (std::uint32_t i = 0; i < reach_.size(); ++i) {
+    std::size_t s = HomeSlot(reach_[i], mask);
+    while (index_[s].stamp == stamp_) s = (s + 1) & mask;
+    index_[s] = IndexSlot{reach_[i], stamp_, i};
+  }
+}
+
+bool CyclesThrough::CloseForward() {
   // Every collected arc runs inside the backward reach B, and every arc
   // with both ends in B was collected (its head was visited). A vertex
   // forward-reachable from root inside B is in root's SCC; conversely
   // every path root ⇝ v with v ∈ B stays in B, since each vertex on it
-  // reaches v and so root. Sorting the arcs by (tail, head, label) gives
-  // each vertex's out-arcs in the digraph's sorted order.
-  std::sort(in_arcs_.begin(), in_arcs_.end());
-  auto out_arcs = [this](VertexId u) {
-    auto lo = std::lower_bound(in_arcs_.begin(), in_arcs_.end(),
-                               Edge{u, 0, 0});
-    auto hi = lo;
-    while (hi != in_arcs_.end() && hi->from == u) ++hi;
-    return std::span<const Edge>(lo, hi);
-  };
-  mark_.assign(reach_.size(), 0);
-  mark_[Find(reach_, root)] = 1;
-  queue_.assign(1, root);
+  // reaches v and so root.
+  //
+  // Bucket the arcs by tail (counting sort): after the placement loop
+  // first_[u] .. first_[u + 1] are local u's out-arcs.
+  const std::size_t n = reach_.size();
+  first_.assign(n + 1, 0);
+  for (const ReachArc& e : reach_arcs_) ++first_[e.tail];
+  for (std::size_t u = 1; u <= n; ++u) first_[u] += first_[u - 1];
+  out_.resize(reach_arcs_.size());
+  for (const ReachArc& e : reach_arcs_) {
+    out_[--first_[e.tail]] = LocalArc{e.head, e.label};
+  }
+  // Forward closure from root, marking reached locals in member_of_.
+  member_of_.assign(n, kNoMember);
+  member_of_[0] = 0;
+  queue_.assign(1, 0);
   for (std::size_t head = 0; head < queue_.size(); ++head) {
-    for (const Edge& e : out_arcs(queue_[head])) {
-      const std::size_t i = Find(reach_, e.to);
-      if (mark_[i]) continue;
-      mark_[i] = 1;
-      queue_.push_back(e.to);
+    const std::size_t u = queue_[head];
+    for (std::uint32_t e = first_[u]; e < first_[u + 1]; ++e) {
+      const std::uint32_t w = out_[e].head;
+      if (member_of_[w] != kNoMember) continue;
+      member_of_[w] = 0;
+      queue_.push_back(w);
     }
   }
-  for (std::size_t i = 0; i < reach_.size(); ++i) {
-    if (mark_[i]) members_.push_back(reach_[i]);
+  // The reached locals, sorted by vertex id, are the members; only they
+  // are sorted.
+  std::sort(queue_.begin(), queue_.end(),
+            [this](VertexId a, VertexId b) { return reach_[a] < reach_[b]; });
+  for (std::uint32_t i = 0; i < queue_.size(); ++i) {
+    members_.push_back(reach_[queue_[i]]);
+    member_of_[queue_[i]] = i;
   }
-  root_ = IndexOf(root);
+  root_ = member_of_[0];
 
+  // The CSR, each member's out-arcs in the digraph's sorted (head, label)
+  // order: heads are member indices, which ascend with vertex ids.
   offsets_.push_back(0);
-  for (VertexId v : members_) {
-    for (const Edge& e : out_arcs(v)) {
-      const std::size_t j = IndexOf(e.to);
-      if (j < members_.size()) {
-        arcs_.push_back(LocalArc{static_cast<std::uint32_t>(j), e.label});
-      }
+  for (const VertexId u : queue_) {
+    for (std::uint32_t e = first_[u]; e < first_[u + 1]; ++e) {
+      const std::uint32_t j = member_of_[out_[e].head];
+      if (j != kNoMember) arcs_.push_back(LocalArc{j, out_[e].label});
     }
+    std::sort(arcs_.begin() + static_cast<std::ptrdiff_t>(offsets_.back()),
+              arcs_.end(), [](const LocalArc& a, const LocalArc& b) {
+                return a.head != b.head ? a.head < b.head : a.label < b.label;
+              });
     offsets_.push_back(arcs_.size());
   }
   return true;

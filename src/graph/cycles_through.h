@@ -38,7 +38,8 @@ class CyclesThrough {
   // them from its lock table). Backward-first: the backward reach of root,
   // collecting the arcs into it, then the forward closure from root inside
   // that set over the collected arcs. Returns false, leaving the component
-  // empty, when root is on no cycle.
+  // empty, when root is on no cycle. No search: each vertex gets a local
+  // index when the backward sweep first meets it (DESIGN D28).
   template <typename InArcs>
   bool Load(VertexId root, InArcs&& in_arcs);
 
@@ -76,9 +77,20 @@ class CyclesThrough {
                              std::vector<std::size_t>* cut);
 
  private:
-  // Load's second half: the forward closure from root inside reach_ over
-  // the collected in-arcs, then the component's CSR.
-  bool CloseForward(VertexId root);
+  // Load's second half: the forward closure from root (local index 0)
+  // inside reach_ over the collected arcs, then the component's CSR.
+  bool CloseForward();
+  // Local index of v in the current sweep, assigning the next one (and
+  // appending v to reach_) when v is new.
+  std::uint32_t Intern(VertexId v);
+  // Starts a sweep: empties reach_ and forgets every interned vertex.
+  void BeginSweep();
+  // Doubles the index table and re-enters the current sweep's vertices.
+  void GrowIndex();
+  // v's home slot in an index table of mask + 1 slots (Fibonacci hashing).
+  static std::size_t HomeSlot(VertexId v, std::size_t mask) {
+    return ((v * 0x9E3779B97F4A7C15ull) >> 32) & mask;
+  }
   void AddFlowArc(std::uint32_t from, std::uint32_t to, std::uint64_t cap);
 
   // The component as a compact local graph (CSR over members).
@@ -96,10 +108,30 @@ class CyclesThrough {
     std::uint32_t to;
     std::uint64_t cap;  // residual; arc e's reverse is e ^ 1
   };
-  std::vector<VertexId> reach_;     // backward reach, ascending
+  // A collected arc between local indices of the backward reach.
+  struct ReachArc {
+    std::uint32_t tail;
+    std::uint32_t head;
+    EdgeLabel label;
+  };
+  // Open-addressing vertex -> local index table. A slot belongs to the
+  // current sweep iff its stamp is stamp_, so a sweep never clears it.
+  struct IndexSlot {
+    VertexId vertex = 0;
+    std::uint32_t stamp = 0;
+    std::uint32_t index = 0;
+  };
+  static constexpr std::size_t kFirstIndexSlots = 64;
+  static constexpr std::uint32_t kNoMember = ~std::uint32_t{0};
+  std::vector<IndexSlot> index_;     // power-of-two size, at most half full
+  std::uint32_t stamp_ = 0;
+  std::vector<VertexId> reach_;      // backward reach, by local index
+  std::vector<ReachArc> reach_arcs_;  // arcs into the backward reach
+  std::vector<std::uint32_t> first_;  // per local index: its first out-arc
+  std::vector<LocalArc> out_;         // reach arcs bucketed by tail
+  std::vector<std::uint32_t> member_of_;  // per local index, or kNoMember
   std::vector<VertexId> queue_;     // BFS frontier
-  std::vector<Edge> in_arcs_;       // arcs into the backward reach
-  std::vector<char> mark_;          // per reach_ entry / member / node
+  std::vector<char> mark_;          // per member / flow node
   std::vector<std::uint32_t> indeg_;
   std::vector<std::uint64_t> paths_;
   std::vector<Frame> stack_;
@@ -109,35 +141,42 @@ class CyclesThrough {
   std::vector<std::int64_t> via_;        // per node: BFS parent arc
 };
 
+inline std::uint32_t CyclesThrough::Intern(VertexId v) {
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t s = HomeSlot(v, mask);; s = (s + 1) & mask) {
+    IndexSlot& slot = index_[s];
+    if (slot.stamp != stamp_) {
+      const auto local = static_cast<std::uint32_t>(reach_.size());
+      slot = IndexSlot{v, stamp_, local};
+      reach_.push_back(v);
+      if (2 * reach_.size() > index_.size()) GrowIndex();
+      return local;
+    }
+    if (slot.vertex == v) return slot.index;
+  }
+}
+
 template <typename InArcs>
 bool CyclesThrough::Load(VertexId root, InArcs&& in_arcs) {
   members_.clear();
   offsets_.clear();
   arcs_.clear();
-  in_arcs_.clear();
-  // Backward reach: every vertex that reaches root, kept sorted for the
-  // lookups (waits-for components hold at most the concurrency level).
-  // Root is on a cycle iff it is the tail of an arc into that set; when it
-  // is not — the common, deadlock-free wait — the load stops here.
-  reach_.assign(1, root);
-  queue_.assign(1, root);
+  reach_arcs_.clear();
+  // Backward reach: every vertex that reaches root, in discovery order,
+  // its position its local index (root is 0). Root is on a cycle iff it is
+  // the tail of an arc into that set; when it is not — the common,
+  // deadlock-free wait — the load stops here.
+  BeginSweep();
+  Intern(root);
   bool closed = false;
-  for (std::size_t head = 0; head < queue_.size(); ++head) {
-    const VertexId v = queue_[head];
+  for (std::uint32_t head = 0; head < reach_.size(); ++head) {
+    const VertexId v = reach_[head];  // Intern may grow reach_
     for (const Arc& a : in_arcs(v)) {
-      in_arcs_.push_back(Edge{a.first, v, a.second});
-      if (a.first == root) {
-        closed = true;
-        continue;
-      }
-      auto it = std::lower_bound(reach_.begin(), reach_.end(), a.first);
-      if (it == reach_.end() || *it != a.first) {
-        reach_.insert(it, a.first);
-        queue_.push_back(a.first);
-      }
+      closed |= a.first == root;
+      reach_arcs_.push_back(ReachArc{Intern(a.first), head, a.second});
     }
   }
-  return closed && CloseForward(root);
+  return closed && CloseForward();
 }
 
 }  // namespace pardb::graph

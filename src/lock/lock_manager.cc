@@ -489,6 +489,26 @@ EntityId LockManager::AppendBlockersOf(TxnId txn,
   return EntityId();
 }
 
+bool LockManager::MayBlockWaiters(TxnId txn) const {
+  const TxnState* ts = StateFor(txn);
+  if (ts == nullptr) return false;
+  // A holder is listed only by waiters on the entities it holds. txn has
+  // at most one pending request, so a queue of two has someone else.
+  for (const HeldEntry& h : ts->held) {
+    const EntityState* es = SlotFor(h.entity);
+    if (es->queue.size() > 1 ||
+        (es->queue.size() == 1 && es->queue[0].txn != txn)) {
+      return true;
+    }
+  }
+  // A waiter is listed only under FIFO, by those queued behind it.
+  if (options_.fifo_fairness && ts->waiting_for.valid()) {
+    const EntityState* es = SlotFor(ts->waiting_for);
+    return es->queue.back().txn != txn;
+  }
+  return false;
+}
+
 std::uint64_t LockManager::StateDigest() const {
   // Per-entity digests are order-independent-combined with XOR, so neither
   // slot order nor the internal grant-order holder layout can leak into

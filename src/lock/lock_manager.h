@@ -57,8 +57,11 @@ struct PendingRequest {
 //
 // Grant discipline:
 //  * a request is granted immediately iff it is compatible with every
-//    current holder and no incompatible request waits ahead of it
-//    (with fifo_fairness, *any* waiting request ahead blocks it);
+//    current holder and may pass the queue: with fifo_fairness nothing
+//    passes a waiter; in the paper model an exclusive request passes
+//    nobody, and a shared one passes queued exclusive requests but keeps
+//    its place behind a queued shared one (which waits only while an
+//    exclusive lock is held, so it could not be granted either);
 //  * an upgrade (X requested while holding S) is granted immediately iff
 //    the requester is the sole holder; otherwise it waits at the front of
 //    the queue;
@@ -187,6 +190,14 @@ class LockManager {
   // when txn is not waiting; appends nothing in the paper model when txn
   // waits purely on queue order.
   EntityId AppendBlockersOf(TxnId txn, std::vector<TxnId>* out) const;
+
+  // False only when no waiter lists txn among its blockers: AppendBlockersOf
+  // draws no arc out of txn. True when an entity txn holds has a waiter
+  // other than txn, or, under fifo_fairness, when someone is queued behind
+  // txn's own pending request — a superset of those arcs (DESIGN D28).
+  // O(held locks + 1). A wait by a transaction this answers false for
+  // cannot close a cycle.
+  bool MayBlockWaiters(TxnId txn) const;
 
   // Appends every entity txn holds to *out (unsorted; callers needing the
   // HeldBy order sort the appended range by entity id).

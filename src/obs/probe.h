@@ -25,7 +25,7 @@ struct EngineProbe {
   const Clock* clock = nullptr;
 
   // Phase latency histograms (nanoseconds).
-  Histogram* detection_ns = nullptr;      // one cycle-enumeration round
+  Histogram* detection_ns = nullptr;      // one detection call
   Histogram* rollback_apply_ns = nullptr;  // one RollbackTxn application
   Histogram* lock_op_ns = nullptr;        // one lock-manager Request (sampled)
 

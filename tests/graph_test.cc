@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "component_oracle.h"
 #include "cycle_oracle.h"
 #include "graph/cycles_through.h"
 #include "graph/digraph.h"
@@ -608,6 +609,272 @@ TEST(CyclesThroughTest, InArcSourceMatchesDigraphLoad) {
       std::vector<std::size_t> cut_w, cut_g;
       EXPECT_EQ(got.MinVertexCut(cap, &cut_g), want.MinVertexCut(cap, &cut_w));
       EXPECT_EQ(cut_g, cut_w);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// CyclesThrough::Load against the sorted-search loader it replaced
+// ---------------------------------------------------------------------------
+
+// g's in-arcs per vertex in a shuffled order, as the lock table gives them.
+std::map<VertexId, std::vector<Arc>> ShuffledInArcs(const Digraph& g,
+                                                    pardb::Rng& rng) {
+  std::map<VertexId, std::vector<Arc>> in;
+  for (const Edge& e : g.Edges()) in[e.to].push_back(Arc{e.from, e.label});
+  for (auto& [v, arcs] : in) {
+    for (std::size_t i = arcs.size(); i > 1; --i) {
+      std::swap(arcs[i - 1], arcs[rng.Uniform(i)]);
+    }
+  }
+  return in;
+}
+
+// n distinct vertex ids in random order: consecutive small ids (as the
+// engine's transaction ids are) or ids spread over 64 bits.
+std::vector<VertexId> RandomIds(pardb::Rng& rng, std::size_t n) {
+  const bool spread = rng.Bernoulli(0.5);
+  std::vector<VertexId> id(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    id[i] = spread ? (rng.Next() << 16) | i : 1000 + i;
+  }
+  for (std::size_t i = n - 1; i > 0; --i) std::swap(id[i], id[rng.Uniform(i + 1)]);
+  return id;
+}
+
+// Loads root's component into `ct` (reused across calls, as the engine
+// reuses its instance) from a shuffled in-arc source and checks it against
+// the sorted-search oracle: the same members in ascending order, root
+// index and out-arcs in sorted (head, label) order. Returns the oracle's
+// component (empty when root is on no cycle).
+OracleComponent CheckComponentMatchesOracle(CyclesThrough& ct,
+                                            const Digraph& g, VertexId root,
+                                            pardb::Rng& rng) {
+  const auto in = ShuffledInArcs(g, rng);
+  auto source = [&in](VertexId v) {
+    auto it = in.find(v);
+    return it == in.end() ? std::span<const Arc>()
+                          : std::span<const Arc>(it->second);
+  };
+  OracleComponent want;
+  const bool closed = LoadComponentOracle(root, InArcsOf(g), &want);
+  EXPECT_EQ(ct.Load(root, source), closed);
+  EXPECT_EQ(ct.size(), want.members.size());
+  if (!closed || ct.size() != want.members.size()) return want;
+  EXPECT_EQ(ct.root_index(), want.root);
+  std::size_t arcs = 0;
+  for (std::size_t i = 0; i < ct.size(); ++i) {
+    EXPECT_EQ(ct.member(i), want.members[i]);
+    EXPECT_EQ(ct.IndexOf(want.members[i]), i);
+    const auto got = ct.OutArcs(i);
+    EXPECT_EQ(got.size(), want.out_arcs[i].size());
+    for (std::size_t j = 0; j < std::min(got.size(), want.out_arcs[i].size());
+         ++j) {
+      EXPECT_EQ(ct.member(got[j].head), want.out_arcs[i][j].first);
+      EXPECT_EQ(got[j].label, want.out_arcs[i][j].second);
+    }
+    arcs += got.size();
+  }
+  EXPECT_EQ(ct.arc_count(), arcs);
+  return want;
+}
+
+// Random capacities for a cut: mostly finite, some members uncuttable.
+std::vector<std::uint64_t> RandomCapacities(const CyclesThrough& ct,
+                                            pardb::Rng& rng) {
+  std::vector<std::uint64_t> cap;
+  for (std::size_t i = 0; i < ct.size(); ++i) {
+    cap.push_back(rng.Bernoulli(0.1) ? kInf : 1 + rng.Uniform(9));
+  }
+  return cap;
+}
+
+// The cut's members, after checking that they are non-root and priced at
+// the flow; empty for an infinite cut.
+std::vector<VertexId> CheckCut(const CyclesThrough& ct,
+                               const std::vector<std::uint64_t>& cap,
+                               const std::vector<std::size_t>& cut,
+                               std::uint64_t flow) {
+  std::vector<VertexId> victims;
+  if (flow == kInf) {
+    EXPECT_TRUE(cut.empty());
+    return victims;
+  }
+  std::uint64_t paid = 0;
+  for (std::size_t i : cut) {
+    EXPECT_NE(i, ct.root_index());
+    paid += cap[i];
+    victims.push_back(ct.member(i));
+  }
+  EXPECT_EQ(paid, flow);
+  return victims;
+}
+
+// Small graphs of both shapes, loaded into one instance: a DAG plus the
+// root (every cycle through it, as under continuous detection) and
+// arbitrary digraphs (cyclic remainders, as in a periodic scan or a
+// cross-shard merge), with parallel labels, arcs into and out of the root
+// and self-loops. Besides the component, the answers are checked against
+// the enumeration oracle: on a DAG plus the root the exact count, the
+// first cycle and the first cycle avoiding each member; otherwise a lower
+// bound on the count and a first cycle that is one of the enumerated ones.
+// The cut is the brute-force optimum and breaks every cycle through root.
+TEST(CyclesThroughTest, LoadMatchesSortedSearchOracle) {
+  pardb::Rng rng(2028);
+  CyclesThrough ct;
+  for (int trial = 0; trial < 600; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const bool dag = trial % 2 == 0;
+    const std::size_t n = 2 + rng.Uniform(dag ? 11 : 8);
+    const std::vector<VertexId> id = RandomIds(rng, n);
+    const VertexId root = id[0];
+    Digraph g;
+    for (VertexId v : id) g.AddVertex(v);
+    EdgeLabel label = 0;
+    if (dag) {
+      const double density = 0.15 + 0.3 * rng.NextDouble();
+      for (std::size_t a = 1; a < n; ++a) {
+        if (rng.Bernoulli(0.4)) g.AddEdge(root, id[a], label++);
+        if (rng.Bernoulli(0.4)) g.AddEdge(id[a], root, label++);
+        for (std::size_t b = a + 1; b < n; ++b) {
+          if (!rng.Bernoulli(density)) continue;
+          g.AddEdge(id[a], id[b], label++);
+          if (rng.Bernoulli(0.15)) g.AddEdge(id[a], id[b], label++);
+        }
+      }
+    } else {
+      const std::size_t m = n + rng.Uniform(2 * n);
+      for (std::size_t e = 0; e < m; ++e) {
+        // Few labels, so parallel arcs share heads and tails often.
+        g.AddEdge(id[rng.Uniform(n)], id[rng.Uniform(n)], rng.Uniform(3));
+      }
+    }
+    const OracleComponent want = CheckComponentMatchesOracle(ct, g, root, rng);
+    const std::vector<Cycle> cycles = AllCyclesThrough(g, root);
+    ASSERT_EQ(want.members.empty(), cycles.empty());
+    if (cycles.empty()) continue;
+
+    Cycle first;
+    ASSERT_TRUE(ct.FirstCycle(&first));
+    if (dag) {
+      EXPECT_EQ(ct.CountCycles(), cycles.size());
+      EXPECT_EQ(first.edges, cycles.front().edges);
+      for (std::size_t x = 0; x < ct.size(); ++x) {
+        if (x == ct.root_index()) continue;
+        std::vector<char> excluded(ct.size(), 0);
+        excluded[x] = 1;
+        auto avoiding = std::find_if(cycles.begin(), cycles.end(),
+                                     [&](const Cycle& c) {
+                                       return !c.Contains(ct.member(x));
+                                     });
+        Cycle next;
+        ASSERT_EQ(ct.FirstCycle(&next, &excluded), avoiding != cycles.end());
+        if (avoiding != cycles.end()) {
+          EXPECT_EQ(next.edges, avoiding->edges);
+        }
+      }
+    } else {
+      EXPECT_LE(ct.CountCycles(), cycles.size());
+      EXPECT_NE(std::find_if(cycles.begin(), cycles.end(),
+                             [&](const Cycle& c) {
+                               return c.edges == first.edges;
+                             }),
+                cycles.end());
+    }
+
+    const std::vector<std::uint64_t> cap = RandomCapacities(ct, rng);
+    std::vector<std::size_t> cut;
+    const std::uint64_t flow = ct.MinVertexCut(cap, &cut);
+    EXPECT_EQ(flow, BruteForceHittingSet(ct, cycles, cap));
+    const std::vector<VertexId> victims = CheckCut(ct, cap, cut, flow);
+    if (flow != kInf) {
+      EXPECT_TRUE(AllCyclesThrough(Without(g, victims), root).empty());
+    }
+  }
+}
+
+// Simple paths from `from` back to root in the oracle's component when
+// every cycle passes through root (memoized; saturating at kInf, as
+// CountCycles does).
+std::uint64_t OraclePathsToRoot(const OracleComponent& c, std::size_t from,
+                                std::map<std::size_t, std::uint64_t>* memo) {
+  if (auto it = memo->find(from); it != memo->end()) return it->second;
+  std::uint64_t paths = 0;
+  for (const Arc& a : c.out_arcs[from]) {
+    const std::size_t head = static_cast<std::size_t>(
+        std::lower_bound(c.members.begin(), c.members.end(), a.first) -
+        c.members.begin());
+    const std::uint64_t more =
+        head == c.root ? 1 : OraclePathsToRoot(c, head, memo);
+    paths = paths > kInf - more ? kInf : paths + more;
+  }
+  return (*memo)[from] = paths;
+}
+
+// Large components, far past the index table's first size so it grows
+// mid-sweep, loaded into one instance between small ones: a DAG plus the
+// root with several arcs out of most vertices, so the sweep meets members
+// again after indexing them, growths included; plus sources that reach it
+// without being reached and sinks it reaches without reaching back. The
+// count is the oracle component's path count, the first cycle its
+// first-arc walk (nothing backtracks when G − root is acyclic), and
+// removing the cut leaves root on no cycle.
+TEST(CyclesThroughTest, LargeReachGrowsTheIndexAndMatchesOracle) {
+  pardb::Rng rng(77);
+  CyclesThrough ct;
+  for (int trial = 0; trial < 40; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const std::size_t n = trial % 4 == 0 ? 3 : 40 + rng.Uniform(600);
+    const std::size_t extra = rng.Uniform(n / 4 + 1);
+    const std::vector<VertexId> id = RandomIds(rng, n + 2 * extra);
+    const VertexId root = id[0];
+    Digraph g;
+    EdgeLabel label = 0;
+    // Odd trials add forward chords: counts past 2^64, which saturate.
+    const int chords = trial % 2 == 1 ? 2 : 0;
+    for (std::size_t a = 1; a < n; ++a) {
+      // Into root or forward, so G − root stays acyclic.
+      if (a + 1 == n || rng.Bernoulli(0.3)) g.AddEdge(id[a], root, label++);
+      if (a + 1 < n) g.AddEdge(id[a], id[a + 1], label++);
+      for (int k = 0; k < chords; ++k) {
+        const std::size_t b = a + 1 + rng.Uniform(n - a);
+        if (b < n) g.AddEdge(id[a], id[b], label++);
+      }
+      if (rng.Bernoulli(0.05)) g.AddEdge(id[a], id[a + 1 < n ? a + 1 : 0],
+                                         label++);  // parallel
+    }
+    g.AddEdge(root, id[1], label++);
+    for (std::size_t x = 0; x < extra; ++x) {
+      for (int k = 0; k < 3; ++k) {
+        g.AddEdge(id[n + x], id[rng.Uniform(n)], label++);
+      }
+      g.AddEdge(id[rng.Uniform(n)], id[n + extra + x], label++);
+    }
+    const OracleComponent want = CheckComponentMatchesOracle(ct, g, root, rng);
+    ASSERT_FALSE(want.members.empty());
+
+    std::map<std::size_t, std::uint64_t> memo;
+    EXPECT_EQ(ct.CountCycles(), OraclePathsToRoot(want, want.root, &memo));
+    Cycle first;
+    ASSERT_TRUE(ct.FirstCycle(&first));
+    std::vector<Edge> walk;
+    VertexId at = root;
+    do {
+      const Arc& a = want.out_arcs[static_cast<std::size_t>(
+          std::lower_bound(want.members.begin(), want.members.end(), at) -
+          want.members.begin())][0];
+      walk.push_back(Edge{at, a.first, a.second});
+      at = a.first;
+    } while (at != root);
+    EXPECT_EQ(first.edges, walk);
+
+    const std::vector<std::uint64_t> cap = RandomCapacities(ct, rng);
+    std::vector<std::size_t> cut;
+    const std::uint64_t flow = ct.MinVertexCut(cap, &cut);
+    const std::vector<VertexId> victims = CheckCut(ct, cap, cut, flow);
+    if (flow != kInf) {
+      CyclesThrough rest;
+      EXPECT_FALSE(rest.Load(root, InArcsOf(Without(g, victims))));
     }
   }
 }

@@ -1,3 +1,6 @@
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "lock/lock_manager.h"
@@ -282,6 +285,46 @@ TEST(LockManagerTest, BlockersOfWaiter) {
   blockers.clear();
   EXPECT_FALSE(lm.AppendBlockersOf(kT1, &blockers).valid());
   EXPECT_TRUE(blockers.empty());
+}
+
+// MayBlockWaiters answers for the arcs AppendBlockersOf draws out of a
+// transaction: holders of an entity someone else waits on, and under FIFO
+// waiters with someone queued behind them.
+TEST(LockManagerTest, MayBlockWaitersFollowsTheQueueDiscipline) {
+  for (bool fifo : {false, true}) {
+    SCOPED_TRACE(fifo ? "fifo" : "paper");
+    LockManager lm(LockManager::Options{.fifo_fairness = fifo});
+    EXPECT_FALSE(lm.MayBlockWaiters(kT1));  // unknown
+    ASSERT_TRUE(lm.Request(kT1, kA, LockMode::kExclusive).value().granted);
+    EXPECT_FALSE(lm.MayBlockWaiters(kT1));  // nobody waits
+    ASSERT_FALSE(lm.Request(kT2, kA, LockMode::kExclusive).value().granted);
+    ASSERT_FALSE(lm.Request(kT3, kA, LockMode::kShared).value().granted);
+    EXPECT_TRUE(lm.MayBlockWaiters(kT1));
+    // T3 is queued behind T2: a blocker of T3 only under FIFO.
+    std::vector<TxnId> blockers;
+    lm.AppendBlockersOf(kT3, &blockers);
+    const bool t2_blocks_t3 =
+        std::find(blockers.begin(), blockers.end(), kT2) != blockers.end();
+    EXPECT_EQ(t2_blocks_t3, fifo);
+    EXPECT_EQ(lm.MayBlockWaiters(kT2), fifo);
+    EXPECT_FALSE(lm.MayBlockWaiters(kT3));
+  }
+}
+
+TEST(LockManagerTest, MayBlockWaitersSeesUpgrades) {
+  for (bool fifo : {false, true}) {
+    SCOPED_TRACE(fifo ? "fifo" : "paper");
+    LockManager lm(LockManager::Options{.fifo_fairness = fifo});
+    ASSERT_TRUE(lm.Request(kT1, kA, LockMode::kShared).value().granted);
+    ASSERT_TRUE(lm.Request(kT2, kA, LockMode::kShared).value().granted);
+    // T1's upgrade waits for T2; T1's own queued request lists nobody.
+    ASSERT_FALSE(lm.Request(kT1, kA, LockMode::kExclusive).value().granted);
+    EXPECT_FALSE(lm.MayBlockWaiters(kT1));
+    EXPECT_TRUE(lm.MayBlockWaiters(kT2));
+    // T3 queues behind the upgrade and waits for both holders.
+    ASSERT_FALSE(lm.Request(kT3, kA, LockMode::kExclusive).value().granted);
+    EXPECT_TRUE(lm.MayBlockWaiters(kT1));
+  }
 }
 
 TEST(LockManagerTest, ToStringMentionsHoldersAndQueue) {

@@ -296,7 +296,8 @@ TEST(ForestPropertyTest, XOnlyGraphAlwaysForest) {
 // After every step of a contended shared/exclusive run it must equal, edge
 // for edge, the arcs the §2 conflict rule and the D6 queue rule give for
 // that table — under every handling mode, both queue disciplines and both
-// detection cadences.
+// detection cadences. LockManager::MayBlockWaiters, the detection
+// early-out (DESIGN D28), must answer true for every tail of those arcs.
 struct WaitsForCase {
   const char* name;
   core::DeadlockHandling handling;
@@ -330,6 +331,8 @@ TEST_P(WaitsForOracleTest, DerivedGraphMatchesOracleAfterEveryStep) {
     WorkloadGenerator gen(wopt, seed);
     std::vector<TxnId> spawned;
     std::uint64_t arcs_seen = 0;
+    std::uint64_t answered_yes = 0;
+    std::uint64_t answered_no = 0;
     int guard = 100000;
     while (engine.metrics().commits < 60 && guard-- > 0) {
       while (spawned.size() < 60 &&
@@ -352,6 +355,18 @@ TEST_P(WaitsForOracleTest, DerivedGraphMatchesOracleAfterEveryStep) {
           << engine.lock_manager().ToString();
       ASSERT_EQ(derived.size(), expected.size());
       arcs_seen += derived.size();
+      // The detection early-out (DESIGN D28): a transaction the lock
+      // table says no waiter lists is the tail of no arc.
+      for (TxnId t : spawned) {
+        const bool may_block = engine.lock_manager().MayBlockWaiters(t);
+        (may_block ? answered_yes : answered_no) += 1;
+        if (may_block) continue;
+        for (const graph::Edge& e : expected) {
+          ASSERT_NE(e.from, t.value())
+              << "step " << engine.metrics().steps << "\n"
+              << engine.lock_manager().ToString();
+        }
+      }
     }
     // With the paper's grant rule (DESIGN D6) some prevention runs stall
     // (nothing ready) or run out of steps; FIFO runs finish.
@@ -360,6 +375,8 @@ TEST_P(WaitsForOracleTest, DerivedGraphMatchesOracleAfterEveryStep) {
     }
     // The runs must actually wait, or the comparison shows nothing.
     EXPECT_GT(arcs_seen, 0u);
+    EXPECT_GT(answered_yes, 0u);
+    EXPECT_GT(answered_no, 0u);
   }
 }
 

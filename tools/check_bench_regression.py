@@ -44,9 +44,12 @@ as admission does (D26) — and the lowering cost must stay at or below
 
 The "contended_wait" section (the D27 detect layer: hot keys, 30% shared
 locks, FIFO queues, continuous detection) is gated the same way: its
-counts (txns, committed, steps, waits, detections, rollbacks) exactly,
-its stepping-loop allocations per wait at exactly 0, and its cost at or
-below --max-contended-us-per-wait (default 6.0 µs per wait).
+counts (txns, committed, steps, waits, component_loads, detections,
+rollbacks) exactly, its stepping-loop allocations per wait at exactly 0,
+and its cost at or below --max-contended-us-per-wait (default 6.0 µs per
+wait). component_loads counts the waits whose detection swept the
+requester's component instead of stopping at the lock table's early-out
+(D28).
 
 When the file carries a "generate" section (the D24 generation micro;
 absent from older files, which skip these gates unless the baseline has
@@ -233,6 +236,7 @@ def check_hotpath(current, baseline, min_txns_per_sec,
         ("contended_wait", "committed"),
         ("contended_wait", "steps"),
         ("contended_wait", "waits"),
+        ("contended_wait", "component_loads"),
         ("contended_wait", "detections"),
         ("contended_wait", "rollbacks"),
     ]
