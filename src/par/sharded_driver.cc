@@ -83,11 +83,11 @@ double Seconds(std::uint64_t nanos) {
 }
 
 // Per-shard state that persists across epochs: the engine and everything
-// wired into it. An epoch runs at most one admission task and one quantum
-// per shard, and each fork-join returns only after all of its tasks
-// finished, which orders their writes before the next phase — so this
-// struct is only ever touched by one thread at a time even though tasks
-// migrate between workers.
+// wired into it. An epoch runs at most one task per shard, and the
+// fork-join returns only after all of its tasks finished, which orders
+// their writes before the next coordinate phase — so this struct is only
+// ever touched by one thread at a time even though tasks migrate between
+// workers.
 struct ShardExec {
   ShardExec(std::size_t max_dumps, obs::DeadlockDumpSink* hub_sink,
             obs::DecisionJournal::Options journal_options)
@@ -134,6 +134,9 @@ struct ShardRun {
   // Wall-clock cost of the shard's serializability verdict (the "certify"
   // phase gauge, beside the global merge); kept out of the report.
   std::uint64_t certify_ns = 0;
+  // Wall-clock time the shard's own task spent admitting (local draws and
+  // spawns, slice spawns, one-shard refills); part of generate_seconds.
+  std::uint64_t admit_ns = 0;
   std::vector<obs::EngineEvent> trace_events;
   std::vector<obs::DeadlockDump> forensics;
   // Hub-owned registry when live introspection is on (so /metrics outlives
@@ -543,10 +546,14 @@ void PublishEpoch(const ShardedOptions& options, std::vector<ShardRun>& runs,
   }
 }
 
-// The driver (DESIGN D25): epochs of 2PC polling, parallel local
-// admission, global admission with union merge + distributed partial
-// rollback, and one parallel quantum per shard (DESIGN D12). Two things
-// depend on the shard count. The coordinator, and with it the
+// The driver (DESIGN D25, D29): each epoch is one coordinate phase on the
+// calling thread — 2PC polling, union merge + distributed partial
+// rollback, the 2PC stamp, then the plan walk and global admission, which
+// queues each global's slices on their home shards — and one fork-join,
+// in which shard s's task admits its local transactions, spawns its queued
+// slices and steps one bounded quantum (DESIGN D12). A task touches only
+// its own shard's engine, recorder and slice queue. Two things depend on
+// the shard count. The coordinator, and with it the
 // commit-free-epoch bound, exists only with several shards: one shard has
 // nothing to coordinate. And the refill rule: several shards top their
 // levels up at epoch start, while a lone shard, which waits on no
@@ -625,7 +632,7 @@ Result<ShardedReport> RunEpochs(const ShardedOptions& options) {
   RoutingStream stream(options);
   std::vector<std::uint64_t> routed(n, 0);
   std::deque<sim::WorkloadGenerator> globals;
-  std::uint64_t generate_ns = 0;
+  std::uint64_t generate_ns = 0;  // the coordinating thread's walk and stage
   auto walk_one = [&]() -> Status {
     const std::uint64_t t = stream.position();
     const std::uint32_t g = stream.Next();
@@ -670,7 +677,7 @@ Result<ShardedReport> RunEpochs(const ShardedOptions& options) {
     return std::min(want, run.walked - run.admitted);
   };
   // Spawns shard s's next `room` local transactions in plan order, drawing
-  // each on the calling thread.
+  // each on the calling thread (shard s's task).
   auto admit = [&](std::uint32_t s, std::uint64_t room) -> Status {
     ShardRun& run = runs[s];
     for (std::uint64_t k = 0; k < room; ++k) {
@@ -697,11 +704,15 @@ Result<ShardedReport> RunEpochs(const ShardedOptions& options) {
   std::atomic<std::uint64_t> steals{0};
   std::vector<std::uint64_t> epoch_shard_steps(n, 0);
   std::vector<std::uint64_t> room(n, 0);  // local programs to admit
-  std::vector<std::uint32_t> admitting;
+  std::vector<std::uint32_t> tasks;
   std::vector<std::uint32_t> submitted;
+  std::vector<std::uint64_t> admitted_globals;
   const std::uint64_t e0 = NowNanos();
   for (;; ++epoch) {
-    // ---- Coordinate: 2PC polling (single-threaded; engines quiescent) ----
+    // ---- Coordinate (single-threaded; engines quiescent): 2PC polling,
+    // then the union merge. The merge runs before this epoch's admission:
+    // a transaction that has not stepped holds no lock and waits on none,
+    // so it adds no arc (DESIGN D29) ----
     if (coord) {
       run_status = coord->Poll();
       if (!run_status.ok()) break;
@@ -709,65 +720,6 @@ Result<ShardedReport> RunEpochs(const ShardedOptions& options) {
       // recorder together; each shard prunes its own transactions after
       // its quantum.
       if (options.check_serializability) coord->PruneRetired();
-    }
-    // ---- Local admission (parallel): top each shard's level up in plan
-    // order, one task per shard that has room. It stays ahead of global
-    // admission, so each engine still assigns this epoch's local ids and ω
-    // positions before its slices'.
-    const std::uint64_t w0 = NowNanos();
-    for (std::uint32_t s = 0; s < n && run_status.ok(); ++s) {
-      auto r = room_for(s);
-      run_status = r.status();
-      if (r.ok()) room[s] = r.value();
-    }
-    if (!run_status.ok()) break;
-    admitting.clear();
-    for (std::uint32_t s = 0; s < n; ++s) {
-      if (room[s] > 0) admitting.push_back(s);
-    }
-    fork_join.Run(admitting.size(), [&](std::size_t i, std::size_t) {
-      const std::uint32_t s = admitting[i];
-      runs[s].status = admit(s, room[s]);
-    });
-    for (std::uint32_t s : admitting) {
-      if (!runs[s].status.ok()) {
-        run_status = runs[s].status;
-        break;
-      }
-    }
-    if (!run_status.ok()) break;
-    for (std::uint32_t s = 0; s < queue_depth.size(); ++s) {
-      queue_depth[s]->Set(
-          static_cast<std::int64_t>(runs[s].walked - runs[s].admitted));
-    }
-    // ---- Coordinate: global admission, in ω order, walking the plan on
-    // to the next spanning program whenever the coordinator has room ----
-    while (coord && coord->CanAdmit()) {
-      while (run_status.ok() && globals.empty() && !stream.done()) {
-        run_status = walk_one();
-      }
-      if (!run_status.ok() || globals.empty()) break;
-      auto program = globals.front().Next();
-      globals.pop_front();
-      if (!program.ok()) {
-        run_status = program.status();
-        break;
-      }
-      auto seq = coord->Admit(std::move(program).value());
-      if (!seq.ok()) {
-        run_status = seq.status();
-        break;
-      }
-      if (options.collect_traces) {
-        for (const auto& [shard, txn] : coord->SlicesOf(seq.value())) {
-          report.flow_slices.push_back(
-              obs::GlobalSlice{seq.value(), shard, txn.value()});
-        }
-      }
-    }
-    generate_ns += NowNanos() - w0;
-    if (!run_status.ok()) break;
-    if (coord) {
       // Union merge + distributed partial rollback, every epoch: a global
       // cycle is resolved at the first coordinate phase after it closes.
       run_status = coord->MergeAndResolve();
@@ -787,6 +739,44 @@ Result<ShardedReport> RunEpochs(const ShardedOptions& options) {
       PublishEpoch(options, runs, engines, coord ? &*coord : nullptr,
                    coord_journal ? &*coord_journal : nullptr, epoch);
     }
+    // ---- Coordinate: size each shard's local admission, walking the
+    // plan as far as it needs, then global admission in ω order, walking
+    // on to the next spanning program whenever the coordinator has room.
+    // Admit only queues the slices; each shard spawns its own after its
+    // local transactions, so every engine still assigns this epoch's local
+    // ids and ω positions before its slices' ----
+    const std::uint64_t w0 = NowNanos();
+    for (std::uint32_t s = 0; s < n && run_status.ok(); ++s) {
+      auto r = room_for(s);
+      run_status = r.status();
+      if (r.ok()) room[s] = r.value();
+    }
+    if (!run_status.ok()) break;
+    for (std::uint32_t s = 0; s < queue_depth.size(); ++s) {
+      queue_depth[s]->Set(static_cast<std::int64_t>(
+          runs[s].walked - runs[s].admitted - room[s]));
+    }
+    admitted_globals.clear();
+    while (coord && coord->CanAdmit()) {
+      while (run_status.ok() && globals.empty() && !stream.done()) {
+        run_status = walk_one();
+      }
+      if (!run_status.ok() || globals.empty()) break;
+      auto program = globals.front().Next();
+      globals.pop_front();
+      if (!program.ok()) {
+        run_status = program.status();
+        break;
+      }
+      auto seq = coord->Admit(std::move(program).value());
+      if (!seq.ok()) {
+        run_status = seq.status();
+        break;
+      }
+      admitted_globals.push_back(seq.value());
+    }
+    generate_ns += NowNanos() - w0;
+    if (!run_status.ok()) break;
     // Termination: the plan walked and admitted, every global retired,
     // every engine drained.
     bool done =
@@ -805,27 +795,41 @@ Result<ShardedReport> RunEpochs(const ShardedOptions& options) {
     for (std::uint32_t s = 0; s < n; ++s) {
       const bool spent = runs[s].exec->steps >= options.max_steps_per_shard;
       budget_left = budget_left || !spent;
-      stranded = stranded || (spent && (engines[s]->live_txn_count() > 0 ||
-                                        runs[s].admitted < runs[s].walked));
+      stranded = stranded ||
+                 (spent && (engines[s]->live_txn_count() > 0 ||
+                            runs[s].admitted < runs[s].walked ||
+                            (coord && coord->HasQueued(s))));
     }
-    if (!budget_left) {
-      completed = false;
-      break;
-    }
-    // ---- Step (parallel): one bounded quantum per shard with work ----
+    // ---- Shards (parallel): one task per shard with something to admit
+    // or step. It admits, then steps one bounded quantum when the shard
+    // has budget and work (admitting gives it work) ----
+    tasks.clear();
     submitted.clear();
     for (std::uint32_t s = 0; s < n; ++s) {
       epoch_shard_steps[s] = 0;
+      const bool admits = room[s] > 0 || (coord && coord->HasQueued(s));
       if (runs[s].exec->steps < options.max_steps_per_shard &&
-          engines[s]->live_txn_count() > 0) {
+          (admits || engines[s]->live_txn_count() > 0)) {
         submitted.push_back(s);
+        tasks.push_back(s);
+      } else if (admits) {
+        tasks.push_back(s);
       }
     }
-    fork_join.Run(submitted.size(), [&](std::size_t i, std::size_t worker) {
-      const std::uint32_t s = submitted[i];
+    fork_join.Run(tasks.size(), [&](std::size_t i, std::size_t worker) {
+      const std::uint32_t s = tasks[i];
+      ShardRun& run = runs[s];
+      ShardExec& ex = *run.exec;
+      const std::uint64_t a0 = NowNanos();
+      run.status = admit(s, room[s]);
+      if (run.status.ok() && coord) run.status = coord->SpawnQueued(s);
+      run.admit_ns += NowNanos() - a0;
+      if (!run.status.ok() || ex.steps >= options.max_steps_per_shard ||
+          engines[s]->live_txn_count() == 0) {
+        return;
+      }
       // A quantum away from its home worker counts as a steal.
       if (worker != s % threads) steals.fetch_add(1, std::memory_order_relaxed);
-      ShardExec& ex = *runs[s].exec;
       const std::uint64_t budget =
           std::min(kEpochSteps, options.max_steps_per_shard - ex.steps);
       // The refill rule: a lone shard stops at each commit and tops its
@@ -840,16 +844,16 @@ Result<ShardedReport> RunEpochs(const ShardedOptions& options) {
         auto q = engines[s]->StepQuantum(budget - stepped,
                                          /*stop_after_commit=*/!coord);
         if (!q.ok()) {
-          runs[s].status = q.status();
+          run.status = q.status();
           return;
         }
         stepped += q.value().steps;
         if (!q.value().committed || stepped == budget) break;
         const std::uint64_t r0 = NowNanos();
         auto r = room_for(s);
-        runs[s].status = r.ok() ? admit(s, r.value()) : r.status();
-        generate_ns += NowNanos() - r0;
-        if (!runs[s].status.ok()) return;
+        run.status = r.ok() ? admit(s, r.value()) : r.status();
+        run.admit_ns += NowNanos() - r0;
+        if (!run.status.ok()) return;
       }
       epoch_shard_steps[s] = stepped;
       ex.steps += stepped;
@@ -863,17 +867,35 @@ Result<ShardedReport> RunEpochs(const ShardedOptions& options) {
         if (options.hub != nullptr) options.hub->RecordShardStep(s, per_step);
       }
     });
-    report.scheduler.quanta += submitted.size();
-    report.scheduler.virtual_makespan_steps +=
-        VirtualMakespanSteps(epoch_shard_steps, submitted, threads);
+    for (std::uint32_t s : tasks) {
+      if (!runs[s].status.ok()) run_status = runs[s].status;
+    }
+    if (!run_status.ok()) break;
+    if (coord) {
+      coord->IndexSpawned();
+      if (options.collect_traces) {
+        for (std::uint64_t seq : admitted_globals) {
+          for (const auto& [shard, txn] : coord->SlicesOf(seq)) {
+            report.flow_slices.push_back(
+                obs::GlobalSlice{seq, shard, txn.value()});
+          }
+        }
+      }
+    }
+    // Every shard had spent its budget, so the tasks only admitted.
+    if (!budget_left) {
+      completed = false;
+      break;
+    }
     std::uint64_t commits = 0;
     std::uint64_t stepped = 0;
     for (std::uint32_t s = 0; s < n; ++s) {
-      if (!runs[s].status.ok()) run_status = runs[s].status;
       commits += engines[s]->metrics().commits;
       stepped += epoch_shard_steps[s];
     }
-    if (!run_status.ok()) break;
+    report.scheduler.quanta += submitted.size();
+    report.scheduler.virtual_makespan_steps +=
+        VirtualMakespanSteps(epoch_shard_steps, submitted, threads);
     if (stranded && stepped == 0) {
       completed = false;
       break;
@@ -913,6 +935,7 @@ Result<ShardedReport> RunEpochs(const ShardedOptions& options) {
   }
   const std::uint64_t uptime_ns = fork_join.uptime_nanos();
   report.admission.execute_seconds = Seconds(NowNanos() - e0);
+  for (const ShardRun& run : runs) generate_ns += run.admit_ns;
   report.admission.generate_seconds = Seconds(generate_ns);
   if (!run_status.ok()) return run_status;
   if (options.hub != nullptr) {

@@ -32,15 +32,16 @@ namespace pardb::par {
 // sharing one global ω position; a union-of-forests merge detects global
 // deadlocks and removes them by distributed partial rollback (DESIGN D12).
 // The shards advance in epochs on a fork-join whose calling thread is one
-// of the workers (DESIGN D10): 2PC polling on the calling thread, local
-// admission fanned out one task per shard, global admission, union merge
-// and 2PC stamp on the calling thread, then one quantum per shard fanned
-// out. Every fan-out joins before the next phase, so no engine is ever
-// touched by two threads, and serializability is a *global* property,
-// checked over the union of the shards' certifier graphs. Generation is
-// streamed into admission: the routing plan is walked as far as admission
-// needs, and each shard draws its own programs on its own task (DESIGN
-// D23).
+// of the workers (DESIGN D10, D29): 2PC polling, union merge, 2PC stamp
+// and global admission (which queues each global's slices on their home
+// shards) on the calling thread, then one fan-out in which each shard's
+// task admits its local transactions, spawns its queued slices and steps
+// one quantum. The fan-out joins before the next epoch, so no engine is
+// ever touched by two threads, and serializability is a *global*
+// property, checked over the union of the shards' certifier graphs.
+// Generation is streamed into admission: the routing plan is walked as far
+// as admission needs, and each shard draws its own programs on its own
+// task (DESIGN D23).
 //
 // One shard runs through the same epochs (DESIGN D25). With nothing to
 // coordinate there is no coordinator, and its quantum refills the level
@@ -194,9 +195,11 @@ struct SchedulerStats {
 // wall-clock fields are timing-dependent and excluded from
 // ShardedReportToJson / ToString (byte-compared by the determinism tests).
 struct AdmissionStats {
-  // Wall time admitting: the coordinating phases that walk the plan and
-  // admit (each shard's draws happen inside its admission task), plus a
-  // lone shard's refills after each commit.
+  // Time spent admitting, summed over the threads that did it: the
+  // coordinating thread's plan walk and global admission (split and
+  // staging), plus each shard task's local draws and spawns, slice spawns
+  // and a lone shard's refills after each commit. Shard tasks overlap, so
+  // with several shards this is thread time, not elapsed wall time.
   double generate_seconds = 0.0;
   double execute_seconds = 0.0;   // execution start to end (wall)
   // High-water mark of programs generated but not yet admitted to an

@@ -35,7 +35,9 @@ class PhaseTimer {
 Coordinator::Coordinator(std::vector<core::Engine*> engines, Options options)
     : engines_(std::move(engines)),
       options_(options),
-      sub_commits_by_shard_(options.num_shards, 0) {}
+      sub_commits_by_shard_(options.num_shards, 0),
+      queued_(options.num_shards),
+      arcs_(engines_.size()) {}
 
 Result<std::uint64_t> Coordinator::Admit(txn::Program program) {
   auto subs = SplitProgram(program, options_.num_shards);
@@ -45,14 +47,10 @@ Result<std::uint64_t> Coordinator::Admit(txn::Program program) {
   g.seq = seq;
   g.participants.reserve(subs.value().size());
   for (SubProgram& sub : subs.value()) {
-    auto id = engines_[sub.shard]->SpawnSub(std::move(sub.program),
-                                            sub.hold_pc);
-    if (!id.ok()) return id.status();
-    g.participants.push_back({sub.shard, id.value(), false});
-    sub_index_[{sub.shard, id.value().value()}] = seq;
-    if (!options_.recorders.empty()) {
-      options_.recorders[sub.shard]->Pin(id.value());
-    }
+    queued_[sub.shard].push_back({seq, g.participants.size(),
+                                  std::move(sub.program), sub.hold_pc,
+                                  TxnId()});
+    g.participants.push_back({sub.shard, TxnId(), false});
   }
   stats_.global_txns += 1;
   stats_.sub_txns += g.participants.size();
@@ -66,6 +64,26 @@ Result<std::uint64_t> Coordinator::Admit(txn::Program program) {
   active_.push_back(seq);
   txns_.emplace(seq, std::move(g));
   return seq;
+}
+
+Status Coordinator::SpawnQueued(std::uint32_t shard) {
+  for (QueuedSlice& q : queued_[shard]) {
+    auto id = engines_[shard]->SpawnSub(std::move(q.program), q.hold_pc);
+    if (!id.ok()) return id.status();
+    q.txn = id.value();
+    if (!options_.recorders.empty()) options_.recorders[shard]->Pin(q.txn);
+  }
+  return Status::OK();
+}
+
+void Coordinator::IndexSpawned() {
+  for (std::uint32_t s = 0; s < queued_.size(); ++s) {
+    for (const QueuedSlice& q : queued_[s]) {
+      txns_.at(q.seq).participants[q.participant].txn = q.txn;
+      sub_index_[{s, q.txn.value()}] = q.seq;
+    }
+    queued_[s].clear();
+  }
 }
 
 std::vector<std::pair<std::uint32_t, TxnId>> Coordinator::SlicesOf(
@@ -109,8 +127,7 @@ std::size_t Coordinator::PruneRetired() {
 }
 
 Status Coordinator::Poll() {
-  std::vector<std::uint64_t> still_active;
-  still_active.reserve(active_.size());
+  still_active_.clear();
   for (std::uint64_t seq : active_) {
     GlobalTxn& g = txns_.at(seq);
     if (g.phase == Phase::kAcquiring) {
@@ -183,10 +200,19 @@ Status Coordinator::Poll() {
         continue;
       }
     }
-    still_active.push_back(seq);
+    still_active_.push_back(seq);
   }
-  active_ = std::move(still_active);
+  active_.swap(still_active_);
   return Status::OK();
+}
+
+bool Coordinator::AnySliceWaiting() const {
+  for (const auto& [seq, g] : txns_) {
+    for (const Participant& p : g.participants) {
+      if (engines_[p.shard]->lock_manager().IsWaiting(p.txn)) return true;
+    }
+  }
+  return false;
 }
 
 std::optional<std::uint64_t> Coordinator::GlobalOf(std::uint32_t shard,
@@ -342,16 +368,18 @@ Status Coordinator::MergeAndResolve() {
   backed_off_.clear();
   // One status exchange per shard to collect the wait graphs.
   stats_.messages += 2 * engines_.size();
+  // A cycle through a global node uses an arc into it, and only a waiting
+  // slice draws one; resolution skips cycles of local nodes alone.
+  if (!AnySliceWaiting()) return Status::OK();
   // A resolved cycle can unblock waiters everywhere (grant cascades), so
   // re-read every shard's arcs and re-merge after each rollback instead of
   // resolving a stale snapshot.
-  std::vector<std::vector<graph::Edge>> arcs(engines_.size());
   for (int round = 0; round < 64; ++round) {
     for (std::size_t s = 0; s < engines_.size(); ++s) {
-      arcs[s].clear();
-      engines_[s]->AppendWaitsFor(&arcs[s]);
+      arcs_[s].clear();
+      engines_[s]->AppendWaitsFor(&arcs_[s]);
     }
-    MergedGraph merged = MergeWaitsFor(arcs, *this);
+    MergedGraph merged = MergeWaitsFor(arcs_, *this);
     bool resolved_any = false;
     for (const auto& component : merged.graph.CyclicComponents()) {
       bool resolved = false;

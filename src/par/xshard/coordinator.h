@@ -53,8 +53,10 @@ struct XShardStats {
 // it blocks a cycle member, to the latest lock state that releases those
 // conflicts.
 //
-// All methods run on the driver's coordinate phase (single-threaded, the
-// shard engines quiescent), so the coordinator needs no locking and its
+// Every method but SpawnQueued runs on the driver's coordinate phase
+// (single-threaded, the shard engines quiescent). SpawnQueued(s) runs on
+// shard s's own task and touches only that shard's engine, recorder and
+// slice queue (DESIGN D29). So the coordinator needs no locking and its
 // decisions are deterministic.
 class Coordinator : public SubResolver {
  public:
@@ -86,9 +88,24 @@ class Coordinator : public SubResolver {
   // True when another global transaction may be admitted now.
   bool CanAdmit() const { return active_.size() < kMaxActiveGlobals; }
 
-  // Splits `program` and spawns its slices (held at their lock points).
-  // Returns the global sequence number.
+  // Splits `program`, takes its global sequence number (returned) and
+  // queues each slice on its home shard. SpawnQueued spawns the slices and
+  // IndexSpawned records them; both must run before the next Poll.
   Result<std::uint64_t> Admit(txn::Program program);
+
+  // True when shard `shard` has slices queued by Admit.
+  bool HasQueued(std::uint32_t shard) const {
+    return !queued_[shard].empty();
+  }
+
+  // Spawns shard `shard`'s queued slices (held at their lock points) in
+  // admission order and pins each in the shard's recorder. Safe to call
+  // for distinct shards concurrently.
+  Status SpawnQueued(std::uint32_t shard);
+
+  // Records every slice SpawnQueued spawned under its global, and empties
+  // the queues. Call on the coordinate phase after the spawning tasks.
+  void IndexSpawned();
 
   // One coordination round: advances every active global's 2PC state
   // machine (prepare when all slices hold, resolve by releasing the holds,
@@ -96,8 +113,15 @@ class Coordinator : public SubResolver {
   Status Poll();
 
   // Union-of-forests merge + distributed partial rollback, repeated until
-  // the merged graph has no cycle through a global transaction.
+  // the merged graph has no cycle through a global transaction. Builds no
+  // union while no slice of a global in flight waits: only a waiting slice
+  // gives a global node an in-arc, so the union would hold shard-local
+  // cycles only (DESIGN D29).
   Status MergeAndResolve();
+
+  // True when a slice of some global in flight waits on its shard; while
+  // false, MergeAndResolve builds no union.
+  bool AnySliceWaiting() const;
 
   bool AllDone() const { return active_.empty(); }
   // Sequence numbers of the globals in flight, ascending.
@@ -143,6 +167,15 @@ class Coordinator : public SubResolver {
     std::vector<Participant> participants;
   };
 
+  // A slice Admit queued and SpawnQueued spawns as `txn`.
+  struct QueuedSlice {
+    std::uint64_t seq = 0;
+    std::size_t participant = 0;  // index in the global's participants
+    txn::Program program;
+    std::size_t hold_pc = 0;
+    TxnId txn;
+  };
+
   Status ResolveComponent(const MergedGraph& merged,
                           const std::vector<graph::VertexId>& component,
                           bool* resolved);
@@ -157,6 +190,12 @@ class Coordinator : public SubResolver {
   // Retired globals awaiting PruneRetired, in retire order.
   std::vector<GlobalTxn> retired_;
   std::vector<std::uint64_t> sub_commits_by_shard_;
+  // Slices admitted but not yet indexed, by home shard.
+  std::vector<std::vector<QueuedSlice>> queued_;
+  // Per-call scratch, kept so that a round allocates nothing in the
+  // steady state: Poll's next active list and the merge's per-shard arcs.
+  std::vector<std::uint64_t> still_active_;
+  std::vector<std::vector<graph::Edge>> arcs_;
   // (shard, local txn id) -> global sequence number, for every slice of a
   // global in flight or retired-but-unpruned.
   std::map<std::pair<std::uint32_t, std::uint64_t>, std::uint64_t> sub_index_;

@@ -9,6 +9,7 @@
 
 #include <functional>
 #include <memory>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
@@ -21,6 +22,8 @@
 #include "par/report_json.h"
 #include "par/router.h"
 #include "par/sharded_driver.h"
+#include "par/xshard/coordinator.h"
+#include "par/xshard/global_graph.h"
 #include "par/xshard/split.h"
 #include "sim/workload.h"
 #include "storage/entity_store.h"
@@ -387,6 +390,109 @@ TEST(EngineSubTxnTest, HoldReleaseLifecycle) {
   }
   EXPECT_EQ(engine.StatusOf(id.value()), core::TxnStatus::kCommitted);
   EXPECT_EQ(engine.metrics().commits, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Coordinator: the merge early-out
+// ---------------------------------------------------------------------------
+
+// MergeAndResolve builds no union while no slice of a global in flight
+// waits: a cycle through a global node needs an arc into it, and only a
+// waiting slice draws one (DESIGN D29). Engines and a coordinator are
+// driven directly — a small hot universe, 30% spanning programs, random
+// stepping between coordinate phases — and at every phase where the
+// early-out fires, the union must hold no cyclic component with a global.
+// At most two globals are in flight, so the early-out fires often, and
+// programs of up to six locks span three or four shards, so global cycles
+// form whose waiting slices are not their globals' first.
+TEST(CoordinatorTest, MergeEarlyOutFiresOnlyWithoutGlobalCycles) {
+  constexpr std::uint32_t kShards = 4;
+  constexpr std::uint64_t kLocalLevel = 3;
+  constexpr std::size_t kGlobalsInFlight = 2;
+  std::uint64_t fired = 0;
+  std::uint64_t merged = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    ShardedOptions opt;
+    opt.num_shards = kShards;
+    opt.cross_shard_fraction = 0.3;
+    opt.workload.num_entities = 16;
+    opt.workload.min_locks = 2;
+    opt.workload.max_locks = 6;
+    opt.total_txns = 1u << 20;
+    opt.seed = seed;
+    par::RoutingStream stream(opt);
+    std::vector<std::unique_ptr<storage::EntityStore>> stores;
+    std::vector<std::unique_ptr<core::Engine>> owned;
+    std::vector<core::Engine*> engines;
+    for (std::uint32_t s = 0; s < kShards; ++s) {
+      stores.push_back(std::make_unique<storage::EntityStore>());
+      stores.back()->CreateMany(opt.workload.num_entities, 100);
+      core::EngineOptions eopt;
+      eopt.scheduler = core::SchedulerKind::kRandom;
+      eopt.seed = par::DeriveShardSeed(seed, s);
+      owned.push_back(
+          std::make_unique<core::Engine>(stores.back().get(), eopt));
+      engines.push_back(owned.back().get());
+    }
+    par::xshard::Coordinator::Options copt;
+    copt.num_shards = kShards;
+    par::xshard::Coordinator coord(engines, copt);
+    std::vector<std::uint64_t> locals(kShards, 0);  // spawned, uncommitted
+    std::mt19937_64 rng(seed);
+    for (int phase = 0; phase < 300; ++phase) {
+      ASSERT_TRUE(coord.Poll().ok());
+      if (coord.AnySliceWaiting()) {
+        ++merged;
+      } else {
+        ++fired;
+        std::vector<std::vector<graph::Edge>> arcs(kShards);
+        for (std::uint32_t s = 0; s < kShards; ++s) {
+          engines[s]->AppendWaitsFor(&arcs[s]);
+        }
+        const auto union_graph = par::xshard::MergeWaitsFor(arcs, coord);
+        for (const auto& component : union_graph.graph.CyclicComponents()) {
+          for (graph::VertexId v : component) {
+            ASSERT_FALSE(par::xshard::IsGlobalNode(v))
+                << "seed " << seed << " phase " << phase << ": global G" << v
+                << " on a cycle while no slice waits";
+          }
+        }
+      }
+      ASSERT_TRUE(coord.MergeAndResolve().ok());
+      // Admission: globals up to kGlobalsInFlight, locals up to each
+      // shard's level; a draw with no room is dropped.
+      for (int draw = 0; draw < 16; ++draw) {
+        const std::uint64_t t = stream.position();
+        auto program = stream.Draw(stream.Next());
+        ASSERT_TRUE(program.ok());
+        const par::Route route =
+            RouteProgram(program.value(), kShards, /*coordinator_shard=*/0, t);
+        if (route.cross_shard) {
+          if (coord.active().size() < kGlobalsInFlight) {
+            ASSERT_TRUE(coord.Admit(std::move(program).value()).ok());
+          }
+        } else if (engines[route.shard]->metrics().commits -
+                       coord.sub_commits_on(route.shard) + kLocalLevel >
+                   locals[route.shard]) {
+          ASSERT_TRUE(engines[route.shard]
+                          ->Spawn(std::move(program).value())
+                          .ok());
+          ++locals[route.shard];
+        }
+      }
+      for (std::uint32_t s = 0; s < kShards; ++s) {
+        ASSERT_TRUE(coord.SpawnQueued(s).ok());
+      }
+      coord.IndexSpawned();
+      for (std::uint64_t k = rng() % 48; k > 0; --k) {
+        ASSERT_TRUE(engines[rng() % kShards]->StepAny().ok());
+      }
+    }
+  }
+  // Both branches are exercised: phases with no waiting slice, and phases
+  // that had to build the union.
+  EXPECT_GT(fired, 0u);
+  EXPECT_GT(merged, 0u);
 }
 
 // ---------------------------------------------------------------------------
