@@ -1,7 +1,8 @@
 // E4 (Theorem 1): with exclusive locks only, the deadlock-free concurrency
-// graph is a forest and a wait can close at most one cycle, so detection is
-// a single descendant check. This bench measures the cost of the wait-time
-// cycle check on forests of increasing size, and of the shared+exclusive
+// graph is a forest and a wait can close at most one cycle. This bench
+// measures the wait-time cycle check the engine runs — loading the
+// requester's component with CyclesThrough::Load — on forests of
+// increasing size, open and with one cycle closed, and the shared+exclusive
 // multi-cycle probe (the requester's component and its cycle count,
 // DESIGN D19).
 
@@ -86,30 +87,39 @@ Digraph MakeForest(std::size_t n, std::uint64_t seed) {
   return g;
 }
 
-void BM_WouldCreateCycle_Forest(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Digraph g = MakeForest(n, 42);
-  Rng rng(7);
+// CyclesThrough::Load from `root` over g's in-arcs, as the engine loads a
+// requester's component from its lock table.
+template <typename Root>
+void LoadLoop(benchmark::State& state, const Digraph& g, Root root) {
+  pardb::graph::CyclesThrough cycles;
   for (auto _ : state) {
-    const std::size_t a = rng.Uniform(n);
-    const std::size_t b = rng.Uniform(n);
-    benchmark::DoNotOptimize(g.WouldCreateCycle(a, b));
+    benchmark::DoNotOptimize(cycles.Load(
+        root(), [&g](pardb::graph::VertexId v) { return g.InArcs(v); }));
   }
-  state.SetComplexityN(static_cast<std::int64_t>(n));
+  state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_WouldCreateCycle_Forest)->Range(16, 4096)->Complexity();
 
-void BM_FindCycleThrough_Forest(benchmark::State& state) {
+// An open forest: a random vertex's load walks its ancestors and finds no
+// cycle, the common deadlock-free wait.
+void BM_Load_Forest_Open(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const Digraph g = MakeForest(n, 42);
+  Rng rng(7);
+  LoadLoop(state, g, [&rng, n] { return rng.Uniform(n); });
+}
+BENCHMARK(BM_Load_Forest_Open)->Range(16, 4096)->Complexity();
+
+// The same forest with one cycle closed: the last vertex waits on the root
+// of its own tree, and the load from that root finds the cycle.
+void BM_Load_Forest_Closed(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Digraph g = MakeForest(n, 42);
-  // Close one cycle.
-  g.AddEdge(n - 1, 0, n);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(g.FindCycleThrough(0));
-  }
-  state.SetComplexityN(static_cast<std::int64_t>(n));
+  pardb::graph::VertexId root = n - 1;
+  while (!g.InArcs(root).empty()) root = g.InArcs(root)[0].first;
+  g.AddEdge(n - 1, root, n);
+  LoadLoop(state, g, [root] { return root; });
 }
-BENCHMARK(BM_FindCycleThrough_Forest)->Range(16, 4096)->Complexity();
+BENCHMARK(BM_Load_Forest_Closed)->Range(16, 4096)->Complexity();
 
 // Shared locks: dense waits-for DAG with many short cycles through one
 // requester (the paper's §3.2 worst case for enumeration). The probe

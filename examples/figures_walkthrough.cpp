@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "graph/digraph.h"
 #include "rollback/sdg.h"
 #include "sim/scenario.h"
 #include "storage/entity_store.h"
@@ -23,6 +24,19 @@ core::EngineOptions MinCostOptions() {
 }
 
 std::string TxnName(graph::VertexId v) { return "T" + std::to_string(v + 1); }
+
+// The engine's concurrency graph G_L(T) as a Digraph: every live
+// transaction a vertex, an arc from each blocker to its waiter labeled
+// with the entity waited for.
+graph::Digraph WaitsFor(const core::Engine& engine) {
+  const obs::WaitsForSnapshot snap = engine.SnapshotWaitsFor();
+  graph::Digraph g;
+  for (const obs::TxnSnapshot& t : snap.txns) g.AddVertex(t.txn.value());
+  for (const obs::WaitsForArc& a : snap.arcs) {
+    g.AddEdge(a.holder.value(), a.waiter.value(), a.entity.value());
+  }
+  return g;
+}
 
 void Figure1() {
   std::printf("--- Figure 1(a): the exclusive-lock deadlock ---\n");
@@ -45,7 +59,7 @@ void Figure1() {
   };
   // Trigger and show both states.
   std::cout << "before T2 requests e:\n"
-            << engine.WaitsFor().ToDot(TxnName, entity_name);
+            << WaitsFor(engine).ToDot(TxnName, entity_name);
   (void)fig->TriggerDeadlock();
   const obs::DeadlockDump& dump = fig->runner->deadlocks().dumps().at(0);
   std::printf("deadlock: cycle of %zu transactions; candidate costs:\n",
@@ -59,7 +73,7 @@ void Figure1() {
               (unsigned long long)dump.victims[0].value() + 1,
               (unsigned long long)obs::VictimCost(dump));
   std::cout << "Figure 1(b), after the partial rollback of T2:\n"
-            << engine.WaitsFor().ToDot(TxnName, entity_name) << "\n";
+            << WaitsFor(engine).ToDot(TxnName, entity_name) << "\n";
 }
 
 void Figure2() {
@@ -83,7 +97,7 @@ void Figure3() {
   auto a = sim::BuildFigure3a(MinCostOptions());
   if (a.ok()) {
     std::cout << "(a) acyclic but not a forest:\n"
-              << a->runner->engine().WaitsFor().ToDot(TxnName);
+              << WaitsFor(a->runner->engine()).ToDot(TxnName);
   }
   auto c = sim::BuildFigure3c(MinCostOptions());
   if (c.ok()) {

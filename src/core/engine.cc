@@ -583,15 +583,28 @@ void Engine::AppendWaitsFor(std::vector<graph::Edge>* out) const {
   std::sort(out->begin() + base, out->end());
 }
 
-graph::Digraph Engine::WaitsFor() const {
-  graph::Digraph g;
+std::vector<std::vector<graph::VertexId>> Engine::CyclicGroups() {
+  // Every cyclic component is the component of each of its members, and
+  // each member waits (it has an in-arc). The live list runs in spawn
+  // order, so in ascending ids a component is first met at its smallest
+  // member, which keeps the list ordered by smallest member.
+  std::vector<std::vector<graph::VertexId>> groups;
+  std::vector<graph::VertexId> covered;  // members found so far, ascending
   for (std::uint64_t v = live_head_; v != kNoneIdx; v = live_next_[v]) {
-    g.AddVertex(txns_[v].id.value());
+    const TxnId id = txns_[v].id;
+    if (!locks_.IsWaiting(id) ||
+        std::binary_search(covered.begin(), covered.end(), id.value()) ||
+        !LoadCyclesThrough(id)) {
+      continue;
+    }
+    std::vector<graph::VertexId>& group = groups.emplace_back();
+    for (std::size_t i = 0; i < cycles_.size(); ++i) {
+      group.push_back(cycles_.member(i));
+    }
+    covered.insert(covered.end(), group.begin(), group.end());
+    std::sort(covered.begin(), covered.end());
   }
-  std::vector<graph::Edge> arcs;
-  AppendWaitsFor(&arcs);
-  for (const graph::Edge& e : arcs) g.AddEdge(e.from, e.to, e.label);
-  return g;
+  return groups;
 }
 
 Result<VictimCandidate> Engine::MakeCandidate(
@@ -959,7 +972,8 @@ Status Engine::PeriodicScan() {
   // occasionally re-arrange another (grants shift queues), hence the outer
   // loop until acyclic.
   for (int guard = 0; guard < 4096; ++guard) {
-    auto groups = WaitsFor().CyclicComponents();
+    // Collect every group, then resolve: resolving reloads cycles_.
+    const auto groups = CyclicGroups();
     if (groups.empty()) return Status::OK();
     for (const auto& group : groups) {
       TxnContext* pseudo = nullptr;
@@ -1389,15 +1403,17 @@ obs::WaitsForSnapshot Engine::SnapshotWaitsFor() const {
     }
     snap.txns.push_back(std::move(t));
   }
-  const graph::Digraph waits_for = WaitsFor();
-  for (const graph::Edge& e : waits_for.Edges()) {
+  std::vector<graph::Edge> arcs;
+  AppendWaitsFor(&arcs);
+  for (const graph::Edge& e : arcs) {
     // Edge: holder (from) -> waiter (to); the snapshot arc reads "waiter
     // waits for holder", matching the forensic dump's orientation.
     snap.arcs.push_back(
         obs::WaitsForArc{TxnId(e.to), TxnId(e.from), EntityId(e.label)});
   }
-  snap.acyclic = waits_for.IsAcyclic();
-  snap.forest = waits_for.IsForest();
+  const graph::Shape shape = graph::ShapeOf(std::move(arcs));
+  snap.acyclic = shape.acyclic;
+  snap.forest = shape.forest;
   return snap;
 }
 
@@ -1461,7 +1477,17 @@ std::string Engine::DumpState() const {
        << (ctx.status == TxnStatus::kReady ? "ready" : "waiting") << "\n";
   }
   os << "lock table:\n" << locks_.ToString();
-  os << "waits-for:\n" << WaitsFor().ToDot();
+  os << "waits-for:\ndigraph G {\n";
+  for (std::uint64_t v = live_head_; v != kNoneIdx; v = live_next_[v]) {
+    os << "  \"v" << txns_[v].id.value() << "\";\n";
+  }
+  std::vector<graph::Edge> arcs;
+  AppendWaitsFor(&arcs);
+  for (const graph::Edge& e : arcs) {
+    os << "  \"v" << e.from << "\" -> \"v" << e.to << "\" [label=\""
+       << e.label << "\"];\n";
+  }
+  os << "}\n";
   return os.str();
 }
 

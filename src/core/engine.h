@@ -337,14 +337,17 @@ class Engine {
   // else the global value (0 once committed: its plan is released).
   Value EntityValueOf(TxnId txn, EntityId entity) const;
 
-  // The paper's labeled concurrency graph G_L(T) (§3.0) at this instant,
-  // derived from the lock table (DESIGN D27): every live transaction is a
-  // vertex, and each waiting one has an arc from each of its blockers,
-  // labeled with the entity it waits for.
-  graph::Digraph WaitsFor() const;
-  // Appends the same arcs to *out, sorted as Digraph::Edges() sorts them,
-  // without building a graph (the cross-shard merge reads these).
+  // Appends the arcs of the paper's labeled concurrency graph G_L(T)
+  // (§3.0) at this instant to *out, derived from the lock table (DESIGN
+  // D27): an arc from each blocker of each waiting transaction, labeled
+  // with the entity it waits for, each once, sorted by (from, to, label).
   void AppendWaitsFor(std::vector<graph::Edge>* out) const;
+  // The deadlocked groups at this instant: the member sets of the
+  // waits-for graph's cyclic strongly connected components, each
+  // ascending, listed by smallest member — what a periodic scan resolves.
+  // Loads the component of each waiting transaction not yet covered, in
+  // ascending id order (DESIGN D30).
+  std::vector<std::vector<graph::VertexId>> CyclicGroups();
   const lock::LockManager& lock_manager() const { return locks_; }
   const storage::EntityStore& store() const { return *store_; }
   const EngineMetrics& metrics() const { return metrics_; }
@@ -448,8 +451,8 @@ class Engine {
   // Figure 2's repeated-preemption tail.
   std::uint64_t MaxPreemptionCount() const { return max_preempted_; }
 
-  // The live transactions, the lock table and the waits-for graph, for
-  // stall diagnostics.
+  // The live transactions, the lock table and the waits-for arcs (as DOT,
+  // every live transaction a vertex), for stall diagnostics.
   std::string DumpState() const;
 
  private:

@@ -241,4 +241,37 @@ std::uint64_t CyclesThrough::MinVertexCut(
   return flow;
 }
 
+Shape ShapeOf(std::vector<Edge> arcs) {
+  // Grouped by head, each head's run is its in-arcs.
+  std::sort(arcs.begin(), arcs.end(), [](const Edge& a, const Edge& b) {
+    if (a.to != b.to) return a.to < b.to;
+    return a.from != b.from ? a.from < b.from : a.label < b.label;
+  });
+  arcs.erase(std::unique(arcs.begin(), arcs.end()), arcs.end());
+  std::vector<Arc> in(arcs.size());
+  Shape shape;
+  for (std::size_t i = 0; i < arcs.size(); ++i) {
+    in[i] = Arc{arcs[i].from, arcs[i].label};
+    if (i > 0 && arcs[i].to == arcs[i - 1].to &&
+        arcs[i].from != arcs[i - 1].from) {
+      shape.forest = false;  // a second distinct predecessor
+    }
+  }
+  auto in_arcs = [&arcs, &in](VertexId v) {
+    auto lo = std::partition_point(arcs.begin(), arcs.end(),
+                                   [v](const Edge& e) { return e.to < v; });
+    auto hi = std::partition_point(lo, arcs.end(),
+                                   [v](const Edge& e) { return e.to == v; });
+    return std::span<const Arc>(in.data() + (lo - arcs.begin()),
+                                in.data() + (hi - arcs.begin()));
+  };
+  CyclesThrough cycles;
+  for (std::size_t i = 0; i < arcs.size() && shape.acyclic; ++i) {
+    if (i > 0 && arcs[i].to == arcs[i - 1].to) continue;
+    shape.acyclic = !cycles.Load(arcs[i].to, in_arcs);
+  }
+  shape.forest = shape.forest && shape.acyclic;
+  return shape;
+}
+
 }  // namespace pardb::graph

@@ -141,6 +141,17 @@ class CyclesThrough {
   std::vector<std::int64_t> via_;        // per node: BFS parent arc
 };
 
+// Theorem 1 structure flags of the digraph with the given arcs (duplicates
+// count once): acyclic, and a forest of out-trees — acyclic with at most
+// one distinct predecessor per vertex. Acyclicity asks CyclesThrough::Load
+// of each vertex with an in-arc. Waits-for snapshots, one shard's or the
+// cross-shard union's, take their flags from here.
+struct Shape {
+  bool acyclic = true;
+  bool forest = true;
+};
+Shape ShapeOf(std::vector<Edge> arcs);
+
 inline std::uint32_t CyclesThrough::Intern(VertexId v) {
   const std::size_t mask = index_.size() - 1;
   for (std::size_t s = HomeSlot(v, mask);; s = (s + 1) & mask) {

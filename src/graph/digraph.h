@@ -4,14 +4,11 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
-#include <set>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "common/arena.h"
-#include "common/status.h"
 
 namespace pardb::graph {
 
@@ -63,75 +60,30 @@ struct Cycle {
   std::vector<Edge> edges;
 
   bool Contains(VertexId v) const;
-  std::string ToString() const;
 };
 
-// Labeled multidigraph with explicit vertex membership, built once and then
-// queried (the engine derives its waits-for graph from the lock table on
-// demand, DESIGN D27, so nothing edits a graph in place). Deterministic:
-// all iteration orders are sorted, so algorithms return the same cycle for
-// the same graph regardless of insertion order.
+// Labeled multidigraph with explicit vertex membership: a container that
+// tests, benches and examples build by hand. No production path builds
+// one — the engine and the cross-shard coordinator read in-arcs straight
+// from their lock tables into graph::CyclesThrough (DESIGN D27, D30).
+// Deterministic: iteration orders are sorted.
 class Digraph {
  public:
   Digraph() = default;
 
-  // Vertices ---------------------------------------------------------------
-
   // Adds v if absent; idempotent.
   void AddVertex(VertexId v);
-  bool HasVertex(VertexId v) const;
-  std::size_t VertexCount() const { return verts_.size(); }
-  std::vector<VertexId> Vertices() const;
-
-  // Edges ------------------------------------------------------------------
-
   // Adds the arc (from, to, label); creates missing endpoints. Duplicate
   // (from, to, label) triples are ignored (set semantics).
   void AddEdge(VertexId from, VertexId to, EdgeLabel label);
   bool HasEdge(VertexId from, VertexId to) const;
   bool HasEdge(VertexId from, VertexId to, EdgeLabel label) const;
-  std::size_t EdgeCount() const { return edge_count_; }
   std::vector<Edge> Edges() const;
   // The sorted (neighbour, label) arcs leaving / entering v, without
   // copying; empty when v is absent. Valid until the next AddEdge. InArcs
   // is the in-arc source CyclesThrough::Load reads.
   std::span<const Arc> OutArcs(VertexId v) const;
   std::span<const Arc> InArcs(VertexId v) const;
-  std::size_t InDegree(VertexId v) const;
-  std::size_t OutDegree(VertexId v) const;
-
-  // Queries ----------------------------------------------------------------
-
-  // True iff a directed path from `from` to `to` exists (including length
-  // 0 when from == to and both exist).
-  bool HasPath(VertexId from, VertexId to) const;
-
-  // True iff adding arc (from, to) would close a directed cycle, i.e. a
-  // path to -> ... -> from already exists. This is the paper's wait-time
-  // deadlock test: a wait response creates a deadlock iff the requested
-  // entity "is already locked by a descendant" in the concurrency graph.
-  bool WouldCreateCycle(VertexId from, VertexId to) const;
-
-  // Finds one directed cycle through v, if any: the depth-first first
-  // cycle in sorted arc order, from one sweep of v's strongly connected
-  // component (graph::CyclesThrough) rather than cycle enumeration. With
-  // exclusive locks only the deadlock-free graph is a forest (Theorem 1)
-  // and a single wait can close at most one cycle, which this returns.
-  std::optional<Cycle> FindCycleThrough(VertexId v) const;
-
-  // True iff the digraph is acyclic.
-  bool IsAcyclic() const;
-
-  // The vertex sets of the directed cycles: strongly connected components
-  // of size >= 2 (or with a self-loop), each sorted ascending, the list
-  // ordered by smallest member. The periodic deadlock scan and the
-  // cross-shard merge find every deadlock in one sweep with it.
-  std::vector<std::vector<VertexId>> CyclicComponents() const;
-
-  // Theorem 1 structure check: with exclusive locks only, a deadlock-free
-  // concurrency graph is a forest of out-trees — every vertex has in-degree
-  // <= 1 and there is no cycle.
-  bool IsForest() const;
 
   // Graphviz rendering; `vertex_name` / `label_name` may be null for
   // numeric output.
@@ -155,12 +107,6 @@ class Digraph {
   };
   // Outer std::map keeps vertex iteration deterministic (sorted).
   std::map<VertexId, VertexRec> verts_;
-  std::size_t edge_count_ = 0;
-
-  // Scratch buffers for the path test. Cleared, never shrunk. `mutable`
-  // because the query is logically const; a digraph is single-threaded.
-  mutable std::vector<VertexId> scratch_frontier_;
-  mutable std::vector<VertexId> scratch_seen_;
 };
 
 }  // namespace pardb::graph

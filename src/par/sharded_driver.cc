@@ -16,7 +16,6 @@
 #include "obs/metric_names.h"
 #include "par/fork_join.h"
 #include "par/router.h"
-#include "par/xshard/global_graph.h"
 #include "storage/entity_store.h"
 
 namespace pardb::par {
@@ -345,20 +344,17 @@ Result<bool> CertifyRun(const ShardedOptions& options,
 // local transactions under a shard-tagged id (bit 63 set, shard in bits
 // 48..62 — the xshard::LocalNode encoding).
 void PublishGlobalWaitsFor(obs::LiveHub* hub, const xshard::Coordinator& coord,
-                           const std::vector<core::Engine*>& engines,
                            std::uint64_t epoch) {
-  std::vector<std::vector<graph::Edge>> arcs(engines.size());
-  for (std::size_t s = 0; s < engines.size(); ++s) {
-    engines[s]->AppendWaitsFor(&arcs[s]);
-  }
-  const xshard::MergedGraph merged = xshard::MergeWaitsFor(arcs, coord);
+  std::vector<graph::Edge> arcs;
+  coord.AppendUnionArcs(&arcs);
   obs::WaitsForSnapshot snap;
   snap.shard = 0;  // scope=global; the shard field is not meaningful here
   snap.step = epoch;
   snap.commits = coord.stats().global_commits;
   std::map<graph::VertexId, bool> waits;  // vertex -> has an incoming wait
-  for (const xshard::MergedEdge& e : merged.edges) {
-    snap.arcs.push_back(obs::WaitsForArc{TxnId(e.to), TxnId(e.from), e.entity});
+  for (const graph::Edge& e : arcs) {
+    snap.arcs.push_back(obs::WaitsForArc{TxnId(e.to), TxnId(e.from),
+                                         xshard::EntityOfLabel(e.label)});
     waits.try_emplace(e.from, false);
     waits[e.to] = true;
   }
@@ -369,8 +365,9 @@ void PublishGlobalWaitsFor(obs::LiveHub* hub, const xshard::Coordinator& coord,
     txn.status = waiting ? "waiting" : "ready";
     snap.txns.push_back(std::move(txn));
   }
-  snap.acyclic = merged.graph.IsAcyclic();
-  snap.forest = merged.graph.IsForest();
+  const graph::Shape shape = graph::ShapeOf(std::move(arcs));
+  snap.acyclic = shape.acyclic;
+  snap.forest = shape.forest;
   hub->PublishGlobalSnapshot(std::move(snap));
 }
 
@@ -524,12 +521,11 @@ Status AssembleReport(const ShardedOptions& options,
 // deltas, so the final export stays exact), lifecycle and journal
 // digests, and the coordinator's journal digest.
 void PublishEpoch(const ShardedOptions& options, std::vector<ShardRun>& runs,
-                  const std::vector<core::Engine*>& engines,
                   const xshard::Coordinator* coord,
                   const obs::DecisionJournal* coord_journal,
                   std::uint64_t epoch) {
   obs::LiveHub* hub = options.hub;
-  if (coord != nullptr) PublishGlobalWaitsFor(hub, *coord, engines, epoch);
+  if (coord != nullptr) PublishGlobalWaitsFor(hub, *coord, epoch);
   for (std::uint32_t s = 0; s < runs.size(); ++s) {
     ShardExec& ex = *runs[s].exec;
     obs::WaitsForSnapshot snap = ex.engine->SnapshotWaitsFor();
@@ -736,7 +732,7 @@ Result<ShardedReport> RunEpochs(const ShardedOptions& options) {
       }
     }
     if (options.hub != nullptr) {
-      PublishEpoch(options, runs, engines, coord ? &*coord : nullptr,
+      PublishEpoch(options, runs, coord ? &*coord : nullptr,
                    coord_journal ? &*coord_journal : nullptr, epoch);
     }
     // ---- Coordinate: size each shard's local admission, walking the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <set>
 
 namespace pardb::par::xshard {
 
@@ -36,8 +35,7 @@ Coordinator::Coordinator(std::vector<core::Engine*> engines, Options options)
     : engines_(std::move(engines)),
       options_(options),
       sub_commits_by_shard_(options.num_shards, 0),
-      queued_(options.num_shards),
-      arcs_(engines_.size()) {}
+      queued_(options.num_shards) {}
 
 Result<std::uint64_t> Coordinator::Admit(txn::Program program) {
   auto subs = SplitProgram(program, options_.num_shards);
@@ -222,26 +220,86 @@ std::optional<std::uint64_t> Coordinator::GlobalOf(std::uint32_t shard,
   return it->second;
 }
 
-Status Coordinator::ResolveComponent(
-    const MergedGraph& merged, const std::vector<graph::VertexId>& component,
-    bool* resolved) {
-  *resolved = false;
-  std::vector<std::uint64_t> globals;
-  for (graph::VertexId v : component) {
-    if (IsGlobalNode(v)) globals.push_back(v);
+graph::VertexId Coordinator::NodeOf(std::uint32_t shard, TxnId txn) const {
+  const auto global = GlobalOf(shard, txn);
+  return global.has_value() ? GlobalNode(*global) : LocalNode(shard, txn);
+}
+
+void Coordinator::AppendUnionArcs(std::vector<graph::Edge>* out) const {
+  std::vector<graph::Edge> arcs;
+  for (std::uint32_t s = 0; s < engines_.size(); ++s) {
+    arcs.clear();
+    engines_[s]->AppendWaitsFor(&arcs);
+    for (const graph::Edge& e : arcs) {
+      out->push_back(graph::Edge{NodeOf(s, TxnId(e.from)),
+                                 NodeOf(s, TxnId(e.to)),
+                                 UnionLabel(s, EntityId(e.label))});
+    }
   }
-  if (globals.empty()) return Status::OK();  // a shard-local matter
+}
+
+void Coordinator::AppendInArcs(std::uint32_t shard, TxnId waiter) {
+  blockers_.clear();
+  const EntityId entity =
+      engines_[shard]->lock_manager().AppendBlockersOf(waiter, &blockers_);
+  for (TxnId b : blockers_) {
+    in_arcs_.push_back(graph::Arc{NodeOf(shard, b), UnionLabel(shard, entity)});
+  }
+}
+
+bool Coordinator::LoadComponent(graph::VertexId v) {
+  // A union node's in-arcs are its slices' in-arcs on their home shards (a
+  // local node has one slice), renamed (DESIGN D30).
+  return cycles_.Load(v, [this](graph::VertexId u) {
+    in_arcs_.clear();
+    if (!IsGlobalNode(u)) {
+      AppendInArcs(static_cast<std::uint32_t>((u & ~kLocalNodeBit) >>
+                                              kShardShift),
+                   TxnId(u & kLowMask));
+    } else if (auto it = txns_.find(u); it != txns_.end()) {
+      for (const Participant& p : it->second.participants) {
+        AppendInArcs(p.shard, p.txn);
+      }
+    }
+    return std::span<const graph::Arc>(in_arcs_);
+  });
+}
+
+std::vector<std::vector<graph::VertexId>> Coordinator::GlobalComponents() {
+  std::vector<std::vector<graph::VertexId>> out;
+  std::vector<graph::VertexId> covered;  // members found so far, ascending
+  for (std::uint64_t seq : active_) {
+    if (std::binary_search(covered.begin(), covered.end(), seq) ||
+        !LoadComponent(GlobalNode(seq))) {
+      continue;
+    }
+    std::vector<graph::VertexId>& component = out.emplace_back();
+    for (std::size_t i = 0; i < cycles_.size(); ++i) {
+      component.push_back(cycles_.member(i));
+    }
+    covered.insert(covered.end(), component.begin(), component.end());
+    std::sort(covered.begin(), covered.end());
+  }
+  return out;
+}
+
+Status Coordinator::ResolveComponent() {
+  // Members ascend and globals sort first: the globals are a prefix, and
+  // a component loaded from a global has one.
+  std::size_t num_globals = 0;
+  while (num_globals < cycles_.size() &&
+         IsGlobalNode(cycles_.member(num_globals))) {
+    ++num_globals;
+  }
   ++stats_.global_cycles;
   if (options_.journal != nullptr) {
     // requester = the ω-senior global in the component.
     options_.journal->OnEvent({.kind = obs::EventKind::kCycle,
                                .step = decision_seq_++,
-                               .txn = TxnId(globals.front()),
+                               .txn = TxnId(cycles_.member(0)),
                                .entity = EntityId(0),
                                .cycle = stats_.global_cycles});
   }
-
-  const std::set<graph::VertexId> members(component.begin(), component.end());
 
   // Cost every global member: the distributed partial rollback that would
   // release, on each shard where the global blocks a cycle member, exactly
@@ -260,34 +318,44 @@ Status Coordinator::ResolveComponent(
   std::vector<GlobalCandidate> candidates;
   {
     PhaseTimer timer(options_.prepare_ns);
-    for (std::uint64_t seq : globals) {
+    // The local txn of union node v on `shard` (invalid when v is a global
+    // without a slice there).
+    auto slice_on = [this](graph::VertexId v, std::uint32_t shard) {
+      if (!IsGlobalNode(v)) return TxnId(v & kLowMask);
+      for (const Participant& p : txns_.at(v).participants) {
+        if (p.shard == shard) return p.txn;
+      }
+      return TxnId();
+    };
+    for (std::size_t i = 0; i < num_globals; ++i) {
+      const std::uint64_t seq = cycles_.member(i);
+      // Each out-arc to a member is a wait on the label's shard by the
+      // head's slice there, on an entity the global's slice holds.
       std::map<std::uint32_t,
                std::vector<std::pair<EntityId, lock::LockMode>>>
           conflicts;
-      for (const MergedEdge& e : merged.edges) {
-        if (e.from != GlobalNode(seq) || members.count(e.to) == 0) continue;
-        auto pending = engines_[e.shard]->lock_manager().Waiting(e.waiter);
+      for (const graph::CyclesThrough::LocalArc& a : cycles_.OutArcs(i)) {
+        const std::uint32_t shard = ShardOfLabel(a.label);
+        auto pending = engines_[shard]->lock_manager().Waiting(
+            slice_on(cycles_.member(a.head), shard));
         if (!pending.has_value()) {
           return Status::Internal(
-              "xshard: merged wait edge without a pending request");
+              "xshard: union wait arc without a pending request");
         }
-        conflicts[e.shard].push_back({e.entity, pending->mode});
+        conflicts[shard].push_back({EntityOfLabel(a.label), pending->mode});
       }
       if (conflicts.empty()) continue;
       GlobalCandidate cand;
       cand.seq = seq;
       for (const auto& [shard, entries] : conflicts) {
-        const GlobalTxn& g = txns_.at(seq);
-        auto part = std::find_if(
-            g.participants.begin(), g.participants.end(),
-            [shard = shard](const Participant& p) { return p.shard == shard; });
-        if (part == g.participants.end()) {
+        const TxnId slice = slice_on(seq, shard);
+        if (!slice.valid()) {
           return Status::Internal("xshard: conflict on a non-participant shard");
         }
-        auto plan = engines_[shard]->PlanConflictRelease(part->txn, entries);
+        auto plan = engines_[shard]->PlanConflictRelease(slice, entries);
         if (!plan.ok()) return plan.status();
         cand.total_cost += plan.value().cost;
-        cand.plans.push_back({shard, part->txn, plan.value()});
+        cand.plans.push_back({shard, slice, plan.value()});
       }
       candidates.push_back(std::move(cand));
     }
@@ -296,7 +364,7 @@ Status Coordinator::ResolveComponent(
     return Status::Internal("xshard: global cycle with no rollback candidate");
   }
 
-  // Theorem 2: the ω-senior global (least admission sequence — `globals`
+  // Theorem 2: the ω-senior global (least admission sequence — members
   // and `candidates` are ascending) is exempt from preemption so some
   // transaction always finishes. Pick the cheapest of the rest; fall back
   // to the senior only when it is the sole candidate.
@@ -353,7 +421,6 @@ Status Coordinator::ResolveComponent(
     }
   }
   ++stats_.distributed_rollbacks;
-  *resolved = true;
   return Status::OK();
 }
 
@@ -371,26 +438,19 @@ Status Coordinator::MergeAndResolve() {
   // A cycle through a global node uses an arc into it, and only a waiting
   // slice draws one; resolution skips cycles of local nodes alone.
   if (!AnySliceWaiting()) return Status::OK();
-  // A resolved cycle can unblock waiters everywhere (grant cascades), so
-  // re-read every shard's arcs and re-merge after each rollback instead of
-  // resolving a stale snapshot.
+  // Each round resolves the first cyclic component in ascending global
+  // order — the component of its smallest global (DESIGN D30). A resolved
+  // cycle can unblock waiters everywhere (grant cascades), so the next
+  // round reloads from the lock tables instead of resolving a stale
+  // component.
   for (int round = 0; round < 64; ++round) {
-    for (std::size_t s = 0; s < engines_.size(); ++s) {
-      arcs_[s].clear();
-      engines_[s]->AppendWaitsFor(&arcs_[s]);
+    if (std::none_of(active_.begin(), active_.end(), [this](std::uint64_t g) {
+          return LoadComponent(GlobalNode(g));
+        })) {
+      return Status::OK();
     }
-    MergedGraph merged = MergeWaitsFor(arcs_, *this);
-    bool resolved_any = false;
-    for (const auto& component : merged.graph.CyclicComponents()) {
-      bool resolved = false;
-      auto st = ResolveComponent(merged, component, &resolved);
-      if (!st.ok()) return st;
-      if (resolved) {
-        resolved_any = true;
-        break;
-      }
-    }
-    if (!resolved_any) return Status::OK();
+    auto st = ResolveComponent();
+    if (!st.ok()) return st;
   }
   return Status::Internal("xshard: global cycle resolution did not converge");
 }

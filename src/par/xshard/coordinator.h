@@ -12,13 +12,50 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "core/engine.h"
+#include "graph/cycles_through.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
-#include "par/xshard/global_graph.h"
 #include "par/xshard/split.h"
 #include "txn/program.h"
 
 namespace pardb::par::xshard {
+
+// Vertex ids of the cross-shard union waits-for graph (DESIGN D12, D30):
+// a global transaction is its global sequence number; a shard-local
+// transaction is tagged with the shard so ids never collide across shards
+// (engine txn ids stay below 2^48 by construction — they are dense spawn
+// counters). Global ids have bit 63 clear, so they sort before every local.
+constexpr graph::VertexId kLocalNodeBit = 1ull << 63;
+constexpr int kShardShift = 48;
+constexpr std::uint64_t kLowMask = (1ull << kShardShift) - 1;
+
+inline graph::VertexId LocalNode(std::uint32_t shard, TxnId txn) {
+  return kLocalNodeBit | (static_cast<graph::VertexId>(shard) << kShardShift) |
+         txn.value();
+}
+
+inline graph::VertexId GlobalNode(std::uint64_t global_seq) {
+  return global_seq;
+}
+
+inline bool IsGlobalNode(graph::VertexId v) {
+  return (v & kLocalNodeBit) == 0;
+}
+
+// A union arc's label: the shard the wait is on and the entity waited
+// for. The shard keeps parallel waits on the same entity id apart.
+inline graph::EdgeLabel UnionLabel(std::uint32_t shard, EntityId entity) {
+  return (static_cast<graph::EdgeLabel>(shard) << kShardShift) |
+         entity.value();
+}
+
+inline std::uint32_t ShardOfLabel(graph::EdgeLabel label) {
+  return static_cast<std::uint32_t>(label >> kShardShift);
+}
+
+inline EntityId EntityOfLabel(graph::EdgeLabel label) {
+  return EntityId(label & kLowMask);
+}
 
 // Deterministic counters for the cross-shard layer. These feed the
 // xshard section of the sharded report, so every field must be a pure
@@ -58,7 +95,7 @@ struct XShardStats {
 // shard s's own task and touches only that shard's engine, recorder and
 // slice queue (DESIGN D29). So the coordinator needs no locking and its
 // decisions are deterministic.
-class Coordinator : public SubResolver {
+class Coordinator {
  public:
   struct Options {
     std::uint32_t num_shards = 1;
@@ -113,15 +150,28 @@ class Coordinator : public SubResolver {
   Status Poll();
 
   // Union-of-forests merge + distributed partial rollback, repeated until
-  // the merged graph has no cycle through a global transaction. Builds no
-  // union while no slice of a global in flight waits: only a waiting slice
-  // gives a global node an in-arc, so the union would hold shard-local
-  // cycles only (DESIGN D29).
+  // no cycle of the union passes through a global transaction. Each round
+  // loads the union component of each global in flight, in ascending
+  // order, from the shards' lock tables (DESIGN D30), until one has a
+  // cycle, and resolves it. Loads nothing while no slice of a global in
+  // flight waits: only a waiting slice gives a global node an in-arc, so
+  // every union cycle would be shard-local (DESIGN D29).
   Status MergeAndResolve();
 
   // True when a slice of some global in flight waits on its shard; while
-  // false, MergeAndResolve builds no union.
+  // false, MergeAndResolve loads nothing.
   bool AnySliceWaiting() const;
+
+  // The union's cyclic components through a global in flight: members
+  // ascending, listed by smallest member (the component of each global not
+  // yet covered, in ascending order). MergeAndResolve's first round
+  // resolves the first.
+  std::vector<std::vector<graph::VertexId>> GlobalComponents();
+
+  // Appends every union arc — each shard's AppendWaitsFor arcs with both
+  // ends renamed to union vertices and labeled UnionLabel(shard, entity) —
+  // shard by shard, for the global waits-for view.
+  void AppendUnionArcs(std::vector<graph::Edge>* out) const;
 
   bool AllDone() const { return active_.empty(); }
   // Sequence numbers of the globals in flight, ascending.
@@ -146,11 +196,12 @@ class Coordinator : public SubResolver {
   std::vector<std::pair<std::uint32_t, TxnId>> SlicesOf(
       std::uint64_t seq) const;
 
-  // SubResolver: renames slices of globals in flight, and of retired ones
-  // not yet pruned (the merged-history checker fuses their nodes under
-  // global keys).
+  // The global sequence number of (shard, txn) when it is a slice of a
+  // global in flight, or of a retired one not yet pruned (the
+  // merged-history checker fuses their nodes under global keys); nullopt
+  // for purely local transactions.
   std::optional<std::uint64_t> GlobalOf(std::uint32_t shard,
-                                        TxnId txn) const override;
+                                        TxnId txn) const;
 
  private:
   enum class Phase { kAcquiring, kReleased };
@@ -176,9 +227,16 @@ class Coordinator : public SubResolver {
     TxnId txn;
   };
 
-  Status ResolveComponent(const MergedGraph& merged,
-                          const std::vector<graph::VertexId>& component,
-                          bool* resolved);
+  // (shard, txn)'s union vertex: its global's node, else its local node.
+  graph::VertexId NodeOf(std::uint32_t shard, TxnId txn) const;
+  // Loads cycles_ with v's union component from the shards' lock tables;
+  // false when v is on no cycle.
+  bool LoadComponent(graph::VertexId v);
+  // Appends waiter's in-arcs on `shard`, renamed, to in_arcs_.
+  void AppendInArcs(std::uint32_t shard, TxnId waiter);
+  // Rolls back the cheapest eligible global of the component in cycles_,
+  // which holds a global.
+  Status ResolveComponent();
 
   std::vector<core::Engine*> engines_;
   Options options_;
@@ -193,9 +251,12 @@ class Coordinator : public SubResolver {
   // Slices admitted but not yet indexed, by home shard.
   std::vector<std::vector<QueuedSlice>> queued_;
   // Per-call scratch, kept so that a round allocates nothing in the
-  // steady state: Poll's next active list and the merge's per-shard arcs.
+  // steady state: Poll's next active list and the merge's component and
+  // its in-arc reads.
   std::vector<std::uint64_t> still_active_;
-  std::vector<std::vector<graph::Edge>> arcs_;
+  graph::CyclesThrough cycles_;
+  std::vector<graph::Arc> in_arcs_;
+  std::vector<TxnId> blockers_;
   // (shard, local txn id) -> global sequence number, for every slice of a
   // global in flight or retired-but-unpruned.
   std::map<std::pair<std::uint32_t, std::uint64_t>, std::uint64_t> sub_index_;

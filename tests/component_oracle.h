@@ -1,16 +1,24 @@
 #ifndef PARDB_TESTS_COMPONENT_ORACLE_H_
 #define PARDB_TESTS_COMPONENT_ORACLE_H_
 
-// Test oracle: the sorted-search component loader. graph::CyclesThrough
-// gives each vertex a local index and buckets the collected arcs by tail
-// (DESIGN D28); this is the plain version it replaced — the backward reach
-// kept as a sorted vector with a binary-search insert per new vertex, the
-// collected arcs sorted by (tail, head, label), and every forward step and
-// arc head found by binary search. graph_test checks that both give the
-// same component.
+// Test oracles over components. LoadComponentOracle is the sorted-search
+// component loader: graph::CyclesThrough gives each vertex a local index
+// and buckets the collected arcs by tail (DESIGN D28); this is the plain
+// version it replaced — the backward reach kept as a sorted vector with a
+// binary-search insert per new vertex, the collected arcs sorted by (tail,
+// head, label), and every forward step and arc head found by binary
+// search. graph_test checks that both give the same component.
+//
+// CyclicComponentsOracle, IsAcyclicOracle and IsForestOracle are the
+// whole-graph queries Digraph answered before every production caller
+// loaded components from its lock tables (DESIGN D30): graph::ShapeOf,
+// Engine::CyclicGroups and the coordinator's union components are checked
+// against them.
 
 #include <algorithm>
 #include <cstddef>
+#include <map>
+#include <set>
 #include <span>
 #include <vector>
 
@@ -92,6 +100,51 @@ bool LoadComponentOracle(VertexId root, InArcs&& in_arcs,
     }
   }
   return true;
+}
+
+// The vertex sets of the directed cycles of the digraph with these arcs
+// (duplicates count once): strongly connected components of size >= 2 or
+// with a self-loop, each ascending, the list ordered by smallest member.
+// Loads each vertex's component in ascending order, skipping members
+// already found.
+inline std::vector<std::vector<VertexId>> CyclicComponentsOracle(
+    const std::vector<Edge>& arcs) {
+  std::map<VertexId, std::vector<Arc>> in;  // every vertex, its in-arcs
+  for (const Edge& e : std::set<Edge>(arcs.begin(), arcs.end())) {
+    in[e.from];
+    in[e.to].push_back(Arc{e.from, e.label});
+  }
+  auto in_arcs = [&in](VertexId v) {
+    auto it = in.find(v);
+    return it == in.end() ? std::span<const Arc>()
+                          : std::span<const Arc>(it->second);
+  };
+  std::vector<std::vector<VertexId>> out;
+  std::set<VertexId> covered;
+  for (const auto& [v, unused] : in) {
+    OracleComponent component;
+    if (covered.count(v) || !LoadComponentOracle(v, in_arcs, &component)) {
+      continue;
+    }
+    covered.insert(component.members.begin(), component.members.end());
+    out.push_back(component.members);
+  }
+  return out;
+}
+
+inline bool IsAcyclicOracle(const std::vector<Edge>& arcs) {
+  return CyclicComponentsOracle(arcs).empty();
+}
+
+// Theorem 1 structure: a forest of out-trees — every vertex has at most
+// one distinct predecessor and there is no cycle.
+inline bool IsForestOracle(const std::vector<Edge>& arcs) {
+  std::map<VertexId, std::set<VertexId>> preds;
+  for (const Edge& e : arcs) preds[e.to].insert(e.from);
+  for (const auto& [v, p] : preds) {
+    if (p.size() > 1) return false;
+  }
+  return IsAcyclicOracle(arcs);
 }
 
 }  // namespace pardb::graph

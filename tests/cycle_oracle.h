@@ -22,7 +22,7 @@ namespace pardb::graph {
 inline std::size_t EnumerateCyclesThrough(
     const Digraph& g, VertexId v, std::size_t limit,
     const std::function<bool(const Cycle&)>& cb) {
-  if (!g.HasVertex(v) || limit == 0) return 0;
+  if (limit == 0) return 0;
   std::size_t produced = 0;
   Cycle path;
   path.vertices.push_back(v);

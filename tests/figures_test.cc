@@ -16,6 +16,18 @@ using core::TxnStatus;
 using core::VictimPolicyKind;
 using rollback::StrategyKind;
 
+// True when the snapshot holds the arc "waiter waits for holder on
+// entity".
+bool HasArc(const obs::WaitsForSnapshot& snap, TxnId holder, TxnId waiter,
+            EntityId entity) {
+  for (const obs::WaitsForArc& a : snap.arcs) {
+    if (a.holder == holder && a.waiter == waiter && a.entity == entity) {
+      return true;
+    }
+  }
+  return false;
+}
+
 EngineOptions Fig1Options(VictimPolicyKind policy = VictimPolicyKind::kMinCost,
                           StrategyKind strategy = StrategyKind::kMcs) {
   EngineOptions opt;
@@ -28,15 +40,15 @@ TEST(Figure1Test, GraphBeforeDeadlockMatchesPaper) {
   auto fig = BuildFigure1(Fig1Options());
   ASSERT_TRUE(fig.ok()) << fig.status().ToString();
   auto& engine = fig->runner->engine();
-  const auto g = engine.WaitsFor();
+  const obs::WaitsForSnapshot g = engine.SnapshotWaitsFor();
 
   // Arcs: T2 -b-> T1, T2 -b-> T3, T3 -c-> T4; T2 is still running.
-  EXPECT_TRUE(g.HasEdge(fig->t2.value(), fig->t1.value(), fig->b.value()));
-  EXPECT_TRUE(g.HasEdge(fig->t2.value(), fig->t3.value(), fig->b.value()));
-  EXPECT_TRUE(g.HasEdge(fig->t3.value(), fig->t4.value(), fig->c.value()));
-  EXPECT_TRUE(g.IsAcyclic());
+  EXPECT_TRUE(HasArc(g, fig->t2, fig->t1, fig->b));
+  EXPECT_TRUE(HasArc(g, fig->t2, fig->t3, fig->b));
+  EXPECT_TRUE(HasArc(g, fig->t3, fig->t4, fig->c));
+  EXPECT_TRUE(g.acyclic);
   // Theorem 1: exclusive locks only, deadlock-free => forest.
-  EXPECT_TRUE(g.IsForest());
+  EXPECT_TRUE(g.forest);
 
   // State indices as printed in the figure.
   EXPECT_EQ(engine.StateIndexOf(fig->t2), 12u);
@@ -82,16 +94,16 @@ TEST(Figure1Test, PostRollbackGraphMatchesFigure1b) {
   ASSERT_TRUE(fig.ok());
   ASSERT_TRUE(fig->TriggerDeadlock().ok());
   auto& engine = fig->runner->engine();
-  const auto g = engine.WaitsFor();
+  const obs::WaitsForSnapshot g = engine.SnapshotWaitsFor();
 
   // "T1 no longer waits for T2": b was granted to T1 (first in queue).
   EXPECT_EQ(engine.StatusOf(fig->t1), TxnStatus::kReady);
-  EXPECT_FALSE(g.HasEdge(fig->t2.value(), fig->t1.value(), fig->b.value()));
+  EXPECT_FALSE(HasArc(g, fig->t2, fig->t1, fig->b));
   // T3 now waits for the new holder T1.
-  EXPECT_TRUE(g.HasEdge(fig->t1.value(), fig->t3.value(), fig->b.value()));
+  EXPECT_TRUE(HasArc(g, fig->t1, fig->t3, fig->b));
   // T4 still waits for T3.
-  EXPECT_TRUE(g.HasEdge(fig->t3.value(), fig->t4.value(), fig->c.value()));
-  EXPECT_TRUE(g.IsForest());
+  EXPECT_TRUE(HasArc(g, fig->t3, fig->t4, fig->c));
+  EXPECT_TRUE(g.forest);
 
   // T1 runs to completion as in the figure. (The remaining transactions
   // cannot all commit under unconstrained min-cost: this very scenario is
@@ -181,13 +193,13 @@ TEST(Figure1Test, TotalRestartPaysFullCost) {
 TEST(Figure3Test, FigureAIsAcyclicButNotForest) {
   auto fig = BuildFigure3a(Fig1Options());
   ASSERT_TRUE(fig.ok()) << fig.status().ToString();
-  const auto g = fig->runner->engine().WaitsFor();
+  const obs::WaitsForSnapshot g = fig->runner->engine().SnapshotWaitsFor();
   // T3 waits for both shared holders of c: in-degree 2.
-  EXPECT_TRUE(g.HasEdge(fig->t1.value(), fig->t3.value(), fig->c.value()));
-  EXPECT_TRUE(g.HasEdge(fig->t2.value(), fig->t3.value(), fig->c.value()));
-  EXPECT_TRUE(g.HasEdge(fig->t1.value(), fig->t2.value(), fig->a.value()));
-  EXPECT_TRUE(g.IsAcyclic());
-  EXPECT_FALSE(g.IsForest());
+  EXPECT_TRUE(HasArc(g, fig->t1, fig->t3, fig->c));
+  EXPECT_TRUE(HasArc(g, fig->t2, fig->t3, fig->c));
+  EXPECT_TRUE(HasArc(g, fig->t1, fig->t2, fig->a));
+  EXPECT_TRUE(g.acyclic);
+  EXPECT_FALSE(g.forest);
   EXPECT_EQ(fig->runner->engine().metrics().deadlocks, 0u);
   ASSERT_TRUE(fig->runner->FinishAll().ok());
 }

@@ -21,9 +21,8 @@ TEST(DigraphTest, AddVertices) {
   g.AddVertex(1);
   g.AddVertex(2);
   g.AddVertex(1);  // idempotent
-  EXPECT_EQ(g.VertexCount(), 2u);
-  EXPECT_TRUE(g.HasVertex(1));
-  EXPECT_FALSE(g.HasVertex(3));
+  EXPECT_EQ(g.ToDot(), "digraph G {\n  \"v1\";\n  \"v2\";\n}\n");
+  EXPECT_TRUE(g.Edges().empty());
 }
 
 TEST(DigraphTest, EdgesWithLabels) {
@@ -31,63 +30,25 @@ TEST(DigraphTest, EdgesWithLabels) {
   g.AddEdge(1, 2, 100);
   g.AddEdge(1, 2, 101);  // parallel with a different label
   g.AddEdge(1, 2, 100);  // duplicate ignored
-  EXPECT_EQ(g.EdgeCount(), 2u);
+  EXPECT_EQ(g.Edges(), (std::vector<Edge>{{1, 2, 100}, {1, 2, 101}}));
   EXPECT_TRUE(g.HasEdge(1, 2));
   EXPECT_TRUE(g.HasEdge(1, 2, 100));
   EXPECT_FALSE(g.HasEdge(2, 1));
   EXPECT_FALSE(g.HasEdge(1, 2, 102));
 }
 
-TEST(DigraphTest, DegreesAndNeighbors) {
+TEST(DigraphTest, InAndOutArcs) {
   Digraph g;
   g.AddEdge(1, 2, 0);
   g.AddEdge(1, 3, 1);
   g.AddEdge(4, 1, 2);
   g.AddEdge(1, 3, 0);  // parallel label
-  EXPECT_EQ(g.OutDegree(1), 3u);
-  EXPECT_EQ(g.InDegree(1), 1u);
   auto out = g.OutArcs(1);
   EXPECT_EQ(std::vector<Arc>(out.begin(), out.end()),
             (std::vector<Arc>{{2, 0}, {3, 0}, {3, 1}}));
   auto in = g.InArcs(1);
   EXPECT_EQ(std::vector<Arc>(in.begin(), in.end()), (std::vector<Arc>{{4, 2}}));
   EXPECT_TRUE(g.OutArcs(99).empty());
-}
-
-TEST(DigraphTest, HasPath) {
-  Digraph g;
-  g.AddEdge(1, 2, 0);
-  g.AddEdge(2, 3, 0);
-  g.AddEdge(3, 4, 0);
-  EXPECT_TRUE(g.HasPath(1, 4));
-  EXPECT_TRUE(g.HasPath(2, 2));
-  EXPECT_FALSE(g.HasPath(4, 1));
-  EXPECT_FALSE(g.HasPath(1, 99));
-}
-
-TEST(DigraphTest, WouldCreateCycle) {
-  Digraph g;
-  g.AddEdge(1, 2, 0);
-  g.AddEdge(2, 3, 0);
-  EXPECT_TRUE(g.WouldCreateCycle(3, 1));   // 1->2->3 then 3->1 closes
-  EXPECT_FALSE(g.WouldCreateCycle(1, 3));  // parallel path, no cycle
-}
-
-TEST(DigraphTest, FindCycleThrough) {
-  Digraph g;
-  g.AddEdge(1, 2, 10);
-  g.AddEdge(2, 3, 11);
-  g.AddEdge(3, 1, 12);
-  g.AddEdge(3, 4, 13);  // dangling tail
-  auto cycle = g.FindCycleThrough(1);
-  ASSERT_TRUE(cycle.has_value());
-  EXPECT_EQ(cycle->vertices.size(), 3u);
-  EXPECT_TRUE(cycle->Contains(1));
-  EXPECT_TRUE(cycle->Contains(2));
-  EXPECT_TRUE(cycle->Contains(3));
-  EXPECT_FALSE(cycle->Contains(4));
-  EXPECT_EQ(cycle->edges.size(), 3u);
-  EXPECT_FALSE(g.FindCycleThrough(4).has_value());
 }
 
 TEST(DigraphTest, EnumerateMultipleCyclesThroughVertex) {
@@ -123,33 +84,6 @@ TEST(DigraphTest, EnumerateHonorsLimit) {
   EXPECT_EQ(n, 1u);
 }
 
-TEST(DigraphTest, IsAcyclic) {
-  Digraph g;
-  g.AddEdge(1, 2, 0);
-  g.AddEdge(2, 3, 0);
-  EXPECT_TRUE(g.IsAcyclic());
-  g.AddEdge(3, 1, 0);
-  EXPECT_FALSE(g.IsAcyclic());
-}
-
-TEST(DigraphTest, ForestProperty) {
-  // Theorem 1: X-only deadlock-free graphs are forests of out-trees.
-  Digraph g;
-  g.AddEdge(1, 2, 0);
-  g.AddEdge(1, 3, 1);  // branching out is fine
-  g.AddEdge(3, 4, 2);
-  EXPECT_TRUE(g.IsForest());
-  g.AddEdge(5, 4, 3);  // 4 now has two predecessors: not a forest
-  EXPECT_FALSE(g.IsForest());
-}
-
-TEST(DigraphTest, CycleBreaksForest) {
-  Digraph g;
-  g.AddEdge(1, 2, 0);
-  g.AddEdge(2, 1, 1);
-  EXPECT_FALSE(g.IsForest());
-}
-
 TEST(DigraphTest, ToDotMentionsEdges) {
   Digraph g;
   g.AddEdge(1, 2, 5);
@@ -158,37 +92,76 @@ TEST(DigraphTest, ToDotMentionsEdges) {
   EXPECT_NE(dot.find("label=\"5\""), std::string::npos);
 }
 
-TEST(DigraphTest, CyclicComponents) {
-  Digraph g;
-  // Two cycles {1,2,3} and {5,6}, plus acyclic vertices 4 and 7 and a
+// ---------------------------------------------------------------------------
+// Shape: graph::ShapeOf and the whole-graph component oracle
+// ---------------------------------------------------------------------------
+
+TEST(ShapeTest, Acyclic) {
+  std::vector<Edge> arcs{{1, 2, 0}, {2, 3, 0}};
+  EXPECT_TRUE(ShapeOf(arcs).acyclic);
+  arcs.push_back({3, 1, 0});
+  EXPECT_FALSE(ShapeOf(arcs).acyclic);
+  EXPECT_FALSE(ShapeOf({{4, 4, 0}}).acyclic);  // a self-loop
+  EXPECT_TRUE(ShapeOf({}).acyclic);
+}
+
+TEST(ShapeTest, ForestProperty) {
+  // Theorem 1: X-only deadlock-free graphs are forests of out-trees.
+  std::vector<Edge> arcs{{1, 2, 0}, {1, 3, 1}, {3, 4, 2}};
+  EXPECT_TRUE(ShapeOf(arcs).forest);  // branching out is fine
+  arcs.push_back({1, 3, 5});  // a parallel label: still one predecessor
+  EXPECT_TRUE(ShapeOf(arcs).forest);
+  arcs.push_back({5, 4, 3});  // 4 now has two predecessors: not a forest
+  EXPECT_FALSE(ShapeOf(arcs).forest);
+  EXPECT_TRUE(ShapeOf(arcs).acyclic);
+}
+
+TEST(ShapeTest, CycleBreaksForest) {
+  EXPECT_FALSE(ShapeOf({{1, 2, 0}, {2, 1, 1}}).forest);
+}
+
+TEST(ComponentOracleTest, CyclicComponents) {
+  // Two cycles {1,2,3} and {5,6}, plus an acyclic vertex 4 and a
   // self-loop on 8.
-  g.AddEdge(1, 2, 0);
-  g.AddEdge(2, 3, 0);
-  g.AddEdge(3, 1, 0);
-  g.AddEdge(3, 4, 0);
-  g.AddEdge(5, 6, 0);
-  g.AddEdge(6, 5, 0);
-  g.AddVertex(7);
-  g.AddEdge(8, 8, 0);
-  auto cyclic = g.CyclicComponents();
+  const std::vector<Edge> arcs{{1, 2, 0}, {2, 3, 0}, {3, 1, 0}, {3, 4, 0},
+                               {5, 6, 0}, {6, 5, 0}, {8, 8, 0}};
+  auto cyclic = CyclicComponentsOracle(arcs);
   ASSERT_EQ(cyclic.size(), 3u);
   EXPECT_EQ(cyclic[0], (std::vector<VertexId>{1, 2, 3}));
   EXPECT_EQ(cyclic[1], (std::vector<VertexId>{5, 6}));
   EXPECT_EQ(cyclic[2], (std::vector<VertexId>{8}));
 }
 
-// Cyclic components and acyclicity against mutual reachability (HasPath)
-// and the enumeration oracle on random graphs, self-loops included.
-TEST(DigraphTest, CyclicComponentsMatchMutualReachability) {
+// Random digraphs with self-loops, parallel labels and duplicate arcs.
+std::vector<Edge> RandomArcs(pardb::Rng& rng, std::size_t n) {
+  std::vector<Edge> arcs;
+  const std::size_t m = rng.Uniform(2 * n + 1);
+  for (std::size_t e = 0; e < m; ++e) {
+    // Few labels, so parallel arcs share heads and tails often.
+    arcs.push_back(Edge{rng.Uniform(n), rng.Uniform(n), rng.Uniform(3)});
+  }
+  return arcs;
+}
+
+// The oracle's cyclic components and acyclicity against mutual
+// reachability and the enumeration oracle.
+TEST(ComponentOracleTest, CyclicComponentsMatchMutualReachability) {
   pardb::Rng rng(404);
   for (int trial = 0; trial < 100; ++trial) {
-    Digraph g;
     const std::size_t n = 2 + rng.Uniform(8);
-    for (std::size_t v = 0; v < n; ++v) g.AddVertex(v);
-    const std::size_t edges = rng.Uniform(2 * n);
-    for (std::size_t e = 0; e < edges; ++e) {
-      g.AddEdge(rng.Uniform(n), rng.Uniform(n), e);
-    }
+    const std::vector<Edge> arcs = RandomArcs(rng, n);
+    Digraph g;
+    for (const Edge& e : arcs) g.AddEdge(e.from, e.to, e.label);
+    auto reaches = [&g](VertexId from, VertexId to) {
+      std::set<VertexId> seen{from};
+      std::vector<VertexId> queue{from};
+      for (std::size_t head = 0; head < queue.size(); ++head) {
+        for (const Arc& a : g.OutArcs(queue[head])) {
+          if (seen.insert(a.first).second) queue.push_back(a.first);
+        }
+      }
+      return seen.count(to) > 0;
+    };
     std::vector<std::vector<VertexId>> expected;
     std::set<VertexId> placed;
     bool acyclic = true;
@@ -197,17 +170,48 @@ TEST(DigraphTest, CyclicComponentsMatchMutualReachability) {
       if (placed.count(v)) continue;
       std::vector<VertexId> component;
       for (VertexId u = 0; u < n; ++u) {
-        if (g.HasPath(v, u) && g.HasPath(u, v)) component.push_back(u);
+        if (reaches(v, u) && reaches(u, v)) component.push_back(u);
       }
       placed.insert(component.begin(), component.end());
       if (component.size() >= 2 || g.HasEdge(v, v)) {
         expected.push_back(component);
       }
     }
-    EXPECT_EQ(g.CyclicComponents(), expected) << trial;
-    EXPECT_EQ(g.IsAcyclic(), acyclic) << trial;
+    EXPECT_EQ(CyclicComponentsOracle(arcs), expected) << trial;
+    EXPECT_EQ(IsAcyclicOracle(arcs), acyclic) << trial;
     EXPECT_EQ(expected.empty(), acyclic) << trial;
   }
+}
+
+// ShapeOf, which the waits-for snapshots read, against the oracle. Forest
+// draws keep most vertices at one predecessor so both answers occur.
+TEST(ShapeTest, ShapeOfMatchesOracle) {
+  pardb::Rng rng(1981);
+  std::uint64_t forests = 0;
+  std::uint64_t cyclic = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t n = 2 + rng.Uniform(10);
+    std::vector<Edge> arcs;
+    if (trial % 2 == 0) {
+      arcs = RandomArcs(rng, n);
+    } else {
+      for (VertexId v = 1; v < n; ++v) {
+        if (rng.Bernoulli(0.8)) arcs.push_back({rng.Uniform(v), v, v});
+      }
+      if (rng.Bernoulli(0.3)) arcs.push_back(arcs.empty() ? Edge{0, 0, 0}
+                                                          : arcs.front());
+      if (rng.Bernoulli(0.3)) {
+        arcs.push_back({rng.Uniform(n), rng.Uniform(n), rng.Uniform(3)});
+      }
+    }
+    const Shape shape = ShapeOf(arcs);
+    EXPECT_EQ(shape.acyclic, IsAcyclicOracle(arcs)) << trial;
+    EXPECT_EQ(shape.forest, IsForestOracle(arcs)) << trial;
+    forests += shape.forest;
+    cyclic += !shape.acyclic;
+  }
+  EXPECT_GT(forests, 50u);
+  EXPECT_GT(cyclic, 50u);
 }
 
 // Cross-check the enumeration oracle against brute-force permutation
@@ -271,15 +275,13 @@ std::size_t LocalIndex(const CyclesThrough& ct, VertexId v) {
   return ct.size();
 }
 
-// g minus the `drop` vertices (Digraph is move-only).
+// g minus the `drop` vertices (Digraph is move-only); isolated vertices
+// are left out, as no cycle question reads them.
 Digraph Without(const Digraph& g, const std::vector<VertexId>& drop) {
   auto Dropped = [&drop](VertexId v) {
     return std::find(drop.begin(), drop.end(), v) != drop.end();
   };
   Digraph rest;
-  for (VertexId v : g.Vertices()) {
-    if (!Dropped(v)) rest.AddVertex(v);
-  }
   for (const Edge& e : g.Edges()) {
     if (!Dropped(e.from) && !Dropped(e.to)) rest.AddEdge(e.from, e.to, e.label);
   }
@@ -525,25 +527,27 @@ TEST(CyclesThroughTest, CyclicRemainderStillCutsEveryCycleThroughRoot) {
   EXPECT_TRUE(AllCyclesThrough(Without(g, victims), 0).empty());
 }
 
-TEST(CyclesThroughTest, FindCycleThroughReturnsASimpleCycleOnAnyGraph) {
+TEST(CyclesThroughTest, FirstCycleReturnsASimpleCycleOnAnyGraph) {
   pardb::Rng rng(31);
+  CyclesThrough ct;
   for (int trial = 0; trial < 100; ++trial) {
     Digraph g;
     const std::size_t n = 2 + rng.Uniform(7);
     for (std::size_t e = 0; e < 2 * n; ++e) {
       g.AddEdge(rng.Uniform(n), rng.Uniform(n), e);
     }
-    const auto found = g.FindCycleThrough(0);
-    ASSERT_EQ(found.has_value(), !AllCyclesThrough(g, 0).empty()) << trial;
-    if (!found.has_value()) continue;
+    Cycle found;
+    const bool closed = ct.Load(0, InArcsOf(g)) && ct.FirstCycle(&found);
+    ASSERT_EQ(closed, !AllCyclesThrough(g, 0).empty()) << trial;
+    if (!closed) continue;
     // On a cyclic remainder the walk may return another cycle than the
     // enumeration's first; it is always a simple cycle through 0.
-    const std::vector<VertexId>& vs = found->vertices;
+    const std::vector<VertexId>& vs = found.vertices;
     EXPECT_EQ(vs.front(), 0u);
     EXPECT_EQ(std::set<VertexId>(vs.begin(), vs.end()).size(), vs.size());
-    ASSERT_EQ(found->edges.size(), vs.size());
+    ASSERT_EQ(found.edges.size(), vs.size());
     for (std::size_t i = 0; i < vs.size(); ++i) {
-      const Edge& e = found->edges[i];
+      const Edge& e = found.edges[i];
       EXPECT_EQ(e.from, vs[i]);
       EXPECT_EQ(e.to, vs[(i + 1) % vs.size()]);
       EXPECT_TRUE(g.HasEdge(e.from, e.to, e.label));
@@ -877,12 +881,6 @@ TEST(CyclesThroughTest, LargeReachGrowsTheIndexAndMatchesOracle) {
       EXPECT_FALSE(rest.Load(root, InArcsOf(Without(g, victims))));
     }
   }
-}
-
-TEST(CycleTest, ToStringFormatsLoop) {
-  Cycle c;
-  c.vertices = {1, 2, 3};
-  EXPECT_EQ(c.ToString(), "1 -> 2 -> 3 -> 1");
 }
 
 TEST(UndirectedTest, BasicOps) {

@@ -21,6 +21,7 @@
 #include "rollback/plan.h"
 #include "sim/workload.h"
 #include "storage/entity_store.h"
+#include "component_oracle.h"
 #include "waits_for_oracle.h"
 
 namespace pardb {
@@ -286,8 +287,8 @@ TEST(ForestPropertyTest, XOnlyGraphAlwaysForest) {
     auto stepped = engine.StepAny();
     ASSERT_TRUE(stepped.ok());
     ASSERT_TRUE(stepped.value().has_value());
-    EXPECT_TRUE(engine.WaitsFor().IsForest())
-        << engine.WaitsFor().ToDot();
+    const obs::WaitsForSnapshot snap = engine.SnapshotWaitsFor();
+    EXPECT_TRUE(snap.forest) << snap.ToDot();
   }
   EXPECT_TRUE(engine.AllCommitted());
 }
@@ -298,6 +299,10 @@ TEST(ForestPropertyTest, XOnlyGraphAlwaysForest) {
 // that table — under every handling mode, both queue disciplines and both
 // detection cadences. LockManager::MayBlockWaiters, the detection
 // early-out (DESIGN D28), must answer true for every tail of those arcs.
+// Before every step — so in the state each periodic scan's first round
+// reads — Engine::CyclicGroups, the groups the scan collects (DESIGN D30),
+// must equal the whole-graph oracle's cyclic components, and the
+// snapshot's structure flags the oracle's.
 struct WaitsForCase {
   const char* name;
   core::DeadlockHandling handling;
@@ -333,6 +338,7 @@ TEST_P(WaitsForOracleTest, DerivedGraphMatchesOracleAfterEveryStep) {
     std::uint64_t arcs_seen = 0;
     std::uint64_t answered_yes = 0;
     std::uint64_t answered_no = 0;
+    std::uint64_t groups_seen = 0;
     int guard = 100000;
     while (engine.metrics().commits < 60 && guard-- > 0) {
       while (spawned.size() < 60 &&
@@ -343,10 +349,23 @@ TEST_P(WaitsForOracleTest, DerivedGraphMatchesOracleAfterEveryStep) {
         ASSERT_TRUE(id.ok());
         spawned.push_back(id.value());
       }
+      {
+        std::vector<graph::Edge> arcs;
+        engine.AppendWaitsFor(&arcs);
+        const auto want = graph::CyclicComponentsOracle(arcs);
+        ASSERT_EQ(engine.CyclicGroups(), want)
+            << "step " << engine.metrics().steps << "\n"
+            << engine.lock_manager().ToString();
+        groups_seen += want.size();
+        const obs::WaitsForSnapshot snap = engine.SnapshotWaitsFor();
+        ASSERT_EQ(snap.acyclic, want.empty());
+        ASSERT_EQ(snap.forest, graph::IsForestOracle(arcs));
+      }
       auto stepped = engine.StepAny();
       ASSERT_TRUE(stepped.ok()) << stepped.status();
       if (!stepped.value().has_value()) break;  // stalled; checked below
-      const std::vector<graph::Edge> derived = engine.WaitsFor().Edges();
+      std::vector<graph::Edge> derived;
+      engine.AppendWaitsFor(&derived);
       const std::set<graph::Edge> expected =
           WaitsForOracle(engine.lock_manager(), spawned);
       ASSERT_EQ(std::set<graph::Edge>(derived.begin(), derived.end()),
@@ -373,10 +392,14 @@ TEST_P(WaitsForOracleTest, DerivedGraphMatchesOracleAfterEveryStep) {
     if (fifo) {
       EXPECT_EQ(engine.metrics().commits, 60u);
     }
-    // The runs must actually wait, or the comparison shows nothing.
+    // The runs must actually wait, or the comparison shows nothing; a
+    // periodic run must meet deadlocked groups before its scans.
     EXPECT_GT(arcs_seen, 0u);
     EXPECT_GT(answered_yes, 0u);
     EXPECT_GT(answered_no, 0u);
+    if (c.detection == core::DetectionMode::kPeriodic) {
+      EXPECT_GT(groups_seen, 0u);
+    }
   }
 }
 

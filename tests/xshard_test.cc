@@ -23,11 +23,11 @@
 #include "par/router.h"
 #include "par/sharded_driver.h"
 #include "par/xshard/coordinator.h"
-#include "par/xshard/global_graph.h"
 #include "par/xshard/split.h"
 #include "sim/workload.h"
 #include "storage/entity_store.h"
 #include "txn/program.h"
+#include "union_oracle.h"
 
 namespace pardb {
 namespace {
@@ -396,22 +396,28 @@ TEST(EngineSubTxnTest, HoldReleaseLifecycle) {
 // Coordinator: the merge early-out
 // ---------------------------------------------------------------------------
 
-// MergeAndResolve builds no union while no slice of a global in flight
+// MergeAndResolve loads nothing while no slice of a global in flight
 // waits: a cycle through a global node needs an arc into it, and only a
 // waiting slice draws one (DESIGN D29). Engines and a coordinator are
 // driven directly — a small hot universe, 30% spanning programs, random
-// stepping between coordinate phases — and at every phase where the
-// early-out fires, the union must hold no cyclic component with a global.
-// At most two globals are in flight, so the early-out fires often, and
-// programs of up to six locks span three or four shards, so global cycles
-// form whose waiting slices are not their globals' first.
+// stepping between coordinate phases. At every phase the coordinator's
+// union components through globals, loaded from the lock tables (DESIGN
+// D30), must equal the whole-union oracle's, members and order; where the
+// early-out fires, the oracle must find none. Seeds 1-8 keep at most two
+// globals in flight, so the early-out fires often; seeds 9-16 allow the
+// coordinator's eight, so two global components coexist. Programs of up
+// to six locks span three or four shards, so global cycles form whose
+// waiting slices are not their globals' first.
 TEST(CoordinatorTest, MergeEarlyOutFiresOnlyWithoutGlobalCycles) {
   constexpr std::uint32_t kShards = 4;
   constexpr std::uint64_t kLocalLevel = 3;
-  constexpr std::size_t kGlobalsInFlight = 2;
   std::uint64_t fired = 0;
   std::uint64_t merged = 0;
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+  std::uint64_t components = 0;
+  std::uint64_t several = 0;  // phases with two or more global components
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    const std::size_t globals_in_flight =
+        seed <= 8 ? 2 : par::xshard::Coordinator::kMaxActiveGlobals;
     ShardedOptions opt;
     opt.num_shards = kShards;
     opt.cross_shard_fraction = 0.3;
@@ -441,25 +447,21 @@ TEST(CoordinatorTest, MergeEarlyOutFiresOnlyWithoutGlobalCycles) {
     std::mt19937_64 rng(seed);
     for (int phase = 0; phase < 300; ++phase) {
       ASSERT_TRUE(coord.Poll().ok());
+      const auto want = par::xshard::GlobalComponentsOracle(engines, coord);
+      ASSERT_EQ(coord.GlobalComponents(), want)
+          << "seed " << seed << " phase " << phase;
+      components += want.size();
+      several += want.size() >= 2;
       if (coord.AnySliceWaiting()) {
         ++merged;
       } else {
         ++fired;
-        std::vector<std::vector<graph::Edge>> arcs(kShards);
-        for (std::uint32_t s = 0; s < kShards; ++s) {
-          engines[s]->AppendWaitsFor(&arcs[s]);
-        }
-        const auto union_graph = par::xshard::MergeWaitsFor(arcs, coord);
-        for (const auto& component : union_graph.graph.CyclicComponents()) {
-          for (graph::VertexId v : component) {
-            ASSERT_FALSE(par::xshard::IsGlobalNode(v))
-                << "seed " << seed << " phase " << phase << ": global G" << v
-                << " on a cycle while no slice waits";
-          }
-        }
+        ASSERT_TRUE(want.empty())
+            << "seed " << seed << " phase " << phase << ": global G"
+            << want.front().front() << " on a cycle while no slice waits";
       }
       ASSERT_TRUE(coord.MergeAndResolve().ok());
-      // Admission: globals up to kGlobalsInFlight, locals up to each
+      // Admission: globals up to globals_in_flight, locals up to each
       // shard's level; a draw with no room is dropped.
       for (int draw = 0; draw < 16; ++draw) {
         const std::uint64_t t = stream.position();
@@ -468,7 +470,7 @@ TEST(CoordinatorTest, MergeEarlyOutFiresOnlyWithoutGlobalCycles) {
         const par::Route route =
             RouteProgram(program.value(), kShards, /*coordinator_shard=*/0, t);
         if (route.cross_shard) {
-          if (coord.active().size() < kGlobalsInFlight) {
+          if (coord.active().size() < globals_in_flight) {
             ASSERT_TRUE(coord.Admit(std::move(program).value()).ok());
           }
         } else if (engines[route.shard]->metrics().commits -
@@ -490,9 +492,12 @@ TEST(CoordinatorTest, MergeEarlyOutFiresOnlyWithoutGlobalCycles) {
     }
   }
   // Both branches are exercised: phases with no waiting slice, and phases
-  // that had to build the union.
+  // that had to load components, some of them cyclic, some of them beside
+  // another.
   EXPECT_GT(fired, 0u);
   EXPECT_GT(merged, 0u);
+  EXPECT_GT(components, 0u);
+  EXPECT_GT(several, 0u);
 }
 
 // ---------------------------------------------------------------------------

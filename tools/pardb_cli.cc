@@ -718,9 +718,9 @@ int RunFigure(const std::string& mode) {
   if (mode == "figure3a") {
     auto fig = sim::BuildFigure3a(opt);
     if (!fig.ok()) return 1;
+    const obs::WaitsForSnapshot snap = fig->runner->engine().SnapshotWaitsFor();
     std::printf("Figure 3(a): acyclic=%s forest=%s\n",
-                fig->runner->engine().WaitsFor().IsAcyclic() ? "yes" : "no",
-                fig->runner->engine().WaitsFor().IsForest() ? "yes" : "no");
+                snap.acyclic ? "yes" : "no", snap.forest ? "yes" : "no");
     return 0;
   }
   if (mode == "figure3b" || mode == "figure3c") {
